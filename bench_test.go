@@ -394,19 +394,6 @@ func (c delayConn) Fetch(ctx context.Context, user string, id chunk.ID) ([]byte,
 	return c.inner.Fetch(ctx, user, id)
 }
 
-// FetchBuf forwards the buffered-fetch extension, so the modeled planes
-// keep the production read path's pooled chunk buffers.
-func (c delayConn) FetchBuf(ctx context.Context, user string, id chunk.ID, buf []byte) ([]byte, error) {
-	bf, ok := c.inner.(client.BufferedFetcher)
-	if !ok {
-		return c.Fetch(ctx, user, id)
-	}
-	if err := sleepCtx(ctx, c.rtt); err != nil {
-		return nil, err
-	}
-	return bf.FetchBuf(ctx, user, id, buf)
-}
-
 // benchPlanes is the provider-RTT grid the client benchmarks run over:
 // the raw in-process plane (hashing-bound) and a modeled LAN plane
 // (latency-bound, where replica fan-out pays off).

@@ -10,7 +10,9 @@
 // (copy/clear/len/cap, slicing, indexing, comparison) has a new owner,
 // and the analyzer goes silent about it. What remains — a buffer only
 // ever written through and released locally — must reach a putBuf (or
-// a defer of one) before every return.
+// a defer of one) before every return — and must reach it once: a second
+// putBuf on the same path hands the pool a buffer its next taker already
+// owns, so two transfers end up writing through one slice.
 //
 // The walk is block-structured like lockio's: branch bodies are
 // analyzed with a copy of the obligation state and the fallthrough
@@ -68,8 +70,8 @@ func run(pass *analysis.Pass) error {
 
 // tracked is one pool buffer variable under obligation.
 type tracked struct {
-	obj     types.Object
-	getStmt ast.Stmt // the statement that acquired it
+	obj      types.Object
+	getStmts map[ast.Stmt]bool // the statements that acquire into it
 }
 
 func checkFunc(pass *analysis.Pass, fd *ast.FuncDecl) {
@@ -100,7 +102,13 @@ func checkFunc(pass *analysis.Pass, fd *ast.FuncDecl) {
 		if obj == nil {
 			return true
 		}
-		bufs = append(bufs, &tracked{obj: obj, getStmt: as})
+		for _, tr := range bufs {
+			if tr.obj == obj {
+				tr.getStmts[as] = true
+				return true
+			}
+		}
+		bufs = append(bufs, &tracked{obj: obj, getStmts: map[ast.Stmt]bool{as: true}})
 		return true
 	})
 	for _, tr := range bufs {
@@ -121,14 +129,19 @@ func checkFunc(pass *analysis.Pass, fd *ast.FuncDecl) {
 }
 
 // endsTerminal reports whether a statement list cannot fall off its
-// end (it ends in return, panic, or an endless for).
+// end (it ends in return, panic, a jump, an endless for, or a block or
+// if/else whose every arm does).
 func endsTerminal(list []ast.Stmt) bool {
 	if len(list) == 0 {
 		return false
 	}
 	switch last := list[len(list)-1].(type) {
-	case *ast.ReturnStmt:
+	case *ast.ReturnStmt, *ast.BranchStmt:
 		return true
+	case *ast.BlockStmt:
+		return endsTerminal(last.List)
+	case *ast.IfStmt:
+		return last.Else != nil && endsTerminal(last.Body.List) && endsTerminal([]ast.Stmt{last.Else})
 	case *ast.ForStmt:
 		return last.Cond == nil
 	case *ast.ExprStmt:
@@ -213,6 +226,11 @@ type relState struct {
 	active   bool // the acquisition has executed on this path
 	released bool // putBuf already executed on this path
 	deferred bool // a defer putBuf covers every later exit
+
+	// maybeReleased: putBuf executed in a branch that falls through to
+	// here. It excuses no leak — the other arm still owes a release — but
+	// a further putBuf is a double release on that branch's path.
+	maybeReleased bool
 }
 
 type releaseWalker struct {
@@ -241,18 +259,20 @@ func (w *releaseWalker) putsTracked(call *ast.CallExpr) bool {
 }
 
 func (w *releaseWalker) stmt(s ast.Stmt, st *relState) {
-	if s == w.tr.getStmt {
+	if w.tr.getStmts[s] {
 		st.active = true
-		st.released = false // a re-acquisition renews the obligation
+		st.released, st.maybeReleased = false, false // a re-acquisition renews the obligation
 		return
 	}
 	switch s := s.(type) {
 	case *ast.ExprStmt:
 		if call, ok := s.X.(*ast.CallExpr); ok && w.putsTracked(call) {
-			st.released = true
+			w.checkDouble(s, st)
+			st.released, st.maybeReleased = true, true
 		}
 	case *ast.DeferStmt:
 		if w.putsTracked(s.Call) {
+			w.checkDouble(s, st)
 			st.deferred = true
 		}
 	case *ast.ReturnStmt:
@@ -262,22 +282,14 @@ func (w *releaseWalker) stmt(s ast.Stmt, st *relState) {
 				w.tr.obj.Name())
 		}
 	case *ast.IfStmt:
-		inner := *st
-		w.stmts(s.Body.List, &inner)
-		st.deferred = st.deferred || inner.deferred // defers are function-scoped
+		w.branch(s.Body.List, st)
 		if s.Else != nil {
-			elseSt := *st
-			w.stmt(s.Else, &elseSt)
-			st.deferred = st.deferred || elseSt.deferred
+			w.branch([]ast.Stmt{s.Else}, st)
 		}
 	case *ast.ForStmt:
-		inner := *st
-		w.stmts(s.Body.List, &inner)
-		st.deferred = st.deferred || inner.deferred
+		w.branch(s.Body.List, st)
 	case *ast.RangeStmt:
-		inner := *st
-		w.stmts(s.Body.List, &inner)
-		st.deferred = st.deferred || inner.deferred
+		w.branch(s.Body.List, st)
 	case *ast.SwitchStmt:
 		w.clauses(s.Body.List, st)
 	case *ast.TypeSwitchStmt:
@@ -285,9 +297,7 @@ func (w *releaseWalker) stmt(s ast.Stmt, st *relState) {
 	case *ast.SelectStmt:
 		for _, c := range s.Body.List {
 			if cc, ok := c.(*ast.CommClause); ok {
-				inner := *st
-				w.stmts(cc.Body, &inner)
-				st.deferred = st.deferred || inner.deferred
+				w.branch(cc.Body, st)
 			}
 		}
 	case *ast.BlockStmt:
@@ -297,12 +307,33 @@ func (w *releaseWalker) stmt(s ast.Stmt, st *relState) {
 	}
 }
 
+// checkDouble reports a release of a buffer this path has already
+// released, or has a deferred release pending for.
+func (w *releaseWalker) checkDouble(s ast.Stmt, st *relState) {
+	if st.active && (st.maybeReleased || st.deferred) {
+		w.pass.Reportf(s.Pos(),
+			"pooled buffer %s is released twice on this path: the pool would hand it to two owners",
+			w.tr.obj.Name())
+	}
+}
+
 func (w *releaseWalker) clauses(list []ast.Stmt, st *relState) {
 	for _, c := range list {
 		if cc, ok := c.(*ast.CaseClause); ok {
-			inner := *st
-			w.stmts(cc.Body, &inner)
-			st.deferred = st.deferred || inner.deferred
+			w.branch(cc.Body, st)
 		}
+	}
+}
+
+// branch walks one arm with a copy of the obligation state. The
+// fallthrough keeps the pre-branch state, except for what outlives the
+// arm: a defer (function-scoped) and, when the arm can reach the code
+// after it, the fact that it may have released the buffer already.
+func (w *releaseWalker) branch(body []ast.Stmt, st *relState) {
+	inner := *st
+	w.stmts(body, &inner)
+	st.deferred = st.deferred || inner.deferred
+	if !endsTerminal(body) {
+		st.maybeReleased = st.maybeReleased || inner.maybeReleased
 	}
 }

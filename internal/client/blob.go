@@ -217,7 +217,7 @@ func (r *BlobReader) ensure(idx int64) *chunkFuture {
 	return r.futures[idx]
 }
 
-// donate recycles an evicted future's chunk buffer into the client pool.
+// donate recycles an evicted future's chunk buffer into the chunk pool.
 // Only settled fetches donate: an in-flight (cancelled) fetch still owns
 // f.data and its buffer is simply dropped when the goroutine finishes.
 func (r *BlobReader) donate(f *chunkFuture) {
@@ -227,7 +227,7 @@ func (r *BlobReader) donate(f *chunkFuture) {
 	select {
 	case <-f.done:
 		if f.err == nil {
-			r.c.putBuf(f.data)
+			chunk.PutBuf(f.data)
 		}
 	default:
 	}
@@ -631,7 +631,7 @@ func (w *BlobWriter) writable() error {
 // ensureCur readies the slot buffer and sets curRoom to the bytes left
 // to the current chunk slot boundary (the pooled buffer's capacity may
 // exceed the slot, so the boundary is tracked explicitly). Buffers come
-// from the client's chunk pool and go back once their flush lands.
+// from the chunk pool and go back once their flush lands.
 func (w *BlobWriter) ensureCur() {
 	if w.cur != nil {
 		return
@@ -639,7 +639,7 @@ func (w *BlobWriter) ensureCur() {
 	idx := w.curStart / w.chunkSize
 	_, slotHi := chunk.SlotRange(idx, w.chunkSize)
 	w.curRoom = int(slotHi - w.curStart)
-	w.cur = w.c.getBuf(slotHi - w.curStart)
+	w.cur = chunk.GetBuf(w.curRoom)
 }
 
 // Write implements io.Writer.
@@ -747,12 +747,12 @@ func (w *BlobWriter) flushCur() {
 	w.cur = nil
 	w.curStart = start + int64(len(data))
 	if len(data) == 0 {
-		w.c.putBuf(data) // an ensured-but-unfilled slot buffer
+		chunk.PutBuf(data) // an ensured-but-unfilled slot buffer
 		return
 	}
 	targets, err := w.nextPlacement()
 	if err != nil {
-		w.c.putBuf(data)
+		chunk.PutBuf(data)
 		w.mu.Lock()
 		if w.err == nil {
 			w.err = err
@@ -779,7 +779,7 @@ func (w *BlobWriter) flushCur() {
 		case <-w.ctx.Done():
 			// Cancelled: the slot is dropped; Close sees ctx.Err() and never
 			// publishes, so no version can reference the missing chunk.
-			w.c.putBuf(data)
+			chunk.PutBuf(data)
 			return
 		}
 	}
@@ -790,7 +790,7 @@ func (w *BlobWriter) flushCur() {
 		idx, desc, err := w.c.storeSlot(w.ctx, w.blob, w.chunkSize, start, data, targets, w.base, w.lref)
 		// The slot buffer is dead once the replica stores returned
 		// (Conn.Store does not retain payloads): back to the pool.
-		w.c.putBuf(data)
+		chunk.PutBuf(data)
 		w.mu.Lock()
 		defer w.mu.Unlock()
 		if err != nil {

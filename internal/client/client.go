@@ -36,21 +36,18 @@ var (
 
 // Conn is the client's view of one data provider. Transfers are
 // context-first: a cancelled ctx must abort the transfer (or the wait for
-// it) promptly. Store must not retain data after it returns, and Fetch's
-// result is owned by the caller: the client recycles chunk buffers
-// through a pool on both sides, so a retained slice would be overwritten
-// by a later transfer.
+// it) promptly.
+//
+// Buffer ownership, stated once for every plane: Store must not retain
+// data after it returns — the caller recycles the slice at once. Fetch
+// returns a buffer the caller owns; implementations draw it from the
+// shared chunk pool (chunk.GetBuf) and the caller donates it back with
+// chunk.PutBuf once the payload is dead, or drops it for the GC. A Conn
+// that retained either slice would see it overwritten by a later
+// transfer.
 type Conn interface {
 	Store(ctx context.Context, user string, id chunk.ID, data []byte) error
 	Fetch(ctx context.Context, user string, id chunk.ID) ([]byte, error)
-}
-
-// BufferedFetcher is an optional Conn extension: Fetch into a
-// caller-supplied buffer (appended to buf[:0]; the in-process provider
-// plane implements it). The streaming read path uses it to serve its
-// whole prefetch window from a recycled pool of chunk buffers.
-type BufferedFetcher interface {
-	FetchBuf(ctx context.Context, user string, id chunk.ID, buf []byte) ([]byte, error)
 }
 
 // ChunkLeaser is an optional Conn extension: register chunk IDs under a
@@ -147,14 +144,6 @@ type Client struct {
 	quorum   int                          // successful replica stores required per chunk (0 = all)
 	hedged   bool                         // fetch all replicas concurrently, first success wins
 	healthy  func(providerID string) bool // nil = all replicas equal
-
-	// bufs recycles chunk-sized buffers across the streaming paths:
-	// BlobWriter slot buffers and partial-slot merge scratch draw from
-	// it, BlobReader prefetch buffers are donated back as the consumer
-	// moves past them — so steady-state streaming reuses a working set
-	// of roughly window+workers buffers instead of allocating one per
-	// chunk.
-	bufs sync.Pool
 }
 
 // Option configures a Client.
@@ -452,31 +441,6 @@ func (c *Client) Latest(blob uint64) (uint64, error) {
 	return vm.Version, nil
 }
 
-// getBuf returns a zero-length buffer with capacity at least n, reusing
-// a pooled chunk buffer when one is large enough (a smaller pooled
-// buffer — another BLOB's chunk size — is dropped for the GC). The full
-// capacity is preserved, never clipped: a buffer that once served a
-// short tail chunk must still satisfy full-chunk requests when it comes
-// back around, or mixed-size workloads would churn the pool.
-func (c *Client) getBuf(n int64) []byte {
-	if v := c.bufs.Get(); v != nil {
-		if b := *(v.(*[]byte)); int64(cap(b)) >= n {
-			return b[:0]
-		}
-	}
-	return make([]byte, 0, n)
-}
-
-// putBuf donates a dead chunk buffer to the pool. Callers must hold the
-// only live reference: pooled buffers are re-sliced and overwritten.
-func (c *Client) putBuf(b []byte) {
-	if cap(b) == 0 {
-		return
-	}
-	b = b[:0]
-	c.bufs.Put(&b)
-}
-
 func (c *Client) resolveVersion(blob, version uint64) (vmanager.VersionMeta, error) {
 	if version == 0 {
 		return c.vm.Latest(blob)
@@ -590,17 +554,17 @@ func (c *Client) storeSlot(ctx context.Context, blob uint64, chunkSize, start in
 			// whole slot. The buffer is pooled: stale bytes between the
 			// base content and the write must be zeroed by hand (a fresh
 			// allocation got that for free).
-			buf := c.getBuf(valid)[:valid]
+			buf := chunk.GetBuf(int(valid))[:valid]
 			n := copy(buf, base)
 			if int64(n) < within {
 				clear(buf[n:within])
 			}
 			copy(buf[within:], data)
-			c.putBuf(base)
+			chunk.PutBuf(base)
 			data = buf
 			// Dead once the replica stores return: Conn.Store must not
 			// retain its payload.
-			defer c.putBuf(buf)
+			defer chunk.PutBuf(buf)
 		}
 	}
 	id := chunk.Sum(data)
@@ -635,32 +599,30 @@ func (c *Client) baseSlot(ctx context.Context, blob uint64, chunkSize, idx int64
 	if err != nil {
 		return nil, err
 	}
-	// Pooled scratch (the caller putBufs it after merging): hole slots
-	// and short chunks read as zeros, so whatever the fetch does not
-	// cover is cleared by hand.
-	buf := c.getBuf(baseLen)[:baseLen]
-	n := 0
+	// Pooled (the caller PutBufs it after merging). A chunk that fills
+	// the slot's share of the base is handed over as fetched; a hole slot
+	// or a short chunk reads as zeros, so it is copied into scratch and
+	// whatever the fetch did not cover is cleared by hand.
+	var data []byte
 	if len(descs) == 1 && !descs[0].ID.IsZero() {
-		data, err := c.fetchReplica(ctx, descs[0])
-		if err != nil {
-			c.putBuf(buf)
+		if data, err = c.fetchReplica(ctx, descs[0]); err != nil {
 			return nil, err
 		}
-		n = copy(buf, data)
-		c.putBuf(data)
+		if int64(len(data)) == baseLen {
+			return data, nil
+		}
 	}
-	clear(buf[n:])
+	buf := chunk.GetBuf(int(baseLen))[:baseLen]
+	clear(buf[copy(buf, data):])
+	chunk.PutBuf(data)
 	return buf, nil
 }
 
 // fetchReplica serves the chunk from one of its replicas: serial
 // failover in placement order by default, or a concurrent
-// first-success-wins race when hedged reads are on. On the serial path
-// a pooled chunk buffer backs the transfer whenever the replica's Conn
-// supports FetchBuf; the returned slice is owned by the caller either
-// way (readers donate it back to the pool once consumed). Hedged races
-// allocate per racer — losers may still be writing their buffers when
-// the winner returns, so they cannot share a pool entry.
+// first-success-wins race when hedged reads are on. The returned buffer
+// is the caller's (Conn.Fetch's contract): readers donate it back to the
+// chunk pool once consumed.
 func (c *Client) fetchReplica(ctx context.Context, d chunk.Desc) ([]byte, error) {
 	if c.hedged && len(d.Providers) > 1 {
 		return c.fetchHedged(ctx, d)
@@ -669,42 +631,23 @@ func (c *Client) fetchReplica(ctx context.Context, d chunk.Desc) ([]byte, error)
 	if c.m != nil {
 		start = c.now()
 	}
-	var buf []byte // pooled; reused across failover attempts
 	var lastErr error
 	for _, pid := range c.orderByHealth(d.Providers) {
-		if err := ctx.Err(); err != nil {
-			c.putBuf(buf)
-			if c.m != nil {
-				c.m.observe(c.m.fetchErr, c.now().Sub(start))
-			}
-			return nil, err
+		if ctx.Err() != nil {
+			break
 		}
 		conn, err := c.dir.Lookup(ctx, pid)
 		if err != nil {
 			lastErr = err
 			continue
 		}
-		var data []byte
-		if bf, ok := conn.(BufferedFetcher); ok {
-			if buf == nil {
-				buf = c.getBuf(d.Size)
-			}
-			data, err = bf.FetchBuf(ctx, c.user, d.ID, buf)
-			if err == nil {
-				c.observeFetch(start, lastErr != nil)
-				return data, nil // aliases buf: the caller owns it now
-			}
-		} else {
-			data, err = conn.Fetch(ctx, c.user, d.ID)
-			if err == nil {
-				c.putBuf(buf) // fresh allocation won: any earlier pooled buffer is spare
-				c.observeFetch(start, lastErr != nil)
-				return data, nil
-			}
+		data, err := conn.Fetch(ctx, c.user, d.ID)
+		if err == nil {
+			c.observeFetch(start, lastErr != nil)
+			return data, nil
 		}
 		lastErr = err
 	}
-	c.putBuf(buf)
 	if c.m != nil {
 		c.m.observe(c.m.fetchErr, c.now().Sub(start))
 	}
@@ -786,7 +729,8 @@ func (c *Client) observeFetch(start time.Time, failedOver bool) {
 // Losing fetches are cancelled — not merely discarded — the moment a
 // winner lands, via a per-race child context; when all replicas fail,
 // the per-replica errors are aggregated. A cancelled parent ctx aborts
-// the whole race promptly.
+// the whole race promptly. A loser that completes anyway leaves its buffer
+// in the result channel for the GC: nobody is left to donate it.
 func (c *Client) fetchHedged(ctx context.Context, d chunk.Desc) ([]byte, error) {
 	var start, firstFail time.Time
 	if c.m != nil {

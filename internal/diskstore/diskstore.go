@@ -474,8 +474,8 @@ func (s *DiskStore) Get(id chunk.ID) ([]byte, error) {
 }
 
 // GetAppend implements provider.BufferedGetter: the payload is read
-// into dst[:0], reallocating only when dst is too small. The segment is
-// pinned with a reader count while the mutex is released, so a
+// into dst[:0], or into a chunk-pool buffer when dst is too small. The
+// segment is pinned with a reader count while the mutex is released, so a
 // concurrent compaction can unlink the file but never invalidate the
 // read (the payload bytes at that offset are immutable).
 func (s *DiskStore) GetAppend(id chunk.ID, dst []byte) ([]byte, error) {
@@ -506,10 +506,9 @@ func (s *DiskStore) getAppend(id chunk.ID, dst []byte) ([]byte, error) {
 
 	need := int(e.size)
 	if cap(dst) < need {
-		dst = make([]byte, need)
-	} else {
-		dst = dst[:need]
+		dst = chunk.GetBuf(need)
 	}
+	dst = dst[:need]
 	if _, err := seg.r.ReadAt(dst, e.off); err != nil {
 		return nil, fmt.Errorf("diskstore: read chunk %s: %w", id.Short(), err)
 	}

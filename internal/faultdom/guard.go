@@ -57,33 +57,15 @@ func (g *guardedConn) Store(ctx context.Context, user string, id chunk.ID, data 
 	})
 }
 
-// Fetch implements client.Conn.
+// Fetch implements client.Conn. The buffer is the wrapped conn's, handed
+// through untouched: only a failed attempt is ever retried and a failed
+// attempt returns no buffer, so the caller gets exactly one to own.
 func (g *guardedConn) Fetch(ctx context.Context, user string, id chunk.ID) ([]byte, error) {
 	var out []byte
 	err := g.run(ctx, "fetch", func(ctx context.Context) error {
 		var e error
 		out, e = g.inner.Fetch(ctx, user, id)
 		return e
-	})
-	return out, err
-}
-
-// FetchBuf implements client.BufferedFetcher, falling back to a plain
-// Fetch plus copy when the wrapped conn lacks the extension.
-func (g *guardedConn) FetchBuf(ctx context.Context, user string, id chunk.ID, buf []byte) ([]byte, error) {
-	var out []byte
-	err := g.run(ctx, "fetch", func(ctx context.Context) error {
-		if bf, ok := g.inner.(client.BufferedFetcher); ok {
-			var e error
-			out, e = bf.FetchBuf(ctx, user, id, buf)
-			return e
-		}
-		data, e := g.inner.Fetch(ctx, user, id)
-		if e != nil {
-			return e
-		}
-		out = append(buf[:0], data...)
-		return nil
 	})
 	return out, err
 }
@@ -112,7 +94,6 @@ func (g *guardedConn) ReleaseLease(ctx context.Context, leaseID string) error {
 }
 
 var (
-	_ client.Conn            = (*guardedConn)(nil)
-	_ client.BufferedFetcher = (*guardedConn)(nil)
-	_ client.ChunkLeaser     = (*guardedConn)(nil)
+	_ client.Conn        = (*guardedConn)(nil)
+	_ client.ChunkLeaser = (*guardedConn)(nil)
 )

@@ -67,16 +67,17 @@ func (h *History) Append(ev Event) {
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
+	// Trim by reslicing, never by copying: the dropped head stays in the
+	// backing array only until append next outgrows it, and that
+	// reallocation moves the live tail alone — amortized O(1) per event,
+	// where a copy per trim would cost the whole cap on every append past it.
 	log := append(h.users[ev.User], ev)
 	if h.maxAge > 0 {
 		cut := ev.Time.Add(-h.maxAge)
-		i := sort.Search(len(log), func(i int) bool { return !log[i].Time.Before(cut) })
-		if i > 0 {
-			log = append(log[:0:0], log[i:]...)
-		}
+		log = log[sort.Search(len(log), func(i int) bool { return !log[i].Time.Before(cut) }):]
 	}
 	if len(log) > h.maxPerUsr {
-		log = append(log[:0:0], log[len(log)-h.maxPerUsr:]...)
+		log = log[len(log)-h.maxPerUsr:]
 	}
 	h.users[ev.User] = log
 	h.total++

@@ -166,3 +166,45 @@ func TestManyUsersIsolated(t *testing.T) {
 		}
 	}
 }
+
+// appendRun appends n events to a log already holding prefill of them and
+// returns how long the n took.
+func appendRun(prefill, n int) time.Duration {
+	h := New()
+	ev := Event{Time: t0, User: "u", Op: "read", OK: true}
+	for i := 0; i < prefill; i++ {
+		h.Append(ev)
+	}
+	start := time.Now()
+	for i := 0; i < n; i++ {
+		ev.Time = ev.Time.Add(time.Microsecond)
+		h.Append(ev)
+	}
+	return time.Since(start)
+}
+
+// TestAppendPastCapStaysCheap guards the per-user cap against costing a
+// copy of the whole log per event: an append to a log past the default cap
+// of 65536 must stay within 2× of one to a log below it.
+// Each side is the best of three runs, so a scheduling hiccup fails nothing.
+func TestAppendPastCapStaysCheap(t *testing.T) {
+	const n = 50000
+	best := func(prefill int) time.Duration {
+		d := appendRun(prefill, n)
+		for i := 0; i < 2; i++ {
+			d = min(d, appendRun(prefill, n))
+		}
+		return d
+	}
+	below, past := best(0), best(70000)
+	if past > 2*below {
+		t.Fatalf("%d appends past the cap took %v, below it %v: more than 2×", n, past, below)
+	}
+}
+
+func BenchmarkAppendBelowCap(b *testing.B) { benchAppend(b, 0) }
+func BenchmarkAppendPastCap(b *testing.B)  { benchAppend(b, 70000) }
+
+func benchAppend(b *testing.B, prefill int) {
+	b.ReportMetric(float64(appendRun(prefill, b.N))/float64(b.N), "append-ns")
+}

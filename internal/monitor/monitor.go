@@ -326,6 +326,14 @@ func (m *Mesh) NewAgent(node string, batchSize int) *Agent {
 	return a
 }
 
+// Agents returns how many agents the mesh has handed out. Agents are never
+// retired, so a count that grows with traffic is a leak.
+func (m *Mesh) Agents() int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return len(m.agents)
+}
+
 // Subscribe attaches a subscriber to every service.
 func (m *Mesh) Subscribe(sub Subscriber) {
 	for _, s := range m.Services() {

@@ -28,6 +28,12 @@ var (
 // Store is the chunk persistence interface. Implementations must be safe
 // for concurrent use. Put of an already-present chunk increments its
 // reference count; Delete decrements and frees at zero.
+//
+// Put must not retain data past its return: the caller's slice is a pooled
+// chunk buffer (the rpc server recycles it as soon as the handler is done),
+// so an implementation copies or writes through — as MemStore.Put,
+// DiskStore.Put and TieredStore.Put/admit all do. Get returns a buffer the
+// caller owns.
 type Store interface {
 	Put(id chunk.ID, data []byte) error
 	Get(id chunk.ID) ([]byte, error)
@@ -161,7 +167,7 @@ func (s *MemStore) Get(id chunk.ID) ([]byte, error) {
 }
 
 // GetAppend implements BufferedGetter: the payload copy is appended to
-// dst[:0], reallocating only when dst is too small.
+// dst[:0], or to a chunk-pool buffer when dst is too small.
 func (s *MemStore) GetAppend(id chunk.ID, dst []byte) ([]byte, error) {
 	st := s.stripe(id)
 	st.mu.Lock()
@@ -169,6 +175,9 @@ func (s *MemStore) GetAppend(id chunk.ID, dst []byte) ([]byte, error) {
 	d, ok := st.data[id]
 	if !ok {
 		return nil, ErrNotFound
+	}
+	if cap(dst) < len(d) {
+		dst = chunk.GetBuf(len(d))
 	}
 	return append(dst[:0], d...), nil
 }
@@ -435,26 +444,21 @@ func (p *Provider) Store(ctx context.Context, user string, id chunk.ID, data []b
 }
 
 // BufferedGetter is an optional Store extension: the chunk payload is
-// served into a caller-supplied buffer (appended to dst[:0]) instead of
-// a fresh allocation, so streaming consumers can recycle chunk buffers.
-// The result must still be caller-owned — implementations copy, never
-// alias their internal storage.
+// served into a caller-supplied buffer (appended to dst[:0]), and into a
+// chunk-pool buffer (chunk.GetBuf) when dst is too small — never a plain
+// allocation — so the read path recycles one buffer per hop. The result
+// must still be caller-owned — implementations copy, never alias their
+// internal storage.
 type BufferedGetter interface {
 	GetAppend(id chunk.ID, dst []byte) ([]byte, error)
 }
 
-// Fetch returns one chunk replica on behalf of user. A cancelled ctx
+// Fetch returns one chunk replica on behalf of user, in a buffer the
+// caller owns — a chunk-pool buffer when the backing store is a
+// BufferedGetter (MemStore, DiskStore and TieredStore are), so callers
+// donate it with chunk.PutBuf once the payload is dead. A cancelled ctx
 // rejects the transfer before it touches the store.
 func (p *Provider) Fetch(ctx context.Context, user string, id chunk.ID) ([]byte, error) {
-	return p.FetchBuf(ctx, user, id, nil)
-}
-
-// FetchBuf is Fetch into a caller-supplied buffer: when the backing
-// store supports BufferedGetter (MemStore does) the payload is appended
-// to buf[:0], otherwise it falls back to a fresh allocation. The
-// client's streaming reader uses it to cycle its prefetch window
-// through a buffer pool instead of allocating one copy per chunk.
-func (p *Provider) FetchBuf(ctx context.Context, user string, id chunk.ID, buf []byte) ([]byte, error) {
 	start := p.now()
 	if err := p.begin(ctx); err != nil {
 		return nil, err
@@ -463,7 +467,7 @@ func (p *Provider) FetchBuf(ctx context.Context, user string, id chunk.ID, buf [
 	var data []byte
 	var err error
 	if bg, ok := p.st.(BufferedGetter); ok {
-		data, err = bg.GetAppend(id, buf)
+		data, err = bg.GetAppend(id, nil)
 	} else {
 		data, err = p.st.Get(id)
 	}

@@ -1,8 +1,20 @@
 // Package rpc provides the wire transport of the real deployment plane:
-// data providers exported over TCP with stdlib net/rpc + gob, and a
-// client-side Directory that dials them on demand. The in-process plane
-// (core.Cluster) and this package implement the same client.Conn
-// contract, so the BlobSeer client code is transport-agnostic.
+// data providers exported over TCP, and a client-side Directory that dials
+// them on demand. The in-process plane (core.Cluster) and this package
+// implement the same client.Conn contract, so the BlobSeer client code is
+// transport-agnostic.
+//
+// Calls are dispatched by stdlib net/rpc over this package's own codec
+// (wire.go): headers and control-plane bodies are gob, chunk payloads are
+// length-prefixed raw frames written from the caller's slice and read into
+// a chunk-pool buffer. There is one wire format and no negotiation: the
+// client and the server of a deployment are built from the same tree.
+//
+// Buffer ownership follows client.Conn: Store does not retain data past its
+// return (the frame is on the conn before the call is even pending); Fetch
+// returns a chunk-pool buffer the caller owns. On the server a Store
+// request's payload buffer is donated when its handler returns and a Fetch
+// reply's buffer when the reply is written.
 package rpc
 
 import (
@@ -20,7 +32,8 @@ import (
 	"blobseer/internal/provider"
 )
 
-// StoreArgs is the wire form of a chunk store request.
+// StoreArgs is the wire form of a chunk store request. Data travels as a
+// raw frame, not through gob.
 type StoreArgs struct {
 	User string
 	ID   chunk.ID
@@ -33,7 +46,7 @@ type FetchArgs struct {
 	ID   chunk.ID
 }
 
-// FetchReply carries a fetched chunk payload.
+// FetchReply carries a fetched chunk payload, as a raw frame.
 type FetchReply struct {
 	Data []byte
 }
@@ -101,9 +114,10 @@ type ProviderService struct {
 	P *provider.Provider
 
 	// Timeout, when positive, bounds every handler's server-side work.
-	// net/rpc carries no wire deadline, so an abandoned call would
-	// otherwise run its handler to completion no matter how long the
-	// store takes; the server enforces its own ceiling instead.
+	// The client's deadline is enforced on its own end of the wire and a
+	// request carries none, so an abandoned call would otherwise run its
+	// handler to completion no matter how long the store takes; the
+	// server enforces its own ceiling instead.
 	Timeout time.Duration
 }
 
@@ -112,20 +126,24 @@ type ProviderService struct {
 // This is the single place the server plane mints contexts — net/rpc
 // hands handlers no caller context to thread through.
 func (s *ProviderService) handlerCtx() (context.Context, context.CancelFunc) {
+	ctx := context.Background() //ctxfirst:allow a request carries no caller context; handlers are rooted here and bounded by Timeout
 	if s.Timeout <= 0 {
-		return context.Background(), func() {} //ctxfirst:allow net/rpc carries no wire deadline; cancellation is client-side
+		return ctx, func() {}
 	}
-	return context.WithTimeout(context.Background(), s.Timeout) //ctxfirst:allow net/rpc carries no wire deadline; the server bounds its own handlers
+	return context.WithTimeout(ctx, s.Timeout)
 }
 
-// Store handles chunk writes.
+// Store handles chunk writes. The codec read the payload into a chunk-pool
+// buffer; Provider.Store does not retain it, so it is donated on return.
 func (s *ProviderService) Store(args *StoreArgs, _ *struct{}) error {
 	ctx, cancel := s.handlerCtx()
 	defer cancel()
+	defer chunk.PutBuf(args.Data)
 	return s.P.Store(ctx, args.User, args.ID, args.Data)
 }
 
-// Fetch handles chunk reads.
+// Fetch handles chunk reads. The reply's buffer is the provider's pool
+// buffer; the codec donates it once the reply is written.
 func (s *ProviderService) Fetch(args *FetchArgs, reply *FetchReply) error {
 	ctx, cancel := s.handlerCtx()
 	defer cancel()
@@ -228,9 +246,8 @@ type Server struct {
 // ServerOption configures Serve.
 type ServerOption func(*ProviderService)
 
-// WithHandlerTimeout bounds every handler's server-side work: net/rpc
-// carries no wire deadline, so without it an abandoned call still runs
-// its handler to completion.
+// WithHandlerTimeout bounds every handler's server-side work: without it
+// a call its client has abandoned still runs its handler to completion.
 func WithHandlerTimeout(d time.Duration) ServerOption {
 	return func(s *ProviderService) { s.Timeout = d }
 }
@@ -270,7 +287,7 @@ func (s *Server) acceptLoop() {
 		s.conns[conn] = struct{}{}
 		s.mu.Unlock()
 		go func() {
-			s.rpcS.ServeConn(conn)
+			s.rpcS.ServeCodec(serverCodec{newWire(conn)})
 			s.mu.Lock()
 			delete(s.conns, conn)
 			s.mu.Unlock()
@@ -349,8 +366,6 @@ func (d *deadlineConn) refreshLocked() {
 			earliest = t
 		}
 	}
-	// SetDeadline only arms a timer in the netpoller — no wire I/O —
-	// so holding d.mu across it is safe.
 	// SetDeadline arms a netpoller timer without touching the wire, so
 	// holding the pending-map mutex across it is safe (and blockfacts
 	// knows it as a pure helper).
@@ -396,7 +411,7 @@ func DialContext(ctx context.Context, addr string, opts ...ConnOption) (*Conn, e
 		return nil, fmt.Errorf("rpc: dial %s: %w", addr, err)
 	}
 	dc := &deadlineConn{Conn: nc, pending: make(map[uint64]time.Time)}
-	c := &Conn{c: rpc.NewClient(dc), dc: dc}
+	c := &Conn{c: rpc.NewClientWithCodec(clientCodec{newWire(dc)}), dc: dc}
 	for _, o := range opts {
 		o(c)
 	}
@@ -471,12 +486,16 @@ func (c *Conn) call(ctx context.Context, method string, args, reply any) error {
 	}
 }
 
-// Store implements client.Conn.
+// Store implements client.Conn. data is written to the conn from the
+// caller's slice before the call is pending, so it is never referenced
+// after Store returns — cancelled or not.
 func (c *Conn) Store(ctx context.Context, user string, id chunk.ID, data []byte) error {
 	return c.call(ctx, "Provider.Store", &StoreArgs{User: user, ID: id, Data: data}, &struct{}{})
 }
 
-// Fetch implements client.Conn.
+// Fetch implements client.Conn. The payload arrives in a chunk-pool buffer
+// the codec obtains when it decodes the reply; the caller owns it. A call
+// abandoned on ctx leaves its late reply — buffer included — to the GC.
 func (c *Conn) Fetch(ctx context.Context, user string, id chunk.ID) ([]byte, error) {
 	var reply FetchReply
 	if err := c.call(ctx, "Provider.Fetch", &FetchArgs{User: user, ID: id}, &reply); err != nil {

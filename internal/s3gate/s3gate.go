@@ -67,6 +67,7 @@ type Gateway struct {
 	mu      sync.Mutex
 	keys    map[string]string // accessKey → secret (nil = auth disabled)
 	buckets map[string]map[string]*object
+	clients map[string]*client.Client // user → client, minted on first use
 }
 
 // Option configures a Gateway.
@@ -137,6 +138,7 @@ func New(cluster *core.Cluster, opts ...Option) *Gateway {
 		now:     time.Now,
 		maxObj:  MaxObjectSize,
 		buckets: make(map[string]map[string]*object),
+		clients: make(map[string]*client.Client),
 	}
 	for _, o := range opts {
 		o(g)
@@ -151,10 +153,21 @@ func New(cluster *core.Cluster, opts ...Option) *Gateway {
 	return g
 }
 
-// clientFor returns a BlobSeer client for the request's user with the
-// gateway's extra client options applied.
+// clientFor returns the BlobSeer client for the request's user, with the
+// gateway's extra client options applied. There is one per user for the
+// gateway's lifetime — a Client is immutable after New and safe for
+// concurrent use — because minting one registers a monitoring agent with
+// the mesh for good. Users are the credential map's access keys (or
+// "anonymous"), so the cache is bounded.
 func (g *Gateway) clientFor(user string) *client.Client {
-	return g.cluster.ClientWith(user, g.clOpts...)
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	cl, ok := g.clients[user]
+	if !ok {
+		cl = g.cluster.ClientWith(user, g.clOpts...)
+		g.clients[user] = cl
+	}
+	return cl
 }
 
 // Sign computes the request signature for the given secret, method, path

@@ -919,3 +919,50 @@ func TestAbandonedPutDrainsLeases(t *testing.T) {
 	}
 	t.Fatal("abandoned PUT's chunks were never reclaimed")
 }
+
+// TestRequestsDoNotGrowMonitoringMesh is the agent-leak regression: a
+// monitoring agent is registered with the mesh for good, so the gateway
+// must mint one client (and one agent) per user, not per request — every
+// Tick's FlushAll walks them all. After each user's first request, 1000
+// more PUT/GET/DELETE requests leave the count alone.
+func TestRequestsDoNotGrowMonitoringMesh(t *testing.T) {
+	cluster, err := core.NewCluster(core.Options{Providers: 3, Monitoring: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	users := []string{"ann", "bob", "cyd"}
+	keys := map[string]string{}
+	for _, u := range users {
+		keys[u] = "secret-" + u
+	}
+	g := New(cluster, WithCredentials(keys), WithChunkSize(1<<10))
+	serve := func(user, method, path string, body []byte) int {
+		req := httptest.NewRequest(method, path, bytes.NewReader(body))
+		req.Header.Set("x-bs-date", "now")
+		req.Header.Set("Authorization", "AWS "+user+":"+Sign(keys[user], method, path, "now"))
+		rec := httptest.NewRecorder()
+		g.ServeHTTP(rec, req)
+		return rec.Code
+	}
+	if code := serve("ann", http.MethodPut, "/b", nil); code != 200 {
+		t.Fatalf("create bucket: %d", code)
+	}
+	payload := bytes.Repeat([]byte("x"), 3000)
+	for _, u := range users {
+		if code := serve(u, http.MethodPut, "/b/"+u, payload); code != 200 {
+			t.Fatalf("first put as %s: %d", u, code)
+		}
+	}
+	before := cluster.Mesh.Agents()
+	for i := 0; i < 1000; i++ {
+		u := users[i%len(users)]
+		method := []string{http.MethodPut, http.MethodGet, http.MethodGet, http.MethodDelete}[i/len(users)%4]
+		want := map[string]int{http.MethodPut: 200, http.MethodGet: 200, http.MethodDelete: 204}[method]
+		if code := serve(u, method, "/b/"+u, payload); code != want {
+			t.Fatalf("request %d (%s as %s): %d, want %d", i, method, u, code, want)
+		}
+	}
+	if after := cluster.Mesh.Agents(); after != before {
+		t.Fatalf("mesh grew from %d to %d agents over 1000 requests", before, after)
+	}
+}
