@@ -22,6 +22,9 @@ import (
 const (
 	minClassBits = 9  // 512 B
 	maxClassBits = 24 // 16 MiB
+
+	// MaxPooled is the largest buffer the pool keeps.
+	MaxPooled = 1 << maxClassBits
 )
 
 var classes [maxClassBits - minClassBits + 1]sync.Pool
@@ -33,7 +36,7 @@ func GetBuf(n int) []byte {
 	if n <= 0 {
 		return nil
 	}
-	if n > 1<<maxClassBits {
+	if n > MaxPooled {
 		return make([]byte, 0, n)
 	}
 	k := minClassBits
@@ -51,7 +54,7 @@ func GetBuf(n int) []byte {
 // request it cannot hold; buffers outside the class range are dropped.
 func PutBuf(b []byte) {
 	c := cap(b)
-	if c < 1<<minClassBits || c > 1<<maxClassBits {
+	if c < 1<<minClassBits || c > MaxPooled {
 		return
 	}
 	k := bits.Len(uint(c)) - 1 // largest k with 2^k ≤ cap

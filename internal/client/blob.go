@@ -9,8 +9,11 @@ package client
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
 	"io"
+	"sort"
 	"sync"
 	"time"
 
@@ -595,6 +598,36 @@ func (w *BlobWriter) Version() uint64 {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return w.version
+}
+
+// Digest identifies what this write published: the SHA-256 over its
+// slots in index order, each as (slot index, chunk ID, size). Chunk IDs
+// are content hashes the flush path computed anyway, so two writes of
+// the same bytes at the same offset and chunk size share a digest and
+// any differing byte changes it, at the cost of hashing 48 bytes per
+// slot instead of the stream a second time. It depends on the chunk
+// size, as an S3 multipart ETag depends on the part size. Valid after a
+// successful Close.
+func (w *BlobWriter) Digest() [sha256.Size]byte {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	idxs := make([]int64, 0, len(w.writes))
+	for idx := range w.writes {
+		idxs = append(idxs, idx)
+	}
+	sort.Slice(idxs, func(i, j int) bool { return idxs[i] < idxs[j] })
+	h := sha256.New()
+	var slot [8 + sha256.Size + 8]byte
+	for _, idx := range idxs {
+		d := w.writes[idx]
+		binary.BigEndian.PutUint64(slot[:], uint64(idx))
+		copy(slot[8:], d.ID[:])
+		binary.BigEndian.PutUint64(slot[8+sha256.Size:], uint64(d.Size))
+		h.Write(slot[:])
+	}
+	var sum [sha256.Size]byte
+	h.Sum(sum[:0])
+	return sum
 }
 
 // StoredChunks returns the descriptors of every chunk replica flushed to

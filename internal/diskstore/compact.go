@@ -1,13 +1,27 @@
-// The background compactor. A sealed segment whose live fraction —
+// The background compactor. A sealed segment whose live fraction u —
 // live payload bytes plus the wire size of its authoritative state
-// records, over its file size — falls below Options.CompactLiveFraction
-// is a victim: everything authoritative still in it is re-recorded at
-// the log head (live payloads as recPut with current absolute
-// refs/epoch, payload-elsewhere state as recState, tombstones whose
-// payload record still exists elsewhere as fresh tombstones), after
-// which the file holds only superseded history and is dropped. Readers
-// never block: a Get in flight holds a reader pin, so the file is
-// unlinked but stays readable until the last pin drops.
+// records, over its file size — is under Options.CompactLiveFraction is
+// eligible; it becomes a victim once the log-structured file system
+// cleaner's cost–benefit score, (1−u)·age/(1+u) with age the seconds
+// since it was sealed, reaches compactMinScore. Age stands in for what
+// the rest of the segment will do: chunks written together tend to die
+// together, so a segment that lost half its bytes within a second of
+// being sealed is about to lose most of the rest, and rewriting the
+// live half now would write bytes twice that were going to cost
+// nothing; one that took an hour to get there holds data worth moving.
+// The score grows with the clock whether or not the store is written
+// to, so at the default ceiling every eligible segment is reclaimed at
+// most 3·compactMinScore seconds after it became eligible (u < 0.5
+// makes (1−u)/(1+u) > 1/3), and what deferral can add to the disk is
+// that many seconds of writes.
+//
+// A victim is rewritten: everything authoritative still in it is
+// re-recorded at the log head (live payloads as recPut with current
+// absolute refs/epoch, payload-elsewhere state as recState, tombstones
+// whose payload record still exists elsewhere as fresh tombstones),
+// after which the file holds only superseded history and is dropped.
+// Readers never block: a Get in flight holds a reader pin, so the file
+// is unlinked but stays readable until the last pin drops.
 //
 // Absolute-state records make this safe without any delta reasoning: a
 // replay that sees both the victim and its rewrites folds them in log
@@ -19,11 +33,18 @@
 package diskstore
 
 import (
+	"encoding/binary"
 	"fmt"
 	"time"
 
 	"blobseer/internal/chunk"
 )
+
+// compactMinScore is the cost–benefit score, in seconds, at which an
+// eligible segment is rewritten. Not an option: what it trades is
+// stated above in wall-clock terms that hold for any workload, and the
+// space bound stays with Options.CompactLiveFraction.
+const compactMinScore = 1.0
 
 // kickCompactor nudges the background compactor without blocking.
 func (s *DiskStore) kickCompactor() {
@@ -58,6 +79,25 @@ func (seg *segment) liveScore() int64 {
 	return seg.livePayload + seg.stateRecs*int64(headerSize)
 }
 
+// victim reports whether a sealed segment should be rewritten now. A
+// segment with nothing live has nothing to wait for.
+func (seg *segment) victim(now time.Time, ceiling float64) bool {
+	u := float64(seg.liveScore()) / float64(seg.size)
+	if u >= ceiling {
+		return false
+	}
+	return u == 0 || (1-u)*now.Sub(seg.sealed).Seconds()/(1+u) >= compactMinScore
+}
+
+// worklist is one victim and what it holds that is still authoritative.
+type worklist struct {
+	seg      *segment
+	payloads []chunk.ID // live payloads to relocate
+	states   []chunk.ID // latest state record here, payload elsewhere
+	tombs    []chunk.ID // tombstones for payload records elsewhere
+	forgets  []chunk.ID // dead payload records whose tombstones lapse with v
+}
+
 // CompactOnce scans for victim segments and rewrites them, returning
 // how many segments were dropped and the garbage bytes reclaimed. It is
 // safe to call concurrently with all store operations (the background
@@ -79,18 +119,38 @@ func (s *DiskStore) compactOnce() (dropped int, reclaimed int64, err error) {
 		s.mu.Unlock()
 		return 0, 0, ErrClosed
 	}
-	var victims []*segment
+	now := s.now()
+	var work map[uint32]*worklist // by victim id; nil on the common scan that finds none
 	for _, seg := range s.segs {
-		if seg == s.active || seg.dead.Load() || seg.size == 0 {
-			continue
+		if seg != s.active && !seg.dead.Load() && seg.size > 0 && seg.victim(now, s.opts.CompactLiveFraction) {
+			if work == nil {
+				work = make(map[uint32]*worklist)
+			}
+			work[seg.id] = &worklist{seg: seg}
 		}
-		if float64(seg.liveScore())/float64(seg.size) < s.opts.CompactLiveFraction {
-			victims = append(victims, seg)
+	}
+	// One pass over the index per scan, whatever the number of victims:
+	// Puts wait behind this lock. Entries can change once it is
+	// released — every step re-verifies under the lock before acting.
+	if work != nil {
+		for id, e := range s.idx {
+			if wl := work[e.seg]; wl != nil {
+				wl.payloads = append(wl.payloads, id)
+			} else if wl := work[e.stateSeg]; wl != nil {
+				wl.states = append(wl.states, id)
+			}
+		}
+		for id, dk := range s.deadKeys {
+			if wl := work[dk.putSeg]; wl != nil {
+				wl.forgets = append(wl.forgets, id)
+			} else if wl := work[dk.tombSeg]; wl != nil {
+				wl.tombs = append(wl.tombs, id)
+			}
 		}
 	}
 	s.mu.Unlock()
-	for _, v := range victims {
-		n, cerr := s.compactSegment(v)
+	for _, wl := range work {
+		n, cerr := s.compactSegment(wl)
 		if cerr != nil {
 			return dropped, reclaimed, cerr
 		}
@@ -103,49 +163,25 @@ func (s *DiskStore) compactOnce() (dropped int, reclaimed int64, err error) {
 // compactSegment rewrites everything authoritative out of v and drops
 // it. Work proceeds chunk by chunk under short mutex slices, with the
 // payload read running outside the lock against v's pinned read handle.
-func (s *DiskStore) compactSegment(v *segment) (int64, error) {
-	// Snapshot the work lists. Entries can change while we work — every
-	// step re-verifies under the lock before acting.
-	s.mu.Lock()
-	var payloadIDs, stateIDs, tombIDs, forgetIDs []chunk.ID
-	for id, e := range s.idx {
-		switch {
-		case e.seg == v.id:
-			payloadIDs = append(payloadIDs, id)
-		case e.stateSeg == v.id:
-			stateIDs = append(stateIDs, id)
-		}
-	}
-	for id, dk := range s.deadKeys {
-		switch {
-		case dk.putSeg == v.id:
-			forgetIDs = append(forgetIDs, id)
-		case dk.tombSeg == v.id:
-			tombIDs = append(tombIDs, id)
-		}
-	}
-	s.mu.Unlock()
-
-	var buf []byte
-	for _, id := range payloadIDs {
-		var err error
-		buf, err = s.relocatePayload(v, id, buf)
-		if err != nil {
+func (s *DiskStore) compactSegment(wl *worklist) (int64, error) {
+	v := wl.seg
+	for _, id := range wl.payloads {
+		if err := s.relocatePayload(v, id); err != nil {
 			return 0, err
 		}
 	}
-	for _, id := range stateIDs {
+	for _, id := range wl.states {
 		if err := s.restate(v, id); err != nil {
 			return 0, err
 		}
 	}
-	for _, id := range tombIDs {
+	for _, id := range wl.tombs {
 		if err := s.rewriteTombstone(v, id); err != nil {
 			return 0, err
 		}
 	}
 	s.mu.Lock()
-	for _, id := range forgetIDs {
+	for _, id := range wl.forgets {
 		// v holds these chunks' (dead) payload records: once v is gone
 		// there is nothing left to resurrect, so the tombstone becomes
 		// unnecessary and its key is forgotten.
@@ -182,46 +218,58 @@ func (s *DiskStore) compactSegment(v *segment) (int64, error) {
 	return size, nil
 }
 
-// relocatePayload moves one live payload out of v: read outside the
-// lock (the bytes are immutable), then re-verify and append a recPut
-// with the chunk's current absolute refs/epoch.
-func (s *DiskStore) relocatePayload(v *segment, id chunk.ID, buf []byte) ([]byte, error) {
+// relocatePayload moves one live payload out of v. The old record is
+// read whole, outside the lock (a put record's id, length and payload
+// never change), into a pool buffer that is then the new record as it
+// stands: only if the chunk's refs or epoch have moved since is the
+// header patched and the checksum redone before the one write.
+func (s *DiskStore) relocatePayload(v *segment, id chunk.ID) error {
 	s.mu.Lock()
 	e, ok := s.idx[id]
 	if !ok || e.seg != v.id {
 		s.mu.Unlock()
-		return buf, nil // deleted or already moved
+		return nil // deleted or already moved
 	}
 	v.readers.Add(1)
-	off, size := e.off, e.size
 	s.mu.Unlock()
 
-	if cap(buf) < int(size) {
-		buf = make([]byte, size)
-	}
-	buf = buf[:size]
-	_, rerr := v.r.ReadAt(buf, off)
+	n := headerSize + int(e.size)
+	buf := chunk.GetBuf(n)[:n]
+	defer chunk.PutBuf(buf)
+	_, rerr := v.r.ReadAt(buf, e.off-headerSize)
 	s.release(v)
 	if rerr != nil {
-		return buf, fmt.Errorf("diskstore: compact read: %w", rerr)
+		return fmt.Errorf("diskstore: compact read: %w", rerr)
+	}
+	// Checked here, because the rewrite is about to become the only
+	// copy: moving a damaged record under a fresh checksum would hide
+	// the damage from the next replay.
+	if !verify(buf) {
+		return fmt.Errorf("diskstore: compact read of chunk %s in %s: %w", id.Short(), v.path, ErrCorrupt)
 	}
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
-		return buf, ErrClosed
+		return ErrClosed
 	}
 	e, ok = s.idx[id]
 	if !ok || e.seg != v.id {
-		return buf, nil // raced away while we read: nothing to move
+		return nil // raced away while we read: nothing to move
 	}
-	rec := record{typ: recPut, refs: e.refs, epoch: e.epoch, id: id, payload: buf}
-	seg, poff, err := s.appendLocked(&rec) //lockio:allow append-only log: appends must serialize with index updates in log order; payload reads run outside this mutex
+	if int32(binary.LittleEndian.Uint32(buf[refsOff:])) != e.refs || binary.LittleEndian.Uint64(buf[epochOff:]) != e.epoch {
+		restamp(buf, e.refs, e.epoch)
+	}
+	seg, poff, err := s.writeLocked(buf, nil) //lockio:allow append-only log: appends must serialize with index updates in log order; payload reads run outside this mutex
 	if err != nil {
-		return buf, err
+		return err
 	}
+	rec := record{typ: recPut, refs: e.refs, epoch: e.epoch, id: id, payload: buf[headerSize:]}
 	s.apply(seg, poff, &rec)
-	return buf, nil
+	if s.m != nil {
+		s.m.relocated.Add(e.size)
+	}
+	return nil
 }
 
 // restate re-records a chunk whose payload lives elsewhere but whose

@@ -5,7 +5,8 @@
 // LifecycleStore ordered-iteration contract with what is logically a
 // range scan), crash recovery by segment replay with torn-tail
 // truncation, and a background compactor that rewrites segments whose
-// live fraction drops below a threshold without blocking readers.
+// live fraction is under a ceiling and whose age says the rest of them
+// is not about to die anyway, without blocking readers.
 //
 // Payloads are immutable once written (chunks are content-addressed),
 // so reads never take the store mutex across I/O: the index lookup
@@ -47,7 +48,10 @@ type Options struct {
 	// (default 64 MiB). Tests use small values to force frequent rolls.
 	SegmentBytes int64
 	// CompactLiveFraction is the live-data fraction below which a
-	// sealed segment becomes a compaction victim (default 0.5).
+	// sealed segment is eligible for compaction (default 0.5): the
+	// ceiling on garbage a quiet store retains. When an eligible segment
+	// is actually rewritten is the compactor's cost–benefit call (see
+	// compact.go).
 	CompactLiveFraction float64
 	// CompactEvery is the background compactor's scan period (default
 	// 2s; < 0 disables the background goroutine — CompactOnce still
@@ -94,15 +98,25 @@ type deadKey struct {
 	tombSeg uint32
 }
 
+// appendFile is what the store asks of a segment's append handle — an
+// *os.File opened O_APPEND. Tests substitute one that fails mid-record.
+type appendFile interface {
+	io.Writer
+	Truncate(size int64) error
+	Sync() error
+	Close() error
+}
+
 // segment is one log file. livePayload and stateRecs are the
 // compaction accounting: how many payload bytes and how many
 // authoritative state records the segment still holds.
 type segment struct {
-	id   uint32
-	path string
-	w    *os.File // append handle; nil once sealed
-	r    *os.File // shared read handle (pread only)
-	size int64    // file bytes
+	id     uint32
+	path   string
+	w      appendFile // append handle; nil once sealed
+	r      *os.File   // shared read handle (pread only)
+	size   int64      // file bytes
+	sealed time.Time  // when it stopped being the active segment: the compactor's age base
 
 	livePayload int64
 	stateRecs   int64
@@ -131,13 +145,14 @@ type DiskStore struct {
 	nextSeg  uint32
 	deadKeys map[chunk.ID]deadKey
 	closed   bool
-	encBuf   []byte // append scratch, reused under mu
+	hdr      [headerSize]byte // append scratch, used under mu
 
 	kick  chan struct{}
 	stopc chan struct{}
 	wg    sync.WaitGroup
 
-	m *storeMetrics // nil = uninstrumented
+	m   *storeMetrics    // nil = uninstrumented
+	now func() time.Time // the compactor's clock; tests substitute a fake
 }
 
 func segPath(dir string, id uint32) string {
@@ -149,6 +164,10 @@ func segPath(dir string, id uint32) string {
 // — the only place a crash can leave one — is truncated away; damage
 // anywhere else fails the open with ErrCorrupt.
 func Open(dir string, opts Options) (*DiskStore, error) {
+	return openAt(dir, opts, time.Now)
+}
+
+func openAt(dir string, opts Options, now func() time.Time) (*DiskStore, error) {
 	opts = opts.withDefaults()
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("diskstore: %w", err)
@@ -162,6 +181,7 @@ func Open(dir string, opts Options) (*DiskStore, error) {
 		kick:     make(chan struct{}, 1),
 		stopc:    make(chan struct{}),
 		m:        newStoreMetrics(opts.Metrics),
+		now:      now,
 	}
 	openStart := time.Now()
 	names, err := os.ReadDir(dir)
@@ -226,55 +246,70 @@ func (s *DiskStore) replaySegment(id uint32, tail bool) error {
 	if id >= s.nextSeg {
 		s.nextSeg = id + 1
 	}
+	fi, err := r.Stat()
+	if err != nil {
+		return fmt.Errorf("diskstore: %w", err)
+	}
+	// The last write is the closest a restart gets to the seal time.
+	seg.sealed = fi.ModTime()
+	seg.size, err = scanRecords(r, fi.Size(), func(off int64, rec *record) {
+		s.apply(seg, off+headerSize, rec)
+	})
+	switch {
+	case err == nil:
+		return nil
+	case !errors.Is(err, ErrCorrupt):
+		return fmt.Errorf("diskstore: read %s: %w", path, err)
+	case !tail:
+		return fmt.Errorf("diskstore: %s at offset %d: %w", path, seg.size, err)
+	}
+	// A torn tail: drop it and recover everything before it.
+	if err := os.Truncate(path, seg.size); err != nil {
+		return fmt.Errorf("diskstore: truncate torn tail of %s: %w", path, err)
+	}
+	return nil
+}
 
+// scanRecords reads records from r, which holds size bytes, handing fn
+// each one that verifies together with its offset. It returns the offset
+// just past the last good record, and a non-nil error when it stopped
+// short of size: one wrapping ErrCorrupt when the bytes there are not a
+// whole valid record, the read error otherwise. A record's payload
+// aliases the scan buffer and is valid only during fn. A length field is
+// believed only up to the bytes the file still has, so a damaged one
+// cannot size an allocation.
+func scanRecords(r io.Reader, size int64, fn func(off int64, rec *record)) (int64, error) {
 	var off int64
 	buf := make([]byte, headerSize, headerSize+64<<10)
-	for {
-		n, err := io.ReadFull(r, buf[:headerSize])
-		if err == io.EOF {
-			break
+	for off < size {
+		if size-off < headerSize {
+			return off, fmt.Errorf("%w: short header", ErrCorrupt)
 		}
-		if err != nil && err != io.ErrUnexpectedEOF {
-			return fmt.Errorf("diskstore: read %s: %w", path, err)
-		}
-		torn := func(cause error) error {
-			if !tail {
-				return fmt.Errorf("diskstore: %s at offset %d: %w", path, off, cause)
-			}
-			// A torn tail: drop it and recover everything before it.
-			if terr := os.Truncate(path, off); terr != nil {
-				return fmt.Errorf("diskstore: truncate torn tail of %s: %w", path, terr)
-			}
-			return nil
-		}
-		if n < headerSize {
-			return torn(fmt.Errorf("%w: short header", ErrCorrupt))
+		if _, err := io.ReadFull(r, buf[:headerSize]); err != nil {
+			return off, err
 		}
 		rec, payloadLen, err := decodeHeader(buf[:headerSize])
 		if err != nil {
-			return torn(err)
+			return off, err
 		}
-		full := buf[:headerSize]
-		if payloadLen > 0 {
-			if cap(buf) < headerSize+payloadLen {
-				nb := make([]byte, headerSize+payloadLen)
-				copy(nb, buf[:headerSize])
-				buf = nb
-			}
-			full = buf[:headerSize+payloadLen]
-			if _, err := io.ReadFull(r, full[headerSize:]); err != nil {
-				return torn(fmt.Errorf("%w: short payload", ErrCorrupt))
-			}
+		if int64(payloadLen) > size-off-headerSize {
+			return off, fmt.Errorf("%w: short payload", ErrCorrupt)
+		}
+		if cap(buf) < headerSize+payloadLen {
+			buf = append(make([]byte, 0, headerSize+payloadLen), buf[:headerSize]...)
+		}
+		full := buf[:headerSize+payloadLen]
+		if _, err := io.ReadFull(r, full[headerSize:]); err != nil {
+			return off, err
 		}
 		if !verify(full) {
-			return torn(fmt.Errorf("%w: checksum mismatch", ErrCorrupt))
+			return off, fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
 		}
-		rec.payload = full[headerSize : headerSize+payloadLen]
-		s.apply(seg, off+headerSize, &rec)
+		rec.payload = full[headerSize:]
+		fn(off, &rec)
 		off += wireSize(payloadLen)
-		seg.size = off
 	}
-	return nil
+	return off, nil
 }
 
 // apply folds one record into the index. Called single-threaded during
@@ -369,7 +404,10 @@ func (s *DiskStore) addSegment() (*segment, error) {
 		id = 1
 	}
 	path := segPath(s.dir, id)
-	w, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
+	// O_APPEND, as on the reopen path: after a failed append is truncated
+	// away the next write must land at the new end of file, not at the
+	// offset the failed one left behind.
+	w, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND|os.O_CREATE|os.O_EXCL, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("diskstore: create segment: %w", err)
 	}
@@ -383,6 +421,7 @@ func (s *DiskStore) addSegment() (*segment, error) {
 	if s.active != nil && s.active.w != nil {
 		s.active.w.Close()
 		s.active.w = nil
+		s.active.sealed = s.now()
 	}
 	s.active = seg
 	s.nextSeg = id + 1
@@ -395,13 +434,25 @@ func (s *DiskStore) addSegment() (*segment, error) {
 // appendLocked writes one record to the active segment and returns the
 // segment it landed in and its payload offset. Caller holds mu: the
 // append must serialize with the index update so memory state always
-// matches log order. On a write error the partial record is truncated
-// away so later appends cannot land misaligned.
+// matches log order.
 func (s *DiskStore) appendLocked(rec *record) (*segment, int64, error) {
+	rec.encodeHeader(s.hdr[:])
+	return s.writeLocked(s.hdr[:], rec.payload)
+}
+
+// writeLocked appends one encoded record — head, then tail where it
+// lies, so a payload is never staged behind its header — to the active
+// segment. On a write error whatever part of the record landed is
+// truncated away so later appends cannot land misaligned.
+func (s *DiskStore) writeLocked(head, tail []byte) (*segment, int64, error) {
 	seg := s.active
-	s.encBuf = rec.encode(s.encBuf[:0])
 	start := seg.size
-	n, err := seg.w.Write(s.encBuf)
+	n, err := seg.w.Write(head)
+	if err == nil && len(tail) > 0 {
+		var m int
+		m, err = seg.w.Write(tail)
+		n += m
+	}
 	if err != nil {
 		if n > 0 {
 			// Best effort: a failed truncate leaves a tail that replay
@@ -465,6 +516,9 @@ func (s *DiskStore) put(id chunk.ID, data []byte) error {
 		return err
 	}
 	s.apply(seg, off, &rec)
+	if s.m != nil {
+		s.m.putBytes.Add(n)
+	}
 	return nil
 }
 

@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -40,12 +41,23 @@ func reopen(t *testing.T, dir string, opts Options) *DiskStore {
 	if opts.CompactEvery == 0 {
 		opts.CompactEvery = -1
 	}
-	s, err := Open(dir, opts)
+	s, err := openAt(dir, opts, leapingClock())
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
 	t.Cleanup(func() { s.Close() })
 	return s
+}
+
+// leapingClock is a clock on which an hour passes between any two
+// readings: every sealed segment is old by the time a scan looks at it,
+// so eligibility alone decides what CompactOnce rewrites and the tests
+// that are about what compaction does, not when, see it happen at once.
+// The timing rule has its own tests, on a clock they step (policy_test.go).
+func leapingClock() func() time.Time {
+	var ticks atomic.Int64
+	start := time.Now()
+	return func() time.Time { return start.Add(time.Duration(ticks.Add(1)) * time.Hour) }
 }
 
 func payload(i int, n int) []byte {
@@ -638,7 +650,7 @@ func TestChurnMatchesMemStoreReference(t *testing.T) {
 
 func TestBackgroundCompactor(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(dir, Options{SegmentBytes: 4 << 10, CompactEvery: 10 * time.Millisecond})
+	s, err := openAt(dir, Options{SegmentBytes: 4 << 10, CompactEvery: 10 * time.Millisecond}, leapingClock())
 	if err != nil {
 		t.Fatal(err)
 	}

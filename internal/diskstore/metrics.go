@@ -15,6 +15,8 @@ type storeMetrics struct {
 	compactDur *metrics.Histogram // CompactOnce scan + rewrites
 	recovery   *metrics.Gauge     // Open replay duration, seconds
 	segments   *metrics.Gauge     // live segment files
+	putBytes   *metrics.Counter   // payload bytes appended by Put
+	relocated  *metrics.Counter   // payload bytes rewritten by compaction
 }
 
 func newStoreMetrics(reg *metrics.Registry) *storeMetrics {
@@ -32,6 +34,10 @@ func newStoreMetrics(reg *metrics.Registry) *storeMetrics {
 			"Duration of the last segment replay on Open.").With(),
 		segments: reg.Gauge("blobseer_disk_segments",
 			"Live segment files on disk.").With(),
+		putBytes: reg.Counter("blobseer_disk_put_bytes_total",
+			"Chunk payload bytes appended by Put (a re-put of a present chunk appends none).").With(),
+		relocated: reg.Counter("blobseer_disk_compaction_relocated_bytes_total",
+			"Live chunk payload bytes compaction rewrote at the log head; over put bytes, the store's write amplification.").With(),
 	}
 }
 

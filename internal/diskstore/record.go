@@ -71,21 +71,28 @@ type record struct {
 	payload []byte // recPut only; aliases the decode buffer
 }
 
-// encode appends the record's wire form to dst and returns it.
-func (r *record) encode(dst []byte) []byte {
-	base := len(dst)
-	dst = append(dst, make([]byte, headerSize)...)
-	h := dst[base:]
+// encodeHeader writes the record's header, checksum included, into
+// h[:headerSize]. The checksum folds over the header fields and then the
+// payload where it lies, so a record is never assembled in one buffer
+// just to be summed: the append path writes h and then r.payload.
+func (r *record) encodeHeader(h []byte) {
+	h = h[:headerSize]
 	copy(h[magicOff:], magic[:])
 	h[typeOff] = r.typ
 	binary.LittleEndian.PutUint32(h[refsOff:], uint32(r.refs))
 	binary.LittleEndian.PutUint64(h[epochOff:], r.epoch)
 	copy(h[idOff:], r.id[:])
 	binary.LittleEndian.PutUint32(h[lenOff:], uint32(len(r.payload)))
-	dst = append(dst, r.payload...)
-	crc := crc32.ChecksumIEEE(dst[base+typeOff:])
-	binary.LittleEndian.PutUint32(dst[base+crcOff:], crc)
-	return dst
+	crc := crc32.Update(crc32.ChecksumIEEE(h[typeOff:]), crc32.IEEETable, r.payload)
+	binary.LittleEndian.PutUint32(h[crcOff:], crc)
+}
+
+// restamp gives an encoded record — buf holds header and payload
+// exactly — a new refs and epoch, and the checksum that goes with them.
+func restamp(buf []byte, refs int32, epoch uint64) {
+	binary.LittleEndian.PutUint32(buf[refsOff:], uint32(refs))
+	binary.LittleEndian.PutUint64(buf[epochOff:], epoch)
+	binary.LittleEndian.PutUint32(buf[crcOff:], crc32.ChecksumIEEE(buf[typeOff:]))
 }
 
 // wireSize returns the encoded size of a record with an n-byte payload.

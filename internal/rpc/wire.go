@@ -38,8 +38,12 @@ const (
 	wireBuf = 32 << 10
 
 	// maxPayload rejects a length prefix no chunk can have (chunks are at
-	// most a few tens of MiB) before it sizes an allocation.
+	// most a few tens of MiB).
 	maxPayload = 1 << 30
+
+	// untrustedStart is the first buffer a payload longer than the pool's
+	// largest class gets; see readPayload.
+	untrustedStart = 512 << 10
 )
 
 // payloader marks the message types whose chunk payload travels raw.
@@ -152,13 +156,43 @@ func (w *wire) readBody(body any) error {
 		_, err := w.br.Discard(int(n))
 		return err
 	}
-	buf := chunk.GetBuf(int(n))[:n]
-	if _, err := io.ReadFull(w.br, buf); err != nil {
-		chunk.PutBuf(buf)
+	buf, err := w.readPayload(int(n))
+	if err != nil {
 		return err
 	}
 	*p.payload() = buf
 	return nil
+}
+
+// readPayload fills a chunk-pool buffer with the next n bytes of the stream.
+// The length came off the network ahead of the bytes it promises. One the
+// pool can serve is taken at its word: all a lying peer gets is a pool
+// buffer, which is back in the pool once the read fails. A longer one — a
+// chunk can be that long, the default chunk size is 64 MiB — sizes nothing
+// before its bytes arrive: the buffer starts small and doubles as it fills,
+// so memory follows the bytes received at the price of copying them once
+// more.
+func (w *wire) readPayload(n int) ([]byte, error) {
+	size := n
+	if n > chunk.MaxPooled {
+		size = untrustedStart
+	}
+	buf := chunk.GetBuf(size)
+	for {
+		fill := min(n, cap(buf))
+		if _, err := io.ReadFull(w.br, buf[len(buf):fill]); err != nil {
+			chunk.PutBuf(buf)
+			return nil, err
+		}
+		buf = buf[:fill]
+		if fill == n {
+			return buf, nil
+		}
+		next := chunk.GetBuf(min(n, 2*fill))[:fill]
+		copy(next, buf)
+		chunk.PutBuf(buf)
+		buf = next
+	}
 }
 
 // clientCodec and serverCodec put the wire under net/rpc.

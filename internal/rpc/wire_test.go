@@ -3,9 +3,12 @@ package rpc
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"math/rand"
+	"net"
+	"net/rpc"
 	"runtime"
 	"strings"
 	"sync"
@@ -330,5 +333,150 @@ func BenchmarkRPCFetch1MiB(b *testing.B) {
 func BenchmarkRPCStore1MiB(b *testing.B) {
 	benchTransfer(b, func(conn *Conn, id chunk.ID, data []byte) error {
 		return conn.Store(bg, "u", id, data)
+	})
+}
+
+// memConn is a wire's two halves in memory: reads drain in, writes fill out.
+type memConn struct {
+	in  *bytes.Reader
+	out bytes.Buffer
+}
+
+func (c *memConn) Read(p []byte) (int, error)  { return c.in.Read(p) }
+func (c *memConn) Write(p []byte) (int, error) { return c.out.Write(p) }
+func (c *memConn) Close() error                { return nil }
+
+// encodeBody returns body's wire form, as writeBody frames it.
+func encodeBody(t testing.TB, body any) []byte {
+	t.Helper()
+	c := &memConn{in: bytes.NewReader(nil)}
+	w := newWire(c)
+	if err := w.writeBody(body, false); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.bw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	return bytes.Clone(c.out.Bytes())
+}
+
+// hostileBody is a raw Store body whose length prefix promises n bytes and
+// which then delivers sent of them.
+func hostileBody(t testing.TB, n uint64, sent int) []byte {
+	t.Helper()
+	frame := encodeBody(t, &StoreArgs{User: "u", ID: chunk.Sum([]byte("x"))})
+	frame = frame[:len(frame)-1] // the uvarint 0 of the empty payload
+	frame = binary.AppendUvarint(frame, n)
+	return append(frame, make([]byte, sent)...)
+}
+
+// TestHostileLengthPrefix: a length prefix is the peer's word, ahead of the
+// bytes it promises. One beyond the pool's classes must not size a buffer
+// before those bytes arrive.
+func TestHostileLengthPrefix(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		n        uint64
+		sent     int
+		maxAlloc uint64
+	}{
+		{"1 GiB then EOF", maxPayload, 0, 1 << 20},
+		{"1 GiB, 3 MiB arrive", maxPayload, 3 << 20, 16 << 20},
+		{"past the frame limit", maxPayload + 1, 0, 1 << 20},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			frame := hostileBody(t, tc.n, tc.sent)
+			w := newWire(&memConn{in: bytes.NewReader(frame)})
+			var args StoreArgs
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			err := w.readBody(&args)
+			runtime.ReadMemStats(&after)
+			if err == nil {
+				t.Fatal("readBody accepted a truncated payload")
+			}
+			if args.Data != nil {
+				t.Fatalf("a failed read left %d payload bytes in the message", len(args.Data))
+			}
+			if got := after.TotalAlloc - before.TotalAlloc; got >= tc.maxAlloc {
+				t.Fatalf("allocated %d bytes for %d received, want < %d", got, tc.sent, tc.maxAlloc)
+			}
+		})
+	}
+
+	// The same frame against a live server: the conn that sent it dies, the
+	// server does not, and its next client is served.
+	_, srv := startProvider(t, "p1")
+	raw, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	hw := newWire(raw)
+	if err := hw.enc.Encode(&rpc.Request{ServiceMethod: "Provider.Store", Seq: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := hw.bw.Write(hostileBody(t, maxPayload, 0)); err != nil {
+		t.Fatal(err)
+	}
+	if err := hw.bw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	raw.Close()
+	conn := dial(t, srv.Addr())
+	data := []byte("still serving")
+	if err := conn.Store(bg, "u", chunk.Sum(data), data); err != nil {
+		t.Fatalf("store after a hostile peer: %v", err)
+	}
+}
+
+// TestLongPayloadGrowsAsItArrives: a payload past the pool's largest class
+// is read through the doubling buffer and arrives whole.
+func TestLongPayloadGrowsAsItArrives(t *testing.T) {
+	data := randBytes(rand.New(rand.NewSource(4)), chunk.MaxPooled+chunk.MaxPooled/2+7)
+	frame := encodeBody(t, &FetchReply{Data: data})
+	var reply FetchReply
+	if err := newWire(&memConn{in: bytes.NewReader(frame)}).readBody(&reply); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(reply.Data, data) {
+		t.Fatalf("got %d bytes, want the %d sent", len(reply.Data), len(data))
+	}
+}
+
+// FuzzReadBody feeds readBody arbitrary bytes as each kind of body it can be
+// asked for — a raw-payload message, a gob one, and one to skip. It must
+// return, not panic, and whatever parses must re-encode to a frame that
+// parses to the same message.
+func FuzzReadBody(f *testing.F) {
+	data := randBytes(rand.New(rand.NewSource(5)), 3000)
+	f.Add(encodeBody(f, &StoreArgs{User: "u", ID: chunk.Sum(data), Data: data}))
+	f.Add(encodeBody(f, &FetchReply{Data: data[:1]}))
+	f.Add(encodeBody(f, &FetchReply{}))
+	f.Add(encodeBody(f, &FetchArgs{User: "u", ID: chunk.Sum(data)}))
+	f.Add(hostileBody(f, maxPayload, 0))
+	f.Add(hostileBody(f, chunk.MaxPooled+1, 100))
+	f.Add([]byte{bodyRaw})
+	f.Add([]byte{'?', 1, 2, 3})
+	f.Fuzz(func(t *testing.T, in []byte) {
+		read := func(body any) error {
+			return newWire(&memConn{in: bytes.NewReader(in)}).readBody(body)
+		}
+		_ = read(nil)
+		_ = read(&FetchArgs{})
+		var reply FetchReply
+		_ = read(&reply)
+		chunk.PutBuf(reply.Data)
+
+		var args StoreArgs
+		if read(&args) != nil {
+			return
+		}
+		var again StoreArgs
+		if err := newWire(&memConn{in: bytes.NewReader(encodeBody(t, &args))}).readBody(&again); err != nil {
+			t.Fatalf("re-encoded body does not parse: %v", err)
+		}
+		if again.User != args.User || again.ID != args.ID || !bytes.Equal(again.Data, args.Data) {
+			t.Fatalf("round trip changed the message: %+v vs %+v", again, args)
+		}
 	})
 }

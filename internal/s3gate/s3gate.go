@@ -393,7 +393,8 @@ func (g *Gateway) objectOp(w http.ResponseWriter, r *http.Request, user, bucket,
 
 // putObject streams the request body into a fresh BLOB through a
 // BlobWriter: chunk slots flush to their replica sets while the body is
-// still arriving, and the object's ETag is computed on the same pass.
+// still arriving, and the object's ETag is derived from the chunk IDs
+// that pass computes.
 // Bodies larger than MaxObjectSize are rejected with EntityTooLarge —
 // never silently truncated — and the partial BLOB is reclaimed.
 func (g *Gateway) putObject(w http.ResponseWriter, r *http.Request, user, bucket, key string) {
@@ -455,9 +456,8 @@ func (g *Gateway) putObject(w http.ResponseWriter, r *http.Request, user, bucket
 	if limit < math.MaxInt64 {
 		limit++
 	}
-	hash := sha256.New()
 	track := &readErrTracker{r: io.LimitReader(r.Body, limit)}
-	n, err := io.Copy(bw, io.TeeReader(track, hash))
+	n, err := io.Copy(bw, track)
 	switch {
 	case err != nil:
 		abandon()
@@ -481,7 +481,10 @@ func (g *Gateway) putObject(w http.ResponseWriter, r *http.Request, user, bucket
 		writeOpErr(w, err)
 		return
 	}
-	etag := fmt.Sprintf("%q", base64.StdEncoding.EncodeToString(hash.Sum(nil)[:16]))
+	// The ETag is the writer's digest of the chunks it published (see
+	// BlobWriter.Digest), so the body is hashed once, into chunk IDs.
+	digest := bw.Digest()
+	etag := fmt.Sprintf("%q", base64.StdEncoding.EncodeToString(digest[:16]))
 	g.mu.Lock()
 	// The bucket may have been deleted while the body streamed; inserting
 	// would then write into a nil map. The published blob loses the race:
