@@ -157,8 +157,8 @@ func runRunner(providers int, interval time.Duration, metricsListen string) erro
 				return
 			case <-t.C:
 				ret, swp, passes := runner.LastReports()
-				fmt.Printf("pass %d: retired=%d swept=%d chunks (%d bytes), nodes swept=%d\n",
-					passes, ret.Retired, swp.Swept, swp.SweptBytes, swp.NodesSwept)
+				fmt.Printf("pass %d: retired=%d swept=%d chunks (%d bytes), nodes swept=%d, blobs walked=%d reused=%d\n",
+					passes, ret.Retired, swp.Swept, swp.SweptBytes, swp.NodesSwept, swp.BlobsWalked, swp.BlobsReused)
 				fmt.Print(viz.MetricsPanel(reg.Snapshot(), 24))
 			}
 		}
@@ -240,8 +240,8 @@ func runDemo(providers int, dryRun bool) error {
 	}
 	fmt.Printf("%s: %d providers, scanned %d, live %d, in-grace %d, swept %d (%d bytes)\n",
 		mode, rep.Providers, rep.Scanned, rep.Live, rep.InGrace, rep.Swept, rep.SweptBytes)
-	fmt.Printf("%s nodes: scanned %d, live %d, kept %d, swept %d (metadata store holds %d)\n",
-		mode, rep.NodesScanned, rep.NodesLive, rep.NodesKept, rep.NodesSwept, c.VM.MetaStore().Len())
+	fmt.Printf("%s nodes: scanned %d, live %d, kept %d, swept %d (metadata store holds %d); blobs walked %d, reused %d\n",
+		mode, rep.NodesScanned, rep.NodesLive, rep.NodesKept, rep.NodesSwept, c.VM.MetaStore().Len(), rep.BlobsWalked, rep.BlobsReused)
 	st := c.GC.Stats()
 	fmt.Printf("stats: pins=%d deferred=%d swept=%d chunks/%d bytes/%d nodes, fast-path ref releases=%d, retired=%d\n",
 		st.Pins, st.DeferredBlobs, st.SweptChunks, st.SweptBytes, st.SweptNodes, st.ReclaimedRefs, st.RetiredVers)

@@ -60,6 +60,10 @@ type Node struct {
 type Store interface {
 	Put(NodeKey, Node) error
 	Get(NodeKey) (Node, bool, error)
+	// Peek is Get without the monitoring event: the read of a maintenance
+	// scan (the garbage collector's mark walk), which introspection must
+	// not count as client metadata load.
+	Peek(NodeKey) (Node, bool, error)
 	Len() int
 }
 
@@ -195,14 +199,20 @@ func (s *MemStore) Put(k NodeKey, n Node) error {
 
 // Get fetches a node.
 func (s *MemStore) Get(k NodeKey) (Node, bool, error) {
-	st := s.stripe(k)
-	st.mu.RLock()
-	n, ok := st.m[k]
-	st.mu.RUnlock()
+	n, ok, err := s.Peek(k)
 	s.emit.Emit(instrument.Event{
 		Time: s.now(), Actor: instrument.ActorMetaProvider, Node: s.id,
 		Op: instrument.OpMetaGet, Blob: k.Blob, Version: k.Version,
 	})
+	return n, ok, err
+}
+
+// Peek implements Store.
+func (s *MemStore) Peek(k NodeKey) (Node, bool, error) {
+	st := s.stripe(k)
+	st.mu.RLock()
+	n, ok := st.m[k]
+	st.mu.RUnlock()
 	return n, ok, nil
 }
 
@@ -218,61 +228,79 @@ func (s *MemStore) Delete(k NodeKey) error {
 	return nil
 }
 
-// ListNodes implements NodeStore: each stripe contributes its own
-// sorted page (O(limit + log n) under a read lock) and the pages merge
-// to one. Keys are hash-striped, so every stripe must be consulted for
-// every page — but only limit keys are pulled from each.
+// ListNodes implements NodeStore: one k-way merge over the stripes'
+// sorted indexes, straight into the result. Keys are hash-striped, so
+// every stripe is consulted for every page; all stripes are read-locked
+// for the merge (index order, so no writer — which takes one stripe —
+// can deadlock against it) and only the keys returned are copied.
 func (s *MemStore) ListNodes(after NodeKey, limit int) ([]NodeKey, bool) {
 	if limit <= 0 {
 		limit = listNodesDefaultLimit
 	}
-	// limit+1 from each stripe makes "more" detection exact after the
-	// merge without a second round of stripe queries.
-	merged := make([]NodeKey, 0, limit+1)
+	var runs [memStripes]keyRun
 	for i := range s.stripes {
 		st := &s.stripes[i]
 		st.mu.RLock()
-		page := st.idx.page(after, limit+1)
-		st.mu.RUnlock()
-		merged = mergeNodeKeys(merged, page, limit+1)
+		runs[i].cur, runs[i].rest = st.idx.seek(after)
 	}
-	if len(merged) > limit {
-		return merged[:limit], true
+	page, more := mergeRuns(runs[:], limit)
+	for i := range s.stripes {
+		s.stripes[i].mu.RUnlock()
 	}
-	return merged, false
+	return page, more
 }
 
-// mergeNodeKeys merges two ascending key slices, keeping at most limit
-// keys. The result may alias a's backing array.
-func mergeNodeKeys(a, b []NodeKey, limit int) []NodeKey {
-	if len(b) == 0 {
-		return a
-	}
-	if len(a) == 0 {
-		if len(b) > limit {
-			b = b[:limit]
-		}
-		return append(a, b...)
-	}
-	out := make([]NodeKey, 0, min(len(a)+len(b), limit))
-	i, j := 0, 0
-	for len(out) < limit && (i < len(a) || j < len(b)) {
+// keyRun is one ascending key source of a k-way merge: cur holds the
+// keys in hand, rest whole batches already in memory (a stripe's
+// following index blocks), and fetch — nil when there is none — brings
+// the next batch from elsewhere (a ring shard's next page).
+type keyRun struct {
+	cur   []NodeKey
+	rest  [][]NodeKey
+	fetch func() []NodeKey
+}
+
+// head returns the run's next key, refilling cur as needed.
+func (r *keyRun) head() (NodeKey, bool) {
+	for len(r.cur) == 0 {
 		switch {
-		case i == len(a):
-			out = append(out, b[j])
-			j++
-		case j == len(b):
-			out = append(out, a[i])
-			i++
-		case nodeKeyCmp(a[i], b[j]) <= 0:
-			out = append(out, a[i])
-			i++
+		case len(r.rest) > 0:
+			r.cur, r.rest = r.rest[0], r.rest[1:]
+		case r.fetch != nil:
+			if r.cur = r.fetch(); len(r.cur) == 0 {
+				r.fetch = nil
+			}
 		default:
-			out = append(out, b[j])
-			j++
+			return NodeKey{}, false
 		}
 	}
-	return out
+	return r.cur[0], true
+}
+
+// mergeRuns merges ascending key runs into one page of at most limit
+// keys and reports whether any run holds a key beyond it.
+func mergeRuns(runs []keyRun, limit int) ([]NodeKey, bool) {
+	var out []NodeKey
+	for {
+		best := -1
+		var bestKey NodeKey
+		for i := range runs {
+			if k, ok := runs[i].head(); ok && (best < 0 || nodeKeyCmp(k, bestKey) < 0) {
+				best, bestKey = i, k
+			}
+		}
+		if best < 0 {
+			return out, false
+		}
+		if len(out) == limit {
+			return out, true
+		}
+		if out == nil {
+			out = make([]NodeKey, 0, min(limit, listNodesDefaultLimit))
+		}
+		out = append(out, bestKey)
+		runs[best].cur = runs[best].cur[1:]
+	}
 }
 
 // Keys returns a snapshot of the stored node keys.
@@ -316,6 +344,9 @@ func (r *Ring) Put(k NodeKey, n Node) error { return r.pick(k).Put(k, n) }
 // Get implements Store.
 func (r *Ring) Get(k NodeKey) (Node, bool, error) { return r.pick(k).Get(k) }
 
+// Peek implements Store.
+func (r *Ring) Peek(k NodeKey) (Node, bool, error) { return r.pick(k).Peek(k) }
+
 // Len implements Store (sum over shards).
 func (r *Ring) Len() int {
 	var n int
@@ -325,7 +356,11 @@ func (r *Ring) Len() int {
 	return n
 }
 
-// ListNodes implements NodeStore: the merge of every shard's page.
+// ListNodes implements NodeStore: one k-way merge over the shards. Keys
+// hash uniformly across shards, so each shard is first asked for its
+// expected share of the page plus some slack and again only if it runs
+// dry before the page is full: what is pulled tracks what is returned,
+// not limit × shards.
 // Shards that do not implement NodeStore contribute nothing — their
 // nodes are invisible to the metadata sweep and therefore never deleted
 // (the safe direction: a leak, not a lost node). Callers that act on
@@ -335,17 +370,35 @@ func (r *Ring) ListNodes(after NodeKey, limit int) ([]NodeKey, bool) {
 	if limit <= 0 {
 		limit = listNodesDefaultLimit
 	}
-	merged := make([]NodeKey, 0, limit+1)
+	share := limit/len(r.stores) + 1
+	runs := make([]keyRun, 0, len(r.stores))
 	for _, s := range r.stores {
 		if ns, ok := s.(NodeStore); ok {
-			page, _ := ns.ListNodes(after, limit+1)
-			merged = mergeNodeKeys(merged, page, limit+1)
+			c := &shardCursor{ns: ns, after: after, batch: share + share/8 + 8}
+			runs = append(runs, keyRun{fetch: c.nextBatch})
 		}
 	}
-	if len(merged) > limit {
-		return merged[:limit], true
+	return mergeRuns(runs, limit)
+}
+
+// shardCursor pages one ring shard forward for Ring.ListNodes.
+type shardCursor struct {
+	ns    NodeStore
+	after NodeKey
+	batch int
+	done  bool
+}
+
+func (c *shardCursor) nextBatch() []NodeKey {
+	if c.done {
+		return nil
 	}
-	return merged, false
+	page, more := c.ns.ListNodes(c.after, c.batch)
+	c.done = !more
+	if len(page) > 0 {
+		c.after = page[len(page)-1]
+	}
+	return page
 }
 
 // Keys returns the union of every NodeStore shard's keys.
@@ -598,7 +651,7 @@ func (t *Tree) walkNodes(ver uint64, lo, hi int64, prune func(NodeKey) bool, vis
 	if prune != nil && prune(key) {
 		return nil
 	}
-	n, ok, err := t.store.Get(key)
+	n, ok, err := t.store.Peek(key)
 	if err != nil {
 		return err
 	}

@@ -5,11 +5,14 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
+	"runtime"
 	"sort"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"blobseer/internal/chunk"
+	"blobseer/internal/instrument"
 )
 
 func desc(tag string) chunk.Desc {
@@ -432,16 +435,16 @@ func TestMemStoreNodeStore(t *testing.T) {
 	}
 }
 
-// countingStore counts Gets, to prove the pruned walk never re-descends
-// a shared subtree.
+// countingStore counts the walk's node reads (Peeks), to prove the
+// pruned walk never re-descends a shared subtree.
 type countingStore struct {
 	Store
 	gets int
 }
 
-func (c *countingStore) Get(k NodeKey) (Node, bool, error) {
+func (c *countingStore) Peek(k NodeKey) (Node, bool, error) {
 	c.gets++
-	return c.Store.Get(k)
+	return c.Store.Peek(k)
 }
 
 // TestWalkNodesPrunesSharedSubtrees: walking all versions of a BLOB with
@@ -490,7 +493,7 @@ func TestWalkNodesPrunesSharedSubtrees(t *testing.T) {
 		}
 	}
 	if cs.gets != len(visited) {
-		t.Fatalf("pruned walks did %d Gets over %d distinct nodes: shared subtrees re-descended", cs.gets, len(visited))
+		t.Fatalf("pruned walks did %d reads over %d distinct nodes: shared subtrees re-descended", cs.gets, len(visited))
 	}
 	if got, want := len(visited), mem.Len(); got != want {
 		t.Fatalf("visited %d nodes, store holds %d: coverage gap", got, want)
@@ -735,5 +738,136 @@ func TestKeysMatchesListNodes(t *testing.T) {
 		if nodeKeyCmp(keys[i-1], keys[i]) >= 0 {
 			t.Fatal("Keys (via ListNodes) not strictly ascending")
 		}
+	}
+}
+
+// TestListNodesBlobRange: NodeKey{Blob: b} sorts before every stored key
+// of BLOB b and after every key of the BLOBs below it (version 0 is
+// never stored), so paging from it yields b's keys first — the range
+// scan the gc node sweep runs per BLOB.
+func TestListNodesBlobRange(t *testing.T) {
+	stores := make([]Store, 4)
+	for i := range stores {
+		stores[i] = NewMemStore(fmt.Sprintf("r%d", i), nil, nil)
+	}
+	ring, err := NewRing(stores...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const blobs, perBlob = 20, 33
+	for b := uint64(1); b <= blobs; b++ {
+		for i := int64(0); i < perBlob; i++ {
+			if err := ring.Put(NodeKey{Blob: b, Version: 1 + uint64(i%3), Lo: i, Hi: i + 1}, Node{Leaf: true}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for _, limit := range []int{5, 33, 64} {
+		for b := uint64(1); b <= blobs; b++ {
+			n := 0
+			after := NodeKey{Blob: b}
+		scan:
+			for {
+				page, more := ring.ListNodes(after, limit)
+				for _, k := range page {
+					if k.Blob < b {
+						t.Fatalf("limit %d: scan of blob %d returned %v", limit, b, k)
+					}
+					if k.Blob != b {
+						break scan
+					}
+					n++
+				}
+				if !more {
+					break
+				}
+				after = page[len(page)-1]
+			}
+			if n != perBlob {
+				t.Fatalf("limit %d: scan of blob %d saw %d keys, want %d", limit, b, n, perBlob)
+			}
+		}
+	}
+}
+
+// TestWalkNodesEmitsNoMetaGet: the mark walk's reads are maintenance,
+// not client load — WalkNodes adds no meta_get event, while a client
+// Read of the same tree still reports each node it fetches.
+func TestWalkNodesEmitsNoMetaGet(t *testing.T) {
+	rec := &instrument.Recorder{}
+	tr, err := NewTree(NewMemStore("m1", rec, nil), 1, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.Write(1, 0, map[int64]chunk.Desc{3: desc("a"), 40: desc("b")}); err != nil {
+		t.Fatal(err)
+	}
+	metaGets := func() int {
+		return len(rec.Filter(func(ev instrument.Event) bool { return ev.Op == instrument.OpMetaGet }))
+	}
+	before := metaGets()
+	visited := 0
+	if err := tr.WalkNodes(1, nil, func(NodeKey, Node) error { visited++; return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if visited == 0 {
+		t.Fatal("walk visited nothing")
+	}
+	if got := metaGets(); got != before {
+		t.Fatalf("WalkNodes over %d nodes emitted %d meta_get events, want 0", visited, got-before)
+	}
+	if _, err := tr.Read(1, 3, 4); err != nil {
+		t.Fatal(err)
+	}
+	if got := metaGets(); got == before {
+		t.Fatal("client Read emitted no meta_get event")
+	}
+}
+
+// BenchmarkListNodesPage pages a 4-shard ring holding 100k nodes and
+// fails if a page allocates more than four times the bytes it returns:
+// the merge must pull from stripes and shards what it hands out, not
+// limit keys from each of them.
+func BenchmarkListNodesPage(b *testing.B) {
+	stores := make([]Store, 4)
+	for i := range stores {
+		stores[i] = NewMemStore(fmt.Sprintf("r%d", i), nil, nil)
+	}
+	ring, err := NewRing(stores...)
+	if err != nil {
+		b.Fatal(err)
+	}
+	const blobs, perBlob = 3125, 32 // 100k nodes
+	for blob := uint64(1); blob <= blobs; blob++ {
+		for i := int64(0); i < perBlob; i++ {
+			if err := ring.Put(NodeKey{Blob: blob, Version: 1, Lo: i, Hi: i + 1}, Node{Leaf: true}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	for _, limit := range []int{1024, 64} {
+		b.Run(fmt.Sprintf("limit%d", limit), func(b *testing.B) {
+			ceiling := float64(4 * limit * int(unsafe.Sizeof(NodeKey{})))
+			var after NodeKey
+			var ms0, ms1 runtime.MemStats
+			runtime.ReadMemStats(&ms0)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				page, more := ring.ListNodes(after, limit)
+				if len(page) != limit {
+					b.Fatalf("page of %d keys, want %d", len(page), limit)
+				}
+				after = page[len(page)-1]
+				if !more || after.Blob > blobs-100 {
+					after = NodeKey{}
+				}
+			}
+			b.StopTimer()
+			runtime.ReadMemStats(&ms1)
+			if perOp := float64(ms1.TotalAlloc-ms0.TotalAlloc) / float64(b.N); perOp > ceiling {
+				b.Fatalf("ListNodes(limit %d) allocates %.0f B/op, ceiling %.0f", limit, perOp, ceiling)
+			}
+		})
 	}
 }

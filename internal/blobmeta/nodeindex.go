@@ -111,31 +111,19 @@ func (x *nodeIndex) remove(k NodeKey) {
 	x.count--
 }
 
-// page returns, in ascending order, up to limit keys strictly greater
-// than after, at O(limit + log n).
-func (x *nodeIndex) page(after NodeKey, limit int) []NodeKey {
-	if limit <= 0 || len(x.blocks) == 0 {
-		return nil
-	}
+// seek returns the keys strictly greater than after as the remainder of
+// the block they start in plus the blocks that follow, at O(log n). Both
+// alias the index: they are valid only while the owning stripe's lock is
+// held.
+func (x *nodeIndex) seek(after NodeKey) ([]NodeKey, [][]NodeKey) {
 	bi := sort.Search(len(x.blocks), func(i int) bool {
 		blk := x.blocks[i]
 		return nodeKeyCmp(blk[len(blk)-1], after) > 0
 	})
 	if bi == len(x.blocks) {
-		return nil
+		return nil, nil
 	}
 	blk := x.blocks[bi]
 	pos := sort.Search(len(blk), func(i int) bool { return nodeKeyCmp(blk[i], after) > 0 })
-	out := make([]NodeKey, 0, min(limit, 1024))
-	for ; bi < len(x.blocks); bi++ {
-		blk := x.blocks[bi]
-		for ; pos < len(blk); pos++ {
-			out = append(out, blk[pos])
-			if len(out) == limit {
-				return out
-			}
-		}
-		pos = 0
-	}
-	return out
+	return blk[pos:], x.blocks[bi+1:]
 }

@@ -34,7 +34,10 @@ package diskstore
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"io/fs"
+	"os"
 	"time"
 
 	"blobseer/internal/chunk"
@@ -148,39 +151,105 @@ func (s *DiskStore) compactOnce() (dropped int, reclaimed int64, err error) {
 			}
 		}
 	}
+	// Every rewrite below lands in the segment that is the log head now,
+	// or in one the head rolls into while the scan runs.
+	head := s.active.id
 	s.mu.Unlock()
+	var clean []*segment // victims holding nothing authoritative any more
 	for _, wl := range work {
-		n, cerr := s.compactSegment(wl)
-		if cerr != nil {
-			return dropped, reclaimed, cerr
+		ok, rerr := s.rewriteSegment(wl)
+		if rerr != nil {
+			err = rerr // the victims already rewritten are still dropped
+			break
 		}
-		dropped++
-		reclaimed += n
+		if ok {
+			clean = append(clean, wl.seg)
+		}
 	}
-	return dropped, reclaimed, nil
+	if len(clean) == 0 {
+		return 0, 0, err
+	}
+	// The rewrites must be durable before the only other copies vanish:
+	// one sync per segment they landed in, not one per victim.
+	s.mu.Lock()
+	var wrote []*segment
+	for id := head; id <= s.active.id; id++ {
+		if seg, ok := s.segs[id]; ok {
+			wrote = append(wrote, seg)
+		}
+	}
+	s.mu.Unlock()
+	for _, seg := range wrote {
+		if serr := s.syncSegment(seg); serr != nil {
+			return 0, 0, fmt.Errorf("diskstore: compact sync: %w", serr)
+		}
+	}
+	for _, v := range clean {
+		s.mu.Lock()
+		if s.closed {
+			s.mu.Unlock()
+			return dropped, reclaimed, ErrClosed
+		}
+		reclaimed += v.size
+		v.dead.Store(true)
+		delete(s.segs, v.id)
+		s.mu.Unlock()
+		dropped++
+		if v.readers.Load() == 0 {
+			s.reap(v)
+		}
+	}
+	return dropped, reclaimed, err
 }
 
-// compactSegment rewrites everything authoritative out of v and drops
-// it. Work proceeds chunk by chunk under short mutex slices, with the
-// payload read running outside the lock against v's pinned read handle.
-func (s *DiskStore) compactSegment(wl *worklist) (int64, error) {
+// syncSegment flushes a segment the compactor appended to. One that was
+// sealed since — the head rolled mid-scan — has no append handle left,
+// and any descriptor of the file will do; one compacted away since had
+// its records moved and synced again by whoever dropped it.
+func (s *DiskStore) syncSegment(seg *segment) error {
+	s.mu.Lock()
+	w := seg.w
+	s.mu.Unlock()
+	if w != nil {
+		if err := w.Sync(); !errors.Is(err, os.ErrClosed) {
+			return err
+		}
+	}
+	f, err := os.OpenFile(seg.path, os.O_WRONLY, 0)
+	if err != nil {
+		if errors.Is(err, fs.ErrNotExist) {
+			return nil
+		}
+		return err
+	}
+	err = f.Sync()
+	f.Close()
+	return err
+}
+
+// rewriteSegment rewrites everything authoritative out of v and reports
+// whether v may now be dropped. Work proceeds chunk by chunk under short
+// mutex slices, with the payload read running outside the lock against
+// v's pinned read handle.
+func (s *DiskStore) rewriteSegment(wl *worklist) (bool, error) {
 	v := wl.seg
 	for _, id := range wl.payloads {
 		if err := s.relocatePayload(v, id); err != nil {
-			return 0, err
+			return false, err
 		}
 	}
 	for _, id := range wl.states {
 		if err := s.restate(v, id); err != nil {
-			return 0, err
+			return false, err
 		}
 	}
 	for _, id := range wl.tombs {
 		if err := s.rewriteTombstone(v, id); err != nil {
-			return 0, err
+			return false, err
 		}
 	}
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	for _, id := range wl.forgets {
 		// v holds these chunks' (dead) payload records: once v is gone
 		// there is nothing left to resurrect, so the tombstone becomes
@@ -190,32 +259,10 @@ func (s *DiskStore) compactSegment(wl *worklist) (int64, error) {
 			delete(s.deadKeys, id)
 		}
 	}
-	clean := v.livePayload == 0 && v.stateRecs == 0
-	w := s.active.w
-	s.mu.Unlock()
-	if !clean {
-		// Something raced in (it cannot: v is sealed and every path
-		// appends to the active segment — but stay safe and retry on a
-		// later scan rather than drop authoritative records).
-		return 0, nil
-	}
-	// The rewrites must be durable before the only other copy vanishes.
-	if err := w.Sync(); err != nil {
-		return 0, fmt.Errorf("diskstore: compact sync: %w", err)
-	}
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return 0, ErrClosed
-	}
-	size := v.size
-	v.dead.Store(true)
-	delete(s.segs, v.id)
-	s.mu.Unlock()
-	if v.readers.Load() == 0 {
-		s.reap(v)
-	}
-	return size, nil
+	// Anything still live raced in (it cannot: v is sealed and every path
+	// appends to the active segment — but stay safe and retry on a later
+	// scan rather than drop authoritative records).
+	return v.livePayload == 0 && v.stateRecs == 0, nil
 }
 
 // relocatePayload moves one live payload out of v. The old record is

@@ -1,6 +1,7 @@
 package diskstore
 
 import (
+	"bytes"
 	"math/rand"
 	"sync/atomic"
 	"testing"
@@ -167,6 +168,59 @@ func TestCompactionDefersTheDying(t *testing.T) {
 			if got, err := s.Get(id); err != nil || chunk.Sum(got) != id {
 				t.Fatalf("hot survivor %s lost to compaction: %v", id.Short(), err)
 			}
+		}
+	}
+}
+
+// syncCounter counts the fsyncs an append handle is asked for.
+type syncCounter struct {
+	appendFile
+	syncs int
+}
+
+func (f *syncCounter) Sync() error {
+	f.syncs++
+	return f.appendFile.Sync()
+}
+
+// TestCompactionSyncsOncePerScan: the rewrites of every victim of a scan
+// land in the log head, so one fsync of it makes them all durable before
+// the victims are dropped — not one per victim.
+func TestCompactionSyncsOncePerScan(t *testing.T) {
+	const chunkSize = 1 << 10
+	s, _ := open(t, Options{SegmentBytes: 4 << 10})
+	var ids []chunk.ID
+	for i := 0; i < 12; i++ { // four records cross SegmentBytes: three sealed segments
+		ids = append(ids, mustPut(t, s, payload(7000+i, chunkSize)))
+	}
+	if got := s.Segments(); got != 4 || s.active.size != 0 {
+		t.Fatalf("set-up wrote %d segments with %d bytes in the head, want 3 sealed and an empty head", got, s.active.size)
+	}
+	// Leave one live chunk in each sealed segment: all three are victims,
+	// each has something to relocate, and the head takes all three
+	// survivors without rolling.
+	for i, id := range ids {
+		if i%4 != 0 {
+			if _, err := s.Purge(id); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	head := &syncCounter{appendFile: s.active.w}
+	s.active.w = head
+	dropped, _, err := s.CompactOnce()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dropped != 3 {
+		t.Fatalf("scan dropped %d segments, want 3", dropped)
+	}
+	if head.syncs != 1 {
+		t.Fatalf("a three-victim scan synced the log head %d times, want once", head.syncs)
+	}
+	for i := 0; i < 12; i += 4 {
+		if got, err := s.Get(ids[i]); err != nil || !bytes.Equal(got, payload(7000+i, chunkSize)) {
+			t.Fatalf("survivor %d lost after compaction: %v", i, err)
 		}
 	}
 }

@@ -188,6 +188,12 @@ type SweepReport struct {
 	NodesKept    int // protected: deferred BLOBs' nodes, in-flight publications, post-snapshot BLOBs
 	NodesSwept   int // nodes reclaimed (counted, not removed, under DryRun)
 
+	// The incremental mark's hit rate: live BLOBs whose trees the pass
+	// walked (and whose nodes it scanned) against those marked from the
+	// cache because nothing about them changed.
+	BlobsWalked int
+	BlobsReused int
+
 	DryRun bool
 
 	// Err is the first error the pass hit ("" = clean), recorded by the
@@ -198,10 +204,10 @@ type SweepReport struct {
 
 // MarkReport summarizes one standalone mark pass (see Manager.Mark).
 type MarkReport struct {
-	Blobs    int // live BLOBs walked
+	Blobs    int // live BLOBs marked (walked or reused from the cache)
 	Versions int // version walks performed (shared-subtree-pruned walks included)
 	Chunks   int // distinct chunk IDs marked live
-	Nodes    int // distinct metadata-tree nodes visited
+	Nodes    int // distinct metadata-tree nodes read
 }
 
 // RetentionReport summarizes one retention-enforcement pass.
@@ -261,6 +267,12 @@ type Manager struct {
 
 	sweepMu sync.Mutex // serializes sweeps against each other only
 
+	// marks is the incremental mark's per-BLOB cache (see mark.go): a mark
+	// phase replaces the map when all its walks have completed, the node
+	// sweep replaces single entries to settle them.
+	markMu sync.Mutex
+	marks  map[uint64]*blobMark
+
 	// fence orders the foreground refcount-decrement paths (DeleteBlob
 	// fast path, pin-drain, ReclaimDescs) against a concurrent sweep
 	// without putting them behind the sweep's List/Purge I/O. Decrements
@@ -291,6 +303,9 @@ type Manager struct {
 	retiredVers   *metrics.Counter
 	leasesActive  *metrics.Gauge // registered writer leases
 	leasesReaped  *metrics.Counter
+	markWalked    *metrics.Counter // BLOBs walked by mark phases
+	markReused    *metrics.Counter // BLOBs marked from the cache
+	markNodeReads *metrics.Counter // tree nodes read by mark walks
 
 	phaseMark      *metrics.Histogram // mark walk duration per pass
 	phaseSweep     *metrics.Histogram // provider inventory sweep duration per pass
@@ -395,6 +410,9 @@ func New(vm VersionManager, prov Providers, opts ...Option) *Manager {
 		retiredVers:    &metrics.Counter{},
 		leasesActive:   &metrics.Gauge{},
 		leasesReaped:   &metrics.Counter{},
+		markWalked:     &metrics.Counter{},
+		markReused:     &metrics.Counter{},
+		markNodeReads:  &metrics.Counter{},
 		phaseMark:      metrics.NewHistogram(metrics.DurationBuckets),
 		phaseSweep:     metrics.NewHistogram(metrics.DurationBuckets),
 		phaseNodeSweep: metrics.NewHistogram(metrics.DurationBuckets),
@@ -783,6 +801,7 @@ func (m *Manager) Sweep(ctx context.Context, dryRun bool) (SweepReport, error) {
 		return rep, err
 	}
 	m.phaseMark.Observe(m.now().Sub(markStart).Seconds())
+	rep.BlobsWalked, rep.BlobsReused = len(ms.walked), ms.reused
 
 	// Epochs advance only after mark succeeds: an aborted pass (flaky
 	// metadata plane, cancellation) must not age unpublished writers out

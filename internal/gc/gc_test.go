@@ -568,7 +568,7 @@ func (f *flakyVM) Tree(blob uint64) (*blobmeta.Tree, error) {
 	return f.VersionManager.Tree(blob)
 }
 
-// flakyMeta is a metadata store whose Gets can be made to fail — the
+// flakyMeta is a metadata store whose reads can be made to fail — the
 // mid-walk flavor of the same failure.
 type flakyMeta struct {
 	*blobmeta.MemStore
@@ -580,6 +580,13 @@ func (f *flakyMeta) Get(k blobmeta.NodeKey) (blobmeta.Node, bool, error) {
 		return blobmeta.Node{}, false, errPlane
 	}
 	return f.MemStore.Get(k)
+}
+
+func (f *flakyMeta) Peek(k blobmeta.NodeKey) (blobmeta.Node, bool, error) {
+	if f.fail.Load() {
+		return blobmeta.Node{}, false, errPlane
+	}
+	return f.MemStore.Peek(k)
 }
 
 // TestSweepAbortsOnMarkErrors: a transient (non-not-found) error from
@@ -660,9 +667,9 @@ func TestSweepAbortsOnMarkErrors(t *testing.T) {
 
 // reachableNodes returns the distinct node keys reachable from the given
 // versions of a BLOB (the expected survivors of a metadata sweep).
-func reachableNodes(t *testing.T, c *core.Cluster, blob uint64, versions ...uint64) int {
+func reachableNodes(t *testing.T, vm *vmanager.Manager, blob uint64, versions ...uint64) int {
 	t.Helper()
-	tree, err := c.VM.Tree(blob)
+	tree, err := vm.Tree(blob)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -708,7 +715,7 @@ func TestNodeSweepAcceptance(t *testing.T) {
 	if _, err := c.GC.EnforceRetention(ctx, t0); err != nil {
 		t.Fatal(err)
 	}
-	wantA := reachableNodes(t, c, a.ID, 4)
+	wantA := reachableNodes(t, c.VM, a.ID, 4)
 	rep, err := c.GC.Sweep(ctx, false)
 	if err != nil {
 		t.Fatal(err)
@@ -737,7 +744,7 @@ func TestNodeSweepAcceptance(t *testing.T) {
 	if _, err := c.VM.RetireVersions(b.ID, []uint64{1}); err != nil {
 		t.Fatal(err)
 	}
-	wantBBoth := reachableNodes(t, c, b.ID, 1, 2)
+	wantBBoth := reachableNodes(t, c.VM, b.ID, 1, 2)
 	chunksBefore := totalChunks(c)
 	rep, err = c.GC.Sweep(ctx, false)
 	if err != nil {
@@ -752,7 +759,7 @@ func TestNodeSweepAcceptance(t *testing.T) {
 
 	// Pin drains: v1's exclusive nodes and chunks become reclaimable.
 	c.GC.Unpin(b.ID, 1)
-	wantB := reachableNodes(t, c, b.ID, 2)
+	wantB := reachableNodes(t, c.VM, b.ID, 2)
 	if _, err := c.GC.Sweep(ctx, false); err != nil {
 		t.Fatal(err)
 	}
@@ -820,6 +827,9 @@ type blindStore struct {
 func (b blindStore) Put(k blobmeta.NodeKey, n blobmeta.Node) error { return b.s.Put(k, n) }
 func (b blindStore) Get(k blobmeta.NodeKey) (blobmeta.Node, bool, error) {
 	return b.s.Get(k)
+}
+func (b blindStore) Peek(k blobmeta.NodeKey) (blobmeta.Node, bool, error) {
+	return b.s.Peek(k)
 }
 func (b blindStore) Len() int { return b.s.Len() }
 

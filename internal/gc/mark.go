@@ -1,5 +1,18 @@
-// The mark phase: walk every retained version of every live BLOB into
-// the set of chunk IDs and tree-node keys that must survive the pass.
+// The mark phase: the chunk IDs and tree-node keys that must survive the
+// pass, at a cost proportional to what changed since the last one.
+//
+// Tree nodes are immutable and never shared between BLOBs, and published
+// version numbers are handed out once and never come back after
+// retirement. So what a BLOB contributes to the mark set — its live
+// chunk IDs and its watermark — is a pure function of its retained
+// version-number list, and the Manager keeps that contribution per BLOB
+// across passes (blobMark). A pass re-walks a BLOB only when the version
+// manager's list differs from the cached one, the BLOB is new, a reader
+// pins it, or the node sweep has not yet finished with it (settled);
+// every other BLOB's chunk IDs come from the cache. The cache starts
+// empty, so the first pass walks everything: it is the full pass, by the
+// same code. What is held between passes is O(live chunk IDs); the node
+// sets the walks produce live for one pass only.
 package gc
 
 import (
@@ -9,98 +22,163 @@ import (
 
 	"blobseer/internal/blobmeta"
 	"blobseer/internal/chunk"
+	"blobseer/internal/instrument"
+	"blobseer/internal/vmanager"
 )
 
-// markSet is the mark phase's output: every chunk ID and metadata-node
-// key that must survive the pass, plus the bookkeeping snapshots the
-// node sweep classifies against.
+// blobMark is one live BLOB's cached contribution to the mark set.
+// Published marks are immutable: the node sweep settles one by
+// replacing it.
+type blobMark struct {
+	blob     uint64
+	versions []uint64   // retained version numbers as the version manager listed them
+	wm       uint64     // highest of them: nodes above it may belong to an in-flight publication
+	chunks   []chunk.ID // chunk IDs of the leaves reachable from those versions
+
+	// settled records that a real pass range-scanned the BLOB's nodes
+	// against the walk of exactly this version list, deleted every
+	// unreachable one cleanly, and found no reader pin on the BLOB: until
+	// the list changes there is nothing left to classify, so the BLOB
+	// needs neither walk nor scan. Dry-runs and Mark never set it.
+	settled bool
+}
+
+// sameVersions reports whether the cached version list is the one the
+// version manager returned.
+func (e *blobMark) sameVersions(versions []vmanager.VersionMeta) bool {
+	if len(e.versions) != len(versions) {
+		return false
+	}
+	for i, v := range versions {
+		if e.versions[i] != v.Version {
+			return false
+		}
+	}
+	return true
+}
+
+// blobWalk is a BLOB walked this pass: its fresh mark plus what the node
+// sweep needs to classify the BLOB's stored nodes.
+type blobWalk struct {
+	*blobMark
+	// nodes holds the keys reachable from a retained or pinned version.
+	// It is the walking worker's set, shared by all its walks: node keys
+	// carry their BLOB, so the walks never collide.
+	nodes  map[blobmeta.NodeKey]struct{}
+	pinned bool // a reader pinned the BLOB at the pass's pin read
+}
+
+// markWorker is one goroutine's share of the mark fan-out.
+type markWorker struct {
+	nodes    map[blobmeta.NodeKey]struct{}
+	walks    []*blobWalk
+	reused   []*blobMark
+	versions int // version walks performed
+}
+
+// markSet is the mark phase's output: every chunk ID that must survive
+// the pass, and for the BLOBs walked this pass the node sets the node
+// sweep classifies against.
 type markSet struct {
-	chunks map[chunk.ID]bool             // live chunk IDs
-	nodes  map[blobmeta.NodeKey]struct{} // node keys reachable from a retained or pinned version
-	wm     map[uint64]uint64             // live blob -> highest published version at mark time
-	dead   []uint64                      // deleted, undeferred BLOBs (all their nodes are sweepable)
+	chunks map[chunk.ID]bool    // live chunk IDs
+	walked map[uint64]*blobWalk // BLOBs walked this pass
+	dead   []uint64             // deleted, undeferred BLOBs (all their nodes are sweepable)
 
 	// deferred holds the deleted-but-pinned BLOBs: their delete-time
 	// snapshots keep chunks marked, and every one of their tree nodes is
 	// protected until the last pin drains.
 	deferred map[uint64]struct{}
 
-	blobs, versions int // walk diagnostics
+	reused   int // BLOBs marked from the cache
+	versions int // version walks performed
+	nodes    int // tree nodes the walks read
 }
 
-func newMarkSet() *markSet {
-	return &markSet{
-		chunks:   make(map[chunk.ID]bool),
-		nodes:    make(map[blobmeta.NodeKey]struct{}),
-		wm:       make(map[uint64]uint64),
-		deferred: make(map[uint64]struct{}),
-	}
-}
-
-// markBlob walks every retained version of one live BLOB into ms,
-// newest version first: the newest walks its tree in full once and each
-// older version prunes at every subtree it shares with a younger one,
-// so the whole BLOB costs O(distinct nodes) metadata reads instead of
-// O(versions × nodes). A BLOB deleted between enumeration and walk is
-// skipped; any other version-manager or metadata error aborts the pass
-// (fail safe: an unmarked live chunk is a purge casualty).
-func (m *Manager) markBlob(ctx context.Context, blob uint64, ms *markSet) error {
+// markBlob adds one live BLOB to wk: from the cache when its settled
+// mark still matches the version manager's list (unless force), by a
+// fresh walk otherwise. The walk goes newest version first: the newest
+// walks its tree in full once and each older version prunes at every
+// subtree it shares with a younger one, so the whole BLOB costs
+// O(distinct nodes) metadata reads instead of O(versions × nodes). A
+// BLOB deleted between enumeration and walk is skipped; any other
+// version-manager or metadata error aborts the pass (fail safe: an
+// unmarked live chunk is a purge casualty). The walk — returned, nil for
+// a reused or vanished BLOB — is recorded only once it has completed.
+func (m *Manager) markBlob(ctx context.Context, blob uint64, wk *markWorker, force bool) (*blobWalk, error) {
 	versions, err := m.vm.Versions(blob)
 	if err != nil {
 		if blobGone(err) {
-			return nil
+			return nil, nil
 		}
-		return fmt.Errorf("gc: mark blob %d: list versions: %w", blob, err)
+		return nil, fmt.Errorf("gc: mark blob %d: list versions: %w", blob, err)
+	}
+	if !force {
+		m.markMu.Lock()
+		e := m.marks[blob]
+		m.markMu.Unlock()
+		if e != nil && e.settled && e.sameVersions(versions) {
+			wk.reused = append(wk.reused, e)
+			return nil, nil
+		}
 	}
 	tree, err := m.vm.Tree(blob)
 	if err != nil {
 		if blobGone(err) {
-			return nil
+			return nil, nil
 		}
-		return fmt.Errorf("gc: mark blob %d: open tree: %w", blob, err)
+		return nil, fmt.Errorf("gc: mark blob %d: open tree: %w", blob, err)
 	}
-	var wm uint64
-	for _, v := range versions {
-		if v.Version > wm {
-			wm = v.Version
-		}
+	w := &blobWalk{
+		blobMark: &blobMark{blob: blob, versions: make([]uint64, len(versions))},
+		nodes:    wk.nodes,
 	}
-	ms.wm[blob] = wm
-	ms.blobs++
-	prune := func(k blobmeta.NodeKey) bool {
-		_, seen := ms.nodes[k]
-		return seen
-	}
-	visit := func(k blobmeta.NodeKey, n blobmeta.Node) error {
-		ms.nodes[k] = struct{}{}
-		if n.Leaf && !n.Desc.ID.IsZero() {
-			ms.chunks[n.Desc.ID] = true
-		}
-		return nil
+	for i, v := range versions {
+		w.versions[i] = v.Version
+		w.wm = max(w.wm, v.Version)
 	}
 	for i := len(versions) - 1; i >= 0; i-- {
 		if err := ctx.Err(); err != nil {
-			return err
+			return nil, err
 		}
 		v := versions[i]
 		if v.Version == 0 {
 			continue
 		}
-		ms.versions++
-		if err := tree.WalkNodes(v.Version, prune, visit); err != nil {
-			return fmt.Errorf("gc: mark blob %d v%d: %w", blob, v.Version, err)
+		wk.versions++
+		if err := w.walkVersion(tree, v.Version, func(id chunk.ID) { w.chunks = append(w.chunks, id) }); err != nil {
+			return nil, fmt.Errorf("gc: mark blob %d v%d: %w", blob, v.Version, err)
 		}
 	}
-	return nil
+	wk.walks = append(wk.walks, w)
+	return w, nil
+}
+
+// walkVersion walks one version of the BLOB's tree into w.nodes, pruning
+// at subtrees an earlier walk covered and reporting each live leaf's
+// chunk ID.
+func (w *blobWalk) walkVersion(tree *blobmeta.Tree, version uint64, live func(chunk.ID)) error {
+	return tree.WalkNodes(version,
+		func(k blobmeta.NodeKey) bool {
+			_, seen := w.nodes[k]
+			return seen
+		},
+		func(k blobmeta.NodeKey, n blobmeta.Node) error {
+			w.nodes[k] = struct{}{}
+			if n.Leaf && !n.Desc.ID.IsZero() {
+				live(n.Desc.ID)
+			}
+			return nil
+		})
 }
 
 // mark enumerates everything that must survive the sweep: the chunk IDs
-// and tree-node keys reachable from the retained versions of live BLOBs
-// — including descriptors republished by self-optimization repairs,
-// which appear as ordinary versions — plus pinned versions and the
-// delete-time snapshots of deferred (pinned) BLOBs. BLOBs fan out over
-// a bounded worker pool; all versions of one BLOB stay on one worker so
-// its shared-subtree prune set is worker-local.
+// reachable from the retained versions of live BLOBs — including
+// descriptors republished by self-optimization repairs, which appear as
+// ordinary versions — plus pinned versions and the delete-time snapshots
+// of deferred (pinned) BLOBs. BLOBs fan out over a bounded worker pool;
+// all versions of one BLOB stay on one worker so its shared-subtree
+// prune set is worker-local. The per-BLOB cache is replaced only once
+// every walk has completed: an aborted pass leaves it as it was.
 func (m *Manager) mark(ctx context.Context) (*markSet, error) {
 	blobs := m.vm.Blobs()
 	workers := m.markWorkers
@@ -112,7 +190,12 @@ func (m *Manager) mark(ctx context.Context) (*markSet, error) {
 	}
 	wctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	locals := make([]*markSet, workers)
+	// One extra worker slot: the coordinating goroutine's own walks of
+	// pinned BLOBs, after the fan-out.
+	locals := make([]*markWorker, workers+1)
+	for i := range locals {
+		locals[i] = &markWorker{nodes: make(map[blobmeta.NodeKey]struct{})}
+	}
 	jobs := make(chan uint64)
 	var wg sync.WaitGroup
 	var errMu sync.Mutex
@@ -125,19 +208,17 @@ func (m *Manager) mark(ctx context.Context) (*markSet, error) {
 		errMu.Unlock()
 		cancel() // a mark failure aborts the whole pass; stop the fan-out
 	}
-	for w := 0; w < workers; w++ {
-		local := newMarkSet()
-		locals[w] = local
+	for _, wk := range locals[:workers] {
 		wg.Add(1)
-		go func(local *markSet) {
+		go func(wk *markWorker) {
 			defer wg.Done()
 			for blob := range jobs {
-				if err := m.markBlob(wctx, blob, local); err != nil {
+				if _, err := m.markBlob(wctx, blob, wk, false); err != nil {
 					fail(err)
 					return
 				}
 			}
-		}(local)
+		}(wk)
 	}
 feed:
 	for _, blob := range blobs {
@@ -156,22 +237,31 @@ feed:
 		return nil, err
 	}
 
-	// Merge the worker-local sets. BLOBs are disjoint across workers, so
-	// node keys and watermarks never collide; chunk IDs can (shared
-	// content across BLOBs) and the boolean union is exactly right.
-	ms := newMarkSet()
-	for _, local := range locals {
-		for id := range local.chunks {
+	// Gather the workers' shares. BLOBs are disjoint across workers;
+	// chunk IDs can repeat (shared content across BLOBs) and the boolean
+	// union is exactly right.
+	ms := &markSet{
+		walked:   make(map[uint64]*blobWalk),
+		deferred: make(map[uint64]struct{}),
+	}
+	next := make(map[uint64]*blobMark, len(blobs))
+	nChunks := 0
+	for _, wk := range locals {
+		for _, e := range wk.reused {
+			next[e.blob] = e
+			nChunks += len(e.chunks)
+		}
+		for _, w := range wk.walks {
+			ms.walked[w.blob] = w
+			next[w.blob] = w.blobMark
+			nChunks += len(w.chunks)
+		}
+	}
+	ms.chunks = make(map[chunk.ID]bool, nChunks)
+	for _, e := range next {
+		for _, id := range e.chunks {
 			ms.chunks[id] = true
 		}
-		for k := range local.nodes {
-			ms.nodes[k] = struct{}{}
-		}
-		for b, wm := range local.wm {
-			ms.wm[b] = wm
-		}
-		ms.blobs += local.blobs
-		ms.versions += local.versions
 	}
 
 	// Deleted-BLOB snapshot for the node sweep, read BEFORE the barrier:
@@ -213,14 +303,38 @@ feed:
 			ms.dead = append(ms.dead, blob)
 		}
 	}
-	// Pinned versions of live BLOBs are marked even when retention has
-	// already retired them (a reader may have pinned between the
-	// retention pass's pin check and the retire): version metadata is
-	// gone but the tree nodes survive retirement, so the walk still
-	// resolves — and marking their node keys keeps the node sweep from
-	// dropping them while the pin lasts. Pinned versions of deleted
-	// BLOBs are covered by the deferred snapshots above.
+	// A pinned BLOB is always walked, never taken from the cache, and
+	// never settled while the pin lasts: its pinned versions are marked
+	// even when retention has already retired them (a reader may have
+	// pinned between the retention pass's pin check and the retire).
+	// Version metadata is gone but the tree nodes survive retirement, so
+	// the walk still resolves — and marking their node keys keeps the
+	// node sweep from dropping them while the pin lasts. Once the pin
+	// drains the BLOB is still unsettled, so the next pass walks and
+	// scans it again and reclaims what only the pinned version reached.
+	// Pinned versions of deleted BLOBs are covered by the deferred
+	// snapshots above.
+	late := locals[workers]
+	live := func(id chunk.ID) { ms.chunks[id] = true }
 	for _, k := range pinned {
+		w := ms.walked[k.blob]
+		if w == nil {
+			var err error
+			if w, err = m.markBlob(ctx, k.blob, late, true); err != nil {
+				return nil, err
+			}
+			if w == nil {
+				// Deleted since the fan-out: a delete before the barrier
+				// left its deferred snapshot above, one after it found the
+				// BLOB's cached mark already in ms.chunks.
+				continue
+			}
+			ms.walked[k.blob], next[k.blob] = w, w.blobMark
+			for _, id := range w.chunks {
+				ms.chunks[id] = true
+			}
+		}
+		w.pinned = true
 		if k.version == 0 {
 			continue
 		}
@@ -231,41 +345,54 @@ feed:
 			}
 			return nil, fmt.Errorf("gc: mark pinned blob %d: open tree: %w", k.blob, err)
 		}
-		prune := func(nk blobmeta.NodeKey) bool {
-			_, seen := ms.nodes[nk]
-			return seen
-		}
-		err = tree.WalkNodes(k.version, prune, func(nk blobmeta.NodeKey, n blobmeta.Node) error {
-			ms.nodes[nk] = struct{}{}
-			if n.Leaf && !n.Desc.ID.IsZero() {
-				ms.chunks[n.Desc.ID] = true
-			}
-			return nil
-		})
-		if err != nil {
+		if err := w.walkVersion(tree, k.version, live); err != nil {
 			// Fail safe, exactly like the live-blob walk: an unmarked
 			// pinned version would let the purge truncate an in-flight
 			// stream.
 			return nil, fmt.Errorf("gc: mark pinned blob %d v%d: %w", k.blob, k.version, err)
 		}
 	}
+
+	ms.reused = len(next) - len(ms.walked)
+	for _, wk := range locals {
+		ms.versions += wk.versions
+		ms.nodes += len(wk.nodes)
+	}
+	// Every walk completed: publish the pass's marks. Entries of BLOBs no
+	// longer live are not carried over.
+	m.markMu.Lock()
+	m.marks = next
+	m.markMu.Unlock()
+
+	m.markWalked.Add(int64(len(ms.walked)))
+	m.markReused.Add(int64(ms.reused))
+	m.markNodeReads.Add(int64(ms.nodes))
+	// One event per pass, not one per node read: the walk is maintenance,
+	// not client metadata load (see blobmeta.Store.Peek).
+	m.emit.Emit(instrument.Event{
+		Time: m.now(), Actor: instrument.ActorGC, Op: instrument.OpMark,
+		Value: float64(ms.nodes), Offset: int64(len(ms.walked)), Bytes: int64(ms.reused),
+	})
 	return ms, nil
 }
 
 // Mark runs the mark phase alone — no epoch advance, no reclamation —
-// and reports its coverage: how many BLOBs and versions were walked and
-// how many distinct chunks and tree nodes they reach. Diagnostics and
-// benchmarking; safe to run concurrently with sweeps and foreground
-// traffic.
+// and reports its coverage: how many live BLOBs it marked, how many
+// version walks and node reads that took (BLOBs whose settled mark was
+// reused cost neither), and how many distinct chunks are live.
+// Diagnostics and benchmarking; safe to run concurrently with sweeps and
+// foreground traffic — a Mark that listed a version just before
+// retention retired it and a sweep dropped its nodes fails (a missing
+// node) rather than report a partial mark.
 func (m *Manager) Mark(ctx context.Context) (MarkReport, error) {
 	ms, err := m.mark(ctx)
 	if err != nil {
 		return MarkReport{}, err
 	}
 	return MarkReport{
-		Blobs:    ms.blobs,
+		Blobs:    len(ms.walked) + ms.reused,
 		Versions: ms.versions,
 		Chunks:   len(ms.chunks),
-		Nodes:    len(ms.nodes),
+		Nodes:    ms.nodes,
 	}, nil
 }

@@ -15,6 +15,8 @@ import "blobseer/internal/metrics"
 //	blobseer_gc_retired_versions_total    counter  versions retired by retention
 //	blobseer_gc_leases_active             gauge    writer leases currently registered
 //	blobseer_gc_leases_reaped_total       counter  expired lease records reaped by sweeps
+//	blobseer_gc_mark_blobs_total{result=...}  counter  BLOBs marked: walked | reused (from the per-BLOB cache)
+//	blobseer_gc_mark_node_reads_total     counter  tree nodes read by mark walks
 //	blobseer_gc_phase_seconds{phase=...}  hist     mark | sweep | node_sweep | retention
 //	blobseer_gc_pin_drain_seconds         hist     deferred-reclaim latency on last-pin drain
 //
@@ -43,6 +45,12 @@ func WithMetrics(reg *metrics.Registry) Option {
 			"Writer leases currently registered with the lifecycle manager.").With()
 		m.leasesReaped = reg.Counter("blobseer_gc_leases_reaped_total",
 			"Expired writer-lease records reaped by sweep passes.").With()
+		marked := reg.Counter("blobseer_gc_mark_blobs_total",
+			"BLOBs marked by mark phases, by whether the tree was walked or the cached mark reused.", "result")
+		m.markWalked = marked.With("walked")
+		m.markReused = marked.With("reused")
+		m.markNodeReads = reg.Counter("blobseer_gc_mark_node_reads_total",
+			"Metadata-tree nodes read by mark walks.").With()
 		phase := reg.Histogram("blobseer_gc_phase_seconds",
 			"GC pass phase duration by phase.", metrics.DurationBuckets, "phase")
 		m.phaseMark = phase.With("mark")

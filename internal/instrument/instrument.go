@@ -46,6 +46,7 @@ const (
 	OpPin        Op = "pin"         // gc: version pinned by a reader
 	OpRetire     Op = "retire"      // gc: version retired by retention
 	OpSweep      Op = "sweep"       // gc: mark-and-sweep chunk reclaim
+	OpMark       Op = "mark"        // gc: one mark phase (Value nodes read, Offset BLOBs walked, Bytes BLOBs reused)
 )
 
 // Actor names used in events.
