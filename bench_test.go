@@ -351,9 +351,11 @@ type delayDir struct {
 	rtt   time.Duration
 }
 
+// delayConn embeds the inner conn, so lease traffic is forwarded (at no
+// modeled RTT) rather than hidden.
 type delayConn struct {
-	inner client.Conn
-	rtt   time.Duration
+	client.Conn
+	rtt time.Duration
 }
 
 func (d delayDir) Lookup(ctx context.Context, id string) (client.Conn, error) {
@@ -384,14 +386,14 @@ func (c delayConn) Store(ctx context.Context, user string, id chunk.ID, data []b
 	if err := sleepCtx(ctx, c.rtt); err != nil {
 		return err
 	}
-	return c.inner.Store(ctx, user, id, data)
+	return c.Conn.Store(ctx, user, id, data)
 }
 
 func (c delayConn) Fetch(ctx context.Context, user string, id chunk.ID) ([]byte, error) {
 	if err := sleepCtx(ctx, c.rtt); err != nil {
 		return nil, err
 	}
-	return c.inner.Fetch(ctx, user, id)
+	return c.Conn.Fetch(ctx, user, id)
 }
 
 // benchPlanes is the provider-RTT grid the client benchmarks run over:

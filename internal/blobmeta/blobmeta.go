@@ -56,7 +56,9 @@ type Node struct {
 }
 
 // Store is the metadata-provider persistence interface. Nodes are
-// immutable: Put of an existing key must be idempotent.
+// immutable: Put of an existing key must be idempotent. Delete exists
+// only so the metadata sweep (internal/gc) can drop nodes reachable
+// solely from retired or deleted versions.
 type Store interface {
 	Put(NodeKey, Node) error
 	Get(NodeKey) (Node, bool, error)
@@ -65,14 +67,6 @@ type Store interface {
 	// not count as client metadata load.
 	Peek(NodeKey) (Node, bool, error)
 	Len() int
-}
-
-// NodeStore is the optional Store extension the metadata sweep
-// (internal/gc) consumes: paged key enumeration and node deletion.
-// Nodes stay immutable — Delete exists only so the sweep can drop nodes
-// reachable solely from retired or deleted versions.
-type NodeStore interface {
-	Store
 	// ListNodes returns up to limit node keys strictly greater than
 	// after in (Blob, Version, Lo, Hi) order, and whether more remain.
 	// The zero NodeKey starts from the beginning (version 0 is reserved,
@@ -81,11 +75,6 @@ type NodeStore interface {
 	// or may not appear; a key present for the whole scan appears
 	// exactly once.
 	ListNodes(after NodeKey, limit int) ([]NodeKey, bool)
-	// Keys returns a snapshot of the stored node keys.
-	//
-	// Deprecated: Keys materializes the whole key set at once; page with
-	// ListNodes instead.
-	Keys() []NodeKey
 	// Delete removes a node; deleting an absent key is a no-op.
 	Delete(k NodeKey) error
 }
@@ -93,20 +82,6 @@ type NodeStore interface {
 // listNodesDefaultLimit is the page size ListNodes implementations use
 // when the caller passes limit ≤ 0.
 const listNodesDefaultLimit = 1024
-
-// drainNodes implements the deprecated Keys surface on top of paging.
-func drainNodes(ns NodeStore) []NodeKey {
-	var out []NodeKey
-	var after NodeKey
-	for {
-		page, more := ns.ListNodes(after, listNodesDefaultLimit)
-		out = append(out, page...)
-		if !more || len(page) == 0 {
-			return out
-		}
-		after = page[len(page)-1]
-	}
-}
 
 // fnv64 constants (FNV-1a), inlined so per-access hashing allocates
 // nothing — hashKey runs on every metadata Get/Put via Ring.pick and the
@@ -216,7 +191,7 @@ func (s *MemStore) Peek(k NodeKey) (Node, bool, error) {
 	return n, ok, nil
 }
 
-// Delete removes a node (absent keys are a no-op). Implements NodeStore.
+// Delete removes a node (absent keys are a no-op). Implements Store.
 func (s *MemStore) Delete(k NodeKey) error {
 	st := s.stripe(k)
 	st.mu.Lock()
@@ -228,7 +203,7 @@ func (s *MemStore) Delete(k NodeKey) error {
 	return nil
 }
 
-// ListNodes implements NodeStore: one k-way merge over the stripes'
+// ListNodes implements Store: one k-way merge over the stripes'
 // sorted indexes, straight into the result. Keys are hash-striped, so
 // every stripe is consulted for every page; all stripes are read-locked
 // for the merge (index order, so no writer — which takes one stripe —
@@ -303,11 +278,6 @@ func mergeRuns(runs []keyRun, limit int) ([]NodeKey, bool) {
 	}
 }
 
-// Keys returns a snapshot of the stored node keys.
-//
-// Deprecated: page with ListNodes instead.
-func (s *MemStore) Keys() []NodeKey { return drainNodes(s) }
-
 // Len returns the number of stored nodes.
 func (s *MemStore) Len() int {
 	n := 0
@@ -325,6 +295,11 @@ func (s *MemStore) Len() int {
 type Ring struct {
 	stores []Store
 }
+
+var (
+	_ Store = (*MemStore)(nil)
+	_ Store = (*Ring)(nil)
+)
 
 // NewRing returns a ring over the given stores (at least one).
 func NewRing(stores ...Store) (*Ring, error) {
@@ -356,34 +331,27 @@ func (r *Ring) Len() int {
 	return n
 }
 
-// ListNodes implements NodeStore: one k-way merge over the shards. Keys
+// ListNodes implements Store: one k-way merge over the shards. Keys
 // hash uniformly across shards, so each shard is first asked for its
 // expected share of the page plus some slack and again only if it runs
 // dry before the page is full: what is pulled tracks what is returned,
 // not limit × shards.
-// Shards that do not implement NodeStore contribute nothing — their
-// nodes are invisible to the metadata sweep and therefore never deleted
-// (the safe direction: a leak, not a lost node). Callers that act on
-// the *absence* of keys (e.g. forgetting a deleted BLOB once its nodes
-// are gone) must check NodesComplete first.
 func (r *Ring) ListNodes(after NodeKey, limit int) ([]NodeKey, bool) {
 	if limit <= 0 {
 		limit = listNodesDefaultLimit
 	}
 	share := limit/len(r.stores) + 1
-	runs := make([]keyRun, 0, len(r.stores))
-	for _, s := range r.stores {
-		if ns, ok := s.(NodeStore); ok {
-			c := &shardCursor{ns: ns, after: after, batch: share + share/8 + 8}
-			runs = append(runs, keyRun{fetch: c.nextBatch})
-		}
+	runs := make([]keyRun, len(r.stores))
+	for i, s := range r.stores {
+		c := &shardCursor{ns: s, after: after, batch: share + share/8 + 8}
+		runs[i].fetch = c.nextBatch
 	}
 	return mergeRuns(runs, limit)
 }
 
 // shardCursor pages one ring shard forward for Ring.ListNodes.
 type shardCursor struct {
-	ns    NodeStore
+	ns    Store
 	after NodeKey
 	batch int
 	done  bool
@@ -401,32 +369,8 @@ func (c *shardCursor) nextBatch() []NodeKey {
 	return page
 }
 
-// Keys returns the union of every NodeStore shard's keys.
-//
-// Deprecated: page with ListNodes instead.
-func (r *Ring) Keys() []NodeKey { return drainNodes(r) }
-
-// NodesComplete reports whether Keys enumerates every stored node —
-// true only when every shard implements NodeStore. The garbage
-// collector refuses to conclude "all nodes reclaimed" from a partial
-// enumeration.
-func (r *Ring) NodesComplete() bool {
-	for _, s := range r.stores {
-		if _, ok := s.(NodeStore); !ok {
-			return false
-		}
-	}
-	return true
-}
-
-// Delete implements NodeStore, routing to the shard that owns the key.
-func (r *Ring) Delete(k NodeKey) error {
-	ns, ok := r.pick(k).(NodeStore)
-	if !ok {
-		return fmt.Errorf("blobmeta: shard for %v does not support node deletion", k)
-	}
-	return ns.Delete(k)
-}
+// Delete implements Store, routing to the shard that owns the key.
+func (r *Ring) Delete(k NodeKey) error { return r.pick(k).Delete(k) }
 
 // Shards returns the per-shard node counts (balance diagnostics).
 func (r *Ring) Shards() []int {

@@ -379,9 +379,25 @@ func TestRingAccessZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestMemStoreNodeStore: Keys snapshots, Delete removes (absent keys a
-// no-op), Len stays consistent — through both MemStore and Ring.
-func TestMemStoreNodeStore(t *testing.T) {
+// pageAll drains a store's keys through ListNodes at the default page
+// size.
+func pageAll(s Store) []NodeKey {
+	var out []NodeKey
+	var after NodeKey
+	for {
+		page, more := s.ListNodes(after, 0)
+		out = append(out, page...)
+		if !more || len(page) == 0 {
+			return out
+		}
+		after = page[len(page)-1]
+	}
+}
+
+// TestStoreListDelete: paging enumerates every key once, Delete removes
+// (absent keys a no-op), Len stays consistent — through a Ring of
+// MemStores.
+func TestStoreListDelete(t *testing.T) {
 	stores := make([]Store, 3)
 	for i := range stores {
 		stores[i] = NewMemStore(fmt.Sprintf("m%d", i), nil, nil)
@@ -390,7 +406,7 @@ func TestMemStoreNodeStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var ns NodeStore = ring
+	var ns Store = ring
 	keys := make([]NodeKey, 0, 100)
 	for i := int64(0); i < 100; i++ {
 		k := NodeKey{Blob: uint64(i % 7), Version: uint64(i), Lo: i, Hi: i + 1}
@@ -403,14 +419,14 @@ func TestMemStoreNodeStore(t *testing.T) {
 		t.Fatalf("Len = %d, want 100", got)
 	}
 	got := map[NodeKey]bool{}
-	for _, k := range ns.Keys() {
+	for _, k := range pageAll(ns) {
 		if got[k] {
-			t.Fatalf("duplicate key in snapshot: %v", k)
+			t.Fatalf("duplicate key in enumeration: %v", k)
 		}
 		got[k] = true
 	}
 	if len(got) != 100 {
-		t.Fatalf("Keys returned %d keys, want 100", len(got))
+		t.Fatalf("paged %d keys, want 100", len(got))
 	}
 	for _, k := range keys[:40] {
 		if err := ns.Delete(k); err != nil {
@@ -654,7 +670,7 @@ func TestListNodesPagingOrderAndCompleteness(t *testing.T) {
 	}
 	sort.Slice(want, func(i, j int) bool { return nodeKeyCmp(want[i], want[j]) < 0 })
 
-	for _, ns := range []NodeStore{mem, ring} {
+	for _, ns := range []Store{mem, ring} {
 		for _, limit := range []int{1, 7, 128, 1000} {
 			var got []NodeKey
 			var after NodeKey
@@ -720,9 +736,9 @@ func TestListNodesDeleteDuringPaging(t *testing.T) {
 	}
 }
 
-// TestKeysMatchesListNodes: the deprecated snapshot stays consistent
-// with the paged enumeration it now wraps.
-func TestKeysMatchesListNodes(t *testing.T) {
+// TestListNodesDefaultPageDrain: draining at the default page size
+// (limit 0) agrees with Len and stays strictly ascending across pages.
+func TestListNodesDefaultPageDrain(t *testing.T) {
 	mem := NewMemStore("m1", nil, nil)
 	for i := int64(0); i < 300; i++ {
 		k := NodeKey{Blob: uint64(i % 5), Version: uint64(i + 1), Lo: i % 16, Hi: i%16 + 1}
@@ -730,13 +746,13 @@ func TestKeysMatchesListNodes(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	keys := mem.Keys()
+	keys := pageAll(mem)
 	if len(keys) != mem.Len() {
-		t.Fatalf("Keys returned %d, Len says %d", len(keys), mem.Len())
+		t.Fatalf("paged %d keys, Len says %d", len(keys), mem.Len())
 	}
 	for i := 1; i < len(keys); i++ {
 		if nodeKeyCmp(keys[i-1], keys[i]) >= 0 {
-			t.Fatal("Keys (via ListNodes) not strictly ascending")
+			t.Fatal("drained keys not strictly ascending")
 		}
 	}
 }

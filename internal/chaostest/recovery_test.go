@@ -42,7 +42,7 @@ func TestCrashRestartRecovery(t *testing.T) {
 			if id != victim {
 				return provider.NewMemStore(0)
 			}
-			crash = storetest.NewCrashStore(provider.NewMemStore(0), func() provider.LifecycleStore {
+			crash = storetest.NewCrashStore(provider.NewMemStore(0), func() provider.Store {
 				return provider.NewMemStore(0)
 			})
 			return crash

@@ -566,10 +566,8 @@ func (w *BlobWriter) heartbeat() {
 			if err != nil {
 				continue // transient: the TTL spans several ticks, the next one retries
 			}
-			if cl, ok := conn.(ChunkLeaser); ok {
-				// Best effort for the same reason; nil ids = pure renewal.
-				_ = cl.LeaseChunks(w.ctx, w.lref.id, w.lref.ttl, nil)
-			}
+			// Best effort for the same reason; nil ids = pure renewal.
+			_ = conn.LeaseChunks(w.ctx, w.lref.id, w.lref.ttl, nil)
 		}
 	}
 }
@@ -586,9 +584,7 @@ func (w *BlobWriter) releaseLease() {
 		if err != nil {
 			continue
 		}
-		if cl, ok := conn.(ChunkLeaser); ok {
-			_ = cl.ReleaseLease(ctx, w.lref.id)
-		}
+		_ = conn.ReleaseLease(ctx, w.lref.id)
 	}
 	w.lease.Release()
 }

@@ -45,19 +45,17 @@ var (
 // chunk.PutBuf once the payload is dead, or drops it for the GC. A Conn
 // that retained either slice would see it overwritten by a later
 // transfer.
+//
+// Writer leases: a leasing writer registers each chunk ID under its
+// lease at the provider (LeaseChunks) before storing it, renews with nil
+// ids, and releases when it finishes. While a lease is live the
+// provider's wholesale purge and the GC's victim classification skip its
+// chunks. A Conn that wraps another forwards both calls — a wrapper that
+// swallowed them would leave the writers behind it with the grace window
+// as their only protection.
 type Conn interface {
 	Store(ctx context.Context, user string, id chunk.ID, data []byte) error
 	Fetch(ctx context.Context, user string, id chunk.ID) ([]byte, error)
-}
-
-// ChunkLeaser is an optional Conn extension: register chunk IDs under a
-// writer lease at the provider before storing them, renew with nil ids,
-// and release when the writer finishes. Both the in-process provider
-// plane and the RPC plane implement it; while a lease is live the
-// provider's wholesale purge and the GC's victim classification skip
-// its chunks. A Conn without the extension simply stores unleased — the
-// grace window is then the only protection, as before leases existed.
-type ChunkLeaser interface {
 	LeaseChunks(ctx context.Context, leaseID string, ttl time.Duration, ids []chunk.ID) error
 	ReleaseLease(ctx context.Context, leaseID string) error
 }
@@ -105,7 +103,7 @@ const DefaultLeaseTTL = 30 * time.Second
 
 // Lease is one writer's registration with the storage-lifecycle layer,
 // minted by a Leaser at NewWriter time. Its ID also names the chunk
-// leases the writer registers at each provider (ChunkLeaser), so one
+// leases the writer registers at each provider (Conn.LeaseChunks), so one
 // identity protects the base version and the flushed chunks. Renew
 // pushes the expiry out (heartbeat); Release ends the lease and must be
 // called on every writer exit path — a lease that is never released
@@ -486,13 +484,11 @@ func (c *Client) storeReplicas(ctx context.Context, id chunk.ID, data []byte, ta
 				return
 			}
 			if lease != nil {
-				if cl, ok := conn.(ChunkLeaser); ok {
-					if err := cl.LeaseChunks(ctx, lease.id, lease.ttl, []chunk.ID{id}); err != nil {
-						errs[k] = fmt.Errorf("lease %s: %w", pid, err)
-						return
-					}
-					lease.noteProvider(pid)
+				if err := conn.LeaseChunks(ctx, lease.id, lease.ttl, []chunk.ID{id}); err != nil {
+					errs[k] = fmt.Errorf("lease %s: %w", pid, err)
+					return
 				}
+				lease.noteProvider(pid)
 			}
 			if err := conn.Store(ctx, c.user, id, data); err != nil {
 				errs[k] = fmt.Errorf("store %s: %w", pid, err)

@@ -200,7 +200,7 @@ func TestStreamWriterCloseIdempotentAndWriteAfterClose(t *testing.T) {
 // blockingConn blocks every transfer until its context is cancelled,
 // counting how many are parked — the shape of a stuck replica.
 type blockingConn struct {
-	inner   Conn
+	Conn    // lease traffic passes through
 	blocked *atomic.Int64
 }
 
@@ -253,7 +253,7 @@ func TestHedgedReadCancelsLosers(t *testing.T) {
 		if id == "p00" {
 			return conn, nil // the only replica that answers
 		}
-		return blockingConn{inner: conn, blocked: &blocked}, nil
+		return blockingConn{Conn: conn, blocked: &blocked}, nil
 	})
 	reader := New("alice", b.vm, b.pm, dir, WithHedgedReads(true))
 
@@ -288,7 +288,7 @@ func TestHedgedReadParentCancellation(t *testing.T) {
 		if err != nil {
 			return nil, err
 		}
-		return blockingConn{inner: conn, blocked: &blocked}, nil
+		return blockingConn{Conn: conn, blocked: &blocked}, nil
 	})
 	reader := New("alice", b.vm, b.pm, dir, WithHedgedReads(true))
 
@@ -327,7 +327,7 @@ func TestWriterCancellationAbortsStores(t *testing.T) {
 		if err != nil {
 			return nil, err
 		}
-		return blockingConn{inner: conn, blocked: &blocked}, nil
+		return blockingConn{Conn: conn, blocked: &blocked}, nil
 	})
 	c := New("alice", b.vm, b.pm, dir)
 	info, err := c.Create(8)
@@ -415,7 +415,7 @@ func TestWriterFlushesBoundedByWorkers(t *testing.T) {
 		if err != nil {
 			return nil, err
 		}
-		return blockingConn{inner: conn, blocked: &blocked}, nil
+		return blockingConn{Conn: conn, blocked: &blocked}, nil
 	})
 	c := New("alice", b.vm, b.pm, dir, WithWorkers(2))
 	info, err := c.Create(8)
@@ -536,15 +536,11 @@ func TestStoredChunksAfterAbortedClose(t *testing.T) {
 	}
 }
 
-// failStoreConn rejects every Store and passes Fetch through.
-type failStoreConn struct{ inner Conn }
+// failStoreConn rejects every Store and passes everything else through.
+type failStoreConn struct{ Conn }
 
 func (c failStoreConn) Store(context.Context, string, chunk.ID, []byte) error {
 	return errors.New("disk full")
-}
-
-func (c failStoreConn) Fetch(ctx context.Context, user string, id chunk.ID) ([]byte, error) {
-	return c.inner.Fetch(ctx, user, id)
 }
 
 // TestStoredChunksIncludeQuorumOrphans fails one of three replicas so the
@@ -559,7 +555,7 @@ func TestStoredChunksIncludeQuorumOrphans(t *testing.T) {
 			return nil, err
 		}
 		if id == "p02" {
-			return failStoreConn{inner: conn}, nil
+			return failStoreConn{conn}, nil
 		}
 		return conn, nil
 	})
@@ -697,7 +693,7 @@ func TestSeekEvictionCancelsInFlightFetches(t *testing.T) {
 		if err != nil {
 			return nil, err
 		}
-		return blockingConn{inner: conn, blocked: &blocked}, nil
+		return blockingConn{Conn: conn, blocked: &blocked}, nil
 	})
 	c := New("alice", b.vm, b.pm, dir, WithPrefetch(2))
 	ctx := context.Background()

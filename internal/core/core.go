@@ -18,7 +18,6 @@ import (
 	"time"
 
 	"blobseer/internal/blobmeta"
-	"blobseer/internal/chunk"
 	"blobseer/internal/client"
 	"blobseer/internal/faultdom"
 	"blobseer/internal/gc"
@@ -56,15 +55,9 @@ type Options struct {
 	BaseDegree       int                // replication maintenance target (default = Replicas)
 	GCGraceEpochs    int                // sweep write-in-progress grace window (0 = default 1, -1 = none)
 	WriterLeaseTTL   time.Duration      // writer-lease lifetime without heartbeat (0 = default 30s)
-	// NoWriterLeases disables writer leasing entirely: writers register
-	// nothing and the GC grace window is the only write-in-progress
-	// protection, as before leases existed. Test-only — it reopens the
-	// reclaim-vs-writer races the leases close.
-	NoWriterLeases bool
 	// ProviderStore mints the backing chunk store for each new provider
 	// (nil, or a nil return, = the in-memory MemStore). It is the seam
-	// for disk-backed stores and for fault/latency injection in tests;
-	// stores implementing provider.LifecycleStore stay sweepable.
+	// for disk-backed stores and for fault/latency injection in tests.
 	ProviderStore func(id string) provider.Store
 	// Metrics is the process metrics registry. When set, every actor the
 	// cluster assembles — clients, providers, the GC manager, and any S3
@@ -212,7 +205,7 @@ func NewCluster(opts Options) (*Cluster, error) {
 	}
 
 	// Self-optimization.
-	c.Rep = selfopt.NewReplicator(c.VM, c.PM, poolAdapter{c}, c.Intro,
+	c.Rep = selfopt.NewReplicator(c.VM, c.PM, pool{c}, c.Intro,
 		selfopt.WithBaseDegree(opts.BaseDegree),
 		selfopt.WithEmitter(c.agentFor("selfopt")))
 
@@ -234,7 +227,7 @@ func NewCluster(opts Options) (*Cluster, error) {
 	if opts.WriterLeaseTTL > 0 {
 		gcOpts = append(gcOpts, gc.WithLeaseTTL(opts.WriterLeaseTTL))
 	}
-	c.GC = gc.New(c.VM, gcProviders{c}, gcOpts...)
+	c.GC = gc.New(c.VM, pool{c}, gcOpts...)
 
 	// Self-configuration (optional).
 	if opts.Elasticity != nil {
@@ -388,12 +381,8 @@ func (c *Cluster) ClientWith(user string, extra ...client.Option) *client.Client
 		client.WithEmitter(emitter),
 		client.WithClock(c.now),
 		client.WithMetrics(c.opts.Metrics),
-	}
-	if !c.opts.NoWriterLeases {
-		opts = append(opts, client.WithLeaser(writerLeases{c.GC}))
-		if c.opts.WriterLeaseTTL > 0 {
-			opts = append(opts, client.WithLeaseTTL(c.opts.WriterLeaseTTL))
-		}
+		client.WithLeaser(writerLeases{c.GC}),
+		client.WithLeaseTTL(c.opts.WriterLeaseTTL),
 	}
 	if c.Fault != nil {
 		opts = append(opts, client.WithHealth(c.Fault.Healthy))
@@ -466,34 +455,26 @@ func (c *Cluster) HealContext(ctx context.Context, now time.Time) (selfopt.Repai
 	return c.Rep.ScanContext(ctx, now)
 }
 
-// poolAdapter exposes the cluster's providers as a selfopt.Pool.
-type poolAdapter struct{ c *Cluster }
+// pool exposes the cluster's providers to the control plane — the
+// replicator and reapers (selfopt.Pool) and the lifecycle manager
+// (gc.Providers) — as the unguarded in-process provider: maintenance
+// traffic bypasses the client-side fault guard.
+type pool struct{ c *Cluster }
 
-func (a poolAdapter) Fetch(ctx context.Context, id string, ch chunk.ID) ([]byte, error) {
+func (a pool) Provider(_ context.Context, id string) (provider.API, error) {
 	p, ok := a.c.Provider(id)
 	if !ok {
 		return nil, fmt.Errorf("core: no provider %s", id)
 	}
-	return p.Fetch(ctx, "selfopt", ch)
+	return p, nil
 }
 
-func (a poolAdapter) Store(ctx context.Context, id string, ch chunk.ID, data []byte) error {
-	p, ok := a.c.Provider(id)
-	if !ok {
-		return fmt.Errorf("core: no provider %s", id)
-	}
-	return p.Store(ctx, "selfopt", ch, data)
-}
+// IDs lists the providers a sweep covers. Only live providers are
+// swept: a stopped provider keeps its chunks until it restarts (matching
+// real decommissioning, where its disks are gone anyway).
+func (a pool) IDs() []string { return a.c.Providers() }
 
-func (a poolAdapter) Remove(ctx context.Context, id string, ch chunk.ID) error {
-	p, ok := a.c.Provider(id)
-	if !ok {
-		return fmt.Errorf("core: no provider %s", id)
-	}
-	return p.Remove(ctx, ch)
-}
-
-func (a poolAdapter) Alive(id string) bool {
+func (a pool) Alive(id string) bool {
 	p, ok := a.c.Provider(id)
 	if !ok || p.Stopped() {
 		return false
@@ -504,67 +485,7 @@ func (a poolAdapter) Alive(id string) bool {
 }
 
 // Pool exposes the cluster's providers as a selfopt.Pool (for reapers).
-func (c *Cluster) Pool() selfopt.Pool { return poolAdapter{c} }
-
-// gcProviders exposes the cluster's providers as the lifecycle
-// manager's sweep surface. Only live providers are swept: a stopped
-// provider keeps its chunks until it restarts (matching real
-// decommissioning, where its disks are gone anyway).
-type gcProviders struct{ c *Cluster }
-
-func (a gcProviders) IDs() []string { return a.c.Providers() }
-
-func (a gcProviders) ListChunks(ctx context.Context, id string, after chunk.ID, limit int) ([]provider.ChunkInfo, bool, error) {
-	p, ok := a.c.Provider(id)
-	if !ok {
-		return nil, false, fmt.Errorf("core: no provider %s", id)
-	}
-	return p.ListChunks(ctx, after, limit)
-}
-
-func (a gcProviders) Purge(ctx context.Context, id string, ids []chunk.ID) (int, int64, error) {
-	p, ok := a.c.Provider(id)
-	if !ok {
-		return 0, 0, fmt.Errorf("core: no provider %s", id)
-	}
-	return p.PurgeChunks(ctx, ids)
-}
-
-func (a gcProviders) AdvanceEpoch(_ context.Context, id string) (uint64, error) {
-	p, ok := a.c.Provider(id)
-	if !ok {
-		return 0, fmt.Errorf("core: no provider %s", id)
-	}
-	return p.AdvanceEpoch()
-}
-
-func (a gcProviders) Epoch(_ context.Context, id string) (uint64, error) {
-	p, ok := a.c.Provider(id)
-	if !ok {
-		return 0, fmt.Errorf("core: no provider %s", id)
-	}
-	return p.Epoch()
-}
-
-func (a gcProviders) Remove(ctx context.Context, id string, ch chunk.ID) error {
-	return poolAdapter{a.c}.Remove(ctx, id, ch)
-}
-
-func (a gcProviders) Leases(ctx context.Context, id string) ([]provider.LeaseInfo, error) {
-	p, ok := a.c.Provider(id)
-	if !ok {
-		return nil, fmt.Errorf("core: no provider %s", id)
-	}
-	return p.Leases(ctx)
-}
-
-func (a gcProviders) ReleaseLease(ctx context.Context, id, leaseID string) error {
-	p, ok := a.c.Provider(id)
-	if !ok {
-		return fmt.Errorf("core: no provider %s", id)
-	}
-	return p.ReleaseLease(ctx, leaseID)
-}
+func (c *Cluster) Pool() selfopt.Pool { return pool{c} }
 
 // writerLeases adapts the lifecycle manager to the client's Leaser
 // hook. The indirection exists for the interface types: OpenWriterLease

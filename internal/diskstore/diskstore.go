@@ -1,8 +1,8 @@
 // Package diskstore implements a durable, log-structured chunk store
-// behind the provider.Store + provider.LifecycleStore seam: append-only
-// segment files of checksummed records, a sparse in-memory index
+// behind the provider.Store seam: append-only segment files of
+// checksummed records, a sparse in-memory index
 // ordered by chunk ID (so List pages at O(limit + log n), honouring the
-// LifecycleStore ordered-iteration contract with what is logically a
+// Store.List ordered-iteration contract with what is logically a
 // range scan), crash recovery by segment replay with torn-tail
 // truncation, and a background compactor that rewrites segments whose
 // live fraction is under a ceiling and whose age says the rest of them
@@ -126,9 +126,14 @@ type segment struct {
 	reaped  atomic.Bool
 }
 
+// Slotting in behind the provider seam is the whole point of the package.
+var (
+	_ provider.Store = (*DiskStore)(nil)
+	_ provider.Store = (*TieredStore)(nil)
+)
+
 // DiskStore is a log-structured, reference-counted chunk store over a
-// directory of segment files. It implements provider.Store,
-// provider.LifecycleStore and provider.BufferedGetter.
+// directory of segment files. It implements provider.Store.
 type DiskStore struct {
 	dir  string
 	opts Options
@@ -527,7 +532,7 @@ func (s *DiskStore) Get(id chunk.ID) ([]byte, error) {
 	return s.GetAppend(id, nil)
 }
 
-// GetAppend implements provider.BufferedGetter: the payload is read
+// GetAppend implements provider.Store: the payload is read
 // into dst[:0], or into a chunk-pool buffer when dst is too small. The
 // segment is pinned with a reader count while the mutex is released, so a
 // concurrent compaction can unlink the file but never invalidate the
@@ -613,7 +618,7 @@ func (s *DiskStore) Delete(id chunk.ID) error {
 	return nil
 }
 
-// Purge implements provider.LifecycleStore: the chunk is freed
+// Purge implements provider.Store: the chunk is freed
 // wholesale, whatever its reference count. Purging an absent chunk
 // frees 0 bytes and is not an error.
 func (s *DiskStore) Purge(id chunk.ID) (int64, error) {
@@ -638,7 +643,7 @@ func (s *DiskStore) Purge(id chunk.ID) (int64, error) {
 	return freed, nil
 }
 
-// List implements provider.LifecycleStore: one page costs
+// List implements provider.Store: one page costs
 // O(limit + log n) against the always-sorted in-memory index — the
 // disk is not touched at all, matching the ordered-iteration contract.
 func (s *DiskStore) List(after chunk.ID, limit int) ([]provider.ChunkInfo, bool) {
@@ -660,10 +665,10 @@ func (s *DiskStore) List(after chunk.ID, limit int) ([]provider.ChunkInfo, bool)
 	return out, more
 }
 
-// Epoch implements provider.LifecycleStore.
+// Epoch implements provider.Store.
 func (s *DiskStore) Epoch() uint64 { return s.epoch.Load() }
 
-// AdvanceEpoch implements provider.LifecycleStore. The new epoch is
+// AdvanceEpoch implements provider.Store. The new epoch is
 // durable via a recEpoch record; if that append fails the advance still
 // holds in memory — after a crash the epoch falls back to the highest
 // tag on disk, which only widens the sweep grace window (the safe
@@ -686,17 +691,6 @@ func (s *DiskStore) Has(id chunk.ID) bool {
 	defer s.mu.Unlock()
 	_, ok := s.idx[id]
 	return ok
-}
-
-// Keys returns the stored chunk IDs in unspecified order.
-func (s *DiskStore) Keys() []chunk.ID {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]chunk.ID, 0, len(s.idx))
-	for id := range s.idx {
-		out = append(out, id)
-	}
-	return out
 }
 
 // Used returns live payload bytes (each chunk counted once).

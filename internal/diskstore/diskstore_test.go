@@ -16,17 +16,6 @@ import (
 	"blobseer/internal/provider"
 )
 
-// Interface conformance: the whole point of the package is slotting in
-// behind the provider seam.
-var (
-	_ provider.Store          = (*DiskStore)(nil)
-	_ provider.LifecycleStore = (*DiskStore)(nil)
-	_ provider.BufferedGetter = (*DiskStore)(nil)
-	_ provider.Store          = (*TieredStore)(nil)
-	_ provider.LifecycleStore = (*TieredStore)(nil)
-	_ provider.BufferedGetter = (*TieredStore)(nil)
-)
-
 // open creates a store in a fresh temp dir with the background
 // compactor off (tests drive CompactOnce explicitly) and small segments
 // so rolls happen.
@@ -237,7 +226,7 @@ func TestRecoveryCleanRestart(t *testing.T) {
 	}
 }
 
-func listAll(s provider.LifecycleStore) []provider.ChunkInfo {
+func listAll(s provider.Store) []provider.ChunkInfo {
 	var out []provider.ChunkInfo
 	var after chunk.ID
 	for {

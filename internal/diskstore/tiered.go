@@ -1,7 +1,7 @@
 // TieredStore composes the lock-striped in-memory MemStore as a
 // bounded hot tier over a DiskStore cold tier. The cold tier is the
 // source of truth: every mutation lands there first, and every
-// authoritative read-out (Used, Count, List, Epoch, Has, Keys) is
+// authoritative read-out (Used, Count, List, Epoch, Has) is
 // answered by it, so the GC lifecycle contract is exactly the disk
 // store's. The hot tier is purely a byte-bounded read cache with
 // recency eviction: a Put writes through and leaves a hot copy
@@ -18,8 +18,8 @@ import (
 	"blobseer/internal/provider"
 )
 
-// TieredStore is a provider.Store + provider.LifecycleStore +
-// provider.BufferedGetter with a RAM hot tier over a durable cold tier.
+// TieredStore is a provider.Store with a RAM hot tier over a durable
+// cold tier.
 type TieredStore struct {
 	cold *DiskStore
 
@@ -161,7 +161,7 @@ func (t *TieredStore) Get(id chunk.ID) ([]byte, error) {
 	return t.GetAppend(id, nil)
 }
 
-// GetAppend implements provider.BufferedGetter. A cold hit promotes the
+// GetAppend implements provider.Store. A cold hit promotes the
 // chunk; if the chunk was deleted from the cold tier while the promote
 // was in flight, the stale hot copy is dropped again (content
 // addressing makes the returned bytes correct either way).
@@ -198,7 +198,7 @@ func (t *TieredStore) Delete(id chunk.ID) error {
 	return nil
 }
 
-// Purge implements provider.LifecycleStore against the cold tier and
+// Purge implements provider.Store against the cold tier and
 // evicts the hot copy.
 func (t *TieredStore) Purge(id chunk.ID) (int64, error) {
 	freed, err := t.cold.Purge(id)
@@ -206,23 +206,20 @@ func (t *TieredStore) Purge(id chunk.ID) (int64, error) {
 	return freed, err
 }
 
-// List implements provider.LifecycleStore against the cold tier (the
+// List implements provider.Store against the cold tier (the
 // cache holds no chunk the cold tier does not).
 func (t *TieredStore) List(after chunk.ID, limit int) ([]provider.ChunkInfo, bool) {
 	return t.cold.List(after, limit)
 }
 
-// Epoch implements provider.LifecycleStore.
+// Epoch implements provider.Store.
 func (t *TieredStore) Epoch() uint64 { return t.cold.Epoch() }
 
-// AdvanceEpoch implements provider.LifecycleStore.
+// AdvanceEpoch implements provider.Store.
 func (t *TieredStore) AdvanceEpoch() uint64 { return t.cold.AdvanceEpoch() }
 
 // Has reports cold-tier presence (the authoritative set).
 func (t *TieredStore) Has(id chunk.ID) bool { return t.cold.Has(id) }
-
-// Keys returns the cold tier's chunk IDs in unspecified order.
-func (t *TieredStore) Keys() []chunk.ID { return t.cold.Keys() }
 
 // Used returns the cold tier's live payload bytes.
 func (t *TieredStore) Used() int64 { return t.cold.Used() }

@@ -132,8 +132,8 @@ func TestTieredLifecycleDelegatesToCold(t *testing.T) {
 			t.Fatal("tiered List diverges from cold List")
 		}
 	}
-	if len(ts.Keys()) != 20 {
-		t.Fatal("Keys must reflect the cold tier")
+	if ts.Count() != 20 {
+		t.Fatal("Count must reflect the cold tier")
 	}
 }
 

@@ -266,9 +266,16 @@ func TestDetectorVerdicts(t *testing.T) {
 	}
 }
 
+// noLease completes client.Conn for fakes with no provider behind them.
+type noLease struct{}
+
+func (noLease) LeaseChunks(context.Context, string, time.Duration, []chunk.ID) error { return nil }
+func (noLease) ReleaseLease(context.Context, string) error                           { return nil }
+
 // failNConn fails the first n calls with a transient error, then
 // succeeds, counting every inner call.
 type failNConn struct {
+	noLease
 	mu    sync.Mutex
 	n     int
 	calls int
@@ -381,7 +388,7 @@ func TestGuardedConnCallerCancelNotCounted(t *testing.T) {
 		BreakerThreshold: 1, // a single counted failure would open it
 	}, nil)
 	block := make(chan struct{})
-	conn := p.Wrap("p1", blockingConn{block})
+	conn := p.Wrap("p1", blockingConn{ch: block})
 
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
 	defer cancel()
@@ -395,7 +402,10 @@ func TestGuardedConnCallerCancelNotCounted(t *testing.T) {
 	}
 }
 
-type blockingConn struct{ ch chan struct{} }
+type blockingConn struct {
+	noLease
+	ch chan struct{}
+}
 
 func (c blockingConn) Store(ctx context.Context, user string, id chunk.ID, data []byte) error {
 	select {
@@ -421,7 +431,7 @@ func TestGuardedConnAttemptDeadline(t *testing.T) {
 		Retry:            RetryPolicy{MaxAttempts: 1},
 		BreakerThreshold: 100,
 	}, nil)
-	conn := p.Wrap("p1", blockingConn{make(chan struct{})})
+	conn := p.Wrap("p1", blockingConn{ch: make(chan struct{})})
 
 	start := time.Now()
 	err := conn.Store(context.Background(), "u", chunk.ID{}, []byte("x"))

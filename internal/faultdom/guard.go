@@ -70,30 +70,19 @@ func (g *guardedConn) Fetch(ctx context.Context, user string, id chunk.ID) ([]by
 	return out, err
 }
 
-// LeaseChunks implements client.ChunkLeaser; a wrapped conn without
-// the extension stores unleased, matching the ungated plane.
+// LeaseChunks implements client.Conn: lease traffic runs under the same
+// guard as the data path.
 func (g *guardedConn) LeaseChunks(ctx context.Context, leaseID string, ttl time.Duration, ids []chunk.ID) error {
-	cl, ok := g.inner.(client.ChunkLeaser)
-	if !ok {
-		return nil
-	}
 	return g.run(ctx, "lease", func(ctx context.Context) error {
-		return cl.LeaseChunks(ctx, leaseID, ttl, ids)
+		return g.inner.LeaseChunks(ctx, leaseID, ttl, ids)
 	})
 }
 
-// ReleaseLease implements client.ChunkLeaser.
+// ReleaseLease implements client.Conn.
 func (g *guardedConn) ReleaseLease(ctx context.Context, leaseID string) error {
-	cl, ok := g.inner.(client.ChunkLeaser)
-	if !ok {
-		return nil
-	}
 	return g.run(ctx, "release", func(ctx context.Context) error {
-		return cl.ReleaseLease(ctx, leaseID)
+		return g.inner.ReleaseLease(ctx, leaseID)
 	})
 }
 
-var (
-	_ client.Conn        = (*guardedConn)(nil)
-	_ client.ChunkLeaser = (*guardedConn)(nil)
-)
+var _ client.Conn = (*guardedConn)(nil)

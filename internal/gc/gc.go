@@ -111,30 +111,15 @@ func blobGone(err error) bool {
 	return errors.Is(err, vmanager.ErrNoBlob) || errors.Is(err, vmanager.ErrDeleted)
 }
 
-// Providers is the lifecycle manager's access to the data-provider pool.
-// The in-process plane adapts core.Cluster; an RPC plane adapts
-// rpc.Conn (which carries the same ListChunks/Purge/AdvanceEpoch calls).
+// Providers is the lifecycle manager's access to the data-provider
+// pool: which providers to sweep, and each one's provider.API. The
+// in-process plane resolves to *provider.Provider (core.Cluster), an RPC
+// plane to *rpc.Conn — the sweep cannot tell them apart.
 type Providers interface {
 	// IDs lists the providers to sweep.
 	IDs() []string
-	// ListChunks returns one inventory page: up to limit chunks with ID
-	// strictly greater than after, ascending, plus whether more remain.
-	ListChunks(ctx context.Context, providerID string, after chunk.ID, limit int) ([]provider.ChunkInfo, bool, error)
-	// Purge frees chunks wholesale (refcounts ignored) and reports how
-	// many were present and the bytes freed.
-	Purge(ctx context.Context, providerID string, ids []chunk.ID) (int, int64, error)
-	// AdvanceEpoch moves the provider to the next sweep epoch.
-	AdvanceEpoch(ctx context.Context, providerID string) (uint64, error)
-	// Epoch returns the provider's current sweep epoch without
-	// advancing it (dry-run sweeps must not erode the grace window).
-	Epoch(ctx context.Context, providerID string) (uint64, error)
-	// Remove drops one reference of a chunk (the exact-reclaim fast path).
-	Remove(ctx context.Context, providerID string, id chunk.ID) error
-	// Leases enumerates the provider's writer leases (expired included)
-	// so the sweep can classify against live ones and reap dead ones.
-	Leases(ctx context.Context, providerID string) ([]provider.LeaseInfo, error)
-	// ReleaseLease drops one writer lease at the provider.
-	ReleaseLease(ctx context.Context, providerID, leaseID string) error
+	// Provider resolves one provider by ID.
+	Provider(ctx context.Context, id string) (provider.API, error)
 }
 
 // pinKey identifies one pinned (blob, version).
@@ -181,8 +166,7 @@ type SweepReport struct {
 	// gateway-side base holds and provider-side chunk leases combined.
 	LeasesReaped int
 
-	// Metadata-node sweep (zero when the metadata store does not
-	// implement blobmeta.NodeStore).
+	// Metadata-node sweep.
 	NodesScanned int // tree nodes examined in the metadata store
 	NodesLive    int // nodes reachable from a retained or pinned version
 	NodesKept    int // protected: deferred BLOBs' nodes, in-flight publications, post-snapshot BLOBs
@@ -654,10 +638,14 @@ func (m *Manager) removeFanout(ctx context.Context, perProv map[string][]chunk.I
 		wg.Add(1)
 		go func(p string, ids []chunk.ID) {
 			defer wg.Done()
+			// Decrements are best-effort by design: a missed one leaves
+			// a refcount high (safe), and the next sweep collects it.
+			api, err := m.prov.Provider(ctx, p)
+			if err != nil {
+				return
+			}
 			for _, id := range ids {
-				// Decrements are best-effort by design: a missed one leaves
-				// a refcount high (safe), and the next sweep collects it.
-				_ = m.prov.Remove(ctx, p, id) //gcfailsafe:allow failure leaves the refcount high, which is the safe direction; the sweep collects it
+				_ = api.Remove(ctx, id) //gcfailsafe:allow failure leaves the refcount high, which is the safe direction; the sweep collects it
 			}
 		}(p, ids)
 	}
@@ -821,12 +809,14 @@ func (m *Manager) Sweep(ctx context.Context, dryRun bool) (SweepReport, error) {
 			sem <- struct{}{}
 			defer func() { <-sem }()
 			var e uint64
-			var err error
-			if dryRun {
-				e, err = m.prov.Epoch(ctx, id)
+			p, err := m.prov.Provider(ctx, id)
+			switch {
+			case err != nil: // unresolvable: counted as failed below
+			case dryRun:
+				e, err = p.Epoch(ctx)
 				e++
-			} else {
-				e, err = m.prov.AdvanceEpoch(ctx, id)
+			default:
+				e, err = p.AdvanceEpoch(ctx)
 			}
 			mu.Lock()
 			if err != nil {
@@ -952,7 +942,13 @@ type provSweep struct {
 // failure surfaces in the report.
 func (m *Manager) sweepProvider(ctx context.Context, id string, epoch uint64, marked map[chunk.ID]bool, dryRun bool) provSweep {
 	var res provSweep
-	leaseList, err := m.prov.Leases(ctx, id)
+	p, err := m.prov.Provider(ctx, id)
+	if err != nil {
+		res.failed = true
+		res.err = fmt.Errorf("gc: resolve %s: %w", id, err)
+		return res
+	}
+	leaseList, err := p.Leases(ctx)
 	if err != nil {
 		res.failed = true
 		res.err = fmt.Errorf("gc: list leases %s: %w", id, err)
@@ -967,7 +963,7 @@ func (m *Manager) sweepProvider(ctx context.Context, id string, epoch uint64, ma
 				// would see), but dry-runs never mutate lease state.
 				continue
 			}
-			if rerr := m.prov.ReleaseLease(ctx, id, li.ID); rerr != nil {
+			if rerr := p.ReleaseLease(ctx, li.ID); rerr != nil {
 				// Could not confirm the lease dead — keep protecting its
 				// chunks and surface the failure.
 				for _, c := range li.Chunks {
@@ -992,7 +988,7 @@ func (m *Manager) sweepProvider(ctx context.Context, id string, epoch uint64, ma
 			batch := victims[:n]
 			victims = victims[n:]
 			m.recordPurged(batch)
-			purged, freed, err := m.prov.Purge(ctx, id, batch)
+			purged, freed, err := p.PurgeChunks(ctx, batch)
 			res.swept += purged
 			res.sweptBytes += freed
 			if err != nil {
@@ -1007,7 +1003,7 @@ func (m *Manager) sweepProvider(ctx context.Context, id string, epoch uint64, ma
 			res.err = err
 			return res
 		}
-		page, more, err := m.prov.ListChunks(ctx, id, after, m.pageSize)
+		page, more, err := p.ListChunks(ctx, after, m.pageSize)
 		if err != nil {
 			res.failed = true
 			res.err = fmt.Errorf("gc: list %s: %w", id, err)

@@ -418,41 +418,21 @@ func (tp testProviders) IDs() []string {
 	return out
 }
 
-func (tp testProviders) ListChunks(ctx context.Context, id string, after chunk.ID, limit int) ([]provider.ChunkInfo, bool, error) {
-	return tp.m[id].ListChunks(ctx, after, limit)
-}
-
-func (tp testProviders) Purge(ctx context.Context, id string, ids []chunk.ID) (int, int64, error) {
-	return tp.m[id].PurgeChunks(ctx, ids)
-}
-
-func (tp testProviders) AdvanceEpoch(_ context.Context, id string) (uint64, error) {
-	return tp.m[id].AdvanceEpoch()
-}
-
-func (tp testProviders) Epoch(_ context.Context, id string) (uint64, error) {
-	return tp.m[id].Epoch()
-}
-
-func (tp testProviders) Remove(ctx context.Context, id string, ch chunk.ID) error {
-	return tp.m[id].Remove(ctx, ch)
-}
-
-func (tp testProviders) Leases(ctx context.Context, id string) ([]provider.LeaseInfo, error) {
-	return tp.m[id].Leases(ctx)
-}
-
-func (tp testProviders) ReleaseLease(ctx context.Context, id, leaseID string) error {
-	return tp.m[id].ReleaseLease(ctx, leaseID)
+func (tp testProviders) Provider(_ context.Context, id string) (provider.API, error) {
+	p, ok := tp.m[id]
+	if !ok {
+		return nil, fmt.Errorf("no provider %s", id)
+	}
+	return p, nil
 }
 
 // lateConn simulates the RPC plane's accounting gap: a Store the client
 // cancels still completes server-side once the wire delivers it. The
 // client's stored/orphan accounting never sees the chunk.
 type lateConn struct {
-	p       *provider.Provider
-	started chan struct{}
-	once    sync.Once
+	*provider.Provider // Fetch and lease traffic go straight through
+	started            chan struct{}
+	once               sync.Once
 
 	mu      sync.Mutex
 	pending []func() // server-side completions not yet delivered
@@ -464,14 +444,10 @@ func (lc *lateConn) Store(ctx context.Context, user string, id chunk.ID, data []
 	buf := append([]byte(nil), data...)
 	lc.mu.Lock()
 	lc.pending = append(lc.pending, func() {
-		_ = lc.p.Store(context.Background(), user, id, buf)
+		_ = lc.Provider.Store(context.Background(), user, id, buf)
 	})
 	lc.mu.Unlock()
 	return ctx.Err()
-}
-
-func (lc *lateConn) Fetch(ctx context.Context, user string, id chunk.ID) ([]byte, error) {
-	return lc.p.Fetch(ctx, user, id)
 }
 
 // deliver runs the queued server-side completions.
@@ -496,7 +472,7 @@ func TestSweepReclaimsLateCompletedStore(t *testing.T) {
 	if err := pm.Register(pmanager.Info{ID: "p00", Zone: "z0"}); err != nil {
 		t.Fatal(err)
 	}
-	lc := &lateConn{p: p, started: make(chan struct{})}
+	lc := &lateConn{Provider: p, started: make(chan struct{})}
 	dir := client.DirectoryFunc(func(context.Context, string) (client.Conn, error) {
 		return lc, nil
 	})
@@ -633,7 +609,7 @@ func TestSweepAbortsOnMarkErrors(t *testing.T) {
 	// An aborted pass must not advance the sweep epoch: repeated
 	// transient failures would otherwise age unpublished writers out of
 	// their grace protection without any sweep completing.
-	if e, err := p.Epoch(); err != nil || e != 0 {
+	if e, err := p.Epoch(ctx); err != nil || e != 0 {
 		t.Fatalf("epoch after aborted sweep = %d (%v), want 0", e, err)
 	}
 	fvm.failVersions.Store(false)
@@ -815,75 +791,6 @@ func TestNodeSweepAcceptance(t *testing.T) {
 	}
 	if got := totalChunks(c); got != 0 {
 		t.Fatalf("chunks after deleting everything = %d, want 0", got)
-	}
-}
-
-// blindStore hides a MemStore's NodeStore methods: a ring shard that
-// cannot enumerate or delete nodes.
-type blindStore struct {
-	s *blobmeta.MemStore
-}
-
-func (b blindStore) Put(k blobmeta.NodeKey, n blobmeta.Node) error { return b.s.Put(k, n) }
-func (b blindStore) Get(k blobmeta.NodeKey) (blobmeta.Node, bool, error) {
-	return b.s.Get(k)
-}
-func (b blindStore) Peek(k blobmeta.NodeKey) (blobmeta.Node, bool, error) {
-	return b.s.Peek(k)
-}
-func (b blindStore) Len() int { return b.s.Len() }
-
-// TestNodeSweepPartialRingNeverForgets: a ring with a shard that cannot
-// list nodes must never conclude a deleted BLOB is fully reclaimed —
-// forgetting it would orphan the invisible nodes forever. The BLOB
-// stays in DeletedBlobs so a later complete enumeration can finish.
-func TestNodeSweepPartialRingNeverForgets(t *testing.T) {
-	full := blobmeta.NewMemStore("m0", nil, nil)
-	blind := blindStore{s: blobmeta.NewMemStore("m1", nil, nil)}
-	ring, err := blobmeta.NewRing(full, blind)
-	if err != nil {
-		t.Fatal(err)
-	}
-	vm := vmanager.New(ring, vmanager.WithSpan(1<<20))
-	pm := pmanager.New(pmanager.WithTTL(0))
-	p := provider.New("p00", "z0", 0)
-	if err := pm.Register(pmanager.Info{ID: "p00", Zone: "z0"}); err != nil {
-		t.Fatal(err)
-	}
-	dir := client.DirectoryFunc(func(context.Context, string) (client.Conn, error) {
-		return p, nil
-	})
-	cl := client.New("alice", vm, pm, dir)
-	m := gc.New(vm, testProviders{m: map[string]*provider.Provider{"p00": p}},
-		gc.WithGraceEpochs(0))
-
-	info, err := cl.Create(256)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cl.Write(info.ID, 0, bytes.Repeat([]byte{'n'}, 1024)); err != nil {
-		t.Fatal(err)
-	}
-	if blind.s.Len() == 0 {
-		t.Fatal("no nodes landed on the blind shard; widen the write")
-	}
-	ctx := context.Background()
-	if err := m.DeleteBlob(ctx, info.ID); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.Sweep(ctx, false); err != nil {
-		t.Fatal(err)
-	}
-	// The visible shard's dead nodes are reclaimed, the blind shard's
-	// survive, and — decisively — the BLOB is not forgotten.
-	if got := full.Len(); got != 0 {
-		t.Fatalf("visible shard still holds %d nodes", got)
-	}
-	if blind.s.Len() == 0 {
-		t.Fatal("blind shard's nodes vanished")
-	}
-	if got := vm.DeletedBlobs(); len(got) != 1 || got[0] != info.ID {
-		t.Fatalf("deleted blobs = %v, want [%d]: partial enumeration must not forget", got, info.ID)
 	}
 }
 
@@ -1124,7 +1031,7 @@ func TestSweepDryRunRemovesNothing(t *testing.T) {
 	// otherwise erode the write-in-progress grace window.
 	for _, id := range c.Providers() {
 		p, _ := c.Provider(id)
-		if e, err := p.Epoch(); err != nil || e != 0 {
+		if e, err := p.Epoch(context.Background()); err != nil || e != 0 {
 			t.Fatalf("provider %s epoch after dry-run = %d (%v), want 0", id, e, err)
 		}
 	}

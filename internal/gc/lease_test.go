@@ -11,12 +11,24 @@ import (
 
 	"blobseer/internal/blobmeta"
 	"blobseer/internal/chunk"
+	"blobseer/internal/client"
 	"blobseer/internal/core"
 	"blobseer/internal/gc"
 	"blobseer/internal/provider"
 	"blobseer/internal/storetest"
 	"blobseer/internal/vmanager"
 )
+
+// writerClient mints the regression tests' client: the cluster's own
+// (leased), or one with the lease hook taken out — the unleased
+// subtests prove each race manifests with the grace window as the only
+// protection.
+func writerClient(c *core.Cluster, leases bool) *client.Client {
+	if leases {
+		return c.Client("alice")
+	}
+	return c.ClientWith("alice", client.WithLeaser(nil))
+}
 
 // --- regression 1: stale upload vs grace exhaustion ------------------
 
@@ -28,10 +40,8 @@ import (
 // chunks and publishes a version that cannot be read back.
 func TestLeaseProtectsUnpublishedWriterPastGrace(t *testing.T) {
 	run := func(t *testing.T, leases bool) {
-		c := newCluster(t, core.Options{
-			Providers: 2, Monitoring: false, NoWriterLeases: !leases,
-		}) // default grace: 1 epoch
-		cl := c.Client("alice")
+		c := newCluster(t, core.Options{Providers: 2, Monitoring: false}) // default grace: 1 epoch
+		cl := writerClient(c, leases)
 		ctx := context.Background()
 		info, err := cl.Create(256)
 		if err != nil {
@@ -97,7 +107,7 @@ func TestLeaseProtectsUnpublishedWriterPastGrace(t *testing.T) {
 // leased-check and the actual deletion, holding the purge in flight
 // while the test re-puts the same content.
 type parkStore struct {
-	provider.LifecycleStore
+	provider.Store
 	armed   *atomic.Bool
 	entered chan struct{}
 	release chan struct{}
@@ -108,7 +118,7 @@ func (ps *parkStore) Purge(id chunk.ID) (int64, error) {
 		close(ps.entered)
 		<-ps.release
 	}
-	return ps.LifecycleStore.Purge(id)
+	return ps.Store.Purge(id)
 }
 
 // TestLeaseBlocksPurgeOfReusedChunk: a sweep classifies an orphan chunk
@@ -126,7 +136,6 @@ func TestLeaseBlocksPurgeOfReusedChunk(t *testing.T) {
 		base := storetest.Factory(t)
 		c := newCluster(t, core.Options{
 			Providers: 1, Monitoring: false, GCGraceEpochs: -1,
-			NoWriterLeases: !leases,
 			ProviderStore: func(id string) provider.Store {
 				var inner provider.Store
 				if base != nil {
@@ -136,12 +145,12 @@ func TestLeaseBlocksPurgeOfReusedChunk(t *testing.T) {
 					inner = provider.NewMemStore(0)
 				}
 				return &parkStore{
-					LifecycleStore: inner.(provider.LifecycleStore),
-					armed:          &armed, entered: entered, release: release,
+					Store: inner,
+					armed: &armed, entered: entered, release: release,
 				}
 			},
 		})
-		cl := c.Client("alice")
+		cl := writerClient(c, leases)
 		ctx := context.Background()
 		info, err := cl.Create(256)
 		if err != nil {
@@ -222,11 +231,8 @@ func TestLeaseBlocksPurgeOfReusedChunk(t *testing.T) {
 // edge merge demonstrably breaks.
 func TestLeaseHoldsBaseVersionAgainstRetention(t *testing.T) {
 	run := func(t *testing.T, leases bool) {
-		c := newCluster(t, core.Options{
-			Providers: 2, Monitoring: false, GCGraceEpochs: -1,
-			NoWriterLeases: !leases,
-		})
-		cl := c.Client("alice")
+		c := newCluster(t, core.Options{Providers: 2, Monitoring: false, GCGraceEpochs: -1})
+		cl := writerClient(c, leases)
 		ctx := context.Background()
 		info, err := cl.Create(256)
 		if err != nil {
@@ -304,9 +310,17 @@ type leaseFailProviders struct {
 	err error
 }
 
-func (lp leaseFailProviders) Leases(context.Context, string) ([]provider.LeaseInfo, error) {
-	return nil, lp.err
+func (lp leaseFailProviders) Provider(ctx context.Context, id string) (provider.API, error) {
+	p, err := lp.testProviders.Provider(ctx, id)
+	return leaseFailAPI{p, lp.err}, err
 }
+
+type leaseFailAPI struct {
+	provider.API
+	err error
+}
+
+func (la leaseFailAPI) Leases(context.Context) ([]provider.LeaseInfo, error) { return nil, la.err }
 
 // TestLeaseEnumerationFailureAbortsSweep: a sweep that cannot enumerate
 // a provider's leases must not classify that provider's chunks at all —
@@ -419,7 +433,7 @@ func TestLeaseHammerConvergence(t *testing.T) {
 			if inner == nil {
 				inner = provider.NewMemStore(0)
 			}
-			return &storetest.FlakyStore{LifecycleStore: inner.(provider.LifecycleStore), Inj: inj}
+			return &storetest.FlakyStore{Store: inner, Inj: inj}
 		},
 	})
 	cl := c.Client("alice")

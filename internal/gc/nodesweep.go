@@ -30,7 +30,7 @@ const scanPageMin = 64
 // NodeKey{Blob: b} sorts before every key of b, version 0 being
 // reserved — and seeks over every BLOB it was not asked for. Keys visit
 // deletes are behind the cursor, so paging never skips or revisits one.
-func scanNodes(ns blobmeta.NodeStore, blobs []uint64, pageSize int, visit func(blobmeta.NodeKey) error) error {
+func scanNodes(ns blobmeta.Store, blobs []uint64, pageSize int, visit func(blobmeta.NodeKey) error) error {
 	if len(blobs) == 0 {
 		return nil
 	}
@@ -84,20 +84,7 @@ func scanNodes(ns blobmeta.NodeStore, blobs []uint64, pageSize int, visit func(b
 // BLOBs whose scan deleted cleanly, and that no reader pins, are settled.
 func (m *Manager) sweepNodes(ctx context.Context, ms *markSet, dryRun bool) nodeSweep {
 	var res nodeSweep
-	ns, ok := m.vm.MetaStore().(blobmeta.NodeStore)
-	if !ok {
-		return res
-	}
-	// A store whose enumeration may be partial (a ring with shards that
-	// cannot list nodes) still gets its visible dead nodes deleted, but
-	// no BLOB may be forgotten on the strength of an incomplete scan —
-	// the invisible nodes would fall out of every future classification
-	// set and leak forever. The BLOB stays in DeletedBlobs and the next
-	// complete enumeration finishes the job.
-	complete := true
-	if pc, okc := ns.(interface{ NodesComplete() bool }); okc {
-		complete = pc.NodesComplete()
-	}
+	ns := m.vm.MetaStore()
 	dead := make(map[uint64]bool, len(ms.dead))
 	scan := make([]uint64, 0, len(ms.walked)+len(ms.dead))
 	for _, b := range ms.dead {
@@ -172,13 +159,11 @@ func (m *Manager) sweepNodes(ctx context.Context, ms *markSet, dryRun bool) node
 	if dryRun {
 		return res
 	}
-	if complete {
-		for _, b := range ms.dead {
-			if !unclean[b] {
-				// Forget is idempotent metadata cleanup; a failure means
-				// the tombstone survives to the next pass, which retries.
-				_ = m.vm.Forget(b) //gcfailsafe:allow failure keeps the tombstone, and the next pass retries the forget
-			}
+	for _, b := range ms.dead {
+		if !unclean[b] {
+			// Forget is idempotent metadata cleanup; a failure means
+			// the tombstone survives to the next pass, which retries.
+			_ = m.vm.Forget(b) //gcfailsafe:allow failure keeps the tombstone, and the next pass retries the forget
 		}
 	}
 	m.settle(ms, unclean)

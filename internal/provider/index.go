@@ -130,7 +130,7 @@ func (x *idIndex) page(after chunk.ID, limit int) []chunk.ID {
 }
 
 // IDIndex is the exported face of the always-sorted chunk-ID index, for
-// stores outside this package that must honour LifecycleStore's
+// stores outside this package that must honour Store.List's
 // ordered-iteration contract (the disk store backs its List with one).
 // The zero value is an empty index. Not safe for concurrent use:
 // callers guard it with the lock that guards their key set.

@@ -158,8 +158,7 @@ func (lt *leaseTable) purge(id chunk.ID, now time.Time, del func() (int64, error
 // now and attaches ids to its protected set; nil ids is a pure
 // heartbeat. While the lease lives, PurgeChunks skips its chunks — the
 // wholesale reclaim path cannot eat a still-unpublished writer's
-// flushed data, however many grace epochs have passed. It implements
-// the client.ChunkLeaser Conn extension for the in-process plane.
+// flushed data, however many grace epochs have passed.
 func (p *Provider) LeaseChunks(ctx context.Context, leaseID string, ttl time.Duration, ids []chunk.ID) error {
 	if err := p.begin(ctx); err != nil {
 		return err

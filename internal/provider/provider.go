@@ -5,11 +5,9 @@
 package provider
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -25,43 +23,35 @@ var (
 	ErrStopped  = errors.New("provider: stopped")
 )
 
-// Store is the chunk persistence interface. Implementations must be safe
-// for concurrent use. Put of an already-present chunk increments its
-// reference count; Delete decrements and frees at zero.
+// Store is the chunk persistence contract, stated once: the data path
+// (Put/GetAppend/Delete), the accounting the provider reports, and
+// the lifecycle surface the storage-lifecycle subsystem (internal/gc)
+// sweeps through. Implementations must be safe for concurrent use. Put
+// of an already-present chunk increments its reference count; Delete
+// decrements and frees at zero.
 //
 // Put must not retain data past its return: the caller's slice is a pooled
 // chunk buffer (the rpc server recycles it as soon as the handler is done),
 // so an implementation copies or writes through — as MemStore.Put,
-// DiskStore.Put and TieredStore.Put/admit all do. Get returns a buffer the
-// caller owns.
+// DiskStore.Put and TieredStore.Put/admit all do. GetAppend returns a
+// buffer the caller owns — implementations copy, never alias their
+// internal storage.
+//
+// Epochs implement write-in-progress protection: the sweeper advances
+// the epoch before marking, then only reclaims unreferenced chunks whose
+// tag is old enough that no unpublished writer can still be about to
+// publish them.
 type Store interface {
 	Put(id chunk.ID, data []byte) error
-	Get(id chunk.ID) ([]byte, error)
+	// GetAppend serves the payload into a caller-supplied buffer
+	// (appended to dst[:0]), and into a chunk-pool buffer (chunk.GetBuf)
+	// when dst is too small — never a plain allocation — so the read path
+	// recycles one buffer per hop.
+	GetAppend(id chunk.ID, dst []byte) ([]byte, error)
 	Delete(id chunk.ID) error
 	Has(id chunk.ID) bool
-	Keys() []chunk.ID
 	Used() int64
 	Count() int
-}
-
-// ChunkInfo describes one stored chunk from the lifecycle point of view:
-// its payload size, reference count and the sweep epoch of its most
-// recent Put. The garbage collector's mark-and-sweep pass consumes it.
-type ChunkInfo struct {
-	ID    chunk.ID
-	Size  int64
-	Refs  int
-	Epoch uint64
-}
-
-// LifecycleStore is the optional Store extension the storage-lifecycle
-// subsystem (internal/gc) sweeps through: paginated epoch-tagged chunk
-// listing and wholesale purge. Epochs implement write-in-progress
-// protection: the sweeper advances the epoch before marking, then only
-// reclaims unreferenced chunks whose tag is old enough that no
-// unpublished writer can still be about to publish them.
-type LifecycleStore interface {
-	Store
 	// List returns up to limit chunks with ID strictly greater than
 	// after, in ascending ID order, and whether more remain. A zero
 	// after starts from the beginning.
@@ -86,6 +76,16 @@ type LifecycleStore interface {
 	// AdvanceEpoch moves to the next sweep epoch and returns it;
 	// subsequent Puts are tagged with the new epoch.
 	AdvanceEpoch() uint64
+}
+
+// ChunkInfo describes one stored chunk from the lifecycle point of view:
+// its payload size, reference count and the sweep epoch of its most
+// recent Put. The garbage collector's mark-and-sweep pass consumes it.
+type ChunkInfo struct {
+	ID    chunk.ID
+	Size  int64
+	Refs  int
+	Epoch uint64
 }
 
 // memStripes is the number of lock stripes in a MemStore. Chunk IDs are
@@ -166,8 +166,8 @@ func (s *MemStore) Get(id chunk.ID) ([]byte, error) {
 	return s.GetAppend(id, nil)
 }
 
-// GetAppend implements BufferedGetter: the payload copy is appended to
-// dst[:0], or to a chunk-pool buffer when dst is too small.
+// GetAppend implements Store: the payload copy is appended to dst[:0],
+// or to a chunk-pool buffer when dst is too small.
 func (s *MemStore) GetAppend(id chunk.ID, dst []byte) ([]byte, error) {
 	st := s.stripe(id)
 	st.mu.Lock()
@@ -204,7 +204,7 @@ func (s *MemStore) Delete(id chunk.ID) error {
 	return nil
 }
 
-// Purge implements LifecycleStore: the chunk is freed wholesale, whatever
+// Purge implements Store: the chunk is freed wholesale, whatever
 // its reference count — the sweep, not per-operation bookkeeping, is the
 // source of truth for liveness.
 func (s *MemStore) Purge(id chunk.ID) (int64, error) {
@@ -225,7 +225,7 @@ func (s *MemStore) Purge(id chunk.ID) (int64, error) {
 	return n, nil
 }
 
-// List implements LifecycleStore. Pages are in ascending ID order, so a
+// List implements Store. Pages are in ascending ID order, so a
 // caller resuming from the last ID of the previous page sees every chunk
 // that existed for the whole scan exactly once.
 //
@@ -255,10 +255,10 @@ func (s *MemStore) List(after chunk.ID, limit int) ([]ChunkInfo, bool) {
 	return out, false
 }
 
-// Epoch implements LifecycleStore.
+// Epoch implements Store.
 func (s *MemStore) Epoch() uint64 { return s.epoch.Load() }
 
-// AdvanceEpoch implements LifecycleStore.
+// AdvanceEpoch implements Store.
 func (s *MemStore) AdvanceEpoch() uint64 { return s.epoch.Add(1) }
 
 // Has reports whether the chunk is present.
@@ -268,20 +268,6 @@ func (s *MemStore) Has(id chunk.ID) bool {
 	defer st.mu.Unlock()
 	_, ok := st.data[id]
 	return ok
-}
-
-// Keys returns the stored chunk IDs in unspecified order.
-func (s *MemStore) Keys() []chunk.ID {
-	out := make([]chunk.ID, 0, s.Count())
-	for i := range s.stripes {
-		st := &s.stripes[i]
-		st.mu.Lock()
-		for id := range st.data {
-			out = append(out, id)
-		}
-		st.mu.Unlock()
-	}
-	return out
 }
 
 // Used returns the stored payload bytes (each chunk counted once).
@@ -298,6 +284,44 @@ type Stats struct {
 	Used, Capacity           int64 // bytes
 	Chunks                   int
 }
+
+// API is one data provider as every other actor sees it, stated once:
+// *Provider implements it in process and *rpc.Conn over the wire, so
+// the lifecycle manager, the replicator and the fault plane address a
+// provider the same way on either plane. Its first four methods are the
+// client's data path (client.Conn is exactly that subset); the rest is
+// the control surface the lifecycle sweep and replica maintenance use.
+// Every method is context-first and fails with ErrStopped on a stopped
+// provider.
+type API interface {
+	Store(ctx context.Context, user string, id chunk.ID, data []byte) error
+	Fetch(ctx context.Context, user string, id chunk.ID) ([]byte, error)
+	LeaseChunks(ctx context.Context, leaseID string, ttl time.Duration, ids []chunk.ID) error
+	ReleaseLease(ctx context.Context, leaseID string) error
+
+	// Remove drops one reference to a chunk.
+	Remove(ctx context.Context, id chunk.ID) error
+	// ListChunks returns one inventory page: up to limit chunks with ID
+	// strictly greater than after, ascending, plus whether more remain.
+	ListChunks(ctx context.Context, after chunk.ID, limit int) ([]ChunkInfo, bool, error)
+	// PurgeChunks frees chunks wholesale (refcounts ignored, live writer
+	// leases honoured) and reports how many were present and the bytes
+	// freed.
+	PurgeChunks(ctx context.Context, ids []chunk.ID) (int, int64, error)
+	// AdvanceEpoch moves the provider to the next sweep epoch.
+	AdvanceEpoch(ctx context.Context) (uint64, error)
+	// Epoch returns the current sweep epoch without advancing it
+	// (dry-run sweeps must not erode the grace window).
+	Epoch(ctx context.Context) (uint64, error)
+	// Leases enumerates the writer leases, expired ones included, so the
+	// sweep can classify against live ones and reap dead ones.
+	Leases(ctx context.Context) ([]LeaseInfo, error)
+}
+
+var (
+	_ API   = (*Provider)(nil)
+	_ Store = (*MemStore)(nil)
+)
 
 // Provider is one data-provider actor. Its activity counters are
 // atomics so concurrent transfers never serialize on a provider-wide
@@ -443,34 +467,17 @@ func (p *Provider) Store(ctx context.Context, user string, id chunk.ID, data []b
 	return err
 }
 
-// BufferedGetter is an optional Store extension: the chunk payload is
-// served into a caller-supplied buffer (appended to dst[:0]), and into a
-// chunk-pool buffer (chunk.GetBuf) when dst is too small — never a plain
-// allocation — so the read path recycles one buffer per hop. The result
-// must still be caller-owned — implementations copy, never alias their
-// internal storage.
-type BufferedGetter interface {
-	GetAppend(id chunk.ID, dst []byte) ([]byte, error)
-}
-
-// Fetch returns one chunk replica on behalf of user, in a buffer the
-// caller owns — a chunk-pool buffer when the backing store is a
-// BufferedGetter (MemStore, DiskStore and TieredStore are), so callers
-// donate it with chunk.PutBuf once the payload is dead. A cancelled ctx
-// rejects the transfer before it touches the store.
+// Fetch returns one chunk replica on behalf of user, in a chunk-pool
+// buffer the caller owns (Store.GetAppend), so callers donate it with
+// chunk.PutBuf once the payload is dead. A cancelled ctx rejects the
+// transfer before it touches the store.
 func (p *Provider) Fetch(ctx context.Context, user string, id chunk.ID) ([]byte, error) {
 	start := p.now()
 	if err := p.begin(ctx); err != nil {
 		return nil, err
 	}
 	defer p.end()
-	var data []byte
-	var err error
-	if bg, ok := p.st.(BufferedGetter); ok {
-		data, err = bg.GetAppend(id, nil)
-	} else {
-		data, err = p.st.Get(id)
-	}
+	data, err := p.st.GetAppend(id, nil)
 	p.fetches.Add(1)
 	if err == nil {
 		p.bytesUp.Add(int64(len(data)))
@@ -511,18 +518,6 @@ func (p *Provider) Remove(ctx context.Context, id chunk.ID) error {
 	return err
 }
 
-// ErrNoLifecycle reports a backing store without mark-and-sweep support.
-var ErrNoLifecycle = errors.New("provider: store does not support lifecycle sweeps")
-
-// lifecycle returns the store's lifecycle extension, if any.
-func (p *Provider) lifecycle() (LifecycleStore, error) {
-	ls, ok := p.st.(LifecycleStore)
-	if !ok {
-		return nil, ErrNoLifecycle
-	}
-	return ls, nil
-}
-
 // ListChunks returns one page of the provider's chunk inventory for the
 // sweep: up to limit chunks with ID > after in ascending order, plus
 // whether more remain.
@@ -531,11 +526,7 @@ func (p *Provider) ListChunks(ctx context.Context, after chunk.ID, limit int) ([
 		return nil, false, err
 	}
 	defer p.end()
-	ls, err := p.lifecycle()
-	if err != nil {
-		return nil, false, err
-	}
-	page, more := ls.List(after, limit)
+	page, more := p.st.List(after, limit)
 	return page, more, nil
 }
 
@@ -552,14 +543,10 @@ func (p *Provider) PurgeChunks(ctx context.Context, ids []chunk.ID) (int, int64,
 		return 0, 0, err
 	}
 	defer p.end()
-	ls, err := p.lifecycle()
-	if err != nil {
-		return 0, 0, err
-	}
 	var purged int
 	var freed int64
 	for _, id := range ids {
-		n, err := p.leases.purge(id, p.now(), func() (int64, error) { return ls.Purge(id) })
+		n, err := p.leases.purge(id, p.now(), func() (int64, error) { return p.st.Purge(id) })
 		if err != nil {
 			return purged, freed, err
 		}
@@ -583,32 +570,27 @@ func (p *Provider) PurgeChunks(ctx context.Context, ids []chunk.ID) (int, int64,
 }
 
 // AdvanceEpoch moves the store to the next sweep epoch and returns it.
-func (p *Provider) AdvanceEpoch() (uint64, error) {
-	ls, err := p.lifecycle()
-	if err != nil {
+// A stopped provider refuses: a sweep must not age a provider's chunks
+// out of their grace window while it cannot answer for them.
+func (p *Provider) AdvanceEpoch(ctx context.Context) (uint64, error) {
+	if err := p.begin(ctx); err != nil {
 		return 0, err
 	}
-	return ls.AdvanceEpoch(), nil
+	defer p.end()
+	return p.st.AdvanceEpoch(), nil
 }
 
 // Epoch returns the store's current sweep epoch.
-func (p *Provider) Epoch() (uint64, error) {
-	ls, err := p.lifecycle()
-	if err != nil {
+func (p *Provider) Epoch(ctx context.Context) (uint64, error) {
+	if err := p.begin(ctx); err != nil {
 		return 0, err
 	}
-	return ls.Epoch(), nil
+	defer p.end()
+	return p.st.Epoch(), nil
 }
 
 // Has reports whether the provider holds the chunk.
 func (p *Provider) Has(id chunk.ID) bool { return p.st.Has(id) }
-
-// Keys lists held chunk IDs sorted for determinism.
-func (p *Provider) Keys() []chunk.ID {
-	ks := p.st.Keys()
-	slices.SortFunc(ks, func(a, b chunk.ID) int { return bytes.Compare(a[:], b[:]) })
-	return ks
-}
 
 // Used returns stored bytes.
 func (p *Provider) Used() int64 { return p.st.Used() }

@@ -164,7 +164,7 @@ func TestProviderFree(t *testing.T) {
 	}
 }
 
-func TestProviderKeysSorted(t *testing.T) {
+func TestProviderListChunksSorted(t *testing.T) {
 	p := New("p1", "z", 0)
 	for i := 0; i < 20; i++ {
 		data := []byte(fmt.Sprintf("chunk-%d", i))
@@ -172,13 +172,13 @@ func TestProviderKeysSorted(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	ks := p.Keys()
-	if len(ks) != 20 {
-		t.Fatalf("keys=%d", len(ks))
+	ks, more, err := p.ListChunks(bg, chunk.ID{}, 0)
+	if err != nil || more || len(ks) != 20 {
+		t.Fatalf("ListChunks = %d chunks more=%v err=%v", len(ks), more, err)
 	}
 	for i := 1; i < len(ks); i++ {
-		if bytes.Compare(ks[i-1][:], ks[i][:]) >= 0 {
-			t.Fatal("keys not sorted")
+		if bytes.Compare(ks[i-1].ID[:], ks[i].ID[:]) >= 0 {
+			t.Fatal("inventory not sorted")
 		}
 	}
 }
@@ -285,8 +285,8 @@ func TestMemStoreStripedConcurrency(t *testing.T) {
 	if s.Used() != wantUsed {
 		t.Fatalf("used=%d want %d", s.Used(), wantUsed)
 	}
-	if got := len(s.Keys()); got != wantCount {
-		t.Fatalf("keys=%d want %d", got, wantCount)
+	if page, more := s.List(chunk.ID{}, len(payloads)); more || len(page) != wantCount {
+		t.Fatalf("listed %d (more=%v) want %d", len(page), more, wantCount)
 	}
 }
 
@@ -415,8 +415,8 @@ func TestMemStoreLifecycle(t *testing.T) {
 	}
 }
 
-// TestProviderLifecycleSurface covers the provider wrappers and the
-// ErrNoLifecycle gate for stores without sweep support.
+// TestProviderLifecycleSurface covers the provider's wrappers over the
+// store's sweep surface.
 func TestProviderLifecycleSurface(t *testing.T) {
 	p := New("p1", "z", 0)
 	ctx := context.Background()
@@ -432,10 +432,10 @@ func TestProviderLifecycleSurface(t *testing.T) {
 	if err != nil || more || len(page) != 3 {
 		t.Fatalf("ListChunks = %d chunks more=%v err=%v", len(page), more, err)
 	}
-	if e, err := p.Epoch(); err != nil || e != 0 {
+	if e, err := p.Epoch(ctx); err != nil || e != 0 {
 		t.Fatalf("epoch = %d, %v", e, err)
 	}
-	if e, err := p.AdvanceEpoch(); err != nil || e != 1 {
+	if e, err := p.AdvanceEpoch(ctx); err != nil || e != 1 {
 		t.Fatalf("advance = %d, %v", e, err)
 	}
 	purged, freed, err := p.PurgeChunks(ctx, ids[:2])
@@ -448,20 +448,36 @@ func TestProviderLifecycleSurface(t *testing.T) {
 	if p.Stats().Deletes != 2 {
 		t.Fatalf("deletes counter = %d, want 2", p.Stats().Deletes)
 	}
-
-	// A store without lifecycle support gates cleanly.
-	plain := New("p2", "z", 0, WithStore(plainStore{Store: NewMemStore(0)}))
-	if _, _, err := plain.ListChunks(ctx, chunk.ID{}, 10); !errors.Is(err, ErrNoLifecycle) {
-		t.Fatalf("want ErrNoLifecycle, got %v", err)
-	}
-	if _, err := plain.AdvanceEpoch(); !errors.Is(err, ErrNoLifecycle) {
-		t.Fatalf("want ErrNoLifecycle, got %v", err)
-	}
 }
 
-// plainStore hides the backing store's lifecycle extension by
-// promoting only the base Store interface.
-type plainStore struct{ Store }
+// TestStoppedProviderRefusesEpochs: AdvanceEpoch and Epoch go through
+// the same stopped gate as every other call. A sweep reaching a stopped
+// provider (over rpc, where no pool filter hides it) used to advance
+// its epoch anyway, ageing chunks it could not answer for out of their
+// grace window.
+func TestStoppedProviderRefusesEpochs(t *testing.T) {
+	p := New("p1", "z", 0)
+	ctx := context.Background()
+	if e, err := p.AdvanceEpoch(ctx); err != nil || e != 1 {
+		t.Fatalf("advance = %d, %v", e, err)
+	}
+	p.Stop()
+	if _, err := p.AdvanceEpoch(ctx); !errors.Is(err, ErrStopped) {
+		t.Fatalf("AdvanceEpoch on a stopped provider: %v, want ErrStopped", err)
+	}
+	if _, err := p.Epoch(ctx); !errors.Is(err, ErrStopped) {
+		t.Fatalf("Epoch on a stopped provider: %v, want ErrStopped", err)
+	}
+	p.Restart()
+	if e, err := p.Epoch(ctx); err != nil || e != 1 {
+		t.Fatalf("epoch after restart = %d, %v; want 1 (unchanged while stopped)", e, err)
+	}
+	cancelled, cancel := context.WithCancel(ctx)
+	cancel()
+	if _, err := p.AdvanceEpoch(cancelled); !errors.Is(err, context.Canceled) {
+		t.Fatalf("AdvanceEpoch on a cancelled ctx: %v", err)
+	}
+}
 
 // TestMemStoreIndexChurn cross-checks the sorted shadow index against a
 // reference model through a long randomized Put/Delete/Purge churn:

@@ -192,7 +192,9 @@ func (s *ProviderService) Purge(args *PurgeArgs, reply *PurgeReply) error {
 
 // AdvanceEpoch moves the provider to the next sweep epoch.
 func (s *ProviderService) AdvanceEpoch(_ *struct{}, reply *EpochReply) error {
-	e, err := s.P.AdvanceEpoch()
+	ctx, cancel := s.handlerCtx()
+	defer cancel()
+	e, err := s.P.AdvanceEpoch(ctx)
 	reply.Epoch = e
 	return err
 }
@@ -200,7 +202,9 @@ func (s *ProviderService) AdvanceEpoch(_ *struct{}, reply *EpochReply) error {
 // Epoch reports the provider's current sweep epoch without advancing it
 // (dry-run sweeps classify against it).
 func (s *ProviderService) Epoch(_ *struct{}, reply *EpochReply) error {
-	e, err := s.P.Epoch()
+	ctx, cancel := s.handlerCtx()
+	defer cancel()
+	e, err := s.P.Epoch(ctx)
 	reply.Epoch = e
 	return err
 }
@@ -372,8 +376,9 @@ func (d *deadlineConn) refreshLocked() {
 	_ = d.Conn.SetDeadline(earliest)
 }
 
-// Conn is a TCP connection to a remote provider; it implements
-// client.Conn and the chunk-deletion side of selfopt's pool contract.
+// Conn is a TCP connection to a remote provider. It implements
+// provider.API — the surface *provider.Provider has in process — and
+// with it client.Conn.
 type Conn struct {
 	c  *rpc.Client
 	dc *deadlineConn
@@ -395,11 +400,6 @@ type ConnOption func(*Conn)
 // default per-call deadline, enforced on the wire.
 func WithCallTimeout(d time.Duration) ConnOption {
 	return func(c *Conn) { c.timeout = d }
-}
-
-// Dial connects to a provider server.
-func Dial(addr string, opts ...ConnOption) (*Conn, error) {
-	return DialContext(context.Background(), addr, opts...) //ctxfirst:allow compat wrapper; ctx-aware callers use DialContext
 }
 
 // DialContext connects to a provider server, honouring ctx cancellation
@@ -528,8 +528,9 @@ func (c *Conn) ListChunks(ctx context.Context, after chunk.ID, limit int) ([]pro
 	return reply.Chunks, reply.More, nil
 }
 
-// Purge removes unreferenced chunks wholesale on the remote provider.
-func (c *Conn) Purge(ctx context.Context, ids []chunk.ID) (int, int64, error) {
+// PurgeChunks removes unreferenced chunks wholesale on the remote
+// provider.
+func (c *Conn) PurgeChunks(ctx context.Context, ids []chunk.ID) (int, int64, error) {
 	var reply PurgeReply
 	if err := c.call(ctx, "Provider.Purge", &PurgeArgs{IDs: ids}, &reply); err != nil {
 		return 0, 0, err
@@ -555,7 +556,7 @@ func (c *Conn) Epoch(ctx context.Context) (uint64, error) {
 	return reply.Epoch, nil
 }
 
-// LeaseChunks implements client.ChunkLeaser over the wire: a writer's
+// LeaseChunks implements client.Conn over the wire: a writer's
 // lease protections survive process boundaries, so a gateway's
 // unpublished writer is honoured by a GC runner sweeping the same
 // provider from another process.
@@ -563,7 +564,7 @@ func (c *Conn) LeaseChunks(ctx context.Context, leaseID string, ttl time.Duratio
 	return c.call(ctx, "Provider.LeaseChunks", &LeaseChunksArgs{LeaseID: leaseID, TTL: ttl, IDs: ids}, &struct{}{})
 }
 
-// ReleaseLease implements client.ChunkLeaser over the wire.
+// ReleaseLease implements client.Conn over the wire.
 func (c *Conn) ReleaseLease(ctx context.Context, leaseID string) error {
 	return c.call(ctx, "Provider.ReleaseLease", &ReleaseLeaseArgs{LeaseID: leaseID}, &struct{}{})
 }
@@ -578,7 +579,12 @@ func (c *Conn) Leases(ctx context.Context) ([]provider.LeaseInfo, error) {
 	return reply.Leases, nil
 }
 
-var _ client.ChunkLeaser = (*Conn)(nil)
+// The wire plane mirrors exactly one surface, and the client's view of
+// a provider is a subset of it.
+var (
+	_ provider.API = (*Conn)(nil)
+	_ client.Conn  = provider.API(nil)
+)
 
 // Close closes the connection.
 func (c *Conn) Close() error { return c.c.Close() }

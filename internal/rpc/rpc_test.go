@@ -31,7 +31,7 @@ func startProvider(t *testing.T, id string) (*provider.Provider, *Server) {
 
 func TestStoreFetchOverTCP(t *testing.T) {
 	_, srv := startProvider(t, "p1")
-	conn, err := Dial(srv.Addr())
+	conn, err := DialContext(bg, srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func TestStoreFetchOverTCP(t *testing.T) {
 
 func TestRemoteErrorsPropagate(t *testing.T) {
 	_, srv := startProvider(t, "p1")
-	conn, err := Dial(srv.Addr())
+	conn, err := DialContext(bg, srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestServerCloseStopsAccept(t *testing.T) {
 	if err := srv.Close(); err != nil { // idempotent
 		t.Fatal(err)
 	}
-	if _, err := Dial(srv.Addr()); err == nil {
+	if _, err := DialContext(bg, srv.Addr()); err == nil {
 		t.Fatal("dial succeeded after close")
 	}
 }
@@ -167,7 +167,7 @@ func TestDirectoryRegisterReplaces(t *testing.T) {
 // chunk listing, epoch advance and bulk purge.
 func TestLifecycleRPCs(t *testing.T) {
 	p, srv := startProvider(t, "p1")
-	conn, err := Dial(srv.Addr())
+	conn, err := DialContext(bg, srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,30 +212,41 @@ func TestLifecycleRPCs(t *testing.T) {
 		t.Fatalf("advance epoch over rpc = %d, %v", e, err)
 	}
 
-	purged, freed, err := conn.Purge(bg, ids[:3])
+	purged, freed, err := conn.PurgeChunks(bg, ids[:3])
 	if err != nil || purged != 3 || freed != 24 {
 		t.Fatalf("purge over rpc = %d chunks %d bytes, %v", purged, freed, err)
 	}
 	if p.Stats().Chunks != 2 {
 		t.Fatalf("chunks after rpc purge = %d, want 2", p.Stats().Chunks)
 	}
+
+	// A stopped provider refuses the epoch calls like every other one: a
+	// remote sweep must not age its chunks out of their grace window.
+	p.Stop()
+	if _, err := conn.AdvanceEpoch(bg); err == nil || !strings.Contains(err.Error(), provider.ErrStopped.Error()) {
+		t.Fatalf("advance epoch on a stopped provider over rpc: %v, want ErrStopped", err)
+	}
+	p.Restart()
+	if e, err := conn.Epoch(bg); err != nil || e != 1 {
+		t.Fatalf("epoch after restart over rpc = %d, %v; want 1", e, err)
+	}
 }
 
-// stuckStore blocks Put/Get until release is closed — a blackholed
+// stuckStore blocks Put/GetAppend until release is closed — a blackholed
 // provider: the TCP session is up, the handler just never answers.
 type stuckStore struct {
-	provider.LifecycleStore
+	provider.Store
 	release chan struct{}
 }
 
 func (s *stuckStore) Put(id chunk.ID, data []byte) error {
 	<-s.release
-	return s.LifecycleStore.Put(id, data)
+	return s.Store.Put(id, data)
 }
 
-func (s *stuckStore) Get(id chunk.ID) ([]byte, error) {
+func (s *stuckStore) GetAppend(id chunk.ID, dst []byte) ([]byte, error) {
 	<-s.release
-	return s.LifecycleStore.Get(id)
+	return s.Store.GetAppend(id, dst)
 }
 
 // TestCallDeadlineOverTCP is the deadline-enforcement regression on the
@@ -245,7 +256,7 @@ func (s *stuckStore) Get(id chunk.ID) ([]byte, error) {
 func TestCallDeadlineOverTCP(t *testing.T) {
 	release := make(chan struct{})
 	defer close(release)
-	st := &stuckStore{LifecycleStore: provider.NewMemStore(0), release: release}
+	st := &stuckStore{Store: provider.NewMemStore(0), release: release}
 	p := provider.New("stuck", "z", 0, provider.WithStore(st))
 	srv, err := Serve(p, "127.0.0.1:0")
 	if err != nil {
@@ -253,7 +264,7 @@ func TestCallDeadlineOverTCP(t *testing.T) {
 	}
 	t.Cleanup(func() { srv.Close() })
 
-	conn, err := Dial(srv.Addr())
+	conn, err := DialContext(bg, srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +285,7 @@ func TestCallDeadlineOverTCP(t *testing.T) {
 	// The expired wire deadline killed the conn; a fresh one with a
 	// conn-level default timeout must bound Fetch the same way even on
 	// a deadline-free context.
-	conn2, err := Dial(srv.Addr(), WithCallTimeout(150*time.Millisecond))
+	conn2, err := DialContext(bg, srv.Addr(), WithCallTimeout(150*time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -349,7 +360,7 @@ func TestDirectoryDropsBrokenConn(t *testing.T) {
 // release makes the chunks purgeable again.
 func TestLeaseRPCs(t *testing.T) {
 	p, srv := startProvider(t, "p1")
-	conn, err := Dial(srv.Addr())
+	conn, err := DialContext(bg, srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -377,7 +388,7 @@ func TestLeaseRPCs(t *testing.T) {
 	}
 
 	// A leased chunk is skipped by purge, not deleted.
-	purged, _, err := conn.Purge(bg, []chunk.ID{id})
+	purged, _, err := conn.PurgeChunks(bg, []chunk.ID{id})
 	if err != nil || purged != 0 {
 		t.Fatalf("purge of leased chunk = %d, %v, want 0 skipped", purged, err)
 	}
@@ -393,7 +404,7 @@ func TestLeaseRPCs(t *testing.T) {
 	if err := conn.ReleaseLease(bg, "wl-test-1"); err != nil {
 		t.Fatal(err)
 	}
-	purged, _, err = conn.Purge(bg, []chunk.ID{id})
+	purged, _, err = conn.PurgeChunks(bg, []chunk.ID{id})
 	if err != nil || purged != 1 {
 		t.Fatalf("purge after release = %d, %v, want 1", purged, err)
 	}

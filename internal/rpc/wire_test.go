@@ -28,7 +28,7 @@ func randBytes(rng *rand.Rand, n int) []byte {
 
 func dial(t testing.TB, addr string) *Conn {
 	t.Helper()
-	conn, err := Dial(addr)
+	conn, err := DialContext(bg, addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestCancelledFetchesCorruptNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	conn, err := Dial(srv.Addr())
+	conn, err := DialContext(bg, srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -518,7 +518,7 @@ func providersEmpty(t *testing.T, cluster *core.Cluster, when string) {
 		if !ok {
 			continue
 		}
-		if n := len(p.Keys()); n != 0 {
+		if n := p.Stats().Chunks; n != 0 {
 			t.Fatalf("%s: provider %s still holds %d chunks", when, id, n)
 		}
 	}

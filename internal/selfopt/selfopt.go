@@ -16,19 +16,19 @@ import (
 	"blobseer/internal/instrument"
 	"blobseer/internal/introspect"
 	"blobseer/internal/pmanager"
+	"blobseer/internal/provider"
 	"blobseer/internal/vmanager"
 )
 
-// Pool is the replication manager's access to data providers. All
-// transfers are context-first so maintenance passes can be cancelled
-// mid-flight.
+// user is the identity maintenance transfers run under at providers.
+const user = "selfopt"
+
+// Pool is the replication manager's access to data providers: each
+// one's provider.API (context-first, so maintenance passes can be
+// cancelled mid-flight) and a usability verdict.
 type Pool interface {
-	// Fetch reads a chunk replica from a provider.
-	Fetch(ctx context.Context, providerID string, id chunk.ID) ([]byte, error)
-	// Store writes a chunk replica to a provider.
-	Store(ctx context.Context, providerID string, id chunk.ID, data []byte) error
-	// Remove drops one reference of a chunk from a provider.
-	Remove(ctx context.Context, providerID string, id chunk.ID) error
+	// Provider resolves one provider by ID.
+	Provider(ctx context.Context, id string) (provider.API, error)
 	// Alive reports whether a provider is usable.
 	Alive(providerID string) bool
 }
@@ -230,7 +230,10 @@ func (r *Replicator) repairChunk(ctx context.Context, d chunk.Desc, target int) 
 	var data []byte
 	var err error
 	for _, p := range d.Providers {
-		data, err = r.pool.Fetch(ctx, p, d.ID)
+		var src provider.API
+		if src, err = r.pool.Provider(ctx, p); err == nil {
+			data, err = src.Fetch(ctx, user, d.ID)
+		}
 		if err == nil {
 			break
 		}
@@ -258,7 +261,8 @@ func (r *Replicator) repairChunk(ctx context.Context, d chunk.Desc, target int) 
 		if have[cand] || !r.pool.Alive(cand) {
 			continue
 		}
-		if err := r.pool.Store(ctx, cand, d.ID, data); err != nil {
+		dst, err := r.pool.Provider(ctx, cand)
+		if err != nil || dst.Store(ctx, user, d.ID, data) != nil {
 			continue
 		}
 		out.Providers = append(out.Providers, cand)
@@ -426,7 +430,9 @@ func (r *Reaper) RunContext(ctx context.Context, now time.Time) ([]uint64, error
 			for _, d := range descs {
 				for _, p := range d.Providers {
 					// Best effort: dead providers keep stale chunks.
-					_ = r.pool.Remove(ctx, p, d.ID)
+					if api, err := r.pool.Provider(ctx, p); err == nil {
+						_ = api.Remove(ctx, d.ID)
+					}
 				}
 			}
 		}

@@ -22,26 +22,12 @@ type testPool struct {
 	providers map[string]*provider.Provider
 }
 
-func (p *testPool) Fetch(ctx context.Context, id string, c chunk.ID) ([]byte, error) {
+func (p *testPool) Provider(_ context.Context, id string) (provider.API, error) {
 	prov, ok := p.providers[id]
 	if !ok {
 		return nil, fmt.Errorf("no provider %s", id)
 	}
-	return prov.Fetch(ctx, "selfopt", c)
-}
-func (p *testPool) Store(ctx context.Context, id string, c chunk.ID, data []byte) error {
-	prov, ok := p.providers[id]
-	if !ok {
-		return fmt.Errorf("no provider %s", id)
-	}
-	return prov.Store(ctx, "selfopt", c, data)
-}
-func (p *testPool) Remove(ctx context.Context, id string, c chunk.ID) error {
-	prov, ok := p.providers[id]
-	if !ok {
-		return fmt.Errorf("no provider %s", id)
-	}
-	return prov.Remove(ctx, c)
+	return prov, nil
 }
 func (p *testPool) Alive(id string) bool {
 	prov, ok := p.providers[id]
@@ -82,7 +68,7 @@ func (r *rig) writeBlob(t *testing.T, data []byte, replicas []string) uint64 {
 	}
 	id := chunk.Sum(data)
 	for _, p := range replicas {
-		if err := r.pool.Store(context.Background(), p, id, data); err != nil {
+		if err := r.pool.providers[p].Store(context.Background(), "selfopt", id, data); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -81,27 +81,9 @@ func (i *Injector) hit() bool {
 	return !i.off.Load() && i.R.Float64() < i.P
 }
 
-// forwardLeases adapts the ChunkLeaser extension through a Conn
-// wrapper: present iff the inner Conn has it (a wrapper must not
-// advertise leasing it cannot deliver, nor hide leasing the inner plane
-// supports).
-func forwardLease(ctx context.Context, inner client.Conn, leaseID string, ttl time.Duration, ids []chunk.ID) error {
-	if cl, ok := inner.(client.ChunkLeaser); ok {
-		return cl.LeaseChunks(ctx, leaseID, ttl, ids)
-	}
-	return nil
-}
-
-func forwardRelease(ctx context.Context, inner client.Conn, leaseID string) error {
-	if cl, ok := inner.(client.ChunkLeaser); ok {
-		return cl.ReleaseLease(ctx, leaseID)
-	}
-	return nil
-}
-
 // FlakyConn wraps a client.Conn, failing each operation with the
-// injector's probability. Lease traffic is forwarded (and made flaky)
-// when the inner Conn implements client.ChunkLeaser.
+// injector's probability, lease traffic included: a wrapper must not
+// hide leasing, or the writers behind it store unprotected.
 type FlakyConn struct {
 	Inner client.Conn
 	Inj   *Injector
@@ -123,20 +105,20 @@ func (f *FlakyConn) Fetch(ctx context.Context, user string, id chunk.ID) ([]byte
 	return f.Inner.Fetch(ctx, user, id)
 }
 
-// LeaseChunks implements client.ChunkLeaser (flaky like the data path).
+// LeaseChunks implements client.Conn (flaky like the data path).
 func (f *FlakyConn) LeaseChunks(ctx context.Context, leaseID string, ttl time.Duration, ids []chunk.ID) error {
 	if f.Inj.hit() {
 		return ErrInjected
 	}
-	return forwardLease(ctx, f.Inner, leaseID, ttl, ids)
+	return f.Inner.LeaseChunks(ctx, leaseID, ttl, ids)
 }
 
-// ReleaseLease implements client.ChunkLeaser.
+// ReleaseLease implements client.Conn.
 func (f *FlakyConn) ReleaseLease(ctx context.Context, leaseID string) error {
 	if f.Inj.hit() {
 		return ErrInjected
 	}
-	return forwardRelease(ctx, f.Inner, leaseID)
+	return f.Inner.ReleaseLease(ctx, leaseID)
 }
 
 // SlowConn wraps a client.Conn, delaying each operation by a uniform
@@ -183,21 +165,21 @@ func (s *SlowConn) Fetch(ctx context.Context, user string, id chunk.ID) ([]byte,
 	return s.Inner.Fetch(ctx, user, id)
 }
 
-// LeaseChunks implements client.ChunkLeaser (delayed like the data
+// LeaseChunks implements client.Conn (delayed like the data
 // path — exactly the widened lease-vs-purge window the hammer wants).
 func (s *SlowConn) LeaseChunks(ctx context.Context, leaseID string, ttl time.Duration, ids []chunk.ID) error {
 	if err := s.sleep(ctx); err != nil {
 		return err
 	}
-	return forwardLease(ctx, s.Inner, leaseID, ttl, ids)
+	return s.Inner.LeaseChunks(ctx, leaseID, ttl, ids)
 }
 
-// ReleaseLease implements client.ChunkLeaser.
+// ReleaseLease implements client.Conn.
 func (s *SlowConn) ReleaseLease(ctx context.Context, leaseID string) error {
 	if err := s.sleep(ctx); err != nil {
 		return err
 	}
-	return forwardRelease(ctx, s.Inner, leaseID)
+	return s.Inner.ReleaseLease(ctx, leaseID)
 }
 
 // PartitionedConn wraps a client.Conn behind a network partition flag:
@@ -226,29 +208,29 @@ func (p *PartitionedConn) Fetch(ctx context.Context, user string, id chunk.ID) (
 	return p.Inner.Fetch(ctx, user, id)
 }
 
-// LeaseChunks implements client.ChunkLeaser.
+// LeaseChunks implements client.Conn.
 func (p *PartitionedConn) LeaseChunks(ctx context.Context, leaseID string, ttl time.Duration, ids []chunk.ID) error {
 	if p.cut.Load() {
 		return ErrPartitioned
 	}
-	return forwardLease(ctx, p.Inner, leaseID, ttl, ids)
+	return p.Inner.LeaseChunks(ctx, leaseID, ttl, ids)
 }
 
-// ReleaseLease implements client.ChunkLeaser.
+// ReleaseLease implements client.Conn.
 func (p *PartitionedConn) ReleaseLease(ctx context.Context, leaseID string) error {
 	if p.cut.Load() {
 		return ErrPartitioned
 	}
-	return forwardRelease(ctx, p.Inner, leaseID)
+	return p.Inner.ReleaseLease(ctx, leaseID)
 }
 
-// FlakyStore wraps a provider.LifecycleStore, failing Put/Get/Delete/
+// FlakyStore wraps a provider.Store, failing Put/GetAppend/Delete/
 // Purge with the injector's probability — the provider-side counterpart
 // of FlakyConn, pluggable via core.Options.ProviderStore. Listing and
 // epochs stay reliable: a flaky List would make the GC abort every
 // pass, which is the fail-safe behaviour other tests cover directly.
 type FlakyStore struct {
-	provider.LifecycleStore
+	provider.Store
 	Inj *Injector
 }
 
@@ -257,15 +239,15 @@ func (f *FlakyStore) Put(id chunk.ID, data []byte) error {
 	if f.Inj.hit() {
 		return ErrInjected
 	}
-	return f.LifecycleStore.Put(id, data)
+	return f.Store.Put(id, data)
 }
 
-// Get injects before forwarding.
-func (f *FlakyStore) Get(id chunk.ID) ([]byte, error) {
+// GetAppend injects before forwarding.
+func (f *FlakyStore) GetAppend(id chunk.ID, dst []byte) ([]byte, error) {
 	if f.Inj.hit() {
 		return nil, ErrInjected
 	}
-	return f.LifecycleStore.Get(id)
+	return f.Store.GetAppend(id, dst)
 }
 
 // Delete injects before forwarding.
@@ -273,7 +255,7 @@ func (f *FlakyStore) Delete(id chunk.ID) error {
 	if f.Inj.hit() {
 		return ErrInjected
 	}
-	return f.LifecycleStore.Delete(id)
+	return f.Store.Delete(id)
 }
 
 // Purge injects before forwarding.
@@ -281,14 +263,14 @@ func (f *FlakyStore) Purge(id chunk.ID) (int64, error) {
 	if f.Inj.hit() {
 		return 0, ErrInjected
 	}
-	return f.LifecycleStore.Purge(id)
+	return f.Store.Purge(id)
 }
 
-// SlowStore wraps a provider.LifecycleStore, delaying Put/Get by a
+// SlowStore wraps a provider.Store, delaying Put/GetAppend by a
 // uniform jitter in [0, MaxDelay). Store-level calls carry no context,
 // so the delay is unconditional — keep it small.
 type SlowStore struct {
-	provider.LifecycleStore
+	provider.Store
 	R        *Rand
 	MaxDelay time.Duration
 }
@@ -302,19 +284,19 @@ func (s *SlowStore) sleep() {
 // Put delays before forwarding.
 func (s *SlowStore) Put(id chunk.ID, data []byte) error {
 	s.sleep()
-	return s.LifecycleStore.Put(id, data)
+	return s.Store.Put(id, data)
 }
 
-// Get delays before forwarding.
-func (s *SlowStore) Get(id chunk.ID) ([]byte, error) {
+// GetAppend delays before forwarding.
+func (s *SlowStore) GetAppend(id chunk.ID, dst []byte) ([]byte, error) {
 	s.sleep()
-	return s.LifecycleStore.Get(id)
+	return s.Store.GetAppend(id, dst)
 }
 
-// PartitionedStore wraps a provider.LifecycleStore behind a partition
+// PartitionedStore wraps a provider.Store behind a partition
 // flag: while partitioned, every mutating or reading call fails.
 type PartitionedStore struct {
-	provider.LifecycleStore
+	provider.Store
 	cut atomic.Bool
 }
 
@@ -326,15 +308,15 @@ func (p *PartitionedStore) Put(id chunk.ID, data []byte) error {
 	if p.cut.Load() {
 		return ErrPartitioned
 	}
-	return p.LifecycleStore.Put(id, data)
+	return p.Store.Put(id, data)
 }
 
-// Get fails while partitioned.
-func (p *PartitionedStore) Get(id chunk.ID) ([]byte, error) {
+// GetAppend fails while partitioned.
+func (p *PartitionedStore) GetAppend(id chunk.ID, dst []byte) ([]byte, error) {
 	if p.cut.Load() {
 		return nil, ErrPartitioned
 	}
-	return p.LifecycleStore.Get(id)
+	return p.Store.GetAppend(id, dst)
 }
 
 // Delete fails while partitioned.
@@ -342,7 +324,7 @@ func (p *PartitionedStore) Delete(id chunk.ID) error {
 	if p.cut.Load() {
 		return ErrPartitioned
 	}
-	return p.LifecycleStore.Delete(id)
+	return p.Store.Delete(id)
 }
 
 // Purge fails while partitioned.
@@ -350,10 +332,10 @@ func (p *PartitionedStore) Purge(id chunk.ID) (int64, error) {
 	if p.cut.Load() {
 		return 0, ErrPartitioned
 	}
-	return p.LifecycleStore.Purge(id)
+	return p.Store.Purge(id)
 }
 
-// CrashStore wraps a provider.LifecycleStore behind a crash flag: a
+// CrashStore wraps a provider.Store behind a crash flag: a
 // crashed provider fails every operation (the process is gone), and a
 // later Restart brings it back either with its disk state intact or
 // wiped empty — the two real recovery shapes (reboot vs replacement
@@ -362,15 +344,15 @@ func (p *PartitionedStore) Purge(id chunk.ID) (int64, error) {
 type CrashStore struct {
 	// Fresh mints the replacement store for Restart(wipe=true). Leaving
 	// it nil restricts Restart to the come-back-with-disk shape.
-	Fresh func() provider.LifecycleStore
+	Fresh func() provider.Store
 
 	mu      sync.Mutex
-	inner   provider.LifecycleStore
+	inner   provider.Store
 	crashed bool
 }
 
 // NewCrashStore wraps inner; fresh (nil ok) supplies wiped replacements.
-func NewCrashStore(inner provider.LifecycleStore, fresh func() provider.LifecycleStore) *CrashStore {
+func NewCrashStore(inner provider.Store, fresh func() provider.Store) *CrashStore {
 	return &CrashStore{inner: inner, Fresh: fresh}
 }
 
@@ -400,7 +382,7 @@ func (c *CrashStore) Crashed() bool {
 }
 
 // store returns the live inner store, or nil while crashed.
-func (c *CrashStore) store() provider.LifecycleStore {
+func (c *CrashStore) store() provider.Store {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.crashed {
@@ -418,13 +400,13 @@ func (c *CrashStore) Put(id chunk.ID, data []byte) error {
 	return st.Put(id, data)
 }
 
-// Get fails while crashed.
-func (c *CrashStore) Get(id chunk.ID) ([]byte, error) {
+// GetAppend fails while crashed.
+func (c *CrashStore) GetAppend(id chunk.ID, dst []byte) ([]byte, error) {
 	st := c.store()
 	if st == nil {
 		return nil, ErrCrashed
 	}
-	return st.Get(id)
+	return st.GetAppend(id, dst)
 }
 
 // Delete fails while crashed.
@@ -440,15 +422,6 @@ func (c *CrashStore) Delete(id chunk.ID) error {
 func (c *CrashStore) Has(id chunk.ID) bool {
 	st := c.store()
 	return st != nil && st.Has(id)
-}
-
-// Keys returns nil while crashed.
-func (c *CrashStore) Keys() []chunk.ID {
-	st := c.store()
-	if st == nil {
-		return nil
-	}
-	return st.Keys()
 }
 
 // Used reports 0 while crashed.
@@ -506,17 +479,18 @@ func (c *CrashStore) AdvanceEpoch() uint64 {
 	return st.AdvanceEpoch()
 }
 
-// Interface checks: the Conn wrappers must carry the lease extension,
-// the Store wrappers must stay sweepable.
+// Conformance, one block per contract: a wrapper that drops a method —
+// leasing on a Conn, the sweep surface on a Store — stops compiling
+// here instead of silently weakening what it wraps.
 var (
-	_ client.Conn             = (*FlakyConn)(nil)
-	_ client.ChunkLeaser      = (*FlakyConn)(nil)
-	_ client.Conn             = (*SlowConn)(nil)
-	_ client.ChunkLeaser      = (*SlowConn)(nil)
-	_ client.Conn             = (*PartitionedConn)(nil)
-	_ client.ChunkLeaser      = (*PartitionedConn)(nil)
-	_ provider.LifecycleStore = (*FlakyStore)(nil)
-	_ provider.LifecycleStore = (*SlowStore)(nil)
-	_ provider.LifecycleStore = (*PartitionedStore)(nil)
-	_ provider.LifecycleStore = (*CrashStore)(nil)
+	_ client.Conn = (*FlakyConn)(nil)
+	_ client.Conn = (*SlowConn)(nil)
+	_ client.Conn = (*PartitionedConn)(nil)
+)
+
+var (
+	_ provider.Store = (*FlakyStore)(nil)
+	_ provider.Store = (*SlowStore)(nil)
+	_ provider.Store = (*PartitionedStore)(nil)
+	_ provider.Store = (*CrashStore)(nil)
 )
