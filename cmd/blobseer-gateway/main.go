@@ -108,7 +108,7 @@ func main() {
 			cluster.Tick(time.Now())
 			i++
 			if i%healEvery == 0 {
-				if rep, err := cluster.Heal(time.Now()); err == nil && rep.Repaired > 0 {
+				if rep, err := cluster.Heal(context.Background(), time.Now()); err == nil && rep.Repaired > 0 {
 					log.Printf("self-optimization: repaired %d chunk replicas", rep.Repaired)
 				}
 			}

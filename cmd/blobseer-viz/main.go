@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -51,19 +52,20 @@ func main() {
 
 // workload keeps a small mixed read/write load running.
 func workload(cluster *core.Cluster) {
+	ctx := context.Background()
 	rng := rand.New(rand.NewSource(1))
 	users := []string{"alice", "bob", "carol"}
 	var blobs []uint64
 	for _, u := range users {
 		cl := cluster.Client(u)
-		info, err := cl.Create(4 << 10)
+		info, err := cl.Create(ctx, 4<<10)
 		if err != nil {
 			return
 		}
 		blobs = append(blobs, info.ID)
 		payload := make([]byte, 64<<10)
 		rng.Read(payload)
-		if _, err := cl.Write(info.ID, 0, payload); err != nil {
+		if _, err := cl.Write(ctx, info.ID, 0, payload); err != nil {
 			return
 		}
 	}
@@ -74,9 +76,9 @@ func workload(cluster *core.Cluster) {
 		if rng.Intn(3) == 0 {
 			payload := make([]byte, 16<<10)
 			rng.Read(payload)
-			cl.Append(blob, payload)
+			cl.Append(ctx, blob, payload)
 		} else {
-			cl.Read(blob, 0, 0, 8<<10)
+			cl.Read(ctx, blob, 0, 0, 8<<10)
 		}
 		time.Sleep(50 * time.Millisecond)
 	}

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"sort"
@@ -23,6 +24,7 @@ monitoring feeds the history the history feeds the policies
 the policies protect the cloud the cloud serves the data`
 
 func main() {
+	ctx := context.Background()
 	cluster, err := core.NewCluster(core.Options{Providers: 4, Replicas: 2})
 	if err != nil {
 		log.Fatal(err)
@@ -31,12 +33,12 @@ func main() {
 
 	// Load the input corpus: 64-byte chunks so the job has real ranges.
 	const chunkSize = 64
-	input, err := driver.Create(chunkSize)
+	input, err := driver.Create(ctx, chunkSize)
 	if err != nil {
 		log.Fatal(err)
 	}
 	data := []byte(strings.Repeat(corpus+"\n", 32))
-	if _, err := driver.Write(input.ID, 0, data); err != nil {
+	if _, err := driver.Write(ctx, input.ID, 0, data); err != nil {
 		log.Fatal(err)
 	}
 	size, _ := driver.Size(input.ID, 0)
@@ -58,7 +60,7 @@ func main() {
 	// Map phase: each worker reads its range (plus slack to finish the
 	// last word), counts words, and appends its partial result.
 	partials := make([]map[string]int, len(tasks))
-	out, err := driver.CreateTemporary(1 << 10)
+	out, err := driver.CreateTemporary(ctx, 1<<10)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -78,7 +80,7 @@ func main() {
 			if hi > size {
 				hi = size
 			}
-			raw, err := mapper.Read(input.ID, 0, rlo, hi-rlo)
+			raw, err := mapper.Read(ctx, input.ID, 0, rlo, hi-rlo)
 			if err != nil {
 				log.Printf("map %d: %v", i, err)
 				return
@@ -95,7 +97,7 @@ func main() {
 				fmt.Fprintf(&sb, " %s=%d", w, c)
 			}
 			sb.WriteByte('\n')
-			if _, err := mapper.Append(out.ID, []byte(sb.String())); err != nil {
+			if _, err := mapper.Append(ctx, out.ID, []byte(sb.String())); err != nil {
 				log.Printf("map %d append: %v", i, err)
 			}
 		}(i, tk)

@@ -7,6 +7,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -16,6 +17,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	cluster, err := core.NewCluster(core.Options{
 		Providers: 6, Replicas: 2, BaseDegree: 2, Monitoring: true, AgentBatch: 1,
 	})
@@ -24,9 +26,9 @@ func main() {
 	}
 	cl := cluster.Client("app")
 
-	info, _ := cl.Create(1 << 10)
+	info, _ := cl.Create(ctx, 1<<10)
 	payload := bytes.Repeat([]byte("important"), 2000)
-	if _, err := cl.Write(info.ID, 0, payload); err != nil {
+	if _, err := cl.Write(ctx, info.ID, 0, payload); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("wrote %d bytes with replication degree 2\n", len(payload))
@@ -37,14 +39,14 @@ func main() {
 	}
 	fmt.Println("killed provider", victim)
 
-	report, err := cluster.Heal(time.Now())
+	report, err := cluster.Heal(ctx, time.Now())
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("maintenance scan: %d chunks scanned, %d under-replicated, %d repaired\n",
 		report.ChunksScanned, report.UnderReplicated, report.Repaired)
 
-	got, err := cl.Read(info.ID, 0, 0, int64(len(payload)))
+	got, err := cl.Read(ctx, info.ID, 0, 0, int64(len(payload)))
 	if err != nil || !bytes.Equal(got, payload) {
 		log.Fatalf("data lost: %v", err)
 	}
@@ -52,16 +54,16 @@ func main() {
 
 	// Temporary-data removal: a scratch BLOB flagged temporary is
 	// reclaimed automatically once consumed.
-	scratch, _ := cl.CreateTemporary(1 << 10)
-	if _, err := cl.Write(scratch.ID, 0, []byte("scratch")); err != nil {
+	scratch, _ := cl.CreateTemporary(ctx, 1<<10)
+	if _, err := cl.Write(ctx, scratch.ID, 0, []byte("scratch")); err != nil {
 		log.Fatal(err)
 	}
-	if _, err := cl.Read(scratch.ID, 0, 0, 7); err != nil {
+	if _, err := cl.Read(ctx, scratch.ID, 0, 0, 7); err != nil {
 		log.Fatal(err)
 	}
 	reaper := cluster.NewReaper(
 		selfopt.TemporaryStrategy{VM: cluster.VM, In: cluster.Intro})
-	removed, err := reaper.Run(time.Now())
+	removed, err := reaper.Run(ctx, time.Now())
 	if err != nil {
 		log.Fatal(err)
 	}

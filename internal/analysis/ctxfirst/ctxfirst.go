@@ -5,10 +5,9 @@
 // and context.TODO() are banned outside package main, test files and
 // benchmarks.
 //
-// Deliberate roots — compatibility wrappers over the streaming
-// context-first API, net/rpc server handlers (the wire carries no
-// deadline), and cleanup that must outlive a cancelled request — are
-// annotated //ctxfirst:allow <reason>.
+// Deliberate roots — net/rpc server handlers (the wire carries no
+// deadline), control-plane ticks, and cleanup that must outlive a
+// cancelled request — are annotated //ctxfirst:allow <reason>.
 package ctxfirst
 
 import (

@@ -28,12 +28,13 @@ func newBlobSet() *blobSet {
 }
 
 func (bs *blobSet) write(t *testing.T, cl *client.Client, chunkSize int64, payload []byte) {
+	ctx := context.Background()
 	t.Helper()
-	info, err := cl.Create(chunkSize)
+	info, err := cl.Create(ctx, chunkSize)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ver, err := cl.Write(info.ID, 0, payload)
+	ver, err := cl.Write(ctx, info.ID, 0, payload)
 	if err != nil {
 		t.Fatalf("write blob %d: %v", info.ID, err)
 	}
@@ -47,7 +48,7 @@ func (bs *blobSet) verify(t *testing.T, cl *client.Client) {
 	ctx := context.Background()
 	for _, id := range bs.ids {
 		rctx, cancel := context.WithTimeout(ctx, 5*time.Second)
-		got, err := cl.ReadContext(rctx, id, bs.versions[id], 0, int64(len(bs.payloads[id])))
+		got, err := cl.Read(rctx, id, bs.versions[id], 0, int64(len(bs.payloads[id])))
 		cancel()
 		if err != nil {
 			t.Fatalf("read blob %d: %v", id, err)
@@ -129,7 +130,7 @@ func TestPartitionDegradedOperation(t *testing.T) {
 			for ck := int64(0); ck < 4; ck++ {
 				rctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 				start := time.Now()
-				got, err := cl.ReadContext(rctx, id, bs.versions[id], ck*chunkSize, chunkSize)
+				got, err := cl.Read(rctx, id, bs.versions[id], ck*chunkSize, chunkSize)
 				lat = append(lat, time.Since(start))
 				cancel()
 				if err != nil {

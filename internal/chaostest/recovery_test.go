@@ -1,6 +1,7 @@
 package chaostest
 
 import (
+	"context"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -78,7 +79,7 @@ func TestCrashRestartRecovery(t *testing.T) {
 
 	// Self-optimization heals the replication degree the wipe cost us.
 	waitFor(t, "replication heal after restart", func() bool {
-		rep, err := c.Heal(time.Now())
+		rep, err := c.Heal(context.Background(), time.Now())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -83,9 +83,10 @@ func (b *Blob) NewReader(ctx context.Context, version uint64, offset, length int
 	if length < 0 {
 		length = vm.Size - offset
 	}
-	if offset < 0 || length < 0 || offset+length > vm.Size {
+	// Compared without the sum: offset+length wraps for large inputs.
+	if offset < 0 || length < 0 || offset > vm.Size || length > vm.Size-offset {
 		unpin()
-		return nil, fmt.Errorf("%w: [%d,%d) of %d", ErrShortRead, offset, offset+length, vm.Size)
+		return nil, fmt.Errorf("%w: %d bytes at %d of %d", ErrShortRead, length, offset, vm.Size)
 	}
 	var descs []chunk.Desc
 	loIdx := int64(0)

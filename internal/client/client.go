@@ -5,9 +5,9 @@
 //
 // The surface is context-first and streaming: Open returns a Blob handle
 // whose NewReader/NewWriter stream chunk-granular data with pipelined
-// prefetch and background replica flushes (see blob.go). The classic
-// []byte Read/Write/Append signatures are retained as thin compatibility
-// wrappers over the streaming core.
+// prefetch and background replica flushes (see blob.go). The []byte
+// Read/Write/Append are one-shot conveniences over the same streaming
+// core.
 package client
 
 import (
@@ -282,12 +282,7 @@ func New(user string, vm *vmanager.Manager, pm *pmanager.Manager, dir Directory,
 func (c *Client) User() string { return c.user }
 
 // Create makes a new BLOB with the given chunk size (0 = default).
-func (c *Client) Create(chunkSize int64) (vmanager.BlobInfo, error) {
-	return c.CreateContext(context.Background(), chunkSize) //ctxfirst:allow compat wrapper; ctx-aware callers use the *Context form
-}
-
-// CreateContext is Create with an admission context.
-func (c *Client) CreateContext(ctx context.Context, chunkSize int64) (vmanager.BlobInfo, error) {
+func (c *Client) Create(ctx context.Context, chunkSize int64) (vmanager.BlobInfo, error) {
 	if err := c.gate.Allow(ctx, c.user, instrument.OpCreate); err != nil {
 		return vmanager.BlobInfo{}, err
 	}
@@ -298,12 +293,7 @@ func (c *Client) CreateContext(ctx context.Context, chunkSize int64) (vmanager.B
 
 // CreateTemporary makes a BLOB flagged for the temporary-data removal
 // strategy.
-func (c *Client) CreateTemporary(chunkSize int64) (vmanager.BlobInfo, error) {
-	return c.CreateTemporaryContext(context.Background(), chunkSize) //ctxfirst:allow compat wrapper; ctx-aware callers use the *Context form
-}
-
-// CreateTemporaryContext is CreateTemporary with an admission context.
-func (c *Client) CreateTemporaryContext(ctx context.Context, chunkSize int64) (vmanager.BlobInfo, error) {
+func (c *Client) CreateTemporary(ctx context.Context, chunkSize int64) (vmanager.BlobInfo, error) {
 	if err := c.gate.Allow(ctx, c.user, instrument.OpCreate); err != nil {
 		return vmanager.BlobInfo{}, err
 	}
@@ -327,14 +317,9 @@ func (c *Client) Open(ctx context.Context, blob uint64) (*Blob, error) {
 }
 
 // Write stores data at the given offset and returns the published
-// version. It is a compatibility wrapper over the streaming BlobWriter.
-func (c *Client) Write(blob uint64, offset int64, data []byte) (uint64, error) {
-	return c.WriteContext(context.Background(), blob, offset, data) //ctxfirst:allow compat wrapper; ctx-aware callers use the *Context form
-}
-
-// WriteContext is Write with cancellation: a cancelled ctx aborts
+// version: a one-shot streaming BlobWriter. A cancelled ctx aborts
 // in-flight chunk transfers and leaves the BLOB unpublished.
-func (c *Client) WriteContext(ctx context.Context, blob uint64, offset int64, data []byte) (uint64, error) {
+func (c *Client) Write(ctx context.Context, blob uint64, offset int64, data []byte) (uint64, error) {
 	start := c.now()
 	// Admission is checked here, not via Blob.NewWriter, so a denial
 	// event carries the attempted byte volume — byte-rate policy rules
@@ -362,14 +347,8 @@ func (c *Client) WriteContext(ctx context.Context, blob uint64, offset int64, da
 }
 
 // Append stores data at the BLOB's end and returns the published
-// version. It is a compatibility wrapper over the streaming BlobWriter
-// bound to an append ticket.
-func (c *Client) Append(blob uint64, data []byte) (uint64, error) {
-	return c.AppendContext(context.Background(), blob, data) //ctxfirst:allow compat wrapper; ctx-aware callers use the *Context form
-}
-
-// AppendContext is Append with cancellation.
-func (c *Client) AppendContext(ctx context.Context, blob uint64, data []byte) (uint64, error) {
+// version: a one-shot streaming BlobWriter bound to an append ticket.
+func (c *Client) Append(ctx context.Context, blob uint64, data []byte) (uint64, error) {
 	start := c.now()
 	if err := c.gate.Allow(ctx, c.user, instrument.OpAppend); err != nil {
 		c.event(instrument.OpAppend, blob, 0, 0, int64(len(data)), err)
@@ -390,18 +369,12 @@ func (c *Client) AppendContext(ctx context.Context, blob uint64, data []byte) (u
 	return w.Version(), nil
 }
 
-// Read returns length bytes at offset from the given version (0 = latest
-// published). Holes read as zeros; reads past the version size fail with
-// ErrShortRead. It is a compatibility wrapper over the streaming
-// BlobReader.
-func (c *Client) Read(blob uint64, version uint64, offset, length int64) ([]byte, error) {
-	return c.ReadContext(context.Background(), blob, version, offset, length) //ctxfirst:allow compat wrapper; ctx-aware callers use the *Context form
-}
-
-// ReadContext is Read with cancellation: a cancelled ctx aborts in-flight
-// chunk fetches. Unlike NewReader, a negative length is an error here
-// (the historical Read contract), not a to-the-end request.
-func (c *Client) ReadContext(ctx context.Context, blob uint64, version uint64, offset, length int64) ([]byte, error) {
+// Read returns length bytes at offset from the given version (0 =
+// latest published): a one-shot streaming BlobReader. Holes read as
+// zeros; reads past the version size fail with ErrShortRead; a
+// cancelled ctx aborts in-flight chunk fetches. Unlike NewReader, a
+// negative length is an error here, not a to-the-end request.
+func (c *Client) Read(ctx context.Context, blob uint64, version uint64, offset, length int64) ([]byte, error) {
 	if length < 0 {
 		return nil, fmt.Errorf("%w: negative length %d", ErrShortRead, length)
 	}

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -29,7 +30,7 @@ func TestStreamWriterReaderRoundTrip(t *testing.T) {
 	b := newBed(t, 4)
 	c := b.client("alice")
 	ctx := context.Background()
-	info, err := c.Create(8)
+	info, err := c.Create(ctx, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,9 +80,9 @@ func TestStreamWriteToMatchesRead(t *testing.T) {
 	b := newBed(t, 4)
 	c := b.client("alice")
 	ctx := context.Background()
-	info, _ := c.Create(16)
+	info, _ := c.Create(ctx, 16)
 	payload := bytes.Repeat([]byte("streaming-writer-to!"), 13)
-	if _, err := c.Write(info.ID, 0, payload); err != nil {
+	if _, err := c.Write(ctx, info.ID, 0, payload); err != nil {
 		t.Fatal(err)
 	}
 	blob, err := c.Open(ctx, info.ID)
@@ -107,9 +108,9 @@ func TestStreamReaderSeek(t *testing.T) {
 	b := newBed(t, 4)
 	c := b.client("alice")
 	ctx := context.Background()
-	info, _ := c.Create(8)
+	info, _ := c.Create(ctx, 8)
 	payload := []byte("0123456789abcdefghijklmnopqrstuv") // 32 bytes, 4 chunks
-	if _, err := c.Write(info.ID, 0, payload); err != nil {
+	if _, err := c.Write(ctx, info.ID, 0, payload); err != nil {
 		t.Fatal(err)
 	}
 	blob, _ := c.Open(ctx, info.ID)
@@ -148,7 +149,7 @@ func TestStreamWriterReadFrom(t *testing.T) {
 	b := newBed(t, 4)
 	c := b.client("alice")
 	ctx := context.Background()
-	info, _ := c.Create(8)
+	info, _ := c.Create(ctx, 8)
 	payload := bytes.Repeat([]byte("reader-from-path"), 9)
 	blob, _ := c.Open(ctx, info.ID)
 	w, err := blob.NewWriter(ctx, 0)
@@ -162,7 +163,7 @@ func TestStreamWriterReadFrom(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	got, err := c.Read(info.ID, 0, 0, int64(len(payload)))
+	got, err := c.Read(ctx, info.ID, 0, 0, int64(len(payload)))
 	if err != nil || !bytes.Equal(got, payload) {
 		t.Fatalf("read back mismatch err=%v", err)
 	}
@@ -172,7 +173,7 @@ func TestStreamWriterCloseIdempotentAndWriteAfterClose(t *testing.T) {
 	b := newBed(t, 2)
 	c := b.client("alice")
 	ctx := context.Background()
-	info, _ := c.Create(8)
+	info, _ := c.Create(ctx, 8)
 	blob, _ := c.Open(ctx, info.ID)
 	w, _ := blob.NewWriter(ctx, 0)
 	if _, err := w.Write([]byte("x")); err != nil {
@@ -238,9 +239,9 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 func TestHedgedReadCancelsLosers(t *testing.T) {
 	b := newBed(t, 3)
 	writer := b.client("alice", WithReplicas(3))
-	info, _ := writer.Create(8)
+	info, _ := writer.Create(context.Background(), 8)
 	payload := []byte("hedged-loser-cancellation-check!")
-	if _, err := writer.Write(info.ID, 0, payload); err != nil {
+	if _, err := writer.Write(context.Background(), info.ID, 0, payload); err != nil {
 		t.Fatal(err)
 	}
 
@@ -258,7 +259,7 @@ func TestHedgedReadCancelsLosers(t *testing.T) {
 	reader := New("alice", b.vm, b.pm, dir, WithHedgedReads(true))
 
 	before := runtime.NumGoroutine()
-	got, err := reader.Read(info.ID, 0, 0, int64(len(payload)))
+	got, err := reader.Read(context.Background(), info.ID, 0, 0, int64(len(payload)))
 	if err != nil || !bytes.Equal(got, payload) {
 		t.Fatalf("hedged read: %q err=%v", got, err)
 	}
@@ -277,8 +278,8 @@ func TestHedgedReadCancelsLosers(t *testing.T) {
 func TestHedgedReadParentCancellation(t *testing.T) {
 	b := newBed(t, 3)
 	writer := b.client("alice", WithReplicas(3))
-	info, _ := writer.Create(8)
-	if _, err := writer.Write(info.ID, 0, []byte("parked!!")); err != nil {
+	info, _ := writer.Create(context.Background(), 8)
+	if _, err := writer.Write(context.Background(), info.ID, 0, []byte("parked!!")); err != nil {
 		t.Fatal(err)
 	}
 
@@ -296,7 +297,7 @@ func TestHedgedReadParentCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	errCh := make(chan error, 1)
 	go func() {
-		_, err := reader.ReadContext(ctx, info.ID, 0, 0, 8)
+		_, err := reader.Read(ctx, info.ID, 0, 0, 8)
 		errCh <- err
 	}()
 	waitFor(t, "fetches to park", func() bool { return blocked.Load() == 3 })
@@ -330,7 +331,7 @@ func TestWriterCancellationAbortsStores(t *testing.T) {
 		return blockingConn{Conn: conn, blocked: &blocked}, nil
 	})
 	c := New("alice", b.vm, b.pm, dir)
-	info, err := c.Create(8)
+	info, err := c.Create(context.Background(), 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -364,20 +365,21 @@ func TestWriterCancellationAbortsStores(t *testing.T) {
 // including hole-spanning and chunk-straddling ranges.
 func TestStreamReadMatchesBufferedAcrossShapes(t *testing.T) {
 	b := newBed(t, 4)
-	c := b.client("alice", WithPrefetch(2))
+	pinner := newRecPinner()
+	c := b.client("alice", WithPrefetch(2), WithPinner(pinner))
 	ctx := context.Background()
-	info, _ := c.Create(8)
+	info, _ := c.Create(ctx, 8)
 	// Hole in chunks 2..3: write [0,12) and [35,50).
-	if _, err := c.Write(info.ID, 0, bytes.Repeat([]byte("A"), 12)); err != nil {
+	if _, err := c.Write(ctx, info.ID, 0, bytes.Repeat([]byte("A"), 12)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Write(info.ID, 35, bytes.Repeat([]byte("B"), 15)); err != nil {
+	if _, err := c.Write(ctx, info.ID, 35, bytes.Repeat([]byte("B"), 15)); err != nil {
 		t.Fatal(err)
 	}
 	blob, _ := c.Open(ctx, info.ID)
 	for _, win := range [][2]int64{{0, 50}, {3, 17}, {10, 30}, {34, 2}, {12, 23}, {49, 1}, {20, 0}} {
 		off, n := win[0], win[1]
-		want, err := c.Read(info.ID, 0, off, n)
+		want, err := c.Read(ctx, info.ID, 0, off, n)
 		if err != nil {
 			t.Fatalf("buffered [%d,%d): %v", off, off+n, err)
 		}
@@ -395,10 +397,18 @@ func TestStreamReadMatchesBufferedAcrossShapes(t *testing.T) {
 	if _, err := blob.NewReader(ctx, 0, 40, 20); !errors.Is(err, ErrShortRead) {
 		t.Fatalf("past-end window: %v", err)
 	}
+	// A window whose end wraps int64 is past the end too (regression: the
+	// check summed offset+length and let it through to the tree walk).
+	if _, err := blob.NewReader(ctx, 0, 1, math.MaxInt64); !errors.Is(err, ErrShortRead) {
+		t.Fatalf("wrapping window: %v", err)
+	}
+	if n := pinner.outstanding(); n != 0 {
+		t.Fatalf("refused windows left %d pins", n)
+	}
 	// The buffered wrapper keeps the historical contract: negative
 	// length is an error, not a to-the-end request (regression: used to
 	// panic in make([]byte, -1)).
-	if _, err := c.Read(info.ID, 0, 0, -1); !errors.Is(err, ErrShortRead) {
+	if _, err := c.Read(ctx, info.ID, 0, 0, -1); !errors.Is(err, ErrShortRead) {
 		t.Fatalf("negative length: %v", err)
 	}
 }
@@ -418,7 +428,7 @@ func TestWriterFlushesBoundedByWorkers(t *testing.T) {
 		return blockingConn{Conn: conn, blocked: &blocked}, nil
 	})
 	c := New("alice", b.vm, b.pm, dir, WithWorkers(2))
-	info, err := c.Create(8)
+	info, err := c.Create(context.Background(), 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -465,9 +475,9 @@ func TestSeekBackwardPrunesPrefetch(t *testing.T) {
 	b := newBed(t, 4)
 	c := b.client("alice", WithPrefetch(2))
 	ctx := context.Background()
-	info, _ := c.Create(8)
+	info, _ := c.Create(ctx, 8)
 	payload := bytes.Repeat([]byte("01234567"), 6) // 6 chunks
-	if _, err := c.Write(info.ID, 0, payload); err != nil {
+	if _, err := c.Write(ctx, info.ID, 0, payload); err != nil {
 		t.Fatal(err)
 	}
 	blob, _ := c.Open(ctx, info.ID)
@@ -509,7 +519,7 @@ func TestSeekBackwardPrunesPrefetch(t *testing.T) {
 func TestStoredChunksAfterAbortedClose(t *testing.T) {
 	b := newBed(t, 2)
 	c := b.client("alice")
-	info, _ := c.Create(8)
+	info, _ := c.Create(context.Background(), 8)
 	ctx, cancel := context.WithCancel(context.Background())
 	blob, _ := c.Open(ctx, info.ID)
 	w, err := blob.NewWriter(ctx, 0)
@@ -560,7 +570,7 @@ func TestStoredChunksIncludeQuorumOrphans(t *testing.T) {
 		return conn, nil
 	})
 	c := New("alice", b.vm, b.pm, dir, WithReplicas(3))
-	info, err := c.Create(8)
+	info, err := c.Create(context.Background(), 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -613,7 +623,7 @@ func (r *cancelOnFinalRead) Read(p []byte) (int, error) {
 func TestReadFromReportsDroppedFinalSlot(t *testing.T) {
 	b := newBed(t, 2)
 	c := b.client("alice")
-	info, _ := c.Create(8)
+	info, _ := c.Create(context.Background(), 8)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	blob, _ := c.Open(ctx, info.ID)
@@ -649,7 +659,7 @@ func TestStreamWritePlacementSpreads(t *testing.T) {
 		}
 	}
 	c := b.client("alice")
-	info, err := c.Create(8)
+	info, err := c.Create(context.Background(), 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -683,8 +693,8 @@ func TestStreamWritePlacementSpreads(t *testing.T) {
 func TestSeekEvictionCancelsInFlightFetches(t *testing.T) {
 	b := newBed(t, 4)
 	writer := b.client("alice")
-	info, _ := writer.Create(8)
-	if _, err := writer.Write(info.ID, 0, bytes.Repeat([]byte("w"), 48)); err != nil {
+	info, _ := writer.Create(context.Background(), 8)
+	if _, err := writer.Write(context.Background(), info.ID, 0, bytes.Repeat([]byte("w"), 48)); err != nil {
 		t.Fatal(err)
 	}
 	var blocked atomic.Int64
@@ -731,15 +741,15 @@ func (ctxGate) Allow(ctx context.Context, _ string, _ instrument.Op) error {
 	return ctx.Err()
 }
 
-func TestCreateTemporaryContextCancelled(t *testing.T) {
+func TestCreateTemporaryCancelled(t *testing.T) {
 	b := newBed(t, 2)
 	c := New("alice", b.vm, b.pm, b, WithGatekeeper(ctxGate{}))
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := c.CreateTemporaryContext(ctx, 8); !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled CreateTemporaryContext: %v", err)
+	if _, err := c.CreateTemporary(ctx, 8); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled CreateTemporary: %v", err)
 	}
-	if _, err := c.CreateTemporary(8); err != nil { // background ctx still admits
+	if _, err := c.CreateTemporary(context.Background(), 8); err != nil { // a live ctx still admits
 		t.Fatal(err)
 	}
 }
@@ -752,8 +762,8 @@ func TestCreateTemporaryContextCancelled(t *testing.T) {
 func TestWriterMergesAgainstCreationSnapshot(t *testing.T) {
 	b := newBed(t, 4)
 	c := b.client("alice")
-	info, _ := c.Create(8)
-	if _, err := c.Write(info.ID, 0, []byte("AAAAAAAABBBBBBBB")); err != nil { // v1
+	info, _ := c.Create(context.Background(), 8)
+	if _, err := c.Write(context.Background(), info.ID, 0, []byte("AAAAAAAABBBBBBBB")); err != nil { // v1
 		t.Fatal(err)
 	}
 	ctx := context.Background()
@@ -762,7 +772,7 @@ func TestWriterMergesAgainstCreationSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Write(info.ID, 0, []byte("CCCCCCCCDDDDDDDD")); err != nil { // v2
+	if _, err := c.Write(ctx, info.ID, 0, []byte("CCCCCCCCDDDDDDDD")); err != nil { // v2
 		t.Fatal(err)
 	}
 	if _, err := w.Write([]byte("111112222222")); err != nil { // [3,15): both edges partial
@@ -771,7 +781,7 @@ func TestWriterMergesAgainstCreationSnapshot(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	got, err := c.Read(info.ID, w.Version(), 0, 16)
+	got, err := c.Read(ctx, info.ID, w.Version(), 0, 16)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -13,6 +14,7 @@ import (
 // below the replication degree, hedged reads, and one provider failing
 // mid-run. Run with -race.
 func TestParallelClientsQuorumHedged(t *testing.T) {
+	ctx := context.Background()
 	c, err := NewCluster(Options{
 		Providers: 6, Replicas: 3, WriteQuorum: 2, HedgedReads: true,
 		Monitoring: true, AgentBatch: 8,
@@ -30,7 +32,7 @@ func TestParallelClientsQuorumHedged(t *testing.T) {
 	// A shared blob everyone appends full chunk slots to; slot contents
 	// interleave by publication order but each slot stays intact.
 	sharedCl := c.Client("shared")
-	sharedInfo, err := sharedCl.Create(chunkSize)
+	sharedInfo, err := sharedCl.Create(ctx, chunkSize)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +45,7 @@ func TestParallelClientsQuorumHedged(t *testing.T) {
 		go func(u int) {
 			defer wg.Done()
 			cl := c.Client(fmt.Sprintf("user%d", u))
-			info, err := cl.Create(chunkSize)
+			info, err := cl.Create(ctx, chunkSize)
 			if err != nil {
 				errCh <- err
 				return
@@ -54,7 +56,7 @@ func TestParallelClientsQuorumHedged(t *testing.T) {
 				switch i % 3 {
 				case 0: // chunk-unaligned append
 					part := marker[:len(marker)/2+i]
-					if _, err := cl.Append(info.ID, part); err != nil {
+					if _, err := cl.Append(ctx, info.ID, part); err != nil {
 						errCh <- fmt.Errorf("user%d append %d: %w", u, i, err)
 						return
 					}
@@ -62,7 +64,7 @@ func TestParallelClientsQuorumHedged(t *testing.T) {
 				case 1: // unaligned overwrite inside the blob
 					off := int64(len(model) / 3)
 					data := bytes.Repeat([]byte{byte('a' + u)}, int(chunkSize)+7)
-					if _, err := cl.Write(info.ID, off, data); err != nil {
+					if _, err := cl.Write(ctx, info.ID, off, data); err != nil {
 						errCh <- fmt.Errorf("user%d write %d: %w", u, i, err)
 						return
 					}
@@ -71,7 +73,7 @@ func TestParallelClientsQuorumHedged(t *testing.T) {
 					}
 					copy(model[off:], data)
 				case 2: // verify the whole blob against the model
-					got, err := cl.Read(info.ID, 0, 0, int64(len(model)))
+					got, err := cl.Read(ctx, info.ID, 0, 0, int64(len(model)))
 					if err != nil {
 						errCh <- fmt.Errorf("user%d read %d: %w", u, i, err)
 						return
@@ -81,12 +83,12 @@ func TestParallelClientsQuorumHedged(t *testing.T) {
 						return
 					}
 				}
-				if _, err := cl.Append(shared, marker); err != nil {
+				if _, err := cl.Append(ctx, shared, marker); err != nil {
 					errCh <- fmt.Errorf("user%d shared append %d: %w", u, i, err)
 					return
 				}
 			}
-			got, err := cl.Read(info.ID, 0, 0, int64(len(model)))
+			got, err := cl.Read(ctx, info.ID, 0, 0, int64(len(model)))
 			if err != nil {
 				errCh <- fmt.Errorf("user%d final read: %w", u, err)
 			} else if !bytes.Equal(got, model) {
@@ -122,7 +124,7 @@ func TestParallelClientsQuorumHedged(t *testing.T) {
 	if want := int64(users*rounds) * chunkSize; size != want {
 		t.Fatalf("shared size=%d want %d", size, want)
 	}
-	data, err := sharedCl.Read(shared, 0, 0, size)
+	data, err := sharedCl.Read(ctx, shared, 0, 0, size)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -424,6 +424,7 @@ func (c *Cluster) Tick(now time.Time) {
 		// blackholed provider costs the tick a single CallTimeout, not
 		// one per victim. Detector verdicts that crossed to Dead since
 		// the last tick then trigger a replication heal around the body.
+		ctx := context.Background() //ctxfirst:allow control-plane tick has no caller context; Ping and the heal's transfers bound themselves with CallTimeout
 		var wg sync.WaitGroup
 		for _, p := range provs {
 			id := p.ID()
@@ -434,25 +435,20 @@ func (c *Cluster) Tick(now time.Time) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				_ = c.Fault.Ping(context.Background(), id, conn) //ctxfirst:allow control-plane tick has no caller context; Ping bounds itself with CallTimeout
+				_ = c.Fault.Ping(ctx, id, conn)
 			}()
 		}
 		wg.Wait()
 		if dead := c.Fault.DrainDead(); len(dead) > 0 {
-			_, _ = c.Rep.Scan(now)
+			_, _ = c.Rep.Scan(ctx, now)
 		}
 	}
 }
 
-// Heal runs one replication-maintenance scan.
-func (c *Cluster) Heal(now time.Time) (selfopt.RepairReport, error) {
-	return c.Rep.Scan(now)
-}
-
-// HealContext is Heal with cancellation: a cancelled ctx aborts the scan
-// between BLOBs and stops in-flight repair transfers.
-func (c *Cluster) HealContext(ctx context.Context, now time.Time) (selfopt.RepairReport, error) {
-	return c.Rep.ScanContext(ctx, now)
+// Heal runs one replication-maintenance scan. A cancelled ctx
+// aborts it between BLOBs and stops in-flight repair transfers.
+func (c *Cluster) Heal(ctx context.Context, now time.Time) (selfopt.RepairReport, error) {
+	return c.Rep.Scan(ctx, now)
 }
 
 // pool exposes the cluster's providers to the control plane — the

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"testing"
@@ -34,17 +35,18 @@ func newCluster(t *testing.T, opts Options) *Cluster {
 }
 
 func TestClusterWriteReadEndToEnd(t *testing.T) {
+	ctx := context.Background()
 	c := newCluster(t, Options{Providers: 4, Monitoring: true})
 	cl := c.Client("alice")
-	info, err := cl.Create(1 << 10)
+	info, err := cl.Create(ctx, 1<<10)
 	if err != nil {
 		t.Fatal(err)
 	}
 	data := bytes.Repeat([]byte("blobseer!"), 500)
-	if _, err := cl.Write(info.ID, 0, data); err != nil {
+	if _, err := cl.Write(ctx, info.ID, 0, data); err != nil {
 		t.Fatal(err)
 	}
-	got, err := cl.Read(info.ID, 0, 0, int64(len(data)))
+	got, err := cl.Read(ctx, info.ID, 0, 0, int64(len(data)))
 	if err != nil || !bytes.Equal(got, data) {
 		t.Fatalf("read mismatch err=%v", err)
 	}
@@ -62,12 +64,13 @@ func TestClusterWriteReadEndToEnd(t *testing.T) {
 }
 
 func TestClusterMonitoringPipeline(t *testing.T) {
+	ctx := context.Background()
 	now := t0
 	c := newCluster(t, Options{Providers: 2, Monitoring: true, AgentBatch: 1,
 		Clock: func() time.Time { return now }})
 	cl := c.Client("alice")
-	info, _ := cl.Create(64)
-	if _, err := cl.Write(info.ID, 0, bytes.Repeat([]byte("x"), 256)); err != nil {
+	info, _ := cl.Create(ctx, 64)
+	if _, err := cl.Write(ctx, info.ID, 0, bytes.Repeat([]byte("x"), 256)); err != nil {
 		t.Fatal(err)
 	}
 	c.Tick(now)
@@ -91,6 +94,7 @@ func TestClusterMonitoringPipeline(t *testing.T) {
 }
 
 func TestClusterDoSDetectionEndToEnd(t *testing.T) {
+	ctx := context.Background()
 	now := t0
 	c := newCluster(t, Options{
 		Providers: 3, Monitoring: true, AgentBatch: 1,
@@ -99,17 +103,17 @@ func TestClusterDoSDetectionEndToEnd(t *testing.T) {
 	})
 	mallory := c.Client("mallory")
 	alice := c.Client("alice")
-	mb, _ := mallory.Create(64)
-	ab, _ := alice.Create(64)
+	mb, _ := mallory.Create(ctx, 64)
+	ab, _ := alice.Create(ctx, 64)
 
 	payload := bytes.Repeat([]byte("z"), 128)
 	for i := 0; i < 300; i++ {
-		if _, err := mallory.Write(mb.ID, 0, payload); err != nil {
+		if _, err := mallory.Write(ctx, mb.ID, 0, payload); err != nil {
 			t.Fatalf("flood write %d: %v", i, err)
 		}
 		now = now.Add(20 * time.Millisecond) // 50 writes/s
 	}
-	if _, err := alice.Write(ab.ID, 0, payload); err != nil {
+	if _, err := alice.Write(ctx, ab.ID, 0, payload); err != nil {
 		t.Fatal(err)
 	}
 	c.Tick(now)
@@ -119,7 +123,7 @@ func TestClusterDoSDetectionEndToEnd(t *testing.T) {
 	if c.Enf.Blocked("alice") {
 		t.Fatal("correct client blocked")
 	}
-	if _, err := mallory.Write(mb.ID, 0, payload); !errors.Is(err, policy.ErrBlocked) {
+	if _, err := mallory.Write(ctx, mb.ID, 0, payload); !errors.Is(err, policy.ErrBlocked) {
 		t.Fatalf("blocked write: %v", err)
 	}
 	// Trust dropped.
@@ -132,22 +136,23 @@ func TestClusterDoSDetectionEndToEnd(t *testing.T) {
 }
 
 func TestClusterHealAfterProviderLoss(t *testing.T) {
+	ctx := context.Background()
 	c := newCluster(t, Options{Providers: 5, Replicas: 2, Monitoring: false})
 	cl := c.Client("u")
-	info, _ := cl.Create(256)
+	info, _ := cl.Create(ctx, 256)
 	data := bytes.Repeat([]byte("abc"), 300)
-	if _, err := cl.Write(info.ID, 0, data); err != nil {
+	if _, err := cl.Write(ctx, info.ID, 0, data); err != nil {
 		t.Fatal(err)
 	}
 	victims := c.Providers()[:1]
 	if err := c.RemoveProvider(victims[0]); err != nil {
 		t.Fatal(err)
 	}
-	report, err := c.Heal(t0)
+	report, err := c.Heal(ctx, t0)
 	if err != nil {
 		t.Fatalf("heal: %v (report %+v)", err, report)
 	}
-	got, err := cl.Read(info.ID, 0, 0, int64(len(data)))
+	got, err := cl.Read(ctx, info.ID, 0, 0, int64(len(data)))
 	if err != nil || !bytes.Equal(got, data) {
 		t.Fatalf("read after heal: %v", err)
 	}
@@ -176,25 +181,26 @@ func TestClusterElasticity(t *testing.T) {
 }
 
 func TestClusterReaperIntegration(t *testing.T) {
+	ctx := context.Background()
 	now := t0
 	c := newCluster(t, Options{Providers: 2, Monitoring: false,
 		Clock: func() time.Time { return now }})
 	cl := c.Client("u")
-	info, _ := cl.Create(64)
-	if _, err := cl.Write(info.ID, 0, []byte("temporary")); err != nil {
+	info, _ := cl.Create(ctx, 64)
+	if _, err := cl.Write(ctx, info.ID, 0, []byte("temporary")); err != nil {
 		t.Fatal(err)
 	}
 	// NewReaper routes deletions through the lifecycle manager: pins are
 	// honoured and chunk reclaim is exact.
 	reaper := c.NewReaper(selfopt.TTLStrategy{In: c.Intro, TTL: time.Minute})
-	removed, err := reaper.Run(now.Add(time.Hour))
+	removed, err := reaper.Run(ctx, now.Add(time.Hour))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(removed) != 1 {
 		t.Fatalf("removed=%v", removed)
 	}
-	if _, err := cl.Read(info.ID, 0, 0, 1); err == nil {
+	if _, err := cl.Read(ctx, info.ID, 0, 0, 1); err == nil {
 		t.Fatal("deleted blob still readable")
 	}
 	for _, id := range c.Providers() {
@@ -205,10 +211,11 @@ func TestClusterReaperIntegration(t *testing.T) {
 }
 
 func TestClusterScaleToRemovesEmptiest(t *testing.T) {
+	ctx := context.Background()
 	c := newCluster(t, Options{Providers: 4, Monitoring: false})
 	cl := c.Client("u")
-	info, _ := cl.Create(64)
-	if _, err := cl.Write(info.ID, 0, bytes.Repeat([]byte("k"), 64)); err != nil {
+	info, _ := cl.Create(ctx, 64)
+	if _, err := cl.Write(ctx, info.ID, 0, bytes.Repeat([]byte("k"), 64)); err != nil {
 		t.Fatal(err)
 	}
 	cfg := selfconfig.DefaultConfig()
@@ -222,7 +229,7 @@ func TestClusterScaleToRemovesEmptiest(t *testing.T) {
 		t.Fatalf("decision=%+v", d)
 	}
 	// Data must still be readable (loaded provider retained or healed).
-	if _, err := cl.Read(info.ID, 0, 0, 64); err != nil {
+	if _, err := cl.Read(ctx, info.ID, 0, 0, 64); err != nil {
 		t.Fatalf("read after scale-down: %v", err)
 	}
 }
@@ -238,14 +245,15 @@ func TestClusterBadPolicySource(t *testing.T) {
 }
 
 func TestClusterManyClients(t *testing.T) {
+	ctx := context.Background()
 	c := newCluster(t, Options{Providers: 4, Monitoring: true})
 	for i := 0; i < 8; i++ {
 		cl := c.Client(fmt.Sprintf("user%d", i))
-		info, err := cl.Create(128)
+		info, err := cl.Create(ctx, 128)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := cl.Write(info.ID, 0, bytes.Repeat([]byte{byte(i)}, 300)); err != nil {
+		if _, err := cl.Write(ctx, info.ID, 0, bytes.Repeat([]byte{byte(i)}, 300)); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -15,6 +16,7 @@ import (
 // replication scanner and provider churn concurrently — the full system
 // under simultaneous load from every subsystem. Run with -race.
 func TestClusterConcurrentStress(t *testing.T) {
+	ctx := context.Background()
 	c, err := NewCluster(Options{
 		Providers: 8, Replicas: 2, BaseDegree: 2,
 		Monitoring: true, AgentBatch: 4,
@@ -36,7 +38,7 @@ func TestClusterConcurrentStress(t *testing.T) {
 		go func(u int) {
 			defer wg.Done()
 			cl := c.Client(fmt.Sprintf("user%d", u))
-			info, err := cl.Create(1 << 10)
+			info, err := cl.Create(ctx, 1<<10)
 			if err != nil {
 				errCh <- err
 				return
@@ -46,11 +48,11 @@ func TestClusterConcurrentStress(t *testing.T) {
 			blobMu.Unlock()
 			payload := bytes.Repeat([]byte{byte('a' + u)}, 4<<10)
 			for i := 0; i < opsPer; i++ {
-				if _, err := cl.Write(info.ID, 0, payload); err != nil {
+				if _, err := cl.Write(ctx, info.ID, 0, payload); err != nil {
 					errCh <- fmt.Errorf("user%d write %d: %w", u, i, err)
 					return
 				}
-				got, err := cl.Read(info.ID, 0, 0, int64(len(payload)))
+				got, err := cl.Read(ctx, info.ID, 0, 0, int64(len(payload)))
 				if err != nil || !bytes.Equal(got, payload) {
 					errCh <- fmt.Errorf("user%d read %d: %w", u, i, err)
 					return
@@ -73,7 +75,7 @@ func TestClusterConcurrentStress(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 5; i++ {
-			if _, err := c.Heal(time.Now()); err != nil {
+			if _, err := c.Heal(ctx, time.Now()); err != nil {
 				// Transient under-replication during churn is expected to
 				// repair on a later pass; only hard failures matter.
 				continue
@@ -102,14 +104,14 @@ func TestClusterConcurrentStress(t *testing.T) {
 	}
 
 	// Final heal converges and everything stays readable.
-	if _, err := c.Heal(time.Now()); err != nil {
+	if _, err := c.Heal(ctx, time.Now()); err != nil {
 		t.Fatalf("final heal: %v", err)
 	}
 	for u := 0; u < clients; u++ {
 		cl := c.Client(fmt.Sprintf("user%d", u))
 		blob := blobOf[u]
 		payload := bytes.Repeat([]byte{byte('a' + u)}, 4<<10)
-		got, err := cl.Read(blob, 0, 0, int64(len(payload)))
+		got, err := cl.Read(ctx, blob, 0, 0, int64(len(payload)))
 		if err != nil || !bytes.Equal(got, payload) {
 			t.Fatalf("user%d final read: %v", u, err)
 		}
@@ -130,7 +132,7 @@ func TestClusterBlockedUserCannotBypassViaNewClientHandle(t *testing.T) {
 	c.Enf.Quarantine("mallory", policy.Violation{Time: now, User: "mallory"})
 
 	fresh := c.Client("mallory") // brand-new handle, same identity
-	if _, err := fresh.Create(64); !errors.Is(err, policy.ErrBlocked) {
+	if _, err := fresh.Create(context.Background(), 64); !errors.Is(err, policy.ErrBlocked) {
 		t.Fatalf("fresh handle bypassed the block: %v", err)
 	}
 }

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"io"
 	"net/http"
@@ -448,7 +449,7 @@ func DD1(s Scale) *Table {
 // DD2 demonstrates Section V's self-optimization direction on the real
 // plane: replication degree maintained under provider failures, and
 // cold-data removal reclaiming space.
-func DD2(s Scale) *Table {
+func DD2(ctx context.Context, s Scale) *Table {
 	t := &Table{
 		ID:      "DD-2",
 		Title:   "Self-optimization: replication repair after provider failures",
@@ -469,11 +470,11 @@ func DD2(s Scale) *Table {
 		payload := bytes.Repeat([]byte("replicated"), 200)
 		var ids []uint64
 		for i := 0; i < blobs; i++ {
-			info, err := cl.Create(256)
+			info, err := cl.Create(ctx, 256)
 			if err != nil {
 				panic(err)
 			}
-			if _, err := cl.Write(info.ID, 0, payload); err != nil {
+			if _, err := cl.Write(ctx, info.ID, 0, payload); err != nil {
 				panic(err)
 			}
 			ids = append(ids, info.ID)
@@ -489,10 +490,10 @@ func DD2(s Scale) *Table {
 				panic(err)
 			}
 		}
-		report, _ := cluster.Heal(time.Now())
+		report, _ := cluster.Heal(ctx, time.Now())
 		readable := 0
 		for _, id := range ids {
-			if got, err := cl.Read(id, 0, 0, int64(len(payload))); err == nil && bytes.Equal(got, payload) {
+			if got, err := cl.Read(ctx, id, 0, 0, int64(len(payload))); err == nil && bytes.Equal(got, payload) {
 				readable++
 			}
 		}
@@ -570,11 +571,4 @@ policy flood_lowtrust {
 	record("after_moderate_burst", "onetime")
 	t.Note("the adaptive policy (trust() < 0.5 and rate > 20) catches the repeat offender at a rate a first-time user may sustain")
 	return t
-}
-
-// All runs every experiment at the given scale in order.
-func All(s Scale) []*Table {
-	return []*Table{
-		ExpB(s), ExpC1(s), ExpC2(s), ExpC3(s), ExpD(s), DD1(s), DD2(s), DD3(s),
-	}
 }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"strconv"
 	"strings"
 	"testing"
@@ -146,7 +147,7 @@ func TestDD1Quick(t *testing.T) {
 }
 
 func TestDD2Quick(t *testing.T) {
-	tb := DD2(Scale{Quick: true})
+	tb := DD2(context.Background(), Scale{Quick: true})
 	if len(tb.Rows) != 3 {
 		t.Fatalf("rows=%d", len(tb.Rows))
 	}

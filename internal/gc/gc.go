@@ -230,9 +230,7 @@ type Manager struct {
 	now  func() time.Time
 
 	grace       uint64 // epochs of write-in-progress protection
-	pageSize    int    // ListChunks page size
 	batch       int    // Purge batch size
-	workers     int    // providers paged/purged concurrently per sweep
 	markWorkers int    // BLOBs marked concurrently per pass
 
 	mu         sync.Mutex
@@ -333,29 +331,18 @@ func WithGraceEpochs(n int) Option {
 	}
 }
 
-// WithPageSize sets the inventory page size used when listing provider
-// chunks and metadata nodes (default 1024).
-func WithPageSize(n int) Option {
-	return func(m *Manager) {
-		if n > 0 {
-			m.pageSize = n
-		}
-	}
-}
-
-// WithSweepWorkers bounds how many providers one sweep pages and purges
-// concurrently (default 8). Wall-clock sweep time then scales with the
-// slowest provider, not the sum of all of them.
-func WithSweepWorkers(n int) Option {
-	return func(m *Manager) {
-		if n > 0 {
-			m.workers = n
-		}
-	}
-}
+const (
+	// pageSize is the inventory page size used when listing provider
+	// chunks and metadata nodes.
+	pageSize = 1024
+	// sweepWorkers bounds how many providers one sweep pages and purges
+	// concurrently: wall-clock sweep time scales with the slowest
+	// provider, not the sum of all of them.
+	sweepWorkers = 8
+)
 
 // WithMarkWorkers bounds how many BLOBs one mark phase walks
-// concurrently (default 8, mirroring WithSweepWorkers). All versions of
+// concurrently (default 8, like sweepWorkers). All versions of
 // one BLOB stay on one worker so the shared-subtree prune set needs no
 // cross-worker coordination.
 func WithMarkWorkers(n int) Option {
@@ -374,9 +361,7 @@ func New(vm VersionManager, prov Providers, opts ...Option) *Manager {
 		emit:        instrument.Nop{},
 		now:         time.Now,
 		grace:       1,
-		pageSize:    1024,
 		batch:       256,
-		workers:     8,
 		markWorkers: 8,
 		pins:        make(map[pinKey]int),
 		pinsByBlob:  make(map[uint64]int),
@@ -745,7 +730,7 @@ func (m *Manager) EnforceRetention(ctx context.Context, now time.Time) (Retentio
 // deleted-but-pinned BLOBs; sweep advances every provider's epoch, pages
 // through its chunk inventory and purges unreferenced chunks old enough
 // to clear the grace window. Providers are paged and purged concurrently
-// (bounded by WithSweepWorkers), so wall-clock sweep time tracks the
+// (at most sweepWorkers at a time), so wall-clock sweep time tracks the
 // slowest provider, not the sum. Under dryRun chunks are classified and
 // counted but nothing is removed.
 //
@@ -772,15 +757,8 @@ func (m *Manager) Sweep(ctx context.Context, dryRun bool) (SweepReport, error) {
 		}
 		mu.Unlock()
 	}
-	workers := m.workers
 	ids := m.prov.IDs()
-	if workers > len(ids) {
-		workers = len(ids)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	sem := make(chan struct{}, workers)
+	sem := make(chan struct{}, sweepWorkers)
 	var wg sync.WaitGroup
 
 	markStart := m.now()
@@ -1003,7 +981,7 @@ func (m *Manager) sweepProvider(ctx context.Context, id string, epoch uint64, ma
 			res.err = err
 			return res
 		}
-		page, more, err := p.ListChunks(ctx, after, m.pageSize)
+		page, more, err := p.ListChunks(ctx, after, pageSize)
 		if err != nil {
 			res.failed = true
 			res.err = fmt.Errorf("gc: list %s: %w", id, err)

@@ -3,6 +3,7 @@ package gc_test
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -28,7 +29,7 @@ import (
 
 var t0 = time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
 
-func newCluster(t *testing.T, opts core.Options) *core.Cluster {
+func newCluster(t testing.TB, opts core.Options) *core.Cluster {
 	t.Helper()
 	if opts.Clock == nil {
 		opts.Clock = func() time.Time { return t0 }
@@ -81,12 +82,12 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 func TestPinDefersDeleteUntilClose(t *testing.T) {
 	c := newCluster(t, core.Options{Providers: 3, Monitoring: false, GCGraceEpochs: -1})
 	cl := c.Client("alice")
-	info, err := cl.Create(1 << 10)
+	info, err := cl.Create(context.Background(), 1<<10)
 	if err != nil {
 		t.Fatal(err)
 	}
 	payload := bytes.Repeat([]byte("pinned-data!"), 512) // 6 KiB = 6 chunks
-	if _, err := cl.Write(info.ID, 0, payload); err != nil {
+	if _, err := cl.Write(context.Background(), info.ID, 0, payload); err != nil {
 		t.Fatal(err)
 	}
 	if totalChunks(c) == 0 {
@@ -148,13 +149,14 @@ func TestPinDefersDeleteUntilClose(t *testing.T) {
 // versions, pinned versions are skipped until their reader closes, and
 // the sweep reclaims chunks only retired versions referenced.
 func TestRetentionRetiresOldVersions(t *testing.T) {
+	ctx := context.Background()
 	now := t0
 	c := newCluster(t, core.Options{
 		Providers: 3, Monitoring: false, GCGraceEpochs: -1,
 		Clock: func() time.Time { return now },
 	})
 	cl := c.Client("alice")
-	info, err := cl.Create(256)
+	info, err := cl.Create(ctx, 256)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +164,7 @@ func TestRetentionRetiresOldVersions(t *testing.T) {
 	// older versions' chunks are exclusive to them.
 	for i := 0; i < 4; i++ {
 		data := bytes.Repeat([]byte{byte('a' + i)}, 256)
-		if _, err := cl.Write(info.ID, 0, data); err != nil {
+		if _, err := cl.Write(ctx, info.ID, 0, data); err != nil {
 			t.Fatal(err)
 		}
 		now = now.Add(time.Minute)
@@ -212,7 +214,7 @@ func TestRetentionRetiresOldVersions(t *testing.T) {
 		t.Fatalf("chunks after sweep = %d, want 2 (v3+v4)", got)
 	}
 	// The surviving versions still read back.
-	got, err := cl.Read(info.ID, 3, 0, 256)
+	got, err := cl.Read(ctx, info.ID, 3, 0, 256)
 	if err != nil || !bytes.Equal(got, bytes.Repeat([]byte{'c'}, 256)) {
 		t.Fatalf("v3 read after sweep: %v", err)
 	}
@@ -246,7 +248,7 @@ func TestSweepAcceptance(t *testing.T) {
 	baseline := chunkCounts(c)
 
 	cl := c.Client("alice")
-	info, err := cl.Create(512)
+	info, err := cl.Create(context.Background(), 512)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,15 +260,15 @@ func TestSweepAcceptance(t *testing.T) {
 	v1 = append(v1, bytes.Repeat([]byte{'B'}, 512)...)
 	v1 = append(v1, bytes.Repeat([]byte{'B'}, 512)...)
 	v1 = append(v1, bytes.Repeat([]byte{'D'}, 512)...)
-	if _, err := cl.Write(blob, 0, v1); err != nil {
+	if _, err := cl.Write(context.Background(), blob, 0, v1); err != nil {
 		t.Fatal(err)
 	}
 	// v2: overwrite slot 0 with slot 3's content (cross-version overlap).
-	if _, err := cl.Write(blob, 0, bytes.Repeat([]byte{'D'}, 512)); err != nil {
+	if _, err := cl.Write(context.Background(), blob, 0, bytes.Repeat([]byte{'D'}, 512)); err != nil {
 		t.Fatal(err)
 	}
 	// v3: append a fresh slot.
-	if _, err := cl.Append(blob, bytes.Repeat([]byte{'E'}, 512)); err != nil {
+	if _, err := cl.Append(context.Background(), blob, bytes.Repeat([]byte{'E'}, 512)); err != nil {
 		t.Fatal(err)
 	}
 	want := append(append([]byte{}, bytes.Repeat([]byte{'D'}, 512)...), v1[512:]...)
@@ -286,7 +288,7 @@ func TestSweepAcceptance(t *testing.T) {
 		t.Fatal("no provider holds chunks")
 	}
 	stopped.Stop()
-	rep, err := c.Heal(t0)
+	rep, err := c.Heal(context.Background(), t0)
 	if err != nil {
 		t.Fatalf("heal: %v (report %+v)", err, rep)
 	}
@@ -355,7 +357,7 @@ func TestSweepAcceptance(t *testing.T) {
 func TestSweepGraceProtectsUnpublishedWriter(t *testing.T) {
 	c := newCluster(t, core.Options{Providers: 2, Monitoring: false}) // default grace: 1 epoch
 	cl := c.Client("alice")
-	info, err := cl.Create(256)
+	info, err := cl.Create(context.Background(), 256)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -397,7 +399,7 @@ func TestSweepGraceProtectsUnpublishedWriter(t *testing.T) {
 	if rep.Live != 1 || rep.Swept != 0 {
 		t.Fatalf("sweep after publish = %+v, want Live 1", rep)
 	}
-	got, err := cl.Read(info.ID, 0, 0, 256)
+	got, err := cl.Read(ctx, info.ID, 0, 0, 256)
 	if err != nil || !bytes.Equal(got, bytes.Repeat([]byte{'x'}, 256)) {
 		t.Fatalf("read after sweeps: %v", err)
 	}
@@ -480,14 +482,14 @@ func TestSweepReclaimsLateCompletedStore(t *testing.T) {
 	m := gc.New(vm, testProviders{m: map[string]*provider.Provider{"p00": p}},
 		gc.WithGraceEpochs(0))
 
-	info, err := cl.Create(256)
+	info, err := cl.Create(context.Background(), 256)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	errc := make(chan error, 1)
 	go func() {
-		_, werr := cl.WriteContext(ctx, info.ID, 0, bytes.Repeat([]byte{'z'}, 256))
+		_, werr := cl.Write(ctx, info.ID, 0, bytes.Repeat([]byte{'z'}, 256))
 		errc <- werr
 	}()
 	// Cancel the client side only once the transfer is on the wire.
@@ -586,11 +588,11 @@ func TestSweepAbortsOnMarkErrors(t *testing.T) {
 	m := gc.New(fvm, testProviders{m: map[string]*provider.Provider{"p00": p}},
 		gc.WithGraceEpochs(0))
 
-	info, err := cl.Create(256)
+	info, err := cl.Create(context.Background(), 256)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cl.Write(info.ID, 0, bytes.Repeat([]byte{'x'}, 1024)); err != nil {
+	if _, err := cl.Write(context.Background(), info.ID, 0, bytes.Repeat([]byte{'x'}, 1024)); err != nil {
 		t.Fatal(err)
 	}
 	want := p.Stats().Chunks
@@ -676,12 +678,12 @@ func TestNodeSweepAcceptance(t *testing.T) {
 
 	// Blob A: four versions fully overwriting the same four slots, so
 	// each superseded version's leaves are reachable only from itself.
-	a, err := cl.Create(256)
+	a, err := cl.Create(ctx, 256)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 4; i++ {
-		if _, err := cl.Write(a.ID, 0, bytes.Repeat([]byte{byte('a' + i)}, 1024)); err != nil {
+		if _, err := cl.Write(ctx, a.ID, 0, bytes.Repeat([]byte{byte('a' + i)}, 1024)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -705,12 +707,12 @@ func TestNodeSweepAcceptance(t *testing.T) {
 
 	// Blob B: a version that is retired *while pinned* (the pin/retire
 	// race) keeps all its nodes and chunks until the pin drains.
-	b, err := cl.Create(256)
+	b, err := cl.Create(ctx, 256)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 2; i++ {
-		if _, err := cl.Write(b.ID, 0, bytes.Repeat([]byte{byte('p' + i)}, 1024)); err != nil {
+		if _, err := cl.Write(ctx, b.ID, 0, bytes.Repeat([]byte{byte('p' + i)}, 1024)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -806,7 +808,7 @@ func TestParallelMarkMatchesNaiveWalk(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 
 	for b := 0; b < 10; b++ {
-		info, err := cl.Create(128)
+		info, err := cl.Create(ctx, 128)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -816,18 +818,18 @@ func TestParallelMarkMatchesNaiveWalk(t *testing.T) {
 			case 0: // overwrite at a random chunk-aligned offset
 				off := int64(rng.Intn(8)) * 128
 				data := []byte(fmt.Sprintf("b%d-v%d-ow-%032d", b, v, rng.Int63()))
-				if _, err := cl.Write(info.ID, off, data); err != nil {
+				if _, err := cl.Write(ctx, info.ID, off, data); err != nil {
 					t.Fatal(err)
 				}
 			case 1: // append
 				data := bytes.Repeat([]byte{byte(rng.Intn(256))}, 128*(rng.Intn(3)+1))
-				if _, err := cl.Append(info.ID, data); err != nil {
+				if _, err := cl.Append(ctx, info.ID, data); err != nil {
 					t.Fatal(err)
 				}
 			default: // sparse write far out (holes in between)
 				off := int64(rng.Intn(64)+16) * 128
 				data := []byte(fmt.Sprintf("b%d-v%d-sp-%032d", b, v, rng.Int63()))
-				if _, err := cl.Write(info.ID, off, data); err != nil {
+				if _, err := cl.Write(ctx, info.ID, off, data); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -944,7 +946,7 @@ func TestParallelMarkVsConcurrentLifecycle(t *testing.T) {
 		go func(w int) {
 			defer writers.Done()
 			for i := 0; i < 12; i++ {
-				info, err := cl.Create(256)
+				info, err := cl.Create(ctx, 256)
 				if err != nil {
 					t.Error(err)
 					return
@@ -952,7 +954,7 @@ func TestParallelMarkVsConcurrentLifecycle(t *testing.T) {
 				// Multi-version blob: publishes race the mark walks.
 				for v := 0; v < 3; v++ {
 					payload := bytes.Repeat([]byte{byte('a' + (w+i+v)%5)}, 512)
-					if _, err := cl.Write(info.ID, 0, payload); err != nil {
+					if _, err := cl.Write(ctx, info.ID, 0, payload); err != nil {
 						t.Error(err)
 						return
 					}
@@ -993,13 +995,14 @@ func TestParallelMarkVsConcurrentLifecycle(t *testing.T) {
 
 // TestSweepDryRunRemovesNothing: dry-run classifies without purging.
 func TestSweepDryRunRemovesNothing(t *testing.T) {
+	ctx := context.Background()
 	c := newCluster(t, core.Options{Providers: 2, Monitoring: false, GCGraceEpochs: -1})
 	cl := c.Client("alice")
-	info, err := cl.Create(256)
+	info, err := cl.Create(ctx, 256)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cl.Write(info.ID, 0, bytes.Repeat([]byte{'q'}, 512)); err != nil {
+	if _, err := cl.Write(ctx, info.ID, 0, bytes.Repeat([]byte{'q'}, 512)); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.GC.DeleteBlob(context.Background(), info.ID); err != nil {
@@ -1064,36 +1067,66 @@ func TestRunnerLifecycle(t *testing.T) {
 	}
 }
 
-// BenchmarkSweep measures one dry-run mark-and-sweep pass over a
-// populated cluster (dry-run so the population survives iterations).
+// BenchmarkSweep measures one mark-and-sweep pass over two populations,
+// on the store BLOBSEER_PROVIDER_STORE names like the rest of the suite:
+// 1 000 referenced chunks, which every pass marks, pages past and keeps,
+// and a million unreferenced 64-byte orphans put straight on the
+// providers, which the pass purges — the reclaim rate at a scale no
+// replay workload reaches. The orphans are rebuilt outside the timer.
 func BenchmarkSweep(b *testing.B) {
-	c, err := core.NewCluster(core.Options{Providers: 4, Monitoring: false, GCGraceEpochs: -1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	cl := c.Client("bench")
-	info, err := cl.Create(4 << 10)
-	if err != nil {
-		b.Fatal(err)
-	}
-	buf := make([]byte, 4<<10)
 	ctx := context.Background()
-	bh, _ := cl.Open(ctx, info.ID)
-	w, _ := bh.NewWriter(ctx, 0)
-	for i := 0; i < 1000; i++ {
-		copy(buf, []byte{byte(i), byte(i >> 8)})
-		if _, err := w.Write(buf); err != nil {
-			b.Fatal(err)
-		}
-	}
-	if err := w.Close(); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := c.GC.Sweep(ctx, true); err != nil {
-			b.Fatal(err)
-		}
+	for _, pop := range []struct {
+		name                string
+		referenced, orphans int
+	}{
+		{"referenced=1k", 1000, 0},
+		{"orphans=1M", 0, 1_000_000},
+	} {
+		b.Run(pop.name, func(b *testing.B) {
+			c := newCluster(b, core.Options{Providers: 4, Monitoring: false, GCGraceEpochs: -1})
+			if pop.referenced > 0 {
+				const chunkSize = 4 << 10
+				cl := c.Client("bench")
+				info, err := cl.Create(ctx, chunkSize)
+				if err != nil {
+					b.Fatal(err)
+				}
+				buf := make([]byte, pop.referenced*chunkSize)
+				for i := 0; i < pop.referenced; i++ {
+					binary.LittleEndian.PutUint64(buf[i*chunkSize:], uint64(i)) // one distinct chunk per slot
+				}
+				if _, err := cl.Write(ctx, info.ID, 0, buf); err != nil {
+					b.Fatal(err)
+				}
+			}
+			var provs []*provider.Provider
+			for _, id := range c.Providers() {
+				p, _ := c.Provider(id)
+				provs = append(provs, p)
+			}
+			orphan := make([]byte, 64)
+			scanned := 0
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				for j := 0; j < pop.orphans; j++ {
+					binary.LittleEndian.PutUint64(orphan, uint64(j))
+					if err := provs[j%len(provs)].Store(ctx, "stray", chunk.Sum(orphan), orphan); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.StartTimer()
+				rep, err := c.GC.Sweep(ctx, false)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if rep.Swept != pop.orphans {
+					b.Fatalf("swept %d chunks, want %d", rep.Swept, pop.orphans)
+				}
+				scanned += rep.Scanned
+			}
+			b.ReportMetric(float64(scanned)/b.Elapsed().Seconds(), "chunks/s")
+		})
 	}
 }
 
@@ -1157,19 +1190,19 @@ func TestForegroundOpsNotBehindSweep(t *testing.T) {
 
 	ctx := context.Background()
 	cl := c.Client("alice")
-	infoA, err := cl.Create(1 << 10)
+	infoA, err := cl.Create(ctx, 1<<10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cl.Write(infoA.ID, 0, bytes.Repeat([]byte{'a'}, 4<<10)); err != nil {
+	if _, err := cl.Write(ctx, infoA.ID, 0, bytes.Repeat([]byte{'a'}, 4<<10)); err != nil {
 		t.Fatal(err)
 	}
-	infoB, err := cl.Create(1 << 10)
+	infoB, err := cl.Create(ctx, 1<<10)
 	if err != nil {
 		t.Fatal(err)
 	}
 	payload := bytes.Repeat([]byte{'b'}, 4<<10)
-	if _, err := cl.Write(infoB.ID, 0, payload); err != nil {
+	if _, err := cl.Write(ctx, infoB.ID, 0, payload); err != nil {
 		t.Fatal(err)
 	}
 	bh, err := cl.Open(ctx, infoB.ID)
@@ -1289,7 +1322,7 @@ func TestDecrementVsPurgeInterleaving(t *testing.T) {
 		go func(w int) {
 			defer writers.Done()
 			for i := 0; i < 20; i++ {
-				info, err := cl.Create(256)
+				info, err := cl.Create(ctx, 256)
 				if err != nil {
 					t.Error(err)
 					return
@@ -1298,7 +1331,7 @@ func TestDecrementVsPurgeInterleaving(t *testing.T) {
 				// the same chunk IDs are decremented, purged and
 				// re-stored concurrently.
 				payload := bytes.Repeat([]byte{byte('a' + (w+i)%3)}, 512)
-				if _, err := cl.Write(info.ID, 0, payload); err != nil {
+				if _, err := cl.Write(ctx, info.ID, 0, payload); err != nil {
 					t.Error(err)
 					return
 				}

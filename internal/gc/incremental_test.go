@@ -286,22 +286,22 @@ func runOracle(t *testing.T, seed int64) {
 	for op := 1; op <= ops; op++ {
 		switch k := rng.Intn(20); {
 		case k < 4 || len(live) == 0: // create, with a first version
-			info, err := r.cl.Create(chunkSize)
+			info, err := r.cl.Create(ctx, chunkSize)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := r.cl.Write(info.ID, 0, data(1+rng.Intn(4))); err != nil {
+			if _, err := r.cl.Write(ctx, info.ID, 0, data(1+rng.Intn(4))); err != nil {
 				t.Fatal(err)
 			}
 			live = append(live, info.ID)
 		case k < 8: // overwrite in place: a new version over old slots
 			b, _ := pick()
-			if _, err := r.cl.Write(b, int64(rng.Intn(4))*chunkSize, data(1+rng.Intn(2))); err != nil {
+			if _, err := r.cl.Write(ctx, b, int64(rng.Intn(4))*chunkSize, data(1+rng.Intn(2))); err != nil {
 				t.Fatal(err)
 			}
 		case k < 10:
 			b, _ := pick()
-			if _, err := r.cl.Append(b, data(1)); err != nil {
+			if _, err := r.cl.Append(ctx, b, data(1)); err != nil {
 				t.Fatal(err)
 			}
 		case k < 11: // a writer that flushed a chunk and died: aborted version, orphan chunk
@@ -392,13 +392,14 @@ func runOracle(t *testing.T, seed int64) {
 // must walk the BLOB again and reclaim what only the pinned version
 // reached.
 func TestPinnedRetiredVersionNodesReclaimedAfterUnpin(t *testing.T) {
+	ctx := context.Background()
 	r := newRig(t, 1<<16)
-	info, err := r.cl.Create(256)
+	info, err := r.cl.Create(ctx, 256)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 2; i++ {
-		if _, err := r.cl.Write(info.ID, 0, bytes.Repeat([]byte{byte('p' + i)}, 1024)); err != nil {
+		if _, err := r.cl.Write(ctx, info.ID, 0, bytes.Repeat([]byte{byte('p' + i)}, 1024)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -455,11 +456,11 @@ func TestAbortedPassLeavesCacheUntouched(t *testing.T) {
 	ctx := context.Background()
 	var blobs []uint64
 	for i := 0; i < 4; i++ {
-		info, err := r.cl.Create(128)
+		info, err := r.cl.Create(ctx, 128)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := r.cl.Write(info.ID, 0, bytes.Repeat([]byte{byte('a' + i)}, 512)); err != nil {
+		if _, err := r.cl.Write(ctx, info.ID, 0, bytes.Repeat([]byte{byte('a' + i)}, 512)); err != nil {
 			t.Fatal(err)
 		}
 		if err := r.vm.SetRetention(info.ID, vmanager.Retention{KeepLast: 1}); err != nil {
@@ -475,7 +476,7 @@ func TestAbortedPassLeavesCacheUntouched(t *testing.T) {
 	// chunks and private nodes are now garbage.
 	a, b := blobs[1], blobs[2]
 	for i, blob := range []uint64{a, b} {
-		if _, err := r.cl.Write(blob, 0, bytes.Repeat([]byte{byte('A' + i)}, 512)); err != nil {
+		if _, err := r.cl.Write(ctx, blob, 0, bytes.Repeat([]byte{byte('A' + i)}, 512)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -569,7 +570,7 @@ func TestSteadyStatePassCostsWhatChanged(t *testing.T) {
 	put := func(chunks int) uint64 {
 		t.Helper()
 		seq++
-		info, err := r.cl.Create(chunkSize)
+		info, err := r.cl.Create(ctx, chunkSize)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -578,7 +579,7 @@ func TestSteadyStatePassCostsWhatChanged(t *testing.T) {
 		for i := 1; i < chunks; i++ {
 			copy(data[i*chunkSize:], fmt.Sprintf("obj-%d-%d", seq, i))
 		}
-		if _, err := r.cl.Write(info.ID, 0, data); err != nil {
+		if _, err := r.cl.Write(ctx, info.ID, 0, data); err != nil {
 			t.Fatal(err)
 		}
 		return info.ID
@@ -653,6 +654,7 @@ func TestSteadyStatePassCostsWhatChanged(t *testing.T) {
 // and reused; a client read of the same trees still reports its own.
 func TestMarkWalkIsNotClientMetadataLoad(t *testing.T) {
 	const n = 12
+	ctx := context.Background()
 	rec := &instrument.Recorder{}
 	meta := blobmeta.NewMemStore("m1", rec, nil)
 	vm := vmanager.New(meta, vmanager.WithSpan(1<<16))
@@ -666,18 +668,17 @@ func TestMarkWalkIsNotClientMetadataLoad(t *testing.T) {
 	m := gc.New(vm, testProviders{m: map[string]*provider.Provider{"p00": p}},
 		gc.WithGraceEpochs(0), gc.WithEmitter(rec))
 	for i := 0; i < n; i++ {
-		info, err := cl.Create(128)
+		info, err := cl.Create(ctx, 128)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := cl.Write(info.ID, 0, bytes.Repeat([]byte{byte('a' + i)}, 256)); err != nil {
+		if _, err := cl.Write(ctx, info.ID, 0, bytes.Repeat([]byte{byte('a' + i)}, 256)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	count := func(op instrument.Op) int {
 		return len(rec.Filter(func(ev instrument.Event) bool { return ev.Op == op }))
 	}
-	ctx := context.Background()
 	gets := count(instrument.OpMetaGet)
 	if _, err := m.Sweep(ctx, false); err != nil {
 		t.Fatal(err)
@@ -698,7 +699,7 @@ func TestMarkWalkIsNotClientMetadataLoad(t *testing.T) {
 		t.Fatalf("second pass's mark event = %+v, want 0 nodes read, 0 walked, %d reused", marks[len(marks)-1], n)
 	}
 	blob := vm.Blobs()[0]
-	if _, err := cl.Read(blob, 0, 0, 256); err != nil {
+	if _, err := cl.Read(ctx, blob, 0, 0, 256); err != nil {
 		t.Fatal(err)
 	}
 	if got := count(instrument.OpMetaGet); got == gets {
@@ -716,11 +717,11 @@ func TestMarkConcurrentWithSweep(t *testing.T) {
 	ctx := context.Background()
 	var blobs []uint64
 	for i := 0; i < 24; i++ {
-		info, err := r.cl.Create(128)
+		info, err := r.cl.Create(ctx, 128)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := r.cl.Write(info.ID, 0, bytes.Repeat([]byte{byte(i)}, 256)); err != nil {
+		if _, err := r.cl.Write(ctx, info.ID, 0, bytes.Repeat([]byte{byte(i)}, 256)); err != nil {
 			t.Fatal(err)
 		}
 		if err := r.vm.SetRetention(info.ID, vmanager.Retention{KeepLast: 1}); err != nil {
@@ -766,7 +767,7 @@ func TestMarkConcurrentWithSweep(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		payload := bytes.Repeat([]byte{byte(i)}, 256)
 		copy(payload, fmt.Sprintf("round-%d", i))
-		if _, err := r.cl.Write(blobs[i%len(blobs)], 0, payload); err != nil {
+		if _, err := r.cl.Write(ctx, blobs[i%len(blobs)], 0, payload); err != nil {
 			t.Fatal(err)
 		}
 	}

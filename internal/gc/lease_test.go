@@ -43,7 +43,7 @@ func TestLeaseProtectsUnpublishedWriterPastGrace(t *testing.T) {
 		c := newCluster(t, core.Options{Providers: 2, Monitoring: false}) // default grace: 1 epoch
 		cl := writerClient(c, leases)
 		ctx := context.Background()
-		info, err := cl.Create(256)
+		info, err := cl.Create(ctx, 256)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -78,7 +78,7 @@ func TestLeaseProtectsUnpublishedWriterPastGrace(t *testing.T) {
 			// The writer publishes a version whose chunk is gone: the
 			// upload demonstrably lost data.
 			_ = w.Close()
-			if got, err := cl.Read(info.ID, 0, 0, 256); err == nil && bytes.Equal(got, payload) {
+			if got, err := cl.Read(ctx, info.ID, 0, 0, 256); err == nil && bytes.Equal(got, payload) {
 				t.Fatal("read succeeded after the chunk was swept — the race did not manifest")
 			}
 			return
@@ -90,7 +90,7 @@ func TestLeaseProtectsUnpublishedWriterPastGrace(t *testing.T) {
 		if err := w.Close(); err != nil {
 			t.Fatal(err)
 		}
-		if got, err := cl.Read(info.ID, 0, 0, 256); err != nil || !bytes.Equal(got, payload) {
+		if got, err := cl.Read(ctx, info.ID, 0, 0, 256); err != nil || !bytes.Equal(got, payload) {
 			t.Fatalf("read after publish: %v", err)
 		}
 		if st := c.GC.Stats(); st.ActiveLeases != 0 {
@@ -152,7 +152,7 @@ func TestLeaseBlocksPurgeOfReusedChunk(t *testing.T) {
 		})
 		cl := writerClient(c, leases)
 		ctx := context.Background()
-		info, err := cl.Create(256)
+		info, err := cl.Create(ctx, 256)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -205,7 +205,7 @@ func TestLeaseBlocksPurgeOfReusedChunk(t *testing.T) {
 			t.Fatalf("sweep: %v", err)
 		}
 
-		got, err := cl.Read(info.ID, 0, 0, 256)
+		got, err := cl.Read(ctx, info.ID, 0, 0, 256)
 		if leases {
 			if err != nil || !bytes.Equal(got, payload) {
 				t.Fatalf("read after re-put vs purge: %v", err)
@@ -234,13 +234,13 @@ func TestLeaseHoldsBaseVersionAgainstRetention(t *testing.T) {
 		c := newCluster(t, core.Options{Providers: 2, Monitoring: false, GCGraceEpochs: -1})
 		cl := writerClient(c, leases)
 		ctx := context.Background()
-		info, err := cl.Create(256)
+		info, err := cl.Create(ctx, 256)
 		if err != nil {
 			t.Fatal(err)
 		}
 		// v1: the base content the writer's partial slot merges against.
 		baseData := bytes.Repeat([]byte{'A'}, 256)
-		if _, err := cl.Write(info.ID, 0, baseData); err != nil {
+		if _, err := cl.Write(ctx, info.ID, 0, baseData); err != nil {
 			t.Fatal(err)
 		}
 		if err := c.VM.SetRetention(info.ID, vmanager.Retention{KeepLast: 1}); err != nil {
@@ -260,7 +260,7 @@ func TestLeaseHoldsBaseVersionAgainstRetention(t *testing.T) {
 
 		// v2 publishes while the writer streams: v1 is now a retention
 		// candidate under KeepLast:1.
-		if _, err := cl.Write(info.ID, 0, bytes.Repeat([]byte{'B'}, 256)); err != nil {
+		if _, err := cl.Write(ctx, info.ID, 0, bytes.Repeat([]byte{'B'}, 256)); err != nil {
 			t.Fatal(err)
 		}
 		rrep, err := c.GC.EnforceRetention(ctx, t0)
@@ -285,7 +285,7 @@ func TestLeaseHoldsBaseVersionAgainstRetention(t *testing.T) {
 		_, werr := w.Write(bytes.Repeat([]byte{'C'}, 128))
 		cerr := w.Close()
 		want := append(bytes.Repeat([]byte{'A'}, 128), bytes.Repeat([]byte{'C'}, 128)...)
-		got, rerr := cl.Read(info.ID, 0, 0, 256)
+		got, rerr := cl.Read(ctx, info.ID, 0, 0, 256)
 
 		if leases {
 			if werr != nil || cerr != nil || rerr != nil || !bytes.Equal(got, want) {
@@ -361,7 +361,7 @@ func TestLeaseExpiryReapedBySweep(t *testing.T) {
 		Providers: 2, Monitoring: false, GCGraceEpochs: -1, Clock: clock,
 	})
 	cl := c.Client("alice")
-	info, err := cl.Create(256)
+	info, err := cl.Create(context.Background(), 256)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -463,7 +463,7 @@ func TestLeaseHammerConvergence(t *testing.T) {
 		go func(wi int) {
 			defer writers.Done()
 			for i := 0; i < 8; i++ {
-				info, err := cl.Create(256)
+				info, err := cl.Create(ctx, 256)
 				if err != nil {
 					continue
 				}

@@ -20,8 +20,8 @@ type nodeSweep struct {
 // scanPageMin is the page size a node scan starts with after every seek:
 // a changed BLOB among unchanged ones is a few dozen keys (one root path
 // per version), and whatever the page holds beyond them is discarded. A
-// scan that keeps finding only keys it wants doubles the page up to the
-// configured size, so the first pass — every BLOB — pages like a full
+// scan that keeps finding only keys it wants doubles the page up to
+// pageSize, so the first pass — every BLOB — pages like a full
 // enumeration.
 const scanPageMin = 64
 
@@ -30,12 +30,11 @@ const scanPageMin = 64
 // NodeKey{Blob: b} sorts before every key of b, version 0 being
 // reserved — and seeks over every BLOB it was not asked for. Keys visit
 // deletes are behind the cursor, so paging never skips or revisits one.
-func scanNodes(ns blobmeta.Store, blobs []uint64, pageSize int, visit func(blobmeta.NodeKey) error) error {
+func scanNodes(ns blobmeta.Store, blobs []uint64, visit func(blobmeta.NodeKey) error) error {
 	if len(blobs) == 0 {
 		return nil
 	}
-	first := min(scanPageMin, pageSize)
-	limit := first
+	limit := scanPageMin
 	after := blobmeta.NodeKey{Blob: blobs[0]}
 	for {
 		page, more := ns.ListNodes(after, limit)
@@ -57,7 +56,7 @@ func scanNodes(ns blobmeta.Store, blobs []uint64, pageSize int, visit func(blobm
 		}
 		switch {
 		case sought:
-			limit = first
+			limit = scanPageMin
 		case !more:
 			return nil
 		default:
@@ -103,7 +102,7 @@ func (m *Manager) sweepNodes(ctx context.Context, ms *markSet, dryRun bool) node
 	unclean := make(map[uint64]bool)
 	var w *blobWalk // the walk of the BLOB the scan is in
 	cur := ^uint64(0)
-	scanErr := scanNodes(ns, scan, m.pageSize, func(k blobmeta.NodeKey) error {
+	scanErr := scanNodes(ns, scan, func(k blobmeta.NodeKey) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}

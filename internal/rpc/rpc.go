@@ -112,42 +112,27 @@ type LeasesReply struct {
 // ProviderService exports one data provider over net/rpc.
 type ProviderService struct {
 	P *provider.Provider
-
-	// Timeout, when positive, bounds every handler's server-side work.
-	// The client's deadline is enforced on its own end of the wire and a
-	// request carries none, so an abandoned call would otherwise run its
-	// handler to completion no matter how long the store takes; the
-	// server enforces its own ceiling instead.
-	Timeout time.Duration
 }
 
-// handlerCtx returns the context one handler invocation runs under:
-// background when no timeout is configured, deadline-bounded otherwise.
+// handlerCtx returns the context one handler invocation runs under.
 // This is the single place the server plane mints contexts — net/rpc
-// hands handlers no caller context to thread through.
-func (s *ProviderService) handlerCtx() (context.Context, context.CancelFunc) {
-	ctx := context.Background() //ctxfirst:allow a request carries no caller context; handlers are rooted here and bounded by Timeout
-	if s.Timeout <= 0 {
-		return ctx, func() {}
-	}
-	return context.WithTimeout(ctx, s.Timeout)
+// hands handlers no caller context to thread through, and the client's
+// deadline is enforced on its own end of the wire.
+func handlerCtx() context.Context {
+	return context.Background() //ctxfirst:allow a request carries no caller context; handlers are rooted here and run to completion
 }
 
 // Store handles chunk writes. The codec read the payload into a chunk-pool
 // buffer; Provider.Store does not retain it, so it is donated on return.
 func (s *ProviderService) Store(args *StoreArgs, _ *struct{}) error {
-	ctx, cancel := s.handlerCtx()
-	defer cancel()
 	defer chunk.PutBuf(args.Data)
-	return s.P.Store(ctx, args.User, args.ID, args.Data)
+	return s.P.Store(handlerCtx(), args.User, args.ID, args.Data)
 }
 
 // Fetch handles chunk reads. The reply's buffer is the provider's pool
 // buffer; the codec donates it once the reply is written.
 func (s *ProviderService) Fetch(args *FetchArgs, reply *FetchReply) error {
-	ctx, cancel := s.handlerCtx()
-	defer cancel()
-	data, err := s.P.Fetch(ctx, args.User, args.ID)
+	data, err := s.P.Fetch(handlerCtx(), args.User, args.ID)
 	if err != nil {
 		return err
 	}
@@ -157,9 +142,7 @@ func (s *ProviderService) Fetch(args *FetchArgs, reply *FetchReply) error {
 
 // Remove handles chunk deletion.
 func (s *ProviderService) Remove(args *RemoveArgs, _ *struct{}) error {
-	ctx, cancel := s.handlerCtx()
-	defer cancel()
-	return s.P.Remove(ctx, args.ID)
+	return s.P.Remove(handlerCtx(), args.ID)
 }
 
 // Stats reports provider counters.
@@ -171,9 +154,7 @@ func (s *ProviderService) Stats(_ *struct{}, reply *StatsReply) error {
 // ListChunks serves one page of the provider's chunk inventory to the
 // garbage collector's sweep.
 func (s *ProviderService) ListChunks(args *ListChunksArgs, reply *ListChunksReply) error {
-	ctx, cancel := s.handlerCtx()
-	defer cancel()
-	page, more, err := s.P.ListChunks(ctx, args.After, args.Limit)
+	page, more, err := s.P.ListChunks(handlerCtx(), args.After, args.Limit)
 	if err != nil {
 		return err
 	}
@@ -183,18 +164,14 @@ func (s *ProviderService) ListChunks(args *ListChunksArgs, reply *ListChunksRepl
 
 // Purge removes unreferenced chunks wholesale on behalf of the sweep.
 func (s *ProviderService) Purge(args *PurgeArgs, reply *PurgeReply) error {
-	ctx, cancel := s.handlerCtx()
-	defer cancel()
-	purged, freed, err := s.P.PurgeChunks(ctx, args.IDs)
+	purged, freed, err := s.P.PurgeChunks(handlerCtx(), args.IDs)
 	reply.Purged, reply.Freed = purged, freed
 	return err
 }
 
 // AdvanceEpoch moves the provider to the next sweep epoch.
 func (s *ProviderService) AdvanceEpoch(_ *struct{}, reply *EpochReply) error {
-	ctx, cancel := s.handlerCtx()
-	defer cancel()
-	e, err := s.P.AdvanceEpoch(ctx)
+	e, err := s.P.AdvanceEpoch(handlerCtx())
 	reply.Epoch = e
 	return err
 }
@@ -202,9 +179,7 @@ func (s *ProviderService) AdvanceEpoch(_ *struct{}, reply *EpochReply) error {
 // Epoch reports the provider's current sweep epoch without advancing it
 // (dry-run sweeps classify against it).
 func (s *ProviderService) Epoch(_ *struct{}, reply *EpochReply) error {
-	ctx, cancel := s.handlerCtx()
-	defer cancel()
-	e, err := s.P.Epoch(ctx)
+	e, err := s.P.Epoch(handlerCtx())
 	reply.Epoch = e
 	return err
 }
@@ -213,23 +188,17 @@ func (s *ProviderService) Epoch(_ *struct{}, reply *EpochReply) error {
 // in another process protects its flushed chunks against this
 // provider's purge and a remote GC runner's sweep.
 func (s *ProviderService) LeaseChunks(args *LeaseChunksArgs, _ *struct{}) error {
-	ctx, cancel := s.handlerCtx()
-	defer cancel()
-	return s.P.LeaseChunks(ctx, args.LeaseID, args.TTL, args.IDs)
+	return s.P.LeaseChunks(handlerCtx(), args.LeaseID, args.TTL, args.IDs)
 }
 
 // ReleaseLease drops one writer lease.
 func (s *ProviderService) ReleaseLease(args *ReleaseLeaseArgs, _ *struct{}) error {
-	ctx, cancel := s.handlerCtx()
-	defer cancel()
-	return s.P.ReleaseLease(ctx, args.LeaseID)
+	return s.P.ReleaseLease(handlerCtx(), args.LeaseID)
 }
 
 // Leases enumerates the provider's writer leases for the sweep.
 func (s *ProviderService) Leases(_ *struct{}, reply *LeasesReply) error {
-	ctx, cancel := s.handlerCtx()
-	defer cancel()
-	leases, err := s.P.Leases(ctx)
+	leases, err := s.P.Leases(handlerCtx())
 	if err != nil {
 		return err
 	}
@@ -247,28 +216,15 @@ type Server struct {
 	conns  map[net.Conn]struct{} // accepted conns, closed with the server
 }
 
-// ServerOption configures Serve.
-type ServerOption func(*ProviderService)
-
-// WithHandlerTimeout bounds every handler's server-side work: without it
-// a call its client has abandoned still runs its handler to completion.
-func WithHandlerTimeout(d time.Duration) ServerOption {
-	return func(s *ProviderService) { s.Timeout = d }
-}
-
 // Serve exports p on addr (e.g. "127.0.0.1:0") and starts accepting in a
 // background goroutine. Close the returned server to stop.
-func Serve(p *provider.Provider, addr string, opts ...ServerOption) (*Server, error) {
+func Serve(p *provider.Provider, addr string) (*Server, error) {
 	lis, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("rpc: listen %s: %w", addr, err)
 	}
 	s := &Server{lis: lis, rpcS: rpc.NewServer(), conns: make(map[net.Conn]struct{})}
-	svc := &ProviderService{P: p}
-	for _, o := range opts {
-		o(svc)
-	}
-	if err := s.rpcS.RegisterName("Provider", svc); err != nil {
+	if err := s.rpcS.RegisterName("Provider", &ProviderService{P: p}); err != nil {
 		lis.Close()
 		return nil, err
 	}

@@ -89,6 +89,7 @@ func TestDirectoryCachingAndUnknown(t *testing.T) {
 
 // Full BlobSeer write/read across real TCP providers.
 func TestClientOverTCPEndToEnd(t *testing.T) {
+	ctx := context.Background()
 	addrs := map[string]string{}
 	for _, id := range []string{"p1", "p2", "p3"} {
 		_, srv := startProvider(t, id)
@@ -105,15 +106,15 @@ func TestClientOverTCPEndToEnd(t *testing.T) {
 		}
 	}
 	cl := client.New("alice", vm, pm, dir, client.WithReplicas(2))
-	info, err := cl.Create(1 << 10)
+	info, err := cl.Create(ctx, 1<<10)
 	if err != nil {
 		t.Fatal(err)
 	}
 	payload := bytes.Repeat([]byte("tcp-blobseer"), 600)
-	if _, err := cl.Write(info.ID, 0, payload); err != nil {
+	if _, err := cl.Write(ctx, info.ID, 0, payload); err != nil {
 		t.Fatal(err)
 	}
-	got, err := cl.Read(info.ID, 0, 0, int64(len(payload)))
+	got, err := cl.Read(ctx, info.ID, 0, 0, int64(len(payload)))
 	if err != nil || !bytes.Equal(got, payload) {
 		t.Fatalf("read mismatch err=%v", err)
 	}

@@ -415,7 +415,7 @@ func (g *Gateway) putObject(w http.ResponseWriter, r *http.Request, user, bucket
 	ctx, cancel := context.WithCancel(r.Context())
 	defer cancel()
 	cl := g.clientFor(user)
-	info, err := cl.CreateContext(ctx, g.chunkSz)
+	info, err := cl.Create(ctx, g.chunkSz)
 	if err != nil {
 		writeOpErr(w, err)
 		return

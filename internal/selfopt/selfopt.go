@@ -127,13 +127,9 @@ func (r *Replicator) TargetDegree(blob uint64) int {
 // whose live replica count is below the target degree. Repairs are
 // published as a new metadata version per BLOB (chunks are immutable, so
 // repair means new descriptors, not data rewrites).
-func (r *Replicator) Scan(now time.Time) (RepairReport, error) {
-	return r.ScanContext(context.Background(), now) //ctxfirst:allow compat wrapper; ctx-aware callers use ScanContext
-}
-
-// ScanContext is Scan with cancellation: a cancelled ctx aborts the pass
-// between BLOBs and stops in-flight repair transfers.
-func (r *Replicator) ScanContext(ctx context.Context, now time.Time) (RepairReport, error) {
+// A cancelled ctx aborts the pass between BLOBs and stops in-flight
+// repair transfers.
+func (r *Replicator) Scan(ctx context.Context, now time.Time) (RepairReport, error) {
 	rep := RepairReport{Time: now}
 	var firstErr error
 	for _, blob := range r.vm.Blobs() {
@@ -378,14 +374,9 @@ func NewReaper(vm *vmanager.Manager, pool Pool, emit instrument.Emitter, strateg
 // routes automatically.
 func (r *Reaper) RouteDeletes(d BlobDeleter) { r.deleter = d }
 
-// Run performs one reaping pass, returning the BLOBs removed.
-func (r *Reaper) Run(now time.Time) ([]uint64, error) {
-	return r.RunContext(context.Background(), now) //ctxfirst:allow compat wrapper; ctx-aware callers use RunContext
-}
-
-// RunContext is Run with cancellation: a cancelled ctx aborts the pass
-// between BLOBs.
-func (r *Reaper) RunContext(ctx context.Context, now time.Time) ([]uint64, error) {
+// Run performs one reaping pass, returning the BLOBs removed. A
+// cancelled ctx aborts the pass between BLOBs.
+func (r *Reaper) Run(ctx context.Context, now time.Time) ([]uint64, error) {
 	seen := map[uint64]bool{}
 	var victims []uint64
 	for _, s := range r.strategies {

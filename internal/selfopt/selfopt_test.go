@@ -110,7 +110,7 @@ func TestScanRepairsLostReplica(t *testing.T) {
 	r.pool.providers["p00"].Stop()
 
 	rep := NewReplicator(r.vm, r.pm, r.pool, nil, WithBaseDegree(2))
-	report, err := rep.Scan(t0)
+	report, err := rep.Scan(context.Background(), t0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,9 +131,9 @@ func TestScanRepairsLostReplica(t *testing.T) {
 	}
 }
 
-// TestScanContextCancelled aborts a scan before it starts: no blob may
+// TestScanCancelled aborts a scan before it starts: no blob may
 // be visited and the cancellation must surface.
-func TestScanContextCancelled(t *testing.T) {
+func TestScanCancelled(t *testing.T) {
 	r := newRig(t, 5)
 	r.writeBlob(t, []byte("payload"), []string{"p00", "p01"})
 	r.pool.providers["p00"].Stop()
@@ -141,7 +141,7 @@ func TestScanContextCancelled(t *testing.T) {
 	rep := NewReplicator(r.vm, r.pm, r.pool, nil, WithBaseDegree(2))
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	report, err := rep.ScanContext(ctx, t0)
+	report, err := rep.Scan(ctx, t0)
 	if err != context.Canceled {
 		t.Fatalf("cancelled scan: err=%v", err)
 	}
@@ -154,7 +154,7 @@ func TestScanIdempotentWhenHealthy(t *testing.T) {
 	r := newRig(t, 4)
 	r.writeBlob(t, []byte("ok"), []string{"p00", "p01"})
 	rep := NewReplicator(r.vm, r.pm, r.pool, nil, WithBaseDegree(2))
-	report, err := rep.Scan(t0)
+	report, err := rep.Scan(context.Background(), t0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +170,7 @@ func TestScanRaisesDegreeToTarget(t *testing.T) {
 	r := newRig(t, 6)
 	blob := r.writeBlob(t, []byte("x"), []string{"p00"})
 	rep := NewReplicator(r.vm, r.pm, r.pool, nil, WithBaseDegree(3))
-	if _, err := rep.Scan(t0); err != nil {
+	if _, err := rep.Scan(context.Background(), t0); err != nil {
 		t.Fatal(err)
 	}
 	if got := liveReplicas(t, r, blob); len(got) != 3 {
@@ -183,7 +183,7 @@ func TestScanAllReplicasLostFails(t *testing.T) {
 	r.writeBlob(t, []byte("gone"), []string{"p00"})
 	r.pool.providers["p00"].Stop()
 	rep := NewReplicator(r.vm, r.pm, r.pool, nil, WithBaseDegree(2))
-	report, err := rep.Scan(t0)
+	report, err := rep.Scan(context.Background(), t0)
 	if err == nil {
 		t.Fatal("want error for unrecoverable chunk")
 	}
@@ -210,7 +210,7 @@ func TestHotBoostRaisesTarget(t *testing.T) {
 	if rep.TargetDegree(blob+100) != 2 {
 		t.Fatalf("cold target=%d", rep.TargetDegree(blob+100))
 	}
-	if _, err := rep.Scan(t0); err != nil {
+	if _, err := rep.Scan(context.Background(), t0); err != nil {
 		t.Fatal(err)
 	}
 	if got := liveReplicas(t, r, blob); len(got) != 3 {
@@ -275,13 +275,14 @@ func TestTemporaryStrategy(t *testing.T) {
 }
 
 func TestReaperRemovesAndReclaims(t *testing.T) {
+	ctx := context.Background()
 	r := newRig(t, 3)
 	blob := r.writeBlob(t, []byte("dead-data"), []string{"p00", "p01"})
 	r.in.ObserveClientEvent(instrument.Event{
 		Time: t0, Actor: instrument.ActorClient, Op: instrument.OpWrite, Blob: blob, User: "u", Bytes: 9,
 	})
 	reaper := NewReaper(r.vm, r.pool, nil, TTLStrategy{In: r.in, TTL: time.Minute})
-	removed, err := reaper.Run(t0.Add(time.Hour))
+	removed, err := reaper.Run(ctx, t0.Add(time.Hour))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,7 +300,7 @@ func TestReaperRemovesAndReclaims(t *testing.T) {
 		t.Fatalf("Removed()=%v", got)
 	}
 	// Second run: nothing left, including no double-delete error.
-	removed, err = reaper.Run(t0.Add(2 * time.Hour))
+	removed, err = reaper.Run(ctx, t0.Add(2*time.Hour))
 	if err != nil || len(removed) != 0 {
 		t.Fatalf("second run removed=%v err=%v", removed, err)
 	}
@@ -314,7 +315,7 @@ func TestReaperMergesStrategies(t *testing.T) {
 	// Two strategies nominating the same blob must delete it once.
 	s := TTLStrategy{In: r.in, TTL: time.Second}
 	reaper := NewReaper(r.vm, r.pool, nil, s, s)
-	removed, err := reaper.Run(t0.Add(time.Hour))
+	removed, err := reaper.Run(context.Background(), t0.Add(time.Hour))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,6 +21,10 @@ import (
 // Default dynamics.
 const (
 	DefaultRecoveryHalfLife = 10 * time.Minute
+
+	// Per-severity penalties: the fraction of current trust one
+	// violation removes.
+	penLow, penMed, penHigh = 0.10, 0.30, 0.60
 )
 
 // Manager tracks trust values. It implements policy.TrustSource.
@@ -29,8 +33,6 @@ type Manager struct {
 	now      func() time.Time
 	halfLife time.Duration
 	vals     map[string]*state
-	// penalty fractions per severity
-	penLow, penMed, penHigh float64
 }
 
 type state struct {
@@ -59,19 +61,12 @@ func WithRecoveryHalfLife(d time.Duration) Option {
 	}
 }
 
-// WithPenalties overrides the per-severity trust penalties (fractions of
-// current trust removed per violation).
-func WithPenalties(low, med, high float64) Option {
-	return func(m *Manager) { m.penLow, m.penMed, m.penHigh = low, med, high }
-}
-
 // New returns a manager where everyone starts fully trusted.
 func New(opts ...Option) *Manager {
 	m := &Manager{
 		now:      time.Now,
 		halfLife: DefaultRecoveryHalfLife,
 		vals:     make(map[string]*state),
-		penLow:   0.10, penMed: 0.30, penHigh: 0.60,
 	}
 	for _, o := range opts {
 		o(m)
@@ -103,12 +98,12 @@ func (m *Manager) recovered(st *state, now time.Time) float64 {
 
 // OnViolation lowers the user's trust according to severity.
 func (m *Manager) OnViolation(user string, sev policy.Severity, at time.Time) {
-	pen := m.penMed
+	pen := penMed
 	switch sev {
 	case policy.Low:
-		pen = m.penLow
+		pen = penLow
 	case policy.High:
-		pen = m.penHigh
+		pen = penHigh
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()

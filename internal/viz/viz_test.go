@@ -1,6 +1,7 @@
 package viz
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"time"
@@ -76,16 +77,17 @@ func TestProviderPanelEmpty(t *testing.T) {
 }
 
 func TestDashboardEndToEnd(t *testing.T) {
+	ctx := context.Background()
 	cluster, err := core.NewCluster(core.Options{Providers: 3, Monitoring: true, AgentBatch: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	cl := cluster.Client("alice")
-	info, _ := cl.Create(64)
-	if _, err := cl.Write(info.ID, 0, []byte(strings.Repeat("d", 256))); err != nil {
+	info, _ := cl.Create(ctx, 64)
+	if _, err := cl.Write(ctx, info.ID, 0, []byte(strings.Repeat("d", 256))); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cl.Read(info.ID, 0, 0, 128); err != nil {
+	if _, err := cl.Read(ctx, info.ID, 0, 0, 128); err != nil {
 		t.Fatal(err)
 	}
 	cluster.Tick(t0)
@@ -104,13 +106,14 @@ func TestDashboardEndToEnd(t *testing.T) {
 }
 
 func TestDistribution(t *testing.T) {
+	ctx := context.Background()
 	cluster, err := core.NewCluster(core.Options{Providers: 4, Monitoring: false})
 	if err != nil {
 		t.Fatal(err)
 	}
 	cl := cluster.Client("u")
-	info, _ := cl.Create(16)
-	if _, err := cl.Write(info.ID, 0, []byte(strings.Repeat("x", 64))); err != nil {
+	info, _ := cl.Create(ctx, 16)
+	if _, err := cl.Write(ctx, info.ID, 0, []byte(strings.Repeat("x", 64))); err != nil {
 		t.Fatal(err)
 	}
 	dist, err := Distribution(cluster.VM, info.ID)
