@@ -251,35 +251,48 @@ func BenchmarkChunkSum64K(b *testing.B) {
 	}
 }
 
+// treeBenchSizes are the BLOB lengths, in chunks, the metadata-tree
+// benchmarks run at: the one-node tree of a small object, the 15-node
+// tree of an eight-chunk one and a 1024-chunk BLOB.
+var treeBenchSizes = []int64{1, 8, 1024}
+
+// BenchmarkMetadataTreeWrite overwrites one chunk slot per version of a
+// BLOB that is chunks long: each iteration copies one root-to-leaf path.
 func BenchmarkMetadataTreeWrite(b *testing.B) {
-	store := blobmeta.NewMemStore("m", nil, nil)
-	tree, err := blobmeta.NewTree(store, 1, 1<<20)
-	if err != nil {
-		b.Fatal(err)
-	}
-	d := chunk.Desc{ID: chunk.Sum([]byte("x")), Size: 1, Providers: []string{"p"}}
-	for i := 0; i < b.N; i++ {
-		if err := tree.Write(uint64(i+1), uint64(i), map[int64]chunk.Desc{int64(i % 1024): d}); err != nil {
-			b.Fatal(err)
-		}
+	for _, chunks := range treeBenchSizes {
+		b.Run(fmt.Sprintf("chunks=%d", chunks), func(b *testing.B) {
+			tree := blobmeta.NewTree(blobmeta.NewMemStore("m", nil, nil), 1, 1)
+			d := chunk.Desc{ID: chunk.Sum([]byte("x")), Size: 1, Providers: []string{"p"}}
+			for i := 0; i < b.N; i++ {
+				root, base := tree.Root(uint64(i+1), chunks), tree.Root(uint64(i), chunks)
+				if err := tree.Write(root, base, map[int64]chunk.Desc{int64(i) % chunks: d}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
+// BenchmarkMetadataTreeRead reads every slot of a fully written version.
 func BenchmarkMetadataTreeRead(b *testing.B) {
-	store := blobmeta.NewMemStore("m", nil, nil)
-	tree, _ := blobmeta.NewTree(store, 1, 1<<20)
-	writes := map[int64]chunk.Desc{}
-	for i := int64(0); i < 256; i++ {
-		writes[i] = chunk.Desc{ID: chunk.Sum([]byte{byte(i)}), Size: 1, Providers: []string{"p"}}
-	}
-	if err := tree.Write(1, 0, writes); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := tree.Read(1, 0, 256); err != nil {
-			b.Fatal(err)
-		}
+	for _, chunks := range treeBenchSizes {
+		b.Run(fmt.Sprintf("chunks=%d", chunks), func(b *testing.B) {
+			tree := blobmeta.NewTree(blobmeta.NewMemStore("m", nil, nil), 1, 1)
+			writes := map[int64]chunk.Desc{}
+			for i := int64(0); i < chunks; i++ {
+				writes[i] = chunk.Desc{ID: chunk.Sum([]byte(fmt.Sprint(i))), Size: 1, Providers: []string{"p"}}
+			}
+			root := tree.Root(1, chunks)
+			if err := tree.Write(root, blobmeta.Root{}, writes); err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := tree.Read(root, 0, chunks); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -2,17 +2,20 @@
 // versioned segment tree over each BLOB's chunk-index space, whose nodes
 // are immutable and distributed across metadata providers by key hash.
 //
-// Every BLOB version is identified by the root node of its tree. A write
-// creates new leaves for the written chunk slots and copies the path to
-// the root; all untouched subtrees are shared with earlier versions by
-// referencing the version number under which they were created. This is
-// what gives BlobSeer lock-free concurrent reads on any published version
-// while writes proceed.
+// Every BLOB version is identified by the root node of its tree, and the
+// root covers only as many chunk slots as the version holds (Root): the
+// tree grows by putting a new root on top. A write creates new leaves for
+// the written chunk slots and copies the path to the root; all untouched
+// subtrees — a smaller base root among them — are shared with earlier
+// versions by referencing the version number under which they were
+// created. This is what gives BlobSeer lock-free concurrent reads on any
+// published version while writes proceed.
 package blobmeta
 
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"sort"
 	"sync"
 	"time"
@@ -21,16 +24,11 @@ import (
 	"blobseer/internal/instrument"
 )
 
-// DefaultSpan is the fixed chunk-index span covered by every root node
-// (2^32 chunk slots). Using a fixed span keeps tree depth constant and
-// makes append-driven growth free: unwritten ranges are holes.
-const DefaultSpan int64 = 1 << 32
-
 // Errors returned by the metadata layer.
 var (
 	ErrNotFound  = errors.New("blobmeta: node not found")
 	ErrBadRange  = errors.New("blobmeta: invalid range")
-	ErrBadSpan   = errors.New("blobmeta: span must be a power of two")
+	ErrBadSpan   = errors.New("blobmeta: root span must be a power of two no smaller than its base's")
 	ErrCorrupted = errors.New("blobmeta: corrupted tree")
 )
 
@@ -381,55 +379,74 @@ func (r *Ring) Shards() []int {
 	return out
 }
 
+// Root addresses one version's tree: the version number and the span of
+// chunk indices [0, Span) its root node covers. The span is stored
+// nowhere: it follows from the version's size (Tree.Root), and sizes
+// never shrink along a version chain, so it only ever doubles. Version 0
+// is the empty BLOB and has no nodes at any span.
+type Root struct {
+	Version uint64
+	Span    int64
+}
+
 // Tree provides versioned read/write access to one BLOB's metadata.
 type Tree struct {
-	store Store
-	blob  uint64
-	span  int64
+	store     Store
+	blob      uint64
+	chunkSize int64
 }
 
-// NewTree returns a tree for the BLOB over the given store. span ≤ 0
-// selects DefaultSpan; otherwise span must be a power of two.
-func NewTree(store Store, blob uint64, span int64) (*Tree, error) {
-	if span <= 0 {
-		span = DefaultSpan
-	}
-	if span&(span-1) != 0 {
-		return nil, ErrBadSpan
-	}
-	return &Tree{store: store, blob: blob, span: span}, nil
+// NewTree returns the tree of a BLOB of the given chunk size over store.
+func NewTree(store Store, blob uint64, chunkSize int64) *Tree {
+	return &Tree{store: store, blob: blob, chunkSize: chunkSize}
 }
 
-// Span returns the chunk-index span of the tree.
-func (t *Tree) Span() int64 { return t.span }
+// Root returns the address of a version size bytes long: its root covers
+// the smallest power of two of chunk slots that holds them (at least 1),
+// so a one-chunk BLOB is one node and a tree is as tall as its BLOB is long.
+func (t *Tree) Root(version uint64, size int64) Root {
+	span := int64(1)
+	if chunks := (size + t.chunkSize - 1) / t.chunkSize; chunks > 1 {
+		span = 1 << bits.Len64(uint64(chunks-1))
+	}
+	return Root{Version: version, Span: span}
+}
 
-// Write materializes newVer on top of baseVer with the given chunk
-// descriptors (keyed by chunk index). baseVer 0 means "empty BLOB".
-// It creates the new leaves and the copied paths, sharing every
-// untouched subtree with the base version, and always creates a root
-// node for newVer (so the version is readable even for empty writes).
-func (t *Tree) Write(newVer, baseVer uint64, writes map[int64]chunk.Desc) error {
-	if newVer == 0 {
+// Write materializes the version root on top of base with the given
+// chunk descriptors (keyed by chunk index, all inside the root's span).
+// A zero base version means "empty BLOB". It creates the new leaves and
+// the copied paths, sharing every untouched subtree with the base, and
+// always creates the root node (so the version is readable even for
+// empty writes). A root wider than the base's also gets the left spine
+// down to the base's span, whose last node references the base root like
+// any other shared subtree; everything to the right of it is a hole until
+// written.
+func (t *Tree) Write(root, base Root, writes map[int64]chunk.Desc) error {
+	if root.Version == 0 {
 		return errors.New("blobmeta: version 0 is reserved for the empty BLOB")
+	}
+	if root.Span < 1 || root.Span&(root.Span-1) != 0 || base.Version != 0 && base.Span > root.Span {
+		return fmt.Errorf("%w: %d over a base of %d", ErrBadSpan, root.Span, base.Span)
 	}
 	idx := make([]int64, 0, len(writes))
 	for i := range writes {
-		if i < 0 || i >= t.span {
-			return fmt.Errorf("%w: chunk index %d outside [0,%d)", ErrBadRange, i, t.span)
+		if i < 0 || i >= root.Span {
+			return fmt.Errorf("%w: chunk index %d outside [0,%d)", ErrBadRange, i, root.Span)
 		}
 		idx = append(idx, i)
 	}
 	sort.Slice(idx, func(i, j int) bool { return idx[i] < idx[j] })
-	b := &builder{tree: t, newVer: newVer, writes: writes, sorted: idx}
-	_, err := b.descend(0, t.span, baseVer, true)
+	b := &builder{tree: t, newVer: root.Version, baseSpan: base.Span, writes: writes, sorted: idx}
+	_, err := b.descend(0, root.Span, base.Version, true)
 	return err
 }
 
 type builder struct {
-	tree   *Tree
-	newVer uint64
-	writes map[int64]chunk.Desc
-	sorted []int64
+	tree     *Tree
+	newVer   uint64
+	baseSpan int64
+	writes   map[int64]chunk.Desc
+	sorted   []int64
 }
 
 // anyIn reports whether a written index falls in [lo, hi).
@@ -439,21 +456,27 @@ func (b *builder) anyIn(lo, hi int64) bool {
 }
 
 // descend builds the subtree for [lo, hi). baseVer is the version of the
-// base tree's node covering exactly this range (0 = hole). It returns the
-// version under which the resulting subtree can be found.
+// base tree's node covering exactly this range (0 = hole) — or, for a
+// range wider than the base root (only ever [0, hi): the new root and its
+// left spine), the base version itself, whose tree is the range's
+// leftmost descendant. It returns the version under which the resulting
+// subtree can be found.
 func (b *builder) descend(lo, hi int64, baseVer uint64, force bool) (uint64, error) {
-	if !b.anyIn(lo, hi) && !force {
+	above := baseVer != 0 && hi > b.baseSpan // no base node this wide to share
+	if !force && !above && !b.anyIn(lo, hi) {
 		return baseVer, nil // share the base subtree untouched
 	}
 	key := NodeKey{Blob: b.tree.blob, Version: b.newVer, Lo: lo, Hi: hi}
 	if hi-lo == 1 {
 		desc, ok := b.writes[lo]
-		if !ok {
-			// force-created leaf with no write: copy base leaf if any.
-			if baseVer == 0 {
-				return 0, nil
+		if !ok && baseVer != 0 {
+			// The forced root of a one-chunk version that wrote nothing:
+			// it carries the base's chunk under the new version.
+			bn, err := b.tree.node(NodeKey{Blob: key.Blob, Version: baseVer, Lo: lo, Hi: hi}, false)
+			if err != nil {
+				return 0, err
 			}
-			return baseVer, nil
+			desc = bn.Desc
 		}
 		if err := b.tree.store.Put(key, Node{Leaf: true, Desc: desc.Clone()}); err != nil {
 			return 0, err
@@ -461,13 +484,13 @@ func (b *builder) descend(lo, hi int64, baseVer uint64, force bool) (uint64, err
 		return b.newVer, nil
 	}
 	var baseLeft, baseRight uint64
-	if baseVer != 0 {
-		bn, ok, err := b.tree.store.Get(NodeKey{Blob: b.tree.blob, Version: baseVer, Lo: lo, Hi: hi})
+	switch {
+	case above:
+		baseLeft = baseVer
+	case baseVer != 0:
+		bn, err := b.tree.node(NodeKey{Blob: key.Blob, Version: baseVer, Lo: lo, Hi: hi}, false)
 		if err != nil {
 			return 0, err
-		}
-		if !ok {
-			return 0, fmt.Errorf("%w: missing base node v%d [%d,%d)", ErrCorrupted, baseVer, lo, hi)
 		}
 		baseLeft, baseRight = bn.LeftVer, bn.RightVer
 	}
@@ -486,17 +509,32 @@ func (b *builder) descend(lo, hi int64, baseVer uint64, force bool) (uint64, err
 	return b.newVer, nil
 }
 
+// node fetches a node that must exist: through Store.Peek for a
+// maintenance scan, through Store.Get — the client meter — otherwise.
+func (t *Tree) node(k NodeKey, peek bool) (Node, error) {
+	fetch := t.store.Get
+	if peek {
+		fetch = t.store.Peek
+	}
+	n, ok, err := fetch(k)
+	if err == nil && !ok {
+		err = fmt.Errorf("%w: missing node %v", ErrCorrupted, k)
+	}
+	return n, err
+}
+
 // Read returns the chunk descriptors for chunk indices [lo, hi) of the
-// given version; holes yield zero descriptors. Version 0 yields all holes.
-func (t *Tree) Read(ver uint64, lo, hi int64) ([]chunk.Desc, error) {
-	if lo < 0 || hi > t.span || lo > hi {
+// version; holes — unwritten slots, and every index at or past the root's
+// span — yield zero descriptors. Version 0 yields all holes.
+func (t *Tree) Read(root Root, lo, hi int64) ([]chunk.Desc, error) {
+	if lo < 0 || lo > hi {
 		return nil, fmt.Errorf("%w: [%d,%d)", ErrBadRange, lo, hi)
 	}
 	out := make([]chunk.Desc, hi-lo)
-	if ver == 0 || lo == hi {
+	if lo == hi {
 		return out, nil
 	}
-	err := t.read(ver, 0, t.span, lo, hi, out)
+	err := t.read(root.Version, 0, root.Span, lo, hi, out)
 	return out, err
 }
 
@@ -504,12 +542,9 @@ func (t *Tree) read(ver uint64, nodeLo, nodeHi, lo, hi int64, out []chunk.Desc) 
 	if ver == 0 || nodeHi <= lo || nodeLo >= hi {
 		return nil
 	}
-	n, ok, err := t.store.Get(NodeKey{Blob: t.blob, Version: ver, Lo: nodeLo, Hi: nodeHi})
+	n, err := t.node(NodeKey{Blob: t.blob, Version: ver, Lo: nodeLo, Hi: nodeHi}, false)
 	if err != nil {
 		return err
-	}
-	if !ok {
-		return fmt.Errorf("%w: missing node v%d [%d,%d)", ErrCorrupted, ver, nodeLo, nodeHi)
 	}
 	if nodeHi-nodeLo == 1 {
 		if !n.Leaf {
@@ -525,47 +560,17 @@ func (t *Tree) read(ver uint64, nodeLo, nodeHi, lo, hi int64, out []chunk.Desc) 
 	return t.read(n.RightVer, mid, nodeHi, lo, hi, out)
 }
 
-// DescAt returns the descriptor for a single chunk index (ok=false for a
-// hole).
-func (t *Tree) DescAt(ver uint64, idx int64) (chunk.Desc, bool, error) {
-	ds, err := t.Read(ver, idx, idx+1)
-	if err != nil {
-		return chunk.Desc{}, false, err
-	}
-	return ds[0], !ds[0].ID.IsZero(), nil
-}
-
-// Walk visits every non-hole leaf of a version in index order, stopping
-// within [lo, hi). Used by the replication manager to scan replica health.
-func (t *Tree) Walk(ver uint64, lo, hi int64, visit func(idx int64, d chunk.Desc) error) error {
-	if ver == 0 {
-		return nil
-	}
-	return t.walk(ver, 0, t.span, lo, hi, visit)
-}
-
-func (t *Tree) walk(ver uint64, nodeLo, nodeHi, lo, hi int64, visit func(int64, chunk.Desc) error) error {
-	if ver == 0 || nodeHi <= lo || nodeLo >= hi {
-		return nil
-	}
-	n, ok, err := t.store.Get(NodeKey{Blob: t.blob, Version: ver, Lo: nodeLo, Hi: nodeHi})
-	if err != nil {
-		return err
-	}
-	if !ok {
-		return fmt.Errorf("%w: missing node v%d [%d,%d)", ErrCorrupted, ver, nodeLo, nodeHi)
-	}
-	if nodeHi-nodeLo == 1 {
-		if n.Desc.ID.IsZero() {
+// Walk visits every non-hole leaf of a version in index order: the
+// maintenance scan behind deletion, replica-health checks and the
+// dashboard. Like WalkNodes it reads through Store.Peek, so it adds
+// nothing to the client metadata load introspection reports.
+func (t *Tree) Walk(root Root, visit func(idx int64, d chunk.Desc) error) error {
+	return t.WalkNodes(root, nil, func(k NodeKey, n Node) error {
+		if !n.Leaf || n.Desc.ID.IsZero() {
 			return nil
 		}
-		return visit(nodeLo, n.Desc.Clone())
-	}
-	mid := nodeLo + (nodeHi-nodeLo)/2
-	if err := t.walk(n.LeftVer, nodeLo, mid, lo, hi, visit); err != nil {
-		return err
-	}
-	return t.walk(n.RightVer, mid, nodeHi, lo, hi, visit)
+		return visit(k.Lo, n.Desc.Clone())
+	})
 }
 
 // WalkNodes visits every tree node reachable from a version — inner
@@ -580,11 +585,8 @@ func (t *Tree) walk(ver uint64, nodeLo, nodeHi, lo, hi int64, visit func(int64, 
 // node keys are immutable identities, and a key that was visited before
 // roots a subtree that was visited in full before. Version 0 (the empty
 // BLOB) has no nodes.
-func (t *Tree) WalkNodes(ver uint64, prune func(NodeKey) bool, visit func(NodeKey, Node) error) error {
-	if ver == 0 {
-		return nil
-	}
-	return t.walkNodes(ver, 0, t.span, prune, visit)
+func (t *Tree) WalkNodes(root Root, prune func(NodeKey) bool, visit func(NodeKey, Node) error) error {
+	return t.walkNodes(root.Version, 0, root.Span, prune, visit)
 }
 
 func (t *Tree) walkNodes(ver uint64, lo, hi int64, prune func(NodeKey) bool, visit func(NodeKey, Node) error) error {
@@ -595,12 +597,9 @@ func (t *Tree) walkNodes(ver uint64, lo, hi int64, prune func(NodeKey) bool, vis
 	if prune != nil && prune(key) {
 		return nil
 	}
-	n, ok, err := t.store.Peek(key)
+	n, err := t.node(key, true)
 	if err != nil {
 		return err
-	}
-	if !ok {
-		return fmt.Errorf("%w: missing node v%d [%d,%d)", ErrCorrupted, ver, lo, hi)
 	}
 	if hi-lo == 1 && !n.Leaf {
 		return fmt.Errorf("%w: non-leaf at unit range", ErrCorrupted)

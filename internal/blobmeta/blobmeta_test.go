@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"sort"
 	"testing"
@@ -19,35 +20,111 @@ func desc(tag string) chunk.Desc {
 	return chunk.Desc{ID: chunk.Sum([]byte(tag)), Size: int64(len(tag)), Providers: []string{"p1"}}
 }
 
-func newTestTree(t *testing.T, span int64) *Tree {
-	t.Helper()
-	tr, err := NewTree(NewMemStore("m1", nil, nil), 1, span)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return tr
+// chain is a BLOB's version chain under test: a tree over one-byte
+// chunks (so a size is a chunk count) and the roots of the versions
+// written so far; roots[0] is the empty BLOB.
+type chain struct {
+	t      testing.TB
+	tr     *Tree
+	roots  []Root
+	chunks int64
 }
 
-func TestNewTreeSpanValidation(t *testing.T) {
-	if _, err := NewTree(NewMemStore("m", nil, nil), 1, 3); !errors.Is(err, ErrBadSpan) {
-		t.Fatalf("want ErrBadSpan, got %v", err)
+func newChain(t testing.TB, store Store) *chain {
+	return &chain{t: t, tr: NewTree(store, 1, 1), roots: []Root{{}}}
+}
+
+// write publishes the next version on top of the latest, growing the
+// BLOB to hold the highest index written, and returns its root.
+func (c *chain) write(w map[int64]chunk.Desc) Root {
+	c.t.Helper()
+	for i := range w {
+		c.chunks = max(c.chunks, i+1)
 	}
-	tr, err := NewTree(NewMemStore("m", nil, nil), 1, 0)
-	if err != nil || tr.Span() != DefaultSpan {
-		t.Fatalf("default span: %v %d", err, tr.Span())
+	root := c.tr.Root(uint64(len(c.roots)), c.chunks)
+	if err := c.tr.Write(root, c.roots[len(c.roots)-1], w); err != nil {
+		c.t.Fatal(err)
+	}
+	c.roots = append(c.roots, root)
+	return root
+}
+
+// read returns slots [lo, hi) of version v through v's own root.
+func (c *chain) read(v int, lo, hi int64) []chunk.Desc {
+	c.t.Helper()
+	got, err := c.tr.Read(c.roots[v], lo, hi)
+	if err != nil {
+		c.t.Fatal(err)
+	}
+	return got
+}
+
+// leaves returns version v's non-hole slots as Walk reports them.
+func (c *chain) leaves(v int) map[int64]chunk.ID {
+	c.t.Helper()
+	out := map[int64]chunk.ID{}
+	last := int64(-1)
+	if err := c.tr.Walk(c.roots[v], func(idx int64, d chunk.Desc) error {
+		if idx <= last {
+			c.t.Fatalf("v%d: walk out of order: %d after %d", v, idx, last)
+		}
+		last, out[idx] = idx, d.ID
+		return nil
+	}); err != nil {
+		c.t.Fatal(err)
+	}
+	return out
+}
+
+func memChain(t testing.TB) (*chain, *MemStore) {
+	store := NewMemStore("m1", nil, nil)
+	return newChain(t, store), store
+}
+
+// TestRootSpan: a version's root covers the smallest power-of-two number
+// of chunk slots that holds its size, and at least one.
+func TestRootSpan(t *testing.T) {
+	const mib = 1 << 20
+	tr := NewTree(NewMemStore("m", nil, nil), 1, mib)
+	for _, c := range []struct{ size, span int64 }{
+		{0, 1}, {1, 1}, {16 << 10, 1}, {mib, 1}, {mib + 1, 2}, {2 * mib, 2}, {3 * mib, 4},
+		{8 * mib, 8}, {8*mib + 1, 16}, {9 * mib, 16}, {1 << 52, 1 << 32},
+	} {
+		if got := tr.Root(7, c.size); got != (Root{Version: 7, Span: c.span}) {
+			t.Errorf("Root(7, %d) = %+v, want span %d", c.size, got, c.span)
+		}
+	}
+}
+
+func TestWriteRootValidation(t *testing.T) {
+	tr := NewTree(NewMemStore("m", nil, nil), 1, 1)
+	if err := tr.Write(Root{Version: 0, Span: 8}, Root{}, nil); err == nil {
+		t.Fatal("want error for version 0")
+	}
+	for _, span := range []int64{0, -4, 3} {
+		if err := tr.Write(Root{Version: 1, Span: span}, Root{}, nil); !errors.Is(err, ErrBadSpan) {
+			t.Fatalf("span %d: want ErrBadSpan, got %v", span, err)
+		}
+	}
+	if err := tr.Write(Root{Version: 1, Span: 8}, Root{}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.Write(Root{Version: 2, Span: 4}, Root{Version: 1, Span: 8}, nil); !errors.Is(err, ErrBadSpan) {
+		t.Fatalf("root narrower than its base: want ErrBadSpan, got %v", err)
+	}
+	for _, idx := range []int64{8, -1} {
+		err := tr.Write(Root{Version: 2, Span: 8}, Root{Version: 1, Span: 8}, map[int64]chunk.Desc{idx: desc("x")})
+		if !errors.Is(err, ErrBadRange) {
+			t.Fatalf("index %d: want ErrBadRange, got %v", idx, err)
+		}
 	}
 }
 
 func TestWriteReadSingleVersion(t *testing.T) {
-	tr := newTestTree(t, 16)
+	c, _ := memChain(t)
 	w := map[int64]chunk.Desc{0: desc("a"), 1: desc("b"), 5: desc("c")}
-	if err := tr.Write(1, 0, w); err != nil {
-		t.Fatal(err)
-	}
-	got, err := tr.Read(1, 0, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c.write(w)
+	got := c.read(1, 0, 8)
 	for i := int64(0); i < 8; i++ {
 		want, ok := w[i]
 		if ok && got[i].ID != want.ID {
@@ -60,21 +137,10 @@ func TestWriteReadSingleVersion(t *testing.T) {
 }
 
 func TestVersionIsolation(t *testing.T) {
-	tr := newTestTree(t, 8)
-	if err := tr.Write(1, 0, map[int64]chunk.Desc{0: desc("v1-0"), 1: desc("v1-1")}); err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.Write(2, 1, map[int64]chunk.Desc{1: desc("v2-1"), 2: desc("v2-2")}); err != nil {
-		t.Fatal(err)
-	}
-	v1, err := tr.Read(1, 0, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v2, err := tr.Read(2, 0, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c, _ := memChain(t)
+	c.write(map[int64]chunk.Desc{0: desc("v1-0"), 1: desc("v1-1")})
+	c.write(map[int64]chunk.Desc{1: desc("v2-1"), 2: desc("v2-2")})
+	v1, v2 := c.read(1, 0, 4), c.read(2, 0, 4)
 	if v1[1].ID != desc("v1-1").ID {
 		t.Error("v1 leaked a v2 write")
 	}
@@ -89,113 +155,150 @@ func TestVersionIsolation(t *testing.T) {
 	}
 }
 
+// TestNodeCounts pins the height rule's cost: a tree is as tall as its
+// BLOB is long, an overwrite copies one root-to-leaf path, and growth
+// puts a new root (and the spine down to the old one) on top, sharing the
+// old root like any other subtree.
+func TestNodeCounts(t *testing.T) {
+	full := func(n int64, tag string) map[int64]chunk.Desc {
+		w := map[int64]chunk.Desc{}
+		for i := int64(0); i < n; i++ {
+			w[i] = desc(fmt.Sprintf("%s-%d", tag, i))
+		}
+		return w
+	}
+	created := func(store *MemStore, f func()) int {
+		before := store.Len()
+		f()
+		return store.Len() - before
+	}
+
+	c, store := memChain(t)
+	if n := created(store, func() { c.write(full(1, "one")) }); n != 1 {
+		t.Fatalf("1-chunk BLOB = %d nodes, want 1", n)
+	}
+	if n := created(store, func() { c.write(nil) }); n != 1 {
+		t.Fatalf("empty version of a 1-chunk BLOB = %d nodes, want 1 (its root)", n)
+	}
+	if got := c.read(2, 0, 1)[0].ID; got != desc("one-0").ID {
+		t.Fatal("empty version of a 1-chunk BLOB lost the chunk")
+	}
+
+	c, store = memChain(t)
+	if n := created(store, func() { c.write(full(8, "eight")) }); n != 15 {
+		t.Fatalf("8-chunk BLOB = %d nodes, want 15", n)
+	}
+	if n := created(store, func() { c.write(map[int64]chunk.Desc{5: desc("over")}) }); n != 4 {
+		t.Fatalf("overwriting one chunk of 8 created %d nodes, want 4", n)
+	}
+	// 8 → 9 chunks: root [0,16), its right path [8,16) [8,12) [8,10) and the
+	// leaf [8,9); the left child is the old root, shared.
+	old := c.roots[2]
+	grown := c.write(map[int64]chunk.Desc{8: desc("ninth")})
+	if got := store.Len() - 15 - 4; got != 5 {
+		t.Fatalf("growing 8 → 9 chunks created %d nodes, want 5", got)
+	}
+	if old.Span != 8 || grown.Span != 16 {
+		t.Fatalf("spans %d → %d, want 8 → 16", old.Span, grown.Span)
+	}
+	n, ok, err := store.Peek(NodeKey{Blob: 1, Version: grown.Version, Lo: 0, Hi: 16})
+	if err != nil || !ok || n.LeftVer != old.Version || n.RightVer != grown.Version {
+		t.Fatalf("new root %+v (ok=%v err=%v) does not share the old root v%d", n, ok, err, old.Version)
+	}
+	// 9 → 40 chunks skips a doubling: root [0,64) and the spine node [0,32)
+	// above the base's [0,16), plus the path to leaf 39.
+	if n := created(store, func() { c.write(map[int64]chunk.Desc{39: desc("far")}) }); n != 2+6 {
+		t.Fatalf("growing 16 → 64 slots created %d nodes, want 8", n)
+	}
+	for v, want := range map[int]map[int64]chunk.ID{
+		1: {5: desc("eight-5").ID},
+		2: {5: desc("over").ID},
+		3: {5: desc("over").ID, 8: desc("ninth").ID},
+		4: {0: desc("eight-0").ID, 8: desc("ninth").ID, 39: desc("far").ID},
+	} {
+		got := c.leaves(v)
+		for idx, id := range want {
+			if got[idx] != id {
+				t.Errorf("v%d idx %d: got %v want %v", v, idx, got[idx].Short(), id.Short())
+			}
+		}
+	}
+	if got := c.leaves(3); len(got) != 9 {
+		t.Fatalf("v3 holds %d chunks, want 9", len(got))
+	}
+}
+
 func TestStructuralSharing(t *testing.T) {
-	store := NewMemStore("m1", nil, nil)
-	tr, err := NewTree(store, 1, 1024)
-	if err != nil {
-		t.Fatal(err)
+	c, store := memChain(t)
+	w := map[int64]chunk.Desc{}
+	for i := int64(0); i < 1024; i++ {
+		w[i] = desc(fmt.Sprint("a", i))
 	}
-	if err := tr.Write(1, 0, map[int64]chunk.Desc{0: desc("a")}); err != nil {
-		t.Fatal(err)
-	}
+	c.write(w)
 	before := store.Len()
 	// Second version touches one leaf: node growth must be O(depth), not
 	// O(tree size).
-	if err := tr.Write(2, 1, map[int64]chunk.Desc{1: desc("b")}); err != nil {
-		t.Fatal(err)
-	}
-	growth := store.Len() - before
-	maxDepth := 11 // log2(1024) + leaf
-	if growth > maxDepth+1 {
-		t.Fatalf("node growth %d exceeds O(depth)=%d: no structural sharing", growth, maxDepth)
+	c.write(map[int64]chunk.Desc{1: desc("b")})
+	if growth, depth := store.Len()-before, 11; growth != depth { // log2(1024) + leaf
+		t.Fatalf("node growth %d, want the %d nodes of one root-to-leaf path", growth, depth)
 	}
 }
 
 func TestEmptyWriteCreatesReadableVersion(t *testing.T) {
-	tr := newTestTree(t, 8)
-	if err := tr.Write(1, 0, map[int64]chunk.Desc{3: desc("x")}); err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.Write(2, 1, nil); err != nil {
-		t.Fatal(err)
-	}
-	got, err := tr.Read(2, 0, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got[3].ID != desc("x").ID {
+	c, _ := memChain(t)
+	c.write(map[int64]chunk.Desc{3: desc("x")})
+	c.write(nil)
+	if got := c.read(2, 0, 8); got[3].ID != desc("x").ID {
 		t.Fatal("clone version lost base content")
 	}
-}
-
-func TestWriteVersionZeroRejected(t *testing.T) {
-	tr := newTestTree(t, 8)
-	if err := tr.Write(0, 0, nil); err == nil {
-		t.Fatal("want error for version 0")
+	// An empty version of an empty BLOB is one hole leaf: readable, and no
+	// leaf to a walk.
+	c, store := memChain(t)
+	c.write(nil)
+	if got := c.read(1, 0, 4); store.Len() != 1 || !got[0].ID.IsZero() || len(c.leaves(1)) != 0 {
+		t.Fatalf("empty first version: %d nodes, slot 0 %v, %d leaves", store.Len(), got[0].ID.Short(), len(c.leaves(1)))
 	}
-}
-
-func TestWriteOutOfRange(t *testing.T) {
-	tr := newTestTree(t, 8)
-	err := tr.Write(1, 0, map[int64]chunk.Desc{8: desc("x")})
-	if !errors.Is(err, ErrBadRange) {
-		t.Fatalf("want ErrBadRange, got %v", err)
-	}
-	err = tr.Write(1, 0, map[int64]chunk.Desc{-1: desc("x")})
-	if !errors.Is(err, ErrBadRange) {
-		t.Fatalf("want ErrBadRange, got %v", err)
+	c.write(map[int64]chunk.Desc{2: desc("y")})
+	if got := c.leaves(2); len(got) != 1 || got[2] != desc("y").ID {
+		t.Fatalf("growth over an empty version: %v", got)
 	}
 }
 
 func TestReadBadRange(t *testing.T) {
-	tr := newTestTree(t, 8)
-	if _, err := tr.Read(1, -1, 4); !errors.Is(err, ErrBadRange) {
+	c, _ := memChain(t)
+	c.write(map[int64]chunk.Desc{7: desc("x")})
+	if _, err := c.tr.Read(c.roots[1], -1, 4); !errors.Is(err, ErrBadRange) {
 		t.Fatalf("want ErrBadRange, got %v", err)
 	}
-	if _, err := tr.Read(1, 4, 2); !errors.Is(err, ErrBadRange) {
+	if _, err := c.tr.Read(c.roots[1], 4, 2); !errors.Is(err, ErrBadRange) {
 		t.Fatalf("want ErrBadRange, got %v", err)
 	}
-	if _, err := tr.Read(1, 0, 9); !errors.Is(err, ErrBadRange) {
-		t.Fatalf("want ErrBadRange, got %v", err)
+	// Past the root is a hole, not an error.
+	got := c.read(1, 6, 20)
+	if got[1].ID != desc("x").ID {
+		t.Fatal("slot 7 lost")
+	}
+	for i, d := range got {
+		if i != 1 && !d.ID.IsZero() {
+			t.Fatalf("idx %d not a hole", 6+i)
+		}
 	}
 }
 
 func TestReadVersionZeroAllHoles(t *testing.T) {
-	tr := newTestTree(t, 8)
-	got, err := tr.Read(0, 0, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, d := range got {
+	c, _ := memChain(t)
+	for i, d := range c.read(0, 0, 8) {
 		if !d.ID.IsZero() {
 			t.Fatalf("idx %d not a hole", i)
 		}
 	}
 }
 
-func TestDescAt(t *testing.T) {
-	tr := newTestTree(t, 8)
-	if err := tr.Write(1, 0, map[int64]chunk.Desc{2: desc("x")}); err != nil {
-		t.Fatal(err)
-	}
-	d, ok, err := tr.DescAt(1, 2)
-	if err != nil || !ok || d.ID != desc("x").ID {
-		t.Fatalf("DescAt: %v %v %v", d, ok, err)
-	}
-	_, ok, err = tr.DescAt(1, 3)
-	if err != nil || ok {
-		t.Fatalf("hole DescAt: ok=%v err=%v", ok, err)
-	}
-}
-
 func TestWalk(t *testing.T) {
-	tr := newTestTree(t, 16)
-	w := map[int64]chunk.Desc{1: desc("a"), 4: desc("b"), 9: desc("c")}
-	if err := tr.Write(1, 0, w); err != nil {
-		t.Fatal(err)
-	}
+	c, _ := memChain(t)
+	c.write(map[int64]chunk.Desc{1: desc("a"), 4: desc("b"), 9: desc("c")})
 	var visited []int64
-	err := tr.Walk(1, 0, 16, func(idx int64, d chunk.Desc) error {
+	err := c.tr.Walk(c.roots[1], func(idx int64, d chunk.Desc) error {
 		visited = append(visited, idx)
 		return nil
 	})
@@ -205,20 +308,9 @@ func TestWalk(t *testing.T) {
 	if len(visited) != 3 || visited[0] != 1 || visited[1] != 4 || visited[2] != 9 {
 		t.Fatalf("visited=%v", visited)
 	}
-	// Bounded walk.
-	visited = nil
-	if err := tr.Walk(1, 2, 9, func(idx int64, d chunk.Desc) error {
-		visited = append(visited, idx)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if len(visited) != 1 || visited[0] != 4 {
-		t.Fatalf("bounded visited=%v", visited)
-	}
 	// Walk error propagation.
 	wantErr := errors.New("stop")
-	if err := tr.Walk(1, 0, 16, func(int64, chunk.Desc) error { return wantErr }); !errors.Is(err, wantErr) {
+	if err := c.tr.Walk(c.roots[1], func(int64, chunk.Desc) error { return wantErr }); !errors.Is(err, wantErr) {
 		t.Fatalf("walk error: %v", err)
 	}
 }
@@ -232,21 +324,13 @@ func TestRingShardsAndRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := NewTree(ring, 7, 256)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := newChain(t, ring)
 	w := map[int64]chunk.Desc{}
 	for i := int64(0); i < 64; i++ {
 		w[i] = desc(fmt.Sprintf("c%d", i))
 	}
-	if err := tr.Write(1, 0, w); err != nil {
-		t.Fatal(err)
-	}
-	got, err := tr.Read(1, 0, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c.write(w)
+	got := c.read(1, 0, 64)
 	for i := int64(0); i < 64; i++ {
 		if got[i].ID != w[i].ID {
 			t.Fatalf("idx %d mismatch", i)
@@ -272,58 +356,78 @@ func TestNewRingEmpty(t *testing.T) {
 	}
 }
 
-// Property: after a random sequence of versioned writes, reading any
-// version reflects exactly the writes up to that version (read-your-writes
-// plus snapshot isolation).
-func TestSnapshotSemanticsProperty(t *testing.T) {
-	f := func(seed int64) bool {
+// TestDifferentialAgainstFlatModel drives seeded random version chains —
+// overwrites, appends, sparse writes far past the end, empty (aborted)
+// versions — against a flat version → index → chunk model, and after
+// every step checks that every version written so far, each through its
+// own (smaller) root, still reads exactly what the model holds: the whole
+// leaf set by Walk, and by Read a window at the front, one around every
+// slot any version ever wrote, and one running off the end of the root.
+func TestDifferentialAgainstFlatModel(t *testing.T) {
+	for seed := int64(1); seed <= 12; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		const span = 64
-		tr, err := NewTree(NewMemStore("m", nil, nil), 1, span)
-		if err != nil {
-			return false
-		}
-		// model[v][idx] = expected desc at version v
+		c, _ := memChain(t)
 		model := []map[int64]chunk.ID{{}} // version 0: empty
-		nVersions := rng.Intn(6) + 2
-		for v := 1; v <= nVersions; v++ {
+		probes := map[int64]bool{}
+		for step := 1; step <= 30; step++ {
 			writes := map[int64]chunk.Desc{}
-			nw := rng.Intn(8)
-			for i := 0; i < nw; i++ {
-				idx := int64(rng.Intn(span))
-				writes[idx] = desc(fmt.Sprintf("s%d-v%d-i%d", seed, v, idx))
+			put := func(idx int64) {
+				writes[idx] = desc(fmt.Sprintf("s%d-v%d-%d", seed, step, idx))
+				probes[idx] = true
 			}
-			if err := tr.Write(uint64(v), uint64(v-1), writes); err != nil {
-				return false
+			switch op := rng.Intn(10); {
+			case op < 3: // overwrite somewhere inside the BLOB
+				if c.chunks > 0 {
+					lo := rng.Int63n(c.chunks)
+					for i := lo; i < min(c.chunks, lo+1+rng.Int63n(6)); i++ {
+						put(i)
+					}
+				}
+			case op < 6: // append at the end
+				for i, n := c.chunks, 1+rng.Int63n(9); i < c.chunks+n; i++ {
+					put(i)
+				}
+			case op < 8: // sparse write past the end, sometimes many doublings past
+				far := c.chunks + 1 + rng.Int63n(40)
+				if rng.Intn(3) == 0 {
+					far = c.chunks + rng.Int63n(1<<uint(10+rng.Intn(24)))
+				}
+				put(far)
+				if rng.Intn(2) == 0 {
+					put(far + 2)
+				}
+			default: // empty version: an aborted writer
 			}
+			c.write(writes)
 			next := map[int64]chunk.ID{}
-			for k, id := range model[v-1] {
+			for k, id := range model[step-1] {
 				next[k] = id
 			}
 			for k, d := range writes {
 				next[k] = d.ID
 			}
 			model = append(model, next)
-		}
-		for v := 0; v <= nVersions; v++ {
-			got, err := tr.Read(uint64(v), 0, span)
-			if err != nil {
-				return false
-			}
-			for i := int64(0); i < span; i++ {
-				want, ok := model[v][i]
-				if ok && got[i].ID != want {
-					return false
+
+			for v := 0; v <= step; v++ {
+				if got := c.leaves(v); !reflect.DeepEqual(got, model[v]) {
+					t.Fatalf("seed %d step %d: v%d (span %d) walks %d leaves, model holds %d",
+						seed, step, v, c.roots[v].Span, len(got), len(model[v]))
 				}
-				if !ok && !got[i].ID.IsZero() {
-					return false
+				windows := [][2]int64{{0, 48}, {c.roots[v].Span - 2, c.roots[v].Span + 5}}
+				for idx := range probes {
+					windows = append(windows, [2]int64{idx - 2, idx + 3})
+				}
+				for _, w := range windows {
+					lo := max(w[0], 0)
+					for i, d := range c.read(v, lo, w[1]) {
+						if want := model[v][lo+int64(i)]; d.ID != want {
+							t.Fatalf("seed %d step %d: v%d (span %d) idx %d reads %v, model holds %v",
+								seed, step, v, c.roots[v].Span, lo+int64(i), d.ID.Short(), want.Short())
+						}
+					}
 				}
 			}
 		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -469,33 +573,26 @@ func (c *countingStore) Peek(k NodeKey) (Node, bool, error) {
 func TestWalkNodesPrunesSharedSubtrees(t *testing.T) {
 	mem := NewMemStore("m1", nil, nil)
 	cs := &countingStore{Store: mem}
-	tr, err := NewTree(cs, 1, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// v1 writes a wide base; v2..v5 each touch two slots.
+	c := newChain(t, cs)
+	// v1 writes a wide base; v2..v5 each touch two slots, the second past
+	// v1's root (so v1 is reached through a smaller root than the rest).
 	w1 := map[int64]chunk.Desc{}
 	for i := int64(0); i < 32; i++ {
 		w1[i] = desc(fmt.Sprintf("v1-%d", i))
 	}
-	if err := tr.Write(1, 0, w1); err != nil {
-		t.Fatal(err)
-	}
-	for v := uint64(2); v <= 5; v++ {
-		w := map[int64]chunk.Desc{
-			int64(v): desc(fmt.Sprintf("v%d-a", v)),
-			40:       desc(fmt.Sprintf("v%d-b", v)),
-		}
-		if err := tr.Write(v, v-1, w); err != nil {
-			t.Fatal(err)
-		}
+	c.write(w1)
+	for v := int64(2); v <= 5; v++ {
+		c.write(map[int64]chunk.Desc{
+			v:  desc(fmt.Sprintf("v%d-a", v)),
+			40: desc(fmt.Sprintf("v%d-b", v)),
+		})
 	}
 
 	cs.gets = 0
 	visited := map[NodeKey]struct{}{}
 	pruned := map[chunk.ID]bool{}
-	for v := uint64(5); v >= 1; v-- {
-		err := tr.WalkNodes(v,
+	for v := 5; v >= 1; v-- {
+		err := c.tr.WalkNodes(c.roots[v],
 			func(k NodeKey) bool { _, seen := visited[k]; return seen },
 			func(k NodeKey, n Node) error {
 				visited[k] = struct{}{}
@@ -515,12 +612,9 @@ func TestWalkNodesPrunesSharedSubtrees(t *testing.T) {
 		t.Fatalf("visited %d nodes, store holds %d: coverage gap", got, want)
 	}
 	naive := map[chunk.ID]bool{}
-	for v := uint64(1); v <= 5; v++ {
-		if err := tr.Walk(v, 0, tr.Span(), func(_ int64, d chunk.Desc) error {
-			naive[d.ID] = true
-			return nil
-		}); err != nil {
-			t.Fatal(err)
+	for v := 1; v <= 5; v++ {
+		for _, id := range c.leaves(v) {
+			naive[id] = true
 		}
 	}
 	if len(naive) != len(pruned) {
@@ -541,10 +635,7 @@ func TestPrunedWalkEquivalenceRandom(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		const span = 128
-		tr, err := NewTree(NewMemStore("m", nil, nil), 1, span)
-		if err != nil {
-			return false
-		}
+		c, _ := memChain(t)
 		nVersions := rng.Intn(10) + 2
 		tail := int64(0) // append frontier
 		for v := 1; v <= nVersions; v++ {
@@ -567,31 +658,26 @@ func TestPrunedWalkEquivalenceRandom(t *testing.T) {
 					writes[idx] = desc(fmt.Sprintf("s%d-v%d-%d", seed, v, idx))
 				}
 			}
-			if err := tr.Write(uint64(v), uint64(v-1), writes); err != nil {
-				return false
-			}
+			c.write(writes)
 		}
 		// Random retained subset (retirement drops arbitrary versions).
-		var retained []uint64
+		var retained []int
 		for v := 1; v <= nVersions; v++ {
 			if rng.Intn(3) != 0 {
-				retained = append(retained, uint64(v))
+				retained = append(retained, v)
 			}
 		}
 		naive := map[chunk.ID]bool{}
 		for _, v := range retained {
-			if err := tr.Walk(v, 0, span, func(_ int64, d chunk.Desc) error {
-				naive[d.ID] = true
-				return nil
-			}); err != nil {
-				return false
+			for _, id := range c.leaves(v) {
+				naive[id] = true
 			}
 		}
 		visited := map[NodeKey]struct{}{}
 		pruned := map[chunk.ID]bool{}
 		// Walk newest-first like the mark phase.
 		for i := len(retained) - 1; i >= 0; i-- {
-			err := tr.WalkNodes(retained[i],
+			err := c.tr.WalkNodes(c.roots[retained[i]],
 				func(k NodeKey) bool { _, seen := visited[k]; return seen },
 				func(k NodeKey, n Node) error {
 					visited[k] = struct{}{}
@@ -619,15 +705,15 @@ func TestPrunedWalkEquivalenceRandom(t *testing.T) {
 	}
 }
 
-func TestDeepTreeDefaultSpan(t *testing.T) {
-	tr := newTestTree(t, 0) // DefaultSpan = 2^32
+func TestDeepTree(t *testing.T) {
+	c, store := memChain(t)
 	far := int64(3_000_000_000)
-	if err := tr.Write(1, 0, map[int64]chunk.Desc{0: desc("lo"), far: desc("hi")}); err != nil {
-		t.Fatal(err)
+	root := c.write(map[int64]chunk.Desc{0: desc("lo"), far: desc("hi")})
+	if root.Span != 1<<32 || store.Len() != 1+2*32 {
+		t.Fatalf("span %d, %d nodes; want 2^32 and a root over two 32-node paths", root.Span, store.Len())
 	}
-	d, ok, err := tr.DescAt(1, far)
-	if err != nil || !ok || d.ID != desc("hi").ID {
-		t.Fatalf("deep read: %v %v %v", d, ok, err)
+	if got := c.read(1, far, far+1); got[0].ID != desc("hi").ID {
+		t.Fatalf("deep read: %v", got[0])
 	}
 }
 
@@ -806,33 +892,32 @@ func TestListNodesBlobRange(t *testing.T) {
 	}
 }
 
-// TestWalkNodesEmitsNoMetaGet: the mark walk's reads are maintenance,
-// not client load — WalkNodes adds no meta_get event, while a client
-// Read of the same tree still reports each node it fetches.
-func TestWalkNodesEmitsNoMetaGet(t *testing.T) {
+// TestWalksEmitNoMetaGet: a maintenance scan's reads are not client
+// load — neither WalkNodes (the mark walk) nor Walk (deletion, replica
+// health, the dashboard) adds a meta_get event, while a client Read of
+// the same tree still reports each node it fetches.
+func TestWalksEmitNoMetaGet(t *testing.T) {
 	rec := &instrument.Recorder{}
-	tr, err := NewTree(NewMemStore("m1", rec, nil), 1, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.Write(1, 0, map[int64]chunk.Desc{3: desc("a"), 40: desc("b")}); err != nil {
-		t.Fatal(err)
-	}
+	c := newChain(t, NewMemStore("m1", rec, nil))
+	tr, root := c.tr, c.write(map[int64]chunk.Desc{3: desc("a"), 40: desc("b")})
 	metaGets := func() int {
 		return len(rec.Filter(func(ev instrument.Event) bool { return ev.Op == instrument.OpMetaGet }))
 	}
 	before := metaGets()
 	visited := 0
-	if err := tr.WalkNodes(1, nil, func(NodeKey, Node) error { visited++; return nil }); err != nil {
+	if err := tr.WalkNodes(root, nil, func(NodeKey, Node) error { visited++; return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.Walk(root, func(int64, chunk.Desc) error { visited++; return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if visited == 0 {
 		t.Fatal("walk visited nothing")
 	}
 	if got := metaGets(); got != before {
-		t.Fatalf("WalkNodes over %d nodes emitted %d meta_get events, want 0", visited, got-before)
+		t.Fatalf("walks over %d nodes and leaves emitted %d meta_get events, want 0", visited, got-before)
 	}
-	if _, err := tr.Read(1, 3, 4); err != nil {
+	if _, err := tr.Read(root, 3, 4); err != nil {
 		t.Fatal(err)
 	}
 	if got := metaGets(); got == before {

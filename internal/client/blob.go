@@ -64,13 +64,19 @@ func (b *Blob) NewReader(ctx context.Context, version uint64, offset, length int
 	if err != nil {
 		return nil, err
 	}
+	tree, err := c.vm.Tree(b.info.ID)
+	if err != nil {
+		return nil, err
+	}
+	// A version's tree is addressed by (version, root span).
+	root := tree.Root(vm.Version, vm.Size)
 	// Pin before snapshotting descriptors: from here until Close the
 	// lifecycle layer defers reclaiming this version, so a concurrent
 	// delete cannot pull chunks out from under the stream. A pin refused
 	// because the BLOB was just deleted fails the open cleanly instead.
 	pinned := false
 	if c.pinner != nil {
-		if err := c.pinner.Pin(b.info.ID, vm.Version); err != nil {
+		if err := c.pinner.Pin(b.info.ID, root); err != nil {
 			return nil, err
 		}
 		pinned = true
@@ -91,14 +97,9 @@ func (b *Blob) NewReader(ctx context.Context, version uint64, offset, length int
 	var descs []chunk.Desc
 	loIdx := int64(0)
 	if length > 0 {
-		tree, err := c.vm.Tree(b.info.ID)
-		if err != nil {
-			unpin()
-			return nil, err
-		}
 		loIdx = offset / b.info.ChunkSize
 		hiIdx := (offset + length - 1) / b.info.ChunkSize
-		descs, err = tree.Read(vm.Version, loIdx, hiIdx+1)
+		descs, err = tree.Read(root, loIdx, hiIdx+1)
 		if err != nil {
 			unpin()
 			return nil, err

@@ -19,6 +19,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"blobseer/internal/blobmeta"
 	"blobseer/internal/chunk"
 	"blobseer/internal/instrument"
 	"blobseer/internal/pmanager"
@@ -88,12 +89,14 @@ type AllowAll struct{}
 func (AllowAll) Allow(context.Context, string, instrument.Op) error { return nil }
 
 // Pinner is the storage-lifecycle hook streaming readers pin versions
-// through: Pin is called once the read version is resolved and must fail
-// if the BLOB is already deleted; Unpin releases on Close. While a pin
+// through: Pin is called once the read version is resolved — with its
+// tree's root, which nobody could derive any more were the version
+// retired under the pin — and must fail if the BLOB is already deleted;
+// Unpin releases on Close. While a pin
 // is held the lifecycle layer defers chunk reclamation of the version,
 // so a concurrent delete or overwrite cannot truncate the stream.
 type Pinner interface {
-	Pin(blob, version uint64) error
+	Pin(blob uint64, root blobmeta.Root) error
 	Unpin(blob, version uint64)
 }
 
@@ -564,7 +567,7 @@ func (c *Client) baseSlot(ctx context.Context, blob uint64, chunkSize, idx int64
 	if err != nil {
 		return nil, err
 	}
-	descs, err := tree.Read(base.Version, idx, idx+1)
+	descs, err := tree.Read(tree.Root(base.Version, base.Size), idx, idx+1)
 	if err != nil {
 		return nil, err
 	}

@@ -28,7 +28,7 @@ type bed struct {
 func newBed(t *testing.T, nProviders int) *bed {
 	t.Helper()
 	b := &bed{
-		vm:        vmanager.New(blobmeta.NewMemStore("m1", nil, nil), vmanager.WithSpan(1<<20)),
+		vm:        vmanager.New(blobmeta.NewMemStore("m1", nil, nil)),
 		pm:        pmanager.New(pmanager.WithTTL(0)),
 		providers: map[string]*provider.Provider{},
 	}
@@ -199,7 +199,7 @@ func TestReplication(t *testing.T) {
 	}
 	// Each written chunk must live on 3 providers.
 	tree, _ := b.vm.Tree(info.ID)
-	err := tree.Walk(1, 0, tree.Span(), func(idx int64, d chunk.Desc) error {
+	err := tree.Walk(tree.Root(1, int64(len(data))), func(idx int64, d chunk.Desc) error {
 		if len(d.Providers) != 3 {
 			return fmt.Errorf("chunk %d has %d replicas", idx, len(d.Providers))
 		}
@@ -271,7 +271,7 @@ func TestWriteQuorumToleratesReplicaFailures(t *testing.T) {
 	// Descriptors list exactly the replicas that landed, never the
 	// stopped provider.
 	tree, _ := b.vm.Tree(info.ID)
-	err := tree.Walk(1, 0, tree.Span(), func(idx int64, d chunk.Desc) error {
+	err := tree.Walk(tree.Root(1, int64(len(data))), func(idx int64, d chunk.Desc) error {
 		if len(d.Providers) != 2 {
 			return fmt.Errorf("chunk %d has %d replicas, want 2", idx, len(d.Providers))
 		}
@@ -481,7 +481,7 @@ func TestWriteSequenceMatchesModel(t *testing.T) {
 // newBedQuick builds a bed without *testing.T for property functions.
 func newBedQuick() *bed {
 	b := &bed{
-		vm:        vmanager.New(blobmeta.NewMemStore("m1", nil, nil), vmanager.WithSpan(1<<20)),
+		vm:        vmanager.New(blobmeta.NewMemStore("m1", nil, nil)),
 		pm:        pmanager.New(pmanager.WithTTL(0)),
 		providers: map[string]*provider.Provider{},
 	}
@@ -503,13 +503,13 @@ type recPinner struct {
 
 func newRecPinner() *recPinner { return &recPinner{held: map[[2]uint64]int{}} }
 
-func (p *recPinner) Pin(blob, version uint64) error {
+func (p *recPinner) Pin(blob uint64, root blobmeta.Root) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.failPin != nil {
 		return p.failPin
 	}
-	p.held[[2]uint64{blob, version}]++
+	p.held[[2]uint64{blob, root.Version}]++
 	p.pins++
 	return nil
 }

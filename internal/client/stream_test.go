@@ -646,7 +646,7 @@ func TestReadFromReportsDroppedFinalSlot(t *testing.T) {
 // of every per-slot Allocate(1) re-picking the same "least used" target.
 func TestStreamWritePlacementSpreads(t *testing.T) {
 	b := &bed{
-		vm: vmanager.New(blobmeta.NewMemStore("m1", nil, nil), vmanager.WithSpan(1<<20)),
+		vm: vmanager.New(blobmeta.NewMemStore("m1", nil, nil)),
 		pm: pmanager.New(pmanager.WithTTL(0),
 			pmanager.WithStrategy(pmanager.LeastUsed{})),
 		providers: map[string]*provider.Provider{},

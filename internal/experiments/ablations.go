@@ -146,27 +146,27 @@ func AB3(s Scale) *Table {
 		versions = 16
 	}
 	store := blobmeta.NewMemStore("m", nil, nil)
-	tree, err := blobmeta.NewTree(store, 1, 1<<20)
-	if err != nil {
-		panic(err)
-	}
-	ver := uint64(0)
+	tree := blobmeta.NewTree(store, 1, 1) // one-byte chunks: a size is a chunk count
+	var root blobmeta.Root                // the empty BLOB
+	chunks := int64(0)
 	for _, span := range []int64{1, 4, 16, 64, 256} {
 		before := store.Len()
 		for v := 0; v < versions; v++ {
 			writes := map[int64]chunk.Desc{}
 			base := int64(v) * span
 			for i := int64(0); i < span; i++ {
-				idx := (base + i) % (1 << 18)
+				idx := base + i
 				writes[idx] = chunk.Desc{
-					ID: chunk.Sum([]byte(fmt.Sprintf("%d/%d", ver, idx))), Size: 1,
+					ID: chunk.Sum([]byte(fmt.Sprintf("%d/%d", root.Version, idx))), Size: 1,
 					Providers: []string{"p"},
 				}
 			}
-			ver++
-			if err := tree.Write(ver, ver-1, writes); err != nil {
+			chunks = max(chunks, base+span)
+			next := tree.Root(root.Version+1, chunks)
+			if err := tree.Write(next, root, writes); err != nil {
 				panic(err)
 			}
+			root = next
 		}
 		created := store.Len() - before
 		perWrite := float64(created) / float64(versions)

@@ -289,13 +289,6 @@ func expC3Run(maliciousPct int) (first, last float64, detected int, writeDur flo
 	return first, last, detected, writeDur
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // ExpD reproduces the Section V Cumulus/S3 integration result: BlobSeer
 // as an S3-compatible storage back end sustaining concurrent transfers.
 // It measures real PUT/GET throughput through the HTTP gateway over an

@@ -127,6 +127,14 @@ type pinKey struct {
 	blob, version uint64
 }
 
+// pin is one pinned version: its reader count and its tree's root, which
+// the mark phase walks from and could not derive any more once retention
+// has retired the version under the pin.
+type pin struct {
+	readers int
+	root    blobmeta.Root
+}
+
 // deferredBlob is a deleted BLOB whose chunk reclaim waits for pins to
 // drain. The per-slot snapshot is taken at delete time because the
 // version manager forgets the BLOB's tree the moment it is deleted.
@@ -234,7 +242,7 @@ type Manager struct {
 	markWorkers int    // BLOBs marked concurrently per pass
 
 	mu         sync.Mutex
-	pins       map[pinKey]int
+	pins       map[pinKey]pin
 	pinsByBlob map[uint64]int
 	deferred   map[uint64]*deferredBlob
 
@@ -363,7 +371,7 @@ func New(vm VersionManager, prov Providers, opts ...Option) *Manager {
 		grace:       1,
 		batch:       256,
 		markWorkers: 8,
-		pins:        make(map[pinKey]int),
+		pins:        make(map[pinKey]pin),
 		pinsByBlob:  make(map[uint64]int),
 		deferred:    make(map[uint64]*deferredBlob),
 		leases:      make(map[string]*writerLeaseState),
@@ -394,25 +402,25 @@ func New(vm VersionManager, prov Providers, opts ...Option) *Manager {
 	return m
 }
 
-// Pin registers a reader on (blob, version): chunk reclaim of the
-// version is deferred until every pin is released. Pinning a deleted
+// Pin registers a reader on the version root addresses: chunk reclaim of
+// the version is deferred until every pin is released. Pinning a deleted
 // BLOB fails with vmanager.ErrDeleted — the reader lost the race and
 // must not start a stream whose chunks are already being reclaimed.
 // Pin implements client.Pinner.
-func (m *Manager) Pin(blob, version uint64) error {
+func (m *Manager) Pin(blob uint64, root blobmeta.Root) error {
 	// Register first, verify liveness second: a concurrent DeleteBlob
 	// either sees this pin when it snapshots (and defers), or marked the
 	// BLOB deleted before our check (and we fail cleanly). Either way no
 	// window exists where the reader runs unprotected.
-	k := pinKey{blob, version}
+	k := pinKey{blob, root.Version}
 	m.mu.Lock()
-	m.pins[k]++
+	m.pins[k] = pin{readers: m.pins[k].readers + 1, root: root}
 	m.pinsByBlob[blob]++
 	m.mu.Unlock()
 	// Verify the exact version, not just the BLOB: a version retired by
 	// retention between the reader's resolve and this pin must fail the
 	// open — its chunks are already sweep fodder.
-	if _, err := m.vm.Version(blob, version); err != nil {
+	if _, err := m.vm.Version(blob, root.Version); err != nil {
 		m.unpin(k)
 		return err
 	}
@@ -443,13 +451,15 @@ func (m *Manager) unpin(k pinKey) bool {
 	m.fence.RLock()
 	defer m.fence.RUnlock()
 	m.mu.Lock()
-	if m.pins[k] == 0 {
+	p := m.pins[k]
+	if p.readers == 0 {
 		m.mu.Unlock()
 		return false
 	}
-	m.pins[k]--
-	if m.pins[k] == 0 {
+	if p.readers--; p.readers == 0 {
 		delete(m.pins, k)
+	} else {
+		m.pins[k] = p
 	}
 	m.pinsByBlob[k.blob]--
 	drained := m.pinsByBlob[k.blob] == 0
@@ -484,7 +494,7 @@ func (m *Manager) unpin(k pinKey) bool {
 func (m *Manager) Pinned(blob, version uint64) int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.pins[pinKey{blob, version}]
+	return m.pins[pinKey{blob, version}].readers
 }
 
 // DeferredBlobs lists deleted BLOBs whose reclaim is queued behind pins.
@@ -695,7 +705,7 @@ func (m *Manager) EnforceRetention(ctx context.Context, now time.Time) (Retentio
 		m.mu.Lock()
 		keep := cands[:0]
 		for _, v := range cands {
-			if m.pins[pinKey{blob, v}] > 0 {
+			if m.pins[pinKey{blob, v}].readers > 0 {
 				rep.PinnedSkipped++
 				continue
 			}

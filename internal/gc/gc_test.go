@@ -177,7 +177,7 @@ func TestRetentionRetiresOldVersions(t *testing.T) {
 	}
 
 	// Pin v1: the policy nominates v1 and v2, but only v2 retires now.
-	if err := c.GC.Pin(info.ID, 1); err != nil {
+	if err := c.GC.Pin(info.ID, rootOf(t, c.VM, info.ID, 1)); err != nil {
 		t.Fatal(err)
 	}
 	rep, err := c.GC.EnforceRetention(context.Background(), now)
@@ -468,7 +468,7 @@ func (lc *lateConn) deliver() {
 // references the chunk and the writer's StoredChunks never saw it — the
 // sweep classifies it as unreferenced and reclaims it.
 func TestSweepReclaimsLateCompletedStore(t *testing.T) {
-	vm := vmanager.New(blobmeta.NewMemStore("m1", nil, nil), vmanager.WithSpan(1<<20))
+	vm := vmanager.New(blobmeta.NewMemStore("m1", nil, nil))
 	pm := pmanager.New(pmanager.WithTTL(0))
 	p := provider.New("p00", "z0", 0)
 	if err := pm.Register(pmanager.Info{ID: "p00", Zone: "z0"}); err != nil {
@@ -574,7 +574,7 @@ func (f *flakyMeta) Peek(k blobmeta.NodeKey) (blobmeta.Node, bool, error) {
 // Versions/Tree error.
 func TestSweepAbortsOnMarkErrors(t *testing.T) {
 	meta := &flakyMeta{MemStore: blobmeta.NewMemStore("m1", nil, nil)}
-	vm := vmanager.New(meta, vmanager.WithSpan(1<<20))
+	vm := vmanager.New(meta)
 	fvm := &flakyVM{VersionManager: vm}
 	pm := pmanager.New(pmanager.WithTTL(0))
 	p := provider.New("p00", "z0", 0)
@@ -645,15 +645,15 @@ func TestSweepAbortsOnMarkErrors(t *testing.T) {
 
 // reachableNodes returns the distinct node keys reachable from the given
 // versions of a BLOB (the expected survivors of a metadata sweep).
-func reachableNodes(t *testing.T, vm *vmanager.Manager, blob uint64, versions ...uint64) int {
+func reachableNodes(t *testing.T, vm *vmanager.Manager, blob uint64, roots ...blobmeta.Root) int {
 	t.Helper()
 	tree, err := vm.Tree(blob)
 	if err != nil {
 		t.Fatal(err)
 	}
 	seen := map[blobmeta.NodeKey]struct{}{}
-	for _, v := range versions {
-		err := tree.WalkNodes(v,
+	for _, root := range roots {
+		err := tree.WalkNodes(root,
 			func(k blobmeta.NodeKey) bool { _, ok := seen[k]; return ok },
 			func(k blobmeta.NodeKey, _ blobmeta.Node) error {
 				seen[k] = struct{}{}
@@ -664,6 +664,20 @@ func reachableNodes(t *testing.T, vm *vmanager.Manager, blob uint64, versions ..
 		}
 	}
 	return len(seen)
+}
+
+// rootOf returns the address of one retained version's tree.
+func rootOf(t *testing.T, vm *vmanager.Manager, blob, version uint64) blobmeta.Root {
+	t.Helper()
+	tree, err := vm.Tree(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, err := vm.Version(blob, version)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tree.Root(v.Version, v.Size)
 }
 
 // TestNodeSweepAcceptance: the metadata sweep reclaims every node
@@ -693,7 +707,7 @@ func TestNodeSweepAcceptance(t *testing.T) {
 	if _, err := c.GC.EnforceRetention(ctx, t0); err != nil {
 		t.Fatal(err)
 	}
-	wantA := reachableNodes(t, c.VM, a.ID, 4)
+	wantA := reachableNodes(t, c.VM, a.ID, rootOf(t, c.VM, a.ID, 4))
 	rep, err := c.GC.Sweep(ctx, false)
 	if err != nil {
 		t.Fatal(err)
@@ -716,13 +730,14 @@ func TestNodeSweepAcceptance(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := c.GC.Pin(b.ID, 1); err != nil {
+	b1, b2 := rootOf(t, c.VM, b.ID, 1), rootOf(t, c.VM, b.ID, 2)
+	if err := c.GC.Pin(b.ID, b1); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.VM.RetireVersions(b.ID, []uint64{1}); err != nil {
 		t.Fatal(err)
 	}
-	wantBBoth := reachableNodes(t, c.VM, b.ID, 1, 2)
+	wantBBoth := reachableNodes(t, c.VM, b.ID, b1, b2)
 	chunksBefore := totalChunks(c)
 	rep, err = c.GC.Sweep(ctx, false)
 	if err != nil {
@@ -737,7 +752,7 @@ func TestNodeSweepAcceptance(t *testing.T) {
 
 	// Pin drains: v1's exclusive nodes and chunks become reclaimable.
 	c.GC.Unpin(b.ID, 1)
-	wantB := reachableNodes(t, c.VM, b.ID, 2)
+	wantB := reachableNodes(t, c.VM, b.ID, b2)
 	if _, err := c.GC.Sweep(ctx, false); err != nil {
 		t.Fatal(err)
 	}
@@ -793,6 +808,96 @@ func TestNodeSweepAcceptance(t *testing.T) {
 	}
 	if got := totalChunks(c); got != 0 {
 		t.Fatalf("chunks after deleting everything = %d, want 0", got)
+	}
+}
+
+// TestNodeSweepAcrossDoublings: one BLOB grows 1 → 2 → 3 → 5 chunks —
+// three doublings of its tree's root span — with overwrites in between,
+// under KeepLast 2. After every write the node store holds exactly what
+// the two retained versions reach through their own roots: the retired
+// small-root versions, the old roots nothing newer references and the
+// spines that carried them are reclaimed, the old roots still shared as
+// subtrees stay, and both retained versions read back whole. Deleting the
+// BLOB leaves nothing.
+func TestNodeSweepAcrossDoublings(t *testing.T) {
+	const cs = 256
+	c := newCluster(t, core.Options{Providers: 3, Monitoring: false, GCGraceEpochs: -1})
+	cl := c.Client("alice")
+	ctx := context.Background()
+	meta := c.VM.MetaStore()
+	info, err := cl.Create(ctx, cs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.VM.SetRetention(info.ID, vmanager.Retention{KeepLast: 2}); err != nil {
+		t.Fatal(err)
+	}
+	// Each step writes whole chunks at a chunk offset; contents[v] is what
+	// version v must read as.
+	contents := [][]byte{nil}
+	spans := []int64{0}
+	swept := 0
+	for step, w := range []struct{ at, chunks, span int64 }{
+		{0, 1, 1}, {1, 1, 2}, {0, 1, 2}, {2, 1, 4}, {1, 2, 4}, {3, 2, 8}, {4, 1, 8}, {0, 5, 8},
+	} {
+		data := bytes.Repeat([]byte{byte('a' + step)}, int(w.chunks*cs))
+		for i := int64(0); i < w.chunks; i++ {
+			data[i*cs] = byte(i) // distinct chunks within a write
+		}
+		if _, err := cl.Write(ctx, info.ID, w.at*cs, data); err != nil {
+			t.Fatal(err)
+		}
+		prev := contents[len(contents)-1]
+		next := make([]byte, max(int64(len(prev)), (w.at+w.chunks)*cs))
+		copy(next, prev)
+		copy(next[w.at*cs:], data)
+		contents, spans = append(contents, next), append(spans, w.span)
+
+		if _, err := c.GC.EnforceRetention(ctx, t0); err != nil {
+			t.Fatal(err)
+		}
+		rep, err := c.GC.Sweep(ctx, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		swept += rep.NodesSwept
+		versions, err := c.VM.Versions(info.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var roots []blobmeta.Root
+		for _, v := range versions {
+			if v.Version == 0 {
+				continue
+			}
+			root := rootOf(t, c.VM, info.ID, v.Version)
+			if root.Span != spans[v.Version] {
+				t.Fatalf("v%d: root span %d, want %d", v.Version, root.Span, spans[v.Version])
+			}
+			roots = append(roots, root)
+			got, err := cl.Read(ctx, info.ID, v.Version, 0, v.Size)
+			if err != nil || !bytes.Equal(got, contents[v.Version]) {
+				t.Fatalf("step %d: v%d reads %d bytes (err %v), want the %d written", step, v.Version, len(got), err, len(contents[v.Version]))
+			}
+		}
+		if len(roots) != min(step+1, 2) {
+			t.Fatalf("step %d: %d versions retained, want %d", step, len(roots), min(step+1, 2))
+		}
+		if got, want := meta.Len(), reachableNodes(t, c.VM, info.ID, roots...); got != want {
+			t.Fatalf("step %d: %d nodes stored, the retained versions reach %d", step, got, want)
+		}
+	}
+	if swept == 0 {
+		t.Fatal("no node was ever reclaimed")
+	}
+	if err := c.GC.DeleteBlob(ctx, info.ID); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.GC.Sweep(ctx, false); err != nil {
+		t.Fatal(err)
+	}
+	if meta.Len() != 0 || totalChunks(c) != 0 {
+		t.Fatalf("after delete: %d nodes and %d chunks remain, want 0 and 0", meta.Len(), totalChunks(c))
 	}
 }
 
@@ -857,7 +962,7 @@ func TestParallelMarkMatchesNaiveWalk(t *testing.T) {
 			if v.Version == 0 {
 				continue
 			}
-			if err := tree.Walk(v.Version, 0, tree.Span(), func(_ int64, d chunk.Desc) error {
+			if err := tree.Walk(tree.Root(v.Version, v.Size), func(_ int64, d chunk.Desc) error {
 				naive[d.ID] = true
 				return nil
 			}); err != nil {

@@ -114,10 +114,10 @@ type rig struct {
 	m     *gc.Manager
 }
 
-func newRig(t *testing.T, span int64, opts ...gc.Option) *rig {
+func newRig(t *testing.T, opts ...gc.Option) *rig {
 	t.Helper()
 	r := &rig{meta: &countingMeta{MemStore: blobmeta.NewMemStore("m1", nil, nil), listed: map[uint64]int{}}}
-	r.vm = vmanager.New(r.meta, vmanager.WithSpan(span))
+	r.vm = vmanager.New(r.meta)
 	r.fvm = &blobFaultVM{VersionManager: r.vm}
 	pm := pmanager.New(pmanager.WithTTL(0))
 	r.provs = testProviders{m: map[string]*provider.Provider{}}
@@ -173,7 +173,7 @@ func (r *rig) naiveMark(t *testing.T) map[chunk.ID]bool {
 			t.Fatal(err)
 		}
 		for _, v := range versions {
-			if err := tree.Walk(v.Version, 0, tree.Span(), func(_ int64, d chunk.Desc) error {
+			if err := tree.Walk(tree.Root(v.Version, v.Size), func(_ int64, d chunk.Desc) error {
 				out[d.ID] = true
 				return nil
 			}); err != nil {
@@ -192,11 +192,15 @@ func (r *rig) reachable(t *testing.T, blob uint64) int {
 	if err != nil {
 		t.Fatal(err)
 	}
-	versions := make([]uint64, len(metas))
-	for i, v := range metas {
-		versions[i] = v.Version
+	tree, err := r.vm.Tree(blob)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return reachableNodes(t, r.vm, blob, versions...)
+	roots := make([]blobmeta.Root, len(metas))
+	for i, v := range metas {
+		roots[i] = tree.Root(v.Version, v.Size)
+	}
+	return reachableNodes(t, r.vm, blob, roots...)
 }
 
 func (r *rig) sweep(t *testing.T) gc.SweepReport {
@@ -232,7 +236,7 @@ func runOracle(t *testing.T, seed int64) {
 		passEvery = 7
 		chunkSize = 128
 	)
-	r := newRig(t, 1<<16)
+	r := newRig(t)
 	runner := gc.NewRunner(r.m, time.Hour)
 	rng := rand.New(rand.NewSource(seed))
 	ctx := context.Background()
@@ -335,7 +339,7 @@ func runOracle(t *testing.T, seed int64) {
 				t.Fatal(err)
 			}
 			v := versions[rng.Intn(len(versions))].Version
-			if err := r.m.Pin(b, v); err != nil {
+			if err := r.m.Pin(b, rootOf(t, r.vm, b, v)); err != nil {
 				t.Fatal(err)
 			}
 			pins = append(pins, pin{b, v})
@@ -393,7 +397,7 @@ func runOracle(t *testing.T, seed int64) {
 // reached.
 func TestPinnedRetiredVersionNodesReclaimedAfterUnpin(t *testing.T) {
 	ctx := context.Background()
-	r := newRig(t, 1<<16)
+	r := newRig(t)
 	info, err := r.cl.Create(ctx, 256)
 	if err != nil {
 		t.Fatal(err)
@@ -411,7 +415,7 @@ func TestPinnedRetiredVersionNodesReclaimedAfterUnpin(t *testing.T) {
 	}
 
 	both := r.reachable(t, info.ID)
-	if err := r.m.Pin(info.ID, 1); err != nil {
+	if err := r.m.Pin(info.ID, rootOf(t, r.vm, info.ID, 1)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := r.vm.RetireVersions(info.ID, []uint64{1}); err != nil {
@@ -452,7 +456,7 @@ func TestPinnedRetiredVersionNodesReclaimedAfterUnpin(t *testing.T) {
 // clean pass that follows walks exactly the BLOBs the failed ones could
 // not finish and reclaims what they left.
 func TestAbortedPassLeavesCacheUntouched(t *testing.T) {
-	r := newRig(t, 1<<16, gc.WithMarkWorkers(1))
+	r := newRig(t, gc.WithMarkWorkers(1))
 	ctx := context.Background()
 	var blobs []uint64
 	for i := 0; i < 4; i++ {
@@ -551,8 +555,8 @@ func TestAbortedPassLeavesCacheUntouched(t *testing.T) {
 }
 
 // TestSteadyStatePassCostsWhatChanged is the work-count gate, no timing:
-// over the replay benchmark's population — 4096 one-chunk BLOBs and 48
-// eight-chunk BLOBs on the default 2³² span, ≈ 137 000 tree nodes — a
+// over the replay benchmark's population — 4096 one-chunk BLOBs of one
+// tree node each and 48 eight-chunk BLOBs of fifteen, 4 816 nodes — a
 // pass after four objects were overwritten the way the S3 gateway does
 // it (new BLOB in, old BLOB deleted) reads and lists what those BLOBs
 // hold, not the dataset.
@@ -561,10 +565,10 @@ func TestSteadyStatePassCostsWhatChanged(t *testing.T) {
 		chunkSize = 64
 		small     = 4096
 		large     = 48
-		depth     = 33 // root-to-leaf path over blobmeta.DefaultSpan
-		scanPage  = 64 // the node scan's page after a seek
+		scanPage  = 64         // the node scan's page after a seek
+		changing  = 2*1 + 2*15 // nodes of the two small and two large BLOBs a round writes
 	)
-	r := newRig(t, 0)
+	r := newRig(t)
 	ctx := context.Background()
 	seq := 0
 	put := func(chunks int) uint64 {
@@ -592,6 +596,9 @@ func TestSteadyStatePassCostsWhatChanged(t *testing.T) {
 		larges = append(larges, put(8))
 	}
 	total := r.meta.Len()
+	if total != small*1+large*15 {
+		t.Fatalf("the population holds %d tree nodes, want %d", total, small*1+large*15)
+	}
 
 	r.meta.resetCounts()
 	cold := r.sweep(t)
@@ -625,16 +632,16 @@ func TestSteadyStatePassCostsWhatChanged(t *testing.T) {
 		if rep.BlobsWalked != 4 || rep.BlobsReused != small+large-4 {
 			t.Fatalf("round %d: walked %d reused %d, want 4 and %d", round, rep.BlobsWalked, rep.BlobsReused, small+large-4)
 		}
-		if reads := int(r.meta.peeks.Load()); reads > 4*(depth+16) {
-			t.Fatalf("round %d: steady-state pass read %d nodes, ceiling %d (the store holds %d)", round, reads, 4*(depth+16), total)
+		if reads := int(r.meta.peeks.Load()); reads != changing {
+			t.Fatalf("round %d: steady-state pass read %d nodes, want the %d of the BLOBs written (the store holds %d)", round, reads, changing, total)
 		}
 		// The scan seeks to each changed BLOB and pages from there; a page
 		// runs past the BLOB's last key into at most one page of
 		// neighbours.
 		listed, foreign := r.meta.listedKeys(changed)
-		if own := listed - foreign; own > 8*(depth+16) || foreign > 8*scanPage {
-			t.Fatalf("round %d: steady-state pass listed %d keys of the 8 changed BLOBs and %d of others, ceilings %d and %d (the store holds %d)",
-				round, own, foreign, 8*(depth+16), 8*scanPage, total)
+		if own := listed - foreign; own != 2*changing || foreign > 8*scanPage {
+			t.Fatalf("round %d: steady-state pass listed %d keys of the 8 changed BLOBs and %d of others, want %d and at most %d (the store holds %d)",
+				round, own, foreign, 2*changing, 8*scanPage, total)
 		}
 		if rep.NodesSwept == 0 {
 			t.Fatalf("round %d: the deleted BLOBs' nodes were not reclaimed: %+v", round, rep)
@@ -651,13 +658,14 @@ func TestSteadyStatePassCostsWhatChanged(t *testing.T) {
 // TestMarkWalkIsNotClientMetadataLoad: a full pass over N BLOBs adds no
 // meta_get event — the walk's reads are not client reads — and reports
 // itself as one gc event carrying the nodes read and the BLOBs walked
-// and reused; a client read of the same trees still reports its own.
+// and reused; neither does the slot walk of a DeleteBlob; a client read
+// of the same trees still reports its own.
 func TestMarkWalkIsNotClientMetadataLoad(t *testing.T) {
 	const n = 12
 	ctx := context.Background()
 	rec := &instrument.Recorder{}
 	meta := blobmeta.NewMemStore("m1", rec, nil)
-	vm := vmanager.New(meta, vmanager.WithSpan(1<<16))
+	vm := vmanager.New(meta)
 	pm := pmanager.New(pmanager.WithTTL(0))
 	p := provider.New("p00", "z0", 0)
 	if err := pm.Register(pmanager.Info{ID: "p00", Zone: "z0"}); err != nil {
@@ -705,6 +713,13 @@ func TestMarkWalkIsNotClientMetadataLoad(t *testing.T) {
 	if got := count(instrument.OpMetaGet); got == gets {
 		t.Fatal("a client read emitted no meta_get event")
 	}
+	gets = count(instrument.OpMetaGet)
+	if err := m.DeleteBlob(ctx, blob); err != nil {
+		t.Fatal(err)
+	}
+	if got := count(instrument.OpMetaGet); got != gets {
+		t.Fatalf("DeleteBlob emitted %d meta_get events, want 0", got-gets)
+	}
 }
 
 // TestMarkConcurrentWithSweep: Mark may run beside sweeps — both replace
@@ -713,7 +728,7 @@ func TestMarkWalkIsNotClientMetadataLoad(t *testing.T) {
 // must survive, and the cache must still converge to all-reused. The
 // writers hold no leases here, so the grace window is on.
 func TestMarkConcurrentWithSweep(t *testing.T) {
-	r := newRig(t, 1<<16, gc.WithGraceEpochs(1))
+	r := newRig(t, gc.WithGraceEpochs(1))
 	ctx := context.Background()
 	var blobs []uint64
 	for i := 0; i < 24; i++ {

@@ -327,7 +327,7 @@ func (la leaseFailAPI) Leases(context.Context) ([]provider.LeaseInfo, error) { r
 // any of them might be protected by a lease the sweep never saw. The
 // share aborts, the pass reports the error, and the orphan survives.
 func TestLeaseEnumerationFailureAbortsSweep(t *testing.T) {
-	vm := vmanager.New(blobmeta.NewMemStore("m1", nil, nil), vmanager.WithSpan(1<<20))
+	vm := vmanager.New(blobmeta.NewMemStore("m1", nil, nil))
 	p := provider.New("p00", "z0", 0)
 	errPlane := errors.New("lease plane down")
 	m := gc.New(vm, leaseFailProviders{testProviders{m: map[string]*provider.Provider{"p00": p}}, errPlane},

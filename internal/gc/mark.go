@@ -18,6 +18,7 @@ package gc
 import (
 	"context"
 	"fmt"
+	"maps"
 	"sync"
 
 	"blobseer/internal/blobmeta"
@@ -145,7 +146,7 @@ func (m *Manager) markBlob(ctx context.Context, blob uint64, wk *markWorker, for
 			continue
 		}
 		wk.versions++
-		if err := w.walkVersion(tree, v.Version, func(id chunk.ID) { w.chunks = append(w.chunks, id) }); err != nil {
+		if err := w.walkVersion(tree, tree.Root(v.Version, v.Size), func(id chunk.ID) { w.chunks = append(w.chunks, id) }); err != nil {
 			return nil, fmt.Errorf("gc: mark blob %d v%d: %w", blob, v.Version, err)
 		}
 	}
@@ -156,8 +157,8 @@ func (m *Manager) markBlob(ctx context.Context, blob uint64, wk *markWorker, for
 // walkVersion walks one version of the BLOB's tree into w.nodes, pruning
 // at subtrees an earlier walk covered and reporting each live leaf's
 // chunk ID.
-func (w *blobWalk) walkVersion(tree *blobmeta.Tree, version uint64, live func(chunk.ID)) error {
-	return tree.WalkNodes(version,
+func (w *blobWalk) walkVersion(tree *blobmeta.Tree, root blobmeta.Root, live func(chunk.ID)) error {
+	return tree.WalkNodes(root,
 		func(k blobmeta.NodeKey) bool {
 			_, seen := w.nodes[k]
 			return seen
@@ -293,10 +294,7 @@ feed:
 			ms.chunks[id] = true
 		}
 	}
-	pinned := make([]pinKey, 0, len(m.pins))
-	for k := range m.pins {
-		pinned = append(pinned, k)
-	}
+	pinned := maps.Clone(m.pins)
 	m.mu.Unlock()
 	for _, blob := range rawDead {
 		if _, ok := ms.deferred[blob]; !ok {
@@ -316,7 +314,7 @@ feed:
 	// snapshots above.
 	late := locals[workers]
 	live := func(id chunk.ID) { ms.chunks[id] = true }
-	for _, k := range pinned {
+	for k, p := range pinned {
 		w := ms.walked[k.blob]
 		if w == nil {
 			var err error
@@ -345,7 +343,7 @@ feed:
 			}
 			return nil, fmt.Errorf("gc: mark pinned blob %d: open tree: %w", k.blob, err)
 		}
-		if err := w.walkVersion(tree, k.version, live); err != nil {
+		if err := w.walkVersion(tree, p.root, live); err != nil {
 			// Fail safe, exactly like the live-blob walk: an unmarked
 			// pinned version would let the purge truncate an in-flight
 			// stream.

@@ -98,7 +98,7 @@ func TestClientOverTCPEndToEnd(t *testing.T) {
 	dir := NewDirectory(addrs)
 	defer dir.Close()
 
-	vm := vmanager.New(blobmeta.NewMemStore("m1", nil, nil), vmanager.WithSpan(1<<16))
+	vm := vmanager.New(blobmeta.NewMemStore("m1", nil, nil))
 	pm := pmanager.New(pmanager.WithTTL(0))
 	for id := range addrs {
 		if err := pm.Register(pmanager.Info{ID: id, Zone: "z"}); err != nil {

@@ -10,12 +10,14 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"blobseer/internal/client"
 	"blobseer/internal/core"
 	"blobseer/internal/instrument"
+	"blobseer/internal/monitor"
 )
 
 func newGateway(t *testing.T, opts ...Option) (*Gateway, *httptest.Server) {
@@ -964,5 +966,66 @@ func TestRequestsDoNotGrowMonitoringMesh(t *testing.T) {
 	}
 	if after := cluster.Mesh.Agents(); after != before {
 		t.Fatalf("mesh grew from %d to %d agents over 1000 requests", before, after)
+	}
+}
+
+// TestMetadataWorkPerRequest counts what each S3 request costs the
+// metadata providers — their node writes and client node reads, as the
+// monitoring mesh sees them (one meta_put / meta_get event each) — with
+// the benchmark's 1 MiB chunks. A tree is as tall as its object is long:
+// a 16 KiB object is one node, an 8 MiB one fifteen, a range read one
+// root-to-leaf path; and reclaiming the overwritten or deleted BLOB is a
+// maintenance scan that adds no client read at all.
+func TestMetadataWorkPerRequest(t *testing.T) {
+	cluster, err := core.NewCluster(core.Options{Providers: 3, Monitoring: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var puts, gets atomic.Int64
+	cluster.Mesh.Subscribe(monitor.SubscriberFunc(func(rs []monitor.Record) {
+		for _, r := range rs {
+			switch r.Param {
+			case string(instrument.OpMetaPut):
+				puts.Add(1)
+			case string(instrument.OpMetaGet):
+				gets.Add(1)
+			}
+		}
+	}))
+	srv := httptest.NewServer(New(cluster, WithChunkSize(1<<20)))
+	t.Cleanup(srv.Close)
+	do(t, http.MethodPut, srv.URL+"/b", nil)
+
+	small := bytes.Repeat([]byte("s"), 16<<10)
+	large := bytes.Repeat([]byte("0123456789abcdef"), 8<<20/16)
+	read := func(key, rng string, want []byte) func() {
+		return func() {
+			resp := doRange(t, srv.URL+"/b/"+key, rng)
+			if got, err := io.ReadAll(resp.Body); err != nil || !bytes.Equal(got, want) {
+				t.Fatalf("GET %q: %d bytes, err %v; want %d bytes", rng, len(got), err, len(want))
+			}
+		}
+	}
+	for _, c := range []struct {
+		name       string
+		req        func()
+		puts, gets int64
+	}{
+		{"PUT 16 KiB", func() { do(t, http.MethodPut, srv.URL+"/b/small", small) }, 1, 0},
+		{"GET 16 KiB", read("small", "", small), 0, 1},
+		{"PUT-overwrite 16 KiB", func() { do(t, http.MethodPut, srv.URL+"/b/small", small) }, 1, 0},
+		{"PUT 8 MiB", func() { do(t, http.MethodPut, srv.URL+"/b/large", large) }, 15, 0},
+		{"GET 8 MiB", read("large", "", large), 0, 15},
+		{"range-GET 256 KiB of 8 MiB", read("large", "bytes=3145728-3407871", large[3<<20:3<<20+256<<10]), 0, 4},
+		{"DELETE 8 MiB", func() { do(t, http.MethodDelete, srv.URL+"/b/large", nil) }, 0, 0},
+	} {
+		cluster.Mesh.FlushAll()
+		puts.Store(0)
+		gets.Store(0)
+		c.req()
+		cluster.Mesh.FlushAll()
+		if p, g := puts.Load(), gets.Load(); p != c.puts || g != c.gets {
+			t.Errorf("%s: %d node writes and %d node reads, want %d and %d", c.name, p, g, c.puts, c.gets)
+		}
 	}
 }

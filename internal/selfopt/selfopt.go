@@ -155,7 +155,7 @@ func (r *Replicator) Scan(ctx context.Context, now time.Time) (RepairReport, err
 			desc chunk.Desc
 		}
 		var fixes []fix
-		err = tree.Walk(latest.Version, 0, tree.Span(), func(idx int64, d chunk.Desc) error {
+		err = tree.Walk(tree.Root(latest.Version, latest.Size), func(idx int64, d chunk.Desc) error {
 			rep.ChunksScanned++
 			live := d.Providers[:0:0]
 			for _, p := range d.Providers {

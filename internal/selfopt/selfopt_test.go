@@ -39,12 +39,15 @@ type rig struct {
 	pm   *pmanager.Manager
 	pool *testPool
 	in   *introspect.Introspector
+	rec  *instrument.Recorder // the metadata provider's events
 }
 
 func newRig(t *testing.T, nProviders int) *rig {
 	t.Helper()
+	rec := &instrument.Recorder{}
 	r := &rig{
-		vm:   vmanager.New(blobmeta.NewMemStore("m", nil, nil), vmanager.WithSpan(1<<16)),
+		rec:  rec,
+		vm:   vmanager.New(blobmeta.NewMemStore("m", rec, nil)),
 		pm:   pmanager.New(pmanager.WithTTL(0)),
 		pool: &testPool{providers: map[string]*provider.Provider{}},
 		in:   introspect.NewIntrospector(0),
@@ -94,7 +97,7 @@ func liveReplicas(t *testing.T, r *rig, blob uint64) []string {
 		t.Fatal(err)
 	}
 	var out []string
-	err = tree.Walk(latest.Version, 0, tree.Span(), func(_ int64, d chunk.Desc) error {
+	err = tree.Walk(tree.Root(latest.Version, latest.Size), func(_ int64, d chunk.Desc) error {
 		out = append(out, d.Providers...)
 		return nil
 	})
@@ -128,6 +131,23 @@ func TestScanRepairsLostReplica(t *testing.T) {
 		if !r.pool.providers[p].Has(chunk.Sum([]byte("payload"))) {
 			t.Fatalf("provider %s lacks the chunk", p)
 		}
+	}
+}
+
+// TestScanIsNotClientMetadataLoad: the health scan walks every BLOB's
+// tree as maintenance — it must not show up in introspection as client
+// metadata reads.
+func TestScanIsNotClientMetadataLoad(t *testing.T) {
+	r := newRig(t, 3)
+	for i := 0; i < 4; i++ {
+		r.writeBlob(t, []byte(fmt.Sprint("payload-", i)), []string{"p00", "p01"})
+	}
+	report, err := NewReplicator(r.vm, r.pm, r.pool, nil, WithBaseDegree(2)).Scan(context.Background(), t0)
+	if err != nil || report.ChunksScanned != 4 || report.UnderReplicated != 0 {
+		t.Fatalf("report=%+v err=%v", report, err)
+	}
+	if gets := r.rec.Filter(func(ev instrument.Event) bool { return ev.Op == instrument.OpMetaGet }); len(gets) != 0 {
+		t.Fatalf("a healthy scan of 4 BLOBs emitted %d meta_get events, want 0", len(gets))
 	}
 }
 

@@ -222,7 +222,7 @@ func Distribution(vm *vmanager.Manager, blob uint64) (map[string]int, error) {
 		return nil, err
 	}
 	out := map[string]int{}
-	err = tree.Walk(latest.Version, 0, tree.Span(), func(_ int64, d chunk.Desc) error {
+	err = tree.Walk(tree.Root(latest.Version, latest.Size), func(_ int64, d chunk.Desc) error {
 		for _, p := range d.Providers {
 			out[p]++
 		}

@@ -94,7 +94,6 @@ type blobState struct {
 type Manager struct {
 	mu       sync.Mutex
 	store    blobmeta.Store
-	span     int64
 	emit     instrument.Emitter
 	now      func() time.Time
 	nextBlob uint64
@@ -122,11 +121,6 @@ func WithClock(now func() time.Time) Option {
 	}
 }
 
-// WithSpan overrides the metadata-tree span (testing).
-func WithSpan(span int64) Option {
-	return func(m *Manager) { m.span = span }
-}
-
 // New returns a version manager persisting metadata into store.
 func New(store blobmeta.Store, opts ...Option) *Manager {
 	m := &Manager{
@@ -150,14 +144,10 @@ func (m *Manager) Create(owner string, chunkSize int64, temporary bool) (BlobInf
 	defer m.mu.Unlock()
 	m.nextBlob++
 	id := m.nextBlob
-	tree, err := blobmeta.NewTree(m.store, id, m.span)
-	if err != nil {
-		return BlobInfo{}, err
-	}
 	info := BlobInfo{ID: id, Owner: owner, ChunkSize: chunkSize, Created: m.now(), Temporary: temporary}
 	m.blobs[id] = &blobState{
 		info:     info,
-		tree:     tree,
+		tree:     blobmeta.NewTree(m.store, id, chunkSize),
 		nextVer:  1,
 		ends:     make(map[uint64]int64),
 		queued:   make(map[uint64]pendingPub),
@@ -293,8 +283,15 @@ func (m *Manager) assign(blob uint64, user string, offset, length int64, isAppen
 
 // Publish submits the chunk descriptors of an assigned version. The
 // version becomes visible once all predecessors have been published;
-// until then it is queued. writes maps chunk index → descriptor.
+// until then it is queued. writes maps chunk index → descriptor; an index
+// outside the BLOB as the version is certain to see it — the published
+// size or its own write's end, whichever is larger — refuses the
+// publication with blobmeta.ErrBadRange and leaves the version assigned.
 func (m *Manager) Publish(blob uint64, version uint64, writer string, writes map[int64]chunk.Desc) error {
+	lowest, highest := int64(0), int64(-1)
+	for idx := range writes {
+		lowest, highest = min(lowest, idx), max(highest, idx)
+	}
 	m.mu.Lock()
 	st, err := m.state(blob)
 	if err != nil {
@@ -312,6 +309,13 @@ func (m *Manager) Publish(blob uint64, version uint64, writer string, writes map
 	if _, dup := st.queued[version]; dup {
 		m.mu.Unlock()
 		return fmt.Errorf("%w: %d", ErrDoublePublish, version)
+	}
+	// What drainLocked will size the version's tree by is at least this,
+	// so a write accepted here can never fail to fit its root there.
+	size := max(st.versions[st.applied].Size, st.ends[version])
+	if slots := (size + st.info.ChunkSize - 1) / st.info.ChunkSize; lowest < 0 || highest >= slots {
+		m.mu.Unlock()
+		return fmt.Errorf("%w: v%d writes chunks [%d,%d] of a %d-chunk blob", blobmeta.ErrBadRange, version, lowest, highest, slots)
 	}
 	st.queued[version] = pendingPub{writes: writes, writer: writer}
 	published, err := m.drainLocked(st)
@@ -341,14 +345,16 @@ func (m *Manager) drainLocked(st *blobState) ([]uint64, error) {
 		if !ok {
 			return published, nil
 		}
-		if err := st.tree.Write(next, st.applied, pub.writes); err != nil {
-			return published, err
-		}
-		delete(st.queued, next)
-		size := st.versions[st.applied].Size
+		base := st.versions[st.applied]
+		size := base.Size
 		if end := st.ends[next]; end > size && len(pub.writes) > 0 {
 			size = end
 		}
+		// A write that outgrows the base's root puts a new root on top of it.
+		if err := st.tree.Write(st.tree.Root(next, size), st.tree.Root(base.Version, base.Size), pub.writes); err != nil {
+			return published, err
+		}
+		delete(st.queued, next)
 		delete(st.ends, next)
 		st.versions[next] = VersionMeta{
 			Version: next, Size: size, Writer: pub.writer, Published: m.now(),
@@ -603,22 +609,20 @@ func (m *Manager) DeleteExact(blob uint64) ([]VersionSlots, error) {
 	}
 	st.deleted = true
 	tree := st.tree
-	versions := make([]uint64, 0, len(st.versions))
-	for v := range st.versions {
+	roots := make([]blobmeta.Root, 0, len(st.versions))
+	for v, vm := range st.versions {
 		if v > 0 {
-			versions = append(versions, v)
+			roots = append(roots, tree.Root(v, vm.Size))
 		}
 	}
 	m.mu.Unlock()
-	sort.Slice(versions, func(i, j int) bool { return versions[i] < versions[j] })
+	sort.Slice(roots, func(i, j int) bool { return roots[i].Version < roots[j].Version })
 
-	out := make([]VersionSlots, 0, len(versions))
-	for _, v := range versions {
-		vs := VersionSlots{Version: v}
-		err := tree.Walk(v, 0, tree.Span(), func(_ int64, d chunk.Desc) error {
-			if !d.ID.IsZero() {
-				vs.Slots = append(vs.Slots, d)
-			}
+	out := make([]VersionSlots, 0, len(roots))
+	for _, root := range roots {
+		vs := VersionSlots{Version: root.Version}
+		err := tree.Walk(root, func(_ int64, d chunk.Desc) error {
+			vs.Slots = append(vs.Slots, d)
 			return nil
 		})
 		if err != nil {
@@ -641,38 +645,16 @@ func (m *Manager) DeleteExact(blob uint64) ([]VersionSlots, error) {
 // content — use DeleteExact (single-version) or the gc sweep when exact
 // reclamation matters.
 func (m *Manager) Delete(blob uint64) ([]chunk.Desc, error) {
-	m.mu.Lock()
-	st, err := m.state(blob)
-	if err != nil {
-		m.mu.Unlock()
-		return nil, err
-	}
-	st.deleted = true
-	tree := st.tree
-	versions := make([]uint64, 0, len(st.versions))
-	for v := range st.versions {
-		if v > 0 {
-			versions = append(versions, v)
-		}
-	}
-	m.mu.Unlock()
-
+	versions, err := m.DeleteExact(blob)
 	seen := map[chunk.ID]bool{}
 	var out []chunk.Desc
-	for _, v := range versions {
-		err := tree.Walk(v, 0, tree.Span(), func(_ int64, d chunk.Desc) error {
+	for _, vs := range versions {
+		for _, d := range vs.Slots {
 			if !seen[d.ID] {
 				seen[d.ID] = true
 				out = append(out, d)
 			}
-			return nil
-		})
-		if err != nil {
-			return out, err
 		}
 	}
-	m.emit.Emit(instrument.Event{
-		Time: m.now(), Actor: instrument.ActorVManager, Op: instrument.OpDelete, Blob: blob,
-	})
-	return out, nil
+	return out, err
 }

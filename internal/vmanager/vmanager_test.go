@@ -3,6 +3,7 @@ package vmanager
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -14,7 +15,7 @@ import (
 
 func newMgr(t *testing.T) *Manager {
 	t.Helper()
-	return New(blobmeta.NewMemStore("m1", nil, nil), WithSpan(1024))
+	return New(blobmeta.NewMemStore("m1", nil, nil))
 }
 
 func desc(tag string) chunk.Desc {
@@ -69,7 +70,7 @@ func TestWritePublishRead(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ds, err := tree.Read(1, 0, 2)
+	ds, err := tree.Read(tree.Root(1, latest.Size), 0, 2)
 	if err != nil || ds[0].ID != desc("c0").ID || ds[1].ID != desc("c1").ID {
 		t.Fatalf("read: %v %v", ds, err)
 	}
@@ -99,6 +100,116 @@ func TestOutOfOrderPublish(t *testing.T) {
 	latest, _ = m.Latest(info.ID)
 	if latest.Version != 3 || latest.Size != 192 {
 		t.Fatalf("after drain: latest=%+v", latest)
+	}
+}
+
+// TestOutOfOrderPublishAcrossDoublings: queued publications drain in
+// version order whatever order they arrive in, each on a root sized by
+// its own version — so a version that doubles the tree's span, queued
+// behind ones that do not and ahead of one that doubles it again, still
+// leaves every version readable through its own root.
+func TestOutOfOrderPublishAcrossDoublings(t *testing.T) {
+	store := blobmeta.NewMemStore("m1", nil, nil)
+	m := New(store)
+	info, _ := m.Create("a", 64, false)
+	// v1: chunks 0-1 (span 2); v2: overwrites chunk 1; v3: appends chunks
+	// 2-4 (span 8); v4: aborted; v5: chunk 16, sparse (span 32).
+	type pub struct {
+		off, n int64
+		writes map[int64]chunk.Desc
+	}
+	pubs := []pub{
+		{0, 128, map[int64]chunk.Desc{0: desc("a0"), 1: desc("a1")}},
+		{64, 64, map[int64]chunk.Desc{1: desc("b1")}},
+		{128, 192, map[int64]chunk.Desc{2: desc("c2"), 3: desc("c3"), 4: desc("c4")}},
+		{0, 4096, nil},
+		{1024, 64, map[int64]chunk.Desc{16: desc("e16")}},
+	}
+	for _, p := range pubs {
+		if _, err := m.AssignWrite(info.ID, "a", p.off, p.n); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, v := range []uint64{5, 3, 4, 2} {
+		if err := m.Publish(info.ID, v, "a", pubs[v-1].writes); err != nil {
+			t.Fatalf("publish v%d: %v", v, err)
+		}
+		if latest, _ := m.Latest(info.ID); latest.Version != 0 {
+			t.Fatalf("v%d visible before v1", latest.Version)
+		}
+	}
+	if store.Len() != 0 {
+		t.Fatalf("%d nodes written before the chain could drain", store.Len())
+	}
+	if err := m.Publish(info.ID, 1, "a", pubs[0].writes); err != nil {
+		t.Fatal(err)
+	}
+	tree, _ := m.Tree(info.ID)
+	v3 := map[int64]chunk.ID{0: desc("a0").ID, 1: desc("b1").ID, 2: desc("c2").ID, 3: desc("c3").ID, 4: desc("c4").ID}
+	v5 := map[int64]chunk.ID{16: desc("e16").ID}
+	for idx, id := range v3 {
+		v5[idx] = id
+	}
+	want := []struct {
+		size, span int64
+		slots      map[int64]chunk.ID
+	}{
+		{128, 2, map[int64]chunk.ID{0: desc("a0").ID, 1: desc("a1").ID}},
+		{128, 2, map[int64]chunk.ID{0: desc("a0").ID, 1: desc("b1").ID}},
+		{320, 8, v3},
+		{320, 8, v3}, // the aborted write grew nothing
+		{1088, 32, v5},
+	}
+	for i, w := range want {
+		vm, err := m.Version(info.ID, uint64(i+1))
+		if err != nil || vm.Size != w.size {
+			t.Fatalf("v%d: %+v %v, want size %d", i+1, vm, err, w.size)
+		}
+		root := tree.Root(vm.Version, vm.Size)
+		if root.Span != w.span {
+			t.Fatalf("v%d: root span %d, want %d", i+1, root.Span, w.span)
+		}
+		got := map[int64]chunk.ID{}
+		if err := tree.Walk(root, func(idx int64, d chunk.Desc) error { got[idx] = d.ID; return nil }); err != nil {
+			t.Fatalf("v%d: %v", i+1, err)
+		}
+		if !reflect.DeepEqual(got, w.slots) {
+			t.Fatalf("v%d reads %d slots, want %d", i+1, len(got), len(w.slots))
+		}
+	}
+	// v1: 3 nodes; v2: root + leaf; v3: root [0,8) over v2's root via the
+	// spine node [0,4), whose right half [2,4) holds two leaves, and the
+	// right path [4,8) [4,6) [4,5); v4: its root; v5: root [0,32) and spine
+	// [0,16) over v4's root, and the right path of five down to leaf 16.
+	if got, want := store.Len(), 3+2+(2+3+3)+1+(2+5); got != want {
+		t.Fatalf("%d nodes, want %d", got, want)
+	}
+}
+
+// TestPublishOutsideTheBlob: a publication carrying a slot past both the
+// published size and its own assigned write is refused and stays
+// publishable; one inside either bound is not.
+func TestPublishOutsideTheBlob(t *testing.T) {
+	m := newMgr(t)
+	info, _ := m.Create("a", 64, false)
+	t1, _ := m.AssignWrite(info.ID, "a", 0, 100) // slots 0-1
+	for _, idx := range []int64{2, -1} {
+		err := m.Publish(info.ID, t1.Version, "a", map[int64]chunk.Desc{idx: desc("x")})
+		if !errors.Is(err, blobmeta.ErrBadRange) {
+			t.Fatalf("slot %d: want ErrBadRange, got %v", idx, err)
+		}
+	}
+	if err := m.Publish(info.ID, t1.Version, "a", map[int64]chunk.Desc{1: desc("x")}); err != nil {
+		t.Fatalf("refused publication did not stay publishable: %v", err)
+	}
+	// A zero-length write (a repair) may republish any slot of the
+	// published BLOB.
+	t2, _ := m.AssignWrite(info.ID, "fix", 0, 0)
+	if err := m.Publish(info.ID, t2.Version, "fix", map[int64]chunk.Desc{1: desc("y")}); err != nil {
+		t.Fatal(err)
+	}
+	if latest, _ := m.Latest(info.ID); latest.Version != 2 || latest.Size != 100 {
+		t.Fatalf("latest=%+v", latest)
 	}
 }
 
@@ -286,7 +397,7 @@ func TestConcurrentWritersSerialize(t *testing.T) {
 	}
 	// Every chunk slot must be filled: appends got disjoint offsets.
 	tree, _ := m.Tree(info.ID)
-	ds, err := tree.Read(latest.Version, 0, writers)
+	ds, err := tree.Read(tree.Root(latest.Version, latest.Size), 0, writers)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,7 +410,7 @@ func TestConcurrentWritersSerialize(t *testing.T) {
 
 func TestEventsEmitted(t *testing.T) {
 	rec := &instrument.Recorder{}
-	m := New(blobmeta.NewMemStore("m1", nil, nil), WithSpan(64), WithEmitter(rec))
+	m := New(blobmeta.NewMemStore("m1", nil, nil), WithEmitter(rec))
 	info, _ := m.Create("a", 64, false)
 	tk, _ := m.AssignWrite(info.ID, "a", 0, 64)
 	if err := m.Publish(info.ID, tk.Version, "a", map[int64]chunk.Desc{0: desc("x")}); err != nil {
@@ -389,7 +500,7 @@ func TestDeleteExactPerSlot(t *testing.T) {
 // retire operation's guard rails.
 func TestRetentionCandidatesAndRetire(t *testing.T) {
 	now := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
-	m := New(blobmeta.NewMemStore("m1", nil, nil), WithSpan(1024),
+	m := New(blobmeta.NewMemStore("m1", nil, nil),
 		WithClock(func() time.Time { return now }))
 	info, _ := m.Create("a", 64, false)
 	for i := 0; i < 4; i++ {
@@ -464,7 +575,7 @@ func TestRetentionCandidatesAndRetire(t *testing.T) {
 // forgotten, and MetaStore exposes the tree persistence.
 func TestDeletedBlobsAndForget(t *testing.T) {
 	store := blobmeta.NewMemStore("m1", nil, nil)
-	m := New(store, WithSpan(64))
+	m := New(store)
 	if m.MetaStore() != blobmeta.Store(store) {
 		t.Fatal("MetaStore does not expose the backing store")
 	}
@@ -502,7 +613,7 @@ func TestDeletedBlobsAndForget(t *testing.T) {
 // outstanding and retires it once the last hold drains; holding a
 // version that was already retired (or never existed) fails.
 func TestHoldVersionBlocksRetire(t *testing.T) {
-	m := New(blobmeta.NewMemStore("m1", nil, nil), WithSpan(1024))
+	m := New(blobmeta.NewMemStore("m1", nil, nil))
 	info, _ := m.Create("a", 64, false)
 	for i := 0; i < 3; i++ {
 		tk, _ := m.AssignWrite(info.ID, "a", 0, 64)
