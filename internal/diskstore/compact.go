@@ -151,6 +151,21 @@ func (s *DiskStore) compactOnce() (dropped int, reclaimed int64, err error) {
 			}
 		}
 	}
+	rewrites := false // some victim holds something to move
+	for _, wl := range work {
+		rewrites = rewrites || len(wl.payloads)+len(wl.states)+len(wl.tombs) > 0
+	}
+	// The rewrites get a log head of their own. They are fsynced below,
+	// and an fsync takes every dirty byte of the file with it: on the
+	// head the writers have been appending to, that is everything put
+	// since the last scan — bytes that are mostly dead within seconds
+	// and that no one asked to have on the platter.
+	if rewrites && s.active.size > 0 {
+		if _, err := s.addSegment(); err != nil { //lockio:allow a roll is one file create and swaps s.active, which this mutex guards; writeLocked rolls under it too
+			s.mu.Unlock()
+			return 0, 0, err
+		}
+	}
 	// Every rewrite below lands in the segment that is the log head now,
 	// or in one the head rolls into while the scan runs.
 	head := s.active.id
@@ -170,10 +185,11 @@ func (s *DiskStore) compactOnce() (dropped int, reclaimed int64, err error) {
 		return 0, 0, err
 	}
 	// The rewrites must be durable before the only other copies vanish:
-	// one sync per segment they landed in, not one per victim.
+	// one sync per segment they landed in, not one per victim, and none
+	// for a scan whose victims held nothing to move.
 	s.mu.Lock()
 	var wrote []*segment
-	for id := head; id <= s.active.id; id++ {
+	for id := head; rewrites && id <= s.active.id; id++ {
 		if seg, ok := s.segs[id]; ok {
 			wrote = append(wrote, seg)
 		}

@@ -501,27 +501,19 @@ func (s *DiskStore) put(id chunk.ID, data []byte) error {
 	if s.closed {
 		return ErrClosed
 	}
-	cur := s.epoch.Load()
-	if e, ok := s.idx[id]; ok {
-		rec := record{typ: recState, refs: e.refs + 1, epoch: cur, id: id}
-		seg, off, err := s.appendLocked(&rec) //lockio:allow append-only log: appends must serialize with index updates in log order; payload reads run outside this mutex
-		if err != nil {
-			return err
-		}
-		s.apply(seg, off, &rec)
-		return nil
-	}
 	n := int64(len(data))
-	if s.opts.Capacity > 0 && s.used.Load()+n > s.opts.Capacity {
+	rec := record{typ: recPut, refs: 1, epoch: s.epoch.Load(), id: id, payload: data}
+	if e, ok := s.idx[id]; ok {
+		rec.typ, rec.refs, rec.payload = recState, e.refs+1, nil
+	} else if s.opts.Capacity > 0 && s.used.Load()+n > s.opts.Capacity {
 		return provider.ErrFull
 	}
-	rec := record{typ: recPut, refs: 1, epoch: cur, id: id, payload: data}
 	seg, off, err := s.appendLocked(&rec) //lockio:allow append-only log: appends must serialize with index updates in log order; payload reads run outside this mutex
 	if err != nil {
 		return err
 	}
 	s.apply(seg, off, &rec)
-	if s.m != nil {
+	if rec.typ == recPut && s.m != nil {
 		s.m.putBytes.Add(n)
 	}
 	return nil

@@ -183,12 +183,11 @@ func (f *syncCounter) Sync() error {
 	return f.appendFile.Sync()
 }
 
-// TestCompactionSyncsOncePerScan: the rewrites of every victim of a scan
-// land in the log head, so one fsync of it makes them all durable before
-// the victims are dropped — not one per victim.
-func TestCompactionSyncsOncePerScan(t *testing.T) {
-	const chunkSize = 1 << 10
-	s, _ := open(t, Options{SegmentBytes: 4 << 10})
+// threeVictims leaves three sealed segments, each with one live chunk out of
+// four, and the tombstones of the other nine in the log head. It returns the
+// twelve chunk IDs; every fourth is a survivor.
+func threeVictims(t *testing.T, s *DiskStore, chunkSize int) []chunk.ID {
+	t.Helper()
 	var ids []chunk.ID
 	for i := 0; i < 12; i++ { // four records cross SegmentBytes: three sealed segments
 		ids = append(ids, mustPut(t, s, payload(7000+i, chunkSize)))
@@ -196,15 +195,30 @@ func TestCompactionSyncsOncePerScan(t *testing.T) {
 	if got := s.Segments(); got != 4 || s.active.size != 0 {
 		t.Fatalf("set-up wrote %d segments with %d bytes in the head, want 3 sealed and an empty head", got, s.active.size)
 	}
-	// Leave one live chunk in each sealed segment: all three are victims,
-	// each has something to relocate, and the head takes all three
-	// survivors without rolling.
 	for i, id := range ids {
 		if i%4 != 0 {
 			if _, err := s.Purge(id); err != nil {
 				t.Fatal(err)
 			}
 		}
+	}
+	return ids
+}
+
+// TestCompactionSyncsOncePerScan: the rewrites of every victim of a scan
+// land in the log head, so one fsync of it makes them all durable before
+// the victims are dropped — not one per victim.
+func TestCompactionSyncsOncePerScan(t *testing.T) {
+	const chunkSize = 1 << 10
+	s, _ := open(t, Options{SegmentBytes: 4 << 10})
+	ids := threeVictims(t, s, chunkSize)
+	// Roll by hand, so that the scan finds an empty head, keeps it, and the
+	// counter sits on the segment that takes all three survivors.
+	s.mu.Lock()
+	_, err := s.addSegment()
+	s.mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
 	}
 	head := &syncCounter{appendFile: s.active.w}
 	s.active.w = head
@@ -221,6 +235,74 @@ func TestCompactionSyncsOncePerScan(t *testing.T) {
 	for i := 0; i < 12; i += 4 {
 		if got, err := s.Get(ids[i]); err != nil || !bytes.Equal(got, payload(7000+i, chunkSize)) {
 			t.Fatalf("survivor %d lost after compaction: %v", i, err)
+		}
+	}
+}
+
+// TestCompactionLeavesTheWritersHeadUnsynced: an fsync flushes a whole
+// file, so a scan with something to move seals the head the writers were
+// appending to and moves it into a fresh one — what the writers put stays
+// in the page cache, as it does when no scan runs. A scan whose victims
+// hold nothing to move writes nothing and syncs nothing.
+func TestCompactionLeavesTheWritersHeadUnsynced(t *testing.T) {
+	const chunkSize = 1 << 10
+	s, dir := open(t, Options{SegmentBytes: 4 << 10})
+	ids := threeVictims(t, s, chunkSize)
+	hot := s.active
+	if hot.size == 0 {
+		t.Fatal("the purges left no tombstones in the head")
+	}
+	head := &syncCounter{appendFile: hot.w}
+	hot.w = head
+	if dropped, _, err := s.CompactOnce(); err != nil || dropped != 3 {
+		t.Fatalf("scan dropped %d segments (%v), want 3", dropped, err)
+	}
+	if head.syncs != 0 {
+		t.Fatalf("the scan synced the writers' head %d times", head.syncs)
+	}
+	if s.active == hot || hot.w != nil {
+		t.Fatal("the scan did not seal the writers' head")
+	}
+	for i := 0; i < 12; i += 4 {
+		if e := s.idx[ids[i]]; e.seg <= hot.id {
+			t.Fatalf("survivor %d was moved into segment %d, not past the writers' head %d", i, e.seg, hot.id)
+		}
+	}
+
+	// The survivors die too: their segment holds nothing live, the scan
+	// has nothing to move, and the head it finds is neither rolled nor
+	// synced.
+	for i := 0; i < 12; i += 4 {
+		if _, err := s.Purge(ids[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.mu.Lock()
+	_, err := s.addSegment()
+	s.mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustPut(t, s, payload(7101, chunkSize))
+	hot = s.active
+	head = &syncCounter{appendFile: hot.w}
+	hot.w = head
+	dropped, _, err := s.CompactOnce()
+	if err != nil || dropped == 0 {
+		t.Fatalf("scan over dead segments dropped %d (%v)", dropped, err)
+	}
+	if head.syncs != 0 || s.active != hot {
+		t.Fatalf("a scan with nothing to move synced the head %d times, rolled it: %v", head.syncs, s.active != hot)
+	}
+	// What a crash would leave: everything still readable after a reopen.
+	s.Close()
+	s = reopen(t, dir, Options{SegmentBytes: 4 << 10})
+	if got, err := s.Get(chunk.Sum(payload(7101, chunkSize))); err != nil || !bytes.Equal(got, payload(7101, chunkSize)) {
+		t.Fatalf("the head's chunk was lost across reopen: %v", err)
+	}
+	for _, id := range ids {
+		if s.Has(id) {
+			t.Fatalf("purged chunk %s came back across reopen", id.Short())
 		}
 	}
 }

@@ -726,9 +726,13 @@ func TestMarkWalkIsNotClientMetadataLoad(t *testing.T) {
 // the per-BLOB cache, the sweep also settles entries in it — while
 // objects are overwritten underneath. Under -race; every live chunk
 // must survive, and the cache must still converge to all-reused. The
-// writers hold no leases here, so the grace window is on.
+// writers hold no leases here, so the grace window is on — and wide: the
+// sweeps run back to back, and with one epoch of grace a write descheduled
+// between its store and its publish for two of them loses its chunks (a
+// few runs in a thousand did).
 func TestMarkConcurrentWithSweep(t *testing.T) {
-	r := newRig(t, gc.WithGraceEpochs(1))
+	const grace = 8
+	r := newRig(t, gc.WithGraceEpochs(grace))
 	ctx := context.Background()
 	var blobs []uint64
 	for i := 0; i < 24; i++ {
@@ -794,7 +798,7 @@ func TestMarkConcurrentWithSweep(t *testing.T) {
 	if _, err := r.m.EnforceRetention(ctx, time.Now()); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 3; i++ { // orphans clear the grace window
+	for i := 0; i < grace+2; i++ { // orphans clear the grace window
 		r.sweep(t)
 	}
 	naive, left := r.naiveMark(t), r.survivors(t)
