@@ -1,6 +1,6 @@
 // Command blobseer-provider runs one standalone data provider exported
-// over TCP (net/rpc + gob), the building block of a multi-machine
-// deployment. Clients reach it through rpc.NewDirectory.
+// over TCP (internal/rpc's framed wire), the building block of a
+// multi-machine deployment. Clients reach it through rpc.NewDirectory.
 //
 // Usage:
 //

@@ -5,7 +5,7 @@
 //
 // A call is directly blocking when it is:
 //
-//   - any function or method of net, net/rpc or net/http (minus a
+//   - any function or method of net or net/http (minus a
 //     short list of pure helpers like net.JoinHostPort);
 //   - time.Sleep or (*sync.WaitGroup).Wait;
 //   - the module's own retry/backoff helpers — faultdom.Sleep and
@@ -19,7 +19,7 @@
 //     parameter is a context.Context — this repository's own ctxfirst
 //     convention makes "takes ctx first" the signature of the I/O
 //     surface (client.Conn, client.Directory, the gc provider pool,
-//     the net/rpc plane), so the rule tracks the codebase instead of a
+//     the rpc plane), so the rule tracks the codebase instead of a
 //     hand-maintained list.
 //
 // Any module function whose body (function literals included) contains
@@ -46,7 +46,6 @@ type Facts struct {
 // blocking I/O.
 var blockingPkgs = map[string]bool{
 	"net":      true,
-	"net/rpc":  true,
 	"net/http": true,
 }
 

@@ -5,8 +5,7 @@
 // and context.TODO() are banned outside package main, test files and
 // benchmarks.
 //
-// Deliberate roots — net/rpc server handlers (the wire carries no
-// deadline), control-plane ticks, and cleanup that must outlive a
+// Deliberate roots — control-plane ticks and cleanup that must outlive a
 // cancelled request — are annotated //ctxfirst:allow <reason>.
 package ctxfirst
 

@@ -481,12 +481,11 @@ type BlobWriter struct {
 	version uint64
 }
 
-// leaseRef carries the lease identity the flush path registers chunks
-// under, and accumulates the providers it touched so heartbeat renewals
-// and the final release reach every lease site.
+// leaseRef carries the lease the flush path stores chunks under, and
+// accumulates the providers it touched so heartbeat renewals and the
+// final release reach every lease site.
 type leaseRef struct {
-	id  string
-	ttl time.Duration
+	chunk.Lease
 
 	mu    sync.Mutex
 	provs map[string]struct{}
@@ -537,7 +536,7 @@ func (c *Client) newWriter(ctx context.Context, blob uint64, chunkSize, offset i
 			w.err = lerr
 		} else {
 			w.lease = lease
-			w.lref = &leaseRef{id: lease.ID(), ttl: c.leaseTTL, provs: make(map[string]struct{})}
+			w.lref = &leaseRef{Lease: chunk.Lease{ID: lease.ID(), TTL: c.leaseTTL}, provs: make(map[string]struct{})}
 			go w.heartbeat()
 		}
 	}
@@ -569,7 +568,7 @@ func (w *BlobWriter) heartbeat() {
 				continue // transient: the TTL spans several ticks, the next one retries
 			}
 			// Best effort for the same reason; nil ids = pure renewal.
-			_ = conn.LeaseChunks(w.ctx, w.lref.id, w.lref.ttl, nil)
+			_ = conn.LeaseChunks(w.ctx, w.lref.ID, w.lref.TTL, nil)
 		}
 	}
 }
@@ -586,7 +585,7 @@ func (w *BlobWriter) releaseLease() {
 		if err != nil {
 			continue
 		}
-		_ = conn.ReleaseLease(ctx, w.lref.id)
+		_ = conn.ReleaseLease(ctx, w.lref.ID)
 	}
 	w.lease.Release()
 }

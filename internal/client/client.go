@@ -47,13 +47,17 @@ var (
 // that retained either slice would see it overwritten by a later
 // transfer.
 //
-// Writer leases: a leasing writer registers each chunk ID under its
-// lease at the provider (LeaseChunks) before storing it, renews with nil
-// ids, and releases when it finishes. While a lease is live the
-// provider's wholesale purge and the GC's victim classification skip its
-// chunks. A Conn that wraps another forwards both calls — a wrapper that
-// swallowed them would leave the writers behind it with the grace window
-// as their only protection.
+// Writer leases: a leasing writer stores each chunk under its lease —
+// the lease rides in the Store's ctx (chunk.WithLease) and the provider
+// registers the chunk under it before the bytes land — renews with
+// LeaseChunks and nil ids, and releases when it finishes. While a lease
+// is live the provider's wholesale purge and the GC's victim
+// classification skip its chunks. ReleaseLease may return before the
+// provider has applied it (the wire sends it one-way) but is applied
+// before any later call on the same conn. A Conn that wraps another
+// forwards the Store ctx and both calls — a wrapper that swallowed them
+// would leave the writers behind it with the grace window as their only
+// protection.
 type Conn interface {
 	Store(ctx context.Context, user string, id chunk.ID, data []byte) error
 	Fetch(ctx context.Context, user string, id chunk.ID) ([]byte, error)
@@ -106,7 +110,7 @@ const DefaultLeaseTTL = 30 * time.Second
 
 // Lease is one writer's registration with the storage-lifecycle layer,
 // minted by a Leaser at NewWriter time. Its ID also names the chunk
-// leases the writer registers at each provider (Conn.LeaseChunks), so one
+// leases the writer's Stores register at each provider, so one
 // identity protects the base version and the flushed chunks. Renew
 // pushes the expiry out (heartbeat); Release ends the lease and must be
 // called on every writer exit path — a lease that is never released
@@ -430,18 +434,19 @@ func (c *Client) resolveVersion(blob, version uint64) (vmanager.VersionMeta, err
 // accept the chunk are returned, so callers can reclaim the stranded
 // replicas.
 //
-// When lease is non-nil, the chunk ID is registered under the writer's
-// lease at each target before the Store: registration is ordered
-// against in-flight purges at the provider, so by the time the Store
-// runs, a sweep that already classified an identical chunk as a victim
-// has either finished purging it (the Store recreates it) or will skip
-// it as leased. A lease failure counts as that replica failing — an
-// unleased replica of a still-unpublished chunk is exactly the exposure
-// leases exist to close.
+// When lease is non-nil, each Store carries the writer's lease and the
+// provider registers the chunk under it before the Put, so the lease
+// costs no round trip of its own (Provider.Store has the ordering
+// against purges). Every target is noted for heartbeats and the release
+// before its Store is sent: a Store whose reply is lost may still have
+// registered the lease.
 func (c *Client) storeReplicas(ctx context.Context, id chunk.ID, data []byte, targets []string, lease *leaseRef) ([]string, error) {
 	need := c.quorum
 	if need <= 0 || need > len(targets) {
 		need = len(targets)
+	}
+	if lease != nil {
+		ctx = chunk.WithLease(ctx, &lease.Lease)
 	}
 	var start time.Time
 	var okCount atomic.Int64
@@ -460,10 +465,6 @@ func (c *Client) storeReplicas(ctx context.Context, id chunk.ID, data []byte, ta
 				return
 			}
 			if lease != nil {
-				if err := conn.LeaseChunks(ctx, lease.id, lease.ttl, []chunk.ID{id}); err != nil {
-					errs[k] = fmt.Errorf("lease %s: %w", pid, err)
-					return
-				}
 				lease.noteProvider(pid)
 			}
 			if err := conn.Store(ctx, c.user, id, data); err != nil {

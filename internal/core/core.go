@@ -35,26 +35,31 @@ import (
 	"blobseer/internal/vmanager"
 )
 
+// The deployment's fixed shape: two metadata providers behind the ring,
+// two monitoring services, two introspection storage servers, and every
+// data provider in one zone with unbounded capacity.
+const (
+	metaProviders   = 2
+	monitorServices = 2
+	storageServers  = 2
+	zone            = "zone0"
+)
+
 // Options configures a Cluster. The zero value is usable: NewCluster
 // fills defaults.
 type Options struct {
-	Providers        int      // data providers (default 4)
-	MetaProviders    int      // metadata providers (default 2)
-	MonitorServices  int      // monitoring services (default 2)
-	StorageServers   int      // introspection storage servers (default 2)
-	ProviderCapacity int64    // bytes per provider (0 = unbounded)
-	Replicas         int      // chunk replication degree for clients (default 1)
-	WriteQuorum      int      // replica stores required per chunk (0 = all replicas)
-	HedgedReads      bool     // race all replicas on reads instead of serial failover
-	Zones            []string // provider zones, round-robin (default one zone)
-	PolicySource     string   // policy DSL ("" = policy.DefaultCatalog)
-	Monitoring       bool     // attach the introspection stack (default true via NewCluster)
-	AgentBatch       int      // monitoring agent batch size (default 32)
-	Clock            func() time.Time
-	Elasticity       *selfconfig.Config // enable the elasticity controller
-	BaseDegree       int                // replication maintenance target (default = Replicas)
-	GCGraceEpochs    int                // sweep write-in-progress grace window (0 = default 1, -1 = none)
-	WriterLeaseTTL   time.Duration      // writer-lease lifetime without heartbeat (0 = default 30s)
+	Providers      int    // data providers (default 4)
+	Replicas       int    // chunk replication degree for clients (default 1)
+	WriteQuorum    int    // replica stores required per chunk (0 = all replicas)
+	HedgedReads    bool   // race all replicas on reads instead of serial failover
+	PolicySource   string // policy DSL ("" = policy.DefaultCatalog)
+	Monitoring     bool   // attach the introspection stack (default true via NewCluster)
+	AgentBatch     int    // monitoring agent batch size (default 32)
+	Clock          func() time.Time
+	Elasticity     *selfconfig.Config // enable the elasticity controller
+	BaseDegree     int                // replication maintenance target (default = Replicas)
+	GCGraceEpochs  int                // sweep write-in-progress grace window (0 = default 1, -1 = none)
+	WriterLeaseTTL time.Duration      // writer-lease lifetime without heartbeat (0 = default 30s)
 	// ProviderStore mints the backing chunk store for each new provider
 	// (nil, or a nil return, = the in-memory MemStore). It is the seam
 	// for disk-backed stores and for fault/latency injection in tests.
@@ -107,15 +112,6 @@ func NewCluster(opts Options) (*Cluster, error) {
 	if opts.Providers <= 0 {
 		opts.Providers = 4
 	}
-	if opts.MetaProviders <= 0 {
-		opts.MetaProviders = 2
-	}
-	if opts.MonitorServices <= 0 {
-		opts.MonitorServices = 2
-	}
-	if opts.StorageServers <= 0 {
-		opts.StorageServers = 2
-	}
 	if opts.Replicas <= 0 {
 		opts.Replicas = 1
 	}
@@ -124,9 +120,6 @@ func NewCluster(opts Options) (*Cluster, error) {
 	}
 	if opts.AgentBatch <= 0 {
 		opts.AgentBatch = 32
-	}
-	if len(opts.Zones) == 0 {
-		opts.Zones = []string{"zone0"}
 	}
 	if opts.Clock == nil {
 		opts.Clock = time.Now
@@ -146,16 +139,16 @@ func NewCluster(opts Options) (*Cluster, error) {
 	}
 
 	// Monitoring mesh + introspection stack.
-	c.Mesh = monitor.NewMesh(opts.MonitorServices, 0)
+	c.Mesh = monitor.NewMesh(monitorServices, 0)
 	c.Intro = introspect.NewIntrospector(0)
-	c.Store = introspect.NewCluster(opts.StorageServers, 0, 0)
+	c.Store = introspect.NewCluster(storageServers, 0, 0)
 	c.Hist = history.New()
 	c.Mesh.Subscribe(c.Intro)
 	c.Mesh.Subscribe(c.Store)
 	c.Mesh.Subscribe(c.Hist)
 
 	// Metadata providers behind a ring.
-	stores := make([]blobmeta.Store, opts.MetaProviders)
+	stores := make([]blobmeta.Store, metaProviders)
 	for i := range stores {
 		id := fmt.Sprintf("meta%02d", i)
 		stores[i] = blobmeta.NewMemStore(id, c.agentFor(id), c.now)
@@ -256,7 +249,6 @@ func (c *Cluster) AddProvider() (string, error) {
 	i := c.nextProv
 	c.nextProv++
 	id := fmt.Sprintf("provider%03d", i)
-	zone := c.opts.Zones[i%len(c.opts.Zones)]
 	popts := []provider.Option{
 		provider.WithEmitter(c.agentFor(id)),
 		provider.WithClock(c.now),
@@ -265,13 +257,13 @@ func (c *Cluster) AddProvider() (string, error) {
 	if c.opts.ProviderStore != nil {
 		popts = append(popts, provider.WithStore(c.opts.ProviderStore(id)))
 	}
-	p := provider.New(id, zone, c.opts.ProviderCapacity, popts...)
+	p := provider.New(id, zone, 0, popts...)
 	c.providers[id] = p
 	c.mu.Unlock()
 	if c.Fault != nil {
 		c.Fault.Track(id)
 	}
-	if err := c.PM.Register(pmanager.Info{ID: id, Zone: zone, Capacity: c.opts.ProviderCapacity}); err != nil {
+	if err := c.PM.Register(pmanager.Info{ID: id, Zone: zone}); err != nil {
 		return "", err
 	}
 	return id, nil

@@ -15,7 +15,6 @@ import (
 	"io"
 	"math/rand"
 	"net"
-	"net/rpc"
 	"syscall"
 	"time"
 )
@@ -29,7 +28,7 @@ const (
 	// responding, so retrying the same call cannot help.
 	Permanent Class = iota
 	// Transient errors are infrastructure failures — refused or reset
-	// connections, i/o timeouts, a shut-down rpc client — where the same
+	// connections, i/o timeouts, a shut-down rpc conn — where the same
 	// call may well succeed on a retry or on another replica.
 	Transient
 )
@@ -71,8 +70,7 @@ func Classify(err error) Class {
 		return Transient
 	}
 	switch {
-	case errors.Is(err, rpc.ErrShutdown),
-		errors.Is(err, io.ErrUnexpectedEOF),
+	case errors.Is(err, io.ErrUnexpectedEOF),
 		errors.Is(err, io.EOF),
 		errors.Is(err, io.ErrClosedPipe),
 		errors.Is(err, net.ErrClosed),

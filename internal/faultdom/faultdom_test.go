@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"net/rpc"
 	"sync"
 	"syscall"
 	"testing"
@@ -15,6 +14,7 @@ import (
 	"blobseer/internal/chunk"
 	"blobseer/internal/metrics"
 	"blobseer/internal/provider"
+	"blobseer/internal/rpc"
 )
 
 type transientErr struct{ t bool }
@@ -41,6 +41,7 @@ func TestClassify(t *testing.T) {
 		{"canceled", context.Canceled, Permanent},
 		{"net-error", fakeNetErr{}, Transient},
 		{"rpc-shutdown", rpc.ErrShutdown, Transient},
+		{"rpc-conn-died", fmt.Errorf("store p1: %w: %v", rpc.ErrShutdown, io.EOF), Transient},
 		{"eof", io.EOF, Transient},
 		{"unexpected-eof", io.ErrUnexpectedEOF, Transient},
 		{"conn-refused", syscall.ECONNREFUSED, Transient},

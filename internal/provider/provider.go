@@ -439,13 +439,20 @@ func (p *Provider) end() {
 }
 
 // Store persists one chunk replica on behalf of user. A cancelled ctx
-// rejects the transfer before it touches the store.
+// rejects the transfer before it touches the store. A writer lease ctx
+// carries (chunk.WithLease; over the wire, the Store frame's) registers
+// the chunk first, ordered against in-flight purges as LeaseChunks is.
 func (p *Provider) Store(ctx context.Context, user string, id chunk.ID, data []byte) error {
 	start := p.now()
 	if err := p.begin(ctx); err != nil {
 		return err
 	}
 	defer p.end()
+	if l := chunk.LeaseFrom(ctx); l != nil {
+		if err := p.LeaseChunks(ctx, l.ID, l.TTL, []chunk.ID{id}); err != nil {
+			return err
+		}
+	}
 	err := p.st.Put(id, data)
 	p.stores.Add(1)
 	if err == nil {

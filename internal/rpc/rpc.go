@@ -4,26 +4,27 @@
 // implement the same client.Conn contract, so the BlobSeer client code is
 // transport-agnostic.
 //
-// Calls are dispatched by stdlib net/rpc over this package's own codec
-// (wire.go): headers and control-plane bodies are gob, chunk payloads are
-// length-prefixed raw frames written from the caller's slice and read into
-// a chunk-pool buffer. There is one wire format and no negotiation: the
+// A call is a request frame and a reply frame (wire.go) on a conn that
+// multiplexes calls: callers write whole frames one at a time and one
+// reader goroutine hands each reply to its caller. The server runs each
+// request in a goroutine of its own, under a context built from its frame,
+// except a one-way request (ReleaseLease), which it applies before it
+// reads the next frame. There is one wire format and no negotiation: the
 // client and the server of a deployment are built from the same tree.
 //
 // Buffer ownership follows client.Conn: Store does not retain data past its
-// return (the frame is on the conn before the call is even pending); Fetch
-// returns a chunk-pool buffer the caller owns. On the server a Store
+// return (the frame is on the conn before the call waits for its reply);
+// Fetch returns a chunk-pool buffer the caller owns. On the server a Store
 // request's payload buffer is donated when its handler returns and a Fetch
 // reply's buffer when the reply is written.
 package rpc
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"net"
-	"net/rpc"
 	"sync"
 	"time"
 
@@ -32,188 +33,37 @@ import (
 	"blobseer/internal/provider"
 )
 
-// StoreArgs is the wire form of a chunk store request. Data travels as a
-// raw frame, not through gob.
-type StoreArgs struct {
-	User string
-	ID   chunk.ID
-	Data []byte
-}
+// ErrShutdown fails every call on a conn that was closed or whose
+// transport broke or whose call deadline passed. It classifies Transient
+// (it has the faultdom.Transienter method): the same call may well
+// succeed on a re-dialed conn or another replica.
+var ErrShutdown error = shutdownError{}
 
-// FetchArgs is the wire form of a chunk fetch request.
-type FetchArgs struct {
-	User string
-	ID   chunk.ID
-}
+type shutdownError struct{}
 
-// FetchReply carries a fetched chunk payload, as a raw frame.
-type FetchReply struct {
-	Data []byte
-}
-
-// RemoveArgs is the wire form of a chunk remove request.
-type RemoveArgs struct {
-	ID chunk.ID
-}
-
-// StatsReply carries provider statistics.
-type StatsReply struct {
-	Stats provider.Stats
-}
-
-// ListChunksArgs is the wire form of one chunk-inventory page request.
-type ListChunksArgs struct {
-	After chunk.ID // resume after this ID (zero = from the start)
-	Limit int      // page size (≤ 0 = server default)
-}
-
-// ListChunksReply carries one inventory page. More reports whether
-// another page follows (resume with After = last returned ID).
-type ListChunksReply struct {
-	Chunks []provider.ChunkInfo
-	More   bool
-}
-
-// PurgeArgs is the wire form of a bulk wholesale chunk removal.
-type PurgeArgs struct {
-	IDs []chunk.ID
-}
-
-// PurgeReply reports how many chunks were present and the bytes freed.
-type PurgeReply struct {
-	Purged int
-	Freed  int64
-}
-
-// EpochReply carries a provider's sweep epoch.
-type EpochReply struct {
-	Epoch uint64
-}
-
-// LeaseChunksArgs is the wire form of a writer-lease registration or
-// renewal (nil IDs = pure heartbeat).
-type LeaseChunksArgs struct {
-	LeaseID string
-	TTL     time.Duration
-	IDs     []chunk.ID
-}
-
-// ReleaseLeaseArgs is the wire form of a writer-lease release.
-type ReleaseLeaseArgs struct {
-	LeaseID string
-}
-
-// LeasesReply carries the provider's writer-lease table (expired leases
-// included, for the sweep's reaping).
-type LeasesReply struct {
-	Leases []provider.LeaseInfo
-}
-
-// ProviderService exports one data provider over net/rpc.
-type ProviderService struct {
-	P *provider.Provider
-}
-
-// handlerCtx returns the context one handler invocation runs under.
-// This is the single place the server plane mints contexts — net/rpc
-// hands handlers no caller context to thread through, and the client's
-// deadline is enforced on its own end of the wire.
-func handlerCtx() context.Context {
-	return context.Background() //ctxfirst:allow a request carries no caller context; handlers are rooted here and run to completion
-}
-
-// Store handles chunk writes. The codec read the payload into a chunk-pool
-// buffer; Provider.Store does not retain it, so it is donated on return.
-func (s *ProviderService) Store(args *StoreArgs, _ *struct{}) error {
-	defer chunk.PutBuf(args.Data)
-	return s.P.Store(handlerCtx(), args.User, args.ID, args.Data)
-}
-
-// Fetch handles chunk reads. The reply's buffer is the provider's pool
-// buffer; the codec donates it once the reply is written.
-func (s *ProviderService) Fetch(args *FetchArgs, reply *FetchReply) error {
-	data, err := s.P.Fetch(handlerCtx(), args.User, args.ID)
-	if err != nil {
-		return err
-	}
-	reply.Data = data
-	return nil
-}
-
-// Remove handles chunk deletion.
-func (s *ProviderService) Remove(args *RemoveArgs, _ *struct{}) error {
-	return s.P.Remove(handlerCtx(), args.ID)
-}
-
-// Stats reports provider counters.
-func (s *ProviderService) Stats(_ *struct{}, reply *StatsReply) error {
-	reply.Stats = s.P.Stats()
-	return nil
-}
-
-// ListChunks serves one page of the provider's chunk inventory to the
-// garbage collector's sweep.
-func (s *ProviderService) ListChunks(args *ListChunksArgs, reply *ListChunksReply) error {
-	page, more, err := s.P.ListChunks(handlerCtx(), args.After, args.Limit)
-	if err != nil {
-		return err
-	}
-	reply.Chunks, reply.More = page, more
-	return nil
-}
-
-// Purge removes unreferenced chunks wholesale on behalf of the sweep.
-func (s *ProviderService) Purge(args *PurgeArgs, reply *PurgeReply) error {
-	purged, freed, err := s.P.PurgeChunks(handlerCtx(), args.IDs)
-	reply.Purged, reply.Freed = purged, freed
-	return err
-}
-
-// AdvanceEpoch moves the provider to the next sweep epoch.
-func (s *ProviderService) AdvanceEpoch(_ *struct{}, reply *EpochReply) error {
-	e, err := s.P.AdvanceEpoch(handlerCtx())
-	reply.Epoch = e
-	return err
-}
-
-// Epoch reports the provider's current sweep epoch without advancing it
-// (dry-run sweeps classify against it).
-func (s *ProviderService) Epoch(_ *struct{}, reply *EpochReply) error {
-	e, err := s.P.Epoch(handlerCtx())
-	reply.Epoch = e
-	return err
-}
-
-// LeaseChunks registers or renews a writer lease: a gateway-side writer
-// in another process protects its flushed chunks against this
-// provider's purge and a remote GC runner's sweep.
-func (s *ProviderService) LeaseChunks(args *LeaseChunksArgs, _ *struct{}) error {
-	return s.P.LeaseChunks(handlerCtx(), args.LeaseID, args.TTL, args.IDs)
-}
-
-// ReleaseLease drops one writer lease.
-func (s *ProviderService) ReleaseLease(args *ReleaseLeaseArgs, _ *struct{}) error {
-	return s.P.ReleaseLease(handlerCtx(), args.LeaseID)
-}
-
-// Leases enumerates the provider's writer leases for the sweep.
-func (s *ProviderService) Leases(_ *struct{}, reply *LeasesReply) error {
-	leases, err := s.P.Leases(handlerCtx())
-	if err != nil {
-		return err
-	}
-	reply.Leases = leases
-	return nil
-}
+func (shutdownError) Error() string   { return "rpc: connection is shut down" }
+func (shutdownError) Transient() bool { return true }
 
 // Server hosts one provider on a TCP listener.
 type Server struct {
-	lis  net.Listener
-	rpcS *rpc.Server
+	p   *provider.Provider
+	lis net.Listener
 
 	mu     sync.Mutex
 	closed bool
-	conns  map[net.Conn]struct{} // accepted conns, closed with the server
+	conns  map[*serverConn]struct{} // accepted conns, closed with the server
+}
+
+// serverConn is one accepted conn. Replies are written whole under wmu;
+// inflight holds the context of every call being served, for a cancel
+// frame or the conn's end to reach.
+type serverConn struct {
+	nc  net.Conn
+	wmu sync.Mutex
+	bw  *bufio.Writer
+
+	mu       sync.Mutex
+	inflight map[uint64]*callCtx
 }
 
 // Serve exports p on addr (e.g. "127.0.0.1:0") and starts accepting in a
@@ -223,37 +73,138 @@ func Serve(p *provider.Provider, addr string) (*Server, error) {
 	if err != nil {
 		return nil, fmt.Errorf("rpc: listen %s: %w", addr, err)
 	}
-	s := &Server{lis: lis, rpcS: rpc.NewServer(), conns: make(map[net.Conn]struct{})}
-	if err := s.rpcS.RegisterName("Provider", &ProviderService{P: p}); err != nil {
-		lis.Close()
-		return nil, err
-	}
+	s := &Server{p: p, lis: lis, conns: make(map[*serverConn]struct{})}
 	go s.acceptLoop()
 	return s, nil
 }
 
 func (s *Server) acceptLoop() {
 	for {
-		conn, err := s.lis.Accept()
+		nc, err := s.lis.Accept()
 		if err != nil {
 			return // listener closed
 		}
+		sc := &serverConn{nc: nc, bw: bufio.NewWriterSize(nc, wireBuf), inflight: make(map[uint64]*callCtx)}
 		s.mu.Lock()
 		if s.closed {
 			s.mu.Unlock()
-			conn.Close()
+			nc.Close()
 			return
 		}
-		s.conns[conn] = struct{}{}
+		s.conns[sc] = struct{}{}
 		s.mu.Unlock()
-		go func() {
-			s.rpcS.ServeCodec(serverCodec{newWire(conn)})
-			s.mu.Lock()
-			delete(s.conns, conn)
-			s.mu.Unlock()
-			conn.Close()
-		}()
+		go s.serve(sc)
 	}
+}
+
+// serve reads requests off one conn until it fails — a malformed frame
+// leaves nothing to resynchronize on — then ends the context of every
+// call still being served and closes the conn.
+func (s *Server) serve(sc *serverConn) {
+	br := bufio.NewReaderSize(sc.nc, wireBuf)
+	for {
+		h, meta, payload, err := readFrame(br)
+		if err != nil {
+			break
+		}
+		switch {
+		case h.flags&flagCancel != 0:
+			chunk.PutBuf(meta)
+			chunk.PutBuf(payload)
+			sc.mu.Lock()
+			if ctx := sc.inflight[h.seq]; ctx != nil {
+				ctx.end(context.Canceled)
+			}
+			sc.mu.Unlock()
+		case h.flags&flagOneWay != 0:
+			s.respond(sc, newCallCtx(h.timeout), h, meta, payload)
+		default:
+			ctx := newCallCtx(h.timeout)
+			sc.mu.Lock()
+			sc.inflight[h.seq] = ctx
+			sc.mu.Unlock()
+			go s.respond(sc, ctx, h, meta, payload)
+		}
+	}
+	sc.mu.Lock()
+	for _, ctx := range sc.inflight {
+		ctx.end(context.Canceled)
+	}
+	sc.mu.Unlock()
+	s.mu.Lock()
+	delete(s.conns, sc)
+	s.mu.Unlock()
+	sc.nc.Close()
+}
+
+// respond runs one request and writes its reply — unless it is one-way,
+// or its call ended first (the caller cancelled, the deadline passed, the
+// conn closed): nobody waits for that reply.
+func (s *Server) respond(sc *serverConn, ctx *callCtx, h header, meta, payload []byte) {
+	out, data, err := s.handle(ctx, h.method, meta, payload)
+	sc.mu.Lock()
+	delete(sc.inflight, h.seq)
+	sc.mu.Unlock()
+	if h.flags&flagOneWay == 0 && ctx.Err() == nil {
+		reply := header{method: h.method, seq: h.seq}
+		if err != nil {
+			reply.flags, out = flagError, []byte(err.Error())
+		}
+		sc.wmu.Lock()
+		err = writeFrame(sc.bw, reply, out, data)
+		sc.wmu.Unlock()
+		if err != nil {
+			sc.nc.Close() // a half-written frame leaves the peer nothing to resynchronize on
+		}
+	}
+	ctx.end(context.Canceled)
+	chunk.PutBuf(data)
+}
+
+// handle runs one request against the provider. It donates the request's
+// metadata and payload (Provider.Store does not retain a chunk) and
+// returns the reply's metadata and payload — a Fetch's chunk-pool buffer,
+// the caller's to donate once written.
+func (s *Server) handle(ctx context.Context, m byte, meta, payload []byte) (out, data []byte, err error) {
+	defer chunk.PutBuf(payload)
+	var a args
+	err = a.decode(m, meta)
+	chunk.PutBuf(meta)
+	if err != nil {
+		return nil, nil, err
+	}
+	p := s.p
+	var r result
+	switch m {
+	case mStore:
+		if a.Lease.ID != "" {
+			l := a.Lease
+			ctx = chunk.WithLease(ctx, &l)
+		}
+		err = p.Store(ctx, a.User, a.ID, payload)
+	case mFetch:
+		data, err = p.Fetch(ctx, a.User, a.ID)
+	case mLeaseChunks:
+		err = p.LeaseChunks(ctx, a.Lease.ID, a.Lease.TTL, a.IDs)
+	case mReleaseLease:
+		err = p.ReleaseLease(ctx, a.Lease.ID)
+	case mRemove:
+		err = p.Remove(ctx, a.ID)
+	case mListChunks:
+		r.Chunks, r.More, err = p.ListChunks(ctx, a.ID, a.Limit)
+	case mPurge:
+		r.Purged, r.Freed, err = p.PurgeChunks(ctx, a.IDs)
+	case mAdvanceEpoch:
+		r.Epoch, err = p.AdvanceEpoch(ctx)
+	case mEpoch:
+		r.Epoch, err = p.Epoch(ctx)
+	case mLeases:
+		r.Leases, err = p.Leases(ctx)
+	}
+	if err == nil && m >= mListChunks {
+		out, err = r.encode()
+	}
+	return out, data, err
 }
 
 // Addr returns the bound address.
@@ -261,7 +212,8 @@ func (s *Server) Addr() string { return s.lis.Addr().String() }
 
 // Close stops the listener and tears down every accepted connection, so
 // clients holding a cached conn see it fail immediately instead of
-// talking to a ghost (the Directory then re-resolves on the next call).
+// talking to a ghost (the Directory then re-resolves on the next call),
+// and the handlers still running see their context end.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -269,270 +221,333 @@ func (s *Server) Close() error {
 		return nil
 	}
 	s.closed = true
-	conns := make([]net.Conn, 0, len(s.conns))
-	for c := range s.conns {
-		conns = append(conns, c)
+	conns := make([]*serverConn, 0, len(s.conns))
+	for sc := range s.conns {
+		conns = append(conns, sc)
 	}
-	s.conns = nil
 	s.mu.Unlock()
 	// Close outside the lock: a TCP close can block in the kernel, and
-	// Serve's accept loop takes s.mu on every error to check closed —
-	// holding it here would couple their latencies for no benefit.
+	// the accept loop takes s.mu for every conn it admits — holding it
+	// here would couple their latencies for no benefit.
 	err := s.lis.Close()
-	for _, c := range conns {
-		_ = c.Close()
+	for _, sc := range conns {
+		_ = sc.nc.Close()
 	}
 	return err
 }
 
-// deadlineConn wraps the dialed TCP conn and projects the earliest
-// pending per-call deadline onto it as a kernel read/write deadline.
-// net/rpc itself never sets wire deadlines: without this, a blackholed
-// provider holds a call (and, because the client reads responses
-// serially, every later call on the conn) hostage until the OS TCP
-// timeout. When the earliest deadline fires, the rpc client's input
-// loop gets an i/o timeout, fails all pending calls fast, and the
-// Directory re-resolves the conn.
-type deadlineConn struct {
-	net.Conn
+// callCtx is the context one request's handler runs under, built from its
+// frame: it carries the caller's deadline — as the time remaining when the
+// frame was read, so it trails the caller's by the frame's time in flight
+// — and ends when that passes, on a cancel frame for the call, or when the
+// conn closes. Nothing above it: a handler lives as long as its call.
+type callCtx struct {
+	deadline time.Time // zero = none
+	done     chan struct{}
+	timer    *time.Timer
 
-	mu      sync.Mutex
-	pending map[uint64]time.Time
-	next    uint64
+	mu  sync.Mutex
+	err error
 }
 
-// track registers one call's deadline and returns its release. The
-// wire deadline is always the earliest pending one; with none pending
-// it is cleared, so an idle or deadline-free conn never expires.
-func (d *deadlineConn) track(deadline time.Time) (release func()) {
-	d.mu.Lock()
-	id := d.next
-	d.next++
-	d.pending[id] = deadline
-	d.refreshLocked()
-	d.mu.Unlock()
-	return func() {
-		d.mu.Lock()
-		delete(d.pending, id)
-		d.refreshLocked()
-		d.mu.Unlock()
+func newCallCtx(timeout time.Duration) *callCtx {
+	c := &callCtx{done: make(chan struct{})}
+	if timeout > 0 {
+		c.deadline = time.Now().Add(timeout)
+		c.timer = time.AfterFunc(timeout, func() { c.end(context.DeadlineExceeded) })
 	}
+	return c
 }
 
-func (d *deadlineConn) refreshLocked() {
-	var earliest time.Time
-	for _, t := range d.pending {
-		if earliest.IsZero() || t.Before(earliest) {
-			earliest = t
+func (c *callCtx) Deadline() (time.Time, bool) { return c.deadline, !c.deadline.IsZero() }
+func (c *callCtx) Done() <-chan struct{}       { return c.done }
+func (c *callCtx) Value(any) any               { return nil }
+
+func (c *callCtx) Err() error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.err
+}
+
+// end ends the context with err, unless it has ended already.
+func (c *callCtx) end(err error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.err == nil {
+		c.err = err
+		close(c.done)
+		if c.timer != nil {
+			c.timer.Stop()
 		}
 	}
-	// SetDeadline arms a netpoller timer without touching the wire, so
-	// holding the pending-map mutex across it is safe (and blockfacts
-	// knows it as a pure helper).
-	_ = d.Conn.SetDeadline(earliest)
 }
 
 // Conn is a TCP connection to a remote provider. It implements
 // provider.API — the surface *provider.Provider has in process — and
 // with it client.Conn.
 type Conn struct {
-	c  *rpc.Client
-	dc *deadlineConn
+	nc net.Conn
+	bw *bufio.Writer
+	// wslot admits one frame writer at a time. It is a one-slot channel
+	// rather than a mutex so that a caller queued behind a stalled write
+	// still honours its ctx.
+	wslot chan struct{}
 
-	// timeout, when positive, is applied to calls whose ctx carries no
-	// deadline of its own (WithCallTimeout).
-	timeout time.Duration
+	mu      sync.Mutex
+	seq     uint64
+	pending map[uint64]chan reply
+	err     error // why the conn died; every later call fails with it
 
-	// broken, when set, is invoked once on the first fatal transport
-	// error (the Directory drops its cached entry and re-resolves).
-	broken     func()
-	brokenOnce sync.Once
+	broken func(*Conn) // told by each call that finds the conn dead (nil = nobody to tell)
 }
 
-// ConnOption configures dialed connections.
-type ConnOption func(*Conn)
-
-// WithCallTimeout gives every call without its own ctx deadline a
-// default per-call deadline, enforced on the wire.
-func WithCallTimeout(d time.Duration) ConnOption {
-	return func(c *Conn) { c.timeout = d }
+// reply is what a call gets back: the reply's metadata and payload, in
+// chunk-pool buffers, or why there is none.
+type reply struct {
+	meta, payload []byte
+	err           error
 }
+
+// replyChans recycles the reply channel of every call that got its reply;
+// one whose caller gave up is left to the GC, late reply and all.
+var replyChans = sync.Pool{New: func() any { return make(chan reply, 1) }}
 
 // DialContext connects to a provider server, honouring ctx cancellation
 // and deadline during TCP establishment.
-func DialContext(ctx context.Context, addr string, opts ...ConnOption) (*Conn, error) {
+func DialContext(ctx context.Context, addr string) (*Conn, error) {
+	return dial(ctx, addr, nil)
+}
+
+func dial(ctx context.Context, addr string, broken func(*Conn)) (*Conn, error) {
 	var d net.Dialer
 	nc, err := d.DialContext(ctx, "tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("rpc: dial %s: %w", addr, err)
 	}
-	dc := &deadlineConn{Conn: nc, pending: make(map[uint64]time.Time)}
-	c := &Conn{c: rpc.NewClientWithCodec(clientCodec{newWire(dc)}), dc: dc}
-	for _, o := range opts {
-		o(c)
-	}
+	c := &Conn{nc: nc, bw: bufio.NewWriterSize(nc, wireBuf), wslot: make(chan struct{}, 1), pending: make(map[uint64]chan reply), broken: broken}
+	go c.readLoop(bufio.NewReaderSize(nc, wireBuf))
 	return c, nil
 }
 
-// connBroken reports whether a call error means the underlying rpc
-// client is (or is about to be) dead: any transport-level failure kills
-// the shared input loop and with it every later call on this conn.
-// Application errors come back as rpc.ServerError strings and match
-// none of these.
-func connBroken(err error) bool {
-	if err == nil {
-		return false
-	}
-	var ne net.Error
-	return errors.Is(err, rpc.ErrShutdown) ||
-		errors.As(err, &ne) ||
-		errors.Is(err, io.EOF) ||
-		errors.Is(err, io.ErrUnexpectedEOF) ||
-		errors.Is(err, io.ErrClosedPipe) ||
-		errors.Is(err, net.ErrClosed)
-}
-
-func (c *Conn) markBroken() {
-	c.brokenOnce.Do(func() {
-		if c.broken != nil {
-			c.broken()
+// readLoop hands each reply to its call until the conn fails. A reply
+// whose caller gave up is donated unread.
+func (c *Conn) readLoop(br *bufio.Reader) {
+	for {
+		h, meta, payload, err := readFrame(br)
+		if err != nil {
+			c.fail(err)
+			return
 		}
-	})
+		c.mu.Lock()
+		ch := c.pending[h.seq]
+		delete(c.pending, h.seq)
+		c.mu.Unlock()
+		switch {
+		case ch == nil: // its caller gave up
+			chunk.PutBuf(meta)
+			chunk.PutBuf(payload)
+		case h.flags&flagError != 0:
+			ch <- reply{err: errors.New(string(meta))} // the provider answered: the conn is fine
+			chunk.PutBuf(meta)
+			chunk.PutBuf(payload)
+		default:
+			ch <- reply{meta: meta, payload: payload}
+		}
+	}
 }
 
-// call issues an async rpc call and waits for either its completion or
-// ctx cancellation. The call's deadline (its ctx's, or the conn default)
-// is enforced on the wire via the deadline conn, so a blackholed
-// provider fails the call at the deadline instead of the OS timeout. On
-// cancellation the caller stops waiting immediately; the in-flight
-// call's goroutine drains itself when the reply arrives (net/rpc
-// buffers Done by one).
-func (c *Conn) call(ctx context.Context, method string, args, reply any) error {
+// fail kills the conn: the first cause sticks, the socket closes (which
+// stops the reader and unblocks a stalled write) and every pending call
+// fails with ErrShutdown.
+func (c *Conn) fail(cause error) {
+	c.mu.Lock()
+	if c.err != nil {
+		c.mu.Unlock()
+		return
+	}
+	err := fmt.Errorf("%w: %v", ErrShutdown, cause)
+	c.err = err
+	pend := c.pending
+	c.pending = nil
+	c.mu.Unlock()
+	_ = c.nc.Close()
+	for _, ch := range pend {
+		ch <- reply{err: err}
+	}
+}
+
+// call sends one request and waits for its reply; ReleaseLease is sent
+// one-way and returns once written. The reply's metadata is decoded into
+// r when r is non-nil; its payload is returned, a chunk-pool buffer the
+// caller owns. A deadline that passes on the way fails the whole conn, as
+// a dead transport does — a provider that holds one call hostage holds
+// every later one on the conn — and drops it from its Directory.
+func (c *Conn) call(ctx context.Context, m byte, a *args, payload []byte, r *result) ([]byte, error) {
 	if err := ctx.Err(); err != nil {
-		return err
+		return nil, err
 	}
-	if c.timeout > 0 {
-		if _, ok := ctx.Deadline(); !ok {
-			var cancel context.CancelFunc
-			ctx, cancel = context.WithTimeout(ctx, c.timeout)
-			defer cancel()
+	rep := c.roundTrip(ctx, m, a, payload)
+	if rep.err == nil && r != nil {
+		rep.err = r.decode(rep.meta)
+	}
+	chunk.PutBuf(rep.meta)
+	if errors.Is(rep.err, ErrShutdown) || errors.Is(rep.err, context.DeadlineExceeded) {
+		c.fail(rep.err)
+		if c.broken != nil {
+			c.broken(c)
 		}
 	}
-	tracked := false
-	if dl, ok := ctx.Deadline(); ok && c.dc != nil {
-		release := c.dc.track(dl)
-		defer release()
-		tracked = true
+	return rep.payload, rep.err
+}
+
+func (c *Conn) roundTrip(ctx context.Context, m byte, a *args, payload []byte) reply {
+	h := header{method: m}
+	dl, ok := ctx.Deadline()
+	if ok {
+		h.timeout = max(time.Until(dl), 1)
 	}
-	call := c.c.Go(method, args, reply, make(chan *rpc.Call, 1))
+	var ch chan reply
+	c.mu.Lock()
+	if err := c.err; err != nil {
+		c.mu.Unlock()
+		return reply{err: err}
+	}
+	c.seq++
+	h.seq = c.seq
+	if m == mReleaseLease {
+		h.flags = flagOneWay
+	} else {
+		ch = replyChans.Get().(chan reply)
+		c.pending[h.seq] = ch
+	}
+	c.mu.Unlock()
 	select {
+	case c.wslot <- struct{}{}:
 	case <-ctx.Done():
-		if tracked && errors.Is(ctx.Err(), context.DeadlineExceeded) {
-			// The same deadline just fired on the wire: the rpc client's
-			// input loop is dying on the i/o timeout, taking the conn
-			// with it. Invalidate now rather than on the next call.
-			c.markBroken()
+		c.forget(h.seq)
+		return reply{err: ctx.Err()}
+	}
+	var buf [128]byte
+	if err := c.write(dl, h, a.append(buf[:0], m), payload); err != nil || h.flags&flagOneWay != 0 {
+		return reply{err: err}
+	}
+	select {
+	case rep := <-ch:
+		replyChans.Put(ch)
+		return rep
+	case <-ctx.Done():
+		if c.forget(h.seq) && errors.Is(ctx.Err(), context.Canceled) {
+			// Tell the server to end the handler, off this goroutine: a
+			// caller must not queue behind a stalled write to give up.
+			cancel := header{flags: flagCancel, seq: h.seq}
+			go func() {
+				c.wslot <- struct{}{}
+				_ = c.write(time.Time{}, cancel, nil, nil)
+			}()
 		}
-		return ctx.Err()
-	case done := <-call.Done:
-		if connBroken(done.Error) {
-			c.markBroken()
-		}
-		return done.Error
+		return reply{err: ctx.Err()}
 	}
 }
 
-// Store implements client.Conn. data is written to the conn from the
-// caller's slice before the call is pending, so it is never referenced
-// after Store returns — cancelled or not.
+// write writes one frame by deadline dl (zero = none) and gives up the
+// write slot its caller took. A failed write fails the conn: a
+// half-written frame leaves the peer nothing to resynchronize on.
+func (c *Conn) write(dl time.Time, h header, meta, payload []byte) error {
+	defer func() { <-c.wslot }()
+	_ = c.nc.SetWriteDeadline(dl)
+	if err := writeFrame(c.bw, h, meta, payload); err != nil {
+		c.fail(err)
+		return fmt.Errorf("%w: %v", ErrShutdown, err)
+	}
+	return nil
+}
+
+// forget drops call seq and reports whether it was still waiting.
+func (c *Conn) forget(seq uint64) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	_, waiting := c.pending[seq]
+	delete(c.pending, seq)
+	return waiting
+}
+
+// Store implements client.Conn. The writer lease ctx carries, if any,
+// travels in the frame, and the provider registers the chunk under it
+// before the Put. data is on the conn before the call waits for its
+// reply, so it is never referenced after Store returns.
 func (c *Conn) Store(ctx context.Context, user string, id chunk.ID, data []byte) error {
-	return c.call(ctx, "Provider.Store", &StoreArgs{User: user, ID: id, Data: data}, &struct{}{})
+	a := args{User: user, ID: id}
+	if l := chunk.LeaseFrom(ctx); l != nil {
+		a.Lease = *l
+	}
+	_, err := c.call(ctx, mStore, &a, data, nil)
+	return err
 }
 
 // Fetch implements client.Conn. The payload arrives in a chunk-pool buffer
-// the codec obtains when it decodes the reply; the caller owns it. A call
-// abandoned on ctx leaves its late reply — buffer included — to the GC.
+// the caller owns; a reply its caller gave up on is donated unread.
 func (c *Conn) Fetch(ctx context.Context, user string, id chunk.ID) ([]byte, error) {
-	var reply FetchReply
-	if err := c.call(ctx, "Provider.Fetch", &FetchArgs{User: user, ID: id}, &reply); err != nil {
-		return nil, err
-	}
-	return reply.Data, nil
+	return c.call(ctx, mFetch, &args{User: user, ID: id}, nil, nil)
 }
 
 // Remove drops one chunk reference on the remote provider.
 func (c *Conn) Remove(ctx context.Context, id chunk.ID) error {
-	return c.call(ctx, "Provider.Remove", &RemoveArgs{ID: id}, &struct{}{})
-}
-
-// Stats fetches remote provider counters.
-func (c *Conn) Stats() (provider.Stats, error) {
-	var reply StatsReply
-	err := c.c.Call("Provider.Stats", &struct{}{}, &reply)
-	if connBroken(err) {
-		c.markBroken()
-	}
-	return reply.Stats, err
+	_, err := c.call(ctx, mRemove, &args{ID: id}, nil, nil)
+	return err
 }
 
 // ListChunks fetches one page of the remote provider's chunk inventory.
 func (c *Conn) ListChunks(ctx context.Context, after chunk.ID, limit int) ([]provider.ChunkInfo, bool, error) {
-	var reply ListChunksReply
-	if err := c.call(ctx, "Provider.ListChunks", &ListChunksArgs{After: after, Limit: limit}, &reply); err != nil {
-		return nil, false, err
-	}
-	return reply.Chunks, reply.More, nil
+	var r result
+	_, err := c.call(ctx, mListChunks, &args{ID: after, Limit: limit}, nil, &r)
+	return r.Chunks, r.More, err
 }
 
 // PurgeChunks removes unreferenced chunks wholesale on the remote
 // provider.
 func (c *Conn) PurgeChunks(ctx context.Context, ids []chunk.ID) (int, int64, error) {
-	var reply PurgeReply
-	if err := c.call(ctx, "Provider.Purge", &PurgeArgs{IDs: ids}, &reply); err != nil {
-		return 0, 0, err
-	}
-	return reply.Purged, reply.Freed, nil
+	var r result
+	_, err := c.call(ctx, mPurge, &args{IDs: ids}, nil, &r)
+	return r.Purged, r.Freed, err
 }
 
 // AdvanceEpoch moves the remote provider to the next sweep epoch.
 func (c *Conn) AdvanceEpoch(ctx context.Context) (uint64, error) {
-	var reply EpochReply
-	if err := c.call(ctx, "Provider.AdvanceEpoch", &struct{}{}, &reply); err != nil {
-		return 0, err
-	}
-	return reply.Epoch, nil
+	var r result
+	_, err := c.call(ctx, mAdvanceEpoch, &args{}, nil, &r)
+	return r.Epoch, err
 }
 
 // Epoch reads the remote provider's current sweep epoch.
 func (c *Conn) Epoch(ctx context.Context) (uint64, error) {
-	var reply EpochReply
-	if err := c.call(ctx, "Provider.Epoch", &struct{}{}, &reply); err != nil {
-		return 0, err
-	}
-	return reply.Epoch, nil
+	var r result
+	_, err := c.call(ctx, mEpoch, &args{}, nil, &r)
+	return r.Epoch, err
 }
 
-// LeaseChunks implements client.Conn over the wire: a writer's
-// lease protections survive process boundaries, so a gateway's
-// unpublished writer is honoured by a GC runner sweeping the same
-// provider from another process.
+// LeaseChunks implements client.Conn over the wire: a writer's lease
+// protections survive process boundaries, so a gateway's unpublished
+// writer is honoured by a GC runner sweeping the same provider from
+// another process.
 func (c *Conn) LeaseChunks(ctx context.Context, leaseID string, ttl time.Duration, ids []chunk.ID) error {
-	return c.call(ctx, "Provider.LeaseChunks", &LeaseChunksArgs{LeaseID: leaseID, TTL: ttl, IDs: ids}, &struct{}{})
+	_, err := c.call(ctx, mLeaseChunks, &args{Lease: chunk.Lease{ID: leaseID, TTL: ttl}, IDs: ids}, nil, nil)
+	return err
 }
 
-// ReleaseLease implements client.Conn over the wire.
+// ReleaseLease implements client.Conn over the wire. It is one-way: it
+// returns once the frame is written, with the write's error only, and the
+// provider applies it before any later call on this conn.
 func (c *Conn) ReleaseLease(ctx context.Context, leaseID string) error {
-	return c.call(ctx, "Provider.ReleaseLease", &ReleaseLeaseArgs{LeaseID: leaseID}, &struct{}{})
+	_, err := c.call(ctx, mReleaseLease, &args{Lease: chunk.Lease{ID: leaseID}}, nil, nil)
+	return err
 }
 
 // Leases fetches the remote provider's writer-lease table (the sweep's
 // lease enumeration).
 func (c *Conn) Leases(ctx context.Context) ([]provider.LeaseInfo, error) {
-	var reply LeasesReply
-	if err := c.call(ctx, "Provider.Leases", &struct{}{}, &reply); err != nil {
-		return nil, err
-	}
-	return reply.Leases, nil
+	var r result
+	_, err := c.call(ctx, mLeases, &args{}, nil, &r)
+	return r.Leases, err
 }
 
 // The wire plane mirrors exactly one surface, and the client's view of
@@ -542,26 +557,26 @@ var (
 	_ client.Conn  = provider.API(nil)
 )
 
-// Close closes the connection.
-func (c *Conn) Close() error { return c.c.Close() }
+// Close closes the connection; calls pending on it fail with ErrShutdown.
+func (c *Conn) Close() error {
+	c.fail(net.ErrClosed)
+	return nil
+}
 
 // Directory resolves provider IDs to TCP connections, caching dials. It
-// implements client.Directory. A conn that fails fatally (shut-down rpc
-// client, transport error) is dropped from the cache immediately, so
-// one dead TCP session never poisons calls to a restarted provider.
+// implements client.Directory. A conn that fails fatally (a dead
+// transport, a passed call deadline) is dropped from the cache
+// immediately, so one dead TCP session never poisons calls to a
+// restarted provider.
 type Directory struct {
-	opts []ConnOption
-
 	mu    sync.Mutex
 	addrs map[string]string
 	conns map[string]*Conn
 }
 
 // NewDirectory returns a directory over a providerID → address map.
-// opts are applied to every dialed conn (e.g. WithCallTimeout).
-func NewDirectory(addrs map[string]string, opts ...ConnOption) *Directory {
+func NewDirectory(addrs map[string]string) *Directory {
 	d := &Directory{
-		opts:  opts,
 		addrs: make(map[string]string, len(addrs)),
 		conns: make(map[string]*Conn),
 	}
@@ -603,16 +618,14 @@ func (d *Directory) Lookup(ctx context.Context, id string) (client.Conn, error) 
 	}
 	// Dial outside the lock with the caller's ctx: a blackholed provider
 	// must not stall lookups of healthy ones for the OS connect timeout,
-	// and cancelling the caller aborts the connection attempt.
-	c, err := DialContext(ctx, addr, d.opts...)
+	// and cancelling the caller aborts the connection attempt. The first
+	// call that finds the conn dead evicts it, so the very next Lookup
+	// re-dials (a restarted provider on the same address is reached again
+	// without waiting for a re-registration).
+	c, err := dial(ctx, addr, func(c *Conn) { d.drop(id, c) })
 	if err != nil {
 		return nil, err
 	}
-	// Wire the invalidation callback before publishing: the first fatal
-	// transport error evicts this conn so the very next Lookup re-dials
-	// (a restarted provider on the same address is reached again without
-	// waiting for a re-registration).
-	c.broken = func() { d.drop(id, c) }
 	d.mu.Lock()
 	if cached, ok := d.conns[id]; ok {
 		// Lost a concurrent dial race; keep the first cached conn.
@@ -632,16 +645,14 @@ func (d *Directory) Lookup(ctx context.Context, id string) (client.Conn, error) 
 	return c, nil
 }
 
-// drop evicts one conn from the cache — only if it is still the cached
-// entry for id — and closes it. Called from the conn's broken callback.
+// drop evicts a dead conn from the cache, if it is still the cached entry
+// for id.
 func (d *Directory) drop(id string, c *Conn) {
 	d.mu.Lock()
 	if d.conns[id] == c {
 		delete(d.conns, id)
 	}
 	d.mu.Unlock()
-	// Close outside the lock, same as Register's eviction path.
-	_ = c.Close()
 }
 
 // Close closes all cached connections.
@@ -652,11 +663,8 @@ func (d *Directory) Close() error {
 	conns := d.conns
 	d.conns = make(map[string]*Conn)
 	d.mu.Unlock()
-	var firstErr error
 	for _, c := range conns {
-		if err := c.Close(); err != nil && firstErr == nil && !errors.Is(err, rpc.ErrShutdown) {
-			firstErr = err
-		}
+		_ = c.Close()
 	}
-	return firstErr
+	return nil
 }

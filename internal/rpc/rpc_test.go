@@ -3,6 +3,8 @@ package rpc
 import (
 	"bytes"
 	"context"
+	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -30,7 +32,7 @@ func startProvider(t *testing.T, id string) (*provider.Provider, *Server) {
 }
 
 func TestStoreFetchOverTCP(t *testing.T) {
-	_, srv := startProvider(t, "p1")
+	p, srv := startProvider(t, "p1")
 	conn, err := DialContext(bg, srv.Addr())
 	if err != nil {
 		t.Fatal(err)
@@ -45,9 +47,8 @@ func TestStoreFetchOverTCP(t *testing.T) {
 	if err != nil || !bytes.Equal(got, data) {
 		t.Fatalf("fetch: %q err=%v", got, err)
 	}
-	st, err := conn.Stats()
-	if err != nil || st.Stores != 1 || st.Fetches != 1 {
-		t.Fatalf("stats=%+v err=%v", st, err)
+	if st := p.Stats(); st.Stores != 1 || st.Fetches != 1 {
+		t.Fatalf("stats=%+v", st)
 	}
 }
 
@@ -251,9 +252,8 @@ func (s *stuckStore) GetAppend(id chunk.ID, dst []byte) ([]byte, error) {
 }
 
 // TestCallDeadlineOverTCP is the deadline-enforcement regression on the
-// net/rpc plane: a call against a blackholed provider must fail within
-// its ctx deadline plus a small epsilon — enforced as a kernel deadline
-// on the wire — never the OS read timeout.
+// rpc plane: a call against a blackholed provider must fail within its
+// ctx deadline plus a small epsilon, never the OS read timeout.
 func TestCallDeadlineOverTCP(t *testing.T) {
 	release := make(chan struct{})
 	defer close(release)
@@ -283,20 +283,103 @@ func TestCallDeadlineOverTCP(t *testing.T) {
 		t.Fatalf("Store took %v, want ~ctx deadline (150ms)", elapsed)
 	}
 
-	// The expired wire deadline killed the conn; a fresh one with a
-	// conn-level default timeout must bound Fetch the same way even on
-	// a deadline-free context.
-	conn2, err := DialContext(bg, srv.Addr(), WithCallTimeout(150*time.Millisecond))
+	// The passed deadline killed the conn: later calls fail at once.
+	if err := conn.Store(bg, "u", id, data); !errors.Is(err, ErrShutdown) {
+		t.Fatalf("Store on a conn a deadline killed: %v, want ErrShutdown", err)
+	}
+
+	// A fresh conn bounds Fetch the same way.
+	conn2, err := DialContext(bg, srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn2.Close()
+	ctx2, cancel2 := context.WithTimeout(bg, 150*time.Millisecond)
+	defer cancel2()
 	start = time.Now()
-	if _, err := conn2.Fetch(bg, "u", id); err == nil {
+	if _, err := conn2.Fetch(ctx2, "u", id); err == nil {
 		t.Fatal("Fetch against blackholed provider succeeded")
 	}
 	if elapsed := time.Since(start); elapsed > time.Second {
-		t.Fatalf("Fetch took %v, want ~call timeout (150ms)", elapsed)
+		t.Fatalf("Fetch took %v, want ~ctx deadline (150ms)", elapsed)
+	}
+}
+
+// inflightCtx waits until srv is serving a call and returns the context
+// its handler runs under.
+func inflightCtx(t *testing.T, srv *Server) *callCtx {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		var ctx *callCtx
+		srv.mu.Lock()
+		for sc := range srv.conns {
+			sc.mu.Lock()
+			for _, c := range sc.inflight {
+				ctx = c
+			}
+			sc.mu.Unlock()
+		}
+		srv.mu.Unlock()
+		if ctx != nil {
+			return ctx
+		}
+	}
+	t.Fatal("no call reached the server")
+	return nil
+}
+
+// TestHandlerContextFollowsCaller: a provider handler runs under its
+// caller's deadline and sees its caller's cancellation. A Fetch parks in a
+// gated store; while it is parked its handler's deadline is the caller's
+// — later only by the frame's time in flight, which a deadline sent as
+// time remaining cannot avoid — and when the client cancels, a cancel
+// frame ends the handler's context.
+func TestHandlerContextFollowsCaller(t *testing.T) {
+	release := make(chan struct{})
+	defer close(release)
+	st := &stuckStore{Store: provider.NewMemStore(0), release: release}
+	p := provider.New("gated", "z", 0, provider.WithStore(st))
+	srv, err := Serve(p, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	conn := mustDial(t, srv.Addr())
+	data := []byte("parked")
+	id := chunk.Sum(data)
+	if err := st.Store.Put(id, data); err != nil {
+		t.Fatal(err)
+	}
+
+	deadline := time.Now().Add(time.Minute)
+	ctx, cancel := context.WithDeadline(bg, deadline)
+	defer cancel()
+	errc := make(chan error, 1)
+	sent := time.Now()
+	go func() {
+		_, err := conn.Fetch(ctx, "u", id)
+		errc <- err
+	}()
+	hctx := inflightCtx(t, srv)
+	inFlight := time.Since(sent)
+	if dl, ok := hctx.Deadline(); !ok || dl.Before(deadline) || dl.After(deadline.Add(inFlight)) {
+		t.Fatalf("handler deadline %v (set %v), want within %v of the caller's %v", dl, ok, inFlight, deadline)
+	}
+	if hctx.Err() != nil {
+		t.Fatalf("handler context ended before its caller gave up: %v", hctx.Err())
+	}
+
+	cancel()
+	if err := <-errc; !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled Fetch: %v, want context.Canceled", err)
+	}
+	select {
+	case <-hctx.Done():
+	case <-time.After(5 * time.Second):
+		t.Fatal("the handler's context did not end when its caller cancelled")
+	}
+	if !errors.Is(hctx.Err(), context.Canceled) {
+		t.Fatalf("handler context ended with %v, want context.Canceled", hctx.Err())
 	}
 }
 
@@ -402,11 +485,29 @@ func TestLeaseRPCs(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// ReleaseLease is one-way: it returns once written. The server applies
+	// it before it reads the next frame, so the purge that follows on the
+	// same conn finds the chunk unprotected — every time.
 	if err := conn.ReleaseLease(bg, "wl-test-1"); err != nil {
 		t.Fatal(err)
 	}
 	purged, _, err = conn.PurgeChunks(bg, []chunk.ID{id})
 	if err != nil || purged != 1 {
 		t.Fatalf("purge after release = %d, %v, want 1", purged, err)
+	}
+	for i := 0; i < 50; i++ {
+		lease := &chunk.Lease{ID: fmt.Sprintf("wl-store-%d", i), TTL: time.Minute}
+		if err := conn.Store(chunk.WithLease(bg, lease), "u", id, data); err != nil {
+			t.Fatal(err)
+		}
+		if purged, _, err := conn.PurgeChunks(bg, []chunk.ID{id}); err != nil || purged != 0 {
+			t.Fatalf("purge of a chunk its Store leased = %d, %v, want 0 skipped", purged, err)
+		}
+		if err := conn.ReleaseLease(bg, lease.ID); err != nil {
+			t.Fatal(err)
+		}
+		if purged, _, err := conn.PurgeChunks(bg, []chunk.ID{id}); err != nil || purged != 1 {
+			t.Fatalf("round %d: purge after a one-way release = %d, %v, want 1", i, purged, err)
+		}
 	}
 }

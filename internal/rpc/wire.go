@@ -2,43 +2,44 @@ package rpc
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"io"
-	"net/rpc"
+	"time"
 
 	"blobseer/internal/chunk"
+	"blobseer/internal/provider"
 )
 
-// The frame format. Every net/rpc message is a gob-encoded header
-// (rpc.Request or rpc.Response) followed by one body:
+// The frame. Every message either way is one frame on a buffered stream,
+// flushed once per frame:
 //
-//	'G' gob(body)
-//	'R' gob(body with its payload field nil) uvarint(n) n payload bytes
+//	header    26 bytes, little-endian
+//	  method  u8   the call (mStore …), echoed by its reply
+//	  flags   u8   flagOneWay, flagCancel, flagError
+//	  seq     u64  matches a reply or a cancel to its call
+//	  timeout u64  the caller's deadline as nanoseconds remaining (0 = none)
+//	  metaLen u32  length of the metadata that follows
+//	  payLen  u32  length of the payload after it
+//	metadata  a request's args; a reply's result, or its error text
+//	payload   raw bytes: a Store's chunk, a Fetch reply's
 //
-// all on one buffered stream, flushed once per message. The tag makes a body
-// self-describing: net/rpc asks the codec to discard bodies it has no
-// receiver for (an error reply, an unknown sequence number) by passing nil,
-// and the stream has to stay framed without a Go type to go by.
-//
-// 'R' is how StoreArgs.Data and FetchReply.Data travel. The writer hands the
-// caller's slice to the conn as it is — bufio copies a payload that fits its
-// buffer and passes a larger one straight through — and the reader fills a
-// chunk-pool buffer with io.ReadFull, so a chunk is never copied through an
-// encoder or allocated by a decoder.
+// A payload is written straight from the caller's slice — bufio copies one
+// that fits its buffer and passes a larger one through — and read into a
+// chunk-pool buffer, so a chunk is never copied through an encoder.
 const (
-	bodyGob byte = 'G'
-	bodyRaw byte = 'R'
+	headerLen = 26
 
 	// wireBuf sizes both halves of the stream: a header plus a small chunk
 	// (the S3 gateway's 16 KiB objects) leaves in one write and arrives in
-	// one read; anything larger moves directly between conn and payload
-	// buffer.
+	// one read; anything larger moves directly between conn and buffer.
 	wireBuf = 32 << 10
 
-	// maxPayload rejects a length prefix no chunk can have (chunks are at
-	// most a few tens of MiB).
+	// maxPayload rejects a length no chunk or metadata can have (chunks are
+	// at most a few tens of MiB).
 	maxPayload = 1 << 30
 
 	// untrustedStart is the first buffer a payload longer than the pool's
@@ -46,122 +47,91 @@ const (
 	untrustedStart = 512 << 10
 )
 
-// payloader marks the message types whose chunk payload travels raw.
-type payloader interface{ payload() *[]byte }
+// Header flags. A one-way request gets no reply: the server applies it
+// before it reads the next frame, so it is ordered before every later call
+// on the conn. A cancel frame carries the seq of a call whose caller gave
+// up and ends that call's handler context. An error reply's metadata is
+// the error's text.
+const (
+	flagOneWay byte = 1 << iota
+	flagCancel
+	flagError
+)
 
-func (a *StoreArgs) payload() *[]byte  { return &a.Data }
-func (r *FetchReply) payload() *[]byte { return &r.Data }
+// The methods. The data-path calls up to mRemove reply with no metadata;
+// the control-plane calls from mListChunks on reply with a result.
+const (
+	mStore byte = iota + 1
+	mFetch
+	mLeaseChunks
+	mReleaseLease
+	mRemove
+	mListChunks
+	mPurge
+	mAdvanceEpoch
+	mEpoch
+	mLeases
+	numMethods
+)
 
-// wire is one framed stream. net/rpc serializes writers (the client's
-// request mutex, the server's sending mutex) and reads from one goroutine
-// per side, so neither half needs a lock of its own.
-type wire struct {
-	rwc io.ReadWriteCloser
-	br  *bufio.Reader
-	bw  *bufio.Writer
-	dec *gob.Decoder
-	enc *gob.Encoder
+type header struct {
+	method, flags   byte
+	seq             uint64
+	timeout         time.Duration
+	metaLen, payLen uint32
 }
 
-func newWire(rwc io.ReadWriteCloser) *wire {
-	w := &wire{
-		rwc: rwc,
-		br:  bufio.NewReaderSize(rwc, wireBuf),
-		bw:  bufio.NewWriterSize(rwc, wireBuf),
+var errTooLong = fmt.Errorf("rpc: frame section exceeds the %d-byte limit", maxPayload)
+
+// writeFrame sends one frame and flushes it. meta is copied into the
+// stream buffer behind the header; the payload is written as it is.
+func writeFrame(bw *bufio.Writer, h header, meta, payload []byte) error {
+	if len(meta) > maxPayload || len(payload) > maxPayload {
+		return errTooLong
 	}
-	// gob reads exactly one message at a time from an io.ByteReader, so raw
-	// frames can sit between its messages on the same buffered reader.
-	w.dec = gob.NewDecoder(w.br)
-	w.enc = gob.NewEncoder(w.bw)
-	return w
+	b := append(bw.AvailableBuffer(), h.method, h.flags)
+	b = binary.LittleEndian.AppendUint64(b, h.seq)
+	b = binary.LittleEndian.AppendUint64(b, uint64(h.timeout))
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(meta)))
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(payload)))
+	if _, err := bw.Write(append(b, meta...)); err != nil {
+		return err
+	}
+	if _, err := bw.Write(payload); err != nil {
+		return err
+	}
+	return bw.Flush()
 }
 
-// writeMsg sends one header and body. release says the body's payload is a
-// pool buffer this side owns (a server's Fetch reply): it is donated once
-// written. A client's Store payload is the caller's and is only read.
-func (w *wire) writeMsg(hdr, body any, release bool) error {
-	if err := w.enc.Encode(hdr); err != nil {
-		return err
-	}
-	if err := w.writeBody(body, release); err != nil {
-		return err
-	}
-	return w.bw.Flush()
-}
-
-func (w *wire) writeBody(body any, release bool) error {
-	p, ok := body.(payloader)
-	if !ok {
-		if err := w.bw.WriteByte(bodyGob); err != nil {
-			return err
-		}
-		return w.enc.Encode(body)
-	}
-	// gob omits a nil slice, so clearing the field for the duration of the
-	// encode sends the rest of the message without the payload. Nobody else
-	// sees the message meanwhile: the client encodes on the calling
-	// goroutine, the server owns the reply it is sending.
-	ref := p.payload()
-	data := *ref
-	*ref = nil
-	err := w.writeRaw(body, data)
-	if release {
-		chunk.PutBuf(data)
-	} else {
-		*ref = data
-	}
-	return err
-}
-
-func (w *wire) writeRaw(head any, data []byte) error {
-	if err := w.bw.WriteByte(bodyRaw); err != nil {
-		return err
-	}
-	if err := w.enc.Encode(head); err != nil {
-		return err
-	}
-	var n [binary.MaxVarintLen64]byte
-	if _, err := w.bw.Write(n[:binary.PutUvarint(n[:], uint64(len(data)))]); err != nil {
-		return err
-	}
-	_, err := w.bw.Write(data)
-	return err
-}
-
-// readBody reads one body into body, or past it when body is nil. A raw
-// payload lands in a chunk-pool buffer obtained here, at decode time, and
-// owned by the message: if the caller has stopped waiting for this reply
-// the buffer goes to the GC with it, and no buffer the caller could still
-// recycle is ever written to.
-func (w *wire) readBody(body any) error {
-	tag, err := w.br.ReadByte()
+// readFrame reads the next frame. Its lengths are the peer's word, checked
+// against the limit and trusted by nothing before the bytes they promise
+// arrive (readPayload). The metadata and payload land in chunk-pool
+// buffers obtained here and owned by the caller.
+func readFrame(br *bufio.Reader) (h header, meta, payload []byte, err error) {
+	b, err := br.Peek(headerLen)
 	if err != nil {
-		return err
+		return h, nil, nil, err
 	}
-	if tag != bodyGob && tag != bodyRaw {
-		return fmt.Errorf("rpc: unknown body tag %#x", tag)
+	h = header{
+		method:  b[0],
+		flags:   b[1],
+		seq:     binary.LittleEndian.Uint64(b[2:]),
+		timeout: time.Duration(binary.LittleEndian.Uint64(b[10:])),
+		metaLen: binary.LittleEndian.Uint32(b[18:]),
+		payLen:  binary.LittleEndian.Uint32(b[22:]),
 	}
-	if err := w.dec.Decode(body); err != nil || tag == bodyGob {
-		return err
+	_, _ = br.Discard(headerLen)
+	if h.metaLen > maxPayload || h.payLen > maxPayload {
+		return h, nil, nil, errTooLong
 	}
-	n, err := binary.ReadUvarint(w.br)
-	if err != nil {
-		return err
+	if meta, err = readPayload(br, int(h.metaLen)); err != nil {
+		return h, nil, nil, err
 	}
-	if n > maxPayload {
-		return fmt.Errorf("rpc: payload of %d bytes exceeds the %d-byte frame limit", n, maxPayload)
+	if payload, err = readPayload(br, int(h.payLen)); err != nil {
+		chunk.PutBuf(meta)
+		return h, nil, nil, err
 	}
-	p, ok := body.(payloader)
-	if !ok {
-		_, err := w.br.Discard(int(n))
-		return err
-	}
-	buf, err := w.readPayload(int(n))
-	if err != nil {
-		return err
-	}
-	*p.payload() = buf
-	return nil
+	return h, meta, payload, nil
 }
 
 // readPayload fills a chunk-pool buffer with the next n bytes of the stream.
@@ -172,7 +142,7 @@ func (w *wire) readBody(body any) error {
 // before its bytes arrive: the buffer starts small and doubles as it fills,
 // so memory follows the bytes received at the price of copying them once
 // more.
-func (w *wire) readPayload(n int) ([]byte, error) {
+func readPayload(r io.Reader, n int) ([]byte, error) {
 	size := n
 	if n > chunk.MaxPooled {
 		size = untrustedStart
@@ -180,7 +150,7 @@ func (w *wire) readPayload(n int) ([]byte, error) {
 	buf := chunk.GetBuf(size)
 	for {
 		fill := min(n, cap(buf))
-		if _, err := io.ReadFull(w.br, buf[len(buf):fill]); err != nil {
+		if _, err := io.ReadFull(r, buf[len(buf):fill]); err != nil {
 			chunk.PutBuf(buf)
 			return nil, err
 		}
@@ -195,26 +165,156 @@ func (w *wire) readPayload(n int) ([]byte, error) {
 	}
 }
 
-// clientCodec and serverCodec put the wire under net/rpc.
-type clientCodec struct{ *wire }
+// args are a call's arguments, encoded by hand: a method sends the fields
+// argFields names for it, in the order of the struct — strings and ID
+// lists length-prefixed by a uvarint, an ID as its 32 bytes, a TTL or a
+// limit as a varint.
+type args struct {
+	User  string
+	ID    chunk.ID // the chunk; ListChunks: resume after it
+	Lease chunk.Lease
+	Limit int
+	IDs   []chunk.ID
+}
 
-func (c clientCodec) WriteRequest(r *rpc.Request, body any) error { return c.writeMsg(r, body, false) }
-func (c clientCodec) ReadResponseHeader(r *rpc.Response) error    { return c.dec.Decode(r) }
-func (c clientCodec) ReadResponseBody(body any) error             { return c.readBody(body) }
-func (c clientCodec) Close() error                                { return c.rwc.Close() }
+const (
+	fUser = 1 << iota
+	fID
+	fLeaseID
+	fTTL
+	fLimit
+	fIDs
+)
 
-type serverCodec struct{ *wire }
+var argFields = [256]uint8{ // any method byte indexes it; an unknown one sends nothing
+	mStore:        fUser | fID | fLeaseID | fTTL, // an empty lease ID is no lease
+	mFetch:        fUser | fID,
+	mLeaseChunks:  fLeaseID | fTTL | fIDs,
+	mReleaseLease: fLeaseID,
+	mRemove:       fID,
+	mListChunks:   fID | fLimit,
+	mPurge:        fIDs,
+}
 
-func (c serverCodec) ReadRequestHeader(r *rpc.Request) error { return c.dec.Decode(r) }
-func (c serverCodec) ReadRequestBody(body any) error         { return c.readBody(body) }
-func (c serverCodec) Close() error                           { return c.rwc.Close() }
-
-// WriteResponse closes the conn on a failed write, as net/rpc's own codec
-// does: a half-written frame leaves the peer nothing to resynchronize on.
-func (c serverCodec) WriteResponse(r *rpc.Response, body any) error {
-	err := c.writeMsg(r, body, true)
-	if err != nil {
-		_ = c.rwc.Close()
+func (a *args) append(b []byte, m byte) []byte {
+	f := argFields[m]
+	if f&fUser != 0 {
+		b = append(binary.AppendUvarint(b, uint64(len(a.User))), a.User...)
 	}
-	return err
+	if f&fID != 0 {
+		b = append(b, a.ID[:]...)
+	}
+	if f&fLeaseID != 0 {
+		b = append(binary.AppendUvarint(b, uint64(len(a.Lease.ID))), a.Lease.ID...)
+	}
+	if f&fTTL != 0 {
+		b = binary.AppendVarint(b, int64(a.Lease.TTL))
+	}
+	if f&fLimit != 0 {
+		b = binary.AppendVarint(b, int64(a.Limit))
+	}
+	if f&fIDs != 0 {
+		b = binary.AppendUvarint(b, uint64(len(a.IDs)))
+		for _, id := range a.IDs {
+			b = append(b, id[:]...)
+		}
+	}
+	return b
+}
+
+var errMeta = errors.New("rpc: malformed frame metadata")
+
+// decode parses m's arguments from meta. Every length is checked against
+// the bytes left before anything is sized by it, and nothing may trail.
+func (a *args) decode(m byte, meta []byte) error {
+	if m == 0 || m >= numMethods {
+		return fmt.Errorf("rpc: unknown method %d", m)
+	}
+	const idLen = uint64(len(chunk.ID{}))
+	d := decoder{b: meta, ok: true}
+	f := argFields[m]
+	if f&fUser != 0 {
+		a.User = string(d.next(d.uvarint()))
+	}
+	if f&fID != 0 {
+		copy(a.ID[:], d.next(idLen))
+	}
+	if f&fLeaseID != 0 {
+		a.Lease.ID = string(d.next(d.uvarint()))
+	}
+	if f&fTTL != 0 {
+		a.Lease.TTL = time.Duration(d.varint())
+	}
+	if f&fLimit != 0 {
+		a.Limit = int(d.varint())
+	}
+	if f&fIDs != 0 {
+		if n := d.uvarint(); n > uint64(len(d.b))/idLen {
+			d.ok = false
+		} else if n > 0 {
+			a.IDs = make([]chunk.ID, n)
+			for i := range a.IDs {
+				copy(a.IDs[i][:], d.next(idLen))
+			}
+		}
+	}
+	if !d.ok || len(d.b) != 0 {
+		return errMeta
+	}
+	return nil
+}
+
+// decoder reads hand-encoded args. The first short or malformed field
+// clears ok for good; every later read returns a zero value.
+type decoder struct {
+	b  []byte
+	ok bool
+}
+
+// next returns the next n bytes, or nil once the metadata ran short.
+func (d *decoder) next(n uint64) []byte {
+	if !d.ok || n > uint64(len(d.b)) {
+		d.ok = false
+		return nil
+	}
+	v := d.b[:n]
+	d.b = d.b[n:]
+	return v
+}
+
+func (d *decoder) uvarint() uint64 {
+	v, n := binary.Uvarint(d.b)
+	d.ok = d.ok && n > 0
+	d.next(uint64(max(n, 0)))
+	return v
+}
+
+func (d *decoder) varint() int64 {
+	v, n := binary.Varint(d.b)
+	d.ok = d.ok && n > 0
+	d.next(uint64(max(n, 0)))
+	return v
+}
+
+// result is the reply metadata of the control-plane calls, gob-encoded
+// one message at a time: they are cold, and gob takes fewer lines.
+type result struct {
+	Epoch  uint64               // AdvanceEpoch, Epoch
+	Chunks []provider.ChunkInfo // ListChunks
+	More   bool                 // ListChunks
+	Purged int                  // Purge
+	Freed  int64                // Purge
+	Leases []provider.LeaseInfo // Leases
+}
+
+// encode takes r by value, so that only a call that replies with a result
+// puts one on the heap.
+func (r result) encode() ([]byte, error) {
+	var buf bytes.Buffer
+	err := gob.NewEncoder(&buf).Encode(&r)
+	return buf.Bytes(), err
+}
+
+func (r *result) decode(meta []byte) error {
+	return gob.NewDecoder(bytes.NewReader(meta)).Decode(r)
 }

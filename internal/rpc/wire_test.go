@@ -1,6 +1,7 @@
 package rpc
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/binary"
@@ -8,7 +9,7 @@ import (
 	"hash/crc32"
 	"math/rand"
 	"net"
-	"net/rpc"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync"
@@ -26,7 +27,7 @@ func randBytes(rng *rand.Rand, n int) []byte {
 	return b
 }
 
-func dial(t testing.TB, addr string) *Conn {
+func mustDial(t testing.TB, addr string) *Conn {
 	t.Helper()
 	conn, err := DialContext(bg, addr)
 	if err != nil {
@@ -43,7 +44,7 @@ func dial(t testing.TB, addr string) *Conn {
 // the pool's largest class.
 func TestWireRoundTripSizes(t *testing.T) {
 	_, srv := startProvider(t, "p1")
-	conn := dial(t, srv.Addr())
+	conn := mustDial(t, srv.Addr())
 	rng := rand.New(rand.NewSource(1))
 	for _, n := range []int{0, 1, wireBuf - 256, wireBuf - 1, wireBuf, wireBuf + 1, 1 << 20, 16<<20 + 1} {
 		data := randBytes(rng, n)
@@ -64,21 +65,20 @@ func TestWireRoundTripSizes(t *testing.T) {
 }
 
 // TestWireStaysFramedAcrossDiscards drives both discard paths and checks the
-// same conn still carries a transfer afterwards: an application error reply
-// (the client is told to read past a body it has no receiver for), and a
-// request for a method the server does not have (the server reads past a
-// raw payload it has no receiver for).
+// same conn still carries a transfer afterwards: an application error reply,
+// and a request for a method the server does not have (the server reads
+// past a payload it has no use for and answers with an error).
 func TestWireStaysFramedAcrossDiscards(t *testing.T) {
 	_, srv := startProvider(t, "p1")
-	conn := dial(t, srv.Addr())
+	conn := mustDial(t, srv.Addr())
 	data := randBytes(rand.New(rand.NewSource(2)), 1<<20)
 	id := chunk.Sum(data)
 
 	if _, err := conn.Fetch(bg, "u", id); err == nil || !strings.Contains(err.Error(), provider.ErrNotFound.Error()) {
 		t.Fatalf("fetch of a missing chunk: %v, want %v", err, provider.ErrNotFound)
 	}
-	err := conn.call(bg, "Provider.NoSuchMethod", &StoreArgs{User: "u", ID: id, Data: data}, &struct{}{})
-	if err == nil || !strings.Contains(err.Error(), "can't find method") {
+	_, err := conn.call(bg, numMethods, &args{User: "u", ID: id}, data, nil)
+	if err == nil || !strings.Contains(err.Error(), "unknown method") {
 		t.Fatalf("unknown method: %v", err)
 	}
 	if err := conn.Store(bg, "u", id, data); err != nil {
@@ -284,99 +284,101 @@ func TestServerCloseMidTransfer(t *testing.T) {
 }
 
 // benchTransfer runs op b.N times against a loopback server holding one
-// 1 MiB chunk and fails the benchmark if an op allocates 64 KiB or more:
-// on a warm pool a chunk transfer allocates headers and call records, not
-// payload. (MemStats counts the in-process server's allocations too.)
-func benchTransfer(b *testing.B, op func(conn *Conn, id chunk.ID, data []byte) error) {
+// chunk of size bytes. Before timing, it fails the benchmark if op
+// allocates maxBytes or more, or more than maxAllocs times, averaged over
+// a fixed number of ops whatever b.N is: one pool miss on a cold P must
+// not decide a gate CI runs at one iteration. (MemStats counts the
+// in-process server's allocations too.)
+func benchTransfer(b *testing.B, size int, maxBytes, maxAllocs uint64, op func(conn *Conn, id chunk.ID, data []byte) error) {
 	p := provider.New("p1", "z", 0)
 	srv, err := Serve(p, "127.0.0.1:0")
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer srv.Close()
-	conn := dial(b, srv.Addr())
-	data := randBytes(rand.New(rand.NewSource(5)), 1<<20)
+	conn := mustDial(b, srv.Addr())
+	data := randBytes(rand.New(rand.NewSource(5)), size)
 	id := chunk.Sum(data)
 	if err := conn.Store(bg, "u", id, data); err != nil {
 		b.Fatal(err)
 	}
-	for i := 0; i < 4; i++ { // warm the pool on both ends
-		if err := op(conn, id, data); err != nil {
-			b.Fatal(err)
+	run := func(n int) {
+		for i := 0; i < n; i++ {
+			if err := op(conn, id, data); err != nil {
+				b.Fatal(err)
+			}
 		}
+	}
+	run(4) // warm the pool on both ends
+	const gateOps = 100
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	run(gateOps)
+	runtime.ReadMemStats(&after)
+	if perOp := (after.TotalAlloc - before.TotalAlloc) / gateOps; perOp >= maxBytes {
+		b.Fatalf("%d bytes allocated per %d-byte transfer, want < %d", perOp, size, maxBytes)
+	}
+	if perOp := (after.Mallocs - before.Mallocs) / gateOps; perOp > maxAllocs {
+		b.Fatalf("%d allocations per %d-byte transfer, want ≤ %d", perOp, size, maxAllocs)
 	}
 	b.SetBytes(int64(len(data)))
 	b.ReportAllocs()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
 	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := op(conn, id, data); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	runtime.ReadMemStats(&after)
-	if perOp := (after.TotalAlloc - before.TotalAlloc) / uint64(b.N); perOp >= 64<<10 {
-		b.Fatalf("%d bytes allocated per 1 MiB transfer, want < 64 KiB", perOp)
-	}
+	run(b.N)
 }
 
-func BenchmarkRPCFetch1MiB(b *testing.B) {
-	benchTransfer(b, func(conn *Conn, id chunk.ID, _ []byte) error {
-		got, err := conn.Fetch(bg, "u", id)
-		chunk.PutBuf(got)
-		return err
-	})
+func fetchOp(conn *Conn, id chunk.ID, _ []byte) error {
+	got, err := conn.Fetch(bg, "u", id)
+	chunk.PutBuf(got)
+	return err
 }
 
-func BenchmarkRPCStore1MiB(b *testing.B) {
-	benchTransfer(b, func(conn *Conn, id chunk.ID, data []byte) error {
-		return conn.Store(bg, "u", id, data)
-	})
+func storeOp(conn *Conn, id chunk.ID, data []byte) error {
+	return conn.Store(bg, "u", id, data)
 }
 
-// memConn is a wire's two halves in memory: reads drain in, writes fill out.
-type memConn struct {
-	in  *bytes.Reader
-	out bytes.Buffer
-}
+// The 1 MiB pair holds the payload out of every encoder and allocator: on a
+// warm pool a chunk transfer allocates call records, not payload. The
+// 16 KiB pair is a small object's fixed cost per call. Every allocation
+// ceiling sits one above what the transfer measures: 8 per Fetch and 7
+// per Store, of which 5 and 4 are the chunk pool's own bookkeeping.
+func BenchmarkRPCFetch1MiB(b *testing.B)  { benchTransfer(b, 1<<20, 64<<10, 9, fetchOp) }
+func BenchmarkRPCStore1MiB(b *testing.B)  { benchTransfer(b, 1<<20, 64<<10, 8, storeOp) }
+func BenchmarkRPCFetch16KiB(b *testing.B) { benchTransfer(b, 16<<10, 4<<10, 9, fetchOp) }
+func BenchmarkRPCStore16KiB(b *testing.B) { benchTransfer(b, 16<<10, 4<<10, 8, storeOp) }
 
-func (c *memConn) Read(p []byte) (int, error)  { return c.in.Read(p) }
-func (c *memConn) Write(p []byte) (int, error) { return c.out.Write(p) }
-func (c *memConn) Close() error                { return nil }
-
-// encodeBody returns body's wire form, as writeBody frames it.
-func encodeBody(t testing.TB, body any) []byte {
+// encodeFrame returns a frame's wire form, as writeFrame sends it.
+func encodeFrame(t testing.TB, h header, meta, payload []byte) []byte {
 	t.Helper()
-	c := &memConn{in: bytes.NewReader(nil)}
-	w := newWire(c)
-	if err := w.writeBody(body, false); err != nil {
+	var out bytes.Buffer
+	if err := writeFrame(bufio.NewWriterSize(&out, wireBuf), h, meta, payload); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.bw.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	return bytes.Clone(c.out.Bytes())
+	return out.Bytes()
 }
 
-// hostileBody is a raw Store body whose length prefix promises n bytes and
-// which then delivers sent of them.
-func hostileBody(t testing.TB, n uint64, sent int) []byte {
+// hostileFrame is a Store frame whose header promises a payload of n bytes
+// and which then delivers sent of them.
+func hostileFrame(t testing.TB, n uint32, sent int) []byte {
 	t.Helper()
-	frame := encodeBody(t, &StoreArgs{User: "u", ID: chunk.Sum([]byte("x"))})
-	frame = frame[:len(frame)-1] // the uvarint 0 of the empty payload
-	frame = binary.AppendUvarint(frame, n)
+	a := args{User: "u", ID: chunk.Sum([]byte("x"))}
+	frame := encodeFrame(t, header{method: mStore, seq: 1}, a.append(nil, mStore), nil)
+	binary.LittleEndian.PutUint32(frame[22:], n)
 	return append(frame, make([]byte, sent)...)
 }
 
-// TestHostileLengthPrefix: a length prefix is the peer's word, ahead of the
-// bytes it promises. One beyond the pool's classes must not size a buffer
-// before those bytes arrive.
+// parseFrame reads one frame from in as a conn's reader does.
+func parseFrame(in []byte) (h header, meta, payload []byte, err error) {
+	return readFrame(bufio.NewReaderSize(bytes.NewReader(in), wireBuf))
+}
+
+// TestHostileLengthPrefix: a length in a header is the peer's word, ahead of
+// the bytes it promises. One beyond the pool's classes must not size a
+// buffer before those bytes arrive.
 func TestHostileLengthPrefix(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
-		n        uint64
+		n        uint32
 		sent     int
 		maxAlloc uint64
 	}{
@@ -385,18 +387,16 @@ func TestHostileLengthPrefix(t *testing.T) {
 		{"past the frame limit", maxPayload + 1, 0, 1 << 20},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			frame := hostileBody(t, tc.n, tc.sent)
-			w := newWire(&memConn{in: bytes.NewReader(frame)})
-			var args StoreArgs
+			frame := hostileFrame(t, tc.n, tc.sent)
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
-			err := w.readBody(&args)
+			_, _, payload, err := parseFrame(frame)
 			runtime.ReadMemStats(&after)
 			if err == nil {
-				t.Fatal("readBody accepted a truncated payload")
+				t.Fatal("the frame reader accepted a truncated payload")
 			}
-			if args.Data != nil {
-				t.Fatalf("a failed read left %d payload bytes in the message", len(args.Data))
+			if payload != nil {
+				t.Fatalf("a failed read returned %d payload bytes", len(payload))
 			}
 			if got := after.TotalAlloc - before.TotalAlloc; got >= tc.maxAlloc {
 				t.Fatalf("allocated %d bytes for %d received, want < %d", got, tc.sent, tc.maxAlloc)
@@ -411,18 +411,11 @@ func TestHostileLengthPrefix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hw := newWire(raw)
-	if err := hw.enc.Encode(&rpc.Request{ServiceMethod: "Provider.Store", Seq: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := hw.bw.Write(hostileBody(t, maxPayload, 0)); err != nil {
-		t.Fatal(err)
-	}
-	if err := hw.bw.Flush(); err != nil {
+	if _, err := raw.Write(hostileFrame(t, maxPayload, 0)); err != nil {
 		t.Fatal(err)
 	}
 	raw.Close()
-	conn := dial(t, srv.Addr())
+	conn := mustDial(t, srv.Addr())
 	data := []byte("still serving")
 	if err := conn.Store(bg, "u", chunk.Sum(data), data); err != nil {
 		t.Fatalf("store after a hostile peer: %v", err)
@@ -433,50 +426,74 @@ func TestHostileLengthPrefix(t *testing.T) {
 // is read through the doubling buffer and arrives whole.
 func TestLongPayloadGrowsAsItArrives(t *testing.T) {
 	data := randBytes(rand.New(rand.NewSource(4)), chunk.MaxPooled+chunk.MaxPooled/2+7)
-	frame := encodeBody(t, &FetchReply{Data: data})
-	var reply FetchReply
-	if err := newWire(&memConn{in: bytes.NewReader(frame)}).readBody(&reply); err != nil {
+	_, _, payload, err := parseFrame(encodeFrame(t, header{method: mFetch, seq: 9}, nil, data))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(reply.Data, data) {
-		t.Fatalf("got %d bytes, want the %d sent", len(reply.Data), len(data))
+	if !bytes.Equal(payload, data) {
+		t.Fatalf("got %d bytes, want the %d sent", len(payload), len(data))
 	}
 }
 
-// FuzzReadBody feeds readBody arbitrary bytes as each kind of body it can be
-// asked for — a raw-payload message, a gob one, and one to skip. It must
-// return, not panic, and whatever parses must re-encode to a frame that
-// parses to the same message.
+// FuzzReadBody feeds the frame reader arbitrary bytes: a header, then the
+// metadata and payload it announces. It must return, not panic. A frame
+// that parses must re-encode to one that parses to the same header,
+// metadata and payload; metadata that decodes as its method's
+// hand-encoded arguments must re-encode to the same arguments.
 func FuzzReadBody(f *testing.F) {
 	data := randBytes(rand.New(rand.NewSource(5)), 3000)
-	f.Add(encodeBody(f, &StoreArgs{User: "u", ID: chunk.Sum(data), Data: data}))
-	f.Add(encodeBody(f, &FetchReply{Data: data[:1]}))
-	f.Add(encodeBody(f, &FetchReply{}))
-	f.Add(encodeBody(f, &FetchArgs{User: "u", ID: chunk.Sum(data)}))
-	f.Add(hostileBody(f, maxPayload, 0))
-	f.Add(hostileBody(f, chunk.MaxPooled+1, 100))
-	f.Add([]byte{bodyRaw})
-	f.Add([]byte{'?', 1, 2, 3})
-	f.Fuzz(func(t *testing.T, in []byte) {
-		read := func(body any) error {
-			return newWire(&memConn{in: bytes.NewReader(in)}).readBody(body)
+	id := chunk.Sum(data)
+	lease := chunk.Lease{ID: "wl-1", TTL: time.Minute}
+	frame := func(m, flags byte, meta, payload []byte) []byte {
+		return encodeFrame(f, header{method: m, flags: flags, seq: 7, timeout: time.Second}, meta, payload)
+	}
+	argsOf := func(m byte, a args) []byte { return a.append(nil, m) }
+	resultOf := func(r result) []byte {
+		b, err := r.encode()
+		if err != nil {
+			f.Fatal(err)
 		}
-		_ = read(nil)
-		_ = read(&FetchArgs{})
-		var reply FetchReply
-		_ = read(&reply)
-		chunk.PutBuf(reply.Data)
-
-		var args StoreArgs
-		if read(&args) != nil {
+		return b
+	}
+	f.Add(frame(mStore, 0, argsOf(mStore, args{User: "u", ID: id, Lease: lease}), data))
+	f.Add(frame(mFetch, 0, nil, data[:1]))
+	f.Add(frame(mFetch, 0, nil, nil))
+	f.Add(frame(mFetch, 0, argsOf(mFetch, args{User: "u", ID: id}), nil))
+	f.Add(hostileFrame(f, maxPayload, 0))
+	f.Add(hostileFrame(f, chunk.MaxPooled+1, 100))
+	f.Add(hostileFrame(f, 1<<32-1, 0)) // the largest payload length a header can state, 4 GiB − 1
+	metaOnly := frame(mLeaseChunks, 0, nil, nil)
+	binary.LittleEndian.PutUint32(metaOnly[18:], 1000) // metadata promised, nothing behind it
+	f.Add(metaOnly)
+	f.Add(frame(mLeaseChunks, 0, argsOf(mLeaseChunks, args{Lease: lease, IDs: []chunk.ID{id, chunk.Sum(nil)}}), nil))
+	f.Add(frame(mReleaseLease, flagOneWay, argsOf(mReleaseLease, args{Lease: lease}), nil))
+	f.Add(frame(mListChunks, 0, resultOf(result{Chunks: []provider.ChunkInfo{{ID: id, Size: 3000, Refs: 2, Epoch: 5}}, More: true}), nil))
+	f.Add(frame(mLeases, 0, resultOf(result{Leases: []provider.LeaseInfo{{ID: "wl-1", Expires: time.Unix(0, 42), Chunks: []chunk.ID{id}}}}), nil))
+	f.Add(frame(mPurge, 0, resultOf(result{Purged: 3, Freed: -1}), nil))
+	f.Add(frame(mEpoch, 0, resultOf(result{Epoch: 1 << 40}), nil))
+	f.Add(frame(mFetch, flagError, []byte(provider.ErrNotFound.Error()), nil))
+	f.Add(frame(0, flagCancel, nil, nil))
+	f.Add([]byte{mStore, 0, 1, 2, 3})
+	f.Fuzz(func(t *testing.T, in []byte) {
+		h, meta, payload, err := parseFrame(in)
+		if err != nil {
 			return
 		}
-		var again StoreArgs
-		if err := newWire(&memConn{in: bytes.NewReader(encodeBody(t, &args))}).readBody(&again); err != nil {
-			t.Fatalf("re-encoded body does not parse: %v", err)
+		h2, meta2, payload2, err := parseFrame(encodeFrame(t, h, meta, payload))
+		if err != nil {
+			t.Fatalf("re-encoded frame does not parse: %v", err)
 		}
-		if again.User != args.User || again.ID != args.ID || !bytes.Equal(again.Data, args.Data) {
-			t.Fatalf("round trip changed the message: %+v vs %+v", again, args)
+		if h2 != h || !bytes.Equal(meta2, meta) || !bytes.Equal(payload2, payload) {
+			t.Fatalf("round trip changed the frame: %+v vs %+v", h2, h)
+		}
+		var a, a2 args
+		if a.decode(h.method, meta) == nil {
+			if err := a2.decode(h.method, a.append(nil, h.method)); err != nil || !reflect.DeepEqual(a2, a) {
+				t.Fatalf("arguments changed in a round trip: %+v vs %+v (%v)", a2, a, err)
+			}
+		}
+		for _, b := range [][]byte{meta, payload, meta2, payload2} {
+			chunk.PutBuf(b)
 		}
 	})
 }

@@ -16,8 +16,9 @@ import (
 // TestEveryConnCarriesLeases: a Conn must not hide leasing. Through
 // every client.Conn in the tree — the provider itself, the rpc plane,
 // the fault guard, the fault-injection wrappers — a LeaseChunks shows up
-// in the provider's lease table and a ReleaseLease removes it. A wrapper
-// that swallowed either would leave the writers behind it with the grace
+// in the provider's lease table, so does a Store's lease by the time the
+// Store returns, and a ReleaseLease removes them. A wrapper that
+// swallowed any of them would leave the writers behind it with the grace
 // window as their only protection.
 func TestEveryConnCarriesLeases(t *testing.T) {
 	ctx := context.Background()
@@ -56,7 +57,8 @@ func TestEveryConnCarriesLeases(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			p := provider.New("p00", "z0", 0)
 			conn := c.over(t, p)
-			id := chunk.Sum([]byte(c.name))
+			data := []byte(c.name)
+			id := chunk.Sum(data)
 			if err := conn.LeaseChunks(ctx, "w1", time.Minute, []chunk.ID{id}); err != nil {
 				t.Fatal(err)
 			}
@@ -67,7 +69,20 @@ func TestEveryConnCarriesLeases(t *testing.T) {
 			if len(leases) != 1 || leases[0].ID != "w1" || len(leases[0].Chunks) != 1 || leases[0].Chunks[0] != id {
 				t.Fatalf("lease table after LeaseChunks through the conn = %+v, want w1 holding the chunk", leases)
 			}
-			if err := conn.ReleaseLease(ctx, "w1"); err != nil {
+			if err := conn.Store(chunk.WithLease(ctx, &chunk.Lease{ID: "w2", TTL: time.Minute}), "u", id, data); err != nil {
+				t.Fatal(err)
+			}
+			if leases, _ = p.Leases(ctx); len(leases) != 2 || leases[1].ID != "w2" || len(leases[1].Chunks) != 1 || leases[1].Chunks[0] != id {
+				t.Fatalf("lease table after a leased Store through the conn = %+v, want w2 holding the chunk", leases)
+			}
+			for _, l := range []string{"w1", "w2"} {
+				if err := conn.ReleaseLease(ctx, l); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// A release may be one-way; a reply to any later call on the
+			// same conn comes after the provider applied it.
+			if _, err := conn.Fetch(ctx, "u", id); err != nil {
 				t.Fatal(err)
 			}
 			if leases, _ = p.Leases(ctx); len(leases) != 0 {
