@@ -82,7 +82,13 @@ func main() {
 
 	if reg != nil {
 		mux := http.NewServeMux()
-		mux.Handle("/metrics", reg.Handler())
+		metricsHandler := reg.Handler()
+		mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
+			// Nothing else ticks a standalone provider: refresh its
+			// used-bytes and chunk-count gauges at scrape time.
+			p.ReportPhysical(0, 0)
+			metricsHandler.ServeHTTP(w, r)
+		})
 		go func() {
 			log.Printf("provider %s metrics on http://%s/metrics", *id, *metricsLsn)
 			log.Fatal(http.ListenAndServe(*metricsLsn, mux))

@@ -36,12 +36,11 @@ import (
 )
 
 // The deployment's fixed shape: two metadata providers behind the ring,
-// two monitoring services, two introspection storage servers, and every
-// data provider in one zone with unbounded capacity.
+// two monitoring services, and every data provider in one zone with
+// unbounded capacity.
 const (
 	metaProviders   = 2
 	monitorServices = 2
-	storageServers  = 2
 	zone            = "zone0"
 )
 
@@ -92,7 +91,6 @@ type Cluster struct {
 	PM    *pmanager.Manager
 	Mesh  *monitor.Mesh
 	Intro *introspect.Introspector
-	Store *introspect.Cluster
 	Hist  *history.History
 	Trust *trust.Manager
 	Enf   *policy.Enforcer
@@ -138,20 +136,20 @@ func NewCluster(opts Options) (*Cluster, error) {
 		providers: make(map[string]*provider.Provider),
 	}
 
-	// Monitoring mesh + introspection stack.
+	// Monitoring mesh + introspection stack: every record a service
+	// gathers lands in its farm and goes to the introspector and the
+	// user-activity history.
 	c.Mesh = monitor.NewMesh(monitorServices, 0)
 	c.Intro = introspect.NewIntrospector(0)
-	c.Store = introspect.NewCluster(storageServers, 0, 0)
 	c.Hist = history.New()
 	c.Mesh.Subscribe(c.Intro)
-	c.Mesh.Subscribe(c.Store)
 	c.Mesh.Subscribe(c.Hist)
 
 	// Metadata providers behind a ring.
 	stores := make([]blobmeta.Store, metaProviders)
 	for i := range stores {
 		id := fmt.Sprintf("meta%02d", i)
-		stores[i] = blobmeta.NewMemStore(id, c.agentFor(id), c.now)
+		stores[i] = blobmeta.NewMemStore(id, c.AgentFor(id), c.now)
 	}
 	ring, err := blobmeta.NewRing(stores...)
 	if err != nil {
@@ -170,10 +168,10 @@ func NewCluster(opts Options) (*Cluster, error) {
 
 	// Version and provider managers.
 	c.VM = vmanager.New(ring,
-		vmanager.WithEmitter(c.agentFor("vmanager")),
+		vmanager.WithEmitter(c.AgentFor("vmanager")),
 		vmanager.WithClock(c.now))
 	pmOpts := []pmanager.Option{
-		pmanager.WithEmitter(c.agentFor("pmanager")),
+		pmanager.WithEmitter(c.AgentFor("pmanager")),
 		pmanager.WithClock(c.now),
 		pmanager.WithTTL(0),
 	}
@@ -185,7 +183,7 @@ func NewCluster(opts Options) (*Cluster, error) {
 	// Security framework.
 	c.Trust = trust.New(trust.WithClock(c.now))
 	c.Enf = policy.NewEnforcer(
-		policy.WithEmitter(c.agentFor("security")),
+		policy.WithEmitter(c.AgentFor("security")),
 		policy.WithClock(c.now))
 	sink := trust.Sink{Inner: c.Enf, Trust: c.Trust}
 	c.Eng = policy.NewEngine(c.Hist, policies, sink, policy.WithTrust(c.Trust))
@@ -200,7 +198,7 @@ func NewCluster(opts Options) (*Cluster, error) {
 	// Self-optimization.
 	c.Rep = selfopt.NewReplicator(c.VM, c.PM, pool{c}, c.Intro,
 		selfopt.WithBaseDegree(opts.BaseDegree),
-		selfopt.WithEmitter(c.agentFor("selfopt")))
+		selfopt.WithEmitter(c.AgentFor("selfopt")))
 
 	// Storage lifecycle: every deletion routes through it, every reader
 	// pins through it.
@@ -213,7 +211,7 @@ func NewCluster(opts Options) (*Cluster, error) {
 	}
 	gcOpts := []gc.Option{
 		gc.WithGraceEpochs(grace),
-		gc.WithEmitter(c.agentFor("gc")),
+		gc.WithEmitter(c.AgentFor("gc")),
 		gc.WithClock(c.now),
 		gc.WithMetrics(opts.Metrics),
 	}
@@ -225,7 +223,7 @@ func NewCluster(opts Options) (*Cluster, error) {
 	// Self-configuration (optional).
 	if opts.Elasticity != nil {
 		ctl, err := selfconfig.New(*opts.Elasticity, actuator{c},
-			selfconfig.WithEmitter(c.agentFor("selfconfig")))
+			selfconfig.WithEmitter(c.AgentFor("selfconfig")))
 		if err != nil {
 			return nil, err
 		}
@@ -234,9 +232,11 @@ func NewCluster(opts Options) (*Cluster, error) {
 	return c, nil
 }
 
-// agentFor returns a monitoring agent emitter for a node if monitoring is
-// on, else a Nop.
-func (c *Cluster) agentFor(node string) instrument.Emitter {
+// AgentFor returns the instrumentation emitter of one actor: a new
+// monitoring agent for node when monitoring is on, else a Nop. Every
+// actor the cluster assembles, its clients and any S3 gateway built over
+// it take their emitter from here.
+func (c *Cluster) AgentFor(node string) instrument.Emitter {
 	if !c.opts.Monitoring {
 		return instrument.Nop{}
 	}
@@ -250,7 +250,7 @@ func (c *Cluster) AddProvider() (string, error) {
 	c.nextProv++
 	id := fmt.Sprintf("provider%03d", i)
 	popts := []provider.Option{
-		provider.WithEmitter(c.agentFor(id)),
+		provider.WithEmitter(c.AgentFor(id)),
 		provider.WithClock(c.now),
 		provider.WithMetrics(c.opts.Metrics),
 	}
@@ -360,17 +360,13 @@ func (c *Cluster) Client(user string) *client.Client {
 // quorum, hedged reads). The S3 gateway and benchmarks use it to tune
 // per-front-end behavior without reconfiguring the whole cluster.
 func (c *Cluster) ClientWith(user string, extra ...client.Option) *client.Client {
-	emitter := instrument.NewTap(c.Intro)
-	if c.opts.Monitoring {
-		emitter.Attach(c.Mesh.NewAgent("client-"+user, c.opts.AgentBatch))
-	}
 	opts := []client.Option{
 		client.WithReplicas(c.opts.Replicas),
 		client.WithWriteQuorum(c.opts.WriteQuorum),
 		client.WithHedgedReads(c.opts.HedgedReads),
 		client.WithGatekeeper(c.Enf),
 		client.WithPinner(c.GC),
-		client.WithEmitter(emitter),
+		client.WithEmitter(c.AgentFor("client-" + user)),
 		client.WithClock(c.now),
 		client.WithMetrics(c.opts.Metrics),
 		client.WithLeaser(writerLeases{c.GC}),
@@ -383,9 +379,10 @@ func (c *Cluster) ClientWith(user string, extra ...client.Option) *client.Client
 }
 
 // Tick advances the control plane at the given instant: providers report
-// physical parameters, agents flush, storage servers persist, the
-// detection engine scans, replication heals, elasticity reacts. Call it
-// periodically (e.g. every few seconds of real or simulated time).
+// physical parameters, agents flush (which is when the introspector sees
+// client accesses), the detection engine scans, replication heals,
+// elasticity reacts. Call it periodically (e.g. every few seconds of
+// real or simulated time).
 func (c *Cluster) Tick(now time.Time) {
 	c.mu.Lock()
 	provs := make([]*provider.Provider, 0, len(c.providers))
@@ -405,7 +402,6 @@ func (c *Cluster) Tick(now time.Time) {
 		_ = c.PM.Heartbeat(p.ID(), st.Used, st.Active)
 	}
 	c.Mesh.FlushAll()
-	c.Store.FlushAll()
 	c.Eng.Evaluate(now)
 	if c.Elast != nil {
 		c.Elast.Tick(now, c.Intro.MeanLoad())
@@ -500,7 +496,7 @@ func (c *Cluster) GCRunner(interval time.Duration) *gc.Runner {
 // through the cluster's lifecycle manager, so reader pins are honoured
 // and healed BLOBs reclaim exactly.
 func (c *Cluster) NewReaper(strategies ...selfopt.Strategy) *selfopt.Reaper {
-	r := selfopt.NewReaper(c.VM, c.Pool(), c.agentFor("reaper"), strategies...)
+	r := selfopt.NewReaper(c.VM, c.Pool(), c.AgentFor("reaper"), strategies...)
 	r.RouteDeletes(c.GC)
 	return r
 }

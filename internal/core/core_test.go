@@ -83,13 +83,54 @@ func TestClusterMonitoringPipeline(t *testing.T) {
 	if c.Hist.Total() == 0 {
 		t.Fatal("history empty")
 	}
-	// Storage servers persisted records.
-	if c.Store.ParamCount() == 0 {
-		t.Fatal("storage servers empty")
+	// The monitoring farm kept the records.
+	if c.Mesh.ParamCount() == 0 {
+		t.Fatal("monitoring farm empty")
 	}
 	// Provider physical params flowed.
 	if len(c.Intro.Providers()) == 0 {
 		t.Fatal("no provider state")
+	}
+}
+
+// TestIntrospectionThroughMesh pins the introspection contract: client
+// accesses reach the introspector only through the client's monitoring
+// agent, so with a batch larger than the traffic they show after the
+// next Tick flushes the agents and not before, and with monitoring off
+// they never show.
+func TestIntrospectionThroughMesh(t *testing.T) {
+	for _, monitoring := range []bool{true, false} {
+		t.Run(fmt.Sprintf("monitoring=%v", monitoring), func(t *testing.T) {
+			ctx := context.Background()
+			c := newCluster(t, Options{Providers: 2, Monitoring: monitoring, AgentBatch: 1024,
+				Clock: func() time.Time { return t0 }})
+			cl := c.Client("alice")
+			info, err := cl.Create(ctx, 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := cl.Write(ctx, info.ID, 0, bytes.Repeat([]byte("x"), 256)); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := cl.Read(ctx, info.ID, 0, 0, 100); err != nil {
+				t.Fatal(err)
+			}
+			if st, ok := c.Intro.Blob(info.ID); ok {
+				t.Fatalf("access visible before the tick: %+v", st)
+			}
+			c.Tick(t0)
+			st, ok := c.Intro.Blob(info.ID)
+			if !monitoring {
+				if ok {
+					t.Fatalf("access visible with monitoring off: %+v", st)
+				}
+				return
+			}
+			if !ok || st.Writes != 1 || st.Reads != 1 || st.BytesWritten != 256 || st.BytesRead != 100 ||
+				st.Users["alice"] != 2 {
+				t.Fatalf("after tick: %+v ok=%v", st, ok)
+			}
+		})
 	}
 }
 
@@ -183,13 +224,14 @@ func TestClusterElasticity(t *testing.T) {
 func TestClusterReaperIntegration(t *testing.T) {
 	ctx := context.Background()
 	now := t0
-	c := newCluster(t, Options{Providers: 2, Monitoring: false,
+	c := newCluster(t, Options{Providers: 2, Monitoring: true,
 		Clock: func() time.Time { return now }})
 	cl := c.Client("u")
 	info, _ := cl.Create(ctx, 64)
 	if _, err := cl.Write(ctx, info.ID, 0, []byte("temporary")); err != nil {
 		t.Fatal(err)
 	}
+	c.Tick(now) // the write reaches the introspector's access stats
 	// NewReaper routes deletions through the lifecycle manager: pins are
 	// honoured and chunk reclaim is exact.
 	reaper := c.NewReaper(selfopt.TTLStrategy{In: c.Intro, TTL: time.Minute})

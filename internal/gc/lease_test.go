@@ -301,6 +301,92 @@ func TestLeaseHoldsBaseVersionAgainstRetention(t *testing.T) {
 	t.Run("unleased", func(t *testing.T) { run(t, false) })
 }
 
+// --- why the grace window stays beside the leases --------------------
+
+// closeOnLeases is the cluster's provider plane with a hook that runs
+// once, at the first Leases call: between a sweep's mark and its reading
+// of the lease table.
+type closeOnLeases struct {
+	c    *core.Cluster
+	once sync.Once
+	hook func()
+}
+
+func (cl *closeOnLeases) IDs() []string { return cl.c.Providers() }
+
+func (cl *closeOnLeases) Provider(ctx context.Context, id string) (provider.API, error) {
+	p, err := cl.c.Pool().Provider(ctx, id)
+	return hookedLeases{p, cl}, err
+}
+
+type hookedLeases struct {
+	provider.API
+	cl *closeOnLeases
+}
+
+func (h hookedLeases) Leases(ctx context.Context) ([]provider.LeaseInfo, error) {
+	h.cl.once.Do(h.cl.hook)
+	return h.API.Leases(ctx)
+}
+
+// TestGraceCoversWriterPublishedAfterMark: a writer stores its chunk
+// under a lease, the sweep marks its BLOB before the writer publishes,
+// and the writer then publishes and releases its lease before the sweep
+// lists leases. The chunk is neither marked nor leased; only the
+// put-epoch grace window keeps it. With grace 0 the published version's
+// chunk is purged; with the default grace it survives. Leases therefore
+// do not replace the window.
+func TestGraceCoversWriterPublishedAfterMark(t *testing.T) {
+	run := func(t *testing.T, opts ...gc.Option) {
+		c := newCluster(t, core.Options{Providers: 1, Monitoring: false})
+		cl := c.Client("alice")
+		ctx := context.Background()
+		info, err := cl.Create(ctx, 256)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := cl.Open(ctx, info.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w, err := b.NewWriter(ctx, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		payload := bytes.Repeat([]byte{'g'}, 256)
+		if _, err := w.Write(payload); err != nil {
+			t.Fatal(err)
+		}
+		waitFor(t, "background flush", func() bool { return totalChunks(c) == 1 })
+
+		plane := &closeOnLeases{c: c, hook: func() {
+			if err := w.Close(); err != nil {
+				t.Error(err)
+			}
+		}}
+		rep, err := gc.New(c.VM, plane, opts...).Sweep(ctx, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Leased != 0 || rep.Live != 0 {
+			t.Fatalf("sweep = %+v: the chunk must be neither marked nor leased", rep)
+		}
+		got, err := cl.Read(ctx, info.ID, 0, 0, 256)
+		survived := err == nil && bytes.Equal(got, payload)
+		if len(opts) > 0 { // grace 0
+			if survived || rep.Swept != 1 {
+				t.Fatalf("grace 0: sweep = %+v, read survived = %v; want the published chunk purged", rep, survived)
+			}
+			return
+		}
+		if !survived || rep.InGrace != 1 {
+			t.Fatalf("default grace: sweep = %+v, read err = %v; want the chunk kept in grace", rep, err)
+		}
+	}
+	t.Run("grace=0", func(t *testing.T) { run(t, gc.WithGraceEpochs(0)) })
+	t.Run("grace=default", func(t *testing.T) { run(t) })
+}
+
 // --- fail-safe: lease enumeration failure aborts the share -----------
 
 // leaseFailProviders wraps the manual-harness provider plane with a

@@ -98,43 +98,6 @@ type Nop struct{}
 // Emit discards the event.
 func (Nop) Emit(Event) {}
 
-// Tap fans events out to several emitters.
-type Tap struct {
-	mu   sync.RWMutex
-	subs []Emitter
-}
-
-// NewTap returns a Tap forwarding to the given emitters.
-func NewTap(subs ...Emitter) *Tap {
-	t := &Tap{}
-	for _, s := range subs {
-		if s != nil {
-			t.subs = append(t.subs, s)
-		}
-	}
-	return t
-}
-
-// Attach adds another downstream emitter.
-func (t *Tap) Attach(e Emitter) {
-	if e == nil {
-		return
-	}
-	t.mu.Lock()
-	t.subs = append(t.subs, e)
-	t.mu.Unlock()
-}
-
-// Emit forwards the event to every attached emitter.
-func (t *Tap) Emit(ev Event) {
-	t.mu.RLock()
-	subs := t.subs
-	t.mu.RUnlock()
-	for _, s := range subs {
-		s.Emit(ev)
-	}
-}
-
 // Recorder stores every event; it is meant for tests and small tools.
 type Recorder struct {
 	mu     sync.Mutex
@@ -174,43 +137,3 @@ func (r *Recorder) Filter(keep func(Event) bool) []Event {
 	}
 	return out
 }
-
-// Counts tallies events per operation, a cheap always-on emitter.
-type Counts struct {
-	mu sync.Mutex
-	m  map[Op]int64
-}
-
-// NewCounts returns an empty tally.
-func NewCounts() *Counts { return &Counts{m: make(map[Op]int64)} }
-
-// Emit increments the tally for the event's op.
-func (c *Counts) Emit(ev Event) {
-	c.mu.Lock()
-	c.m[ev.Op]++
-	c.mu.Unlock()
-}
-
-// Get returns the count for one op.
-func (c *Counts) Get(op Op) int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.m[op]
-}
-
-// Snapshot returns a copy of all counts.
-func (c *Counts) Snapshot() map[Op]int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make(map[Op]int64, len(c.m))
-	for k, v := range c.m {
-		out[k] = v
-	}
-	return out
-}
-
-// Func adapts a function to the Emitter interface.
-type Func func(Event)
-
-// Emit calls the function.
-func (f Func) Emit(ev Event) { f(ev) }

@@ -1,15 +1,12 @@
-// Package introspect implements the paper's introspection layer: it
-// processes the data received from the monitoring layer through data
-// filters, aggregates BlobSeer-specific information under a flexible
-// storage schema on distributed storage servers (fronted by a cache that
-// absorbs monitoring bursts), and exposes the higher-level state that the
-// self-* components consume: provider storage space and load, BLOB access
-// patterns, and system-wide aggregates.
+// Package introspect implements the paper's introspection layer: the
+// Introspector aggregates the records the monitoring layer forwards into
+// the higher-level state that the self-* components consume — provider
+// storage space and load, BLOB access patterns, and system-wide
+// aggregates. StorageServer and its BurstCache model the layer's
+// cache-fronted series store, which the burst-cache ablation measures.
 package introspect
 
 import (
-	"fmt"
-	"hash/fnv"
 	"sort"
 	"sync"
 	"time"
@@ -143,74 +140,6 @@ func (s *StorageServer) ParamCount() int {
 // Cache exposes the server's burst cache (tests, ablations).
 func (s *StorageServer) Cache() *BurstCache { return s.cache }
 
-// Cluster shards records across storage servers by node hash and
-// implements monitor.Subscriber.
-type Cluster struct {
-	servers []*StorageServer
-}
-
-// NewCluster creates n storage servers (names ss0..).
-func NewCluster(n, cacheCap, seriesCap int) *Cluster {
-	if n <= 0 {
-		n = 1
-	}
-	c := &Cluster{}
-	for i := 0; i < n; i++ {
-		c.servers = append(c.servers, NewStorageServer(fmt.Sprintf("ss%d", i), cacheCap, seriesCap))
-	}
-	return c
-}
-
-// Servers returns the cluster's storage servers.
-func (c *Cluster) Servers() []*StorageServer { return c.servers }
-
-// Consume implements monitor.Subscriber.
-func (c *Cluster) Consume(recs []monitor.Record) {
-	if len(c.servers) == 1 {
-		c.servers[0].Consume(recs)
-		return
-	}
-	buckets := make([][]monitor.Record, len(c.servers))
-	for _, r := range recs {
-		h := fnv.New32a()
-		h.Write([]byte(r.Node))
-		i := int(h.Sum32()) % len(c.servers)
-		buckets[i] = append(buckets[i], r)
-	}
-	for i, b := range buckets {
-		if len(b) > 0 {
-			c.servers[i].Consume(b)
-		}
-	}
-}
-
-// FlushAll flushes every server and reports total records persisted.
-func (c *Cluster) FlushAll() int {
-	var n int
-	for _, s := range c.servers {
-		n += s.Flush()
-	}
-	return n
-}
-
-// ParamCount sums series counts across servers.
-func (c *Cluster) ParamCount() int {
-	var n int
-	for _, s := range c.servers {
-		n += s.ParamCount()
-	}
-	return n
-}
-
-// Dropped sums cache drops across servers.
-func (c *Cluster) Dropped() int64 {
-	var n int64
-	for _, s := range c.servers {
-		n += s.Cache().Dropped()
-	}
-	return n
-}
-
 // AccessStats aggregates the access pattern of one BLOB.
 type AccessStats struct {
 	Blob         uint64
@@ -272,7 +201,9 @@ func NewIntrospector(loadHalfLife time.Duration) *Introspector {
 	}
 }
 
-// Consume implements monitor.Subscriber.
+// Consume implements monitor.Subscriber. Successful read, write and
+// append records — only clients emit those operations — also update the
+// access stats of the BLOB they name.
 func (in *Introspector) Consume(recs []monitor.Record) {
 	in.mu.Lock()
 	defer in.mu.Unlock()
@@ -287,48 +218,32 @@ func (in *Introspector) Consume(recs []monitor.Record) {
 		case string(instrument.OpActiveConn):
 			in.prov(r.Node).active.Observe(r.Time, r.Value)
 			in.prov(r.Node).lastSeen = r.Time
-		case "write", "append":
+		case string(instrument.OpRead):
+			st := in.access(r)
+			st.Reads++
+			st.BytesRead += int64(r.Value)
+		case string(instrument.OpWrite), string(instrument.OpAppend):
 			in.thrTS.Add(r.Time, r.Value)
+			st := in.access(r)
+			st.Writes++
+			st.BytesWritten += int64(r.Value)
 		}
 	}
 }
 
-// ObserveClientEvent feeds client-side events directly (the introspection
-// layer also aggregates BLOB access patterns, which carry blob IDs only
-// on the client path).
-func (in *Introspector) ObserveClientEvent(ev instrument.Event) {
-	if ev.Err != "" {
-		return
-	}
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	st, ok := in.blobs[ev.Blob]
+// access returns the stats of the record's BLOB with the access counted
+// against its time and user. Callers hold in.mu.
+func (in *Introspector) access(r monitor.Record) *AccessStats {
+	st, ok := in.blobs[r.Blob]
 	if !ok {
-		st = &AccessStats{Blob: ev.Blob, Users: make(map[string]int64)}
-		in.blobs[ev.Blob] = st
+		st = &AccessStats{Blob: r.Blob, Users: make(map[string]int64)}
+		in.blobs[r.Blob] = st
 	}
-	switch ev.Op {
-	case instrument.OpRead:
-		st.Reads++
-		st.BytesRead += ev.Bytes
-	case instrument.OpWrite, instrument.OpAppend:
-		st.Writes++
-		st.BytesWritten += ev.Bytes
-	default:
-		return
+	st.LastAccess = r.Time
+	if r.User != "" {
+		st.Users[r.User]++
 	}
-	st.LastAccess = ev.Time
-	if ev.User != "" {
-		st.Users[ev.User]++
-	}
-}
-
-// Emit implements instrument.Emitter so the introspector can tap client
-// emitters directly.
-func (in *Introspector) Emit(ev instrument.Event) {
-	if ev.Actor == instrument.ActorClient {
-		in.ObserveClientEvent(ev)
-	}
+	return st
 }
 
 func (in *Introspector) prov(node string) *providerAgg {
@@ -459,67 +374,4 @@ func (in *Introspector) WriteThroughput(now time.Time, window time.Duration) flo
 		}
 	}
 	return sum / window.Seconds()
-}
-
-// UserActivityFilter is a monitor.Filter that keeps only user-attributed
-// records — the feed for the User Activity History module.
-type UserActivityFilter struct{}
-
-// Name implements monitor.Filter.
-func (UserActivityFilter) Name() string { return "user-activity" }
-
-// Process implements monitor.Filter.
-func (UserActivityFilter) Process(events []instrument.Event) []monitor.Record {
-	var out []monitor.Record
-	for _, ev := range events {
-		if ev.User == "" {
-			continue
-		}
-		out = append(out, monitor.EventRecord(ev))
-	}
-	return out
-}
-
-// ProviderLoadFilter is a monitor.Filter that aggregates a batch's
-// provider activity into one record per node: the sum of transferred
-// bytes (reduces monitoring volume on the wire, as the paper's filters
-// do at the monitoring services).
-type ProviderLoadFilter struct{}
-
-// Name implements monitor.Filter.
-func (ProviderLoadFilter) Name() string { return "provider-load" }
-
-// Process implements monitor.Filter.
-func (ProviderLoadFilter) Process(events []instrument.Event) []monitor.Record {
-	type agg struct {
-		bytes float64
-		last  time.Time
-	}
-	sums := map[string]*agg{}
-	for _, ev := range events {
-		if ev.Actor != instrument.ActorProvider || (ev.Op != instrument.OpStore && ev.Op != instrument.OpFetch) {
-			continue
-		}
-		a, ok := sums[ev.Node]
-		if !ok {
-			a = &agg{}
-			sums[ev.Node] = a
-		}
-		a.bytes += float64(ev.Bytes)
-		if ev.Time.After(a.last) {
-			a.last = ev.Time
-		}
-	}
-	nodes := make([]string, 0, len(sums))
-	for n := range sums {
-		nodes = append(nodes, n)
-	}
-	sort.Strings(nodes)
-	out := make([]monitor.Record, 0, len(nodes))
-	for _, n := range nodes {
-		out = append(out, monitor.Record{
-			Time: sums[n].last, Node: n, Param: "xfer_bytes", Value: sums[n].bytes,
-		})
-	}
-	return out
 }

@@ -1,7 +1,6 @@
 package introspect
 
 import (
-	"fmt"
 	"testing"
 	"time"
 
@@ -65,43 +64,6 @@ func TestStorageServerFlushPersists(t *testing.T) {
 	}
 }
 
-func TestClusterShardsByNode(t *testing.T) {
-	c := NewCluster(4, 100, 100)
-	var recs []monitor.Record
-	for i := 0; i < 40; i++ {
-		recs = append(recs, rec(fmt.Sprintf("p%d", i), "x", 1, at(0)))
-	}
-	c.Consume(recs)
-	if n := c.FlushAll(); n != 40 {
-		t.Fatalf("flushed=%d", n)
-	}
-	if c.ParamCount() != 40 {
-		t.Fatalf("params=%d", c.ParamCount())
-	}
-	// Same node always lands on the same server.
-	c2 := NewCluster(4, 100, 100)
-	c2.Consume([]monitor.Record{rec("p7", "a", 1, at(0))})
-	c2.Consume([]monitor.Record{rec("p7", "b", 1, at(1))})
-	c2.FlushAll()
-	var hosting int
-	for _, s := range c2.Servers() {
-		if s.ParamCount() > 0 {
-			hosting++
-		}
-	}
-	if hosting != 1 {
-		t.Fatalf("node split across %d servers", hosting)
-	}
-}
-
-func TestClusterDropped(t *testing.T) {
-	c := NewCluster(1, 2, 100)
-	c.Consume(make([]monitor.Record, 10))
-	if c.Dropped() != 8 {
-		t.Fatalf("dropped=%d", c.Dropped())
-	}
-}
-
 func TestIntrospectorProviderState(t *testing.T) {
 	in := NewIntrospector(0)
 	in.Consume([]monitor.Record{
@@ -136,20 +98,20 @@ func TestIntrospectorEmptyAggregates(t *testing.T) {
 	}
 }
 
-func clientEv(op instrument.Op, blob uint64, user string, bytes int64, ti time.Time) instrument.Event {
-	return instrument.Event{
-		Time: ti, Actor: instrument.ActorClient, Op: op, Blob: blob, User: user, Bytes: bytes,
-	}
+// access feeds one client record through Consume, the way the mesh does.
+func access(in *Introspector, op instrument.Op, blob uint64, user string, bytes int64, ti time.Time, err string) {
+	in.Consume([]monitor.Record{monitor.EventRecord(instrument.Event{
+		Time: ti, Actor: instrument.ActorClient, Op: op, Blob: blob, User: user, Bytes: bytes, Err: err,
+	})})
 }
 
 func TestIntrospectorBlobAccess(t *testing.T) {
 	in := NewIntrospector(0)
-	in.Emit(clientEv(instrument.OpWrite, 1, "alice", 100, at(0)))
-	in.Emit(clientEv(instrument.OpRead, 1, "bob", 50, at(1)))
-	in.Emit(clientEv(instrument.OpRead, 2, "bob", 10, at(2)))
-	failed := clientEv(instrument.OpWrite, 1, "eve", 10, at(3))
-	failed.Err = "blocked"
-	in.Emit(failed) // failures are not access
+	access(in, instrument.OpWrite, 1, "alice", 100, at(0), "")
+	access(in, instrument.OpRead, 1, "bob", 50, at(1), "")
+	access(in, instrument.OpRead, 2, "bob", 10, at(2), "")
+	access(in, instrument.OpWrite, 1, "eve", 10, at(3), "blocked") // failures are not access
+	access(in, instrument.OpCreate, 3, "bob", 0, at(4), "")        // nor is creation
 
 	st, ok := in.Blob(1)
 	if !ok || st.Reads != 1 || st.Writes != 1 || st.BytesRead != 50 || st.BytesWritten != 100 {
@@ -161,14 +123,17 @@ func TestIntrospectorBlobAccess(t *testing.T) {
 	if st.LastAccess != at(1) {
 		t.Fatalf("last=%v", st.LastAccess)
 	}
+	if _, ok := in.Blob(3); ok {
+		t.Fatal("a create counted as access")
+	}
 }
 
 func TestHotAndColdBlobs(t *testing.T) {
 	in := NewIntrospector(0)
 	for i := 0; i < 5; i++ {
-		in.Emit(clientEv(instrument.OpRead, 1, "u", 1, at(i)))
+		access(in, instrument.OpRead, 1, "u", 1, at(i), "")
 	}
-	in.Emit(clientEv(instrument.OpRead, 2, "u", 1, at(10)))
+	access(in, instrument.OpRead, 2, "u", 1, at(10), "")
 	hot := in.HotBlobs(1)
 	if len(hot) != 1 || hot[0].Blob != 1 {
 		t.Fatalf("hot=%v", hot)
@@ -199,46 +164,11 @@ func TestWriteThroughput(t *testing.T) {
 	}
 }
 
-func TestUserActivityFilter(t *testing.T) {
-	f := UserActivityFilter{}
-	out := f.Process([]instrument.Event{
-		{Time: at(0), User: "u", Op: instrument.OpWrite, Bytes: 10},
-		{Time: at(0), Op: instrument.OpHeartbeat},
-	})
-	if len(out) != 1 || out[0].User != "u" {
-		t.Fatalf("out=%v", out)
-	}
-}
-
-func TestProviderLoadFilterAggregates(t *testing.T) {
-	f := ProviderLoadFilter{}
-	out := f.Process([]instrument.Event{
-		{Time: at(0), Actor: instrument.ActorProvider, Node: "p1", Op: instrument.OpStore, Bytes: 100},
-		{Time: at(1), Actor: instrument.ActorProvider, Node: "p1", Op: instrument.OpFetch, Bytes: 50},
-		{Time: at(1), Actor: instrument.ActorProvider, Node: "p2", Op: instrument.OpStore, Bytes: 7},
-		{Time: at(1), Actor: instrument.ActorClient, Node: "c1", Op: instrument.OpWrite, Bytes: 999},
-	})
-	if len(out) != 2 {
-		t.Fatalf("out=%v", out)
-	}
-	if out[0].Node != "p1" || out[0].Value != 150 || out[0].Param != "xfer_bytes" {
-		t.Fatalf("p1 agg=%+v", out[0])
-	}
-	if out[1].Node != "p2" || out[1].Value != 7 {
-		t.Fatalf("p2 agg=%+v", out[1])
-	}
-	if out[0].Time != at(1) {
-		t.Fatalf("agg time=%v", out[0].Time)
-	}
-}
-
 func TestEndToEndPipeline(t *testing.T) {
-	// instrumentation → agent → service → (introspector + cluster)
+	// instrumentation → agent → service → introspector
 	mesh := monitor.NewMesh(2, 0)
 	in := NewIntrospector(0)
-	cluster := NewCluster(2, 1000, 100)
 	mesh.Subscribe(in)
-	mesh.Subscribe(cluster)
 
 	agent := mesh.NewAgent("p1", 1)
 	agent.Emit(instrument.Event{
@@ -248,8 +178,5 @@ func TestEndToEndPipeline(t *testing.T) {
 	st, ok := in.Provider("p1")
 	if !ok || st.Space != 12345 {
 		t.Fatalf("introspector did not see the sample: %+v %v", st, ok)
-	}
-	if cluster.FlushAll() != 1 {
-		t.Fatal("cluster did not buffer the record")
 	}
 }

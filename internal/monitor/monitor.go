@@ -1,12 +1,13 @@
 // Package monitor implements the paper's monitoring layer: a
 // MonALISA-like distributed monitoring system. Instrumented nodes attach
 // an Agent that batches events and ships them to one of several
-// monitoring Services; services run data Filters over incoming batches
-// and forward the filtered records to Subscribers (the introspection
+// monitoring Services; services convert each batch to parameter records
+// (EventRecord) and forward them to Subscribers (the introspection
 // layer), while keeping a recent-data farm for ad-hoc queries.
 package monitor
 
 import (
+	"fmt"
 	"sort"
 	"sync"
 	"time"
@@ -22,20 +23,13 @@ type Record struct {
 	Service string // monitoring service that produced the record
 	Node    string // originating node
 	User    string // user attribution, when applicable
-	Param   string // parameter name, e.g. "write_bytes", "disk_space"
+	Blob    uint64 // BLOB the operation touched (0 = not applicable)
+	Param   string // parameter name, e.g. "write", "disk_space"
 	Value   float64
 }
 
-// Filter transforms a batch of raw events into parameter records. Filters
-// run inside monitoring services (the paper places the BlobSeer-specific
-// data filters "at the level of the monitoring services").
-type Filter interface {
-	Name() string
-	Process(events []instrument.Event) []Record
-}
-
-// Subscriber consumes filtered records (the introspection layer's storage
-// servers, the user-activity history, …).
+// Subscriber consumes monitoring records (the introspector, the
+// user-activity history, …).
 type Subscriber interface {
 	Consume(records []Record)
 }
@@ -46,24 +40,9 @@ type SubscriberFunc func([]Record)
 // Consume implements Subscriber.
 func (f SubscriberFunc) Consume(rs []Record) { f(rs) }
 
-// PassThrough is the default filter: it maps every event to one record
-// named after its operation, with the byte count (data ops) or the sample
-// value (physical parameters) as the value.
-type PassThrough struct{}
-
-// Name implements Filter.
-func (PassThrough) Name() string { return "passthrough" }
-
-// Process implements Filter.
-func (PassThrough) Process(events []instrument.Event) []Record {
-	out := make([]Record, 0, len(events))
-	for _, ev := range events {
-		out = append(out, EventRecord(ev))
-	}
-	return out
-}
-
-// EventRecord converts one event to its canonical record.
+// EventRecord converts one event to its record: the parameter is named
+// after the operation ("_err" appended on failure), and the value is the
+// sample value (physical parameters) or else the byte count (data ops).
 func EventRecord(ev instrument.Event) Record {
 	v := ev.Value
 	if v == 0 && ev.Bytes != 0 {
@@ -74,7 +53,7 @@ func EventRecord(ev instrument.Event) Record {
 		param += "_err"
 	}
 	return Record{
-		Time: ev.Time, Node: ev.Node, User: ev.User,
+		Time: ev.Time, Node: ev.Node, User: ev.User, Blob: ev.Blob,
 		Param: param, Value: v,
 	}
 }
@@ -84,7 +63,6 @@ type Service struct {
 	id string
 
 	mu      sync.Mutex
-	filters []Filter
 	subs    []Subscriber
 	farm    map[string]*metrics.TimeSeries // key: node + "/" + param
 	farmCap int
@@ -97,7 +75,6 @@ type Service struct {
 func NewService(id string, farmCap int) *Service {
 	return &Service{
 		id:      id,
-		filters: []Filter{PassThrough{}},
 		farm:    make(map[string]*metrics.TimeSeries),
 		farmCap: farmCap,
 	}
@@ -106,14 +83,7 @@ func NewService(id string, farmCap int) *Service {
 // ID returns the service identity.
 func (s *Service) ID() string { return s.id }
 
-// SetFilters replaces the filter chain (default: PassThrough only).
-func (s *Service) SetFilters(fs ...Filter) {
-	s.mu.Lock()
-	s.filters = append([]Filter(nil), fs...)
-	s.mu.Unlock()
-}
-
-// Subscribe adds a downstream consumer of filtered records.
+// Subscribe adds a downstream consumer of the service's records.
 func (s *Service) Subscribe(sub Subscriber) {
 	if sub == nil {
 		return
@@ -129,27 +99,23 @@ func (s *Service) Ingest(events []instrument.Event) {
 		return
 	}
 	s.mu.Lock()
-	filters := s.filters
 	subs := s.subs
 	s.inEvs += int64(len(events))
 	s.mu.Unlock()
 
-	var all []Record
-	for _, f := range filters {
-		recs := f.Process(events)
-		for i := range recs {
-			recs[i].Service = s.id
-		}
-		all = append(all, recs...)
+	recs := make([]Record, len(events))
+	for i, ev := range events {
+		recs[i] = EventRecord(ev)
+		recs[i].Service = s.id
 	}
-	s.store(all)
+	s.store(recs)
 	for _, sub := range subs {
-		sub.Consume(all)
+		sub.Consume(recs)
 	}
 }
 
-// StoreRecords ingests already-filtered records directly (a path used by
-// upstream aggregators that run their filters before shipping), updating
+// StoreRecords ingests already-converted records directly (the simulator
+// ships the per-chunk parameters it derives itself), updating
 // the farm and the subscribers exactly as Ingest does.
 func (s *Service) StoreRecords(recs []Record) {
 	if len(recs) == 0 {
@@ -304,9 +270,7 @@ func NewMesh(n, farmCap int) *Mesh {
 	return m
 }
 
-func serviceName(i int) string {
-	return "svc" + string(rune('0'+i/10)) + string(rune('0'+i%10))
-}
+func serviceName(i int) string { return fmt.Sprintf("svc%02d", i) }
 
 // Services returns the mesh's services.
 func (m *Mesh) Services() []*Service {
@@ -338,13 +302,6 @@ func (m *Mesh) Agents() int {
 func (m *Mesh) Subscribe(sub Subscriber) {
 	for _, s := range m.Services() {
 		s.Subscribe(sub)
-	}
-}
-
-// SetFilters installs the same filter chain on every service.
-func (m *Mesh) SetFilters(fs ...Filter) {
-	for _, s := range m.Services() {
-		s.SetFilters(fs...)
 	}
 }
 

@@ -2,6 +2,7 @@ package monitor
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -16,8 +17,10 @@ func ev(node string, op instrument.Op, bytes int64) instrument.Event {
 }
 
 func TestEventRecordMapping(t *testing.T) {
-	r := EventRecord(ev("p1", instrument.OpStore, 128))
-	if r.Param != "store" || r.Value != 128 || r.Node != "p1" {
+	e := ev("p1", instrument.OpStore, 128)
+	e.Blob = 9
+	r := EventRecord(e)
+	if r.Param != "store" || r.Value != 128 || r.Node != "p1" || r.Blob != 9 {
 		t.Fatalf("record=%+v", r)
 	}
 	phys := instrument.Event{Time: t0, Node: "p1", Op: instrument.OpCPULoad, Value: 0.7}
@@ -68,26 +71,6 @@ func TestServiceSubscribers(t *testing.T) {
 	defer mu.Unlock()
 	if len(got) != 1 || got[0].Service != "svc1" {
 		t.Fatalf("got=%v", got)
-	}
-}
-
-type constFilter struct{ n int }
-
-func (f constFilter) Name() string { return "const" }
-func (f constFilter) Process(events []instrument.Event) []Record {
-	out := make([]Record, f.n)
-	for i := range out {
-		out[i] = Record{Time: t0, Node: "x", Param: fmt.Sprintf("k%d", i), Value: 1}
-	}
-	return out
-}
-
-func TestServiceCustomFilters(t *testing.T) {
-	s := NewService("svc1", 0)
-	s.SetFilters(constFilter{n: 3})
-	s.Ingest([]instrument.Event{ev("p1", instrument.OpStore, 1)})
-	if s.ParamCount() != 3 {
-		t.Fatalf("params=%d", s.ParamCount())
 	}
 }
 
@@ -204,10 +187,22 @@ func TestMeshZeroServicesClamped(t *testing.T) {
 }
 
 func TestServiceNames(t *testing.T) {
-	m := NewMesh(12, 0)
+	m := NewMesh(120, 0)
 	svcs := m.Services()
-	if svcs[0].ID() != "svc00" || svcs[11].ID() != "svc11" {
-		t.Fatalf("names: %s %s", svcs[0].ID(), svcs[11].ID())
+	if svcs[0].ID() != "svc00" || svcs[11].ID() != "svc11" || svcs[100].ID() != "svc100" {
+		t.Fatalf("names: %s %s %s", svcs[0].ID(), svcs[11].ID(), svcs[100].ID())
+	}
+	seen := make(map[string]bool, len(svcs))
+	for _, s := range svcs {
+		id := s.ID()
+		digits := strings.TrimPrefix(id, "svc")
+		if digits == id || digits == "" || strings.Trim(digits, "0123456789") != "" {
+			t.Fatalf("service name %q is not svc followed by digits", id)
+		}
+		if seen[id] {
+			t.Fatalf("service name %q repeats", id)
+		}
+		seen[id] = true
 	}
 }
 

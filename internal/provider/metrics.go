@@ -10,8 +10,9 @@ import (
 // latency histograms are shared across the process's providers (the
 // registry get-or-creates by family and label values), so they read as
 // pool-wide distributions; the used/chunks gauges carry a provider
-// label because each provider owns its value. A nil *provMetrics
-// disables instrumentation.
+// label because each provider owns its value, and are set by
+// ReportPhysical, not per operation. A nil *provMetrics disables
+// instrumentation.
 type provMetrics struct {
 	storeOK  *metrics.Histogram
 	storeErr *metrics.Histogram

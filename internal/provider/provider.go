@@ -460,8 +460,6 @@ func (p *Provider) Store(ctx context.Context, user string, id chunk.ID, data []b
 	}
 	if p.m != nil {
 		p.m.observe(p.m.storeOK, p.m.storeErr, p.now().Sub(start), err)
-		p.m.used.Set(float64(p.st.Used()))
-		p.m.chunks.Set(float64(p.st.Count()))
 	}
 	ev := instrument.Event{
 		Time: p.now(), Actor: instrument.ActorProvider, Node: p.id, User: user,
@@ -511,10 +509,6 @@ func (p *Provider) Remove(ctx context.Context, id chunk.ID) error {
 	defer p.end()
 	err := p.st.Delete(id)
 	p.deletes.Add(1)
-	if p.m != nil {
-		p.m.used.Set(float64(p.st.Used()))
-		p.m.chunks.Set(float64(p.st.Count()))
-	}
 	ev := instrument.Event{
 		Time: p.now(), Actor: instrument.ActorProvider, Node: p.id, Op: instrument.OpDelete,
 	}
@@ -562,10 +556,6 @@ func (p *Provider) PurgeChunks(ctx context.Context, ids []chunk.ID) (int, int64,
 			freed += n
 			p.deletes.Add(1)
 		}
-	}
-	if p.m != nil {
-		p.m.used.Set(float64(p.st.Used()))
-		p.m.chunks.Set(float64(p.st.Count()))
 	}
 	if purged > 0 {
 		p.emit.Emit(instrument.Event{
@@ -624,11 +614,17 @@ func (p *Provider) Stats() Stats {
 }
 
 // ReportPhysical emits the periodic physical-parameter samples the
-// monitoring layer collects (disk space, active connections). cpu and mem
+// monitoring layer collects (disk space, active connections) and sets the
+// used-bytes and chunk-count gauges from the same reading. cpu and mem
 // are externally measured utilizations in [0,1].
 func (p *Provider) ReportPhysical(cpu, mem float64) {
 	now := p.now()
 	active := p.active.Load()
+	used := p.st.Used()
+	if p.m != nil {
+		p.m.used.Set(float64(used))
+		p.m.chunks.Set(float64(p.st.Count()))
+	}
 	base := instrument.Event{Time: now, Actor: instrument.ActorProvider, Node: p.id}
 	for _, s := range []struct {
 		op instrument.Op
@@ -636,7 +632,7 @@ func (p *Provider) ReportPhysical(cpu, mem float64) {
 	}{
 		{instrument.OpCPULoad, cpu},
 		{instrument.OpMemUsage, mem},
-		{instrument.OpDiskSpace, float64(p.st.Used())},
+		{instrument.OpDiskSpace, float64(used)},
 		{instrument.OpActiveConn, float64(active)},
 	} {
 		ev := base

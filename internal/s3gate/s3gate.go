@@ -12,9 +12,10 @@
 // request context.
 //
 // Authentication is a SigV2-style HMAC ("AWS <access>:<signature>" over
-// method, path and date); failures are reported to the instrumentation
-// layer as auth_fail events, which the security framework's prober policy
-// consumes.
+// method, path and date); failures are reported through the gateway's
+// monitoring agent (core.Cluster.AgentFor) as auth_fail events, which
+// reach the user-activity history the security framework's prober policy
+// counts.
 package s3gate
 
 import (
@@ -85,15 +86,6 @@ func WithCredentials(keys map[string]string) Option {
 	}
 }
 
-// WithEmitter attaches instrumentation (auth failures, gateway ops).
-func WithEmitter(e instrument.Emitter) Option {
-	return func(g *Gateway) {
-		if e != nil {
-			g.emit = e
-		}
-	}
-}
-
 // WithClock overrides the time source.
 func WithClock(now func() time.Time) Option {
 	return func(g *Gateway) {
@@ -134,7 +126,7 @@ func WithChunkSize(n int64) Option {
 func New(cluster *core.Cluster, opts ...Option) *Gateway {
 	g := &Gateway{
 		cluster: cluster,
-		emit:    instrument.Nop{},
+		emit:    cluster.AgentFor("gateway"),
 		now:     time.Now,
 		maxObj:  MaxObjectSize,
 		buckets: make(map[string]map[string]*object),

@@ -175,11 +175,16 @@ func TestEmptyObject(t *testing.T) {
 	}
 }
 
+// TestAuthRequiredAndSigned also checks that the gateway reports its
+// authentication failures through its own monitoring agent, so they
+// reach the user-activity history the prober policy counts.
 func TestAuthRequiredAndSigned(t *testing.T) {
-	rec := &instrument.Recorder{}
-	_, srv := newGateway(t,
-		WithCredentials(map[string]string{"alice": "s3cret"}),
-		WithEmitter(rec))
+	cluster, err := core.NewCluster(core.Options{Providers: 3, Monitoring: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(New(cluster, WithCredentials(map[string]string{"alice": "s3cret"})))
+	t.Cleanup(srv.Close)
 	// Unsigned request rejected.
 	if resp := do(t, http.MethodGet, srv.URL+"/", nil); resp.StatusCode != 403 {
 		t.Fatalf("unsigned: %d", resp.StatusCode)
@@ -207,15 +212,11 @@ func TestAuthRequiredAndSigned(t *testing.T) {
 	if resp.StatusCode != 200 {
 		t.Fatalf("signed: %d", resp.StatusCode)
 	}
-	// Auth failures were instrumented.
-	fails := 0
-	for _, e := range rec.Events() {
-		if e.Op == instrument.OpAuthFail {
-			fails++
-		}
-	}
-	if fails != 2 {
-		t.Fatalf("auth_fail events=%d", fails)
+	// Auth failures reach the history, attributed to the remote host.
+	now := time.Now()
+	cluster.Tick(now)
+	if n := cluster.Hist.Failures("127.0.0.1", string(instrument.OpAuthFail), now, time.Minute); n != 2 {
+		t.Fatalf("auth_fail in history=%d, want 2", n)
 	}
 }
 

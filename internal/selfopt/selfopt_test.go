@@ -10,12 +10,19 @@ import (
 	"blobseer/internal/chunk"
 	"blobseer/internal/instrument"
 	"blobseer/internal/introspect"
+	"blobseer/internal/monitor"
 	"blobseer/internal/pmanager"
 	"blobseer/internal/provider"
 	"blobseer/internal/vmanager"
 )
 
 var t0 = time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
+
+// observe feeds one client event to the introspector as its monitoring
+// service would forward it.
+func observe(in *introspect.Introspector, ev instrument.Event) {
+	in.Consume([]monitor.Record{monitor.EventRecord(ev)})
+}
 
 // testPool adapts a set of in-process providers to the Pool interface.
 type testPool struct {
@@ -217,7 +224,7 @@ func TestHotBoostRaisesTarget(t *testing.T) {
 	blob := r.writeBlob(t, []byte("hot"), []string{"p00", "p01"})
 	// Make the blob hot in the introspector.
 	for i := 0; i < 10; i++ {
-		r.in.ObserveClientEvent(instrument.Event{
+		observe(r.in, instrument.Event{
 			Time: t0, Actor: instrument.ActorClient, Op: instrument.OpRead,
 			Blob: blob, User: "u", Bytes: 1,
 		})
@@ -246,7 +253,7 @@ func TestMaxDegreeCapsBoost(t *testing.T) {
 		t.Fatalf("cold target=%d", got)
 	}
 	blob := r.writeBlob(t, []byte("h"), []string{"p00"})
-	r.in.ObserveClientEvent(instrument.Event{
+	observe(r.in, instrument.Event{
 		Time: t0, Actor: instrument.ActorClient, Op: instrument.OpRead, Blob: blob, User: "u",
 	})
 	if got := rep.TargetDegree(blob); got != 4 {
@@ -257,10 +264,10 @@ func TestMaxDegreeCapsBoost(t *testing.T) {
 func TestTTLStrategy(t *testing.T) {
 	r := newRig(t, 2)
 	in := introspect.NewIntrospector(0)
-	in.ObserveClientEvent(instrument.Event{
+	observe(in, instrument.Event{
 		Time: t0, Actor: instrument.ActorClient, Op: instrument.OpWrite, Blob: 1, User: "u", Bytes: 5,
 	})
-	in.ObserveClientEvent(instrument.Event{
+	observe(in, instrument.Event{
 		Time: t0.Add(time.Hour), Actor: instrument.ActorClient, Op: instrument.OpWrite, Blob: 2, User: "u", Bytes: 5,
 	})
 	_ = r
@@ -283,7 +290,7 @@ func TestTemporaryStrategy(t *testing.T) {
 	}
 	// Both read once.
 	for _, b := range []uint64{tmp.ID, durable.ID} {
-		r.in.ObserveClientEvent(instrument.Event{
+		observe(r.in, instrument.Event{
 			Time: t0, Actor: instrument.ActorClient, Op: instrument.OpRead, Blob: b, User: "u",
 		})
 	}
@@ -298,7 +305,7 @@ func TestReaperRemovesAndReclaims(t *testing.T) {
 	ctx := context.Background()
 	r := newRig(t, 3)
 	blob := r.writeBlob(t, []byte("dead-data"), []string{"p00", "p01"})
-	r.in.ObserveClientEvent(instrument.Event{
+	observe(r.in, instrument.Event{
 		Time: t0, Actor: instrument.ActorClient, Op: instrument.OpWrite, Blob: blob, User: "u", Bytes: 9,
 	})
 	reaper := NewReaper(r.vm, r.pool, nil, TTLStrategy{In: r.in, TTL: time.Minute})
@@ -329,7 +336,7 @@ func TestReaperRemovesAndReclaims(t *testing.T) {
 func TestReaperMergesStrategies(t *testing.T) {
 	r := newRig(t, 2)
 	blob := r.writeBlob(t, []byte("b"), []string{"p00"})
-	r.in.ObserveClientEvent(instrument.Event{
+	observe(r.in, instrument.Event{
 		Time: t0, Actor: instrument.ActorClient, Op: instrument.OpWrite, Blob: blob, User: "u",
 	})
 	// Two strategies nominating the same blob must delete it once.

@@ -10,9 +10,16 @@ import (
 	"blobseer/internal/instrument"
 	"blobseer/internal/introspect"
 	"blobseer/internal/metrics"
+	"blobseer/internal/monitor"
 )
 
 var t0 = time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
+
+// observe feeds one client event to the introspector as its monitoring
+// service would forward it.
+func observe(in *introspect.Introspector, ev instrument.Event) {
+	in.Consume([]monitor.Record{monitor.EventRecord(ev)})
+}
 
 func TestSparkline(t *testing.T) {
 	s := Sparkline([]float64{0, 1, 2, 3, 4, 5, 6, 7}, 8)
@@ -134,7 +141,7 @@ func TestAccessPanelEmpty(t *testing.T) {
 	if !strings.Contains(AccessPanel(in.HotBlobs(5)), "no accesses") {
 		t.Fatal("missing empty notice")
 	}
-	in.ObserveClientEvent(instrument.Event{
+	observe(in, instrument.Event{
 		Time: t0, Actor: instrument.ActorClient, Op: instrument.OpRead, Blob: 7, User: "u",
 	})
 	if !strings.Contains(AccessPanel(in.HotBlobs(5)), "blob 7") {
