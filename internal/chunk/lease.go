@@ -33,3 +33,22 @@ func LeaseFrom(ctx context.Context) *Lease {
 	}
 	return nil
 }
+
+type rangeKey struct{}
+
+// WithRange returns a copy of ctx under which a chunk fetch returns only
+// bytes [off, off+n) of its chunk, clamped to the chunk (n ≤ 0: the whole
+// chunk). A reader fetches just the part of a chunk its window covers.
+// The range rides in the context for the reason the lease does: every
+// Conn in the tree shares one Fetch signature.
+func WithRange(ctx context.Context, off, n int64) context.Context {
+	return context.WithValue(ctx, rangeKey{}, [2]int64{max(off, 0), n})
+}
+
+// RangeFrom returns the range ctx carries; n = 0 means the whole chunk.
+func RangeFrom(ctx context.Context) (off, n int64) {
+	if r, _ := ctx.Value(rangeKey{}).([2]int64); r[1] > 0 {
+		return r[0], r[1]
+	}
+	return 0, 0
+}

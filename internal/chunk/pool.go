@@ -29,6 +29,11 @@ const (
 
 var classes [maxClassBits - minClassBits + 1]sync.Pool
 
+// boxes recycles the *[]byte headers the classes hold buffers in: GetBuf
+// empties the box it took a buffer from and returns it here, and PutBuf
+// files a buffer in a box from here, so neither allocates once warm.
+var boxes = sync.Pool{New: func() any { return new([]byte) }}
+
 // GetBuf returns a zero-length buffer with capacity at least n. Its
 // contents are stale: callers that read bytes they did not write must
 // clear them first.
@@ -44,7 +49,11 @@ func GetBuf(n int) []byte {
 		k = bits.Len(uint(n - 1)) // smallest k with 2^k ≥ n
 	}
 	if v := classes[k-minClassBits].Get(); v != nil {
-		return (*v.(*[]byte))[:0]
+		box := v.(*[]byte)
+		b := (*box)[:0]
+		*box = nil // the box must not keep the buffer alive
+		boxes.Put(box)
+		return b
 	}
 	return make([]byte, 0, 1<<k)
 }
@@ -58,6 +67,7 @@ func PutBuf(b []byte) {
 		return
 	}
 	k := bits.Len(uint(c)) - 1 // largest k with 2^k ≤ cap
-	b = b[:0]
-	classes[k-minClassBits].Put(&b)
+	box := boxes.Get().(*[]byte)
+	*box = b[:0]
+	classes[k-minClassBits].Put(box)
 }

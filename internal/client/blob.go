@@ -139,17 +139,31 @@ func (b *Blob) NewWriter(ctx context.Context, offset int64) (*BlobWriter, error)
 type chunkFuture struct {
 	done   chan struct{}
 	cancel context.CancelFunc // aborts this chunk's in-flight fetch
+	off    int64              // chunk offset data starts at (a ranged fetch)
 	data   []byte
 	err    error
 }
 
+// from returns the fetched bytes from chunk offset rel on; none past them,
+// where a hole or a short chunk reads as zeros.
+func (f *chunkFuture) from(rel int64) []byte {
+	if rel -= f.off; rel < int64(len(f.data)) {
+		return f.data[rel:]
+	}
+	return nil
+}
+
+// settled is the done channel of every future resolved on the reader's
+// own goroutine: the holes, and a chunk the reader fetched itself.
+var settled = func() chan struct{} {
+	c := make(chan struct{})
+	close(c)
+	return c
+}()
+
 // holeFuture is the shared resolved future of every hole slot (zeros):
 // holes carry no data and need no per-slot allocation.
-var holeFuture = func() *chunkFuture {
-	f := &chunkFuture{done: make(chan struct{}), cancel: func() {}}
-	close(f.done)
-	return f
-}()
+var holeFuture = &chunkFuture{done: settled, cancel: func() {}}
 
 // BlobReader streams one version window. It implements
 // io.ReadSeekCloser and io.WriterTo. Not safe for concurrent use.
@@ -181,11 +195,13 @@ func (r *BlobReader) Version() uint64 { return r.version }
 // Size returns the window length in bytes.
 func (r *BlobReader) Size() int64 { return r.length }
 
-// ensure launches fetches for the window [idx, idx+window) that are not
-// yet in flight, drops every future outside that window — behind idx and,
-// after a backward Seek, ahead of it — so the map never pins more than
-// window chunk buffers, and returns idx's future. Hole slots resolve
-// immediately with nil data.
+// ensure launches fetches for the chunks after idx in the window
+// [idx, idx+window) that are not yet in flight, drops every future outside
+// that window — behind idx and, after a backward Seek, ahead of it — so the
+// map never pins more than window chunk buffers, and returns idx's future.
+// Hole slots resolve immediately with nil data. Chunk idx itself is left
+// to its reader: when nothing is fetching it, its future is unstarted (nil
+// done), and await fetches it.
 func (r *BlobReader) ensure(idx int64) *chunkFuture {
 	hi := r.loIdx + int64(len(r.descs)) // one past the last chunk
 	end := idx + r.window
@@ -196,19 +212,22 @@ func (r *BlobReader) ensure(idx int64) *chunkFuture {
 		if _, ok := r.futures[i]; ok {
 			continue
 		}
-		d := r.descs[i-r.loIdx]
-		if d.ID.IsZero() {
+		if r.descs[i-r.loIdx].ID.IsZero() {
 			r.futures[i] = holeFuture // hole: zeros
+			continue
+		}
+		if i == idx {
+			r.futures[i] = &chunkFuture{cancel: func() {}}
 			continue
 		}
 		fctx, fcancel := context.WithCancel(r.ctx)
 		f := &chunkFuture{done: make(chan struct{}), cancel: fcancel}
 		r.futures[i] = f
-		go func(d chunk.Desc, f *chunkFuture) {
+		go func(i int64, f *chunkFuture) {
 			defer fcancel()
-			f.data, f.err = r.c.fetchReplica(fctx, d)
+			r.fetch(fctx, i, f)
 			close(f.done)
-		}(d, f)
+		}(i, f)
 	}
 	for i, f := range r.futures {
 		if i < idx || i >= idx+r.window {
@@ -220,6 +239,20 @@ func (r *BlobReader) ensure(idx int64) *chunkFuture {
 		}
 	}
 	return r.futures[idx]
+}
+
+// fetch fetches chunk idx into f: only the part of it the window covers,
+// unless that part is the whole chunk.
+func (r *BlobReader) fetch(ctx context.Context, idx int64, f *chunkFuture) {
+	d := r.descs[idx-r.loIdx]
+	slotLo, slotHi := chunk.SlotRange(idx, r.chunkSize)
+	lo := max(r.base, slotLo) - slotLo
+	hi := min(r.base+r.length, slotHi) - slotLo
+	if lo > 0 || hi < d.Size {
+		ctx = chunk.WithRange(ctx, lo, hi-lo)
+		f.off = lo
+	}
+	f.data, f.err = r.c.fetchReplica(ctx, d)
 }
 
 // donate recycles an evicted future's chunk buffer into the chunk pool.
@@ -238,10 +271,12 @@ func (r *BlobReader) donate(f *chunkFuture) {
 	}
 }
 
-// await blocks until chunk idx is available or the context is cancelled.
-// With metrics attached it records how long the consumer stalled on the
-// prefetch pipeline: a zero observation (no clock read) when the chunk
-// was already resolved, the measured wait otherwise.
+// await returns chunk idx once it is available, or fails when the
+// context is cancelled. An unstarted chunk is fetched here, on the
+// consumer's goroutine, after ensure has started the prefetches ahead of
+// it. With metrics attached it records how long the consumer stalled on
+// the chunk: a zero observation (no clock read) when it was already
+// resolved, the measured wait or fetch otherwise.
 func (r *BlobReader) await(idx int64) (*chunkFuture, error) {
 	fut := r.ensure(idx)
 	select {
@@ -254,10 +289,15 @@ func (r *BlobReader) await(idx int64) (*chunkFuture, error) {
 		if r.c.m != nil {
 			t0 = r.c.now()
 		}
-		select {
-		case <-r.ctx.Done():
-			return nil, r.ctx.Err()
-		case <-fut.done:
+		if fut.done == nil {
+			r.fetch(r.ctx, idx, fut)
+			fut.done = settled
+		} else {
+			select {
+			case <-r.ctx.Done():
+				return nil, r.ctx.Err()
+			case <-fut.done:
+			}
 		}
 		if m := r.c.m; m != nil {
 			m.observe(m.readerStall, r.c.now().Sub(t0))
@@ -302,11 +342,7 @@ func (r *BlobReader) Read(p []byte) (int, error) {
 	}
 	seg := p[:n]
 	// Chunk bytes first; only the hole / short-chunk tail needs zeroing.
-	n0 := 0
-	if int64(len(fut.data)) > abs-slotLo {
-		n0 = copy(seg, fut.data[abs-slotLo:])
-	}
-	clear(seg[n0:])
+	clear(seg[copy(seg, fut.from(abs-slotLo)):])
 	r.pos += n
 	r.served += n
 	return int(n), nil
@@ -337,12 +373,8 @@ func (r *BlobReader) WriteTo(w io.Writer) (int64, error) {
 			end = slotHi
 		}
 		// Valid chunk bytes first, then the slot's zero tail.
-		if dataHi := slotLo + int64(len(fut.data)); dataHi > abs {
-			hi := dataHi
-			if hi > end {
-				hi = end
-			}
-			n, werr := w.Write(fut.data[abs-slotLo : hi-slotLo])
+		if b := fut.from(abs - slotLo); len(b) > 0 {
+			n, werr := w.Write(b[:min(int64(len(b)), end-abs)])
 			total += int64(n)
 			r.pos += int64(n)
 			r.served += int64(n)

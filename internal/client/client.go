@@ -58,6 +58,10 @@ var (
 // forwards the Store ctx and both calls — a wrapper that swallowed them
 // would leave the writers behind it with the grace window as their only
 // protection.
+//
+// Byte ranges: a Fetch whose ctx carries a range (chunk.WithRange)
+// returns only those bytes of the chunk, clamped to it. A wrapper forwards
+// the Fetch ctx, or the reader behind it gets the wrong bytes.
 type Conn interface {
 	Store(ctx context.Context, user string, id chunk.ID, data []byte) error
 	Fetch(ctx context.Context, user string, id chunk.ID) ([]byte, error)

@@ -15,6 +15,7 @@ import (
 	"blobseer/internal/blobmeta"
 	"blobseer/internal/chunk"
 	"blobseer/internal/instrument"
+	"blobseer/internal/metrics"
 	"blobseer/internal/pmanager"
 	"blobseer/internal/provider"
 	"blobseer/internal/vmanager"
@@ -687,7 +688,7 @@ func TestStreamWritePlacementSpreads(t *testing.T) {
 }
 
 // TestSeekEvictionCancelsInFlightFetches parks every fetch, fills the
-// prefetch window at a high index, then seeks the window back to zero:
+// prefetch window ahead of a high index, then seeks the window back to zero:
 // the evicted futures' fetches must be cancelled promptly, so in-flight
 // transfers — not just map entries — stay bounded by the window.
 func TestSeekEvictionCancelsInFlightFetches(t *testing.T) {
@@ -705,7 +706,7 @@ func TestSeekEvictionCancelsInFlightFetches(t *testing.T) {
 		}
 		return blockingConn{Conn: conn, blocked: &blocked}, nil
 	})
-	c := New("alice", b.vm, b.pm, dir, WithPrefetch(2))
+	c := New("alice", b.vm, b.pm, dir, WithPrefetch(3))
 	ctx := context.Background()
 	blob, _ := c.Open(ctx, info.ID)
 	r, err := blob.NewReader(ctx, 0, 0, 48)
@@ -713,10 +714,12 @@ func TestSeekEvictionCancelsInFlightFetches(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	f4 := r.ensure(4) // parks fetches for chunks 4 and 5
-	f5 := r.futures[5]
+	if f3 := r.ensure(3); f3.done != nil { // parks fetches for chunks 4 and 5
+		t.Fatal("ensure launched the awaited chunk's fetch: its reader fetches it")
+	}
+	f4, f5 := r.futures[4], r.futures[5]
 	waitFor(t, "window fetches to park", func() bool { return blocked.Load() == 2 })
-	r.ensure(0) // window moves to [0,2): 4 and 5 evicted, 0 and 1 launched
+	r.ensure(0) // window moves to [0,3): 3, 4 and 5 evicted, 1 and 2 launched
 	for _, f := range []*chunkFuture{f4, f5} {
 		select {
 		case <-f.done:
@@ -727,8 +730,8 @@ func TestSeekEvictionCancelsInFlightFetches(t *testing.T) {
 			t.Fatal("evicted in-flight fetch was not cancelled")
 		}
 	}
-	if len(r.futures) != 2 {
-		t.Fatalf("futures=%d after window move, want 2", len(r.futures))
+	if len(r.futures) != 3 {
+		t.Fatalf("futures=%d after window move, want 3", len(r.futures))
 	}
 	waitFor(t, "new window fetches to park", func() bool { return blocked.Load() == 2 })
 }
@@ -799,3 +802,50 @@ var (
 	_ io.ReaderFrom     = (*BlobWriter)(nil)
 	_ io.Closer         = (*BlobWriter)(nil)
 )
+
+// slowFetchConn delays every fetch by d.
+type slowFetchConn struct {
+	Conn
+	d time.Duration
+}
+
+func (c slowFetchConn) Fetch(ctx context.Context, user string, id chunk.ID) ([]byte, error) {
+	time.Sleep(c.d)
+	return c.Conn.Fetch(ctx, user, id)
+}
+
+// TestReaderFetchesAwaitedChunkAsStall: a reader fetches the chunk it
+// awaits on its own goroutine when nothing is fetching it yet, and the
+// stall histogram times that fetch — a consumer waiting on its own fetch
+// is stalled as surely as one waiting on a prefetch.
+func TestReaderFetchesAwaitedChunkAsStall(t *testing.T) {
+	b := newBed(t, 2)
+	ctx := context.Background()
+	info, _ := b.client("alice").Create(ctx, 8)
+	data := []byte("8 bytes!")
+	if _, err := b.client("alice").Write(ctx, info.ID, 0, data); err != nil {
+		t.Fatal(err)
+	}
+	const delay = 20 * time.Millisecond
+	dir := DirectoryFunc(func(ctx context.Context, id string) (Conn, error) {
+		conn, err := b.Lookup(ctx, id)
+		return slowFetchConn{Conn: conn, d: delay}, err
+	})
+	c := New("alice", b.vm, b.pm, dir, WithMetrics(metrics.NewRegistry()))
+	blob, _ := c.Open(ctx, info.ID)
+	r, err := blob.NewReader(ctx, 0, 0, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if f := r.ensure(0); f.done != nil {
+		t.Fatal("ensure started a fetch for the awaited chunk: its reader fetches it")
+	}
+	got, err := io.ReadAll(r)
+	if err != nil || !bytes.Equal(got, data) {
+		t.Fatalf("read %q, %v; want %q", got, err, data)
+	}
+	if h := c.m.readerStall; h.Count() != 1 || h.Sum() < delay.Seconds() {
+		t.Fatalf("reader stall: %d observations summing to %.3f s, want 1 of at least %.3f s", h.Count(), h.Sum(), delay.Seconds())
+	}
+}

@@ -474,8 +474,10 @@ func (p *Provider) Store(ctx context.Context, user string, id chunk.ID, data []b
 
 // Fetch returns one chunk replica on behalf of user, in a chunk-pool
 // buffer the caller owns (Store.GetAppend), so callers donate it with
-// chunk.PutBuf once the payload is dead. A cancelled ctx rejects the
-// transfer before it touches the store.
+// chunk.PutBuf once the payload is dead. A range in ctx (chunk.WithRange)
+// returns only those bytes of the chunk, clamped to it: they are moved to
+// the front of the buffer, so the caller's PutBuf still files all of it.
+// A cancelled ctx rejects the transfer before it touches the store.
 func (p *Provider) Fetch(ctx context.Context, user string, id chunk.ID) ([]byte, error) {
 	start := p.now()
 	if err := p.begin(ctx); err != nil {
@@ -483,6 +485,11 @@ func (p *Provider) Fetch(ctx context.Context, user string, id chunk.ID) ([]byte,
 	}
 	defer p.end()
 	data, err := p.st.GetAppend(id, nil)
+	if off, n := chunk.RangeFrom(ctx); n > 0 && err == nil {
+		off = min(off, int64(len(data)))
+		n = min(n, int64(len(data))-off)
+		data = data[:copy(data, data[off:off+n])]
+	}
 	p.fetches.Add(1)
 	if err == nil {
 		p.bytesUp.Add(int64(len(data)))

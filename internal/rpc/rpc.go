@@ -183,6 +183,9 @@ func (s *Server) handle(ctx context.Context, m byte, meta, payload []byte) (out,
 		}
 		err = p.Store(ctx, a.User, a.ID, payload)
 	case mFetch:
+		if a.Len > 0 {
+			ctx = chunk.WithRange(ctx, a.Off, a.Len)
+		}
 		data, err = p.Fetch(ctx, a.User, a.ID)
 	case mLeaseChunks:
 		err = p.LeaseChunks(ctx, a.Lease.ID, a.Lease.TTL, a.IDs)
@@ -484,10 +487,13 @@ func (c *Conn) Store(ctx context.Context, user string, id chunk.ID, data []byte)
 	return err
 }
 
-// Fetch implements client.Conn. The payload arrives in a chunk-pool buffer
-// the caller owns; a reply its caller gave up on is donated unread.
+// Fetch implements client.Conn. The byte range ctx carries, if any,
+// travels in the frame. The payload arrives in a chunk-pool buffer the
+// caller owns; a reply its caller gave up on is donated unread.
 func (c *Conn) Fetch(ctx context.Context, user string, id chunk.ID) ([]byte, error) {
-	return c.call(ctx, mFetch, &args{User: user, ID: id}, nil, nil)
+	a := args{User: user, ID: id}
+	a.Off, a.Len = chunk.RangeFrom(ctx)
+	return c.call(ctx, mFetch, &a, nil, nil)
 }
 
 // Remove drops one chunk reference on the remote provider.

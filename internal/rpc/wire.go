@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"time"
 
 	"blobseer/internal/chunk"
@@ -25,7 +26,7 @@ import (
 //	  metaLen u32  length of the metadata that follows
 //	  payLen  u32  length of the payload after it
 //	metadata  a request's args; a reply's result, or its error text
-//	payload   raw bytes: a Store's chunk, a Fetch reply's
+//	payload   raw bytes: a Store's chunk, a Fetch reply's (the requested range)
 //
 // A payload is written straight from the caller's slice — bufio copies one
 // that fits its buffer and passes a larger one through — and read into a
@@ -168,13 +169,14 @@ func readPayload(r io.Reader, n int) ([]byte, error) {
 // args are a call's arguments, encoded by hand: a method sends the fields
 // argFields names for it, in the order of the struct — strings and ID
 // lists length-prefixed by a uvarint, an ID as its 32 bytes, a TTL or a
-// limit as a varint.
+// limit as a varint, a Fetch's byte range as two uvarints.
 type args struct {
-	User  string
-	ID    chunk.ID // the chunk; ListChunks: resume after it
-	Lease chunk.Lease
-	Limit int
-	IDs   []chunk.ID
+	User     string
+	ID       chunk.ID // the chunk; ListChunks: resume after it
+	Lease    chunk.Lease
+	Limit    int
+	IDs      []chunk.ID
+	Off, Len int64 // Fetch: bytes [Off, Off+Len) of the chunk; Len 0 = all of it
 }
 
 const (
@@ -184,11 +186,12 @@ const (
 	fTTL
 	fLimit
 	fIDs
+	fRange
 )
 
 var argFields = [256]uint8{ // any method byte indexes it; an unknown one sends nothing
 	mStore:        fUser | fID | fLeaseID | fTTL, // an empty lease ID is no lease
-	mFetch:        fUser | fID,
+	mFetch:        fUser | fID | fRange,
 	mLeaseChunks:  fLeaseID | fTTL | fIDs,
 	mReleaseLease: fLeaseID,
 	mRemove:       fID,
@@ -218,6 +221,9 @@ func (a *args) append(b []byte, m byte) []byte {
 		for _, id := range a.IDs {
 			b = append(b, id[:]...)
 		}
+	}
+	if f&fRange != 0 {
+		b = binary.AppendUvarint(binary.AppendUvarint(b, uint64(a.Off)), uint64(a.Len))
 	}
 	return b
 }
@@ -257,6 +263,11 @@ func (a *args) decode(m byte, meta []byte) error {
 				copy(a.IDs[i][:], d.next(idLen))
 			}
 		}
+	}
+	if f&fRange != 0 {
+		off, n := d.uvarint(), d.uvarint()
+		d.ok = d.ok && off|n <= math.MaxInt64
+		a.Off, a.Len = int64(off), int64(n)
 	}
 	if !d.ok || len(d.b) != 0 {
 		return errMeta

@@ -284,12 +284,13 @@ func TestServerCloseMidTransfer(t *testing.T) {
 }
 
 // benchTransfer runs op b.N times against a loopback server holding one
-// chunk of size bytes. Before timing, it fails the benchmark if op
-// allocates maxBytes or more, or more than maxAllocs times, averaged over
-// a fixed number of ops whatever b.N is: one pool miss on a cold P must
-// not decide a gate CI runs at one iteration. (MemStats counts the
-// in-process server's allocations too.)
-func benchTransfer(b *testing.B, size int, maxBytes, maxAllocs uint64, op func(conn *Conn, id chunk.ID, data []byte) error) {
+// chunk of size bytes. Before timing, it fails the benchmark if a call
+// moves other than moved payload bytes, allocates maxBytes or more, or
+// allocates more than maxAllocs times, averaged over a fixed number of ops
+// whatever b.N is: one pool miss on a cold P must not decide a gate CI runs
+// at one iteration. (MemStats counts the in-process server's allocations
+// too.)
+func benchTransfer(b *testing.B, size, moved int, maxBytes, maxAllocs uint64, op func(conn *Conn, id chunk.ID, data []byte) (int, error)) {
 	p := provider.New("p1", "z", 0)
 	srv, err := Serve(p, "127.0.0.1:0")
 	if err != nil {
@@ -304,8 +305,12 @@ func benchTransfer(b *testing.B, size int, maxBytes, maxAllocs uint64, op func(c
 	}
 	run := func(n int) {
 		for i := 0; i < n; i++ {
-			if err := op(conn, id, data); err != nil {
+			got, err := op(conn, id, data)
+			if err != nil {
 				b.Fatal(err)
+			}
+			if got != moved {
+				b.Fatalf("a call moved %d payload bytes, want %d", got, moved)
 			}
 		}
 	}
@@ -316,36 +321,48 @@ func benchTransfer(b *testing.B, size int, maxBytes, maxAllocs uint64, op func(c
 	run(gateOps)
 	runtime.ReadMemStats(&after)
 	if perOp := (after.TotalAlloc - before.TotalAlloc) / gateOps; perOp >= maxBytes {
-		b.Fatalf("%d bytes allocated per %d-byte transfer, want < %d", perOp, size, maxBytes)
+		b.Fatalf("%d bytes allocated per %d-byte transfer, want < %d", perOp, moved, maxBytes)
 	}
 	if perOp := (after.Mallocs - before.Mallocs) / gateOps; perOp > maxAllocs {
-		b.Fatalf("%d allocations per %d-byte transfer, want ≤ %d", perOp, size, maxAllocs)
+		b.Fatalf("%d allocations per %d-byte transfer, want ≤ %d", perOp, moved, maxAllocs)
 	}
-	b.SetBytes(int64(len(data)))
+	b.SetBytes(int64(moved))
 	b.ReportAllocs()
 	b.ResetTimer()
 	run(b.N)
 }
 
-func fetchOp(conn *Conn, id chunk.ID, _ []byte) error {
+func fetchOp(conn *Conn, id chunk.ID, _ []byte) (int, error) {
 	got, err := conn.Fetch(bg, "u", id)
 	chunk.PutBuf(got)
-	return err
+	return len(got), err
 }
 
-func storeOp(conn *Conn, id chunk.ID, data []byte) error {
-	return conn.Store(bg, "u", id, data)
+// rangedFetchOp fetches the fourth quarter-MiB of its chunk, as a 256 KiB
+// range read does.
+func rangedFetchOp(conn *Conn, id chunk.ID, _ []byte) (int, error) {
+	got, err := conn.Fetch(chunk.WithRange(bg, 3<<18, 1<<18), "u", id)
+	chunk.PutBuf(got)
+	return len(got), err
+}
+
+func storeOp(conn *Conn, id chunk.ID, data []byte) (int, error) {
+	return len(data), conn.Store(bg, "u", id, data)
 }
 
 // The 1 MiB pair holds the payload out of every encoder and allocator: on a
 // warm pool a chunk transfer allocates call records, not payload. The
-// 16 KiB pair is a small object's fixed cost per call. Every allocation
-// ceiling sits one above what the transfer measures: 8 per Fetch and 7
-// per Store, of which 5 and 4 are the chunk pool's own bookkeeping.
-func BenchmarkRPCFetch1MiB(b *testing.B)  { benchTransfer(b, 1<<20, 64<<10, 9, fetchOp) }
-func BenchmarkRPCStore1MiB(b *testing.B)  { benchTransfer(b, 1<<20, 64<<10, 8, storeOp) }
-func BenchmarkRPCFetch16KiB(b *testing.B) { benchTransfer(b, 16<<10, 4<<10, 9, fetchOp) }
-func BenchmarkRPCStore16KiB(b *testing.B) { benchTransfer(b, 16<<10, 4<<10, 8, storeOp) }
+// 16 KiB pair is a small object's fixed cost per call. A ranged fetch moves
+// its range and nothing more. Every allocation ceiling sits one above what
+// the transfer measures: 3 per call, and 4 more for a range, which rides in
+// a context value on each side of the wire.
+func BenchmarkRPCFetch1MiB(b *testing.B)  { benchTransfer(b, 1<<20, 1<<20, 64<<10, 4, fetchOp) }
+func BenchmarkRPCStore1MiB(b *testing.B)  { benchTransfer(b, 1<<20, 1<<20, 64<<10, 4, storeOp) }
+func BenchmarkRPCFetch16KiB(b *testing.B) { benchTransfer(b, 16<<10, 16<<10, 4<<10, 4, fetchOp) }
+func BenchmarkRPCStore16KiB(b *testing.B) { benchTransfer(b, 16<<10, 16<<10, 4<<10, 4, storeOp) }
+func BenchmarkRPCFetch256KiBOf1MiB(b *testing.B) {
+	benchTransfer(b, 1<<20, 1<<18, 64<<10, 8, rangedFetchOp)
+}
 
 // encodeFrame returns a frame's wire form, as writeFrame sends it.
 func encodeFrame(t testing.TB, h header, meta, payload []byte) []byte {
@@ -435,6 +452,30 @@ func TestLongPayloadGrowsAsItArrives(t *testing.T) {
 	}
 }
 
+// TestFetchRangeArgs: a Fetch's byte range survives encoding — none, one
+// inside a chunk, one past any chunk — and a range field that does not
+// fit an int64 is malformed metadata, not a negative offset.
+func TestFetchRangeArgs(t *testing.T) {
+	id := chunk.Sum([]byte("x"))
+	for _, a := range []args{
+		{User: "u", ID: id},
+		{User: "u", ID: id, Off: 3 << 20, Len: 256 << 10},
+		{User: "u", ID: id, Off: 1 << 40, Len: maxPayload + 1},
+	} {
+		var got args
+		if err := got.decode(mFetch, a.append(nil, mFetch)); err != nil || !reflect.DeepEqual(got, a) {
+			t.Errorf("%+v decoded as %+v (%v)", a, got, err)
+		}
+	}
+	meta := append(binary.AppendUvarint(nil, 1), 'u')
+	meta = append(meta, id[:]...)
+	meta = binary.AppendUvarint(binary.AppendUvarint(meta, 1<<63), 1)
+	var a args
+	if err := a.decode(mFetch, meta); err == nil {
+		t.Fatalf("an offset of 2^63 decoded as %+v", a)
+	}
+}
+
 // FuzzReadBody feeds the frame reader arbitrary bytes: a header, then the
 // metadata and payload it announces. It must return, not panic. A frame
 // that parses must re-encode to one that parses to the same header,
@@ -459,6 +500,9 @@ func FuzzReadBody(f *testing.F) {
 	f.Add(frame(mFetch, 0, nil, data[:1]))
 	f.Add(frame(mFetch, 0, nil, nil))
 	f.Add(frame(mFetch, 0, argsOf(mFetch, args{User: "u", ID: id}), nil))
+	f.Add(frame(mFetch, 0, argsOf(mFetch, args{User: "u", ID: id, Off: 3 << 20, Len: 256 << 10}), nil))
+	f.Add(frame(mFetch, 0, argsOf(mFetch, args{User: "u", ID: id, Off: 1 << 40, Len: maxPayload + 1}), nil))
+	f.Add(frame(mFetch, 0, append(argsOf(mFetch, args{User: "u", ID: id})[:34], 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01, 0), nil)) // an offset past int64
 	f.Add(hostileFrame(f, maxPayload, 0))
 	f.Add(hostileFrame(f, chunk.MaxPooled+1, 100))
 	f.Add(hostileFrame(f, 1<<32-1, 0)) // the largest payload length a header can state, 4 GiB − 1

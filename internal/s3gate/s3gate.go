@@ -534,8 +534,8 @@ func parseRange(h string, size int64) (lo, hi int64, ok, satisfiable bool) {
 	}
 	if first == "" {
 		// Suffix range: last n bytes.
-		n, err := strconv.ParseInt(last, 10, 64)
-		if err != nil || n < 0 {
+		n, ok := digits(last)
+		if !ok {
 			return 0, 0, false, false
 		}
 		if n == 0 || size == 0 {
@@ -546,14 +546,13 @@ func parseRange(h string, size int64) (lo, hi int64, ok, satisfiable bool) {
 		}
 		return size - n, size - 1, true, true
 	}
-	lo, err := strconv.ParseInt(first, 10, 64)
-	if err != nil || lo < 0 {
+	lo, ok = digits(first)
+	if !ok {
 		return 0, 0, false, false
 	}
 	hi = size - 1
 	if last != "" {
-		hi, err = strconv.ParseInt(last, 10, 64)
-		if err != nil || hi < lo {
+		if hi, ok = digits(last); !ok || hi < lo {
 			return 0, 0, false, false
 		}
 		if hi > size-1 {
@@ -564,6 +563,13 @@ func parseRange(h string, size int64) (lo, hi int64, ok, satisfiable bool) {
 		return 0, 0, true, false
 	}
 	return lo, hi, true, true
+}
+
+// digits parses a byte position, RFC 9110's 1*DIGIT: ParseUint takes no
+// sign and no space.
+func digits(s string) (int64, bool) {
+	n, err := strconv.ParseUint(s, 10, 63)
+	return int64(n), err == nil
 }
 
 // getObject streams the object (or the requested byte range of it) out

@@ -386,7 +386,11 @@ func TestGetObjectRange(t *testing.T) {
 	}
 
 	// Malformed or multi-range headers are ignored: full 200 response.
-	for _, rng := range []string{"bytes=a-b", "chunks=0-5", "bytes=0-5,10-15"} {
+	// RFC 9110's positions are 1*DIGIT: a sign or a space makes the header
+	// invalid, not a range.
+	for _, rng := range []string{"bytes=a-b", "chunks=0-5", "bytes=0-5,10-15",
+		"bytes=+0-+9", "bytes=+0-9", "bytes=0-+9", "bytes=-+25", "bytes=--25", "bytes=-0-9",
+		"bytes= 0-9", "bytes=0 -9", "bytes=0- 9", "bytes=- 25", "bytes=1_0-20"} {
 		resp := doRange(t, srv.URL+"/b/k", rng)
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("%s: status=%d", rng, resp.StatusCode)
@@ -1027,6 +1031,49 @@ func TestMetadataWorkPerRequest(t *testing.T) {
 		cluster.Mesh.FlushAll()
 		if p, g := puts.Load(), gets.Load(); p != c.puts || g != c.gets {
 			t.Errorf("%s: %d node writes and %d node reads, want %d and %d", c.name, p, g, c.puts, c.gets)
+		}
+	}
+}
+
+// TestFetchBytesPerRequest counts what each GET costs the data providers
+// in bytes sent, with the benchmark's 1 MiB chunks: a range read moves the
+// bytes it returns — a chunk-aligned 256 KiB range, and one straddling two
+// chunks — not the whole chunks under it, and a whole GET its object.
+func TestFetchBytesPerRequest(t *testing.T) {
+	cluster, err := core.NewCluster(core.Options{Providers: 3, Monitoring: false})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(New(cluster, WithChunkSize(1<<20)))
+	t.Cleanup(srv.Close)
+	do(t, http.MethodPut, srv.URL+"/b", nil)
+	large := bytes.Repeat([]byte("0123456789abcdef"), 8<<20/16)
+	do(t, http.MethodPut, srv.URL+"/b/large", large)
+	sent := func() (n int64) {
+		for _, id := range cluster.Providers() {
+			p, _ := cluster.Provider(id)
+			n += p.Stats().BytesOut
+		}
+		return n
+	}
+	for _, c := range []struct {
+		rng      string
+		lo, n    int
+		moved    int64
+		wantCode int
+	}{
+		{"", 0, len(large), 8 << 20, http.StatusOK},
+		{"bytes=3145728-3407871", 3 << 20, 256 << 10, 256 << 10, http.StatusPartialContent},
+		{"bytes=3997696-4259839", 3<<20 + 832<<10, 256 << 10, 256 << 10, http.StatusPartialContent},
+	} {
+		before := sent()
+		resp := doRange(t, srv.URL+"/b/large", c.rng)
+		got, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != c.wantCode || !bytes.Equal(got, large[c.lo:c.lo+c.n]) {
+			t.Fatalf("GET %q: status %d, %d bytes, err %v", c.rng, resp.StatusCode, len(got), err)
+		}
+		if moved := sent() - before; moved != c.moved {
+			t.Errorf("GET %q: providers sent %d bytes, want %d", c.rng, moved, c.moved)
 		}
 	}
 }

@@ -13,47 +13,50 @@ import (
 	"blobseer/internal/storetest"
 )
 
+// everyConn is every client.Conn in the tree, each over a fresh provider:
+// the provider itself, the rpc plane, the fault guard and the
+// fault-injection wrappers.
+var everyConn = []struct {
+	name string
+	over func(t *testing.T, p *provider.Provider) client.Conn
+}{
+	{"provider", func(_ *testing.T, p *provider.Provider) client.Conn { return p }},
+	{"rpc", func(t *testing.T, p *provider.Provider) client.Conn {
+		srv, err := rpc.Serve(p, "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { srv.Close() })
+		conn, err := rpc.DialContext(context.Background(), srv.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { conn.Close() })
+		return conn
+	}},
+	{"faultdom", func(_ *testing.T, p *provider.Provider) client.Conn {
+		return faultdom.NewPlane(faultdom.Config{}, nil).Wrap(p.ID(), p)
+	}},
+	{"flaky", func(_ *testing.T, p *provider.Provider) client.Conn {
+		return &storetest.FlakyConn{Inner: p, Inj: storetest.NewInjector(1, 0)}
+	}},
+	{"slow", func(_ *testing.T, p *provider.Provider) client.Conn {
+		return &storetest.SlowConn{Inner: p, R: storetest.NewRand(1), MaxDelay: time.Millisecond}
+	}},
+	{"partitioned", func(_ *testing.T, p *provider.Provider) client.Conn {
+		return &storetest.PartitionedConn{Inner: p}
+	}},
+}
+
 // TestEveryConnCarriesLeases: a Conn must not hide leasing. Through
-// every client.Conn in the tree — the provider itself, the rpc plane,
-// the fault guard, the fault-injection wrappers — a LeaseChunks shows up
-// in the provider's lease table, so does a Store's lease by the time the
-// Store returns, and a ReleaseLease removes them. A wrapper that
-// swallowed any of them would leave the writers behind it with the grace
-// window as their only protection.
+// every client.Conn in the tree a LeaseChunks shows up in the provider's
+// lease table, so does a Store's lease by the time the Store returns, and
+// a ReleaseLease removes them. A wrapper that swallowed any of them would
+// leave the writers behind it with the grace window as their only
+// protection.
 func TestEveryConnCarriesLeases(t *testing.T) {
 	ctx := context.Background()
-	conns := []struct {
-		name string
-		over func(t *testing.T, p *provider.Provider) client.Conn
-	}{
-		{"provider", func(_ *testing.T, p *provider.Provider) client.Conn { return p }},
-		{"rpc", func(t *testing.T, p *provider.Provider) client.Conn {
-			srv, err := rpc.Serve(p, "127.0.0.1:0")
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() { srv.Close() })
-			conn, err := rpc.DialContext(ctx, srv.Addr())
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() { conn.Close() })
-			return conn
-		}},
-		{"faultdom", func(_ *testing.T, p *provider.Provider) client.Conn {
-			return faultdom.NewPlane(faultdom.Config{}, nil).Wrap(p.ID(), p)
-		}},
-		{"flaky", func(_ *testing.T, p *provider.Provider) client.Conn {
-			return &storetest.FlakyConn{Inner: p, Inj: storetest.NewInjector(1, 0)}
-		}},
-		{"slow", func(_ *testing.T, p *provider.Provider) client.Conn {
-			return &storetest.SlowConn{Inner: p, R: storetest.NewRand(1), MaxDelay: time.Millisecond}
-		}},
-		{"partitioned", func(_ *testing.T, p *provider.Provider) client.Conn {
-			return &storetest.PartitionedConn{Inner: p}
-		}},
-	}
-	for _, c := range conns {
+	for _, c := range everyConn {
 		t.Run(c.name, func(t *testing.T) {
 			p := provider.New("p00", "z0", 0)
 			conn := c.over(t, p)
@@ -87,6 +90,50 @@ func TestEveryConnCarriesLeases(t *testing.T) {
 			}
 			if leases, _ = p.Leases(ctx); len(leases) != 0 {
 				t.Fatalf("lease table after ReleaseLease through the conn = %+v, want empty", leases)
+			}
+		})
+	}
+}
+
+// TestEveryConnHonoursRanges: through every client.Conn in the tree a
+// fetch returns the byte range its context carries, clamped to the chunk,
+// and the provider sends only those bytes. A wrapper that dropped the
+// range would hand a reader the whole chunk where it expects the range,
+// and the reader would serve the wrong bytes.
+func TestEveryConnHonoursRanges(t *testing.T) {
+	ctx := context.Background()
+	data := []byte("0123456789abcdefghijklmnopqrstuvwxyz")
+	id := chunk.Sum(data)
+	for _, c := range everyConn {
+		t.Run(c.name, func(t *testing.T) {
+			p := provider.New("p00", "z0", 0)
+			conn := c.over(t, p)
+			if err := conn.Store(ctx, "u", id, data); err != nil {
+				t.Fatal(err)
+			}
+			for _, r := range []struct {
+				off, n int64
+				want   string
+			}{
+				{0, 0, string(data)},   // no range: the whole chunk
+				{3, 5, "34567"},        // inside the chunk
+				{30, 100, "uvwxyz"},    // past the end: clamped
+				{36, 4, ""},            // at the end: empty
+				{1 << 40, 1 << 40, ""}, // far past it: empty
+				{0, int64(len(data)), string(data)},
+			} {
+				before := p.Stats().BytesOut
+				got, err := conn.Fetch(chunk.WithRange(ctx, r.off, r.n), "u", id)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if string(got) != r.want {
+					t.Fatalf("fetch of [%d, +%d) = %q, want %q", r.off, r.n, got, r.want)
+				}
+				if moved := p.Stats().BytesOut - before; moved != int64(len(r.want)) {
+					t.Fatalf("fetch of [%d, +%d) moved %d bytes, want %d", r.off, r.n, moved, len(r.want))
+				}
+				chunk.PutBuf(got)
 			}
 		})
 	}
