@@ -6,12 +6,13 @@
 // should have been reclaimable immediately stays pinned for the whole
 // lease lifetime.
 //
-// The contract is poolbuf's, applied to leases: every acquisition must
-// reach a Release() (directly or by defer) on every return path, unless
-// ownership demonstrably transfers — the lease is returned, stored into
-// a field or another variable, or passed to another function, in which
-// case the new owner carries the obligation and the analyzer goes
-// silent. Method calls on the lease itself (ID, Renew) are borrows, not
+// The contract is poolbuf's, applied to leases, and so is the walk (the
+// obligation package's): every acquisition must reach a Release()
+// (directly or by defer) on every return path, unless ownership
+// demonstrably transfers — the lease is returned, stored into a field
+// or another variable, or passed to another function, in which case
+// the new owner carries the obligation and the analyzer goes silent.
+// Method calls on the lease itself (ID, Renew) are borrows, not
 // transfers.
 //
 // The canonical error idiom is understood: after
@@ -19,308 +20,34 @@
 //	l, err := x.OpenLease(blob, base)
 //	if err != nil { return err }
 //
-// the err-is-non-nil arm holds no lease and owes no release. The walk
-// is block-structured like poolbuf's: branch bodies run on a copy of
-// the obligation state, so a Release inside one arm does not excuse the
-// other. Audited exceptions carry //leaserelease:allow with a reason.
+// the err-is-non-nil arm holds no lease and owes no release. A second
+// Release is not reported: WriterLease.Release is idempotent. Audited
+// exceptions carry //leaserelease:allow with a reason.
 package leaserelease
 
 import (
 	"go/ast"
-	"go/types"
 
 	"blobseer/internal/analysis"
+	"blobseer/internal/analysis/obligation"
 )
 
 // Analyzer is the leaserelease pass.
 var Analyzer = &analysis.Analyzer{
 	Name: "leaserelease",
 	Doc:  "writer leases (OpenLease/OpenWriterLease) must be Released on every return path or have their ownership transferred",
-	Run:  run,
-}
-
-func calleeName(call *ast.CallExpr) string {
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		return fun.Name
-	case *ast.SelectorExpr:
-		return fun.Sel.Name
-	}
-	return ""
-}
-
-func isOpen(call *ast.CallExpr) bool {
-	n := calleeName(call)
-	return n == "OpenLease" || n == "OpenWriterLease"
-}
-
-func run(pass *analysis.Pass) error {
-	for _, f := range pass.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
+	Run: obligation.Spec{
+		Acquire: func(call *ast.CallExpr) bool {
+			n := obligation.CalleeName(call)
+			return n == "OpenLease" || n == "OpenWriterLease"
+		},
+		Release: func(call *ast.CallExpr) ast.Expr {
+			if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok && sel.Sel.Name == "Release" {
+				return sel.X
 			}
-			checkFunc(pass, fd)
-		}
-	}
-	return nil
-}
-
-// tracked is one lease variable under obligation.
-type tracked struct {
-	obj     types.Object // the lease variable
-	errObj  types.Object // the paired error, when the acquisition binds one
-	getStmt ast.Stmt     // the statement that acquired it
-}
-
-func checkFunc(pass *analysis.Pass, fd *ast.FuncDecl) {
-	var leases []*tracked
-	// Acquisitions: l, err := x.OpenLease(...) / OpenWriterLease(...)
-	// (or the single-value form) at statement level anywhere in the
-	// body.
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		as, ok := n.(*ast.AssignStmt)
-		if !ok || len(as.Rhs) != 1 || len(as.Lhs) < 1 || len(as.Lhs) > 2 {
-			return true
-		}
-		call, ok := ast.Unparen(as.Rhs[0]).(*ast.CallExpr)
-		if !ok || !isOpen(call) {
-			return true
-		}
-		id, ok := as.Lhs[0].(*ast.Ident)
-		if !ok || id.Name == "_" {
-			return true
-		}
-		obj := pass.TypesInfo.Defs[id]
-		if obj == nil {
-			obj = pass.TypesInfo.Uses[id]
-		}
-		if obj == nil {
-			return true
-		}
-		tr := &tracked{obj: obj, getStmt: as}
-		if len(as.Lhs) == 2 {
-			if eid, ok := as.Lhs[1].(*ast.Ident); ok && eid.Name != "_" {
-				if eo := pass.TypesInfo.Defs[eid]; eo != nil {
-					tr.errObj = eo
-				} else if eo := pass.TypesInfo.Uses[eid]; eo != nil {
-					tr.errObj = eo
-				}
-			}
-		}
-		leases = append(leases, tr)
-		return true
-	})
-	for _, tr := range leases {
-		if escapes(pass, fd, tr.obj) {
-			continue // ownership transferred: the new owner releases
-		}
-		w := &releaseWalker{pass: pass, tr: tr}
-		st := &relState{}
-		w.stmts(fd.Body.List, st)
-		// Falling off the end of the function body is a return path
-		// too, for functions whose last statement is not a return.
-		if st.active && !st.released && !st.deferred && !endsTerminal(fd.Body.List) {
-			pass.Reportf(fd.Body.Rbrace,
-				"writer lease %s may leak when %s returns: Release it (or defer the release) before the end of the function",
-				tr.obj.Name(), fd.Name.Name)
-		}
-	}
-}
-
-// endsTerminal reports whether a statement list cannot fall off its
-// end (it ends in return, panic, or an endless for).
-func endsTerminal(list []ast.Stmt) bool {
-	if len(list) == 0 {
-		return false
-	}
-	switch last := list[len(list)-1].(type) {
-	case *ast.ReturnStmt:
-		return true
-	case *ast.ForStmt:
-		return last.Cond == nil
-	case *ast.ExprStmt:
-		if call, ok := last.X.(*ast.CallExpr); ok {
-			if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok && id.Name == "panic" {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// escapes reports whether the lease's ownership leaves the function's
-// hands: returned, stored into a field or another variable, or passed
-// to some function. Calling methods on the lease is a borrow.
-func escapes(pass *analysis.Pass, fd *ast.FuncDecl, obj types.Object) bool {
-	escaped := false
-	var stack []ast.Node
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		if n == nil {
-			stack = stack[:len(stack)-1]
-			return true
-		}
-		if id, ok := n.(*ast.Ident); ok {
-			if pass.TypesInfo.Uses[id] == obj || pass.TypesInfo.Defs[id] == obj {
-				if useEscapes(stack, id) {
-					escaped = true
-				}
-			}
-		}
-		stack = append(stack, n)
-		return true
-	})
-	return escaped
-}
-
-// useEscapes classifies a single appearance of the lease variable given
-// the enclosing-node stack (top of stack = direct parent).
-func useEscapes(stack []ast.Node, id *ast.Ident) bool {
-	if len(stack) == 0 {
-		return false
-	}
-	switch p := stack[len(stack)-1].(type) {
-	case *ast.SelectorExpr:
-		return false // l.Release(), l.Renew(), l.ID(): borrows
-	case *ast.BinaryExpr:
-		return false // l != nil and friends: reads
-	case *ast.IfStmt:
-		return false // condition read
-	case *ast.CallExpr:
-		return true // the lease itself handed to a function: new owner
-	case *ast.AssignStmt:
-		// As an assignment target (the acquisition itself) the lease
-		// stays owned here; on the RHS (w.lease = l) it transfers.
-		for _, l := range p.Lhs {
-			if lid, ok := l.(*ast.Ident); ok && lid == id {
-				return false
-			}
-		}
-		return true
-	default:
-		// return l, &l, composite literals, channel sends, closures
-		// capturing it for defer/go, …: a new owner, or a shape the
-		// walk cannot prove — both end the local obligation.
-		return true
-	}
-}
-
-// relState is the release obligation state along one control path.
-type relState struct {
-	active   bool // the acquisition has executed on this path
-	released bool // Release already executed on this path
-	deferred bool // a defer l.Release() covers every later exit
-}
-
-type releaseWalker struct {
-	pass *analysis.Pass
-	tr   *tracked
-}
-
-func (w *releaseWalker) stmts(list []ast.Stmt, st *relState) {
-	for _, s := range list {
-		w.stmt(s, st)
-	}
-}
-
-// releasesTracked recognizes l.Release() on the tracked lease.
-func (w *releaseWalker) releasesTracked(call *ast.CallExpr) bool {
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok || sel.Sel.Name != "Release" {
-		return false
-	}
-	id, ok := ast.Unparen(sel.X).(*ast.Ident)
-	return ok && w.pass.TypesInfo.Uses[id] == w.tr.obj
-}
-
-// errNotNilCond recognizes `err != nil` over the acquisition's paired
-// error: the arm it guards holds no lease.
-func (w *releaseWalker) errNotNilCond(cond ast.Expr) bool {
-	if w.tr.errObj == nil {
-		return false
-	}
-	be, ok := ast.Unparen(cond).(*ast.BinaryExpr)
-	if !ok || be.Op.String() != "!=" {
-		return false
-	}
-	x, y := ast.Unparen(be.X), ast.Unparen(be.Y)
-	if xid, ok := x.(*ast.Ident); ok && w.pass.TypesInfo.Uses[xid] == w.tr.errObj {
-		if yid, ok := y.(*ast.Ident); ok && yid.Name == "nil" {
-			return true
-		}
-	}
-	return false
-}
-
-func (w *releaseWalker) stmt(s ast.Stmt, st *relState) {
-	if s == w.tr.getStmt {
-		st.active = true
-		st.released = false // a re-acquisition renews the obligation
-		return
-	}
-	switch s := s.(type) {
-	case *ast.ExprStmt:
-		if call, ok := s.X.(*ast.CallExpr); ok && w.releasesTracked(call) {
-			st.released = true
-		}
-	case *ast.DeferStmt:
-		if w.releasesTracked(s.Call) {
-			st.deferred = true
-		}
-	case *ast.ReturnStmt:
-		if st.active && !st.released && !st.deferred {
-			w.pass.Reportf(s.Pos(),
-				"writer lease %s leaks on this return path: Release it (defer, or on every branch) or transfer ownership",
-				w.tr.obj.Name())
-		}
-	case *ast.IfStmt:
-		inner := *st
-		if w.errNotNilCond(s.Cond) {
-			// The open failed on this arm: there is no lease to
-			// release.
-			inner.released = true
-		}
-		w.stmts(s.Body.List, &inner)
-		st.deferred = st.deferred || inner.deferred // defers are function-scoped
-		if s.Else != nil {
-			elseSt := *st
-			w.stmt(s.Else, &elseSt)
-			st.deferred = st.deferred || elseSt.deferred
-		}
-	case *ast.ForStmt:
-		inner := *st
-		w.stmts(s.Body.List, &inner)
-		st.deferred = st.deferred || inner.deferred
-	case *ast.RangeStmt:
-		inner := *st
-		w.stmts(s.Body.List, &inner)
-		st.deferred = st.deferred || inner.deferred
-	case *ast.SwitchStmt:
-		w.clauses(s.Body.List, st)
-	case *ast.TypeSwitchStmt:
-		w.clauses(s.Body.List, st)
-	case *ast.SelectStmt:
-		for _, c := range s.Body.List {
-			if cc, ok := c.(*ast.CommClause); ok {
-				inner := *st
-				w.stmts(cc.Body, &inner)
-				st.deferred = st.deferred || inner.deferred
-			}
-		}
-	case *ast.BlockStmt:
-		w.stmts(s.List, st)
-	case *ast.LabeledStmt:
-		w.stmt(s.Stmt, st)
-	}
-}
-
-func (w *releaseWalker) clauses(list []ast.Stmt, st *relState) {
-	for _, c := range list {
-		if cc, ok := c.(*ast.CaseClause); ok {
-			inner := *st
-			w.stmts(cc.Body, &inner)
-			st.deferred = st.deferred || inner.deferred
-		}
-	}
+			return nil
+		},
+		Leak:    "writer lease %s leaks on this return path: Release it (defer, or on every branch) or transfer ownership",
+		FallOff: "writer lease %s may leak when %s returns: Release it (or defer the release) before the end of the function",
+	}.Run,
 }

@@ -139,3 +139,57 @@ func Allowed(m *manager) error {
 	l.Renew()
 	return nil //leaserelease:allow the TTL reaps this probe lease by design
 }
+
+// BothArmsRelease ends in an if/else whose arms both release and
+// return: no path falls off the end.
+func BothArmsRelease(m *manager, n int) error {
+	l, err := m.OpenLease(1, 2)
+	if err != nil {
+		return err
+	}
+	if n > 10 {
+		l.Release()
+		return errStale
+	} else {
+		l.Release()
+		return nil
+	}
+}
+
+// PerArm releases once on every path of a loop body: in an arm that
+// jumps on, and on the way round.
+func PerArm(m *manager, ns []int) {
+	for _, n := range ns {
+		l, err := m.OpenLease(1, uint64(n))
+		if err != nil {
+			continue
+		}
+		if n > 10 {
+			l.Release()
+			continue
+		}
+		l.Renew()
+		l.Release()
+	}
+}
+
+// batch is a run of leases released together; OpenLease on a pool
+// hands one out, and re-slicing it keeps the obligation.
+type batch []*Lease
+
+func (b batch) Release() {}
+
+type pool struct{}
+
+func (p *pool) OpenLease(n int) batch { return make(batch, n) }
+
+// ResliceLeak trims the batch it acquired and forgets to release it on
+// the early return.
+func ResliceLeak(p *pool, n int) error {
+	b := p.OpenLease(8)[:n]
+	if n > 4 {
+		return errStale // want `writer lease b leaks on this return path`
+	}
+	b.Release()
+	return nil
+}

@@ -84,3 +84,35 @@ func Borrowed(src []byte) int {
 	putBuf(buf)
 	return n
 }
+
+// BothArmsRelease ends in an if/else whose arms both release and
+// return: no path falls off the end.
+func BothArmsRelease(n int) int {
+	buf := getBuf(n)
+	if n > 10 {
+		putBuf(buf)
+		return n
+	} else {
+		putBuf(buf)
+		return 0
+	}
+}
+
+// fallible is a pool whose take can fail.
+type fallible struct{}
+
+func (fallible) GetBuf(n int) ([]byte, error) { return make([]byte, n), nil }
+
+// ErrArm: the arm of err != nil holds no buffer; the early return past
+// it still owes one.
+func ErrArm(p fallible, n int) error {
+	buf, err := p.GetBuf(n)
+	if err != nil {
+		return err
+	}
+	if n > 10 {
+		return errShort // want `pooled buffer buf leaks on this return path`
+	}
+	putBuf(buf)
+	return nil
+}

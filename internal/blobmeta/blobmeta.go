@@ -13,6 +13,7 @@
 package blobmeta
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math/bits"
@@ -22,6 +23,7 @@ import (
 
 	"blobseer/internal/chunk"
 	"blobseer/internal/instrument"
+	"blobseer/internal/ordset"
 )
 
 // Errors returned by the metadata layer.
@@ -38,6 +40,13 @@ type NodeKey struct {
 	Blob    uint64
 	Version uint64
 	Lo, Hi  int64
+}
+
+// Compare orders node keys by (Blob, Version, Lo, Hi) — the paging
+// order of Store.ListNodes.
+func (k NodeKey) Compare(o NodeKey) int {
+	return cmp.Or(cmp.Compare(k.Blob, o.Blob), cmp.Compare(k.Version, o.Version),
+		cmp.Compare(k.Lo, o.Lo), cmp.Compare(k.Hi, o.Hi))
 }
 
 func (k NodeKey) String() string {
@@ -117,7 +126,7 @@ const memStripes = 16
 type memStripe struct {
 	mu  sync.RWMutex
 	m   map[NodeKey]Node
-	idx nodeIndex
+	idx ordset.Set[NodeKey]
 }
 
 // MemStore is an in-memory metadata provider. The node map is sharded
@@ -159,7 +168,7 @@ func (s *MemStore) Put(k NodeKey, n Node) error {
 	st := s.stripe(k)
 	st.mu.Lock()
 	if _, ok := st.m[k]; !ok {
-		st.idx.insert(k)
+		st.idx.Insert(k)
 	}
 	st.m[k] = n
 	st.mu.Unlock()
@@ -194,7 +203,7 @@ func (s *MemStore) Delete(k NodeKey) error {
 	st := s.stripe(k)
 	st.mu.Lock()
 	if _, ok := st.m[k]; ok {
-		st.idx.remove(k)
+		st.idx.Remove(k)
 		delete(st.m, k)
 	}
 	st.mu.Unlock()
@@ -214,7 +223,7 @@ func (s *MemStore) ListNodes(after NodeKey, limit int) ([]NodeKey, bool) {
 	for i := range s.stripes {
 		st := &s.stripes[i]
 		st.mu.RLock()
-		runs[i].cur, runs[i].rest = st.idx.seek(after)
+		runs[i].cur, runs[i].rest = st.idx.Seek(after)
 	}
 	page, more := mergeRuns(runs[:], limit)
 	for i := range s.stripes {
@@ -258,7 +267,7 @@ func mergeRuns(runs []keyRun, limit int) ([]NodeKey, bool) {
 		best := -1
 		var bestKey NodeKey
 		for i := range runs {
-			if k, ok := runs[i].head(); ok && (best < 0 || nodeKeyCmp(k, bestKey) < 0) {
+			if k, ok := runs[i].head(); ok && (best < 0 || k.Compare(bestKey) < 0) {
 				best, bestKey = i, k
 			}
 		}

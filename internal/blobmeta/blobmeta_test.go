@@ -754,7 +754,7 @@ func TestListNodesPagingOrderAndCompleteness(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	sort.Slice(want, func(i, j int) bool { return nodeKeyCmp(want[i], want[j]) < 0 })
+	sort.Slice(want, func(i, j int) bool { return want[i].Compare(want[j]) < 0 })
 
 	for _, ns := range []Store{mem, ring} {
 		for _, limit := range []int{1, 7, 128, 1000} {
@@ -837,7 +837,7 @@ func TestListNodesDefaultPageDrain(t *testing.T) {
 		t.Fatalf("paged %d keys, Len says %d", len(keys), mem.Len())
 	}
 	for i := 1; i < len(keys); i++ {
-		if nodeKeyCmp(keys[i-1], keys[i]) >= 0 {
+		if keys[i-1].Compare(keys[i]) >= 0 {
 			t.Fatal("drained keys not strictly ascending")
 		}
 	}

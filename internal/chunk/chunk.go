@@ -4,6 +4,7 @@
 package chunk
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
@@ -25,6 +26,9 @@ func (id ID) String() string { return hex.EncodeToString(id[:]) }
 
 // Short returns an abbreviated hex form, convenient for logs.
 func (id ID) Short() string { return hex.EncodeToString(id[:6]) }
+
+// Compare orders IDs bytewise, the order of every chunk inventory.
+func (id ID) Compare(o ID) int { return bytes.Compare(id[:], o[:]) }
 
 // IsZero reports whether the ID is the zero value.
 func (id ID) IsZero() bool { return id == ID{} }
@@ -99,14 +103,6 @@ func Split(off int64, data []byte, size int64) ([]Piece, error) {
 		pos += take
 	}
 	return pieces, nil
-}
-
-// Covers reports whether a piece covers the full chunk slot of the given
-// chunk size, assuming the piece begins at the slot boundary.
-func (p Piece) Covers(off, size int64) bool {
-	start := off + int64(0)
-	_ = start
-	return int64(len(p.Data)) == size
 }
 
 // SlotRange returns the absolute byte range [lo, hi) of chunk index idx

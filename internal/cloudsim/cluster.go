@@ -125,7 +125,6 @@ type Client struct {
 	nic  *Resource // nil when unlimited
 
 	bytesDone   int64
-	opsDone     int64
 	opDurations []float64 // seconds
 	opStarts    []float64 // seconds since epoch
 	finishedAt  time.Duration
@@ -140,14 +139,6 @@ func (c *Client) User() string { return c.user }
 
 // BytesDone returns the bytes successfully written.
 func (c *Client) BytesDone() int64 { return c.bytesDone }
-
-// OpsDone returns completed write operations.
-func (c *Client) OpsDone() int64 { return c.opsDone }
-
-// OpDurations returns the per-op durations in seconds.
-func (c *Client) OpDurations() []float64 {
-	return append([]float64(nil), c.opDurations...)
-}
 
 // OpRecord is one completed operation: start instant and duration, both
 // in seconds of simulated time.
@@ -288,9 +279,6 @@ func (d *Deployment) AddClient(user string, prof Profile) *Client {
 	return c
 }
 
-// Clients returns the registered clients.
-func (d *Deployment) Clients() []*Client { return d.clients }
-
 // Run advances the simulation to the given instant.
 func (d *Deployment) Run(until time.Duration) { d.Sim.Run(until) }
 
@@ -375,7 +363,6 @@ func (c *Client) finishOp() {
 	d.Sim.Schedule(d.Cfg.VMLatency, func() {
 		now := d.Sim.Elapsed()
 		c.bytesDone += c.prof.OpBytes
-		c.opsDone++
 		c.opDurations = append(c.opDurations, (now - c.opStart).Seconds())
 		c.opStarts = append(c.opStarts, c.opStart.Seconds())
 		if !c.prof.Malicious {

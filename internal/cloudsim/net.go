@@ -39,9 +39,6 @@ type Flow struct {
 // Rate returns the flow's current max-min fair rate in bytes/s.
 func (f *Flow) Rate() float64 { return f.rate }
 
-// Remaining returns the bytes left to transfer.
-func (f *Flow) Remaining() float64 { return f.remaining }
-
 // Net is the fluid-flow network: transfers progress at max-min fair
 // rates. Rate recomputation is lazy — all starts, kills and completions
 // that land on the same simulated instant are settled by one reshape, so

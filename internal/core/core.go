@@ -496,9 +496,7 @@ func (c *Cluster) GCRunner(interval time.Duration) *gc.Runner {
 // through the cluster's lifecycle manager, so reader pins are honoured
 // and healed BLOBs reclaim exactly.
 func (c *Cluster) NewReaper(strategies ...selfopt.Strategy) *selfopt.Reaper {
-	r := selfopt.NewReaper(c.VM, c.Pool(), c.AgentFor("reaper"), strategies...)
-	r.RouteDeletes(c.GC)
-	return r
+	return selfopt.NewReaper(c.GC, c.AgentFor("reaper"), strategies...)
 }
 
 // actuator implements selfconfig.Actuator over the cluster.

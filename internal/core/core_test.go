@@ -176,6 +176,57 @@ func TestClusterDoSDetectionEndToEnd(t *testing.T) {
 	}
 }
 
+// TestClusterCrawlerDetection: the live activity history records the
+// BLOB each access touched, so distinct_blobs counts BLOBs on a running
+// cluster and the default catalog's crawler rule throttles a user who
+// touches more than 100 of them in 30 s.
+func TestClusterCrawlerDetection(t *testing.T) {
+	ctx := context.Background()
+	now := t0
+	c := newCluster(t, Options{Providers: 2, Monitoring: true, AgentBatch: 1,
+		Clock: func() time.Time { return now }})
+	crawler := c.Client("crawler")
+	touch := func(n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			info, err := crawler.Create(ctx, 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := crawler.Write(ctx, info.ID, 0, []byte("page")); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := crawler.Read(ctx, info.ID, 0, 0, 4); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	touch(5)
+	c.Tick(now)
+	if n := c.Hist.DistinctBlobs("crawler", now, 30*time.Second); n != 5 {
+		t.Fatalf("distinct BLOBs after touching 5: %d", n)
+	}
+	if _, ok := c.Eng.FirstDetection("crawler"); ok {
+		t.Fatal("crawler rule fired at 5 BLOBs")
+	}
+
+	now = now.Add(time.Second)
+	touch(96)
+	c.Tick(now)
+	if _, ok := c.Eng.FirstDetection("crawler"); !ok {
+		t.Fatalf("crawler rule silent at %d BLOBs", c.Hist.DistinctBlobs("crawler", now, 30*time.Second))
+	}
+	// throttle(10): ten admissions in hand, then refused until the
+	// bucket refills.
+	var err error
+	for i := 0; i < 11 && err == nil; i++ {
+		_, err = crawler.Create(ctx, 64)
+	}
+	if !errors.Is(err, policy.ErrThrottled) {
+		t.Fatalf("eleventh op at one instant: %v, want ErrThrottled", err)
+	}
+}
+
 func TestClusterHealAfterProviderLoss(t *testing.T) {
 	ctx := context.Background()
 	c := newCluster(t, Options{Providers: 5, Replicas: 2, Monitoring: false})

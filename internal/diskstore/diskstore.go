@@ -33,6 +33,7 @@ import (
 
 	"blobseer/internal/chunk"
 	"blobseer/internal/metrics"
+	"blobseer/internal/ordset"
 	"blobseer/internal/provider"
 )
 
@@ -144,7 +145,7 @@ type DiskStore struct {
 
 	mu       sync.Mutex
 	idx      map[chunk.ID]entry
-	ord      provider.IDIndex
+	ord      ordset.Set[chunk.ID]
 	segs     map[uint32]*segment
 	active   *segment
 	nextSeg  uint32
@@ -644,17 +645,19 @@ func (s *DiskStore) List(after chunk.ID, limit int) ([]provider.ChunkInfo, bool)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	ids := s.ord.Page(after, limit+1)
-	more := len(ids) > limit
-	if more {
-		ids = ids[:limit]
+	out := make([]provider.ChunkInfo, 0, min(limit, s.ord.Len()))
+	for cur, rest := s.ord.Seek(after); ; cur, rest = rest[0], rest[1:] {
+		for _, id := range cur {
+			if len(out) == limit {
+				return out, true
+			}
+			e := s.idx[id]
+			out = append(out, provider.ChunkInfo{ID: id, Size: e.size, Refs: int(e.refs), Epoch: e.epoch})
+		}
+		if len(rest) == 0 {
+			return out, false
+		}
 	}
-	out := make([]provider.ChunkInfo, len(ids))
-	for i, id := range ids {
-		e := s.idx[id]
-		out[i] = provider.ChunkInfo{ID: id, Size: e.size, Refs: int(e.refs), Epoch: e.epoch}
-	}
-	return out, more
 }
 
 // Epoch implements provider.Store.

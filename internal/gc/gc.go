@@ -490,13 +490,6 @@ func (m *Manager) unpin(k pinKey) bool {
 	return true
 }
 
-// Pinned reports the number of outstanding pins on (blob, version).
-func (m *Manager) Pinned(blob, version uint64) int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.pins[pinKey{blob, version}].readers
-}
-
 // DeferredBlobs lists deleted BLOBs whose reclaim is queued behind pins.
 func (m *Manager) DeferredBlobs() []uint64 {
 	m.mu.Lock()

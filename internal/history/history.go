@@ -98,7 +98,7 @@ func (h *History) Consume(records []monitor.Record) {
 		}
 		switch op {
 		case "read", "write", "append", "create", "store", "fetch", "auth_fail":
-			h.Append(Event{Time: r.Time, User: r.User, Op: op, Bytes: int64(r.Value), OK: ok})
+			h.Append(Event{Time: r.Time, User: r.User, Op: op, Blob: r.Blob, Bytes: int64(r.Value), OK: ok})
 		}
 	}
 }
@@ -205,13 +205,16 @@ func (h *History) Failures(user, op string, now time.Time, w time.Duration) int 
 }
 
 // DistinctBlobs counts distinct BLOBs touched in the window (crawling /
-// scraping detection).
+// scraping detection). Events that name no BLOB (provider store/fetch,
+// auth_fail) do not count.
 func (h *History) DistinctBlobs(user string, now time.Time, w time.Duration) int {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	seen := map[uint64]bool{}
 	for _, ev := range h.window(user, now, w) {
-		seen[ev.Blob] = true
+		if ev.Blob != 0 {
+			seen[ev.Blob] = true
+		}
 	}
 	return len(seen)
 }

@@ -87,8 +87,11 @@ func TestFailures(t *testing.T) {
 func TestDistinctBlobs(t *testing.T) {
 	h := New()
 	for i := 0; i < 10; i++ {
-		h.Append(Event{Time: at(i), User: "u", Op: "read", Blob: uint64(i % 4), OK: true})
+		h.Append(Event{Time: at(i), User: "u", Op: "read", Blob: uint64(i%4 + 1), OK: true})
 	}
+	// An event that names no BLOB (a provider fetch, an auth failure)
+	// is not one more BLOB touched.
+	h.Append(Event{Time: at(9), User: "u", Op: "fetch", OK: true})
 	if n := h.DistinctBlobs("u", at(9), 20*time.Second); n != 4 {
 		t.Fatalf("distinct=%d", n)
 	}

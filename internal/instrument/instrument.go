@@ -28,7 +28,6 @@ const (
 	OpDelete     Op = "delete"      // data provider: chunk removed
 	OpMetaPut    Op = "meta_put"    // metadata provider: node written
 	OpMetaGet    Op = "meta_get"    // metadata provider: node read
-	OpHeartbeat  Op = "heartbeat"   // provider liveness report
 	OpJoin       Op = "join"        // provider joined the pool
 	OpLeave      Op = "leave"       // provider left the pool
 	OpReplicate  Op = "replicate"   // self-optimization: re-replication
@@ -43,7 +42,6 @@ const (
 	OpMemUsage   Op = "mem_usage"   // physical parameter sample
 	OpDiskSpace  Op = "disk_space"  // provider storage space sample
 	OpActiveConn Op = "active_conn" // provider concurrent transfer count
-	OpPin        Op = "pin"         // gc: version pinned by a reader
 	OpRetire     Op = "retire"      // gc: version retired by retention
 	OpSweep      Op = "sweep"       // gc: mark-and-sweep chunk reclaim
 	OpMark       Op = "mark"        // gc: one mark phase (Value nodes read, Offset BLOBs walked, Bytes BLOBs reused)

@@ -30,13 +30,6 @@ var DurationBuckets = []float64{
 	0.25, 0.5, 1, 2.5, 5, 10,
 }
 
-// SizeBuckets is the default bucket layout for byte-size histograms:
-// 256 B to 64 MiB in powers of four.
-var SizeBuckets = []float64{
-	256, 1 << 10, 4 << 10, 16 << 10, 64 << 10,
-	256 << 10, 1 << 20, 4 << 20, 16 << 20, 64 << 20,
-}
-
 // Label is one name="value" pair attached to a metric.
 type Label struct {
 	Name, Value string
@@ -81,11 +74,6 @@ func NewRegistry(constLabels ...Label) *Registry {
 	cs := append([]Label(nil), constLabels...)
 	sort.Slice(cs, func(i, j int) bool { return cs[i].Name < cs[j].Name })
 	return &Registry{consts: cs, fams: make(map[string]*family)}
-}
-
-// ConstLabels returns a copy of the registry's constant labels.
-func (r *Registry) ConstLabels() []Label {
-	return append([]Label(nil), r.consts...)
 }
 
 // CounterVec is a family of counters distinguished by label values.

@@ -115,15 +115,18 @@ func TestMustParsePanics(t *testing.T) {
 
 // Property: printing a parsed policy and re-parsing yields an identical
 // print (print∘parse is a fixpoint).
+// roundTripSources cover every construct of the language; they seed
+// FuzzParse as well.
+var roundTripSources = []string{
+	`policy a { when rate(write, 10s) > 100 severity high then block(300s), log() }`,
+	`policy b { when bytes(write, 10s) > 512MB and rate(read, 5s) > 10 then throttle(5) }`,
+	`policy c { when distinct_blobs(30s) > 100 or trust() < 0.25 severity low then quarantine() }`,
+	`policy d { when not (failures(read, 60s) > 20) then alert() }`,
+	DefaultCatalog,
+}
+
 func TestPrintParseRoundTrip(t *testing.T) {
-	sources := []string{
-		`policy a { when rate(write, 10s) > 100 severity high then block(300s), log() }`,
-		`policy b { when bytes(write, 10s) > 512MB and rate(read, 5s) > 10 then throttle(5) }`,
-		`policy c { when distinct_blobs(30s) > 100 or trust() < 0.25 severity low then quarantine() }`,
-		`policy d { when not (failures(read, 60s) > 20) then alert() }`,
-		DefaultCatalog,
-	}
-	for _, src := range sources {
+	for _, src := range roundTripSources {
 		ps1, err := Parse(src)
 		if err != nil {
 			t.Fatalf("parse %q: %v", src, err)
@@ -139,6 +142,31 @@ func TestPrintParseRoundTrip(t *testing.T) {
 			}
 		}
 	}
+}
+
+// FuzzParse holds the parser to two properties: no source makes it
+// panic, and every policy it accepts prints to a source that parses
+// back to the same print.
+func FuzzParse(f *testing.F) {
+	for _, src := range roundTripSources {
+		f.Add(src)
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		ps, err := Parse(src)
+		if err != nil {
+			return
+		}
+		for _, p := range ps {
+			printed := p.String()
+			again, err := Parse(printed)
+			if err != nil {
+				t.Fatalf("accepted %q, but its print does not parse: %v\n%s", src, err, printed)
+			}
+			if len(again) != 1 || again[0].String() != printed {
+				t.Fatalf("print of %q is not a fixpoint:\n%s", src, printed)
+			}
+		}
+	})
 }
 
 func TestDefaultCatalogParses(t *testing.T) {

@@ -14,6 +14,7 @@ import (
 
 	"blobseer/internal/chunk"
 	"blobseer/internal/instrument"
+	"blobseer/internal/ordset"
 )
 
 // Errors returned by providers and stores.
@@ -100,7 +101,7 @@ type memStripe struct {
 	data   map[chunk.ID][]byte
 	refs   map[chunk.ID]int
 	epochs map[chunk.ID]uint64
-	index  idIndex
+	index  ordset.Set[chunk.ID]
 }
 
 // MemStore is an in-memory, reference-counted Store with a byte-capacity
@@ -156,7 +157,7 @@ func (s *MemStore) Put(id chunk.ID, data []byte) error {
 	st.data[id] = append([]byte(nil), data...)
 	st.refs[id] = 1
 	st.epochs[id] = s.epoch.Load()
-	st.index.insert(id)
+	st.index.Insert(id)
 	s.count.Add(1)
 	return nil
 }
@@ -199,7 +200,7 @@ func (s *MemStore) Delete(id chunk.ID) error {
 		delete(st.data, id)
 		delete(st.refs, id)
 		delete(st.epochs, id)
-		st.index.remove(id)
+		st.index.Remove(id)
 	}
 	return nil
 }
@@ -221,7 +222,7 @@ func (s *MemStore) Purge(id chunk.ID) (int64, error) {
 	delete(st.data, id)
 	delete(st.refs, id)
 	delete(st.epochs, id)
-	st.index.remove(id)
+	st.index.Remove(id)
 	return n, nil
 }
 
@@ -242,10 +243,28 @@ func (s *MemStore) List(after chunk.ID, limit int) ([]ChunkInfo, bool) {
 	want := limit + 1 // one extra key proves whether more remain
 	out := make([]ChunkInfo, 0, min(want, 4096))
 	for b := int(after[0]); b < 256 && len(out) < want; b++ {
+		// Seek from after in its own segment, else from the largest ID
+		// below segment b.
+		from := after
+		if b > int(after[0]) {
+			from = chunk.ID{byte(b - 1)}
+			for i := 1; i < len(from); i++ {
+				from[i] = 0xff
+			}
+		}
 		st := &s.stripes[b%memStripes]
 		st.mu.Lock()
-		for _, id := range st.index.pageByte(byte(b), after, want-len(out)) {
-			out = append(out, ChunkInfo{ID: id, Size: int64(len(st.data[id])), Refs: st.refs[id], Epoch: st.epochs[id]})
+	segment:
+		for cur, rest := st.index.Seek(from); ; cur, rest = rest[0], rest[1:] {
+			for _, id := range cur {
+				if id[0] != byte(b) || len(out) == want {
+					break segment // past the segment: later keys only grow
+				}
+				out = append(out, ChunkInfo{ID: id, Size: int64(len(st.data[id])), Refs: st.refs[id], Epoch: st.epochs[id]})
+			}
+			if len(rest) == 0 {
+				break
+			}
 		}
 		st.mu.Unlock()
 	}

@@ -402,6 +402,26 @@ func TestGetObjectRange(t *testing.T) {
 	}
 }
 
+// FuzzParseRange holds the Range parser to two properties: no header
+// makes it panic, and a range it accepts as satisfiable lies inside
+// the object.
+func FuzzParseRange(f *testing.F) {
+	for _, h := range []string{"bytes=0-9", "bytes=5-", "bytes=-25", "bytes=1000-", "bytes=-0",
+		"bytes=0-5,10-15", "bytes=+0-+9", "bytes= 0-9", "bytes=9223372036854775807-"} {
+		f.Add(h, int64(100))
+	}
+	f.Add("bytes=-1", int64(0))
+	f.Fuzz(func(t *testing.T, h string, size int64) {
+		if size < 0 {
+			t.Skip("object sizes are never negative")
+		}
+		lo, hi, ok, satisfiable := parseRange(h, size)
+		if ok && satisfiable && !(0 <= lo && lo <= hi && hi < size) {
+			t.Fatalf("parseRange(%q, %d) = [%d, %d], outside the object", h, size, lo, hi)
+		}
+	})
+}
+
 // TestPutObjectTooLargeRejected verifies the EntityTooLarge path: a body
 // over the limit is rejected with 400 — not silently truncated — and
 // leaves neither an object entry nor a live blob behind.

@@ -337,42 +337,31 @@ func (s TemporaryStrategy) Candidates(now time.Time) []uint64 {
 // BlobDeleter routes BLOB deletion through the storage-lifecycle layer
 // (internal/gc): reader pins are honoured (reclaim of a pinned version
 // is deferred, not dropped) and healed descriptors reclaim through the
-// sweep instead of the legacy per-descriptor decrements.
+// sweep.
 type BlobDeleter interface {
 	DeleteBlob(ctx context.Context, blob uint64) error
 }
 
-// Reaper applies removal strategies: it deletes nominated BLOBs from the
-// version manager and reclaims their chunks from providers — directly,
-// or through a BlobDeleter when one is routed in.
+// Reaper applies removal strategies: it deletes nominated BLOBs
+// through the storage-lifecycle layer.
 type Reaper struct {
-	vm         *vmanager.Manager
-	pool       Pool
+	deleter    BlobDeleter
 	strategies []Strategy
 	emit       instrument.Emitter
-	deleter    BlobDeleter
 
 	mu      sync.Mutex
 	removed []uint64
 }
 
-// NewReaper returns a reaper over the given strategies.
-func NewReaper(vm *vmanager.Manager, pool Pool, emit instrument.Emitter, strategies ...Strategy) *Reaper {
+// NewReaper returns a reaper that deletes through d the BLOBs the
+// strategies nominate. core.Cluster.NewReaper passes the cluster's
+// lifecycle manager.
+func NewReaper(d BlobDeleter, emit instrument.Emitter, strategies ...Strategy) *Reaper {
 	if emit == nil {
 		emit = instrument.Nop{}
 	}
-	return &Reaper{vm: vm, pool: pool, strategies: strategies, emit: emit}
+	return &Reaper{deleter: d, strategies: strategies, emit: emit}
 }
-
-// RouteDeletes makes the reaper delete through d instead of the legacy
-// vmanager.Delete + per-descriptor removal path. The legacy path
-// under-reclaims BLOBs with repeated or healed (republished) chunks,
-// ignores reader pins, and issues refcount decrements unserialized
-// against gc sweeps — on a cluster running a gc.Runner it MUST NOT be
-// used (its decrements can race a wholesale purge and debit an
-// unrelated writer's fresh chunk). Use core.Cluster.NewReaper, which
-// routes automatically.
-func (r *Reaper) RouteDeletes(d BlobDeleter) { r.deleter = d }
 
 // Run performs one reaping pass, returning the BLOBs removed. A
 // cancelled ctx aborts the pass between BLOBs.
@@ -397,35 +386,11 @@ func (r *Reaper) Run(ctx context.Context, now time.Time) ([]uint64, error) {
 			}
 			break
 		}
-		if r.deleter != nil {
-			if err := r.deleter.DeleteBlob(ctx, blob); err != nil {
-				if errors.Is(err, vmanager.ErrDeleted) {
-					continue
-				}
-				if firstErr == nil {
-					firstErr = err
-				}
-				continue
+		if err := r.deleter.DeleteBlob(ctx, blob); err != nil {
+			if !errors.Is(err, vmanager.ErrDeleted) && firstErr == nil {
+				firstErr = err
 			}
-		} else {
-			descs, err := r.vm.Delete(blob)
-			if err != nil {
-				if errors.Is(err, vmanager.ErrDeleted) {
-					continue
-				}
-				if firstErr == nil {
-					firstErr = err
-				}
-				continue
-			}
-			for _, d := range descs {
-				for _, p := range d.Providers {
-					// Best effort: dead providers keep stale chunks.
-					if api, err := r.pool.Provider(ctx, p); err == nil {
-						_ = api.Remove(ctx, d.ID)
-					}
-				}
-			}
+			continue
 		}
 		removed = append(removed, blob)
 		r.emit.Emit(instrument.Event{

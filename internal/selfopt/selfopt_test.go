@@ -301,6 +301,27 @@ func TestTemporaryStrategy(t *testing.T) {
 	}
 }
 
+// exactDeleter reclaims a single-version BLOB slot by slot — the
+// lifecycle manager's fast path, without the manager.
+type exactDeleter struct{ r *rig }
+
+func (d exactDeleter) DeleteBlob(ctx context.Context, blob uint64) error {
+	versions, err := d.r.vm.DeleteExact(blob)
+	if err != nil {
+		return err
+	}
+	for _, vs := range versions {
+		for _, desc := range vs.Slots {
+			for _, p := range desc.Providers {
+				if api, err := d.r.pool.Provider(ctx, p); err == nil {
+					_ = api.Remove(ctx, desc.ID)
+				}
+			}
+		}
+	}
+	return nil
+}
+
 func TestReaperRemovesAndReclaims(t *testing.T) {
 	ctx := context.Background()
 	r := newRig(t, 3)
@@ -308,7 +329,7 @@ func TestReaperRemovesAndReclaims(t *testing.T) {
 	observe(r.in, instrument.Event{
 		Time: t0, Actor: instrument.ActorClient, Op: instrument.OpWrite, Blob: blob, User: "u", Bytes: 9,
 	})
-	reaper := NewReaper(r.vm, r.pool, nil, TTLStrategy{In: r.in, TTL: time.Minute})
+	reaper := NewReaper(exactDeleter{r}, nil, TTLStrategy{In: r.in, TTL: time.Minute})
 	removed, err := reaper.Run(ctx, t0.Add(time.Hour))
 	if err != nil {
 		t.Fatal(err)
@@ -341,7 +362,7 @@ func TestReaperMergesStrategies(t *testing.T) {
 	})
 	// Two strategies nominating the same blob must delete it once.
 	s := TTLStrategy{In: r.in, TTL: time.Second}
-	reaper := NewReaper(r.vm, r.pool, nil, s, s)
+	reaper := NewReaper(exactDeleter{r}, nil, s, s)
 	removed, err := reaper.Run(context.Background(), t0.Add(time.Hour))
 	if err != nil {
 		t.Fatal(err)

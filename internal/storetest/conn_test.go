@@ -43,9 +43,6 @@ var everyConn = []struct {
 	{"slow", func(_ *testing.T, p *provider.Provider) client.Conn {
 		return &storetest.SlowConn{Inner: p, R: storetest.NewRand(1), MaxDelay: time.Millisecond}
 	}},
-	{"partitioned", func(_ *testing.T, p *provider.Provider) client.Conn {
-		return &storetest.PartitionedConn{Inner: p}
-	}},
 }
 
 // TestEveryConnCarriesLeases: a Conn must not hide leasing. Through

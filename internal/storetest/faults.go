@@ -23,9 +23,8 @@ func (e *faultErr) Transient() bool { return true }
 // Errors the fault wrappers inject. Tests assert against them with
 // errors.Is to tell an injected failure from a real one.
 var (
-	ErrInjected    error = &faultErr{msg: "storetest: injected fault"}
-	ErrPartitioned error = &faultErr{msg: "storetest: partitioned"}
-	ErrCrashed     error = &faultErr{msg: "storetest: provider crashed"}
+	ErrInjected error = &faultErr{msg: "storetest: injected fault"}
+	ErrCrashed  error = &faultErr{msg: "storetest: provider crashed"}
 )
 
 // Rand is a mutex-wrapped deterministic source shared by the fault
@@ -182,48 +181,6 @@ func (s *SlowConn) ReleaseLease(ctx context.Context, leaseID string) error {
 	return s.Inner.ReleaseLease(ctx, leaseID)
 }
 
-// PartitionedConn wraps a client.Conn behind a network partition flag:
-// while partitioned, every operation fails with ErrPartitioned.
-type PartitionedConn struct {
-	Inner client.Conn
-	cut   atomic.Bool
-}
-
-// SetPartitioned opens (true) or heals (false) the partition.
-func (p *PartitionedConn) SetPartitioned(cut bool) { p.cut.Store(cut) }
-
-// Store implements client.Conn.
-func (p *PartitionedConn) Store(ctx context.Context, user string, id chunk.ID, data []byte) error {
-	if p.cut.Load() {
-		return ErrPartitioned
-	}
-	return p.Inner.Store(ctx, user, id, data)
-}
-
-// Fetch implements client.Conn.
-func (p *PartitionedConn) Fetch(ctx context.Context, user string, id chunk.ID) ([]byte, error) {
-	if p.cut.Load() {
-		return nil, ErrPartitioned
-	}
-	return p.Inner.Fetch(ctx, user, id)
-}
-
-// LeaseChunks implements client.Conn.
-func (p *PartitionedConn) LeaseChunks(ctx context.Context, leaseID string, ttl time.Duration, ids []chunk.ID) error {
-	if p.cut.Load() {
-		return ErrPartitioned
-	}
-	return p.Inner.LeaseChunks(ctx, leaseID, ttl, ids)
-}
-
-// ReleaseLease implements client.Conn.
-func (p *PartitionedConn) ReleaseLease(ctx context.Context, leaseID string) error {
-	if p.cut.Load() {
-		return ErrPartitioned
-	}
-	return p.Inner.ReleaseLease(ctx, leaseID)
-}
-
 // FlakyStore wraps a provider.Store, failing Put/GetAppend/Delete/
 // Purge with the injector's probability — the provider-side counterpart
 // of FlakyConn, pluggable via core.Options.ProviderStore. Listing and
@@ -266,75 +223,6 @@ func (f *FlakyStore) Purge(id chunk.ID) (int64, error) {
 	return f.Store.Purge(id)
 }
 
-// SlowStore wraps a provider.Store, delaying Put/GetAppend by a
-// uniform jitter in [0, MaxDelay). Store-level calls carry no context,
-// so the delay is unconditional — keep it small.
-type SlowStore struct {
-	provider.Store
-	R        *Rand
-	MaxDelay time.Duration
-}
-
-func (s *SlowStore) sleep() {
-	if s.MaxDelay > 0 {
-		time.Sleep(time.Duration(s.R.Int63n(int64(s.MaxDelay))))
-	}
-}
-
-// Put delays before forwarding.
-func (s *SlowStore) Put(id chunk.ID, data []byte) error {
-	s.sleep()
-	return s.Store.Put(id, data)
-}
-
-// GetAppend delays before forwarding.
-func (s *SlowStore) GetAppend(id chunk.ID, dst []byte) ([]byte, error) {
-	s.sleep()
-	return s.Store.GetAppend(id, dst)
-}
-
-// PartitionedStore wraps a provider.Store behind a partition
-// flag: while partitioned, every mutating or reading call fails.
-type PartitionedStore struct {
-	provider.Store
-	cut atomic.Bool
-}
-
-// SetPartitioned opens (true) or heals (false) the partition.
-func (p *PartitionedStore) SetPartitioned(cut bool) { p.cut.Store(cut) }
-
-// Put fails while partitioned.
-func (p *PartitionedStore) Put(id chunk.ID, data []byte) error {
-	if p.cut.Load() {
-		return ErrPartitioned
-	}
-	return p.Store.Put(id, data)
-}
-
-// GetAppend fails while partitioned.
-func (p *PartitionedStore) GetAppend(id chunk.ID, dst []byte) ([]byte, error) {
-	if p.cut.Load() {
-		return nil, ErrPartitioned
-	}
-	return p.Store.GetAppend(id, dst)
-}
-
-// Delete fails while partitioned.
-func (p *PartitionedStore) Delete(id chunk.ID) error {
-	if p.cut.Load() {
-		return ErrPartitioned
-	}
-	return p.Store.Delete(id)
-}
-
-// Purge fails while partitioned.
-func (p *PartitionedStore) Purge(id chunk.ID) (int64, error) {
-	if p.cut.Load() {
-		return 0, ErrPartitioned
-	}
-	return p.Store.Purge(id)
-}
-
 // CrashStore wraps a provider.Store behind a crash flag: a
 // crashed provider fails every operation (the process is gone), and a
 // later Restart brings it back either with its disk state intact or
@@ -372,13 +260,6 @@ func (c *CrashStore) Restart(wipe bool) {
 	}
 	c.crashed = false
 	c.mu.Unlock()
-}
-
-// Crashed reports whether the provider is currently down.
-func (c *CrashStore) Crashed() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.crashed
 }
 
 // store returns the live inner store, or nil while crashed.
@@ -485,12 +366,9 @@ func (c *CrashStore) AdvanceEpoch() uint64 {
 var (
 	_ client.Conn = (*FlakyConn)(nil)
 	_ client.Conn = (*SlowConn)(nil)
-	_ client.Conn = (*PartitionedConn)(nil)
 )
 
 var (
 	_ provider.Store = (*FlakyStore)(nil)
-	_ provider.Store = (*SlowStore)(nil)
-	_ provider.Store = (*PartitionedStore)(nil)
 	_ provider.Store = (*CrashStore)(nil)
 )

@@ -593,13 +593,12 @@ type VersionSlots struct {
 	Slots   []chunk.Desc
 }
 
-// DeleteExact marks the BLOB deleted like Delete, but returns every
-// retained version's per-slot descriptors instead of one deduplicated
-// set: a slot whose content repeats elsewhere appears once per slot, so
-// a caller reclaiming a single-version BLOB can balance provider
-// refcounts exactly (the garbage collector's fast path; multi-version
-// BLOBs share unchanged slots across versions and are reclaimed by the
-// sweep instead).
+// DeleteExact marks the BLOB deleted and returns every retained
+// version's per-slot descriptors: a slot whose content repeats
+// elsewhere appears once per slot, so a caller reclaiming a
+// single-version BLOB can balance provider refcounts exactly (the
+// garbage collector's fast path; multi-version BLOBs share unchanged
+// slots across versions and are reclaimed by the sweep instead).
 func (m *Manager) DeleteExact(blob uint64) ([]VersionSlots, error) {
 	m.mu.Lock()
 	st, err := m.state(blob)
@@ -634,27 +633,4 @@ func (m *Manager) DeleteExact(blob uint64) ([]VersionSlots, error) {
 		Time: m.now(), Actor: instrument.ActorVManager, Op: instrument.OpDelete, Blob: blob,
 	})
 	return out, nil
-}
-
-// Delete marks a BLOB deleted and returns the *distinct* chunk
-// descriptors reachable from all its published versions so the caller
-// can reclaim provider space (used by the self-optimization removal
-// strategies). Descriptors are deduplicated by chunk ID: a chunk whose
-// content repeats across slots or versions is returned once, so callers
-// that reclaim by decrementing per-descriptor under-release repeated
-// content — use DeleteExact (single-version) or the gc sweep when exact
-// reclamation matters.
-func (m *Manager) Delete(blob uint64) ([]chunk.Desc, error) {
-	versions, err := m.DeleteExact(blob)
-	seen := map[chunk.ID]bool{}
-	var out []chunk.Desc
-	for _, vs := range versions {
-		for _, d := range vs.Slots {
-			if !seen[d.ID] {
-				seen[d.ID] = true
-				out = append(out, d)
-			}
-		}
-	}
-	return out, err
 }

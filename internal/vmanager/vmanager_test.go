@@ -331,12 +331,12 @@ func TestDelete(t *testing.T) {
 		map[int64]chunk.Desc{0: desc("c0"), 1: desc("c1")}); err != nil {
 		t.Fatal(err)
 	}
-	descs, err := m.Delete(info.ID)
+	vs, err := m.DeleteExact(info.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(descs) != 2 {
-		t.Fatalf("reclaim set=%d", len(descs))
+	if len(vs) != 1 || len(vs[0].Slots) != 2 {
+		t.Fatalf("reclaim set=%+v", vs)
 	}
 	if _, err := m.Info(info.ID); !errors.Is(err, ErrDeleted) {
 		t.Fatalf("want ErrDeleted, got %v", err)
@@ -424,34 +424,6 @@ func TestEventsEmitted(t *testing.T) {
 		if !want[op] {
 			t.Errorf("missing event %s", op)
 		}
-	}
-}
-
-// TestDeleteDedupsByChunkID pins Delete's documented behavior: the
-// reclaim set is deduplicated by chunk ID, so slots repeating the same
-// content — within one version or across versions — appear once. Callers
-// needing per-slot exactness use DeleteExact.
-func TestDeleteDedupsByChunkID(t *testing.T) {
-	m := newMgr(t)
-	info, _ := m.Create("a", 64, false)
-	t1, _ := m.AssignWrite(info.ID, "a", 0, 128)
-	// Two slots, identical content: one Desc after dedup.
-	if err := m.Publish(info.ID, t1.Version, "a",
-		map[int64]chunk.Desc{0: desc("same"), 1: desc("same")}); err != nil {
-		t.Fatal(err)
-	}
-	t2, _ := m.AssignWrite(info.ID, "a", 0, 64)
-	// A second version rewrites slot 0 with the same content again.
-	if err := m.Publish(info.ID, t2.Version, "a",
-		map[int64]chunk.Desc{0: desc("same")}); err != nil {
-		t.Fatal(err)
-	}
-	descs, err := m.Delete(info.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(descs) != 1 {
-		t.Fatalf("dedup reclaim set = %d descs, want 1", len(descs))
 	}
 }
 
