@@ -71,7 +71,7 @@ func mkPayload(n int, tag byte) []byte {
 // paper's fault model: one replica of three partitions away mid-
 // workload. Reads must keep succeeding from the survivors with p99
 // bounded by the configured call deadline, writes must re-route and
-// still meet the quorum, the failure detector must declare the victim
+// still meet the quorum, the fault plane must declare the victim
 // dead and steer placement off it, and once the partition heals the
 // cluster must converge to exactly zero leaked chunks and leases.
 func TestPartitionDegradedOperation(t *testing.T) {
@@ -159,7 +159,7 @@ func TestPartitionDegradedOperation(t *testing.T) {
 	// placement stops handing it chunks entirely.
 	waitFor(t, "detector to declare the victim dead", func() bool {
 		c.Tick(time.Now())
-		return c.Fault.Detector.State(victim) == faultdom.Dead
+		return c.Fault.Health(victim) == faultdom.Dead
 	})
 	place, err := c.PM.Allocate(4, 3)
 	if err != nil {
@@ -184,7 +184,7 @@ func TestPartitionDegradedOperation(t *testing.T) {
 	black.SetEnabled(false)
 	waitFor(t, "victim revival after heal", func() bool {
 		c.Tick(time.Now())
-		return c.Fault.Healthy(victim) && c.Fault.Detector.State(victim) == faultdom.Alive
+		return c.Fault.Healthy(victim) && c.Fault.Health(victim) == faultdom.Alive
 	})
 	bs.verify(t, cl)
 

@@ -67,14 +67,14 @@ func TestCrashRestartRecovery(t *testing.T) {
 	}
 	waitFor(t, "detector to declare the crashed provider dead", func() bool {
 		c.Tick(time.Now())
-		return c.Fault.Detector.State(victim) == faultdom.Dead
+		return c.Fault.Health(victim) == faultdom.Dead
 	})
 
 	// Restart empty (the crash lost the disk) and wait for revival.
 	crash.Restart(true)
 	waitFor(t, "crashed provider revival", func() bool {
 		c.Tick(time.Now())
-		return c.Fault.Healthy(victim) && c.Fault.Detector.State(victim) == faultdom.Alive
+		return c.Fault.Healthy(victim) && c.Fault.Health(victim) == faultdom.Alive
 	})
 
 	// Self-optimization heals the replication degree the wipe cost us.

@@ -267,7 +267,7 @@ func WithHedgedReads(on bool) Option {
 }
 
 // WithHealth attaches an external health verdict (the fault-tolerance
-// plane's breaker + failure detector). Reads try healthy replicas
+// plane's per-provider circuit and liveness verdict). Reads try healthy replicas
 // first: serial failover reorders its attempts, hedged races run over
 // the healthy subset only — falling back to the full replica set when
 // no replica is healthy, so degraded data is still better than none.

@@ -29,7 +29,7 @@ func newBed(t *testing.T, nProviders int) *bed {
 	t.Helper()
 	b := &bed{
 		vm:        vmanager.New(blobmeta.NewMemStore("m1", nil, nil)),
-		pm:        pmanager.New(pmanager.WithTTL(0)),
+		pm:        pmanager.New(),
 		providers: map[string]*provider.Provider{},
 	}
 	for i := 0; i < nProviders; i++ {
@@ -482,7 +482,7 @@ func TestWriteSequenceMatchesModel(t *testing.T) {
 func newBedQuick() *bed {
 	b := &bed{
 		vm:        vmanager.New(blobmeta.NewMemStore("m1", nil, nil)),
-		pm:        pmanager.New(pmanager.WithTTL(0)),
+		pm:        pmanager.New(),
 		providers: map[string]*provider.Provider{},
 	}
 	for i := 0; i < 3; i++ {

@@ -195,7 +195,7 @@ func NewDeployment(cfg Config) (*Deployment, error) {
 		attackStart: make(map[string]time.Duration),
 	}
 	d.Net = NewNet(d.Sim)
-	d.PM = pmanager.New(pmanager.WithClock(d.Sim.Clock()), pmanager.WithTTL(0))
+	d.PM = pmanager.New(pmanager.WithClock(d.Sim.Clock()))
 	for i := 0; i < cfg.Providers; i++ {
 		id := fmt.Sprintf("p%03d", i)
 		d.provRes[id] = NewResource(id, cfg.ProviderNIC)

@@ -70,9 +70,9 @@ type Options struct {
 	Metrics *metrics.Registry
 	// Fault enables the fault-tolerance plane (internal/faultdom): every
 	// client↔provider conversation gets per-attempt deadlines, retries
-	// with jittered backoff, a per-provider circuit breaker, and its
-	// outcome fed to a failure detector that steers placement, read
-	// ordering and self-optimization heals. nil disables the plane
+	// with jittered backoff, and its outcome fed to the provider's
+	// health record (circuit breaker and liveness verdict), which steers
+	// placement, read ordering and self-optimization heals. nil disables the plane
 	// entirely (calls go to providers unguarded, as before).
 	Fault *faultdom.Config
 	// WrapConn, when set, wraps every provider conn Lookup resolves —
@@ -173,7 +173,6 @@ func NewCluster(opts Options) (*Cluster, error) {
 	pmOpts := []pmanager.Option{
 		pmanager.WithEmitter(c.AgentFor("pmanager")),
 		pmanager.WithClock(c.now),
-		pmanager.WithTTL(0),
 	}
 	if c.Fault != nil {
 		pmOpts = append(pmOpts, pmanager.WithHealth(c.Fault.Healthy))
@@ -399,7 +398,6 @@ func (c *Cluster) Tick(now time.Time) {
 			cpu = 1
 		}
 		p.ReportPhysical(cpu, 0)
-		_ = c.PM.Heartbeat(p.ID(), st.Used, st.Active)
 	}
 	c.Mesh.FlushAll()
 	c.Eng.Evaluate(now)
@@ -410,7 +408,7 @@ func (c *Cluster) Tick(now time.Time) {
 		// Active failure detection: ping every live provider through its
 		// raw (unguarded, fault-injected) conn, in parallel so one
 		// blackholed provider costs the tick a single CallTimeout, not
-		// one per victim. Detector verdicts that crossed to Dead since
+		// one per victim. Verdicts that crossed to Dead since
 		// the last tick then trigger a replication heal around the body.
 		ctx := context.Background() //ctxfirst:allow control-plane tick has no caller context; Ping and the heal's transfers bound themselves with CallTimeout
 		var wg sync.WaitGroup

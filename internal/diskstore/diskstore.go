@@ -15,9 +15,8 @@
 // serialize with index updates in log order — run under the mutex, and
 // each such call site carries an audited lockio allow annotation.
 //
-// A TieredStore (tiered.go) composes the lock-striped in-memory
-// MemStore as a bounded hot tier over this store as the cold source of
-// truth.
+// A TieredStore (tiered.go) puts a bounded in-memory LRU cache over
+// this store as the cold source of truth.
 package diskstore
 
 import (

@@ -1,12 +1,11 @@
-// TieredStore composes the lock-striped in-memory MemStore as a
-// bounded hot tier over a DiskStore cold tier. The cold tier is the
-// source of truth: every mutation lands there first, and every
-// authoritative read-out (Used, Count, List, Epoch, Has) is
-// answered by it, so the GC lifecycle contract is exactly the disk
-// store's. The hot tier is purely a byte-bounded read cache with
-// recency eviction: a Put writes through and leaves a hot copy
-// (write-back demotion happens by LRU eviction, not by policy), and a
-// cold Get promotes the chunk.
+// TieredStore puts a bounded in-memory LRU cache, the hot tier, over a
+// DiskStore cold tier. The cold tier is the source of truth: every
+// mutation lands there first, and every authoritative read-out (Used,
+// Count, List, Epoch, Has) is answered by it, so the GC lifecycle
+// contract is exactly the disk store's. The hot tier is purely a
+// byte-bounded read cache with recency eviction: a Put writes through
+// and leaves a hot copy (write-back demotion happens by LRU eviction,
+// not by policy), and a cold Get promotes the chunk.
 package diskstore
 
 import (
@@ -24,7 +23,6 @@ type TieredStore struct {
 	cold *DiskStore
 
 	hmu      sync.Mutex
-	hot      *provider.MemStore
 	lru      *list.List // front = most recent; values are *hotEntry
 	ent      map[chunk.ID]*list.Element
 	hotBytes int64 // bound (≤ 0 disables the hot tier entirely)
@@ -38,7 +36,7 @@ type TieredStore struct {
 
 type hotEntry struct {
 	id   chunk.ID
-	size int64
+	data []byte // the hot tier's own copy
 }
 
 // NewTiered wraps cold with a hot tier bounded to hotBytes of payload
@@ -46,7 +44,6 @@ type hotEntry struct {
 func NewTiered(cold *DiskStore, hotBytes int64) *TieredStore {
 	return &TieredStore{
 		cold:     cold,
-		hot:      provider.NewMemStore(0),
 		lru:      list.New(),
 		ent:      make(map[chunk.ID]*list.Element),
 		hotBytes: hotBytes,
@@ -100,10 +97,7 @@ func (t *TieredStore) admit(id chunk.ID, data []byte) {
 		}
 		t.dropLocked(back.Value.(*hotEntry).id)
 	}
-	if err := t.hot.Put(id, data); err != nil {
-		return // unbounded MemStore: cannot happen, stay cache-coherent anyway
-	}
-	t.ent[id] = t.lru.PushFront(&hotEntry{id: id, size: n})
+	t.ent[id] = t.lru.PushFront(&hotEntry{id: id, data: append([]byte(nil), data...)})
 	t.hotUsed += n
 	if t.hotUsedGauge != nil {
 		t.hotUsedGauge.Set(float64(t.hotUsed))
@@ -124,14 +118,15 @@ func (t *TieredStore) dropLocked(id chunk.ID) {
 	}
 	t.lru.Remove(el)
 	delete(t.ent, id)
-	t.hotUsed -= el.Value.(*hotEntry).size
+	t.hotUsed -= int64(len(el.Value.(*hotEntry).data))
 	if t.hotUsedGauge != nil {
 		t.hotUsedGauge.Set(float64(t.hotUsed))
 	}
-	_, _ = t.hot.Purge(id)
 }
 
-// hotGet serves id from the cache, refreshing its recency.
+// hotGet serves id from the cache, refreshing its recency. Like
+// GetAppend it appends to dst[:0], or to a chunk-pool buffer when dst
+// is too small.
 func (t *TieredStore) hotGet(id chunk.ID, dst []byte) ([]byte, bool) {
 	t.hmu.Lock()
 	defer t.hmu.Unlock()
@@ -139,12 +134,12 @@ func (t *TieredStore) hotGet(id chunk.ID, dst []byte) ([]byte, bool) {
 	if !ok {
 		return dst, false
 	}
-	out, err := t.hot.GetAppend(id, dst)
-	if err != nil {
-		return dst, false
-	}
 	t.lru.MoveToFront(el)
-	return out, true
+	d := el.Value.(*hotEntry).data
+	if cap(dst) < len(d) {
+		dst = chunk.GetBuf(len(d))
+	}
+	return append(dst[:0], d...), true
 }
 
 // Put writes through to the cold tier and leaves a hot copy.

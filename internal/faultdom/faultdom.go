@@ -1,12 +1,14 @@
 // Package faultdom is the fault-tolerance layer of the distributed
 // plane: error classification (transient vs permanent), retry policies
-// with jittered exponential backoff, per-provider circuit breakers, and
-// a consecutive-failure health detector. The pieces are independent —
-// rpc-plane callers can use a RetryPolicy alone — but the usual
-// deployment is a Plane (plane.go) wired into core.Cluster, which
-// guards every client↔provider conversation: per-attempt deadlines,
-// retries on transient failures, breaker admission, and passive health
-// observation feeding placement and self-optimization.
+// with jittered exponential backoff, and one health record per
+// provider, in which a single streak of consecutive transient failures
+// drives both the provider's circuit (closed, half-open, open) and its
+// liveness verdict (alive, suspect, dead). Classification and retries
+// stand alone — rpc-plane callers can use a RetryPolicy by itself — but
+// the usual deployment is a Plane (plane.go) wired into core.Cluster,
+// which guards every client↔provider conversation: per-attempt
+// deadlines, retries on transient failures, breaker admission, and
+// passive health observation feeding placement and self-optimization.
 package faultdom
 
 import (
@@ -108,7 +110,7 @@ type RetryPolicy struct {
 	BaseDelay   time.Duration // delay after the first failure (default 10ms)
 	MaxDelay    time.Duration // backoff cap (default 1s)
 	Multiplier  float64       // backoff growth per attempt (default 2)
-	Jitter      float64       // fraction of each delay randomized in [0,1] (default 0.5)
+	Jitter      float64       // fraction of each delay randomized, in (0,1] (default 0.5)
 
 	// Rand draws the jitter sample in [0,1); nil uses the global
 	// math/rand source. Tests inject a seeded source for determinism.
@@ -128,7 +130,7 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 	if p.Multiplier < 1 {
 		p.Multiplier = 2
 	}
-	if p.Jitter < 0 || p.Jitter > 1 {
+	if p.Jitter <= 0 || p.Jitter > 1 {
 		p.Jitter = 0.5
 	}
 	if p.Rand == nil {

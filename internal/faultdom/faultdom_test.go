@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"strings"
 	"sync"
 	"syscall"
 	"testing"
@@ -128,9 +129,10 @@ func TestRetryPolicyHonorsContext(t *testing.T) {
 }
 
 func TestRetryPolicyBackoffGrowsAndCaps(t *testing.T) {
+	// A jitter sample of 1 takes nothing away: the exact curve.
 	p := RetryPolicy{
 		BaseDelay: 10 * time.Millisecond, MaxDelay: 80 * time.Millisecond,
-		Multiplier: 2, Jitter: 0, Rand: func() float64 { return 0 },
+		Multiplier: 2, Rand: func() float64 { return 1 },
 	}.withDefaults()
 	want := []time.Duration{
 		10 * time.Millisecond, 20 * time.Millisecond, 40 * time.Millisecond,
@@ -149,121 +151,208 @@ func TestRetryPolicyBackoffGrowsAndCaps(t *testing.T) {
 	}
 }
 
+func TestRetryPolicyJittersByDefault(t *testing.T) {
+	// The zero Jitter means the default ±50 %: the smallest sample
+	// halves the first delay.
+	p := RetryPolicy{Rand: func() float64 { return 0 }}.withDefaults()
+	if got := p.delay(1); got != 5*time.Millisecond {
+		t.Fatalf("delay(1) = %v, want 5ms", got)
+	}
+}
+
+// transitions renders one transitions_total family's counts, by
+// destination, in the order given.
+func transitions(t *testing.T, reg *metrics.Registry, family string, to ...string) string {
+	t.Helper()
+	var out []string
+	for _, v := range to {
+		out = append(out, fmt.Sprintf("%s=%v", v, findSample(t, reg, family, "to", v)))
+	}
+	return strings.Join(out, " ")
+}
+
 func TestBreakerLifecycle(t *testing.T) {
 	now := time.Unix(0, 0)
-	clock := func() time.Time { return now }
-	var trans []string
-	b := NewBreaker(3, time.Second, clock)
-	b.onTransition = func(from, to State) {
-		trans = append(trans, fmt.Sprintf("%v->%v", from, to))
+	reg := metrics.NewRegistry()
+	p := NewPlane(Config{
+		BreakerThreshold: 3, BreakerCooldown: time.Second,
+		Clock: func() time.Time { return now },
+	}, reg)
+	trans := func(want string) {
+		t.Helper()
+		got := transitions(t, reg, "blobseer_breaker_transitions_total", "closed", "half_open", "open")
+		if got != want {
+			t.Fatalf("breaker transitions = %s, want %s", got, want)
+		}
 	}
 
 	werr := &transientErr{t: true}
 	for i := 0; i < 2; i++ {
-		if !b.Allow() {
+		if !p.allow("p1") {
 			t.Fatal("closed breaker rejected a call")
 		}
-		b.Observe(werr)
+		p.observe("p1", werr)
 	}
-	if b.State() != Closed {
-		t.Fatalf("state = %v before threshold, want Closed", b.State())
+	if p.State("p1") != Closed {
+		t.Fatalf("state = %v before threshold, want Closed", p.State("p1"))
 	}
 	// A permanent (application) error proves contact: streak resets.
-	b.Observe(provider.ErrNotFound)
-	if b.State() != Closed {
-		t.Fatalf("state = %v after app error, want Closed", b.State())
+	p.observe("p1", provider.ErrNotFound)
+	if p.State("p1") != Closed {
+		t.Fatalf("state = %v after app error, want Closed", p.State("p1"))
 	}
+	trans("closed=0 half_open=0 open=0")
 	for i := 0; i < 3; i++ {
-		b.Observe(werr)
+		p.observe("p1", werr)
 	}
-	if b.State() != Open {
-		t.Fatalf("state = %v after threshold, want Open", b.State())
+	if p.State("p1") != Open {
+		t.Fatalf("state = %v after threshold, want Open", p.State("p1"))
 	}
-	if b.Allow() {
+	trans("closed=0 half_open=0 open=1")
+	if p.allow("p1") {
 		t.Fatal("open breaker admitted a call before cooldown")
 	}
-	if !b.Rejecting() {
-		t.Fatal("open breaker not Rejecting")
+	if p.FastFail("p1") == nil {
+		t.Fatal("open breaker not rejecting")
 	}
 
 	// Cooldown elapses: exactly one probe is admitted.
 	now = now.Add(time.Second)
-	if !b.Allow() {
+	if !p.allow("p1") {
 		t.Fatal("half-open breaker rejected the probe")
 	}
-	if b.State() != HalfOpen {
-		t.Fatalf("state = %v, want HalfOpen", b.State())
+	if p.State("p1") != HalfOpen {
+		t.Fatalf("state = %v, want HalfOpen", p.State("p1"))
 	}
-	if b.Allow() {
+	if p.allow("p1") {
 		t.Fatal("half-open breaker admitted a second concurrent probe")
 	}
+	trans("closed=0 half_open=1 open=1")
 	// Failed probe: straight back to Open.
-	b.Observe(werr)
-	if b.State() != Open {
-		t.Fatalf("state = %v after failed probe, want Open", b.State())
+	p.observe("p1", werr)
+	if p.State("p1") != Open {
+		t.Fatalf("state = %v after failed probe, want Open", p.State("p1"))
 	}
+	trans("closed=0 half_open=1 open=2")
 
 	// Next probe succeeds: closed again.
 	now = now.Add(time.Second)
-	if !b.Allow() {
+	if !p.allow("p1") {
 		t.Fatal("second probe rejected")
 	}
-	b.Observe(nil)
-	if b.State() != Closed {
-		t.Fatalf("state = %v after successful probe, want Closed", b.State())
+	trans("closed=0 half_open=2 open=2")
+	p.observe("p1", nil)
+	if p.State("p1") != Closed {
+		t.Fatalf("state = %v after successful probe, want Closed", p.State("p1"))
 	}
-	if b.Rejecting() {
-		t.Fatal("closed breaker Rejecting")
+	if p.FastFail("p1") != nil {
+		t.Fatal("closed breaker rejecting")
 	}
-
-	want := []string{"closed->open", "open->half_open", "half_open->open", "open->half_open", "half_open->closed"}
-	if len(trans) != len(want) {
-		t.Fatalf("transitions = %v, want %v", trans, want)
-	}
-	for i := range want {
-		if trans[i] != want[i] {
-			t.Fatalf("transitions = %v, want %v", trans, want)
-		}
-	}
+	trans("closed=1 half_open=2 open=2")
 }
 
 func TestDetectorVerdicts(t *testing.T) {
-	var trans []string
-	d := NewDetector(2, 4, func(id string, from, to Health) {
-		trans = append(trans, fmt.Sprintf("%s:%v->%v", id, from, to))
-	})
+	reg := metrics.NewRegistry()
+	p := NewPlane(Config{BreakerThreshold: 100, SuspectAfter: 2, DeadAfter: 4}, reg)
+	trans := func(want string) {
+		t.Helper()
+		got := transitions(t, reg, "blobseer_health_transitions_total", "alive", "suspect", "dead")
+		if got != want {
+			t.Fatalf("health transitions = %s, want %s", got, want)
+		}
+	}
 	werr := &transientErr{t: true}
 
-	d.Observe("p1", werr)
-	if d.State("p1") != Alive {
-		t.Fatalf("state = %v after 1 failure, want Alive", d.State("p1"))
+	p.observe("p1", werr)
+	if p.Health("p1") != Alive {
+		t.Fatalf("verdict = %v after 1 failure, want Alive", p.Health("p1"))
 	}
-	d.Observe("p1", werr)
-	if d.State("p1") != Suspect {
-		t.Fatalf("state = %v after 2 failures, want Suspect", d.State("p1"))
+	p.observe("p1", werr)
+	if p.Health("p1") != Suspect {
+		t.Fatalf("verdict = %v after 2 failures, want Suspect", p.Health("p1"))
 	}
+	trans("alive=0 suspect=1 dead=0")
 	// Application errors are contact: verdict recovers.
-	d.Observe("p1", provider.ErrNotFound)
-	if d.State("p1") != Alive {
-		t.Fatalf("state = %v after app error, want Alive", d.State("p1"))
+	p.observe("p1", provider.ErrNotFound)
+	if p.Health("p1") != Alive {
+		t.Fatalf("verdict = %v after app error, want Alive", p.Health("p1"))
 	}
+	trans("alive=1 suspect=1 dead=0")
 	for i := 0; i < 4; i++ {
-		d.Observe("p1", werr)
+		p.observe("p1", werr)
 	}
-	if d.State("p1") != Dead {
-		t.Fatalf("state = %v after 4 failures, want Dead", d.State("p1"))
+	if p.Health("p1") != Dead {
+		t.Fatalf("verdict = %v after 4 failures, want Dead", p.Health("p1"))
 	}
-	d.Observe("p1", nil)
-	if d.State("p1") != Alive {
-		t.Fatalf("state = %v after success, want Alive", d.State("p1"))
+	trans("alive=1 suspect=2 dead=1")
+	p.observe("p1", nil)
+	if p.Health("p1") != Alive {
+		t.Fatalf("verdict = %v after success, want Alive", p.Health("p1"))
 	}
-	if d.State("p2") != Alive {
-		t.Fatalf("untracked provider = %v, want Alive", d.State("p2"))
+	trans("alive=2 suspect=2 dead=1")
+	if p.Health("p2") != Alive {
+		t.Fatalf("untracked provider = %v, want Alive", p.Health("p2"))
+	}
+}
+
+// TestOneStreakDrivesCircuitAndVerdict runs one provider's failure
+// streak through both machines with the chaos suite's thresholds.
+func TestOneStreakDrivesCircuitAndVerdict(t *testing.T) {
+	now := time.Unix(0, 0)
+	reg := metrics.NewRegistry()
+	p := NewPlane(Config{
+		Retry:            RetryPolicy{MaxAttempts: 1},
+		BreakerThreshold: 3, BreakerCooldown: time.Second,
+		SuspectAfter: 2, DeadAfter: 6,
+		Clock: func() time.Time { return now },
+	}, reg)
+	inner := &failNConn{n: 6}
+	conn := p.Wrap("p1", inner)
+	store := func() error { return conn.Store(context.Background(), "u", chunk.ID{}, []byte("x")) }
+	check := func(calls int, st State, h Health, healthy bool) {
+		t.Helper()
+		if inner.calls != calls || p.State("p1") != st || p.Health("p1") != h || p.Healthy("p1") != healthy {
+			t.Fatalf("calls=%d state=%v health=%v healthy=%v; want %d %v %v %v",
+				inner.calls, p.State("p1"), p.Health("p1"), p.Healthy("p1"), calls, st, h, healthy)
+		}
 	}
 
-	want := []string{"p1:alive->suspect", "p1:suspect->alive", "p1:alive->suspect", "p1:suspect->dead", "p1:dead->alive"}
-	if len(trans) != len(want) {
-		t.Fatalf("transitions = %v, want %v", trans, want)
+	for i := 0; i < 2; i++ {
+		if store() == nil {
+			t.Fatal("Store succeeded against failing conn")
+		}
+	}
+	check(2, Closed, Suspect, true) // suspect, still admitted
+	if store() == nil {
+		t.Fatal("third Store succeeded")
+	}
+	check(3, Open, Suspect, false)
+	if err := store(); !IsBreakerOpen(err) {
+		t.Fatalf("Store before cooldown = %v, want BreakerOpenError", err)
+	}
+	check(3, Open, Suspect, false)
+	for calls := 4; calls <= 6; calls++ {
+		now = now.Add(time.Second)
+		if store() == nil {
+			t.Fatalf("probe %d succeeded", calls)
+		}
+		h := Suspect
+		if calls == 6 {
+			h = Dead
+		}
+		check(calls, Open, h, false)
+	}
+	if dead := p.DrainDead(); len(dead) != 1 || dead[0] != "p1" {
+		t.Fatalf("DrainDead = %v, want [p1]", dead)
+	}
+	now = now.Add(time.Second)
+	if err := store(); err != nil {
+		t.Fatalf("recovering probe = %v", err)
+	}
+	check(7, Closed, Alive, true)
+	if got, want := transitions(t, reg, "blobseer_health_transitions_total", "alive", "suspect", "dead"),
+		"alive=1 suspect=1 dead=1"; got != want {
+		t.Fatalf("health transitions = %s, want %s", got, want)
 	}
 }
 
@@ -361,8 +450,8 @@ func TestGuardedConnBreakerFastFail(t *testing.T) {
 			t.Fatal("Store succeeded against failing conn")
 		}
 	}
-	if p.Breakers.State("p1") != Open {
-		t.Fatalf("breaker = %v after threshold, want Open", p.Breakers.State("p1"))
+	if p.State("p1") != Open {
+		t.Fatalf("breaker = %v after threshold, want Open", p.State("p1"))
 	}
 	before := inner.calls
 	err := conn.Store(context.Background(), "u", id, []byte("x"))
@@ -398,8 +487,8 @@ func TestGuardedConnCallerCancelNotCounted(t *testing.T) {
 	if err == nil {
 		t.Fatal("Fetch succeeded against blocked conn")
 	}
-	if p.Breakers.State("p1") != Closed {
-		t.Fatalf("caller cancellation tripped the breaker: %v", p.Breakers.State("p1"))
+	if p.State("p1") != Closed {
+		t.Fatalf("caller cancellation tripped the breaker: %v", p.State("p1"))
 	}
 }
 
@@ -444,7 +533,7 @@ func TestGuardedConnAttemptDeadline(t *testing.T) {
 		t.Fatalf("attempt took %v, want ~CallTimeout", elapsed)
 	}
 	// The timeout counted against the provider.
-	if p.Detector.State("p1") == Dead {
+	if p.Health("p1") == Dead {
 		t.Fatal("one timeout declared the provider Dead")
 	}
 }
@@ -456,8 +545,8 @@ func TestPlanePing(t *testing.T) {
 	if err := p.Ping(context.Background(), "p1", ok); err != nil {
 		t.Fatalf("Ping healthy = %v", err)
 	}
-	if p.Detector.State("p1") != Alive {
-		t.Fatalf("verdict = %v, want Alive", p.Detector.State("p1"))
+	if p.Health("p1") != Alive {
+		t.Fatalf("verdict = %v, want Alive", p.Health("p1"))
 	}
 	// Failing provider: probes drive the verdict to Dead and the list
 	// of pending heals.
@@ -467,8 +556,8 @@ func TestPlanePing(t *testing.T) {
 			t.Fatal("Ping failing provider = nil")
 		}
 	}
-	if p.Detector.State("p2") != Dead {
-		t.Fatalf("verdict = %v, want Dead", p.Detector.State("p2"))
+	if p.Health("p2") != Dead {
+		t.Fatalf("verdict = %v, want Dead", p.Health("p2"))
 	}
 	dead := p.DrainDead()
 	if len(dead) != 1 || dead[0] != "p2" {

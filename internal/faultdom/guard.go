@@ -10,8 +10,8 @@ import (
 
 // guardedConn wraps one provider's conn with the plane's full guard:
 // breaker admission, a per-attempt deadline, in-place retries of
-// transient failures, and outcome observation feeding the breaker and
-// the failure detector.
+// transient failures, and outcome observation feeding the provider's
+// health record.
 type guardedConn struct {
 	p     *Plane
 	id    string
@@ -22,9 +22,8 @@ type guardedConn struct {
 // a BreakerOpenError, which classifies Permanent — the retry loop does
 // not spin on it and the caller fails over to another replica at once.
 func (g *guardedConn) run(ctx context.Context, op string, fn func(context.Context) error) error {
-	b := g.p.Breakers.For(g.id)
 	attempt := func(ctx context.Context) error {
-		if !b.Allow() {
+		if !g.p.allow(g.id) {
 			// Rejected without touching the provider: not an
 			// observation, the breaker state is unchanged.
 			return &BreakerOpenError{Provider: g.id}
@@ -42,8 +41,7 @@ func (g *guardedConn) run(ctx context.Context, op string, fn func(context.Contex
 			// that is not evidence against the provider.
 			return err
 		}
-		b.Observe(err)
-		g.p.Detector.Observe(g.id, err)
+		g.p.observe(g.id, err)
 		return err
 	}
 	return g.p.cfg.Retry.DoNotify(ctx,

@@ -28,9 +28,10 @@ type Config struct {
 	BreakerThreshold int
 	BreakerCooldown  time.Duration
 
-	// SuspectAfter / DeadAfter consecutive transient failures move the
-	// failure detector's verdict (defaults 3 and 6). Dead providers are
-	// excluded from placement and handed to self-optimization to heal.
+	// SuspectAfter / DeadAfter consecutive transient failures move a
+	// provider's health verdict (defaults 3 and 6; a DeadAfter not above
+	// SuspectAfter becomes twice it). Dead providers are excluded from
+	// placement and handed to self-optimization to heal.
 	SuspectAfter int
 	DeadAfter    int
 
@@ -47,6 +48,12 @@ func (c Config) withDefaults() Config {
 	}
 	if c.BreakerCooldown <= 0 {
 		c.BreakerCooldown = 5 * time.Second
+	}
+	if c.SuspectAfter <= 0 {
+		c.SuspectAfter = 3
+	}
+	if c.DeadAfter <= c.SuspectAfter {
+		c.DeadAfter = 2 * c.SuspectAfter
 	}
 	if c.Clock == nil {
 		c.Clock = time.Now
@@ -76,7 +83,7 @@ func newPlaneMetrics(reg *metrics.Registry) *planeMetrics {
 		breakerTrans: reg.Counter("blobseer_breaker_transitions_total",
 			"Circuit breaker state changes, by destination state.", "to"),
 		healthTrans: reg.Counter("blobseer_health_transitions_total",
-			"Failure detector verdict changes, by destination verdict.", "to"),
+			"Provider health verdict changes, by destination verdict.", "to"),
 	}
 	for _, op := range []string{"store", "fetch", "lease", "release", "lookup", "ping"} {
 		m.retries.With(op)
@@ -97,78 +104,67 @@ func (m *planeMetrics) retry(op string) {
 }
 
 // Plane assembles the fault-tolerance pieces around a provider fleet:
-// a breaker per provider, a shared failure detector, a retry policy,
-// and per-attempt deadlines. core.Cluster creates one and threads it
-// through placement (skip unhealthy), the read path (order healthy
-// first), the lookup path (guard every conn) and the control-plane
-// tick (active pings + heal triggers).
+// one health record per provider (its circuit and its liveness verdict,
+// both driven by one failure streak), a retry policy, and per-attempt
+// deadlines. core.Cluster creates one and threads it through placement
+// (skip unhealthy), the read path (order healthy first), the lookup
+// path (guard every conn) and the control-plane tick (active pings +
+// heal triggers).
 type Plane struct {
-	cfg      Config
-	Breakers *BreakerSet
-	Detector *Detector
+	cfg Config
+	m   *planeMetrics
 
-	m *planeMetrics
-
-	mu   sync.Mutex
-	dead []string // detector verdicts pending a heal, drained by Tick
+	mu    sync.Mutex
+	peers map[string]*health
+	dead  []string // Dead verdicts pending a heal, drained by Tick
 }
 
 // NewPlane builds a Plane from cfg, registering its metric families on
 // reg (nil disables metrics).
 func NewPlane(cfg Config, reg *metrics.Registry) *Plane {
-	cfg = cfg.withDefaults()
-	p := &Plane{cfg: cfg, m: newPlaneMetrics(reg)}
-	p.Breakers = NewBreakerSet(cfg.BreakerThreshold, cfg.BreakerCooldown, cfg.Clock,
-		func(id string, from, to State) {
-			if p.m != nil {
-				p.m.breakerState.With(id).Set(float64(to))
-				p.m.breakerTrans.With(to.String()).Inc()
-			}
-		})
-	p.Detector = NewDetector(cfg.SuspectAfter, cfg.DeadAfter,
-		func(id string, from, to Health) {
-			if p.m != nil {
-				p.m.healthTrans.With(to.String()).Inc()
-			}
-			if to == Dead {
-				p.mu.Lock()
-				p.dead = append(p.dead, id)
-				p.mu.Unlock()
-			}
-		})
-	return p
+	return &Plane{cfg: cfg.withDefaults(), m: newPlaneMetrics(reg), peers: make(map[string]*health)}
 }
 
-// CallTimeout returns the per-attempt deadline the plane enforces.
-func (p *Plane) CallTimeout() time.Duration { return p.cfg.CallTimeout }
-
-// Track pre-creates the provider's breaker and resolves its gauge
-// child so the family is visible before the first call.
+// Track pre-creates the provider's record and resolves its gauge child
+// so the family is visible before the first call.
 func (p *Plane) Track(id string) {
-	p.Breakers.For(id)
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	h := p.recLocked(id)
 	if p.m != nil {
-		p.m.breakerState.With(id).Set(float64(Closed))
+		p.m.breakerState.With(id).Set(float64(h.circuit))
 	}
 }
 
-// Forget drops a decommissioned provider's breaker and detector state.
+// Forget drops a decommissioned provider's record.
 func (p *Plane) Forget(id string) {
-	p.Breakers.Forget(id)
-	p.Detector.Forget(id)
+	p.mu.Lock()
+	delete(p.peers, id)
+	p.mu.Unlock()
 }
+
+// State returns the provider's circuit position (Closed when
+// untracked). An elapsed cooldown is not applied here: Open reads Open
+// until a call probes.
+func (p *Plane) State(id string) State { return p.get(id).circuit }
+
+// Health returns the provider's liveness verdict (Alive when
+// untracked).
+func (p *Plane) Health(id string) Health { return p.get(id).verdict }
 
 // Healthy reports whether placement should offer the provider new
 // allocations and reads should try it first: circuit not rejecting and
-// detector verdict not Dead.
+// verdict not Dead.
 func (p *Plane) Healthy(id string) bool {
-	return !p.Breakers.Rejecting(id) && p.Detector.State(id) != Dead
+	h := p.get(id)
+	return !p.rejecting(h) && h.verdict != Dead
 }
 
 // FastFail returns a BreakerOpenError when a call to the provider
 // would be rejected without reaching the wire, nil otherwise. Lookup
 // uses it to fail over before dialing.
 func (p *Plane) FastFail(id string) error {
-	if p.Breakers.Rejecting(id) {
+	if p.rejecting(p.get(id)) {
 		return &BreakerOpenError{Provider: id}
 	}
 	return nil
@@ -176,14 +172,13 @@ func (p *Plane) FastFail(id string) error {
 
 // Wrap guards a provider conn: every call gets breaker admission, a
 // per-attempt deadline, transient-failure retries, and its outcome fed
-// to the breaker and the failure detector.
+// to the provider's health record.
 func (p *Plane) Wrap(id string, conn client.Conn) client.Conn {
 	return &guardedConn{p: p, id: id, inner: conn}
 }
 
-// DrainDead returns the providers the detector has declared Dead since
-// the last drain. The control plane triggers a replication heal for
-// them.
+// DrainDead returns the providers declared Dead since the last drain.
+// The control plane triggers a replication heal for them.
 func (p *Plane) DrainDead() []string {
 	p.mu.Lock()
 	d := p.dead
@@ -193,8 +188,8 @@ func (p *Plane) DrainDead() []string {
 }
 
 // Ping actively probes one provider with a single deadline-bounded
-// fetch of the zero chunk ID and feeds the outcome to the breaker and
-// detector. ErrNotFound is the expected healthy answer (an application
+// fetch of the zero chunk ID and feeds the outcome to its health
+// record. ErrNotFound is the expected healthy answer (an application
 // error proves reachability); only transport failures count against
 // the provider. conn must be the raw (unguarded) conn — the probe is
 // deliberately a single attempt with no retries.
@@ -202,8 +197,7 @@ func (p *Plane) Ping(ctx context.Context, id string, conn client.Conn) error {
 	cctx, cancel := context.WithTimeout(ctx, p.cfg.CallTimeout)
 	defer cancel()
 	_, err := conn.Fetch(cctx, "health", chunk.ID{})
-	p.Breakers.For(id).Observe(err)
-	p.Detector.Observe(id, err)
+	p.observe(id, err)
 	if err != nil && Classify(err) == Permanent {
 		return nil
 	}

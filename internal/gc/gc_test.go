@@ -469,7 +469,7 @@ func (lc *lateConn) deliver() {
 // sweep classifies it as unreferenced and reclaims it.
 func TestSweepReclaimsLateCompletedStore(t *testing.T) {
 	vm := vmanager.New(blobmeta.NewMemStore("m1", nil, nil))
-	pm := pmanager.New(pmanager.WithTTL(0))
+	pm := pmanager.New()
 	p := provider.New("p00", "z0", 0)
 	if err := pm.Register(pmanager.Info{ID: "p00", Zone: "z0"}); err != nil {
 		t.Fatal(err)
@@ -576,7 +576,7 @@ func TestSweepAbortsOnMarkErrors(t *testing.T) {
 	meta := &flakyMeta{MemStore: blobmeta.NewMemStore("m1", nil, nil)}
 	vm := vmanager.New(meta)
 	fvm := &flakyVM{VersionManager: vm}
-	pm := pmanager.New(pmanager.WithTTL(0))
+	pm := pmanager.New()
 	p := provider.New("p00", "z0", 0)
 	if err := pm.Register(pmanager.Info{ID: "p00", Zone: "z0"}); err != nil {
 		t.Fatal(err)

@@ -119,7 +119,7 @@ func newRig(t *testing.T, opts ...gc.Option) *rig {
 	r := &rig{meta: &countingMeta{MemStore: blobmeta.NewMemStore("m1", nil, nil), listed: map[uint64]int{}}}
 	r.vm = vmanager.New(r.meta)
 	r.fvm = &blobFaultVM{VersionManager: r.vm}
-	pm := pmanager.New(pmanager.WithTTL(0))
+	pm := pmanager.New()
 	r.provs = testProviders{m: map[string]*provider.Provider{}}
 	for _, id := range []string{"p00", "p01"} {
 		r.provs.m[id] = provider.New(id, "z0", 0)
@@ -666,7 +666,7 @@ func TestMarkWalkIsNotClientMetadataLoad(t *testing.T) {
 	rec := &instrument.Recorder{}
 	meta := blobmeta.NewMemStore("m1", rec, nil)
 	vm := vmanager.New(meta)
-	pm := pmanager.New(pmanager.WithTTL(0))
+	pm := pmanager.New()
 	p := provider.New("p00", "z0", 0)
 	if err := pm.Register(pmanager.Info{ID: "p00", Zone: "z0"}); err != nil {
 		t.Fatal(err)

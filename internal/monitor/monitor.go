@@ -99,24 +99,19 @@ func (s *Service) Ingest(events []instrument.Event) {
 		return
 	}
 	s.mu.Lock()
-	subs := s.subs
 	s.inEvs += int64(len(events))
 	s.mu.Unlock()
-
 	recs := make([]Record, len(events))
 	for i, ev := range events {
 		recs[i] = EventRecord(ev)
-		recs[i].Service = s.id
 	}
-	s.store(recs)
-	for _, sub := range subs {
-		sub.Consume(recs)
-	}
+	s.StoreRecords(recs)
 }
 
-// StoreRecords ingests already-converted records directly (the simulator
-// ships the per-chunk parameters it derives itself), updating
-// the farm and the subscribers exactly as Ingest does.
+// StoreRecords ingests already-converted records (Ingest's converted
+// events, and the per-chunk parameters the simulator derives itself):
+// it stamps the service on records that carry none, stores them into
+// the farm and fans them out to the subscribers.
 func (s *Service) StoreRecords(recs []Record) {
 	if len(recs) == 0 {
 		return

@@ -22,15 +22,15 @@ var (
 	ErrAlreadyExists = errors.New("pmanager: provider already registered")
 )
 
-// Info is the manager's view of one data provider, refreshed by
-// heartbeats.
+// Info is the manager's view of one data provider as registered.
+// Strategies read Used and Active as load signals; callers that
+// allocate over their own view (the ablation runs) fill them in.
 type Info struct {
 	ID       string
 	Zone     string
 	Capacity int64 // bytes, ≤0 = unbounded
 	Used     int64 // bytes
 	Active   int   // in-flight transfers
-	LastSeen time.Time
 }
 
 // Free returns remaining bytes, or a large pseudo-capacity when
@@ -243,7 +243,6 @@ type Manager struct {
 	strategy Strategy
 	emit     instrument.Emitter
 	now      func() time.Time
-	ttl      time.Duration
 	health   func(id string) bool
 	view     map[string]Info
 }
@@ -278,18 +277,13 @@ func WithClock(now func() time.Time) Option {
 	}
 }
 
-// WithTTL sets the heartbeat expiry (default 30 s; ≤0 disables expiry).
-func WithTTL(ttl time.Duration) Option {
-	return func(m *Manager) { m.ttl = ttl }
-}
-
 // WithHealth attaches an external health verdict (the fault-tolerance
-// plane's breaker + failure detector): providers it reports unhealthy
-// are excluded from placement as if their heartbeat had expired. When
-// excluding them would leave fewer providers than one chunk's replica
-// set needs, Allocate degrades gracefully and offers the full
-// TTL-filtered view instead — storing to a suspect provider and letting
-// the write quorum decide beats refusing the write outright.
+// plane's per-provider circuit and liveness verdict): providers it
+// reports unhealthy are excluded from placement. When excluding them
+// would leave fewer providers than one chunk's replica set needs,
+// Allocate degrades gracefully and offers every registered provider
+// instead — storing to a suspect provider and letting the write quorum
+// decide beats refusing the write outright.
 func WithHealth(h func(id string) bool) Option {
 	return func(m *Manager) { m.health = h }
 }
@@ -300,7 +294,6 @@ func New(opts ...Option) *Manager {
 		strategy: &RoundRobin{},
 		emit:     instrument.Nop{},
 		now:      time.Now,
-		ttl:      30 * time.Second,
 		view:     make(map[string]Info),
 	}
 	for _, o := range opts {
@@ -334,7 +327,6 @@ func (m *Manager) Register(info Info) error {
 		m.mu.Unlock()
 		return ErrAlreadyExists
 	}
-	info.LastSeen = m.now()
 	m.view[info.ID] = info
 	m.mu.Unlock()
 	m.emit.Emit(instrument.Event{
@@ -358,42 +350,20 @@ func (m *Manager) Unregister(id string) error {
 	return nil
 }
 
-// Heartbeat refreshes a provider's liveness and load view.
-func (m *Manager) Heartbeat(id string, used int64, active int) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	info, ok := m.view[id]
-	if !ok {
-		return ErrUnknown
-	}
-	info.Used = used
-	info.Active = active
-	info.LastSeen = m.now()
-	m.view[id] = info
-	return nil
-}
-
-// Alive returns the providers whose heartbeat has not expired, sorted by
-// ID for deterministic strategies.
+// Alive returns the providers placement may use — every registered
+// provider the health verdict, if any, does not veto — sorted by ID for
+// deterministic strategies.
 func (m *Manager) Alive() []Info {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.aliveLocked()
+	return m.viewLocked(true)
 }
 
-func (m *Manager) aliveLocked() []Info {
-	return m.aliveFilteredLocked(true)
-}
-
-// aliveFilteredLocked returns the TTL-filtered view, additionally
-// dropping health-vetoed providers when useHealth is set.
-func (m *Manager) aliveFilteredLocked(useHealth bool) []Info {
-	now := m.now()
+// viewLocked returns the registered providers sorted by ID, dropping
+// health-vetoed ones when useHealth is set.
+func (m *Manager) viewLocked(useHealth bool) []Info {
 	out := make([]Info, 0, len(m.view))
 	for _, info := range m.view {
-		if m.ttl > 0 && now.Sub(info.LastSeen) > m.ttl {
-			continue
-		}
 		if useHealth && m.health != nil && !m.health(info.ID) {
 			continue
 		}
@@ -407,19 +377,19 @@ func (m *Manager) aliveFilteredLocked(useHealth bool) []Info {
 func (m *Manager) Size() (alive, total int) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return len(m.aliveLocked()), len(m.view)
+	return len(m.viewLocked(true)), len(m.view)
 }
 
 // Allocate maps n new chunks to providers with the configured replication
 // degree. The result has one []string of distinct provider IDs per chunk.
 func (m *Manager) Allocate(n, replicas int) ([][]string, error) {
 	m.mu.Lock()
-	view := m.aliveLocked()
+	view := m.viewLocked(true)
 	if m.health != nil && len(view) < replicas {
 		// Graceful degradation: too many providers are health-vetoed to
-		// fill one replica set. Fall back to the TTL-only view — the
-		// write quorum, not placement, decides whether the write lands.
-		view = m.aliveFilteredLocked(false)
+		// fill one replica set. Fall back to every registered provider —
+		// the write quorum, not placement, decides whether the write lands.
+		view = m.viewLocked(false)
 	}
 	strat := m.strategy
 	m.mu.Unlock()
@@ -433,27 +403,4 @@ func (m *Manager) Allocate(n, replicas int) ([][]string, error) {
 	}
 	m.emit.Emit(ev)
 	return placement, err
-}
-
-// TotalUsed sums the Used bytes over alive providers.
-func (m *Manager) TotalUsed() int64 {
-	var sum int64
-	for _, in := range m.Alive() {
-		sum += in.Used
-	}
-	return sum
-}
-
-// MeanActive returns the mean in-flight transfer count over alive
-// providers (the load signal the elasticity controller consumes).
-func (m *Manager) MeanActive() float64 {
-	alive := m.Alive()
-	if len(alive) == 0 {
-		return 0
-	}
-	var sum int
-	for _, in := range alive {
-		sum += in.Active
-	}
-	return float64(sum) / float64(len(alive))
 }

@@ -166,15 +166,13 @@ func TestStrategyErrors(t *testing.T) {
 	}
 }
 
-func newTestManager(opts ...Option) (*Manager, *time.Time) {
+func newTestManager() *Manager {
 	now := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
-	cur := &now
-	opts = append(opts, WithClock(func() time.Time { return *cur }))
-	return New(opts...), cur
+	return New(WithClock(func() time.Time { return now }))
 }
 
-func TestManagerRegisterHeartbeatExpiry(t *testing.T) {
-	m, cur := newTestManager(WithTTL(10 * time.Second))
+func TestManagerRegister(t *testing.T) {
+	m := newTestManager()
 	if err := m.Register(Info{ID: "p1", Zone: "z"}); err != nil {
 		t.Fatal(err)
 	}
@@ -188,29 +186,21 @@ func TestManagerRegisterHeartbeatExpiry(t *testing.T) {
 	if alive != 2 || total != 2 {
 		t.Fatalf("alive=%d total=%d", alive, total)
 	}
-	// Advance past TTL; only p1 heartbeats.
-	*cur = cur.Add(15 * time.Second)
-	if err := m.Heartbeat("p1", 100, 2); err != nil {
-		t.Fatal(err)
-	}
 	got := m.Alive()
-	if len(got) != 1 || got[0].ID != "p1" || got[0].Used != 100 || got[0].Active != 2 {
+	if len(got) != 2 || got[0].ID != "p1" || got[1].ID != "p2" {
 		t.Fatalf("alive=%+v", got)
 	}
 }
 
-func TestManagerHeartbeatUnknown(t *testing.T) {
-	m, _ := newTestManager()
-	if err := m.Heartbeat("nope", 0, 0); !errors.Is(err, ErrUnknown) {
-		t.Fatalf("want ErrUnknown, got %v", err)
-	}
+func TestManagerUnregisterUnknown(t *testing.T) {
+	m := newTestManager()
 	if err := m.Unregister("nope"); !errors.Is(err, ErrUnknown) {
 		t.Fatalf("want ErrUnknown, got %v", err)
 	}
 }
 
 func TestManagerAllocate(t *testing.T) {
-	m, _ := newTestManager()
+	m := newTestManager()
 	for i := 0; i < 4; i++ {
 		if err := m.Register(Info{ID: fmt.Sprintf("p%d", i), Zone: "z"}); err != nil {
 			t.Fatal(err)
@@ -231,32 +221,13 @@ func TestManagerAllocate(t *testing.T) {
 }
 
 func TestManagerSetStrategy(t *testing.T) {
-	m, _ := newTestManager()
+	m := newTestManager()
 	if m.Strategy() != "round-robin" {
 		t.Fatalf("default strategy=%s", m.Strategy())
 	}
 	m.SetStrategy(LeastUsed{})
 	if m.Strategy() != "least-used" {
 		t.Fatalf("strategy=%s", m.Strategy())
-	}
-}
-
-func TestManagerAggregates(t *testing.T) {
-	m, _ := newTestManager()
-	for i := 0; i < 3; i++ {
-		id := fmt.Sprintf("p%d", i)
-		if err := m.Register(Info{ID: id, Capacity: 1000}); err != nil {
-			t.Fatal(err)
-		}
-		if err := m.Heartbeat(id, int64(100*(i+1)), i); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := m.TotalUsed(); got != 600 {
-		t.Fatalf("TotalUsed=%d", got)
-	}
-	if got := m.MeanActive(); got != 1 {
-		t.Fatalf("MeanActive=%v", got)
 	}
 }
 

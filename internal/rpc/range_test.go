@@ -94,7 +94,7 @@ func TestRangedReadsMatchModel(t *testing.T) {
 	for name, plane := range planes {
 		t.Run(name, func(t *testing.T) {
 			ps := map[string]*provider.Provider{}
-			pm := pmanager.New(pmanager.WithTTL(0))
+			pm := pmanager.New()
 			for i := 0; i < 3; i++ {
 				id := fmt.Sprintf("p%d", i)
 				ps[id] = provider.New(id, "z", 0)

@@ -100,7 +100,7 @@ func TestClientOverTCPEndToEnd(t *testing.T) {
 	defer dir.Close()
 
 	vm := vmanager.New(blobmeta.NewMemStore("m1", nil, nil))
-	pm := pmanager.New(pmanager.WithTTL(0))
+	pm := pmanager.New()
 	for id := range addrs {
 		if err := pm.Register(pmanager.Info{ID: id, Zone: "z"}); err != nil {
 			t.Fatal(err)

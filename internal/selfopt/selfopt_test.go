@@ -55,7 +55,7 @@ func newRig(t *testing.T, nProviders int) *rig {
 	r := &rig{
 		rec:  rec,
 		vm:   vmanager.New(blobmeta.NewMemStore("m", rec, nil)),
-		pm:   pmanager.New(pmanager.WithTTL(0)),
+		pm:   pmanager.New(),
 		pool: &testPool{providers: map[string]*provider.Provider{}},
 		in:   introspect.NewIntrospector(0),
 	}
