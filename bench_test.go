@@ -460,45 +460,41 @@ func BenchmarkClientWriteReplicated(b *testing.B) {
 
 // BenchmarkClientReadParallel measures concurrent readers over a
 // replicated blob — the path that exercises the slice-copy read
-// assembly, the striped provider store and, when enabled, hedged
-// replica fetches.
+// assembly, the striped provider store and serial replica failover.
 func BenchmarkClientReadParallel(b *testing.B) {
 	ctx := context.Background()
 	for _, plane := range benchPlanes {
-		for _, hedged := range []bool{false, true} {
-			for _, workers := range []int{1, 8} {
-				name := fmt.Sprintf("plane=%s/hedged=%v/workers=%d", plane.name, hedged, workers)
-				b.Run(name, func(b *testing.B) {
-					cluster, err := core.NewCluster(core.Options{
-						Providers: 8, Monitoring: false, Replicas: 3,
-					})
-					if err != nil {
-						b.Fatal(err)
-					}
-					wr := cluster.Client("bench")
-					info, _ := wr.Create(ctx, 64<<10)
-					payload := bytes.Repeat([]byte("r"), 1<<20)
-					if _, err := wr.Write(ctx, info.ID, 0, payload); err != nil {
-						b.Fatal(err)
-					}
-					b.SetBytes(int64(len(payload)))
-					b.ResetTimer()
-					b.RunParallel(func(pb *testing.PB) {
-						cl := client.New("bench", cluster.VM, cluster.PM,
-							delayDir{cluster, plane.rtt},
-							client.WithWorkers(workers), client.WithHedgedReads(hedged))
-						for pb.Next() {
-							got, err := cl.Read(ctx, info.ID, 0, 0, int64(len(payload)))
-							if err != nil {
-								b.Fatal(err)
-							}
-							if len(got) != len(payload) {
-								b.Fatal("short read")
-							}
-						}
-					})
+		for _, workers := range []int{1, 8} {
+			name := fmt.Sprintf("plane=%s/workers=%d", plane.name, workers)
+			b.Run(name, func(b *testing.B) {
+				cluster, err := core.NewCluster(core.Options{
+					Providers: 8, Monitoring: false, Replicas: 3,
 				})
-			}
+				if err != nil {
+					b.Fatal(err)
+				}
+				wr := cluster.Client("bench")
+				info, _ := wr.Create(ctx, 64<<10)
+				payload := bytes.Repeat([]byte("r"), 1<<20)
+				if _, err := wr.Write(ctx, info.ID, 0, payload); err != nil {
+					b.Fatal(err)
+				}
+				b.SetBytes(int64(len(payload)))
+				b.ResetTimer()
+				b.RunParallel(func(pb *testing.PB) {
+					cl := client.New("bench", cluster.VM, cluster.PM,
+						delayDir{cluster, plane.rtt}, client.WithWorkers(workers))
+					for pb.Next() {
+						got, err := cl.Read(ctx, info.ID, 0, 0, int64(len(payload)))
+						if err != nil {
+							b.Fatal(err)
+						}
+						if len(got) != len(payload) {
+							b.Fatal("short read")
+						}
+					}
+				})
+			})
 		}
 	}
 }

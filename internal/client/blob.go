@@ -1,6 +1,6 @@
 // Streaming blob I/O: the Blob handle and its chunk-granular reader and
 // writer. A BlobReader pipelines a bounded window of chunk fetches ahead
-// of the consumer over the hedged/serial replica fetch path; a BlobWriter
+// of the consumer over the serial-failover replica fetch path; a BlobWriter
 // accumulates chunk-aligned buffers and flushes replica stores in the
 // background as slots fill, publishing one version on Close. Both are
 // context-first: cancelling the context aborts every in-flight chunk
@@ -568,7 +568,7 @@ func (c *Client) newWriter(ctx context.Context, blob uint64, chunkSize, offset i
 			w.err = lerr
 		} else {
 			w.lease = lease
-			w.lref = &leaseRef{Lease: chunk.Lease{ID: lease.ID(), TTL: c.leaseTTL}, provs: make(map[string]struct{})}
+			w.lref = &leaseRef{Lease: chunk.Lease{ID: lease.ID(), TTL: lease.TTL()}, provs: make(map[string]struct{})}
 			go w.heartbeat()
 		}
 	}
@@ -581,7 +581,7 @@ func (c *Client) newWriter(ctx context.Context, blob uint64, chunkSize, offset i
 // when the writer's context ends; Close and abandon cancel that context
 // before releasing, so a late tick cannot resurrect a released lease.
 func (w *BlobWriter) heartbeat() {
-	interval := w.c.leaseTTL / 3
+	interval := w.lease.TTL() / 3
 	if interval < 10*time.Millisecond {
 		interval = 10 * time.Millisecond
 	}

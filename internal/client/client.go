@@ -108,19 +108,18 @@ type Pinner interface {
 	Unpin(blob, version uint64)
 }
 
-// DefaultLeaseTTL is the writer-lease lifetime used when WithLeaseTTL
-// is not given; the writer heartbeats at a fraction of it.
-const DefaultLeaseTTL = 30 * time.Second
-
 // Lease is one writer's registration with the storage-lifecycle layer,
 // minted by a Leaser at NewWriter time. Its ID also names the chunk
 // leases the writer's Stores register at each provider, so one
 // identity protects the base version and the flushed chunks. Renew
 // pushes the expiry out (heartbeat); Release ends the lease and must be
 // called on every writer exit path — a lease that is never released
-// lives until its TTL lapses and the next sweep reaps it.
+// lives until its TTL lapses and the next sweep reaps it. TTL is the
+// lifetime the minting manager grants: the writer requests it for its
+// chunk leases and heartbeats at a third of it.
 type Lease interface {
 	ID() string
+	TTL() time.Duration
 	Renew()
 	Release()
 }
@@ -143,7 +142,6 @@ type Client struct {
 	gate     Gatekeeper
 	pinner   Pinner
 	leaser   Leaser
-	leaseTTL time.Duration
 	emit     instrument.Emitter
 	m        *pathMetrics // nil = uninstrumented
 	now      func() time.Time
@@ -151,7 +149,6 @@ type Client struct {
 	workers  int
 	prefetch int                          // chunks a BlobReader keeps in flight (window)
 	quorum   int                          // successful replica stores required per chunk (0 = all)
-	hedged   bool                         // fetch all replicas concurrently, first success wins
 	healthy  func(providerID string) bool // nil = all replicas equal
 }
 
@@ -190,18 +187,6 @@ func WithPinner(p Pinner) Option {
 // only writer protection).
 func WithLeaser(l Leaser) Option {
 	return func(c *Client) { c.leaser = l }
-}
-
-// WithLeaseTTL sets the writer-lease lifetime the client requests and
-// heartbeats against (default DefaultLeaseTTL). It must match the
-// lifecycle manager's TTL order of magnitude: a TTL shorter than the
-// heartbeat interval would let live writers be reaped.
-func WithLeaseTTL(d time.Duration) Option {
-	return func(c *Client) {
-		if d > 0 {
-			c.leaseTTL = d
-		}
-	}
 }
 
 // WithEmitter attaches instrumentation.
@@ -259,18 +244,10 @@ func WithWriteQuorum(n int) Option {
 	}
 }
 
-// WithHedgedReads makes fetchReplica race all replicas of a chunk
-// concurrently and return the first success, instead of the default
-// serial failover. Hedging trades provider load for tail latency.
-func WithHedgedReads(on bool) Option {
-	return func(c *Client) { c.hedged = on }
-}
-
 // WithHealth attaches an external health verdict (the fault-tolerance
-// plane's per-provider circuit and liveness verdict). Reads try healthy replicas
-// first: serial failover reorders its attempts, hedged races run over
-// the healthy subset only — falling back to the full replica set when
-// no replica is healthy, so degraded data is still better than none.
+// plane's per-provider circuit and liveness verdict). Serial failover
+// tries healthy replicas first and the vetoed ones last, so degraded
+// data is still better than none.
 func WithHealth(healthy func(providerID string) bool) Option {
 	return func(c *Client) { c.healthy = healthy }
 }
@@ -281,7 +258,6 @@ func New(user string, vm *vmanager.Manager, pm *pmanager.Manager, dir Directory,
 		user: user, vm: vm, pm: pm, dir: dir,
 		gate: AllowAll{}, emit: instrument.Nop{}, now: time.Now,
 		replicas: 1, workers: 8, prefetch: 4,
-		leaseTTL: DefaultLeaseTTL,
 	}
 	for _, o := range opts {
 		o(c)
@@ -595,35 +571,31 @@ func (c *Client) baseSlot(ctx context.Context, blob uint64, chunkSize, idx int64
 	return buf, nil
 }
 
-// fetchReplica serves the chunk from one of its replicas: serial
-// failover in placement order by default, or a concurrent
-// first-success-wins race when hedged reads are on. The returned buffer
-// is the caller's (Conn.Fetch's contract): readers donate it back to the
-// chunk pool once consumed.
+// fetchReplica serves the chunk from one of its replicas by serial
+// failover, healthy replicas first (orderByHealth). When every attempt
+// fails, the error wraps ErrUnavailable and each replica's own cause, so
+// errors.Is sees why (a stopped provider, an open circuit). The returned
+// buffer is the caller's (Conn.Fetch's contract): readers donate it back
+// to the chunk pool once consumed.
 func (c *Client) fetchReplica(ctx context.Context, d chunk.Desc) ([]byte, error) {
-	if c.hedged && len(d.Providers) > 1 {
-		return c.fetchHedged(ctx, d)
-	}
 	var start time.Time
 	if c.m != nil {
 		start = c.now()
 	}
-	var lastErr error
+	var errs []error
 	for _, pid := range c.orderByHealth(d.Providers) {
 		if ctx.Err() != nil {
 			break
 		}
 		conn, err := c.dir.Lookup(ctx, pid)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		data, err := conn.Fetch(ctx, c.user, d.ID)
 		if err == nil {
-			c.observeFetch(start, lastErr != nil)
-			return data, nil
+			var data []byte
+			if data, err = conn.Fetch(ctx, c.user, d.ID); err == nil {
+				c.observeFetch(start, len(errs) > 0)
+				return data, nil
+			}
 		}
-		lastErr = err
+		errs = append(errs, fmt.Errorf("%s: %w", pid, err))
 	}
 	if c.m != nil {
 		c.m.observe(c.m.fetchErr, c.now().Sub(start))
@@ -631,10 +603,10 @@ func (c *Client) fetchReplica(ctx context.Context, d chunk.Desc) ([]byte, error)
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if lastErr == nil {
-		lastErr = ErrUnavailable
+	if len(errs) == 0 {
+		return nil, fmt.Errorf("%w: chunk %s", ErrUnavailable, d.ID.Short())
 	}
-	return nil, fmt.Errorf("%w: chunk %s: %v", ErrUnavailable, d.ID.Short(), lastErr)
+	return nil, fmt.Errorf("%w: chunk %s: %w", ErrUnavailable, d.ID.Short(), errors.Join(errs...))
 }
 
 // orderByHealth returns pids with the health-vetoed providers moved to
@@ -669,25 +641,6 @@ func (c *Client) orderByHealth(pids []string) []string {
 	return out
 }
 
-// hedgedSet returns the replicas a hedged race should fan out to: the
-// healthy subset, or every replica when none is healthy (degraded data
-// beats no data).
-func (c *Client) hedgedSet(pids []string) []string {
-	if c.healthy == nil {
-		return pids
-	}
-	out := make([]string, 0, len(pids))
-	for _, pid := range pids {
-		if c.healthy(pid) {
-			out = append(out, pid)
-		}
-	}
-	if len(out) == 0 {
-		return pids
-	}
-	return out
-}
-
 // observeFetch records one successful serial fetch, classified by
 // whether an earlier replica had already failed (failover) or the first
 // one answered (serial).
@@ -700,76 +653,6 @@ func (c *Client) observeFetch(start time.Time, failedOver bool) {
 		h = c.m.fetchFailover
 	}
 	c.m.observe(h, c.now().Sub(start))
-}
-
-// fetchHedged races every replica and returns the first chunk served.
-// Losing fetches are cancelled — not merely discarded — the moment a
-// winner lands, via a per-race child context; when all replicas fail,
-// the per-replica errors are aggregated. A cancelled parent ctx aborts
-// the whole race promptly. A loser that completes anyway leaves its buffer
-// in the result channel for the GC: nobody is left to donate it.
-func (c *Client) fetchHedged(ctx context.Context, d chunk.Desc) ([]byte, error) {
-	var start, firstFail time.Time
-	if c.m != nil {
-		start = c.now()
-	}
-	hctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	racers := c.hedgedSet(d.Providers)
-	type result struct {
-		data []byte
-		err  error
-	}
-	// Buffered so cancelled losers can always deposit their result and
-	// exit without a receiver.
-	ch := make(chan result, len(racers))
-	for _, pid := range racers {
-		go func(pid string) {
-			conn, err := c.dir.Lookup(hctx, pid)
-			if err != nil {
-				ch <- result{err: fmt.Errorf("lookup %s: %w", pid, err)}
-				return
-			}
-			data, err := conn.Fetch(hctx, c.user, d.ID)
-			if err != nil {
-				ch <- result{err: fmt.Errorf("fetch %s: %w", pid, err)}
-				return
-			}
-			ch <- result{data: data}
-		}(pid)
-	}
-	errs := make([]error, 0, len(racers))
-	for range racers {
-		select {
-		case <-ctx.Done():
-			if c.m != nil {
-				c.m.observe(c.m.fetchErr, c.now().Sub(start))
-			}
-			return nil, ctx.Err()
-		case r := <-ch:
-			if r.err == nil {
-				if c.m != nil {
-					now := c.now()
-					c.m.observe(c.m.fetchHedged, now.Sub(start))
-					// Win margin: how long after the first replica failure
-					// the winner landed — the failover wait a serial read
-					// would have paid on top of its failed attempt.
-					if !firstFail.IsZero() {
-						c.m.observe(c.m.hedgedMargin, now.Sub(firstFail))
-					}
-				}
-				return r.data, nil
-			}
-			if c.m != nil && firstFail.IsZero() {
-				firstFail = c.now()
-			}
-			errs = append(errs, r.err)
-		}
-	}
-	if c.m != nil {
-		c.m.observe(c.m.fetchErr, c.now().Sub(start))
-	}
-	return nil, fmt.Errorf("%w: chunk %s: %w", ErrUnavailable, d.ID.Short(), errors.Join(errs...))
 }
 
 func (c *Client) abort(tk vmanager.Ticket) {

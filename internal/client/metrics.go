@@ -14,11 +14,9 @@ import (
 type pathMetrics struct {
 	fetchSerial   *metrics.Histogram // chunk served by the primary replica
 	fetchFailover *metrics.Histogram // chunk served after ≥1 replica failed
-	fetchHedged   *metrics.Histogram // chunk served by a hedged-race win
 	fetchErr      *metrics.Histogram // all replicas failed
 	storeOK       *metrics.Histogram
 	storeErr      *metrics.Histogram
-	hedgedMargin  *metrics.Histogram
 	quorumWait    *metrics.Histogram
 	readerStall   *metrics.Histogram
 	writerStall   *metrics.Histogram
@@ -28,7 +26,7 @@ type pathMetrics struct {
 
 func newPathMetrics(reg *metrics.Registry) *pathMetrics {
 	fetch := reg.Histogram("blobseer_client_chunk_fetch_seconds",
-		"Chunk fetch latency by outcome: serial (primary replica), failover (a later replica), hedged_win (hedged-race winner), error (all replicas failed).",
+		"Chunk fetch latency by outcome: serial (primary replica), failover (a later replica), error (all replicas failed).",
 		metrics.DurationBuckets, "outcome")
 	store := reg.Histogram("blobseer_client_chunk_store_seconds",
 		"Chunk replica fan-out latency by outcome (quorum reached or not).",
@@ -36,13 +34,9 @@ func newPathMetrics(reg *metrics.Registry) *pathMetrics {
 	return &pathMetrics{
 		fetchSerial:   fetch.With("serial"),
 		fetchFailover: fetch.With("failover"),
-		fetchHedged:   fetch.With("hedged_win"),
 		fetchErr:      fetch.With("error"),
 		storeOK:       store.With("ok"),
 		storeErr:      store.With("error"),
-		hedgedMargin: reg.Histogram("blobseer_client_hedged_win_margin_seconds",
-			"How long after the first replica failure the hedged winner landed — the failover wait a serial read would have paid.",
-			metrics.DurationBuckets).With(),
 		quorumWait: reg.Histogram("blobseer_client_quorum_wait_seconds",
 			"Time from replica fan-out start until the write quorum was reached.",
 			metrics.DurationBuckets).With(),
@@ -60,9 +54,9 @@ func newPathMetrics(reg *metrics.Registry) *pathMetrics {
 }
 
 // WithMetrics instruments the client's data path into reg: chunk
-// store/fetch latency, hedged-read win margins, quorum wait, stream
-// stall time and byte counters. A nil registry leaves the client
-// uninstrumented (no clock reads on the hot path).
+// store/fetch latency, quorum wait, stream stall time and byte
+// counters. A nil registry leaves the client uninstrumented (no clock
+// reads on the hot path).
 func WithMetrics(reg *metrics.Registry) Option {
 	return func(c *Client) {
 		if reg != nil {

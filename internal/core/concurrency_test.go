@@ -8,15 +8,15 @@ import (
 	"testing"
 )
 
-// TestParallelClientsQuorumHedged drives Write, Append and Read from
+// TestParallelClientsQuorumFailover drives Write, Append and Read from
 // many clients at once against replicated providers with the parallel
 // data path fully enabled: per-chunk replica fan-out, a write quorum
-// below the replication degree, hedged reads, and one provider failing
-// mid-run. Run with -race.
-func TestParallelClientsQuorumHedged(t *testing.T) {
+// below the replication degree, serial read failover, and one provider
+// failing mid-run. Run with -race.
+func TestParallelClientsQuorumFailover(t *testing.T) {
 	ctx := context.Background()
 	c, err := NewCluster(Options{
-		Providers: 6, Replicas: 3, WriteQuorum: 2, HedgedReads: true,
+		Providers: 6, Replicas: 3, WriteQuorum: 2,
 		Monitoring: true, AgentBatch: 8,
 	})
 	if err != nil {
@@ -97,7 +97,7 @@ func TestParallelClientsQuorumHedged(t *testing.T) {
 		}(u)
 	}
 
-	// One provider dies mid-run: the write quorum of 2 and hedged reads
+	// One provider dies mid-run: the write quorum of 2 and read failover
 	// must absorb it without a single failed operation.
 	wg.Add(1)
 	go func() {

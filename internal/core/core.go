@@ -50,7 +50,6 @@ type Options struct {
 	Providers      int    // data providers (default 4)
 	Replicas       int    // chunk replication degree for clients (default 1)
 	WriteQuorum    int    // replica stores required per chunk (0 = all replicas)
-	HedgedReads    bool   // race all replicas on reads instead of serial failover
 	PolicySource   string // policy DSL ("" = policy.DefaultCatalog)
 	Monitoring     bool   // attach the introspection stack (default true via NewCluster)
 	AgentBatch     int    // monitoring agent batch size (default 32)
@@ -356,20 +355,18 @@ func (c *Cluster) Client(user string) *client.Client {
 
 // ClientWith returns a client like Client, with extra client options
 // applied on top of the cluster's defaults (replication degree, write
-// quorum, hedged reads). The S3 gateway and benchmarks use it to tune
+// quorum). The S3 gateway and benchmarks use it to tune
 // per-front-end behavior without reconfiguring the whole cluster.
 func (c *Cluster) ClientWith(user string, extra ...client.Option) *client.Client {
 	opts := []client.Option{
 		client.WithReplicas(c.opts.Replicas),
 		client.WithWriteQuorum(c.opts.WriteQuorum),
-		client.WithHedgedReads(c.opts.HedgedReads),
 		client.WithGatekeeper(c.Enf),
 		client.WithPinner(c.GC),
 		client.WithEmitter(c.AgentFor("client-" + user)),
 		client.WithClock(c.now),
 		client.WithMetrics(c.opts.Metrics),
 		client.WithLeaser(writerLeases{c.GC}),
-		client.WithLeaseTTL(c.opts.WriterLeaseTTL),
 	}
 	if c.Fault != nil {
 		opts = append(opts, client.WithHealth(c.Fault.Healthy))

@@ -161,7 +161,7 @@ func (s *DiskStore) compactOnce() (dropped int, reclaimed int64, err error) {
 	// since the last scan — bytes that are mostly dead within seconds
 	// and that no one asked to have on the platter.
 	if rewrites && s.active.size > 0 {
-		if _, err := s.addSegment(); err != nil { //lockio:allow a roll is one file create and swaps s.active, which this mutex guards; writeLocked rolls under it too
+		if _, err := s.addSegment(); err != nil { //lockio:allow a roll is one file create and swaps s.active, which this mutex guards; commit's append rolls under it too
 			s.mu.Unlock()
 			return 0, 0, err
 		}
@@ -311,74 +311,52 @@ func (s *DiskStore) relocatePayload(v *segment, id chunk.ID) error {
 		return fmt.Errorf("diskstore: compact read of chunk %s in %s: %w", id.Short(), v.path, ErrCorrupt)
 	}
 
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return ErrClosed
-	}
-	e, ok = s.idx[id]
-	if !ok || e.seg != v.id {
-		return nil // raced away while we read: nothing to move
-	}
-	if int32(binary.LittleEndian.Uint32(buf[refsOff:])) != e.refs || binary.LittleEndian.Uint64(buf[epochOff:]) != e.epoch {
-		restamp(buf, e.refs, e.epoch)
-	}
-	seg, poff, err := s.writeLocked(buf, nil) //lockio:allow append-only log: appends must serialize with index updates in log order; payload reads run outside this mutex
-	if err != nil {
-		return err
-	}
-	rec := record{typ: recPut, refs: e.refs, epoch: e.epoch, id: id, payload: buf[headerSize:]}
-	s.apply(seg, poff, &rec)
-	if s.m != nil {
+	moved := false
+	_, err := s.commit(func() (record, []byte, error) {
+		e, ok = s.idx[id]
+		if !ok || e.seg != v.id {
+			return record{}, nil, nil // raced away while we read: nothing to move
+		}
+		if int32(binary.LittleEndian.Uint32(buf[refsOff:])) != e.refs || binary.LittleEndian.Uint64(buf[epochOff:]) != e.epoch {
+			restamp(buf, e.refs, e.epoch)
+		}
+		moved = true
+		return record{typ: recPut, refs: e.refs, epoch: e.epoch, id: id, payload: buf[headerSize:]}, buf, nil
+	})
+	if err == nil && moved && s.m != nil {
 		s.m.relocated.Add(e.size)
 	}
-	return nil
+	return err
 }
 
 // restate re-records a chunk whose payload lives elsewhere but whose
 // latest authoritative state record sits in v.
 func (s *DiskStore) restate(v *segment, id chunk.ID) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return ErrClosed
-	}
-	e, ok := s.idx[id]
-	if !ok || e.stateSeg != v.id || e.seg == v.id {
-		return nil
-	}
-	rec := record{typ: recState, refs: e.refs, epoch: e.epoch, id: id}
-	seg, off, err := s.appendLocked(&rec) //lockio:allow append-only log: appends must serialize with index updates in log order; payload reads run outside this mutex
-	if err != nil {
-		return err
-	}
-	s.apply(seg, off, &rec)
-	return nil
+	_, err := s.commit(func() (record, []byte, error) {
+		e, ok := s.idx[id]
+		if !ok || e.stateSeg != v.id || e.seg == v.id {
+			return record{}, nil, nil
+		}
+		return record{typ: recState, refs: e.refs, epoch: e.epoch, id: id}, nil, nil
+	})
+	return err
 }
 
 // rewriteTombstone re-records a dead chunk's tombstone when the payload
 // record it kills still exists in another live segment.
 func (s *DiskStore) rewriteTombstone(v *segment, id chunk.ID) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return ErrClosed
-	}
-	dk, ok := s.deadKeys[id]
-	if !ok || dk.tombSeg != v.id {
-		return nil // resurrected by a fresh Put, or already moved
-	}
-	if _, alive := s.segs[dk.putSeg]; !alive || dk.putSeg == v.id {
-		// Nothing left to resurrect: drop the key instead.
-		s.segRef(dk.tombSeg).stateRecs--
-		delete(s.deadKeys, id)
-		return nil
-	}
-	rec := record{typ: recState, refs: 0, epoch: 0, id: id}
-	seg, off, err := s.appendLocked(&rec) //lockio:allow append-only log: appends must serialize with index updates in log order; payload reads run outside this mutex
-	if err != nil {
-		return err
-	}
-	s.apply(seg, off, &rec)
-	return nil
+	_, err := s.commit(func() (record, []byte, error) {
+		dk, ok := s.deadKeys[id]
+		if !ok || dk.tombSeg != v.id {
+			return record{}, nil, nil // resurrected by a fresh Put, or already moved
+		}
+		if _, alive := s.segs[dk.putSeg]; !alive || dk.putSeg == v.id {
+			// Nothing left to resurrect: drop the key instead.
+			s.segRef(dk.tombSeg).stateRecs--
+			delete(s.deadKeys, id)
+			return record{}, nil, nil
+		}
+		return record{typ: recState, refs: 0, epoch: 0, id: id}, nil, nil
+	})
+	return err
 }

@@ -13,7 +13,8 @@
 // pins the segment with a reader count, the mutex is released, and the
 // payload is served with one ReadAt. Only appends — which must
 // serialize with index updates in log order — run under the mutex, and
-// each such call site carries an audited lockio allow annotation.
+// all of them go through commit, which carries the one audited lockio
+// allow annotation for them.
 //
 // A TieredStore (tiered.go) puts a bounded in-memory LRU cache over
 // this store as the cold source of truth.
@@ -436,13 +437,34 @@ func (s *DiskStore) addSegment() (*segment, error) {
 	return seg, nil
 }
 
-// appendLocked writes one record to the active segment and returns the
-// segment it landed in and its payload offset. Caller holds mu: the
-// append must serialize with the index update so memory state always
-// matches log order.
-func (s *DiskStore) appendLocked(rec *record) (*segment, int64, error) {
-	rec.encodeHeader(s.hdr[:])
-	return s.writeLocked(s.hdr[:], rec.payload)
+// commit is the one runtime append path. Under mu it checks the store
+// is open, lets decide pick the record from the index, appends it and
+// folds it into the index, returning the payload bytes it freed: the
+// append serializes with the index update, so memory state always
+// matches log order. decide returns the zero record to write nothing,
+// or an error to fail the operation; raw, when set, is the record
+// already encoded (a relocation's, whose payload checksum stands) and
+// is written in place of rec's header and payload.
+func (s *DiskStore) commit(decide func() (rec record, raw []byte, err error)) (int64, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return 0, ErrClosed
+	}
+	rec, raw, err := decide()
+	if rec.typ == 0 || err != nil {
+		return 0, err
+	}
+	head, tail := raw, []byte(nil)
+	if raw == nil {
+		rec.encodeHeader(s.hdr[:])
+		head, tail = s.hdr[:], rec.payload
+	}
+	seg, off, err := s.writeLocked(head, tail) //lockio:allow append-only log: appends must serialize with index updates in log order; payload reads run outside this mutex
+	if err != nil {
+		return 0, err
+	}
+	return s.apply(seg, off, &rec), nil
 }
 
 // writeLocked appends one encoded record — head, then tail where it
@@ -496,27 +518,22 @@ func (s *DiskStore) Put(id chunk.ID, data []byte) error {
 }
 
 func (s *DiskStore) put(id chunk.ID, data []byte) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return ErrClosed
-	}
 	n := int64(len(data))
-	rec := record{typ: recPut, refs: 1, epoch: s.epoch.Load(), id: id, payload: data}
-	if e, ok := s.idx[id]; ok {
-		rec.typ, rec.refs, rec.payload = recState, e.refs+1, nil
-	} else if s.opts.Capacity > 0 && s.used.Load()+n > s.opts.Capacity {
-		return provider.ErrFull
-	}
-	seg, off, err := s.appendLocked(&rec) //lockio:allow append-only log: appends must serialize with index updates in log order; payload reads run outside this mutex
-	if err != nil {
-		return err
-	}
-	s.apply(seg, off, &rec)
-	if rec.typ == recPut && s.m != nil {
+	fresh := false // a payload record, not a re-statement
+	_, err := s.commit(func() (record, []byte, error) {
+		if e, ok := s.idx[id]; ok {
+			return record{typ: recState, refs: e.refs + 1, epoch: s.epoch.Load(), id: id}, nil, nil
+		}
+		if s.opts.Capacity > 0 && s.used.Load()+n > s.opts.Capacity {
+			return record{}, nil, provider.ErrFull
+		}
+		fresh = true
+		return record{typ: recPut, refs: 1, epoch: s.epoch.Load(), id: id, payload: data}, nil, nil
+	})
+	if err == nil && fresh && s.m != nil {
 		s.m.putBytes.Add(n)
 	}
-	return nil
+	return err
 }
 
 // Get returns a copy of the chunk payload.
@@ -586,53 +603,34 @@ func (s *DiskStore) reap(seg *segment) {
 // Delete decrements the chunk's refcount, freeing it at zero. Implements
 // provider.Store.
 func (s *DiskStore) Delete(id chunk.ID) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return ErrClosed
-	}
-	e, ok := s.idx[id]
-	if !ok {
-		return provider.ErrNotFound
-	}
-	refs := e.refs - 1
-	if refs < 0 {
-		refs = 0
-	}
-	rec := record{typ: recState, refs: refs, epoch: e.epoch, id: id}
-	seg, off, err := s.appendLocked(&rec) //lockio:allow append-only log: appends must serialize with index updates in log order; payload reads run outside this mutex
-	if err != nil {
-		return err
-	}
-	if s.apply(seg, off, &rec) > 0 {
+	freed, err := s.commit(func() (record, []byte, error) {
+		e, ok := s.idx[id]
+		if !ok {
+			return record{}, nil, provider.ErrNotFound
+		}
+		return record{typ: recState, refs: max(e.refs-1, 0), epoch: e.epoch, id: id}, nil, nil
+	})
+	if freed > 0 {
 		s.kickCompactor()
 	}
-	return nil
+	return err
 }
 
 // Purge implements provider.Store: the chunk is freed
 // wholesale, whatever its reference count. Purging an absent chunk
 // frees 0 bytes and is not an error.
 func (s *DiskStore) Purge(id chunk.ID) (int64, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return 0, ErrClosed
-	}
-	e, ok := s.idx[id]
-	if !ok {
-		return 0, nil
-	}
-	rec := record{typ: recState, refs: 0, epoch: e.epoch, id: id}
-	seg, off, err := s.appendLocked(&rec) //lockio:allow append-only log: appends must serialize with index updates in log order; payload reads run outside this mutex
-	if err != nil {
-		return 0, err
-	}
-	freed := s.apply(seg, off, &rec)
+	freed, err := s.commit(func() (record, []byte, error) {
+		e, ok := s.idx[id]
+		if !ok {
+			return record{}, nil, nil
+		}
+		return record{typ: recState, refs: 0, epoch: e.epoch, id: id}, nil, nil
+	})
 	if freed > 0 {
 		s.kickCompactor()
 	}
-	return freed, nil
+	return freed, err
 }
 
 // List implements provider.Store: one page costs
@@ -668,14 +666,14 @@ func (s *DiskStore) Epoch() uint64 { return s.epoch.Load() }
 // tag on disk, which only widens the sweep grace window (the safe
 // direction: chunks look newer, never older).
 func (s *DiskStore) AdvanceEpoch() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e := s.epoch.Add(1)
-	if s.closed {
-		return e
+	var e uint64
+	if _, err := s.commit(func() (record, []byte, error) {
+		e = s.epoch.Add(1)
+		return record{typ: recEpoch, epoch: e}, nil, nil
+	}); err == ErrClosed {
+		// Closed: nothing is appended, the advance holds in memory.
+		return s.epoch.Add(1)
 	}
-	rec := record{typ: recEpoch, epoch: e}
-	_, _, _ = s.appendLocked(&rec) //lockio:allow append-only log: appends must serialize with index updates in log order; payload reads run outside this mutex
 	return e
 }
 

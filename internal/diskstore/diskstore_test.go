@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -672,7 +673,7 @@ func TestBackgroundCompactor(t *testing.T) {
 }
 
 func TestCloseIdempotentAndFailsOps(t *testing.T) {
-	s, _ := open(t, Options{})
+	s, dir := open(t, Options{})
 	id := mustPut(t, s, payload(1, 10))
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
@@ -680,12 +681,48 @@ func TestCloseIdempotentAndFailsOps(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
+	before := segmentSizes(t, dir)
+	if len(before) == 0 {
+		t.Fatal("no segment files to watch")
+	}
 	if err := s.Put(id, payload(1, 10)); err != ErrClosed {
 		t.Fatalf("Put after Close = %v, want ErrClosed", err)
 	}
 	if _, err := s.Get(id); err != ErrClosed {
 		t.Fatalf("Get after Close = %v, want ErrClosed", err)
 	}
+	if err := s.Delete(id); err != ErrClosed {
+		t.Fatalf("Delete after Close = %v, want ErrClosed", err)
+	}
+	if _, err := s.Purge(id); err != ErrClosed {
+		t.Fatalf("Purge after Close = %v, want ErrClosed", err)
+	}
+	// A closed store still advances its epoch in memory.
+	e0 := s.Epoch()
+	if e := s.AdvanceEpoch(); e <= e0 {
+		t.Fatalf("AdvanceEpoch after Close = %d, want > %d", e, e0)
+	}
+	if after := segmentSizes(t, dir); !reflect.DeepEqual(after, before) {
+		t.Fatalf("segments changed after Close: %v, was %v", after, before)
+	}
+}
+
+// segmentSizes maps each segment file in dir to its size.
+func segmentSizes(t *testing.T, dir string) map[string]int64 {
+	t.Helper()
+	paths, err := filepath.Glob(filepath.Join(dir, "*.seg"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[string]int64, len(paths))
+	for _, p := range paths {
+		fi, err := os.Stat(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[p] = fi.Size()
+	}
+	return out
 }
 
 // BenchmarkOpenRecovery times Open replaying every segment of a cleanly

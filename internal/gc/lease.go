@@ -36,6 +36,10 @@ type WriterLease struct {
 // leases registered under it.
 func (l *WriterLease) ID() string { return l.id }
 
+// TTL returns the manager's lease lifetime: the writer requests it for
+// its provider chunk leases and heartbeats at a fraction of it.
+func (l *WriterLease) TTL() time.Duration { return l.m.leaseTTL }
+
 // Renew pushes the expiry one TTL out. If a stalled heartbeat let the
 // sweep reap the lease in the meantime, Renew re-registers it —
 // re-holding the base version when it still exists (when retention got

@@ -305,12 +305,22 @@ func (h *Histogram) Buckets() (bounds []float64, counts []int64) {
 	return append([]float64(nil), h.bounds...), counts
 }
 
-// Quantile returns an estimate of quantile q (0 ≤ q ≤ 1) assuming a
-// uniform distribution within buckets. The overflow bucket interpolates
-// between the last bound and the largest observation seen there, so tail
-// quantiles are no longer silently capped at the last bound.
+// Quantile returns an estimate of quantile q (0 ≤ q ≤ 1) by
+// BucketQuantile, with the overflow bucket capped at the largest
+// observation seen there, so tail quantiles are not silently capped at
+// the last bound.
 func (h *Histogram) Quantile(q float64) float64 {
-	_, counts := h.Buckets()
+	bounds, counts := h.Buckets()
+	return BucketQuantile(bounds, counts, h.max.Load(), q)
+}
+
+// BucketQuantile estimates quantile q (0 ≤ q ≤ 1) from histogram bucket
+// counts (len(counts) == len(bounds)+1, trailing overflow), assuming a
+// uniform distribution within each bucket. Every overflow value is above
+// the last bound and at most maxSeen, so that bucket interpolates
+// between the two; a maxSeen below the last bound collapses it onto the
+// bound. It returns 0 when no value was counted.
+func BucketQuantile(bounds []float64, counts []int64, maxSeen, q float64) float64 {
 	var n int64
 	for _, c := range counts {
 		n += c
@@ -323,25 +333,14 @@ func (h *Histogram) Quantile(q float64) float64 {
 	lo := 0.0
 	for i, c := range counts {
 		fc := float64(c)
-		var hi float64
-		if i < len(h.bounds) {
-			hi = h.bounds[i]
-		} else {
-			// Overflow bucket: every value here is > the last bound, and
-			// max records the largest one, so [lo, max] brackets them all.
-			hi = h.max.Load()
-			if hi < lo {
-				hi = lo
-			}
+		hi := maxSeen
+		if i < len(bounds) {
+			hi = bounds[i]
+		} else if hi < lo {
+			hi = lo
 		}
 		if cum+fc >= target && fc > 0 {
-			frac := (target - cum) / fc
-			if frac < 0 {
-				frac = 0
-			}
-			if frac > 1 {
-				frac = 1
-			}
+			frac := min(max(0, (target-cum)/fc), 1)
 			return lo + frac*(hi-lo)
 		}
 		cum += fc

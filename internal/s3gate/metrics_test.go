@@ -29,7 +29,6 @@ var prometheusSurface = []string{
 	"blobseer_breaker_transitions_total counter process,to",
 	"blobseer_client_chunk_fetch_seconds histogram outcome,process",
 	"blobseer_client_chunk_store_seconds histogram outcome,process",
-	"blobseer_client_hedged_win_margin_seconds histogram process",
 	"blobseer_client_quorum_wait_seconds histogram process",
 	"blobseer_client_read_bytes_total counter process",
 	"blobseer_client_reader_stall_seconds histogram process",

@@ -95,8 +95,8 @@ func WithClock(now func() time.Time) Option {
 	}
 }
 
-// WithClientOptions applies extra client options (write quorum, hedged
-// reads, worker count, …) to every BlobSeer client the gateway creates,
+// WithClientOptions applies extra client options (write quorum, worker
+// count, …) to every BlobSeer client the gateway creates,
 // on top of the cluster defaults.
 func WithClientOptions(opts ...client.Option) Option {
 	return func(g *Gateway) { g.clOpts = append(g.clOpts, opts...) }

@@ -272,10 +272,10 @@ func TestMethodNotAllowed(t *testing.T) {
 }
 
 // TestClientOptionsPassthrough drives a PUT/GET round trip through a
-// gateway whose clients run with a relaxed write quorum and hedged
-// reads over a replicated cluster with one provider down — options that
-// must reach the BlobSeer clients the gateway creates for the round
-// trip to succeed at all.
+// gateway whose clients run with a relaxed write quorum over a
+// replicated cluster with one provider down — an option that must reach
+// the BlobSeer clients the gateway creates for the PUT to succeed at
+// all.
 func TestClientOptionsPassthrough(t *testing.T) {
 	cluster, err := core.NewCluster(core.Options{
 		Providers: 3, Replicas: 3, Monitoring: false,
@@ -291,8 +291,7 @@ func TestClientOptionsPassthrough(t *testing.T) {
 	} else {
 		t.Fatal("no provider001")
 	}
-	g := New(cluster, WithClientOptions(
-		client.WithWriteQuorum(2), client.WithHedgedReads(true)))
+	g := New(cluster, WithClientOptions(client.WithWriteQuorum(2)))
 	srv := httptest.NewServer(g)
 	t.Cleanup(srv.Close)
 

@@ -168,47 +168,18 @@ func MetricsPanel(snap []metrics.FamilySnapshot, width int) string {
 					values[i] = float64(c)
 				}
 				mean := s.Sum / float64(s.Count)
+				// A snapshot keeps no maximum: overflow reads as the last bound.
+				top := fs.Bounds[len(fs.Bounds)-1]
 				fmt.Fprintf(&b, "  %-52s %s n=%-8d mean=%-10.3g p50=%-10.3g p99=%.3g\n",
 					name, Sparkline(values, width), s.Count, mean,
-					bucketQuantile(fs.Bounds, s.Counts, 0.5),
-					bucketQuantile(fs.Bounds, s.Counts, 0.99))
+					metrics.BucketQuantile(fs.Bounds, s.Counts, top, 0.5),
+					metrics.BucketQuantile(fs.Bounds, s.Counts, top, 0.99))
 			default:
 				fmt.Fprintf(&b, "  %-52s %g\n", name, s.Value)
 			}
 		}
 	}
 	return b.String()
-}
-
-// bucketQuantile estimates quantile q from histogram bucket counts
-// (len(counts) == len(bounds)+1, trailing overflow). The overflow bucket
-// is reported at the last finite bound — without the per-histogram max
-// the snapshot carries no tighter cap.
-func bucketQuantile(bounds []float64, counts []int64, q float64) float64 {
-	var n int64
-	for _, c := range counts {
-		n += c
-	}
-	if n == 0 || len(bounds) == 0 {
-		return 0
-	}
-	rank := q * float64(n)
-	var cum int64
-	for i, c := range counts {
-		cum += c
-		if float64(cum) >= rank {
-			if i >= len(bounds) {
-				return bounds[len(bounds)-1]
-			}
-			lo := 0.0
-			if i > 0 {
-				lo = bounds[i-1]
-			}
-			frac := (rank - float64(cum-c)) / float64(c)
-			return lo + (bounds[i]-lo)*frac
-		}
-	}
-	return bounds[len(bounds)-1]
 }
 
 // Distribution counts the chunks of a BLOB's latest version per provider.

@@ -163,7 +163,7 @@ func TestMetricsPanel(t *testing.T) {
 		}
 	}
 	// p50 of 100 observations at 0.05 interpolates inside (0.01, 0.1].
-	if q := bucketQuantile([]float64{0.01, 0.1, 1}, []int64{0, 100, 0, 0}, 0.5); q <= 0.01 || q > 0.1 {
+	if q := metrics.BucketQuantile([]float64{0.01, 0.1, 1}, []int64{0, 100, 0, 0}, 1, 0.5); q <= 0.01 || q > 0.1 {
 		t.Fatalf("p50=%v", q)
 	}
 	if MetricsPanel(nil, 16) == "" {
