@@ -163,8 +163,8 @@ func runDemo(providers int, dryRun bool) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("retention: scanned %d blobs, retired %d versions (%d pinned skipped)\n",
-		ret.BlobsScanned, ret.Retired, ret.PinnedSkipped)
+	fmt.Printf("retention: scanned %d blobs, retired %d versions (%d held)\n",
+		ret.BlobsScanned, ret.Retired, ret.Held)
 
 	// A pinned reader rides through the delete.
 	b, err := cl.Open(ctx, info.ID)

@@ -468,18 +468,18 @@ func (b *builder) anyIn(lo, hi int64) bool {
 // base tree's node covering exactly this range (0 = hole) — or, for a
 // range wider than the base root (only ever [0, hi): the new root and its
 // left spine), the base version itself, whose tree is the range's
-// leftmost descendant. It returns the version under which the resulting
-// subtree can be found.
-func (b *builder) descend(lo, hi int64, baseVer uint64, force bool) (uint64, error) {
+// leftmost descendant. The new version's root is always written. It
+// returns the version under which the resulting subtree can be found.
+func (b *builder) descend(lo, hi int64, baseVer uint64, root bool) (uint64, error) {
 	above := baseVer != 0 && hi > b.baseSpan // no base node this wide to share
-	if !force && !above && !b.anyIn(lo, hi) {
+	if !root && !above && !b.anyIn(lo, hi) {
 		return baseVer, nil // share the base subtree untouched
 	}
 	key := NodeKey{Blob: b.tree.blob, Version: b.newVer, Lo: lo, Hi: hi}
 	if hi-lo == 1 {
 		desc, ok := b.writes[lo]
 		if !ok && baseVer != 0 {
-			// The forced root of a one-chunk version that wrote nothing:
+			// The root of a one-chunk version that wrote nothing:
 			// it carries the base's chunk under the new version.
 			bn, err := b.tree.node(NodeKey{Blob: key.Blob, Version: baseVer, Lo: lo, Hi: hi}, false)
 			if err != nil {

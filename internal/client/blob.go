@@ -71,12 +71,13 @@ func (b *Blob) NewReader(ctx context.Context, version uint64, offset, length int
 	// A version's tree is addressed by (version, root span).
 	root := tree.Root(vm.Version, vm.Size)
 	// Pin before snapshotting descriptors: from here until Close the
-	// lifecycle layer defers reclaiming this version, so a concurrent
-	// delete cannot pull chunks out from under the stream. A pin refused
-	// because the BLOB was just deleted fails the open cleanly instead.
+	// lifecycle layer neither retires nor reclaims this version, so a
+	// concurrent retention pass or delete cannot pull chunks out from
+	// under the stream. A pin refused because the BLOB was just deleted
+	// or the version just retired fails the open cleanly instead.
 	pinned := false
 	if c.pinner != nil {
-		if err := c.pinner.Pin(b.info.ID, root); err != nil {
+		if err := c.pinner.Pin(b.info.ID, vm.Version); err != nil {
 			return nil, err
 		}
 		pinned = true

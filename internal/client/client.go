@@ -19,7 +19,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"blobseer/internal/blobmeta"
 	"blobseer/internal/chunk"
 	"blobseer/internal/instrument"
 	"blobseer/internal/pmanager"
@@ -97,14 +96,14 @@ type AllowAll struct{}
 func (AllowAll) Allow(context.Context, string, instrument.Op) error { return nil }
 
 // Pinner is the storage-lifecycle hook streaming readers pin versions
-// through: Pin is called once the read version is resolved — with its
-// tree's root, which nobody could derive any more were the version
-// retired under the pin — and must fail if the BLOB is already deleted;
-// Unpin releases on Close. While a pin
-// is held the lifecycle layer defers chunk reclamation of the version,
-// so a concurrent delete or overwrite cannot truncate the stream.
+// through: Pin is called once the read version is resolved and must fail
+// if the BLOB is already deleted or the version already retired; Unpin
+// releases on Close. While a pin is held the lifecycle layer keeps the
+// version from retirement and defers chunk reclamation of it, so a
+// concurrent delete, overwrite or retention pass cannot truncate the
+// stream.
 type Pinner interface {
-	Pin(blob uint64, root blobmeta.Root) error
+	Pin(blob, version uint64) error
 	Unpin(blob, version uint64)
 }
 

@@ -492,13 +492,13 @@ type recPinner struct {
 
 func newRecPinner() *recPinner { return &recPinner{held: map[[2]uint64]int{}} }
 
-func (p *recPinner) Pin(blob uint64, root blobmeta.Root) error {
+func (p *recPinner) Pin(blob, version uint64) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.failPin != nil {
 		return p.failPin
 	}
-	p.held[[2]uint64{blob, root.Version}]++
+	p.held[[2]uint64{blob, version}]++
 	p.pins++
 	return nil
 }

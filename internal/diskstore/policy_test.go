@@ -2,7 +2,9 @@ package diskstore
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -172,15 +174,59 @@ func TestCompactionDefersTheDying(t *testing.T) {
 	}
 }
 
-// syncCounter counts the fsyncs an append handle is asked for.
+// syncCounter counts the fsyncs an append handle is asked for, and fails
+// each with err when it is set.
 type syncCounter struct {
 	appendFile
 	syncs int
+	err   error
 }
 
 func (f *syncCounter) Sync() error {
 	f.syncs++
+	if f.err != nil {
+		return f.err
+	}
 	return f.appendFile.Sync()
+}
+
+// TestSyncWrites: with Options.SyncWrites every record the store appends
+// — a Put, a re-Put, a Delete, a Purge and an AdvanceEpoch — is fsynced
+// once; without it none is. A failing fsync fails the Put, and the chunk
+// it would have stored is not indexed.
+func TestSyncWrites(t *testing.T) {
+	for _, tc := range []struct {
+		sync bool
+		want int
+	}{{true, 5}, {false, 0}} {
+		s, _ := open(t, Options{SyncWrites: tc.sync})
+		head := &syncCounter{appendFile: s.active.w}
+		s.active.w = head
+		data := payload(1, 1<<10)
+		id := mustPut(t, s, data)
+		mustPut(t, s, data)
+		if err := s.Delete(id); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Purge(id); err != nil {
+			t.Fatal(err)
+		}
+		s.AdvanceEpoch()
+		if head.syncs != tc.want {
+			t.Fatalf("SyncWrites %v: %d syncs, want %d", tc.sync, head.syncs, tc.want)
+		}
+	}
+
+	s, _ := open(t, Options{SyncWrites: true})
+	s.active.w = &syncCounter{appendFile: s.active.w, err: errors.New("device gone")}
+	data := payload(2, 1<<10)
+	id := chunk.Sum(data)
+	if err := s.Put(id, data); err == nil || !strings.Contains(err.Error(), "diskstore: sync:") {
+		t.Fatalf("Put under a failing fsync = %v, want a diskstore: sync: error", err)
+	}
+	if s.Has(id) {
+		t.Fatal("a Put whose fsync failed left its chunk indexed")
+	}
 }
 
 // threeVictims leaves three sealed segments, each with one live chunk out of

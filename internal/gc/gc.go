@@ -4,10 +4,11 @@
 // system reclaims it autonomously. Three cooperating pieces do that:
 //
 //   - Pins: reader-counted pins on (blob, version), acquired by streaming
-//     readers (BlobReader, s3 gateway GETs) and released on Close. A blob
-//     deletion that races a pinned reader is deferred — queued, not
-//     dropped — until the last pin drains, so an in-flight stream always
-//     serves its full version.
+//     readers (BlobReader, s3 gateway GETs) and released on Close. A pin
+//     is a version-manager hold, so retention skips it. A blob deletion
+//     that races a pinned reader is deferred — queued, not dropped —
+//     until the last pin drains, so an in-flight stream always serves
+//     its full version.
 //
 //   - Retention: per-BLOB version-retention policies (keep-last-N, max
 //     age) evaluated against the version manager. Retired versions stop
@@ -87,13 +88,12 @@ type VersionManager interface {
 	Blobs() []uint64
 	DeletedBlobs() []uint64
 	Versions(blob uint64) ([]vmanager.VersionMeta, error)
-	Version(blob, version uint64) (vmanager.VersionMeta, error)
 	Tree(blob uint64) (*blobmeta.Tree, error)
 	DeleteExact(blob uint64) ([]vmanager.VersionSlots, error)
 	RetentionCandidates(blob uint64, now time.Time) ([]uint64, error)
 	RetireVersions(blob uint64, vers []uint64) (int, error)
-	// HoldVersion / ReleaseVersion pin one published version against
-	// retirement on behalf of a writer lease (see OpenWriterLease).
+	// HoldVersion / ReleaseVersion protect one published version against
+	// retirement for a reader pin (Pin) or a writer lease (OpenWriterLease).
 	HoldVersion(blob, version uint64) error
 	ReleaseVersion(blob, version uint64)
 	MetaStore() blobmeta.Store
@@ -125,14 +125,6 @@ type Providers interface {
 // pinKey identifies one pinned (blob, version).
 type pinKey struct {
 	blob, version uint64
-}
-
-// pin is one pinned version: its reader count and its tree's root, which
-// the mark phase walks from and could not derive any more once retention
-// has retired the version under the pin.
-type pin struct {
-	readers int
-	root    blobmeta.Root
 }
 
 // deferredBlob is a deleted BLOB whose chunk reclaim waits for pins to
@@ -176,7 +168,7 @@ type SweepReport struct {
 
 	// Metadata-node sweep.
 	NodesScanned int // tree nodes examined in the metadata store
-	NodesLive    int // nodes reachable from a retained or pinned version
+	NodesLive    int // nodes reachable from a retained version
 	NodesKept    int // protected: deferred BLOBs' nodes, in-flight publications, post-snapshot BLOBs
 	NodesSwept   int // nodes reclaimed (counted, not removed, under DryRun)
 
@@ -204,11 +196,10 @@ type MarkReport struct {
 
 // RetentionReport summarizes one retention-enforcement pass.
 type RetentionReport struct {
-	Time          time.Time
-	BlobsScanned  int
-	Retired       int // versions retired
-	PinnedSkipped int // candidate versions skipped because a reader pins them
-	LeasedSkipped int // candidate versions skipped because a writer lease holds them as base
+	Time         time.Time
+	BlobsScanned int
+	Retired      int // versions retired
+	Held         int // candidate versions skipped because a reader pin or a writer lease holds them
 
 	// Err is the first error the pass hit ("" = clean), recorded by the
 	// background runner so a degraded metadata plane is visible in
@@ -242,7 +233,7 @@ type Manager struct {
 	markWorkers int    // BLOBs marked concurrently per pass
 
 	mu         sync.Mutex
-	pins       map[pinKey]pin
+	pins       map[pinKey]int
 	pinsByBlob map[uint64]int
 	deferred   map[uint64]*deferredBlob
 
@@ -371,7 +362,7 @@ func New(vm VersionManager, prov Providers, opts ...Option) *Manager {
 		grace:       1,
 		batch:       256,
 		markWorkers: 8,
-		pins:        make(map[pinKey]pin),
+		pins:        make(map[pinKey]int),
 		pinsByBlob:  make(map[uint64]int),
 		deferred:    make(map[uint64]*deferredBlob),
 		leases:      make(map[string]*writerLeaseState),
@@ -402,25 +393,32 @@ func New(vm VersionManager, prov Providers, opts ...Option) *Manager {
 	return m
 }
 
-// Pin registers a reader on the version root addresses: chunk reclaim of
-// the version is deferred until every pin is released. Pinning a deleted
-// BLOB fails with vmanager.ErrDeleted — the reader lost the race and
-// must not start a stream whose chunks are already being reclaimed.
-// Pin implements client.Pinner.
-func (m *Manager) Pin(blob uint64, root blobmeta.Root) error {
+// Pin registers a reader on (blob, version) and holds the version in the
+// version manager, so retention cannot retire it until the pin is
+// released. Pinning a deleted BLOB fails with vmanager.ErrDeleted, a
+// version already retired with vmanager.ErrBadVersion — the reader lost
+// the race and must not start a stream whose chunks are already being
+// reclaimed. Pin implements client.Pinner.
+//
+// The hold is the whole protection of a live BLOB's pinned version: it is
+// taken under the version manager's lock, the same one RetireVersions
+// takes, so the version stays in the BLOB's version list and the mark's
+// ordinary walk (fresh or from the cache) keeps it live. When the pin
+// drains the version can only leave through RetireVersions, which changes
+// that list, so the next pass walks the BLOB again. A version published
+// after the mark read the list is covered by leases and the grace window,
+// as for any unpinned version.
+func (m *Manager) Pin(blob, version uint64) error {
 	// Register first, verify liveness second: a concurrent DeleteBlob
 	// either sees this pin when it snapshots (and defers), or marked the
-	// BLOB deleted before our check (and we fail cleanly). Either way no
+	// BLOB deleted before our hold (and we fail cleanly). Either way no
 	// window exists where the reader runs unprotected.
-	k := pinKey{blob, root.Version}
+	k := pinKey{blob, version}
 	m.mu.Lock()
-	m.pins[k] = pin{readers: m.pins[k].readers + 1, root: root}
+	m.pins[k]++
 	m.pinsByBlob[blob]++
 	m.mu.Unlock()
-	// Verify the exact version, not just the BLOB: a version retired by
-	// retention between the reader's resolve and this pin must fail the
-	// open — its chunks are already sweep fodder.
-	if _, err := m.vm.Version(blob, root.Version); err != nil {
+	if err := m.vm.HoldVersion(blob, version); err != nil {
 		m.unpin(k)
 		return err
 	}
@@ -428,12 +426,13 @@ func (m *Manager) Pin(blob uint64, root blobmeta.Root) error {
 	return nil
 }
 
-// Unpin releases one pin. When the last pin of a deleted BLOB drains,
-// the queued reclaim runs synchronously — by the time Unpin returns the
-// fast-path refcount decrements have been issued.
-// Unpin implements client.Pinner.
+// Unpin releases one pin and its version-manager hold. When the last pin
+// of a deleted BLOB drains, the queued reclaim runs synchronously — by
+// the time Unpin returns the fast-path refcount decrements have been
+// issued. Unpin implements client.Pinner.
 func (m *Manager) Unpin(blob, version uint64) {
 	if m.unpin(pinKey{blob, version}) {
+		m.vm.ReleaseVersion(blob, version)
 		m.pinned.Dec()
 	}
 }
@@ -451,15 +450,12 @@ func (m *Manager) unpin(k pinKey) bool {
 	m.fence.RLock()
 	defer m.fence.RUnlock()
 	m.mu.Lock()
-	p := m.pins[k]
-	if p.readers == 0 {
+	if m.pins[k] == 0 {
 		m.mu.Unlock()
 		return false
 	}
-	if p.readers--; p.readers == 0 {
+	if m.pins[k]--; m.pins[k] == 0 {
 		delete(m.pins, k)
-	} else {
-		m.pins[k] = p
 	}
 	m.pinsByBlob[k.blob]--
 	drained := m.pinsByBlob[k.blob] == 0
@@ -663,15 +659,12 @@ func (m *Manager) ReclaimDescs(ctx context.Context, descs []chunk.Desc) {
 }
 
 // EnforceRetention evaluates every live BLOB's retention policy at
-// instant now and retires the nominated versions, skipping any version a
-// reader currently pins or a writer lease holds as its base (the next
-// pass retries both). The lease skip here is for report visibility; the
-// version manager's own hold makes the skip authoritative even for
-// direct RetireVersions callers.
+// instant now and retires the nominated versions. The version manager
+// skips any version a reader pin or a writer lease holds (the next pass
+// retries it); the report counts those as Held.
 func (m *Manager) EnforceRetention(ctx context.Context, now time.Time) (RetentionReport, error) {
 	start := m.now()
 	rep := RetentionReport{Time: now}
-	leased := m.leasedBases()
 	var firstErr error
 	for _, blob := range m.vm.Blobs() {
 		if err := ctx.Err(); err != nil {
@@ -695,24 +688,7 @@ func (m *Manager) EnforceRetention(ctx context.Context, now time.Time) (Retentio
 		if len(cands) == 0 {
 			continue
 		}
-		m.mu.Lock()
-		keep := cands[:0]
-		for _, v := range cands {
-			if m.pins[pinKey{blob, v}].readers > 0 {
-				rep.PinnedSkipped++
-				continue
-			}
-			if leased[pinKey{blob, v}] {
-				rep.LeasedSkipped++
-				continue
-			}
-			keep = append(keep, v)
-		}
-		m.mu.Unlock()
-		if len(keep) == 0 {
-			continue
-		}
-		n, err := m.vm.RetireVersions(blob, keep)
+		n, err := m.vm.RetireVersions(blob, cands)
 		if err != nil {
 			// The blob may have been deleted or published to between the
 			// candidate read and the retire; retry next pass.
@@ -722,6 +698,7 @@ func (m *Manager) EnforceRetention(ctx context.Context, now time.Time) (Retentio
 			continue
 		}
 		rep.Retired += n
+		rep.Held += len(cands) - n
 	}
 	m.retiredVers.Add(int64(rep.Retired))
 	m.phaseRetention.Observe(m.now().Sub(start).Seconds())

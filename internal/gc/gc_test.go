@@ -146,8 +146,9 @@ func TestPinDefersDeleteUntilClose(t *testing.T) {
 }
 
 // TestRetentionRetiresOldVersions: keep-last-N and max-age nominate old
-// versions, pinned versions are skipped until their reader closes, and
-// the sweep reclaims chunks only retired versions referenced.
+// versions, pinned versions are held until their reader closes — a
+// direct pin and a real BlobReader alike — and the sweep reclaims chunks
+// only retired versions referenced.
 func TestRetentionRetiresOldVersions(t *testing.T) {
 	ctx := context.Background()
 	now := t0
@@ -177,15 +178,15 @@ func TestRetentionRetiresOldVersions(t *testing.T) {
 	}
 
 	// Pin v1: the policy nominates v1 and v2, but only v2 retires now.
-	if err := c.GC.Pin(info.ID, rootOf(t, c.VM, info.ID, 1)); err != nil {
+	if err := c.GC.Pin(info.ID, 1); err != nil {
 		t.Fatal(err)
 	}
 	rep, err := c.GC.EnforceRetention(context.Background(), now)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Retired != 1 || rep.PinnedSkipped != 1 {
-		t.Fatalf("retention report = %+v, want Retired 1 PinnedSkipped 1", rep)
+	if rep.Retired != 1 || rep.Held != 1 {
+		t.Fatalf("retention report = %+v, want Retired 1 Held 1", rep)
 	}
 	if _, err := c.VM.Version(info.ID, 2); !errors.Is(err, vmanager.ErrBadVersion) {
 		t.Fatalf("retired version still readable: %v", err)
@@ -217,6 +218,50 @@ func TestRetentionRetiresOldVersions(t *testing.T) {
 	got, err := cl.Read(ctx, info.ID, 3, 0, 256)
 	if err != nil || !bytes.Equal(got, bytes.Repeat([]byte{'c'}, 256)) {
 		t.Fatalf("v3 read after sweep: %v", err)
+	}
+
+	// A BlobReader from the cluster's own client pins through the
+	// lifecycle manager: opened on v1 of a second BLOB, it holds v1
+	// across a retention pass and a sweep and reads it intact; once it
+	// closes the next pass retires v1 and reclaims its chunk.
+	rb, err := cl.Create(ctx, 256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if _, err := cl.Write(ctx, rb.ID, 0, bytes.Repeat([]byte{byte('p' + i)}, 256)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.VM.SetRetention(rb.ID, vmanager.Retention{KeepLast: 1}); err != nil {
+		t.Fatal(err)
+	}
+	bh, err := cl.Open(ctx, rb.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rd, err := bh.NewReader(ctx, 1, 0, -1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	chunksBefore := totalChunks(c)
+	if rep, err = c.GC.EnforceRetention(ctx, now); err != nil || rep.Retired != 0 || rep.Held != 1 {
+		t.Fatalf("retention under an open reader = %+v (%v), want Retired 0 Held 1", rep, err)
+	}
+	if srep, err = c.GC.Sweep(ctx, false); err != nil || srep.Swept != 0 || totalChunks(c) != chunksBefore {
+		t.Fatalf("sweep under an open reader = %+v (%v), want nothing swept", srep, err)
+	}
+	if got, err := io.ReadAll(rd); err != nil || !bytes.Equal(got, bytes.Repeat([]byte{'p'}, 256)) {
+		t.Fatalf("held v1 reads %q (%v), want it intact", got, err)
+	}
+	if err := rd.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if rep, err = c.GC.EnforceRetention(ctx, now); err != nil || rep.Retired != 1 || rep.Held != 0 {
+		t.Fatalf("retention after close = %+v (%v), want Retired 1 Held 0", rep, err)
+	}
+	if srep, err = c.GC.Sweep(ctx, false); err != nil || srep.Swept != 1 || totalChunks(c) != chunksBefore-1 {
+		t.Fatalf("sweep after close = %+v (%v), want v1's chunk reclaimed", srep, err)
 	}
 
 	// Max-age: everything but the latest ages out.
@@ -719,8 +764,8 @@ func TestNodeSweepAcceptance(t *testing.T) {
 		t.Fatalf("nodes after retirement sweep = %d, want %d (reachable from v4)", got, wantA)
 	}
 
-	// Blob B: a version that is retired *while pinned* (the pin/retire
-	// race) keeps all its nodes and chunks until the pin drains.
+	// Blob B: a pinned version cannot be retired; it keeps all its nodes
+	// and chunks until the pin drains and retention retires it.
 	b, err := cl.Create(ctx, 256)
 	if err != nil {
 		t.Fatal(err)
@@ -731,11 +776,11 @@ func TestNodeSweepAcceptance(t *testing.T) {
 		}
 	}
 	b1, b2 := rootOf(t, c.VM, b.ID, 1), rootOf(t, c.VM, b.ID, 2)
-	if err := c.GC.Pin(b.ID, b1); err != nil {
+	if err := c.GC.Pin(b.ID, 1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.VM.RetireVersions(b.ID, []uint64{1}); err != nil {
-		t.Fatal(err)
+	if n, err := c.VM.RetireVersions(b.ID, []uint64{1}); err != nil || n != 0 {
+		t.Fatalf("retire of a pinned version = %d (%v), want 0", n, err)
 	}
 	wantBBoth := reachableNodes(t, c.VM, b.ID, b1, b2)
 	chunksBefore := totalChunks(c)
@@ -744,14 +789,18 @@ func TestNodeSweepAcceptance(t *testing.T) {
 		t.Fatal(err)
 	}
 	if rep.Swept != 0 || totalChunks(c) != chunksBefore {
-		t.Fatalf("sweep dropped a pinned-retired version's chunks: %+v", rep)
+		t.Fatalf("sweep dropped a pinned version's chunks: %+v", rep)
 	}
 	if got := meta.Len(); got != wantA+wantBBoth {
-		t.Fatalf("nodes with pinned-retired version = %d, want %d", got, wantA+wantBBoth)
+		t.Fatalf("nodes with pinned version = %d, want %d", got, wantA+wantBBoth)
 	}
 
-	// Pin drains: v1's exclusive nodes and chunks become reclaimable.
+	// Pin drains and v1 retires: its exclusive nodes and chunks become
+	// reclaimable.
 	c.GC.Unpin(b.ID, 1)
+	if n, err := c.VM.RetireVersions(b.ID, []uint64{1}); err != nil || n != 1 {
+		t.Fatalf("retire after unpin = %d (%v), want 1", n, err)
+	}
 	wantB := reachableNodes(t, c.VM, b.ID, b2)
 	if _, err := c.GC.Sweep(ctx, false); err != nil {
 		t.Fatal(err)

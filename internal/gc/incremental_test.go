@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -272,7 +273,7 @@ func runOracle(t *testing.T, seed int64) {
 			}
 		}
 		if len(pins) > 0 {
-			return // pinned retired versions and deferred BLOBs keep more than the naive mark
+			return // deferred BLOBs keep more than the naive mark
 		}
 		if len(left) != len(naive) {
 			t.Fatalf("seed %d op %d: %d chunks survive the pass, the naive mark reaches %d", seed, op, len(left), len(naive))
@@ -332,14 +333,14 @@ func runOracle(t *testing.T, seed int64) {
 			if err := r.vm.SetRetention(b, vmanager.Retention{KeepLast: 1 + rng.Intn(2)}); err != nil {
 				t.Fatal(err)
 			}
-		case k < 18: // pin a retained version; retention or a delete may overtake it
+		case k < 18: // pin a retained version; retention cannot retire it, a delete may overtake it
 			b, _ := pick()
 			versions, err := r.vm.Versions(b)
 			if err != nil {
 				t.Fatal(err)
 			}
 			v := versions[rng.Intn(len(versions))].Version
-			if err := r.m.Pin(b, rootOf(t, r.vm, b, v)); err != nil {
+			if err := r.m.Pin(b, v); err != nil {
 				t.Fatal(err)
 			}
 			pins = append(pins, pin{b, v})
@@ -388,14 +389,14 @@ func runOracle(t *testing.T, seed int64) {
 	}
 }
 
-// TestPinnedRetiredVersionNodesReclaimedAfterUnpin: a pinned BLOB is
-// never settled. The BLOB is settled by a clean pass first, so the pin
-// lands on a cached mark; its pinned version is then retired, the next
-// pass keeps everything the pin reaches, and after the unpin — with no
-// further version change to invalidate anything — the pass after that
-// must walk the BLOB again and reclaim what only the pinned version
-// reached.
-func TestPinnedRetiredVersionNodesReclaimedAfterUnpin(t *testing.T) {
+// TestPinnedVersionReclaimedAfterUnpin: a pin is a version-manager hold.
+// The BLOB is settled by a clean pass first, so the pin lands on a cached
+// mark. Retiring the pinned version retires nothing, so the next pass
+// sweeps nothing and keeps reusing the mark. After the unpin the version
+// retires, which changes the version list: the pass after that walks the
+// BLOB again and reclaims exactly what only the pinned version reached,
+// and the pass after that reuses the mark again.
+func TestPinnedVersionReclaimedAfterUnpin(t *testing.T) {
 	ctx := context.Background()
 	r := newRig(t)
 	info, err := r.cl.Create(ctx, 256)
@@ -414,35 +415,31 @@ func TestPinnedRetiredVersionNodesReclaimedAfterUnpin(t *testing.T) {
 		t.Fatalf("unchanged BLOB: walked %d reused %d, want 0/1", rep.BlobsWalked, rep.BlobsReused)
 	}
 
-	both := r.reachable(t, info.ID)
-	if err := r.m.Pin(info.ID, rootOf(t, r.vm, info.ID, 1)); err != nil {
+	both, bothChunks := r.reachable(t, info.ID), r.naiveMark(t)
+	if err := r.m.Pin(info.ID, 1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.vm.RetireVersions(info.ID, []uint64{1}); err != nil {
-		t.Fatal(err)
+	if n, err := r.vm.RetireVersions(info.ID, []uint64{1}); err != nil || n != 0 {
+		t.Fatalf("retire of a pinned version = %d (%v), want 0", n, err)
 	}
-	chunksBefore := len(r.survivors(t))
-	if rep := r.sweep(t); rep.Swept != 0 || rep.NodesSwept != 0 || rep.BlobsWalked != 1 {
-		t.Fatalf("pass over a pinned retired version: %+v, want nothing swept and the BLOB walked", rep)
-	}
-	if got := r.meta.Len(); got != both || len(r.survivors(t)) != chunksBefore {
-		t.Fatalf("pinned retired version lost nodes or chunks: %d nodes (want %d), %d chunks (want %d)",
-			got, both, len(r.survivors(t)), chunksBefore)
-	}
-	// Still pinned, nothing changed: the pass must not take the BLOB from
-	// the cache, or the unpin below would go unnoticed.
-	if rep := r.sweep(t); rep.BlobsWalked != 1 {
-		t.Fatalf("pinned BLOB was reused from the cache: %+v", rep)
+	if rep := r.sweep(t); rep.Swept != 0 || rep.NodesSwept != 0 || rep.BlobsWalked != 0 || rep.BlobsReused != 1 {
+		t.Fatalf("pass over a pinned version: %+v, want nothing swept and the cached mark reused", rep)
 	}
 
 	r.m.Unpin(info.ID, 1)
-	onlyV2 := r.reachable(t, info.ID)
+	if n, err := r.vm.RetireVersions(info.ID, []uint64{1}); err != nil || n != 1 {
+		t.Fatalf("retire after unpin = %d (%v), want 1", n, err)
+	}
+	onlyV2, v2Chunks := r.reachable(t, info.ID), r.naiveMark(t)
 	rep := r.sweep(t)
-	if rep.BlobsWalked != 1 || rep.NodesSwept != both-onlyV2 || rep.Swept == 0 {
-		t.Fatalf("pass after unpin: %+v, want the BLOB walked, %d nodes and v1's chunks swept", rep, both-onlyV2)
+	if rep.BlobsWalked != 1 || rep.NodesSwept != both-onlyV2 {
+		t.Fatalf("pass after unpin: %+v, want the BLOB walked and %d nodes swept", rep, both-onlyV2)
 	}
 	if got := r.meta.Len(); got != onlyV2 {
 		t.Fatalf("nodes after unpin = %d, want %d (reachable from v2)", got, onlyV2)
+	}
+	if left := r.survivors(t); !maps.Equal(left, v2Chunks) || len(v2Chunks) >= len(bothChunks) {
+		t.Fatalf("%d chunks survive, want exactly the %d v2 reaches (of %d before)", len(left), len(v2Chunks), len(bothChunks))
 	}
 	if rep := r.sweep(t); rep.BlobsWalked != 0 || rep.BlobsReused != 1 {
 		t.Fatalf("settled after the unpin pass: walked %d reused %d, want 0/1", rep.BlobsWalked, rep.BlobsReused)

@@ -166,22 +166,6 @@ func (m *Manager) reapWriterLeases() int {
 	return len(reaped)
 }
 
-// leasedBases snapshots the (blob, base version) pairs live writer
-// leases protect, for the retention pass's skip filter. Expired leases
-// do not protect — the next sweep reaps them.
-func (m *Manager) leasedBases() map[pinKey]bool {
-	now := m.now()
-	out := map[pinKey]bool{}
-	m.leaseMu.Lock()
-	for _, st := range m.leases {
-		if st.base > 0 && !now.After(st.deadline) {
-			out[pinKey{st.blob, st.base}] = true
-		}
-	}
-	m.leaseMu.Unlock()
-	return out
-}
-
 // newLeaseNonce returns the per-manager lease-ID prefix. Randomness
 // makes lease IDs unique across processes, so a gateway's leases and a
 // GC runner's never collide at a shared provider.

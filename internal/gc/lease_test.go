@@ -226,7 +226,7 @@ func TestLeaseBlocksPurgeOfReusedChunk(t *testing.T) {
 // base v1 leases (and thereby holds) that version; a concurrent publish
 // plus KeepLast:1 retention would otherwise retire v1 mid-stream and
 // sweep the very chunk the writer's partial slot 0 must merge against.
-// With leases retention skips the held base (LeasedSkipped) and the
+// With leases retention skips the held base (Held) and the
 // merge reads it intact; without leases v1 is retired and the writer's
 // edge merge demonstrably breaks.
 func TestLeaseHoldsBaseVersionAgainstRetention(t *testing.T) {
@@ -268,8 +268,8 @@ func TestLeaseHoldsBaseVersionAgainstRetention(t *testing.T) {
 			t.Fatal(err)
 		}
 		if leases {
-			if rrep.LeasedSkipped != 1 || rrep.Retired != 0 {
-				t.Fatalf("retention vs held base = %+v, want LeasedSkipped 1 Retired 0", rrep)
+			if rrep.Held != 1 || rrep.Retired != 0 {
+				t.Fatalf("retention vs held base = %+v, want Held 1 Retired 0", rrep)
 			}
 		} else if rrep.Retired == 0 {
 			t.Fatalf("retention without leases = %+v, want the base retired", rrep)

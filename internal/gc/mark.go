@@ -7,9 +7,10 @@
 // chunk IDs and its watermark — is a pure function of its retained
 // version-number list, and the Manager keeps that contribution per BLOB
 // across passes (blobMark). A pass re-walks a BLOB only when the version
-// manager's list differs from the cached one, the BLOB is new, a reader
-// pins it, or the node sweep has not yet finished with it (settled);
-// every other BLOB's chunk IDs come from the cache. The cache starts
+// manager's list differs from the cached one, the BLOB is new, or the
+// node sweep has not yet finished with it (settled); every other BLOB's
+// chunk IDs come from the cache. A reader pin changes nothing here: it
+// holds its version in the list (see Manager.Pin). The cache starts
 // empty, so the first pass walks everything: it is the full pass, by the
 // same code. What is held between passes is O(live chunk IDs); the node
 // sets the walks produce live for one pass only.
@@ -18,7 +19,6 @@ package gc
 import (
 	"context"
 	"fmt"
-	"maps"
 	"sync"
 
 	"blobseer/internal/blobmeta"
@@ -37,10 +37,10 @@ type blobMark struct {
 	chunks   []chunk.ID // chunk IDs of the leaves reachable from those versions
 
 	// settled records that a real pass range-scanned the BLOB's nodes
-	// against the walk of exactly this version list, deleted every
-	// unreachable one cleanly, and found no reader pin on the BLOB: until
-	// the list changes there is nothing left to classify, so the BLOB
-	// needs neither walk nor scan. Dry-runs and Mark never set it.
+	// against the walk of exactly this version list and deleted every
+	// unreachable one cleanly: until the list changes there is nothing
+	// left to classify, so the BLOB needs neither walk nor scan. Dry-runs
+	// and Mark never set it.
 	settled bool
 }
 
@@ -62,11 +62,10 @@ func (e *blobMark) sameVersions(versions []vmanager.VersionMeta) bool {
 // sweep needs to classify the BLOB's stored nodes.
 type blobWalk struct {
 	*blobMark
-	// nodes holds the keys reachable from a retained or pinned version.
-	// It is the walking worker's set, shared by all its walks: node keys
-	// carry their BLOB, so the walks never collide.
-	nodes  map[blobmeta.NodeKey]struct{}
-	pinned bool // a reader pinned the BLOB at the pass's pin read
+	// nodes holds the keys reachable from a retained version. It is the
+	// walking worker's set, shared by all its walks: node keys carry
+	// their BLOB, so the walks never collide.
+	nodes map[blobmeta.NodeKey]struct{}
 }
 
 // markWorker is one goroutine's share of the mark fan-out.
@@ -96,38 +95,36 @@ type markSet struct {
 }
 
 // markBlob adds one live BLOB to wk: from the cache when its settled
-// mark still matches the version manager's list (unless force), by a
-// fresh walk otherwise. The walk goes newest version first: the newest
+// mark still matches the version manager's list, by a fresh walk
+// otherwise. The walk goes newest version first: the newest
 // walks its tree in full once and each older version prunes at every
 // subtree it shares with a younger one, so the whole BLOB costs
 // O(distinct nodes) metadata reads instead of O(versions × nodes). A
 // BLOB deleted between enumeration and walk is skipped; any other
 // version-manager or metadata error aborts the pass (fail safe: an
-// unmarked live chunk is a purge casualty). The walk — returned, nil for
-// a reused or vanished BLOB — is recorded only once it has completed.
-func (m *Manager) markBlob(ctx context.Context, blob uint64, wk *markWorker, force bool) (*blobWalk, error) {
+// unmarked live chunk is a purge casualty). The walk is recorded only
+// once it has completed.
+func (m *Manager) markBlob(ctx context.Context, blob uint64, wk *markWorker) error {
 	versions, err := m.vm.Versions(blob)
 	if err != nil {
 		if blobGone(err) {
-			return nil, nil
+			return nil
 		}
-		return nil, fmt.Errorf("gc: mark blob %d: list versions: %w", blob, err)
+		return fmt.Errorf("gc: mark blob %d: list versions: %w", blob, err)
 	}
-	if !force {
-		m.markMu.Lock()
-		e := m.marks[blob]
-		m.markMu.Unlock()
-		if e != nil && e.settled && e.sameVersions(versions) {
-			wk.reused = append(wk.reused, e)
-			return nil, nil
-		}
+	m.markMu.Lock()
+	e := m.marks[blob]
+	m.markMu.Unlock()
+	if e != nil && e.settled && e.sameVersions(versions) {
+		wk.reused = append(wk.reused, e)
+		return nil
 	}
 	tree, err := m.vm.Tree(blob)
 	if err != nil {
 		if blobGone(err) {
-			return nil, nil
+			return nil
 		}
-		return nil, fmt.Errorf("gc: mark blob %d: open tree: %w", blob, err)
+		return fmt.Errorf("gc: mark blob %d: open tree: %w", blob, err)
 	}
 	w := &blobWalk{
 		blobMark: &blobMark{blob: blob, versions: make([]uint64, len(versions))},
@@ -139,44 +136,39 @@ func (m *Manager) markBlob(ctx context.Context, blob uint64, wk *markWorker, for
 	}
 	for i := len(versions) - 1; i >= 0; i-- {
 		if err := ctx.Err(); err != nil {
-			return nil, err
+			return err
 		}
 		v := versions[i]
 		if v.Version == 0 {
 			continue
 		}
 		wk.versions++
-		if err := w.walkVersion(tree, tree.Root(v.Version, v.Size), func(id chunk.ID) { w.chunks = append(w.chunks, id) }); err != nil {
-			return nil, fmt.Errorf("gc: mark blob %d v%d: %w", blob, v.Version, err)
+		err := tree.WalkNodes(tree.Root(v.Version, v.Size),
+			func(k blobmeta.NodeKey) bool {
+				_, seen := w.nodes[k]
+				return seen
+			},
+			func(k blobmeta.NodeKey, n blobmeta.Node) error {
+				w.nodes[k] = struct{}{}
+				if n.Leaf && !n.Desc.ID.IsZero() {
+					w.chunks = append(w.chunks, n.Desc.ID)
+				}
+				return nil
+			})
+		if err != nil {
+			return fmt.Errorf("gc: mark blob %d v%d: %w", blob, v.Version, err)
 		}
 	}
 	wk.walks = append(wk.walks, w)
-	return w, nil
-}
-
-// walkVersion walks one version of the BLOB's tree into w.nodes, pruning
-// at subtrees an earlier walk covered and reporting each live leaf's
-// chunk ID.
-func (w *blobWalk) walkVersion(tree *blobmeta.Tree, root blobmeta.Root, live func(chunk.ID)) error {
-	return tree.WalkNodes(root,
-		func(k blobmeta.NodeKey) bool {
-			_, seen := w.nodes[k]
-			return seen
-		},
-		func(k blobmeta.NodeKey, n blobmeta.Node) error {
-			w.nodes[k] = struct{}{}
-			if n.Leaf && !n.Desc.ID.IsZero() {
-				live(n.Desc.ID)
-			}
-			return nil
-		})
+	return nil
 }
 
 // mark enumerates everything that must survive the sweep: the chunk IDs
 // reachable from the retained versions of live BLOBs — including
 // descriptors republished by self-optimization repairs, which appear as
-// ordinary versions — plus pinned versions and the delete-time snapshots
-// of deferred (pinned) BLOBs. BLOBs fan out over a bounded worker pool;
+// ordinary versions, and pinned versions, which their pins hold in the
+// version list (see Manager.Pin) — plus the delete-time snapshots of
+// deferred (pinned) BLOBs. BLOBs fan out over a bounded worker pool;
 // all versions of one BLOB stay on one worker so its shared-subtree
 // prune set is worker-local. The per-BLOB cache is replaced only once
 // every walk has completed: an aborted pass leaves it as it was.
@@ -191,9 +183,7 @@ func (m *Manager) mark(ctx context.Context) (*markSet, error) {
 	}
 	wctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	// One extra worker slot: the coordinating goroutine's own walks of
-	// pinned BLOBs, after the fan-out.
-	locals := make([]*markWorker, workers+1)
+	locals := make([]*markWorker, workers)
 	for i := range locals {
 		locals[i] = &markWorker{nodes: make(map[blobmeta.NodeKey]struct{})}
 	}
@@ -209,12 +199,12 @@ func (m *Manager) mark(ctx context.Context) (*markSet, error) {
 		errMu.Unlock()
 		cancel() // a mark failure aborts the whole pass; stop the fan-out
 	}
-	for _, wk := range locals[:workers] {
+	for _, wk := range locals {
 		wg.Add(1)
 		go func(wk *markWorker) {
 			defer wg.Done()
 			for blob := range jobs {
-				if _, err := m.markBlob(wctx, blob, wk, false); err != nil {
+				if err := m.markBlob(wctx, blob, wk); err != nil {
 					fail(err)
 					return
 				}
@@ -294,60 +284,10 @@ feed:
 			ms.chunks[id] = true
 		}
 	}
-	pinned := maps.Clone(m.pins)
 	m.mu.Unlock()
 	for _, blob := range rawDead {
 		if _, ok := ms.deferred[blob]; !ok {
 			ms.dead = append(ms.dead, blob)
-		}
-	}
-	// A pinned BLOB is always walked, never taken from the cache, and
-	// never settled while the pin lasts: its pinned versions are marked
-	// even when retention has already retired them (a reader may have
-	// pinned between the retention pass's pin check and the retire).
-	// Version metadata is gone but the tree nodes survive retirement, so
-	// the walk still resolves — and marking their node keys keeps the
-	// node sweep from dropping them while the pin lasts. Once the pin
-	// drains the BLOB is still unsettled, so the next pass walks and
-	// scans it again and reclaims what only the pinned version reached.
-	// Pinned versions of deleted BLOBs are covered by the deferred
-	// snapshots above.
-	late := locals[workers]
-	live := func(id chunk.ID) { ms.chunks[id] = true }
-	for k, p := range pinned {
-		w := ms.walked[k.blob]
-		if w == nil {
-			var err error
-			if w, err = m.markBlob(ctx, k.blob, late, true); err != nil {
-				return nil, err
-			}
-			if w == nil {
-				// Deleted since the fan-out: a delete before the barrier
-				// left its deferred snapshot above, one after it found the
-				// BLOB's cached mark already in ms.chunks.
-				continue
-			}
-			ms.walked[k.blob], next[k.blob] = w, w.blobMark
-			for _, id := range w.chunks {
-				ms.chunks[id] = true
-			}
-		}
-		w.pinned = true
-		if k.version == 0 {
-			continue
-		}
-		tree, err := m.vm.Tree(k.blob)
-		if err != nil {
-			if blobGone(err) {
-				continue // deleted: covered by the deferred snapshot above
-			}
-			return nil, fmt.Errorf("gc: mark pinned blob %d: open tree: %w", k.blob, err)
-		}
-		if err := w.walkVersion(tree, p.root, live); err != nil {
-			// Fail safe, exactly like the live-blob walk: an unmarked
-			// pinned version would let the purge truncate an in-flight
-			// stream.
-			return nil, fmt.Errorf("gc: mark pinned blob %d v%d: %w", k.blob, k.version, err)
 		}
 	}
 

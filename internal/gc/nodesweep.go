@@ -69,8 +69,8 @@ func scanNodes(ns blobmeta.Store, blobs []uint64, visit func(blobmeta.NodeKey) e
 // deleted versions. It scans the BLOBs the mark phase walked this pass
 // plus the dead set, nothing else: a BLOB marked from the cache was
 // fully classified by the pass that settled it, and nothing about it
-// has changed since. A scanned node is released when no retained or
-// pinned walk visited it this pass AND its creating version cannot
+// has changed since. A scanned node is released when no retained-version
+// walk visited it this pass AND its creating version cannot
 // still be in flight: either its BLOB is in the pass's dead set
 // (deleted, no pins), or the BLOB is live and the node's version is at
 // or below the BLOB's mark-time watermark — published version numbers
@@ -80,7 +80,7 @@ func scanNodes(ns blobmeta.Store, blobs []uint64, visit func(blobmeta.NodeKey) e
 // lands changes the BLOB's version list, which brings it back into a
 // later pass's scan. Dead BLOBs whose nodes all deleted cleanly are
 // forgotten in the version manager, ending their bookkeeping; walked
-// BLOBs whose scan deleted cleanly, and that no reader pins, are settled.
+// BLOBs whose scan deleted cleanly are settled.
 func (m *Manager) sweepNodes(ctx context.Context, ms *markSet, dryRun bool) nodeSweep {
 	var res nodeSweep
 	ns := m.vm.MetaStore()
@@ -171,15 +171,13 @@ func (m *Manager) sweepNodes(ctx context.Context, ms *markSet, dryRun bool) node
 
 // settle marks the pass's walked BLOBs as fully classified, so the next
 // pass reuses their marks instead of walking and scanning them again —
-// except those whose scan left a node undeleted, those a reader pinned
-// (a pinned version's nodes are protected only by a walk, and become
-// reclaimable without any version change when the pin drains), and
-// those a concurrent mark phase has re-marked since.
+// except those whose scan left a node undeleted and those a concurrent
+// mark phase has re-marked since.
 func (m *Manager) settle(ms *markSet, unclean map[uint64]bool) {
 	m.markMu.Lock()
 	defer m.markMu.Unlock()
 	for b, w := range ms.walked {
-		if w.pinned || unclean[b] || m.marks[b] != w.blobMark {
+		if unclean[b] || m.marks[b] != w.blobMark {
 			continue
 		}
 		done := *w.blobMark

@@ -20,8 +20,8 @@ type Runner struct {
 	passes        int
 }
 
-// NewRunner returns a runner sweeping every interval (minimum 1ms;
-// default 30s when interval ≤ 0).
+// NewRunner returns a runner sweeping every interval (default 30s when
+// interval ≤ 0).
 func NewRunner(m *Manager, interval time.Duration) *Runner {
 	if interval <= 0 {
 		interval = 30 * time.Second

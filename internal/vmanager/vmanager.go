@@ -85,7 +85,7 @@ type blobState struct {
 	ends      map[uint64]int64 // assigned version -> end offset of its write
 	queued    map[uint64]pendingPub
 	versions  map[uint64]VersionMeta
-	holds     map[uint64]int // version -> writer-lease hold count
+	holds     map[uint64]int // version -> hold count (reader pins and writer leases)
 	retention Retention
 	deleted   bool
 }
@@ -457,8 +457,8 @@ func (m *Manager) RetentionOf(blob uint64) (Retention, error) {
 // RetentionCandidates returns the published versions the BLOB's policy
 // nominates for retirement at instant now, in ascending order. The
 // latest published version and the empty version 0 are never nominated.
-// Callers (the garbage collector) filter out pinned versions before
-// retiring.
+// Callers (the garbage collector) pass them to RetireVersions as they
+// are: it skips the held ones.
 func (m *Manager) RetentionCandidates(blob uint64, now time.Time) ([]uint64, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -513,9 +513,10 @@ func (m *Manager) RetireVersions(blob uint64, vers []uint64) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	// A version held by a live writer lease (HoldVersion) is silently
-	// skipped, not an error: retention keeps running and retires it on a
-	// later pass once the writer finishes its partial-slot merges.
+	// A held version (HoldVersion: a reader pin or a writer lease) is
+	// silently skipped, not an error: retention keeps running and retires
+	// it on a later pass once the reader closes or the writer finishes
+	// its partial-slot merges.
 	if len(st.holds) > 0 {
 		kept := vers[:0:0]
 		for _, v := range vers {
@@ -546,12 +547,13 @@ func (m *Manager) RetireVersions(blob uint64, vers []uint64) (int, error) {
 	return len(vers), nil
 }
 
-// HoldVersion pins one published version against retirement on behalf
-// of a writer lease: RetireVersions silently skips held versions until
-// the matching ReleaseVersion, so a BlobWriter's partial-slot merges
-// can keep reading their base version's metadata mid-stream. Holds
-// nest (one count per open lease). Holding an unknown version fails
-// with ErrBadVersion.
+// HoldVersion protects one published version against retirement on
+// behalf of a reader pin or a writer lease: RetireVersions (under the
+// same lock) silently skips held versions until the matching
+// ReleaseVersion, so a reader's chunks stay marked live and a
+// BlobWriter's partial-slot merges can keep reading their base version's
+// metadata mid-stream. Holds nest (one count per pin or lease). Holding
+// an unknown or retired version fails with ErrBadVersion.
 func (m *Manager) HoldVersion(blob, version uint64) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -571,7 +573,7 @@ func (m *Manager) HoldVersion(blob, version uint64) error {
 
 // ReleaseVersion drops one HoldVersion count. It is tolerant of
 // deleted blobs and unknown versions (the blob may have been deleted
-// while the writer streamed; release must still succeed).
+// while the reader or writer streamed; release must still succeed).
 func (m *Manager) ReleaseVersion(blob, version uint64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
