@@ -44,9 +44,9 @@ func (b *Blob) Latest() (uint64, error) { return b.c.Latest(b.info.ID) }
 // NewReader returns a streaming reader over [offset, offset+length) of
 // the given version (0 = latest published; length < 0 = to the end of
 // the version). Holes read as zeros; a window past the version size
-// fails with ErrShortRead. The reader keeps a bounded window of chunk
-// fetches in flight ahead of the consumer (WithPrefetch); cancelling ctx
-// aborts them. Callers must Close the reader.
+// fails with ErrShortRead. Once its first chunk lands, the reader keeps
+// a window of chunk fetches in flight ahead of the consumer (WithPrefetch);
+// cancelling ctx aborts them. Callers must Close the reader.
 func (b *Blob) NewReader(ctx context.Context, version uint64, offset, length int64) (*BlobReader, error) {
 	c := b.c
 	start := c.now()
@@ -167,7 +167,11 @@ var settled = func() chan struct{} {
 var holeFuture = &chunkFuture{done: settled, cancel: func() {}}
 
 // BlobReader streams one version window. It implements
-// io.ReadSeekCloser and io.WriterTo. Not safe for concurrent use.
+// io.ReadSeekCloser and io.WriterTo. Not safe for concurrent use. Reads
+// are demand first: an awaited chunk nothing is fetching yet (a read's
+// first, or the first after a Seek out of the window) is fetched alone,
+// and the prefetch window opens behind it once it lands, so no prefetch
+// delays the first byte. A one-chunk read starts no goroutine.
 type BlobReader struct {
 	c         *Client
 	ctx       context.Context
@@ -196,29 +200,33 @@ func (r *BlobReader) Version() uint64 { return r.version }
 // Size returns the window length in bytes.
 func (r *BlobReader) Size() int64 { return r.length }
 
-// ensure launches fetches for the chunks after idx in the window
-// [idx, idx+window) that are not yet in flight, drops every future outside
-// that window — behind idx and, after a backward Seek, ahead of it — so the
-// map never pins more than window chunk buffers, and returns idx's future.
-// Hole slots resolve immediately with nil data. Chunk idx itself is left
-// to its reader: when nothing is fetching it, its future is unstarted (nil
-// done), and await fetches it.
+// ensure drops (and cancels) every future outside the window [idx,
+// idx+window), so the map never pins more than window chunk buffers. For
+// a demand chunk idx (see BlobReader) it opens nothing and returns nil:
+// await fetches it and calls ensure again once it landed, so a failed
+// demand fetch opens no window. Otherwise it launches fetches for the
+// window's chunks not yet in flight — a hole resolves at once with nil
+// data, so an awaited hole opens the window at once — and returns idx's.
 func (r *BlobReader) ensure(idx int64) *chunkFuture {
-	hi := r.loIdx + int64(len(r.descs)) // one past the last chunk
-	end := idx + r.window
-	if end > hi {
-		end = hi
+	for i, f := range r.futures {
+		if i < idx || i >= idx+r.window {
+			// An evicted future may still be mid-fetch: abort it so the
+			// prefetch window bounds in-flight transfers, not just the map.
+			f.cancel()
+			delete(r.futures, i)
+			r.donate(f)
+		}
 	}
+	if _, ok := r.futures[idx]; !ok && !r.descs[idx-r.loIdx].ID.IsZero() {
+		return nil
+	}
+	end := min(idx+r.window, r.loIdx+int64(len(r.descs)))
 	for i := idx; i < end; i++ {
 		if _, ok := r.futures[i]; ok {
 			continue
 		}
 		if r.descs[i-r.loIdx].ID.IsZero() {
 			r.futures[i] = holeFuture // hole: zeros
-			continue
-		}
-		if i == idx {
-			r.futures[i] = &chunkFuture{cancel: func() {}}
 			continue
 		}
 		fctx, fcancel := context.WithCancel(r.ctx)
@@ -229,15 +237,6 @@ func (r *BlobReader) ensure(idx int64) *chunkFuture {
 			r.fetch(fctx, i, f)
 			close(f.done)
 		}(i, f)
-	}
-	for i, f := range r.futures {
-		if i < idx || i >= idx+r.window {
-			// An evicted future may still be mid-fetch: abort it so the
-			// prefetch window bounds in-flight transfers, not just the map.
-			f.cancel()
-			delete(r.futures, i)
-			r.donate(f)
-		}
 	}
 	return r.futures[idx]
 }
@@ -260,9 +259,6 @@ func (r *BlobReader) fetch(ctx context.Context, idx int64, f *chunkFuture) {
 // Only settled fetches donate: an in-flight (cancelled) fetch still owns
 // f.data and its buffer is simply dropped when the goroutine finishes.
 func (r *BlobReader) donate(f *chunkFuture) {
-	if f == holeFuture {
-		return
-	}
 	select {
 	case <-f.done:
 		if f.err == nil {
@@ -273,40 +269,43 @@ func (r *BlobReader) donate(f *chunkFuture) {
 }
 
 // await returns chunk idx once it is available, or fails when the
-// context is cancelled. An unstarted chunk is fetched here, on the
-// consumer's goroutine, after ensure has started the prefetches ahead of
-// it. With metrics attached it records how long the consumer stalled on
-// the chunk: a zero observation (no clock read) when it was already
-// resolved, the measured wait or fetch otherwise.
+// context is cancelled. It fetches a demand chunk itself under r.ctx and
+// opens the window once that fetch succeeds. With metrics attached it
+// records one stall per call not cut short while waiting: zero (no clock
+// read) when the chunk was already resolved, else the wait or the fetch.
 func (r *BlobReader) await(idx int64) (*chunkFuture, error) {
+	m := r.c.m
 	fut := r.ensure(idx)
-	select {
-	case <-fut.done:
-		if m := r.c.m; m != nil {
-			m.readerStall.Observe(0)
-		}
-	default:
-		var t0 time.Time
-		if r.c.m != nil {
-			t0 = r.c.now()
-		}
-		if fut.done == nil {
-			r.fetch(r.ctx, idx, fut)
-			fut.done = settled
-		} else {
-			select {
-			case <-r.ctx.Done():
-				return nil, r.ctx.Err()
-			case <-fut.done:
+	if fut != nil {
+		select {
+		case <-fut.done:
+			if m != nil {
+				m.readerStall.Observe(0)
 			}
-		}
-		if m := r.c.m; m != nil {
-			m.observe(m.readerStall, r.c.now().Sub(t0))
+			return fut, fut.err
+		default:
 		}
 	}
-	if fut.err != nil {
-		return nil, fut.err
+	t0 := r.c.now()
+	demand := fut == nil
+	if demand {
+		fut = &chunkFuture{done: settled, cancel: func() {}}
+		r.fetch(r.ctx, idx, fut)
+	} else {
+		select {
+		case <-r.ctx.Done():
+			return nil, r.ctx.Err()
+		case <-fut.done:
+		}
 	}
+	if m != nil {
+		m.observe(m.readerStall, r.c.now().Sub(t0))
+	}
+	if fut.err != nil || !demand {
+		return fut, fut.err
+	}
+	r.futures[idx] = fut
+	r.ensure(idx) // the demand chunk landed: open the window behind it
 	return fut, nil
 }
 
@@ -333,10 +332,7 @@ func (r *BlobReader) Read(p []byte) (int, error) {
 		return 0, err
 	}
 	slotLo, slotHi := chunk.SlotRange(idx, r.chunkSize)
-	end := r.base + r.length
-	if slotHi < end {
-		end = slotHi
-	}
+	end := min(r.base+r.length, slotHi)
 	n := int64(len(p))
 	if n > end-abs {
 		n = end - abs
@@ -369,10 +365,7 @@ func (r *BlobReader) WriteTo(w io.Writer) (int64, error) {
 			return total, err
 		}
 		slotLo, slotHi := chunk.SlotRange(idx, r.chunkSize)
-		end := r.base + r.length
-		if slotHi < end {
-			end = slotHi
-		}
+		end := min(r.base+r.length, slotHi)
 		// Valid chunk bytes first, then the slot's zero tail.
 		if b := fut.from(abs - slotLo); len(b) > 0 {
 			n, werr := w.Write(b[:min(int64(len(b)), end-abs)])

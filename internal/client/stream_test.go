@@ -8,6 +8,7 @@ import (
 	"io"
 	"math"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -646,10 +647,25 @@ func TestStreamWritePlacementSpreads(t *testing.T) {
 	}
 }
 
-// TestSeekEvictionCancelsInFlightFetches parks every fetch, fills the
-// prefetch window ahead of a high index, then seeks the window back to zero:
-// the evicted futures' fetches must be cancelled promptly, so in-flight
-// transfers — not just map entries — stay bounded by the window.
+// demandThenBlock serves the first Fetch — a fresh reader's demand chunk
+// — and parks every later one like blockingConn.
+type demandThenBlock struct {
+	blockingConn
+	served *atomic.Bool
+}
+
+func (c demandThenBlock) Fetch(ctx context.Context, user string, id chunk.ID) ([]byte, error) {
+	if c.served.CompareAndSwap(false, true) {
+		return c.Conn.Fetch(ctx, user, id)
+	}
+	return c.blockingConn.Fetch(ctx, user, id)
+}
+
+// TestSeekEvictionCancelsInFlightFetches reads chunk 3 so the prefetch
+// window behind it parks the fetches of chunks 4 and 5, then moves the
+// window back to zero: the evicted futures' fetches must be cancelled
+// promptly, so in-flight transfers — not just map entries — stay bounded
+// by the window.
 func TestSeekEvictionCancelsInFlightFetches(t *testing.T) {
 	b := newBed(t, 4)
 	writer := b.client("alice")
@@ -658,12 +674,13 @@ func TestSeekEvictionCancelsInFlightFetches(t *testing.T) {
 		t.Fatal(err)
 	}
 	var blocked atomic.Int64
+	var served atomic.Bool
 	dir := DirectoryFunc(func(ctx context.Context, id string) (Conn, error) {
 		conn, err := b.Lookup(ctx, id)
 		if err != nil {
 			return nil, err
 		}
-		return blockingConn{Conn: conn, blocked: &blocked}, nil
+		return demandThenBlock{blockingConn{Conn: conn, blocked: &blocked}, &served}, nil
 	})
 	c := New("alice", b.vm, b.pm, dir, WithPrefetch(3))
 	ctx := context.Background()
@@ -673,12 +690,17 @@ func TestSeekEvictionCancelsInFlightFetches(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	if f3 := r.ensure(3); f3.done != nil { // parks fetches for chunks 4 and 5
-		t.Fatal("ensure launched the awaited chunk's fetch: its reader fetches it")
+	if _, err := r.Seek(24, io.SeekStart); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Read(make([]byte, 1)); err != nil { // serves chunk 3, parks 4 and 5
+		t.Fatal(err)
 	}
 	f4, f5 := r.futures[4], r.futures[5]
 	waitFor(t, "window fetches to park", func() bool { return blocked.Load() == 2 })
-	r.ensure(0) // window moves to [0,3): 3, 4 and 5 evicted, 1 and 2 launched
+	if f := r.ensure(0); f != nil { // window moves to [0,3): 3, 4 and 5 evicted
+		t.Fatal("ensure opened a window for demand chunk 0")
+	}
 	for _, f := range []*chunkFuture{f4, f5} {
 		select {
 		case <-f.done:
@@ -689,10 +711,10 @@ func TestSeekEvictionCancelsInFlightFetches(t *testing.T) {
 			t.Fatal("evicted in-flight fetch was not cancelled")
 		}
 	}
-	if len(r.futures) != 3 {
-		t.Fatalf("futures=%d after window move, want 3", len(r.futures))
+	if len(r.futures) != 0 {
+		t.Fatalf("futures=%d after window move, want 0", len(r.futures))
 	}
-	waitFor(t, "new window fetches to park", func() bool { return blocked.Load() == 2 })
+	waitFor(t, "evicted fetches to unpark", func() bool { return blocked.Load() == 0 })
 }
 
 // ctxGate admits only live contexts — the shape of policy.Enforcer's
@@ -776,12 +798,13 @@ func (c slowFetchConn) Fetch(ctx context.Context, user string, id chunk.ID) ([]b
 // TestReaderFetchesAwaitedChunkAsStall: a reader fetches the chunk it
 // awaits on its own goroutine when nothing is fetching it yet, and the
 // stall histogram times that fetch — a consumer waiting on its own fetch
-// is stalled as surely as one waiting on a prefetch.
+// is stalled as surely as one waiting on a prefetch — once: every await
+// observes exactly one stall, the demand chunk's included.
 func TestReaderFetchesAwaitedChunkAsStall(t *testing.T) {
 	b := newBed(t, 2)
 	ctx := context.Background()
 	info, _ := b.client("alice").Create(ctx, 8)
-	data := []byte("8 bytes!")
+	data := []byte("8 bytes!and 8 more")
 	if _, err := b.client("alice").Write(ctx, info.ID, 0, data); err != nil {
 		t.Fatal(err)
 	}
@@ -792,19 +815,221 @@ func TestReaderFetchesAwaitedChunkAsStall(t *testing.T) {
 	})
 	c := New("alice", b.vm, b.pm, dir, WithMetrics(metrics.NewRegistry()))
 	blob, _ := c.Open(ctx, info.ID)
-	r, err := blob.NewReader(ctx, 0, 0, 8)
+	r, err := blob.NewReader(ctx, 0, 0, int64(len(data)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	if f := r.ensure(0); f.done != nil {
-		t.Fatal("ensure started a fetch for the awaited chunk: its reader fetches it")
-	}
-	got, err := io.ReadAll(r)
+	got, err := io.ReadAll(r) // three chunks, three awaits
 	if err != nil || !bytes.Equal(got, data) {
 		t.Fatalf("read %q, %v; want %q", got, err, data)
 	}
-	if h := c.m.readerStall; h.Count() != 1 || h.Sum() < delay.Seconds() {
-		t.Fatalf("reader stall: %d observations summing to %.3f s, want 1 of at least %.3f s", h.Count(), h.Sum(), delay.Seconds())
+	if h := c.m.readerStall; h.Count() != 3 || h.Sum() < delay.Seconds() {
+		t.Fatalf("reader stall: %d observations summing to %.3f s, want 3 of at least %.3f s in all", h.Count(), h.Sum(), delay.Seconds())
+	}
+}
+
+// fetchLog gates the Fetches of a gatedConn: it records the chunk of
+// each in issue order, parks the first one issued after arm until the
+// returned release channel closes (or its context ends), and fails every
+// Fetch while fail is set.
+type fetchLog struct {
+	mu      sync.Mutex
+	issued  []chunk.ID
+	parked  chan struct{} // armed: closed once the next Fetch parks
+	release chan struct{}
+	fail    error
+}
+
+func (l *fetchLog) arm() (parked, release chan struct{}) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.parked, l.release = make(chan struct{}), make(chan struct{})
+	return l.parked, l.release
+}
+
+func (l *fetchLog) setFail(err error) {
+	l.mu.Lock()
+	l.fail = err
+	l.mu.Unlock()
+}
+
+// since returns the chunks fetched after the first n, by index in idx.
+func (l *fetchLog) since(n int, idx map[chunk.ID]int64) []int64 {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	var out []int64
+	for _, id := range l.issued[n:] {
+		out = append(out, idx[id])
+	}
+	return out
+}
+
+func (l *fetchLog) len() int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return len(l.issued)
+}
+
+type gatedConn struct {
+	Conn
+	log *fetchLog
+}
+
+func (c gatedConn) Fetch(ctx context.Context, user string, id chunk.ID) ([]byte, error) {
+	l := c.log
+	l.mu.Lock()
+	l.issued = append(l.issued, id)
+	parked, release, fail := l.parked, l.release, l.fail
+	l.parked, l.release = nil, nil
+	l.mu.Unlock()
+	if fail != nil {
+		return nil, fail
+	}
+	if parked != nil {
+		close(parked)
+		select {
+		case <-release:
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+	}
+	return c.Conn.Fetch(ctx, user, id)
+}
+
+// TestReaderFetchesDemandChunkFirst: a chunk the consumer awaits while
+// nothing is fetching it goes out alone, and the prefetch window opens
+// behind it only once it lands — on a fresh reader and after a Seek out
+// of the window. A failed demand fetch opens no window; an awaited hole
+// needs no fetch and opens the window at once.
+func TestReaderFetchesDemandChunkFirst(t *testing.T) {
+	b := newBed(t, 2)
+	ctx := context.Background()
+	w := b.client("alice")
+	var payload []byte
+	for i := 0; i < 20; i++ {
+		payload = append(payload, fmt.Sprintf("chunk%03d", i)...) // distinct IDs
+	}
+	full, _ := w.Create(ctx, 8)
+	holey, _ := w.Create(ctx, 8)
+	if _, err := w.Write(ctx, full.ID, 0, payload); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.Write(ctx, holey.ID, 16, payload[16:]); err != nil { // chunks 0 and 1 are holes
+		t.Fatal(err)
+	}
+	fetches := &fetchLog{}
+	dir := DirectoryFunc(func(ctx context.Context, id string) (Conn, error) {
+		conn, err := b.Lookup(ctx, id)
+		return gatedConn{Conn: conn, log: fetches}, err
+	})
+	c := New("alice", b.vm, b.pm, dir, WithPrefetch(8))
+	open := func(id uint64) (*BlobReader, map[chunk.ID]int64) {
+		blob, err := c.Open(ctx, id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := blob.NewReader(ctx, 0, 0, int64(len(payload)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		idx := map[chunk.ID]int64{}
+		for i, d := range r.descs {
+			idx[d.ID] = r.loIdx + int64(i)
+		}
+		return r, idx
+	}
+	within := func(what string, ch <-chan struct{}) {
+		t.Helper()
+		select {
+		case <-ch:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("timed out waiting for %s", what)
+		}
+	}
+	// window waits for the fetches issued after mark to be exactly
+	// first, then the rest of the window [first, first+n), in any order.
+	window := func(mark int, idx map[chunk.ID]int64, first, n int64) {
+		t.Helper()
+		waitFor(t, "the window's fetches", func() bool { return len(fetches.since(mark, idx)) >= int(n) })
+		got := fetches.since(mark, idx)
+		seen := map[int64]bool{}
+		for _, i := range got {
+			if i >= first && i < first+n {
+				seen[i] = true
+			}
+		}
+		if got[0] != first || len(got) != int(n) || len(seen) != int(n) {
+			t.Fatalf("fetches %v, want chunk %d then the window up to %d once each", got, first, first+n-1)
+		}
+	}
+	// demandAlone reads one byte at chunk first with the first Fetch
+	// parked: until it is released nothing else may be fetched, and then
+	// the window [first, first+n) follows.
+	demandAlone := func(r *BlobReader, idx map[chunk.ID]int64, first, n int64) {
+		t.Helper()
+		mark := fetches.len()
+		parked, release := fetches.arm()
+		errc := make(chan error, 1)
+		go func() {
+			_, err := r.Read(make([]byte, 1))
+			errc <- err
+		}()
+		within("the demand fetch to park", parked)
+		time.Sleep(20 * time.Millisecond) // room for a prefetch to jump the queue
+		if got := fetches.since(mark, idx); len(got) != 1 || got[0] != first {
+			t.Fatalf("while chunk %d's fetch was parked the reader fetched %v, want it alone", first, got)
+		}
+		close(release)
+		if err := <-errc; err != nil {
+			t.Fatal(err)
+		}
+		window(mark, idx, first, n)
+	}
+
+	r, idx := open(full.ID)
+	defer r.Close()
+	demandAlone(r, idx, 0, 8)
+	if _, err := r.Seek(12*8, io.SeekStart); err != nil { // out of the window [0,8)
+		t.Fatal(err)
+	}
+	demandAlone(r, idx, 12, 8)
+
+	// A failing demand fetch fails the Read and opens no window.
+	errBoom := errors.New("boom")
+	fetches.setFail(errBoom)
+	fr, fidx := open(full.ID)
+	defer fr.Close()
+	mark := fetches.len()
+	for range 2 { // the error sticks
+		if _, err := fr.Read(make([]byte, 1)); !errors.Is(err, errBoom) {
+			t.Fatalf("Read with a failing demand fetch: %v, want %v", err, errBoom)
+		}
+	}
+	time.Sleep(20 * time.Millisecond)
+	for _, i := range fetches.since(mark, fidx) {
+		if i != 0 {
+			t.Fatalf("a failed demand fetch was followed by fetches %v, want chunk 0 only", fetches.since(mark, fidx))
+		}
+	}
+	fetches.setFail(nil)
+
+	// An awaited hole needs no fetch: the Read returns while the window's
+	// first fetch is parked, and the window [0,8) opens at once — its data
+	// chunks 2 to 7.
+	hr, hidx := open(holey.ID)
+	defer hr.Close()
+	mark = fetches.len()
+	_, release := fetches.arm()
+	defer close(release)
+	one := []byte{1}
+	if _, err := hr.Read(one); err != nil || one[0] != 0 {
+		t.Fatalf("hole read %v, %v; want a zero byte", one, err)
+	}
+	waitFor(t, "the window's fetches", func() bool { return len(fetches.since(mark, hidx)) == 6 })
+	for _, i := range fetches.since(mark, hidx) {
+		if i < 2 || i >= 8 {
+			t.Fatalf("hole read fetched %v, want the window's data chunks 2 to 7", fetches.since(mark, hidx))
+		}
 	}
 }

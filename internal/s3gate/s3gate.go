@@ -28,6 +28,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"net"
 	"net/http"
 	"sort"
 	"strconv"
@@ -273,9 +274,13 @@ func (g *Gateway) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 func (g *Gateway) serve(w http.ResponseWriter, r *http.Request) {
 	user, status, err := g.authenticate(r)
 	if err != nil {
+		host, _, serr := net.SplitHostPort(r.RemoteAddr) // "[::1]:4321" → "::1"
+		if serr != nil {
+			host = r.RemoteAddr
+		}
 		g.emit.Emit(instrument.Event{
 			Time: g.now(), Actor: instrument.ActorGateway, Op: instrument.OpAuthFail,
-			User: strings.Split(r.RemoteAddr, ":")[0], Err: err.Error(),
+			User: host, Err: err.Error(),
 		})
 		writeErr(w, status, "AccessDenied", err.Error())
 		return
@@ -573,9 +578,9 @@ func digits(s string) (int64, bool) {
 }
 
 // getObject streams the object (or the requested byte range of it) out
-// of a BlobReader: chunk fetches pipeline ahead of the HTTP write, so a
-// GET of a huge object starts responding after the first chunk and
-// never materializes the rest.
+// of a BlobReader: the first chunk is fetched alone, so the response
+// starts as soon as it lands; the prefetch window then opens behind it and
+// pipelines the rest ahead of the HTTP write, never materializing it.
 func (g *Gateway) getObject(w http.ResponseWriter, r *http.Request, user, bucket, key string) {
 	g.mu.Lock()
 	objs, ok := g.buckets[bucket]
@@ -669,10 +674,10 @@ func (g *Gateway) deleteObject(w http.ResponseWriter, user, bucket, key string) 
 // an in-flight streaming GET defers reclamation until the reader closes
 // instead of truncating the response mid-stream.
 func (g *Gateway) reclaim(blob uint64) {
-	// Deliberately decoupled from the request ctx: the DELETE response
-	// has already been committed, and an aborted reclaim would strand
-	// the blob's chunks until the next sweep.
-	_ = g.cluster.GC.DeleteBlob(context.Background(), blob) //ctxfirst:allow reclaim runs after the response; aborting it strands chunks
+	// Deliberately decoupled from the request ctx: both callers reclaim
+	// before they write the reply, and a client that hangs up must not
+	// abort the reclaim and strand the blob's chunks until the next sweep.
+	_ = g.cluster.GC.DeleteBlob(context.Background(), blob) //ctxfirst:allow reclaim runs before the reply on a detached ctx; a client hang-up must not strand chunks
 }
 
 // Buckets returns the bucket names (diagnostics).

@@ -183,7 +183,8 @@ func TestAuthRequiredAndSigned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(New(cluster, WithCredentials(map[string]string{"alice": "s3cret"})))
+	gw := New(cluster, WithCredentials(map[string]string{"alice": "s3cret"}))
+	srv := httptest.NewServer(gw)
 	t.Cleanup(srv.Close)
 	// Unsigned request rejected.
 	if resp := do(t, http.MethodGet, srv.URL+"/", nil); resp.StatusCode != 403 {
@@ -212,11 +213,21 @@ func TestAuthRequiredAndSigned(t *testing.T) {
 	if resp.StatusCode != 200 {
 		t.Fatalf("signed: %d", resp.StatusCode)
 	}
+	// An IPv6 peer is attributed to its host, not to the "[" before it.
+	rec := httptest.NewRecorder()
+	v6 := httptest.NewRequest(http.MethodGet, "/", nil)
+	v6.RemoteAddr = "[::1]:4321"
+	gw.ServeHTTP(rec, v6)
+	if rec.Code != 403 {
+		t.Fatalf("unsigned from [::1]: %d", rec.Code)
+	}
 	// Auth failures reach the history, attributed to the remote host.
 	now := time.Now()
 	cluster.Tick(now)
-	if n := cluster.Hist.Failures("127.0.0.1", string(instrument.OpAuthFail), now, time.Minute); n != 2 {
-		t.Fatalf("auth_fail in history=%d, want 2", n)
+	for host, want := range map[string]int{"127.0.0.1": 2, "::1": 1, "[": 0} {
+		if n := cluster.Hist.Failures(host, string(instrument.OpAuthFail), now, time.Minute); n != want {
+			t.Fatalf("auth_fail for %q in history=%d, want %d", host, n, want)
+		}
 	}
 }
 
