@@ -286,7 +286,10 @@ func (r *BlobReader) await(idx int64) (*chunkFuture, error) {
 		default:
 		}
 	}
-	t0 := r.c.now()
+	var t0 time.Time
+	if m != nil {
+		t0 = r.c.now()
+	}
 	demand := fut == nil
 	if demand {
 		fut = &chunkFuture{done: settled, cancel: func() {}}
@@ -333,10 +336,7 @@ func (r *BlobReader) Read(p []byte) (int, error) {
 	}
 	slotLo, slotHi := chunk.SlotRange(idx, r.chunkSize)
 	end := min(r.base+r.length, slotHi)
-	n := int64(len(p))
-	if n > end-abs {
-		n = end - abs
-	}
+	n := min(int64(len(p)), end-abs)
 	seg := p[:n]
 	// Chunk bytes first; only the hole / short-chunk tail needs zeroing.
 	clear(seg[copy(seg, fut.from(abs-slotLo)):])
@@ -398,10 +398,7 @@ func (r *BlobReader) zeroBuf(n int64) []byte {
 	if r.zeros == nil {
 		r.zeros = make([]byte, maxZero)
 	}
-	if n > maxZero {
-		n = maxZero
-	}
-	return r.zeros[:n]
+	return r.zeros[:min(n, maxZero)]
 }
 
 // Seek implements io.Seeker relative to the reader's window: offset 0 /

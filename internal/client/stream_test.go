@@ -647,25 +647,11 @@ func TestStreamWritePlacementSpreads(t *testing.T) {
 	}
 }
 
-// demandThenBlock serves the first Fetch — a fresh reader's demand chunk
-// — and parks every later one like blockingConn.
-type demandThenBlock struct {
-	blockingConn
-	served *atomic.Bool
-}
-
-func (c demandThenBlock) Fetch(ctx context.Context, user string, id chunk.ID) ([]byte, error) {
-	if c.served.CompareAndSwap(false, true) {
-		return c.Conn.Fetch(ctx, user, id)
-	}
-	return c.blockingConn.Fetch(ctx, user, id)
-}
-
 // TestSeekEvictionCancelsInFlightFetches reads chunk 3 so the prefetch
-// window behind it parks the fetches of chunks 4 and 5, then moves the
-// window back to zero: the evicted futures' fetches must be cancelled
-// promptly, so in-flight transfers — not just map entries — stay bounded
-// by the window.
+// window behind it parks the fetch of chunk 4, then moves the window
+// back to zero: the evicted future's fetch must be cancelled promptly,
+// so in-flight transfers — not just map entries — stay bounded by the
+// window.
 func TestSeekEvictionCancelsInFlightFetches(t *testing.T) {
 	b := newBed(t, 4)
 	writer := b.client("alice")
@@ -673,16 +659,12 @@ func TestSeekEvictionCancelsInFlightFetches(t *testing.T) {
 	if _, err := writer.Write(context.Background(), info.ID, 0, bytes.Repeat([]byte("w"), 48)); err != nil {
 		t.Fatal(err)
 	}
-	var blocked atomic.Int64
-	var served atomic.Bool
+	fetches := &fetchLog{}
 	dir := DirectoryFunc(func(ctx context.Context, id string) (Conn, error) {
 		conn, err := b.Lookup(ctx, id)
-		if err != nil {
-			return nil, err
-		}
-		return demandThenBlock{blockingConn{Conn: conn, blocked: &blocked}, &served}, nil
+		return gatedConn{Conn: conn, log: fetches}, err
 	})
-	c := New("alice", b.vm, b.pm, dir, WithPrefetch(3))
+	c := New("alice", b.vm, b.pm, dir, WithPrefetch(2))
 	ctx := context.Background()
 	blob, _ := c.Open(ctx, info.ID)
 	r, err := blob.NewReader(ctx, 0, 0, 48)
@@ -693,28 +675,45 @@ func TestSeekEvictionCancelsInFlightFetches(t *testing.T) {
 	if _, err := r.Seek(24, io.SeekStart); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.Read(make([]byte, 1)); err != nil { // serves chunk 3, parks 4 and 5
+	// Park chunk 3's demand fetch, then arm again so the window's fetch
+	// of chunk 4 parks once the demand fetch is released.
+	parked, release := fetches.arm()
+	errc := make(chan error, 1)
+	go func() {
+		_, err := r.Read(make([]byte, 1))
+		errc <- err
+	}()
+	select {
+	case <-parked:
+	case <-time.After(5 * time.Second):
+		t.Fatal("chunk 3's demand fetch never parked")
+	}
+	parked, hold := fetches.arm()
+	defer close(hold)
+	close(release)
+	if err := <-errc; err != nil { // serves chunk 3, parks 4
 		t.Fatal(err)
 	}
-	f4, f5 := r.futures[4], r.futures[5]
-	waitFor(t, "window fetches to park", func() bool { return blocked.Load() == 2 })
-	if f := r.ensure(0); f != nil { // window moves to [0,3): 3, 4 and 5 evicted
+	select {
+	case <-parked:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the window's fetch of chunk 4 never parked")
+	}
+	f4 := r.futures[4]
+	if f := r.ensure(0); f != nil { // window moves to [0,2): 3 and 4 evicted
 		t.Fatal("ensure opened a window for demand chunk 0")
 	}
-	for _, f := range []*chunkFuture{f4, f5} {
-		select {
-		case <-f.done:
-			if !errors.Is(f.err, context.Canceled) {
-				t.Fatalf("evicted fetch finished with %v, want context.Canceled", f.err)
-			}
-		case <-time.After(5 * time.Second):
-			t.Fatal("evicted in-flight fetch was not cancelled")
+	select {
+	case <-f4.done:
+		if !errors.Is(f4.err, context.Canceled) {
+			t.Fatalf("evicted fetch finished with %v, want context.Canceled", f4.err)
 		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("evicted in-flight fetch was not cancelled")
 	}
 	if len(r.futures) != 0 {
 		t.Fatalf("futures=%d after window move, want 0", len(r.futures))
 	}
-	waitFor(t, "evicted fetches to unpark", func() bool { return blocked.Load() == 0 })
 }
 
 // ctxGate admits only live contexts — the shape of policy.Enforcer's
@@ -801,31 +800,46 @@ func (c slowFetchConn) Fetch(ctx context.Context, user string, id chunk.ID) ([]b
 // is stalled as surely as one waiting on a prefetch — once: every await
 // observes exactly one stall, the demand chunk's included.
 func TestReaderFetchesAwaitedChunkAsStall(t *testing.T) {
-	b := newBed(t, 2)
-	ctx := context.Background()
-	info, _ := b.client("alice").Create(ctx, 8)
-	data := []byte("8 bytes!and 8 more")
-	if _, err := b.client("alice").Write(ctx, info.ID, 0, data); err != nil {
-		t.Fatal(err)
-	}
 	const delay = 20 * time.Millisecond
-	dir := DirectoryFunc(func(ctx context.Context, id string) (Conn, error) {
-		conn, err := b.Lookup(ctx, id)
-		return slowFetchConn{Conn: conn, d: delay}, err
-	})
-	c := New("alice", b.vm, b.pm, dir, WithMetrics(metrics.NewRegistry()))
-	blob, _ := c.Open(ctx, info.ID)
-	r, err := blob.NewReader(ctx, 0, 0, int64(len(data)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	got, err := io.ReadAll(r) // three chunks, three awaits
-	if err != nil || !bytes.Equal(got, data) {
-		t.Fatalf("read %q, %v; want %q", got, err, data)
-	}
-	if h := c.m.readerStall; h.Count() != 3 || h.Sum() < delay.Seconds() {
-		t.Fatalf("reader stall: %d observations summing to %.3f s, want 3 of at least %.3f s in all", h.Count(), h.Sum(), delay.Seconds())
+	for _, tc := range []struct {
+		name     string
+		data     string
+		prefetch int
+		count    int
+		atLeast  time.Duration
+	}{
+		{"one demand chunk", "8 bytes!", 4, 1, delay},
+		{"every chunk on demand", "8 bytes!8 more!!and last", 1, 3, 3 * delay}, // a window of one never prefetches
+		{"demand then prefetched", "8 bytes!and 8 more", 4, 3, delay},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			b := newBed(t, 2)
+			ctx := context.Background()
+			info, _ := b.client("alice").Create(ctx, 8)
+			data := []byte(tc.data)
+			if _, err := b.client("alice").Write(ctx, info.ID, 0, data); err != nil {
+				t.Fatal(err)
+			}
+			dir := DirectoryFunc(func(ctx context.Context, id string) (Conn, error) {
+				conn, err := b.Lookup(ctx, id)
+				return slowFetchConn{Conn: conn, d: delay}, err
+			})
+			c := New("alice", b.vm, b.pm, dir, WithMetrics(metrics.NewRegistry()), WithPrefetch(tc.prefetch))
+			blob, _ := c.Open(ctx, info.ID)
+			r, err := blob.NewReader(ctx, 0, 0, int64(len(data)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer r.Close()
+			got, err := io.ReadAll(r)
+			if err != nil || !bytes.Equal(got, data) {
+				t.Fatalf("read %q, %v; want %q", got, err, data)
+			}
+			if h := c.m.readerStall; h.Count() != int64(tc.count) || h.Sum() < tc.atLeast.Seconds() {
+				t.Fatalf("reader stall: %d observations summing to %.3f s, want %d of at least %.3f s in all",
+					h.Count(), h.Sum(), tc.count, tc.atLeast.Seconds())
+			}
+		})
 	}
 }
 
