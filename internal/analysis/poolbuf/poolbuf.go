@@ -1,8 +1,10 @@
-// Package poolbuf guards the chunk buffer pool PR 4 introduced: a
-// buffer obtained from the pool (getBuf/GetBuf by this repo's naming
-// convention) must be released (putBuf/PutBuf) on every return path,
-// by defer or provably on all branches — an early-return leak silently
-// degrades the pool back to per-chunk allocation.
+// Package poolbuf guards the chunk buffer pool: a buffer obtained from
+// the pool (getBuf/GetBuf by this repo's naming convention) or from a
+// store read (GetAppend, which may return a lent view of the store's
+// memory) must be released (putBuf/PutBuf) on every return path, by
+// defer or provably on all branches — an early-return leak silently
+// degrades the pool back to per-chunk allocation, and a leaked view
+// pins its segment's disk space for good.
 //
 // Ownership transfer is recognized and ends the obligation: a buffer
 // that is returned, stored into a field or another variable, or passed
@@ -29,11 +31,11 @@ import (
 // Analyzer is the poolbuf pass.
 var Analyzer = &analysis.Analyzer{
 	Name: "poolbuf",
-	Doc:  "pooled chunk buffers (getBuf) must be released (putBuf) on every return path or have their ownership transferred",
+	Doc:  "pooled chunk buffers (getBuf, GetAppend) must be released (putBuf) on every return path or have their ownership transferred",
 	Run: obligation.Spec{
 		Acquire: func(call *ast.CallExpr) bool {
 			n := obligation.CalleeName(call)
-			return n == "getBuf" || n == "GetBuf"
+			return n == "getBuf" || n == "GetBuf" || n == "GetAppend"
 		},
 		Release: func(call *ast.CallExpr) ast.Expr {
 			if n := obligation.CalleeName(call); (n == "putBuf" || n == "PutBuf") && len(call.Args) == 1 {

@@ -13,7 +13,9 @@ import (
 // Ownership: GetBuf hands the caller the only reference; PutBuf takes it
 // back, and the caller must hold the only live reference when it donates —
 // pooled buffers are re-sliced and overwritten. Dropping a buffer for the
-// GC instead of donating it is always safe.
+// GC instead of donating it is safe, except for a lent view (lend.go),
+// which PutBuf recognises first, however short, and releases instead of
+// filing: a view never enters a size class.
 //
 // Buffers are kept in power-of-two size classes (a 16 KiB fetch must not
 // evict, or be served by, a 1 MiB writer slot). Requests above the largest
@@ -62,6 +64,10 @@ func GetBuf(n int) []byte {
 // largest class its capacity covers, so a buffer is never handed out for a
 // request it cannot hold; buffers outside the class range are dropped.
 func PutBuf(b []byte) {
+	if release := lentTo(b); release != nil {
+		release()
+		return
+	}
 	c := cap(b)
 	if c < 1<<minClassBits || c > MaxPooled {
 		return

@@ -20,8 +20,8 @@
 // absolute refs/epoch, payload-elsewhere state as recState, tombstones
 // whose payload record still exists elsewhere as fresh tombstones),
 // after which the file holds only superseded history and is dropped.
-// Readers never block: a Get in flight holds a reader pin, so the file
-// is unlinked but stays readable until the last pin drops.
+// Readers never block: a read in flight or a lent view holds a reader
+// pin, and the file is unmapped and unlinked once the last pin drops.
 //
 // Absolute-state records make this safe without any delta reasoning: a
 // replay that sees both the victim and its rewrites folds them in log

@@ -11,7 +11,14 @@
 // Payloads are immutable once written (chunks are content-addressed),
 // so reads never take the store mutex across I/O: the index lookup
 // pins the segment with a reader count, the mutex is released, and the
-// payload is served with one ReadAt. Only appends — which must
+// payload is served with one ReadAt, or lent to a caller that asks with
+// chunk.Borrow (the rpc server's Fetch): each segment file is mapped
+// read-only once, on its first lent read, at SegmentBytes +
+// chunk.DefaultSize (so the mapping covers later appends), and the view
+// of that mapping holds the pin until chunk.PutBuf (chunk/lend.go has the
+// rules). A view covers only an indexed record, below the end of the
+// file, so no torn-tail truncation cuts under it; a record beyond the
+// mapping, or a failed map, is read with ReadAt. Only appends — which must
 // serialize with index updates in log order — run under the mutex, and
 // all of them go through commit, which carries the one audited lockio
 // allow annotation for them.
@@ -29,6 +36,7 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"time"
 
 	"blobseer/internal/chunk"
@@ -115,15 +123,19 @@ type segment struct {
 	id     uint32
 	path   string
 	w      appendFile // append handle; nil once sealed
-	r      *os.File   // shared read handle (pread only)
+	r      *os.File   // shared read handle: pread, and the mapping's
 	size   int64      // file bytes
 	sealed time.Time  // when it stopped being the active segment: the compactor's age base
 
 	livePayload int64
 	stateRecs   int64
 
-	readers atomic.Int32
-	dead    atomic.Bool
+	mapOnce sync.Once
+	mem     []byte // the read-only mapping; nil before the first read, or if the map failed
+
+	readers atomic.Int32 // reads in flight and views lent
+	dead    atomic.Bool  // compacted away: the reap unlinks the file
+	closed  atomic.Bool  // the store closed
 	reaped  atomic.Bool
 }
 
@@ -204,14 +216,14 @@ func openAt(dir string, opts Options, now func() time.Time) (*DiskStore, error) 
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	for i, id := range ids {
 		if err := s.replaySegment(id, i == len(ids)-1); err != nil {
-			s.closeFiles()
+			s.Close()
 			return nil, err
 		}
 	}
 	switch {
 	case len(ids) == 0:
 		if _, err := s.addSegment(); err != nil {
-			s.closeFiles()
+			s.Close()
 			return nil, err
 		}
 	default:
@@ -220,7 +232,7 @@ func openAt(dir string, opts Options, now func() time.Time) (*DiskStore, error) 
 		last := s.segs[ids[len(ids)-1]]
 		w, err := os.OpenFile(last.path, os.O_WRONLY|os.O_APPEND, 0o644)
 		if err != nil {
-			s.closeFiles()
+			s.Close()
 			return nil, fmt.Errorf("diskstore: reopen active: %w", err)
 		}
 		last.w = w
@@ -542,10 +554,12 @@ func (s *DiskStore) Get(id chunk.ID) ([]byte, error) {
 }
 
 // GetAppend implements provider.Store: the payload is read
-// into dst[:0], or into a chunk-pool buffer when dst is too small. The
-// segment is pinned with a reader count while the mutex is released, so a
-// concurrent compaction can unlink the file but never invalidate the
-// read (the payload bytes at that offset are immutable).
+// into dst[:0], or into a chunk-pool buffer when dst is too small; a dst
+// of chunk.Borrow is lent a view of the segment's mapping instead (read
+// into a pool buffer where there is none). The segment is pinned with a
+// reader count while the mutex is released, so a concurrent compaction
+// can unlink the file but never invalidate the read (the payload bytes at
+// that offset are immutable); a view keeps the pin.
 func (s *DiskStore) GetAppend(id chunk.ID, dst []byte) ([]byte, error) {
 	if s.m == nil {
 		return s.getAppend(id, dst)
@@ -570,34 +584,61 @@ func (s *DiskStore) getAppend(id chunk.ID, dst []byte) ([]byte, error) {
 	seg := s.segs[e.seg]
 	seg.readers.Add(1)
 	s.mu.Unlock()
-	defer s.release(seg)
 
 	need := int(e.size)
-	if cap(dst) < need {
+	if end := e.off + e.size; chunk.Borrows(dst) && end <= int64(len(s.mapped(seg))) {
+		return seg.mem[e.off:end:end], nil // the pin is the view's now
+	}
+	defer s.release(seg)
+	pooled := cap(dst) < need
+	if pooled {
 		dst = chunk.GetBuf(need)
 	}
 	dst = dst[:need]
 	if _, err := seg.r.ReadAt(dst, e.off); err != nil {
+		if pooled {
+			chunk.PutBuf(dst)
+		}
 		return nil, fmt.Errorf("diskstore: read chunk %s: %w", id.Short(), err)
 	}
 	return dst, nil
 }
 
-// release drops a segment reader pin, reaping the file if a compaction
-// declared the segment dead while the read was in flight.
+// mapped returns seg's read-only mapping, mapped on the first call (nil
+// if that failed). The caller's reader pin keeps it from being reaped.
+func (s *DiskStore) mapped(seg *segment) []byte {
+	seg.mapOnce.Do(func() {
+		mem, err := syscall.Mmap(int(seg.r.Fd()), 0, int(s.opts.SegmentBytes+chunk.DefaultSize), syscall.PROT_READ, syscall.MAP_SHARED)
+		if err == nil {
+			seg.mem = mem
+			chunk.Lend(mem, func() { s.release(seg) })
+		}
+	})
+	return seg.mem
+}
+
+// release drops a segment reader pin, reaping the segment if a
+// compaction declared it dead, or the store closed, while it was held.
 func (s *DiskStore) release(seg *segment) {
-	if seg.readers.Add(-1) == 0 && seg.dead.Load() {
+	if seg.readers.Add(-1) == 0 && (seg.dead.Load() || seg.closed.Load()) {
 		s.reap(seg)
 	}
 }
 
-// reap closes and unlinks a dead segment exactly once.
+// reap unmaps and closes a dead or closed segment exactly once, and
+// unlinks a dead one.
 func (s *DiskStore) reap(seg *segment) {
 	if !seg.reaped.CompareAndSwap(false, true) {
 		return
 	}
+	if seg.mem != nil {
+		chunk.Lend(seg.mem, nil)
+		_ = syscall.Munmap(seg.mem)
+	}
 	seg.r.Close()
-	_ = os.Remove(seg.path)
+	if seg.dead.Load() {
+		_ = os.Remove(seg.path)
+	}
 }
 
 // Delete decrements the chunk's refcount, freeing it at zero. Implements
@@ -710,20 +751,9 @@ func (s *DiskStore) Segments() int {
 	return len(s.segs)
 }
 
-// Sync flushes the active segment to stable storage.
-func (s *DiskStore) Sync() error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return ErrClosed
-	}
-	w := s.active.w
-	s.mu.Unlock()
-	return w.Sync()
-}
-
-// Close stops the compactor and closes every file handle. Operations
-// after Close fail with ErrClosed.
+// Close stops the compactor and unmaps and closes every segment, but one
+// a view holds, which the view's PutBuf does. Operations after Close fail
+// with ErrClosed.
 func (s *DiskStore) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -734,9 +764,9 @@ func (s *DiskStore) Close() error {
 	close(s.stopc)
 	s.mu.Unlock()
 	s.wg.Wait()
-	// closed=true stops new operations and the compactor is drained, so
-	// the handle set is frozen: snapshot it under the lock, close the
-	// files outside it.
+	// closed=true stops new operations and the compactor is drained (or
+	// Open failed), so the handle set is frozen: snapshot it under the
+	// lock, close the files outside it.
 	s.mu.Lock()
 	segs := make([]*segment, 0, len(s.segs))
 	for _, seg := range s.segs {
@@ -748,19 +778,10 @@ func (s *DiskStore) Close() error {
 			seg.w.Close()
 			seg.w = nil
 		}
-		seg.r.Close()
+		seg.closed.Store(true)
+		if seg.readers.Load() == 0 {
+			s.reap(seg)
+		}
 	}
 	return nil
-}
-
-// closeFiles closes every segment handle. Caller holds mu or is the
-// failed single-threaded Open path.
-func (s *DiskStore) closeFiles() {
-	for _, seg := range s.segs {
-		if seg.w != nil {
-			seg.w.Close()
-			seg.w = nil
-		}
-		seg.r.Close()
-	}
 }

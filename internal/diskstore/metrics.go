@@ -11,7 +11,7 @@ import (
 // entirely — the data path then pays no clock reads.
 type storeMetrics struct {
 	appendDur  *metrics.Histogram // Put (log append + index update)
-	readDur    *metrics.Histogram // GetAppend (index lookup + pread)
+	readDur    *metrics.Histogram // GetAppend (index lookup + lending a view, or pread)
 	compactDur *metrics.Histogram // CompactOnce scan + rewrites
 	recovery   *metrics.Gauge     // Open replay duration, seconds
 	segments   *metrics.Gauge     // live segment files

@@ -159,7 +159,8 @@ func (t *TieredStore) Get(id chunk.ID) ([]byte, error) {
 // GetAppend implements provider.Store. A cold hit promotes the
 // chunk; if the chunk was deleted from the cold tier while the promote
 // was in flight, the stale hot copy is dropped again (content
-// addressing makes the returned bytes correct either way).
+// addressing makes the returned bytes correct either way). It lends no
+// views: the promotion copies a cold hit anyway.
 func (t *TieredStore) GetAppend(id chunk.ID, dst []byte) ([]byte, error) {
 	if out, ok := t.hotGet(id, dst); ok {
 		if t.hits != nil {
@@ -169,6 +170,9 @@ func (t *TieredStore) GetAppend(id chunk.ID, dst []byte) ([]byte, error) {
 	}
 	if t.misses != nil {
 		t.misses.Inc()
+	}
+	if chunk.Borrows(dst) {
+		dst = nil
 	}
 	out, err := t.cold.GetAppend(id, dst)
 	if err != nil {

@@ -34,9 +34,7 @@ var (
 // Put must not retain data past its return: the caller's slice is a pooled
 // chunk buffer (the rpc server recycles it as soon as the handler is done),
 // so an implementation copies or writes through — as MemStore.Put,
-// DiskStore.Put and TieredStore.Put/admit all do. GetAppend returns a
-// buffer the caller owns — implementations copy, never alias their
-// internal storage.
+// DiskStore.Put and TieredStore.Put/admit all do.
 //
 // Epochs implement write-in-progress protection: the sweeper advances
 // the epoch before marking, then only reclaims unreferenced chunks whose
@@ -47,7 +45,12 @@ type Store interface {
 	// GetAppend serves the payload into a caller-supplied buffer
 	// (appended to dst[:0]), and into a chunk-pool buffer (chunk.GetBuf)
 	// when dst is too small — never a plain allocation — so the read path
-	// recycles one buffer per hop.
+	// recycles one buffer per hop. Either way the caller owns a copy. Only
+	// a dst of chunk.Borrow may instead get a read-only view of the
+	// store's own memory (DiskStore's mappings), read only under
+	// chunk.Guard. A view pins its segment until donated with
+	// chunk.PutBuf, exactly once: dropped for the GC, it leaks the pin and
+	// the segment's disk space.
 	GetAppend(id chunk.ID, dst []byte) ([]byte, error)
 	Delete(id chunk.ID) error
 	Has(id chunk.ID) bool
@@ -416,12 +419,6 @@ func New(id, zone string, capacity int64, opts ...Option) *Provider {
 // ID returns the provider identity.
 func (p *Provider) ID() string { return p.id }
 
-// Zone returns the provider's zone (site).
-func (p *Provider) Zone() string { return p.zone }
-
-// Capacity returns the configured capacity in bytes (≤ 0 = unbounded).
-func (p *Provider) Capacity() int64 { return p.cap }
-
 // Stop marks the provider as stopped; subsequent operations fail with
 // ErrStopped. Used by elasticity (pool contraction) and failure injection.
 func (p *Provider) Stop() {
@@ -493,21 +490,32 @@ func (p *Provider) Store(ctx context.Context, user string, id chunk.ID, data []b
 
 // Fetch returns one chunk replica on behalf of user, in a chunk-pool
 // buffer the caller owns (Store.GetAppend), so callers donate it with
-// chunk.PutBuf once the payload is dead. A range in ctx (chunk.WithRange)
-// returns only those bytes of the chunk, clamped to it: they are moved to
-// the front of the buffer, so the caller's PutBuf still files all of it.
-// A cancelled ctx rejects the transfer before it touches the store.
+// chunk.PutBuf once the payload is dead; only a ctx that takes loans
+// (chunk.LoanKey, the rpc server's) reads the store with chunk.Borrow and
+// may get a lent view instead. A range
+// in ctx (chunk.WithRange) returns only those bytes of the chunk, clamped
+// to it: sliced out of a view, or moved to the front of a pool buffer, so
+// the caller's PutBuf still files all of it. A cancelled ctx rejects the
+// transfer before it touches the store.
 func (p *Provider) Fetch(ctx context.Context, user string, id chunk.ID) ([]byte, error) {
 	start := p.now()
 	if err := p.begin(ctx); err != nil {
 		return nil, err
 	}
 	defer p.end()
-	data, err := p.st.GetAppend(id, nil)
+	var dst []byte
+	if chunk.Loaned(ctx) {
+		dst = chunk.Borrow()
+	}
+	data, err := p.st.GetAppend(id, dst)
 	if off, n := chunk.RangeFrom(ctx); n > 0 && err == nil {
 		off = min(off, int64(len(data)))
 		n = min(n, int64(len(data))-off)
-		data = data[:copy(data, data[off:off+n])]
+		if chunk.Lent(data) {
+			data = data[off : off+n]
+		} else {
+			data = data[:copy(data, data[off:off+n])]
+		}
 	}
 	p.fetches.Add(1)
 	if err == nil {

@@ -151,7 +151,7 @@ func (s *Server) respond(sc *serverConn, ctx *callCtx, h header, meta, payload [
 			reply.flags, out = flagError, []byte(err.Error())
 		}
 		sc.wmu.Lock()
-		err = writeFrame(sc.bw, reply, out, data)
+		err = chunk.Guard(func() error { return writeFrame(sc.bw, reply, out, data) })
 		sc.wmu.Unlock()
 		if err != nil {
 			sc.nc.Close() // a half-written frame leaves the peer nothing to resynchronize on
@@ -243,7 +243,9 @@ func (s *Server) Close() error {
 // frame: it carries the caller's deadline — as the time remaining when the
 // frame was read, so it trails the caller's by the frame's time in flight
 // — and ends when that passes, on a cancel frame for the call, or when the
-// conn closes. Nothing above it: a handler lives as long as its call.
+// conn closes. Nothing above it: a handler lives as long as its call. Its
+// one value is chunk.LoanKey: respond donates every reply on every path
+// and writes it under chunk.Guard, so a Fetch may answer with a view.
 type callCtx struct {
 	deadline time.Time // zero = none
 	done     chan struct{}
@@ -264,7 +266,12 @@ func newCallCtx(timeout time.Duration) *callCtx {
 
 func (c *callCtx) Deadline() (time.Time, bool) { return c.deadline, !c.deadline.IsZero() }
 func (c *callCtx) Done() <-chan struct{}       { return c.done }
-func (c *callCtx) Value(any) any               { return nil }
+func (c *callCtx) Value(k any) any {
+	if k == (chunk.LoanKey{}) {
+		return true
+	}
+	return nil
+}
 
 func (c *callCtx) Err() error {
 	c.mu.Lock()

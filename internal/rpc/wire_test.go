@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"blobseer/internal/chunk"
+	"blobseer/internal/diskstore"
 	"blobseer/internal/provider"
 )
 
@@ -284,14 +285,14 @@ func TestServerCloseMidTransfer(t *testing.T) {
 }
 
 // benchTransfer runs op b.N times against a loopback server holding one
-// chunk of size bytes. Before timing, it fails the benchmark if a call
-// moves other than moved payload bytes, allocates maxBytes or more, or
-// allocates more than maxAllocs times, averaged over a fixed number of ops
-// whatever b.N is: one pool miss on a cold P must not decide a gate CI runs
-// at one iteration. (MemStats counts the in-process server's allocations
-// too.)
-func benchTransfer(b *testing.B, size, moved int, maxBytes, maxAllocs uint64, op func(conn *Conn, id chunk.ID, data []byte) (int, error)) {
-	p := provider.New("p1", "z", 0)
+// chunk of size bytes in a provider built with opts. Before timing, it
+// fails the benchmark if a call moves other than moved payload bytes,
+// allocates maxBytes or more, or allocates more than maxAllocs times,
+// averaged over a fixed number of ops whatever b.N is: one pool miss on a
+// cold P must not decide a gate CI runs at one iteration. (MemStats counts
+// the in-process server's allocations too.)
+func benchTransfer(b *testing.B, size, moved int, maxBytes, maxAllocs uint64, op func(conn *Conn, id chunk.ID, data []byte) (int, error), opts ...provider.Option) {
+	p := provider.New("p1", "z", 0, opts...)
 	srv, err := Serve(p, "127.0.0.1:0")
 	if err != nil {
 		b.Fatal(err)
@@ -362,6 +363,54 @@ func BenchmarkRPCFetch16KiB(b *testing.B) { benchTransfer(b, 16<<10, 16<<10, 4<<
 func BenchmarkRPCStore16KiB(b *testing.B) { benchTransfer(b, 16<<10, 16<<10, 4<<10, 4, storeOp) }
 func BenchmarkRPCFetch256KiBOf1MiB(b *testing.B) {
 	benchTransfer(b, 1<<20, 1<<18, 64<<10, 8, rangedFetchOp)
+}
+
+// The disk-backed twins serve the same fetches from lent views of a
+// diskstore segment, under the same ceilings: lending allocates nothing
+// per call, and a ranged fetch still moves only its range.
+func BenchmarkRPCFetch1MiBDisk(b *testing.B) {
+	benchTransfer(b, 1<<20, 1<<20, 64<<10, 4, fetchOp, provider.WithStore(openDisk(b, b.TempDir())))
+}
+func BenchmarkRPCFetch256KiBOf1MiBDisk(b *testing.B) {
+	benchTransfer(b, 1<<20, 1<<18, 64<<10, 8, rangedFetchOp, provider.WithStore(openDisk(b, b.TempDir())))
+}
+
+// BenchmarkFetch1MiBDiskInProcess is the in-process plane's read of a
+// disk-backed provider, as the gateway's -store=disk runs it: no rpc, no
+// loan, so each Fetch copies its chunk out with ReadAt into a pool buffer.
+// It cycles over 16 chunks so the reads are not all of one chunk's pages.
+func BenchmarkFetch1MiBDiskInProcess(b *testing.B) {
+	p := provider.New("p1", "z", 0, provider.WithStore(openDisk(b, b.TempDir())))
+	rng := rand.New(rand.NewSource(6))
+	ids := make([]chunk.ID, 16)
+	for i := range ids {
+		data := randBytes(rng, 1<<20)
+		ids[i] = chunk.Sum(data)
+		if err := p.Store(bg, "u", ids[i], data); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.SetBytes(1 << 20)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		got, err := p.Fetch(bg, "u", ids[i%len(ids)])
+		if err != nil {
+			b.Fatal(err)
+		}
+		chunk.PutBuf(got)
+	}
+}
+
+// openDisk opens a diskstore in dir, with no background compactor.
+func openDisk(t testing.TB, dir string) *diskstore.DiskStore {
+	t.Helper()
+	ds, err := diskstore.Open(dir, diskstore.Options{CompactEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ds.Close() })
+	return ds
 }
 
 // encodeFrame returns a frame's wire form, as writeFrame sends it.

@@ -2,11 +2,13 @@ package storetest_test
 
 import (
 	"context"
+	"path/filepath"
 	"testing"
 	"time"
 
 	"blobseer/internal/chunk"
 	"blobseer/internal/client"
+	"blobseer/internal/diskstore"
 	"blobseer/internal/faultdom"
 	"blobseer/internal/provider"
 	"blobseer/internal/rpc"
@@ -96,42 +98,82 @@ func TestEveryConnCarriesLeases(t *testing.T) {
 // fetch returns the byte range its context carries, clamped to the chunk,
 // and the provider sends only those bytes. A wrapper that dropped the
 // range would hand a reader the whole chunk where it expects the range,
-// and the reader would serve the wrong bytes.
+// and the reader would serve the wrong bytes. Each conn runs over a
+// memory store and, in a "disk" subtest, over a diskstore, whose reads
+// the rpc server answers with lent views of a segment mapping: every view
+// (the two empty ones included) must come back, or the segment outlives
+// its compaction.
 func TestEveryConnHonoursRanges(t *testing.T) {
-	ctx := context.Background()
 	data := []byte("0123456789abcdefghijklmnopqrstuvwxyz")
-	id := chunk.Sum(data)
 	for _, c := range everyConn {
 		t.Run(c.name, func(t *testing.T) {
 			p := provider.New("p00", "z0", 0)
-			conn := c.over(t, p)
-			if err := conn.Store(ctx, "u", id, data); err != nil {
-				t.Fatal(err)
-			}
-			for _, r := range []struct {
-				off, n int64
-				want   string
-			}{
-				{0, 0, string(data)},   // no range: the whole chunk
-				{3, 5, "34567"},        // inside the chunk
-				{30, 100, "uvwxyz"},    // past the end: clamped
-				{36, 4, ""},            // at the end: empty
-				{1 << 40, 1 << 40, ""}, // far past it: empty
-				{0, int64(len(data)), string(data)},
-			} {
-				before := p.Stats().BytesOut
-				got, err := conn.Fetch(chunk.WithRange(ctx, r.off, r.n), "u", id)
+			fetchRanges(t, p, c.over(t, p), data)
+			t.Run("disk", func(t *testing.T) {
+				dir := t.TempDir()
+				ds, err := diskstore.Open(dir, diskstore.Options{SegmentBytes: 64, CompactEvery: -1})
 				if err != nil {
 					t.Fatal(err)
 				}
-				if string(got) != r.want {
-					t.Fatalf("fetch of [%d, +%d) = %q, want %q", r.off, r.n, got, r.want)
+				defer ds.Close()
+				p := provider.New("p00", "z0", 0, provider.WithStore(ds))
+				fetchRanges(t, p, c.over(t, p), data)
+				// The chunk's segment is sealed (the chunk outgrew
+				// SegmentBytes): delete the chunk and compact it away.
+				// Its file is unlinked once no view pins it — the rpc
+				// server donates a reply after writing it, so the last
+				// pin may come back just after the last Fetch returns.
+				if err := ds.Delete(chunk.Sum(data)); err != nil {
+					t.Fatal(err)
 				}
-				if moved := p.Stats().BytesOut - before; moved != int64(len(r.want)) {
-					t.Fatalf("fetch of [%d, +%d) moved %d bytes, want %d", r.off, r.n, moved, len(r.want))
+				if dropped, _, err := ds.CompactOnce(); err != nil || dropped != 1 {
+					t.Fatalf("CompactOnce dropped %d segments (err %v), want the chunk's", dropped, err)
 				}
-				chunk.PutBuf(got)
-			}
+				for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+					segs, _ := filepath.Glob(filepath.Join(dir, "*.seg"))
+					if len(segs) == 1 {
+						break
+					}
+					if time.Now().After(deadline) {
+						t.Fatalf("%d segment files after the chunk's was compacted away, want 1: a view's pin never came back", len(segs))
+					}
+				}
+			})
 		})
+	}
+}
+
+// fetchRanges stores data through conn and fetches six ranges of it,
+// checking the bytes returned and the bytes p sent.
+func fetchRanges(t *testing.T, p *provider.Provider, conn client.Conn, data []byte) {
+	t.Helper()
+	ctx := context.Background()
+	id := chunk.Sum(data)
+	if err := conn.Store(ctx, "u", id, data); err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range []struct {
+		off, n int64
+		want   string
+	}{
+		{0, 0, string(data)},   // no range: the whole chunk
+		{3, 5, "34567"},        // inside the chunk
+		{30, 100, "uvwxyz"},    // past the end: clamped
+		{36, 4, ""},            // at the end: empty
+		{1 << 40, 1 << 40, ""}, // far past it: empty
+		{0, int64(len(data)), string(data)},
+	} {
+		before := p.Stats().BytesOut
+		got, err := conn.Fetch(chunk.WithRange(ctx, r.off, r.n), "u", id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != r.want {
+			t.Fatalf("fetch of [%d, +%d) = %q, want %q", r.off, r.n, got, r.want)
+		}
+		if moved := p.Stats().BytesOut - before; moved != int64(len(r.want)) {
+			t.Fatalf("fetch of [%d, +%d) moved %d bytes, want %d", r.off, r.n, moved, len(r.want))
+		}
+		chunk.PutBuf(got)
 	}
 }
