@@ -34,7 +34,7 @@ import (
 
 func main() {
 	var (
-		dryRun    = flag.Bool("dry-run", false, "demo: classify sweepable chunks without removing them")
+		dryRun    = flag.Bool("dry-run", false, "demo: classify sweepable chunks without removing them (a chunk a live writer lease holds past its grace window counts as sweepable: only a real purge checks leases)")
 		providers = flag.Int("providers", 4, "data providers in the cluster")
 		run       = flag.Duration("run", 0, "runner mode: loop retention+sweep passes at this interval until interrupted (0 = off)")
 		metricsL  = flag.String("metrics-listen", "", "runner mode: HTTP listen address for GET /metrics (empty = no endpoint)")

@@ -50,8 +50,7 @@ var (
 // the lease rides in the Store's ctx (chunk.WithLease) and the provider
 // registers the chunk under it before the bytes land — renews with
 // LeaseChunks and nil ids, and releases when it finishes. While a lease
-// is live the provider's wholesale purge and the GC's victim
-// classification skip its chunks. ReleaseLease may return before the
+// is live the provider's wholesale purge skips its chunks. ReleaseLease may return before the
 // provider has applied it (the wire sends it one-way) but is applied
 // before any later call on the same conn. A Conn that wraps another
 // forwards the Store ctx and both calls — a wrapper that swallowed them

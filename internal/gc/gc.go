@@ -33,14 +33,15 @@
 //     the writer's base version in the version manager (retention skips
 //     it, so the nodes a partial-slot merge reads stay marked), and its
 //     ID names per-provider chunk leases the writer registers as flushes
-//     land — the sweep's victim classification and the provider's Purge
-//     both skip leased chunks, so an unpublished writer survives any
-//     number of sweep passes and a same-content re-put can never lose to
-//     the purge of an already-classified victim. Leases expire after a
-//     TTL without heartbeat and are reaped at the next sweep, so a
-//     crashed gateway cannot pin storage forever. With leases in place,
-//     the grace window above is belt-and-suspenders, not the correctness
-//     mechanism.
+//     land. The sweep does not read those: the provider's PurgeChunks
+//     skips a leased chunk at the moment of the purge, so an unpublished
+//     writer survives any number of sweep passes and a same-content
+//     re-put can never lose to the purge of an already-classified
+//     victim. Leases expire after a TTL without heartbeat: the next
+//     sweep reaps the manager's record, and each provider drops its own
+//     in AdvanceEpoch, so a crashed gateway cannot pin storage forever.
+//     The grace window above still covers what a lease cannot: a writer
+//     that publishes and releases between a pass's mark and its purge.
 //
 // The mark phase runs at metadata speed: BLOBs fan out over a bounded
 // worker pool (WithMarkWorkers), and within a BLOB the walk is node
@@ -157,13 +158,14 @@ type SweepReport struct {
 	Failed     int   // providers that could not be listed or purged
 	Scanned    int   // chunks examined across all providers
 	Live       int   // chunks marked live (referenced by a retained version or deferred snapshot)
-	Leased     int   // unreferenced chunks protected by a live writer lease
 	InGrace    int   // unreferenced chunks protected by the write-in-progress grace window
 	Swept      int   // unreferenced chunks reclaimed (counted, not removed, under DryRun)
 	SweptBytes int64 // payload bytes reclaimed
 
-	// LeasesReaped counts expired lease records dropped this pass —
-	// gateway-side base holds and provider-side chunk leases combined.
+	// LeasesReaped counts the manager's own writer-lease records that
+	// expired and were dropped this pass (their base holds released).
+	// Providers drop their expired chunk leases themselves, in
+	// AdvanceEpoch.
 	LeasesReaped int
 
 	// Metadata-node sweep.
@@ -184,14 +186,6 @@ type SweepReport struct {
 	// background runner so a degraded provider or metadata plane is
 	// visible in LastReports instead of silently dropped.
 	Err string
-}
-
-// MarkReport summarizes one standalone mark pass (see Manager.Mark).
-type MarkReport struct {
-	Blobs    int // live BLOBs marked (walked or reused from the cache)
-	Versions int // version walks performed (shared-subtree-pruned walks included)
-	Chunks   int // distinct chunk IDs marked live
-	Nodes    int // distinct metadata-tree nodes read
 }
 
 // RetentionReport summarizes one retention-enforcement pass.
@@ -712,7 +706,9 @@ func (m *Manager) EnforceRetention(ctx context.Context, now time.Time) (Retentio
 // to clear the grace window. Providers are paged and purged concurrently
 // (at most sweepWorkers at a time), so wall-clock sweep time tracks the
 // slowest provider, not the sum. Under dryRun chunks are classified and
-// counted but nothing is removed.
+// counted but nothing is removed; since only a provider's purge checks
+// writer leases, a dry-run counts a chunk that a live lease holds past
+// its grace window as reclaimable.
 //
 // The sweep never excludes the foreground: deletes, pin-drain reclaims
 // and orphan reclaims proceed while it runs, ordered against its purges
@@ -726,7 +722,7 @@ func (m *Manager) Sweep(ctx context.Context, dryRun bool) (SweepReport, error) {
 		// A writer that stopped heartbeating is dead; drop its base hold
 		// before retention and mark run so the expiry actually frees
 		// anything this pass. Dry-runs classify but never reap.
-		rep.LeasesReaped += m.reapWriterLeases()
+		rep.LeasesReaped = m.reapWriterLeases()
 	}
 	var mu sync.Mutex // guards rep and firstErr during the fan-outs
 	var firstErr error
@@ -846,13 +842,10 @@ func (m *Manager) Sweep(ctx context.Context, dryRun bool) (SweepReport, error) {
 			}
 			rep.Scanned += res.scanned
 			rep.Live += res.live
-			rep.Leased += res.leased
 			rep.InGrace += res.inGrace
 			rep.Swept += res.swept
 			rep.SweptBytes += res.sweptBytes
-			rep.LeasesReaped += res.leasesReaped
 			mu.Unlock()
-			m.leasesReaped.Add(int64(res.leasesReaped))
 			if res.err != nil {
 				fail(res.err)
 			}
@@ -877,27 +870,21 @@ func (m *Manager) Sweep(ctx context.Context, dryRun bool) (SweepReport, error) {
 
 // provSweep is one provider's share of a sweep pass.
 type provSweep struct {
-	counted                               bool // provider completed its listing (counts in Providers)
-	failed                                bool
-	scanned, live, leased, inGrace, swept int
-	leasesReaped                          int
-	sweptBytes                            int64
-	err                                   error
+	counted                       bool // provider completed its listing (counts in Providers)
+	failed                        bool
+	scanned, live, inGrace, swept int
+	sweptBytes                    int64
+	err                           error
 }
 
 // sweepProvider pages one provider's inventory, classifies every chunk
-// against the mark set, the provider's writer leases and the grace
-// window, and purges victims in batches as the scan goes — victims
-// never accumulate past one batch beyond the page in flight. Reclaimed
-// space is counted from what Purge actually freed, not from the
-// classification: a failed provider must not report its victims as
-// swept.
-//
-// Lease handling is fail-safe at both steps: if the leases cannot be
-// enumerated at all, the provider's whole share aborts (a lease we
-// never saw might be protecting anything); if an expired lease cannot
-// be confirmed released, its chunks stay protected this pass and the
-// failure surfaces in the report.
+// against the mark set and the grace window, and purges victims in
+// batches as the scan goes — victims never accumulate past one batch
+// beyond the page in flight. Writer leases are not consulted here:
+// PurgeChunks skips a leased victim at the moment of the purge, later
+// than any view of the leases this scan could take. Reclaimed space is
+// counted from what Purge actually freed, not from the classification:
+// a leased victim, or a failed provider's, is not reported as swept.
 func (m *Manager) sweepProvider(ctx context.Context, id string, epoch uint64, marked map[chunk.ID]bool, dryRun bool) provSweep {
 	var res provSweep
 	p, err := m.prov.Provider(ctx, id)
@@ -905,39 +892,6 @@ func (m *Manager) sweepProvider(ctx context.Context, id string, epoch uint64, ma
 		res.failed = true
 		res.err = fmt.Errorf("gc: resolve %s: %w", id, err)
 		return res
-	}
-	leaseList, err := p.Leases(ctx)
-	if err != nil {
-		res.failed = true
-		res.err = fmt.Errorf("gc: list leases %s: %w", id, err)
-		return res
-	}
-	now := m.now()
-	leased := make(map[chunk.ID]struct{})
-	for _, li := range leaseList {
-		if now.After(li.Expires) {
-			if dryRun {
-				// Expired: classified as unprotected (what a real sweep
-				// would see), but dry-runs never mutate lease state.
-				continue
-			}
-			if rerr := p.ReleaseLease(ctx, li.ID); rerr != nil {
-				// Could not confirm the lease dead — keep protecting its
-				// chunks and surface the failure.
-				for _, c := range li.Chunks {
-					leased[c] = struct{}{}
-				}
-				if res.err == nil {
-					res.err = fmt.Errorf("gc: reap lease %s at %s: %w", li.ID, id, rerr)
-				}
-				continue
-			}
-			res.leasesReaped++
-			continue
-		}
-		for _, c := range li.Chunks {
-			leased[c] = struct{}{}
-		}
 	}
 	var victims []chunk.ID
 	flush := func() error {
@@ -969,15 +923,9 @@ func (m *Manager) sweepProvider(ctx context.Context, id string, epoch uint64, ma
 		}
 		for _, info := range page {
 			res.scanned++
-			_, isLeased := leased[info.ID]
 			switch {
 			case marked[info.ID]:
 				res.live++
-			case isLeased:
-				// A live writer lease names this chunk: an unpublished
-				// writer flushed it (or re-put identical content), and no
-				// number of elapsed grace epochs makes it a victim.
-				res.leased++
 			case info.Epoch+m.grace >= epoch:
 				// Possibly an unpublished writer's flush: protected
 				// until it has sat unreferenced through the grace
@@ -985,7 +933,8 @@ func (m *Manager) sweepProvider(ctx context.Context, id string, epoch uint64, ma
 				res.inGrace++
 			case dryRun:
 				// Dry-run reports the classification: what a real
-				// sweep would reclaim.
+				// sweep would purge. Leased chunks are counted too;
+				// only the purge itself checks leases.
 				res.swept++
 				res.sweptBytes += info.Size
 			default:

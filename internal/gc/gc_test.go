@@ -425,10 +425,10 @@ func TestSweepGraceProtectsUnpublishedWriter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// With writer leases on (the cluster default) the flushed chunk is
-	// classified leased; either way it must not be swept.
-	if rep.Swept != 0 || rep.Leased+rep.InGrace != 1 {
-		t.Fatalf("sweep during write = %+v, want Leased+InGrace 1 Swept 0", rep)
+	// The flushed chunk is in grace and, with writer leases on (the
+	// cluster default), leased too; either way it must not be swept.
+	if rep.Swept != 0 || rep.InGrace != 1 {
+		t.Fatalf("sweep during write = %+v, want InGrace 1 Swept 0", rep)
 	}
 	if totalChunks(c) != 1 {
 		t.Fatal("unpublished writer's chunk was swept")

@@ -382,11 +382,6 @@ func runOracle(t *testing.T, seed int64) {
 	if st := r.m.Stats(); st.ActiveLeases != 0 || st.Pins != 0 || st.DeferredBlobs != 0 {
 		t.Fatalf("seed %d: lifecycle state left behind: %+v", seed, st)
 	}
-	for id, p := range r.provs.m {
-		if ls, err := p.Leases(ctx); err != nil || len(ls) != 0 {
-			t.Fatalf("seed %d: provider %s still holds %d leases (%v)", seed, id, len(ls), err)
-		}
-	}
 }
 
 // TestPinnedVersionReclaimedAfterUnpin: a pin is a version-manager hold.

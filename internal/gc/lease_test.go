@@ -3,13 +3,11 @@ package gc_test
 import (
 	"bytes"
 	"context"
-	"errors"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
-	"blobseer/internal/blobmeta"
 	"blobseer/internal/chunk"
 	"blobseer/internal/client"
 	"blobseer/internal/core"
@@ -84,8 +82,8 @@ func TestLeaseProtectsUnpublishedWriterPastGrace(t *testing.T) {
 			return
 		}
 
-		if last.Leased != 1 || last.Swept != 0 || totalChunks(c) != 1 {
-			t.Fatalf("sweep #4 = %+v with %d chunks, want Leased 1 Swept 0 and the chunk intact", last, totalChunks(c))
+		if last.Swept != 0 || totalChunks(c) != 1 {
+			t.Fatalf("sweep #4 = %+v with %d chunks, want Swept 0 and the chunk intact", last, totalChunks(c))
 		}
 		if err := w.Close(); err != nil {
 			t.Fatal(err)
@@ -303,39 +301,39 @@ func TestLeaseHoldsBaseVersionAgainstRetention(t *testing.T) {
 
 // --- why the grace window stays beside the leases --------------------
 
-// closeOnLeases is the cluster's provider plane with a hook that runs
-// once, at the first Leases call: between a sweep's mark and its reading
-// of the lease table.
-type closeOnLeases struct {
+// closeOnList is the cluster's provider plane with a hook that runs
+// once, at the first ListChunks call: between a sweep's mark and its
+// classification of the inventory.
+type closeOnList struct {
 	c    *core.Cluster
 	once sync.Once
 	hook func()
 }
 
-func (cl *closeOnLeases) IDs() []string { return cl.c.Providers() }
+func (cl *closeOnList) IDs() []string { return cl.c.Providers() }
 
-func (cl *closeOnLeases) Provider(ctx context.Context, id string) (provider.API, error) {
+func (cl *closeOnList) Provider(ctx context.Context, id string) (provider.API, error) {
 	p, err := cl.c.Pool().Provider(ctx, id)
-	return hookedLeases{p, cl}, err
+	return hookedList{p, cl}, err
 }
 
-type hookedLeases struct {
+type hookedList struct {
 	provider.API
-	cl *closeOnLeases
+	cl *closeOnList
 }
 
-func (h hookedLeases) Leases(ctx context.Context) ([]provider.LeaseInfo, error) {
+func (h hookedList) ListChunks(ctx context.Context, after chunk.ID, limit int) ([]provider.ChunkInfo, bool, error) {
 	h.cl.once.Do(h.cl.hook)
-	return h.API.Leases(ctx)
+	return h.API.ListChunks(ctx, after, limit)
 }
 
 // TestGraceCoversWriterPublishedAfterMark: a writer stores its chunk
 // under a lease, the sweep marks its BLOB before the writer publishes,
 // and the writer then publishes and releases its lease before the sweep
-// lists leases. The chunk is neither marked nor leased; only the
-// put-epoch grace window keeps it. With grace 0 the published version's
-// chunk is purged; with the default grace it survives. Leases therefore
-// do not replace the window.
+// lists the provider's chunks. The chunk is neither marked nor leased
+// at its purge; only the put-epoch grace window keeps it. With grace 0
+// the published version's chunk is purged; with the default grace it
+// survives. Leases therefore do not replace the window.
 func TestGraceCoversWriterPublishedAfterMark(t *testing.T) {
 	run := func(t *testing.T, opts ...gc.Option) {
 		c := newCluster(t, core.Options{Providers: 1, Monitoring: false})
@@ -359,7 +357,7 @@ func TestGraceCoversWriterPublishedAfterMark(t *testing.T) {
 		}
 		waitFor(t, "background flush", func() bool { return totalChunks(c) == 1 })
 
-		plane := &closeOnLeases{c: c, hook: func() {
+		plane := &closeOnList{c: c, hook: func() {
 			if err := w.Close(); err != nil {
 				t.Error(err)
 			}
@@ -368,8 +366,8 @@ func TestGraceCoversWriterPublishedAfterMark(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if rep.Leased != 0 || rep.Live != 0 {
-			t.Fatalf("sweep = %+v: the chunk must be neither marked nor leased", rep)
+		if rep.Live != 0 {
+			t.Fatalf("sweep = %+v: the chunk must not be marked", rep)
 		}
 		got, err := cl.Read(ctx, info.ID, 0, 0, 256)
 		survived := err == nil && bytes.Equal(got, payload)
@@ -385,50 +383,6 @@ func TestGraceCoversWriterPublishedAfterMark(t *testing.T) {
 	}
 	t.Run("grace=0", func(t *testing.T) { run(t, gc.WithGraceEpochs(0)) })
 	t.Run("grace=default", func(t *testing.T) { run(t) })
-}
-
-// --- fail-safe: lease enumeration failure aborts the share -----------
-
-// leaseFailProviders wraps the manual-harness provider plane with a
-// failing lease enumeration.
-type leaseFailProviders struct {
-	testProviders
-	err error
-}
-
-func (lp leaseFailProviders) Provider(ctx context.Context, id string) (provider.API, error) {
-	p, err := lp.testProviders.Provider(ctx, id)
-	return leaseFailAPI{p, lp.err}, err
-}
-
-type leaseFailAPI struct {
-	provider.API
-	err error
-}
-
-func (la leaseFailAPI) Leases(context.Context) ([]provider.LeaseInfo, error) { return nil, la.err }
-
-// TestLeaseEnumerationFailureAbortsSweep: a sweep that cannot enumerate
-// a provider's leases must not classify that provider's chunks at all —
-// any of them might be protected by a lease the sweep never saw. The
-// share aborts, the pass reports the error, and the orphan survives.
-func TestLeaseEnumerationFailureAbortsSweep(t *testing.T) {
-	vm := vmanager.New(blobmeta.NewMemStore("m1", nil, nil))
-	p := provider.New("p00", "z0", 0)
-	errPlane := errors.New("lease plane down")
-	m := gc.New(vm, leaseFailProviders{testProviders{m: map[string]*provider.Provider{"p00": p}}, errPlane},
-		gc.WithGraceEpochs(-1))
-
-	ctx := context.Background()
-	if err := p.Store(ctx, "seed", chunk.Sum([]byte("orphan")), []byte("orphan")); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.Sweep(ctx, false); !errors.Is(err, errPlane) {
-		t.Fatalf("sweep err = %v, want the lease enumeration failure", err)
-	}
-	if p.Stats().Chunks != 1 {
-		t.Fatal("sweep reclaimed a chunk despite an unreadable lease table")
-	}
 }
 
 // --- fail-safe: expired leases reaped, then reclaimed ----------------
@@ -472,8 +426,8 @@ func TestLeaseExpiryReapedBySweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Leased != 1 || rep.Swept != 0 {
-		t.Fatalf("sweep before expiry = %+v, want the chunk still leased", rep)
+	if rep.Swept != 0 || totalChunks(c) != 1 {
+		t.Fatalf("sweep before expiry = %+v, want the leased chunk kept", rep)
 	}
 
 	advance(time.Hour) // far past the default 30s TTL

@@ -70,10 +70,9 @@ type blobWalk struct {
 
 // markWorker is one goroutine's share of the mark fan-out.
 type markWorker struct {
-	nodes    map[blobmeta.NodeKey]struct{}
-	walks    []*blobWalk
-	reused   []*blobMark
-	versions int // version walks performed
+	nodes  map[blobmeta.NodeKey]struct{}
+	walks  []*blobWalk
+	reused []*blobMark
 }
 
 // markSet is the mark phase's output: every chunk ID that must survive
@@ -89,9 +88,8 @@ type markSet struct {
 	// protected until the last pin drains.
 	deferred map[uint64]struct{}
 
-	reused   int // BLOBs marked from the cache
-	versions int // version walks performed
-	nodes    int // tree nodes the walks read
+	reused int // BLOBs marked from the cache
+	nodes  int // tree nodes the walks read
 }
 
 // markBlob adds one live BLOB to wk: from the cache when its settled
@@ -142,7 +140,6 @@ func (m *Manager) markBlob(ctx context.Context, blob uint64, wk *markWorker) err
 		if v.Version == 0 {
 			continue
 		}
-		wk.versions++
 		err := tree.WalkNodes(tree.Root(v.Version, v.Size),
 			func(k blobmeta.NodeKey) bool {
 				_, seen := w.nodes[k]
@@ -293,7 +290,6 @@ feed:
 
 	ms.reused = len(next) - len(ms.walked)
 	for _, wk := range locals {
-		ms.versions += wk.versions
 		ms.nodes += len(wk.nodes)
 	}
 	// Every walk completed: publish the pass's marks. Entries of BLOBs no
@@ -312,25 +308,4 @@ feed:
 		Value: float64(ms.nodes), Offset: int64(len(ms.walked)), Bytes: int64(ms.reused),
 	})
 	return ms, nil
-}
-
-// Mark runs the mark phase alone — no epoch advance, no reclamation —
-// and reports its coverage: how many live BLOBs it marked, how many
-// version walks and node reads that took (BLOBs whose settled mark was
-// reused cost neither), and how many distinct chunks are live.
-// Diagnostics and benchmarking; safe to run concurrently with sweeps and
-// foreground traffic — a Mark that listed a version just before
-// retention retired it and a sweep dropped its nodes fails (a missing
-// node) rather than report a partial mark.
-func (m *Manager) Mark(ctx context.Context) (MarkReport, error) {
-	ms, err := m.mark(ctx)
-	if err != nil {
-		return MarkReport{}, err
-	}
-	return MarkReport{
-		Blobs:    len(ms.walked) + ms.reused,
-		Versions: ms.versions,
-		Chunks:   len(ms.chunks),
-		Nodes:    ms.nodes,
-	}, nil
 }

@@ -44,7 +44,7 @@ func WithMetrics(reg *metrics.Registry) Option {
 		m.leasesActive = reg.Gauge("blobseer_gc_leases_active",
 			"Writer leases currently registered with the lifecycle manager.").With()
 		m.leasesReaped = reg.Counter("blobseer_gc_leases_reaped_total",
-			"Expired writer-lease records reaped by sweep passes.").With()
+			"Expired writer-lease records of the lifecycle manager reaped by sweep passes.").With()
 		marked := reg.Counter("blobseer_gc_mark_blobs_total",
 			"BLOBs marked by mark phases, by whether the tree was walked or the cached mark reused.", "result")
 		m.markWalked = marked.With("walked")

@@ -1,10 +1,8 @@
 package provider
 
 import (
-	"bytes"
 	"context"
 	"errors"
-	"sort"
 	"sync"
 	"time"
 
@@ -18,17 +16,6 @@ const DefaultLeaseTTL = 30 * time.Second
 
 // ErrNoLease reports a lease operation without a lease identity.
 var ErrNoLease = errors.New("provider: empty lease id")
-
-// LeaseInfo describes one writer lease held at this provider: its
-// identity, expiry instant, and the chunk IDs it protects from
-// wholesale purges. The garbage collector enumerates these at sweep
-// time — live leases exclude their chunks from victim classification,
-// expired ones are reaped.
-type LeaseInfo struct {
-	ID      string
-	Expires time.Time
-	Chunks  []chunk.ID
-}
 
 // leaseRec is one lease's mutable state inside the table.
 type leaseRec struct {
@@ -96,24 +83,16 @@ func (lt *leaseTable) release(id string) {
 	lt.mu.Unlock()
 }
 
-// snapshot returns every lease — expired included, so the sweep can
-// reap them — sorted by lease ID for deterministic enumeration.
-func (lt *leaseTable) snapshot() []LeaseInfo {
+// expire drops every lease that expired before now: a writer that
+// stopped heartbeating is dead, and its record protects nothing.
+func (lt *leaseTable) expire(now time.Time) {
 	lt.mu.Lock()
-	defer lt.mu.Unlock()
-	out := make([]LeaseInfo, 0, len(lt.rec))
 	for id, r := range lt.rec {
-		li := LeaseInfo{ID: id, Expires: r.expires, Chunks: make([]chunk.ID, 0, len(r.chunks))}
-		for c := range r.chunks {
-			li.Chunks = append(li.Chunks, c)
+		if now.After(r.expires) {
+			delete(lt.rec, id)
 		}
-		sort.Slice(li.Chunks, func(i, j int) bool {
-			return bytes.Compare(li.Chunks[i][:], li.Chunks[j][:]) < 0
-		})
-		out = append(out, li)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
+	lt.mu.Unlock()
 }
 
 // leasedLocked reports whether a live (non-expired) lease protects id.
@@ -174,9 +153,9 @@ func (p *Provider) LeaseChunks(ctx context.Context, leaseID string, ttl time.Dur
 	return nil
 }
 
-// ReleaseLease drops one writer lease: its chunks become ordinary sweep
-// candidates again. Releasing an unknown lease succeeds (writers race
-// the TTL reaper by design).
+// ReleaseLease drops one writer lease: PurgeChunks may free its chunks
+// again. Releasing an unknown lease succeeds (writers race the TTL
+// reaper by design).
 func (p *Provider) ReleaseLease(ctx context.Context, leaseID string) error {
 	if err := p.begin(ctx); err != nil {
 		return err
@@ -187,15 +166,4 @@ func (p *Provider) ReleaseLease(ctx context.Context, leaseID string) error {
 	}
 	p.leases.release(leaseID)
 	return nil
-}
-
-// Leases enumerates the provider's writer leases, expired ones
-// included: the sweep classifies against live leases and reaps dead
-// ones through ReleaseLease.
-func (p *Provider) Leases(ctx context.Context) ([]LeaseInfo, error) {
-	if err := p.begin(ctx); err != nil {
-		return nil, err
-	}
-	defer p.end()
-	return p.leases.snapshot(), nil
 }

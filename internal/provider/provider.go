@@ -335,9 +335,6 @@ type API interface {
 	// Epoch returns the current sweep epoch without advancing it
 	// (dry-run sweeps must not erode the grace window).
 	Epoch(ctx context.Context) (uint64, error)
-	// Leases enumerates the writer leases, expired ones included, so the
-	// sweep can classify against live ones and reap dead ones.
-	Leases(ctx context.Context) ([]LeaseInfo, error)
 }
 
 var (
@@ -568,11 +565,11 @@ func (p *Provider) ListChunks(ctx context.Context, after chunk.ID, limit int) ([
 // PurgeChunks frees the given chunks wholesale (refcounts ignored),
 // returning how many were present and the bytes freed. Only the
 // garbage collector's sweep — which has proven the chunks unreferenced —
-// may call it. Chunks protected by a live writer lease are skipped
-// (belt and suspenders: the sweep also classifies them out), and each
-// purge is ordered against racing lease registrations so a re-put under
-// a fresh lease can never be eaten by an already-classified victim's
-// purge.
+// may call it. Chunks protected by a live writer lease are skipped:
+// this is the one lease check, made at the moment of the purge, so it
+// sees every lease registered before it. Each purge is also ordered
+// against racing lease registrations, so a re-put under a fresh lease
+// can never be eaten by an already-classified victim's purge.
 func (p *Provider) PurgeChunks(ctx context.Context, ids []chunk.ID) (int, int64, error) {
 	if err := p.begin(ctx); err != nil {
 		return 0, 0, err
@@ -600,14 +597,17 @@ func (p *Provider) PurgeChunks(ctx context.Context, ids []chunk.ID) (int, int64,
 	return purged, freed, nil
 }
 
-// AdvanceEpoch moves the store to the next sweep epoch and returns it.
-// A stopped provider refuses: a sweep must not age a provider's chunks
-// out of their grace window while it cannot answer for them.
+// AdvanceEpoch moves the store to the next sweep epoch and returns it,
+// and drops the writer leases that expired by the provider's clock — a
+// crashed writer's lease lasts at most until the next sweep pass after
+// its TTL. A stopped provider refuses: a sweep must not age a provider's
+// chunks out of their grace window while it cannot answer for them.
 func (p *Provider) AdvanceEpoch(ctx context.Context) (uint64, error) {
 	if err := p.begin(ctx); err != nil {
 		return 0, err
 	}
 	defer p.end()
+	p.leases.expire(p.now())
 	return p.st.AdvanceEpoch(), nil
 }
 

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"blobseer/internal/chunk"
 	"blobseer/internal/instrument"
@@ -476,6 +477,37 @@ func TestStoppedProviderRefusesEpochs(t *testing.T) {
 	cancel()
 	if _, err := p.AdvanceEpoch(cancelled); !errors.Is(err, context.Canceled) {
 		t.Fatalf("AdvanceEpoch on a cancelled ctx: %v", err)
+	}
+}
+
+// TestAdvanceEpochDropsExpiredLeases: AdvanceEpoch drops the writer
+// leases that expired by the provider's clock and keeps the live ones;
+// the live lease still blocks a purge, the dropped one no longer does.
+func TestAdvanceEpochDropsExpiredLeases(t *testing.T) {
+	now := time.Unix(1000, 0)
+	p := New("p1", "z", 0, WithClock(func() time.Time { return now }))
+	ids := map[string]chunk.ID{}
+	for lease, ttl := range map[string]time.Duration{"live": time.Hour, "dead": time.Minute} {
+		data := []byte(lease)
+		ids[lease] = chunk.Sum(data)
+		if err := p.LeaseChunks(bg, lease, ttl, []chunk.ID{ids[lease]}); err != nil {
+			t.Fatal(err)
+		}
+		if err := p.Store(bg, "u", ids[lease], data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	now = now.Add(2 * time.Minute)
+	if _, err := p.AdvanceEpoch(bg); err != nil {
+		t.Fatal(err)
+	}
+	if _, kept := p.leases.rec["live"]; !kept || len(p.leases.rec) != 1 {
+		t.Fatalf("leases after AdvanceEpoch = %v, want only the live one", p.leases.rec)
+	}
+	for lease, want := range map[string]int{"live": 0, "dead": 1} {
+		if n, _, err := p.PurgeChunks(bg, []chunk.ID{ids[lease]}); err != nil || n != want {
+			t.Fatalf("purge of the %s lease's chunk = %d, %v, want %d", lease, n, err, want)
+		}
 	}
 }
 

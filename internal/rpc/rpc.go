@@ -201,8 +201,6 @@ func (s *Server) handle(ctx context.Context, m byte, meta, payload []byte) (out,
 		r.Epoch, err = p.AdvanceEpoch(ctx)
 	case mEpoch:
 		r.Epoch, err = p.Epoch(ctx)
-	case mLeases:
-		r.Leases, err = p.Leases(ctx)
 	}
 	if err == nil && m >= mListChunks {
 		out, err = r.encode()
@@ -553,14 +551,6 @@ func (c *Conn) LeaseChunks(ctx context.Context, leaseID string, ttl time.Duratio
 func (c *Conn) ReleaseLease(ctx context.Context, leaseID string) error {
 	_, err := c.call(ctx, mReleaseLease, &args{Lease: chunk.Lease{ID: leaseID}}, nil, nil)
 	return err
-}
-
-// Leases fetches the remote provider's writer-lease table (the sweep's
-// lease enumeration).
-func (c *Conn) Leases(ctx context.Context) ([]provider.LeaseInfo, error) {
-	var r result
-	_, err := c.call(ctx, mLeases, &args{}, nil, &r)
-	return r.Leases, err
 }
 
 // The wire plane mirrors exactly one surface, and the client's view of

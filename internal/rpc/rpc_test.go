@@ -439,9 +439,8 @@ func TestDirectoryDropsBrokenConn(t *testing.T) {
 }
 
 // TestLeaseRPCs round-trips the writer-lease surface over TCP: chunks
-// registered under a lease survive a wholesale purge, enumeration
-// reports the lease with its IDs, renewal is an empty registration, and
-// release makes the chunks purgeable again.
+// registered under a lease survive a wholesale purge, renewal is an
+// empty registration, and release makes the chunks purgeable again.
 func TestLeaseRPCs(t *testing.T) {
 	p, srv := startProvider(t, "p1")
 	conn, err := DialContext(bg, srv.Addr())
@@ -457,18 +456,6 @@ func TestLeaseRPCs(t *testing.T) {
 	}
 	if err := conn.Store(bg, "u", id, data); err != nil {
 		t.Fatal(err)
-	}
-
-	leases, err := conn.Leases(bg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(leases) != 1 || leases[0].ID != "wl-test-1" ||
-		len(leases[0].Chunks) != 1 || leases[0].Chunks[0] != id {
-		t.Fatalf("leases over rpc = %+v", leases)
-	}
-	if leases[0].Expires.IsZero() {
-		t.Fatal("lease expiry did not survive the wire")
 	}
 
 	// A leased chunk is skipped by purge, not deleted.

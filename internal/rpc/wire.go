@@ -71,7 +71,6 @@ const (
 	mPurge
 	mAdvanceEpoch
 	mEpoch
-	mLeases
 	numMethods
 )
 
@@ -315,7 +314,6 @@ type result struct {
 	More   bool                 // ListChunks
 	Purged int                  // Purge
 	Freed  int64                // Purge
-	Leases []provider.LeaseInfo // Leases
 }
 
 // encode takes r by value, so that only a call that replies with a result

@@ -48,11 +48,11 @@ var everyConn = []struct {
 }
 
 // TestEveryConnCarriesLeases: a Conn must not hide leasing. Through
-// every client.Conn in the tree a LeaseChunks shows up in the provider's
-// lease table, so does a Store's lease by the time the Store returns, and
-// a ReleaseLease removes them. A wrapper that swallowed any of them would
-// leave the writers behind it with the grace window as their only
-// protection.
+// every client.Conn in the tree a LeaseChunks protects its chunk from a
+// wholesale purge, so does a Store's lease by the time the Store
+// returns, and a ReleaseLease lifts the protection. A wrapper that
+// swallowed any of them would leave the writers behind it with the
+// grace window as their only protection.
 func TestEveryConnCarriesLeases(t *testing.T) {
 	ctx := context.Background()
 	for _, c := range everyConn {
@@ -61,35 +61,38 @@ func TestEveryConnCarriesLeases(t *testing.T) {
 			conn := c.over(t, p)
 			data := []byte(c.name)
 			id := chunk.Sum(data)
+			purge := func(want int, after string) {
+				t.Helper()
+				if n, _, err := p.PurgeChunks(ctx, []chunk.ID{id}); err != nil || n != want {
+					t.Fatalf("purge after %s = %d, %v, want %d", after, n, err, want)
+				}
+			}
 			if err := conn.LeaseChunks(ctx, "w1", time.Minute, []chunk.ID{id}); err != nil {
 				t.Fatal(err)
 			}
-			leases, err := p.Leases(ctx)
-			if err != nil {
+			if err := p.Store(ctx, "u", id, data); err != nil { // unleased, straight at the provider
 				t.Fatal(err)
 			}
-			if len(leases) != 1 || leases[0].ID != "w1" || len(leases[0].Chunks) != 1 || leases[0].Chunks[0] != id {
-				t.Fatalf("lease table after LeaseChunks through the conn = %+v, want w1 holding the chunk", leases)
-			}
+			purge(0, "LeaseChunks through the conn")
 			if err := conn.Store(chunk.WithLease(ctx, &chunk.Lease{ID: "w2", TTL: time.Minute}), "u", id, data); err != nil {
 				t.Fatal(err)
 			}
-			if leases, _ = p.Leases(ctx); len(leases) != 2 || leases[1].ID != "w2" || len(leases[1].Chunks) != 1 || leases[1].Chunks[0] != id {
-				t.Fatalf("lease table after a leased Store through the conn = %+v, want w2 holding the chunk", leases)
-			}
-			for _, l := range []string{"w1", "w2"} {
-				if err := conn.ReleaseLease(ctx, l); err != nil {
-					t.Fatal(err)
-				}
-			}
 			// A release may be one-way; a reply to any later call on the
 			// same conn comes after the provider applied it.
+			if err := conn.ReleaseLease(ctx, "w1"); err != nil {
+				t.Fatal(err)
+			}
 			if _, err := conn.Fetch(ctx, "u", id); err != nil {
 				t.Fatal(err)
 			}
-			if leases, _ = p.Leases(ctx); len(leases) != 0 {
-				t.Fatalf("lease table after ReleaseLease through the conn = %+v, want empty", leases)
+			purge(0, "a leased Store through the conn")
+			if err := conn.ReleaseLease(ctx, "w2"); err != nil {
+				t.Fatal(err)
 			}
+			if _, err := conn.Fetch(ctx, "u", id); err != nil {
+				t.Fatal(err)
+			}
+			purge(1, "both ReleaseLease calls through the conn")
 		})
 	}
 }
