@@ -10,7 +10,7 @@
 //	blobseer-gateway -listen :8080 -providers 8 -replicas 2
 //	blobseer-gateway -access demo -secret s3cret   # enable auth
 //	blobseer-gateway -store tiered -data-dir /var/lib/blobseer -hot-bytes 268435456
-//	blobseer-gateway -gc 30s                       # background retention+sweep
+//	blobseer-gateway -gc 5s                        # sweep more often (default 30s; 0 = never)
 //
 // Then: curl -X PUT localhost:8080/bucket
 //
@@ -46,7 +46,7 @@ func main() {
 		store     = flag.String("store", "mem", "provider chunk store backend: mem, disk or tiered")
 		dataDir   = flag.String("data-dir", "", "base segment directory for -store=disk/tiered (one subdir per provider)")
 		hotBytes  = flag.Int64("hot-bytes", 256<<20, "per-provider hot-tier cache bound for -store=tiered")
-		gcEvery   = flag.Duration("gc", 0, "background GC pass interval (0 = disabled)")
+		gcEvery   = flag.Duration("gc", 30*time.Second, "background GC pass interval; only a pass frees deleted and overwritten objects' space (0 = disabled)")
 		callTO    = flag.Duration("call-timeout", 2*time.Second, "per-attempt provider call deadline (0 = fault plane off)")
 	)
 	flag.Parse()

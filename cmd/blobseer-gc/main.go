@@ -99,7 +99,7 @@ func runRunner(providers int, interval time.Duration, metricsListen string) erro
 			copy(data, fmt.Sprintf("churn-%d", i))
 			_, _ = cl.Write(ctx, info.ID, 0, data)
 			if prev != 0 {
-				_ = c.GC.DeleteBlob(ctx, prev)
+				_ = c.GC.DeleteBlob(prev)
 			}
 			prev = info.ID
 		}
@@ -166,7 +166,8 @@ func runDemo(providers int, dryRun bool) error {
 	fmt.Printf("retention: scanned %d blobs, retired %d versions (%d held)\n",
 		ret.BlobsScanned, ret.Retired, ret.Held)
 
-	// A pinned reader rides through the delete.
+	// A pinned reader rides through the delete and a sweep pass; the
+	// pass after its Close reclaims what it held.
 	b, err := cl.Open(ctx, info.ID)
 	if err != nil {
 		return err
@@ -175,10 +176,18 @@ func runDemo(providers int, dryRun bool) error {
 	if err != nil {
 		return err
 	}
-	if err := c.GC.DeleteBlob(ctx, info.ID); err != nil {
+	if err := c.GC.DeleteBlob(info.ID); err != nil {
 		return err
 	}
-	fmt.Printf("delete: blob %d deleted; deferred behind pins: %v\n", info.ID, c.GC.DeferredBlobs())
+	fmt.Printf("delete: blob %d marked deleted while a reader pins it; %d chunks stored\n",
+		info.ID, clusterChunks(c))
+	mode := "sweep"
+	if dryRun {
+		mode = "sweep (dry-run)"
+	}
+	if err := demoSweep(ctx, c, mode+" while pinned", dryRun); err != nil {
+		return err
+	}
 	n, err := io.Copy(io.Discard, rd)
 	if err != nil {
 		return err
@@ -186,24 +195,27 @@ func runDemo(providers int, dryRun bool) error {
 	if err := rd.Close(); err != nil {
 		return err
 	}
-	fmt.Printf("pinned reader drained %d bytes, close reclaimed the deferral\n", n)
+	fmt.Printf("pinned reader drained %d bytes after the pass, then closed\n", n)
+	if err := demoSweep(ctx, c, mode+" after close", dryRun); err != nil {
+		return err
+	}
+	st := c.GC.Stats()
+	fmt.Printf("stats: pins=%d swept=%d chunks/%d bytes/%d nodes, retired=%d\n",
+		st.Pins, st.SweptChunks, st.SweptBytes, st.SweptNodes, st.RetiredVers)
+	fmt.Printf("remaining chunks across providers: %d\n", clusterChunks(c))
+	return nil
+}
 
+// demoSweep runs one sweep pass and prints its report under label.
+func demoSweep(ctx context.Context, c *core.Cluster, label string, dryRun bool) error {
 	rep, err := c.GC.Sweep(ctx, dryRun)
 	if err != nil {
 		return err
 	}
-	mode := "sweep"
-	if dryRun {
-		mode = "sweep (dry-run)"
-	}
 	fmt.Printf("%s: %d providers, scanned %d, live %d, in-grace %d, swept %d (%d bytes)\n",
-		mode, rep.Providers, rep.Scanned, rep.Live, rep.InGrace, rep.Swept, rep.SweptBytes)
+		label, rep.Providers, rep.Scanned, rep.Live, rep.InGrace, rep.Swept, rep.SweptBytes)
 	fmt.Printf("%s nodes: scanned %d, live %d, kept %d, swept %d (metadata store holds %d); blobs walked %d, reused %d\n",
-		mode, rep.NodesScanned, rep.NodesLive, rep.NodesKept, rep.NodesSwept, c.VM.MetaStore().Len(), rep.BlobsWalked, rep.BlobsReused)
-	st := c.GC.Stats()
-	fmt.Printf("stats: pins=%d deferred=%d swept=%d chunks/%d bytes/%d nodes, fast-path ref releases=%d, retired=%d\n",
-		st.Pins, st.DeferredBlobs, st.SweptChunks, st.SweptBytes, st.SweptNodes, st.ReclaimedRefs, st.RetiredVers)
-	fmt.Printf("remaining chunks across providers: %d\n", clusterChunks(c))
+		label, rep.NodesScanned, rep.NodesLive, rep.NodesKept, rep.NodesSwept, c.VM.MetaStore().Len(), rep.BlobsWalked, rep.BlobsReused)
 	return nil
 }
 

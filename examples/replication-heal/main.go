@@ -67,6 +67,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("removal strategies reclaimed temporary blobs: %v (durable blob %d untouched)\n",
+	fmt.Printf("removal strategies deleted temporary blobs: %v (durable blob %d untouched)\n",
 		removed, info.ID)
 }

@@ -6,6 +6,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"io"
 	"log"
@@ -50,7 +51,17 @@ func main() {
 
 	must(call("DELETE", srv.URL, "/photos/cat.jpg", nil))
 	must(call("DELETE", srv.URL, "/photos", nil))
-	fmt.Println("object and bucket deleted; provider space reclaimed")
+	// A delete only marks the object's BLOB deleted: the lifecycle sweep
+	// frees its chunks once they clear the grace window (one pass).
+	swept := 0
+	for pass := 0; pass < 2; pass++ {
+		rep, err := cluster.GC.Sweep(context.Background(), false)
+		if err != nil {
+			log.Fatal(err)
+		}
+		swept += rep.Swept
+	}
+	fmt.Printf("object and bucket deleted; two sweep passes reclaimed %d chunk replicas\n", swept)
 
 	// An unsigned request is refused — and reported to the security
 	// framework as an auth_fail event.

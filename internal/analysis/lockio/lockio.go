@@ -18,8 +18,8 @@
 // through may over-report and can carry a //lockio:allow comment.
 //
 // Audited exceptions — critical sections that hold a lock across I/O
-// by design, like the gc fence ordering decrements against wholesale
-// purges — are annotated //lockio:allow <reason>.
+// by design, like the gc's sweepMu serializing whole passes — are
+// annotated //lockio:allow <reason>.
 //
 // Test files are skipped: test doubles implement the context-first
 // store interfaces in-memory, so locked test plumbing is not the

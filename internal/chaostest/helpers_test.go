@@ -53,13 +53,14 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 
 // converge deletes the given blobs and hammers the GC until the whole
 // cluster drains: no chunks on any provider, no metadata tree nodes, no
-// queued deletions and no live chunk leases. This is the post-fault
-// acceptance bar — a partition or crash must not leak anything.
+// deleted BLOBs left unforgotten and no live chunk leases. This is the
+// post-fault acceptance bar — a partition or crash must not leak
+// anything.
 func converge(t *testing.T, c *core.Cluster, blobs []uint64) {
 	t.Helper()
 	ctx := context.Background()
 	for _, id := range blobs {
-		if err := c.GC.DeleteBlob(ctx, id); err != nil {
+		if err := c.GC.DeleteBlob(id); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -498,7 +498,6 @@ type BlobWriter struct {
 
 	mu      sync.Mutex
 	writes  map[int64]chunk.Desc
-	orphans []chunk.Desc // replicas stored by slots that then failed quorum
 	err     error
 	closed  bool
 	version uint64
@@ -648,23 +647,6 @@ func (w *BlobWriter) Digest() [sha256.Size]byte {
 	var sum [sha256.Size]byte
 	h.Sum(sum[:0])
 	return sum
-}
-
-// StoredChunks returns the descriptors of every chunk replica flushed to
-// providers so far — fully stored slots and the partial replica sets of
-// slots that failed their write quorum. After a failed or cancelled
-// Close no published version references them — the version manager never
-// learned they exist — so callers with provider access (e.g. the S3
-// gateway) use this to reclaim the orphaned replicas.
-func (w *BlobWriter) StoredChunks() []chunk.Desc {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	out := make([]chunk.Desc, 0, len(w.writes)+len(w.orphans))
-	for _, d := range w.writes {
-		out = append(out, d)
-	}
-	out = append(out, w.orphans...)
-	return out
 }
 
 // writable reports the sticky stream state: closed, a failed background
@@ -847,11 +829,9 @@ func (w *BlobWriter) flushCur() {
 		w.mu.Lock()
 		defer w.mu.Unlock()
 		if err != nil {
-			// A quorum failure may still have landed some replicas; keep
-			// their desc so StoredChunks can hand them to reclamation.
-			if len(desc.Providers) > 0 {
-				w.orphans = append(w.orphans, desc)
-			}
+			// A quorum failure may still have landed some replicas: no
+			// version references them, so the sweep takes them once
+			// they clear the grace window.
 			if w.err == nil {
 				w.err = err
 				w.cancel()

@@ -408,9 +408,8 @@ func (c *Client) resolveVersion(blob, version uint64) (vmanager.VersionMeta, err
 // and returns the providers that accepted it, in placement order
 // (primary first). It fails when fewer than the write quorum landed,
 // wrapping the per-replica causes — lookup failures included — so a
-// fully failed chunk reports why. Even on failure the providers that did
-// accept the chunk are returned, so callers can reclaim the stranded
-// replicas.
+// fully failed chunk reports why. The replicas a failed chunk did land
+// are left to the sweep.
 //
 // When lease is non-nil, each Store carries the writer's lease and the
 // provider registers the chunk under it before the Put, so the lease
@@ -467,7 +466,7 @@ func (c *Client) storeReplicas(ctx context.Context, id chunk.ID, data []byte, ta
 		if c.m != nil {
 			c.m.observe(c.m.storeErr, c.now().Sub(start))
 		}
-		return stored, fmt.Errorf("%w: %d/%d replicas stored, quorum %d: %w",
+		return nil, fmt.Errorf("%w: %d/%d replicas stored, quorum %d: %w",
 			ErrNoReplica, len(stored), len(targets), need, errors.Join(errs...))
 	}
 	if c.m != nil {
@@ -521,10 +520,9 @@ func (c *Client) storeSlot(ctx context.Context, blob uint64, chunkSize, start in
 	id := chunk.Sum(data)
 	stored, err := c.storeReplicas(ctx, id, data, targets, lease)
 	if err != nil {
-		// Report the replicas that did land so the writer can track them
-		// for reclamation: a failed slot never publishes, so nothing else
-		// will ever reference — or free — them.
-		return 0, chunk.Desc{ID: id, Size: int64(len(data)), Providers: stored}, fmt.Errorf("chunk %d: %w", idx, err)
+		// The replicas that did land are referenced by no version: the
+		// sweep frees them once they clear the grace window.
+		return 0, chunk.Desc{}, fmt.Errorf("chunk %d: %w", idx, err)
 	}
 	return idx, chunk.Desc{ID: id, Size: int64(len(data)), Providers: stored}, nil
 }

@@ -8,6 +8,9 @@ import (
 	"io"
 	"math"
 	"runtime"
+	"slices"
+	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -475,9 +478,21 @@ func TestSeekBackwardPrunesPrefetch(t *testing.T) {
 	}
 }
 
+// storedOn lists the providers of b holding chunk id.
+func (b *bed) storedOn(id chunk.ID) []string {
+	var out []string
+	for pid, p := range b.providers {
+		if p.Has(id) {
+			out = append(out, pid)
+		}
+	}
+	return out
+}
+
 // TestStoredChunksAfterAbortedClose cancels a writer after its slots
-// flushed: Close must not publish, and StoredChunks must surface the
-// flushed descriptors so callers can reclaim the orphaned replicas.
+// flushed: Close must not publish, and the flushed chunks stay on their
+// providers, referenced by no version — the sweep's to free once they
+// clear its grace window. The writer frees nothing itself.
 func TestStoredChunksAfterAbortedClose(t *testing.T) {
 	b := newBed(t, 2)
 	c := b.client("alice")
@@ -488,23 +503,29 @@ func TestStoredChunksAfterAbortedClose(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := w.Write(bytes.Repeat([]byte("d"), 3*8)); err != nil { // three full slots
+	slots := []string{"aaaaaaaa", "bbbbbbbb", "cccccccc"}
+	if _, err := w.Write([]byte(strings.Join(slots, ""))); err != nil { // three full slots
 		t.Fatal(err)
 	}
 	// Let the background flushes land before aborting.
-	waitFor(t, "slots to flush", func() bool { return len(w.StoredChunks()) == 3 })
+	flushed := func() bool {
+		for _, slot := range slots {
+			if len(b.storedOn(chunk.Sum([]byte(slot)))) == 0 {
+				return false
+			}
+		}
+		return true
+	}
+	waitFor(t, "slots to flush", flushed)
 	cancel()
 	if err := w.Close(); !errors.Is(err, context.Canceled) {
 		t.Fatalf("aborted Close: %v", err)
 	}
-	descs := w.StoredChunks()
-	if len(descs) != 3 {
-		t.Fatalf("stored descs=%d, want 3", len(descs))
+	if vm, err := b.vm.Latest(info.ID); err != nil || vm.Version != 0 {
+		t.Fatalf("aborted Close published: %+v, %v", vm, err)
 	}
-	for _, d := range descs {
-		if d.ID.IsZero() || len(d.Providers) == 0 {
-			t.Fatalf("malformed desc %+v", d)
-		}
+	if !flushed() {
+		t.Fatal("the aborted writer freed its flushed chunks; only the sweep may")
 	}
 }
 
@@ -516,9 +537,9 @@ func (c failStoreConn) Store(context.Context, string, chunk.ID, []byte) error {
 }
 
 // TestStoredChunksIncludeQuorumOrphans fails one of three replicas so the
-// slot misses its (default: all) write quorum: the two replicas that did
-// land are unreferenced by any version, and StoredChunks must surface
-// them for reclamation.
+// slot misses its (default: all) write quorum: nothing is published, and
+// the two replicas that did land stay stored, unreferenced by any
+// version, for the sweep to free.
 func TestStoredChunksIncludeQuorumOrphans(t *testing.T) {
 	b := newBed(t, 3)
 	dir := DirectoryFunc(func(ctx context.Context, id string) (Conn, error) {
@@ -546,17 +567,13 @@ func TestStoredChunksIncludeQuorumOrphans(t *testing.T) {
 	if err := w.Close(); !errors.Is(err, ErrNoReplica) {
 		t.Fatalf("Close: %v", err)
 	}
-	descs := w.StoredChunks()
-	if len(descs) != 1 {
-		t.Fatalf("stored descs=%d, want the quorum-failed slot's orphans", len(descs))
+	if vm, err := b.vm.Latest(info.ID); err != nil || vm.Version != 0 {
+		t.Fatalf("quorum-failed Close published: %+v, %v", vm, err)
 	}
-	if n := len(descs[0].Providers); n != 2 {
-		t.Fatalf("orphan replicas=%d, want 2 (the stores that landed)", n)
-	}
-	for _, p := range descs[0].Providers {
-		if p == "p02" {
-			t.Fatal("failed provider listed as holding a replica")
-		}
+	held := b.storedOn(chunk.Sum([]byte("12345678")))
+	sort.Strings(held)
+	if !slices.Equal(held, []string{"p00", "p01"}) {
+		t.Fatalf("orphan replicas on %v, want [p00 p01] (the stores that landed)", held)
 	}
 }
 
@@ -637,9 +654,9 @@ func TestStreamWritePlacementSpreads(t *testing.T) {
 		t.Fatal(err)
 	}
 	used := map[string]bool{}
-	for _, d := range w.StoredChunks() {
-		for _, p := range d.Providers {
-			used[p] = true
+	for pid, p := range b.providers {
+		if p.Stats().Chunks > 0 {
+			used[pid] = true
 		}
 	}
 	if len(used) < 2 {

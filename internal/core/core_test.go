@@ -283,8 +283,9 @@ func TestClusterReaperIntegration(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Tick(now) // the write reaches the introspector's access stats
-	// NewReaper routes deletions through the lifecycle manager: pins are
-	// honoured and chunk reclaim is exact.
+	// NewReaper routes deletions through the lifecycle manager: the
+	// delete only marks the blob, and the sweep passes the grace window
+	// implies reclaim its chunks.
 	reaper := c.NewReaper(selfopt.TTLStrategy{In: c.Intro, TTL: time.Minute})
 	removed, err := reaper.Run(ctx, now.Add(time.Hour))
 	if err != nil {
@@ -295,6 +296,11 @@ func TestClusterReaperIntegration(t *testing.T) {
 	}
 	if _, err := cl.Read(ctx, info.ID, 0, 0, 1); err == nil {
 		t.Fatal("deleted blob still readable")
+	}
+	for pass := 0; pass < 2; pass++ {
+		if _, err := c.GC.Sweep(ctx, false); err != nil {
+			t.Fatal(err)
+		}
 	}
 	for _, id := range c.Providers() {
 		if p, _ := c.Provider(id); p.Stats().Chunks != 0 {

@@ -5,28 +5,26 @@
 //
 //   - Pins: reader-counted pins on (blob, version), acquired by streaming
 //     readers (BlobReader, s3 gateway GETs) and released on Close. A pin
-//     is a version-manager hold, so retention skips it. A blob deletion
-//     that races a pinned reader is deferred — queued, not dropped —
-//     until the last pin drains, so an in-flight stream always serves
-//     its full version.
+//     is a version-manager hold: retention skips it, and a deleted BLOB's
+//     held versions stay marked until the last pin drains, so an
+//     in-flight stream always serves its full version.
 //
 //   - Retention: per-BLOB version-retention policies (keep-last-N, max
 //     age) evaluated against the version manager. Retired versions stop
 //     being marked live, so their exclusive chunks become sweep fodder
 //     instead of living forever.
 //
-//   - Sweep: an epoch-based mark-and-sweep pass. Mark walks the
-//     metadata trees of every retained version of every live BLOB
-//     (including descriptors republished by self-optimization repairs)
-//     plus the snapshots of deleted-but-pinned BLOBs; sweep pages through
-//     each provider's chunk inventory and purges unreferenced keys
-//     wholesale. The sweep — not per-operation refcount bookkeeping — is
-//     the source of truth for liveness: stale refcounts left behind by
-//     healed or multi-version BLOBs are corrected here. Chunks flushed by
-//     a still-unpublished writer are protected by a sweep-epoch grace
-//     window: every provider's epoch is advanced before marking, and only
-//     unreferenced chunks whose Put-epoch tag is at least GraceEpochs
-//     windows old are reclaimed.
+//   - Sweep: an epoch-based mark-and-sweep pass, the only thing that
+//     frees a chunk. Mark walks the metadata trees of every retained
+//     version of every live BLOB (including descriptors republished by
+//     self-optimization repairs) plus the held versions of deleted
+//     BLOBs; sweep pages through each provider's chunk inventory and
+//     purges unreferenced keys wholesale. Deleting a BLOB only marks it
+//     deleted; its chunks go at the next passes. Chunks flushed by a
+//     still-unpublished (or abandoned) writer are protected by a
+//     sweep-epoch grace window: every provider's epoch is advanced
+//     after marking, and only unreferenced chunks whose Put-epoch tag is
+//     at least GraceEpochs windows old are reclaimed.
 //
 //   - Writer leases: a BlobWriter registers a lease at open
 //     (OpenWriterLease) and releases it at Close/abandon. The lease holds
@@ -55,18 +53,12 @@
 // leak), with in-flight publications protected by a per-BLOB version
 // watermark and deleted-but-pinned BLOBs' nodes held until their pins
 // drain.
-//
-// Deletion fast path: DeleteBlob reclaims exactly (per-slot refcount
-// decrements) for single-version BLOBs and conservatively (provider-set
-// union per chunk) for multi-version ones; whatever the fast path cannot
-// prove, the next sweep collects.
 package gc
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -90,7 +82,8 @@ type VersionManager interface {
 	DeletedBlobs() []uint64
 	Versions(blob uint64) ([]vmanager.VersionMeta, error)
 	Tree(blob uint64) (*blobmeta.Tree, error)
-	DeleteExact(blob uint64) ([]vmanager.VersionSlots, error)
+	HeldVersions(blob uint64) (*blobmeta.Tree, []vmanager.VersionMeta, error)
+	Delete(blob uint64) error
 	RetentionCandidates(blob uint64, now time.Time) ([]uint64, error)
 	RetireVersions(blob uint64, vers []uint64) (int, error)
 	// HoldVersion / ReleaseVersion protect one published version against
@@ -128,36 +121,13 @@ type pinKey struct {
 	blob, version uint64
 }
 
-// deferredBlob is a deleted BLOB whose chunk reclaim waits for pins to
-// drain. The per-slot snapshot is taken at delete time because the
-// version manager forgets the BLOB's tree the moment it is deleted.
-type deferredBlob struct {
-	versions []vmanager.VersionSlots
-}
-
-// chunkIDs returns the distinct chunk IDs the snapshot references (these
-// must stay marked while the deferral lasts).
-func (d *deferredBlob) chunkIDs() []chunk.ID {
-	seen := map[chunk.ID]bool{}
-	var out []chunk.ID
-	for _, v := range d.versions {
-		for _, s := range v.Slots {
-			if !seen[s.ID] {
-				seen[s.ID] = true
-				out = append(out, s.ID)
-			}
-		}
-	}
-	return out
-}
-
 // SweepReport summarizes one mark-and-sweep pass.
 type SweepReport struct {
 	Time       time.Time
 	Providers  int   // providers swept
 	Failed     int   // providers that could not be listed or purged
 	Scanned    int   // chunks examined across all providers
-	Live       int   // chunks marked live (referenced by a retained version or deferred snapshot)
+	Live       int   // chunks marked live (referenced by a retained or held version)
 	InGrace    int   // unreferenced chunks protected by the write-in-progress grace window
 	Swept      int   // unreferenced chunks reclaimed (counted, not removed, under DryRun)
 	SweptBytes int64 // payload bytes reclaimed
@@ -171,7 +141,7 @@ type SweepReport struct {
 	// Metadata-node sweep.
 	NodesScanned int // tree nodes examined in the metadata store
 	NodesLive    int // nodes reachable from a retained version
-	NodesKept    int // protected: deferred BLOBs' nodes, in-flight publications, post-snapshot BLOBs
+	NodesKept    int // protected: held deleted BLOBs' nodes, in-flight publications
 	NodesSwept   int // nodes reclaimed (counted, not removed, under DryRun)
 
 	// The incremental mark's hit rate: live BLOBs whose trees the pass
@@ -205,11 +175,12 @@ type RetentionReport struct {
 type Stats struct {
 	Pins          int   // outstanding reader pins
 	PinnedEntries int   // distinct pinned (blob, version) pairs
-	DeferredBlobs int   // deleted BLOBs queued behind pins
 	SweptChunks   int64 // chunks reclaimed by sweeps so far
 	SweptBytes    int64 // bytes reclaimed by sweeps so far
 	SweptNodes    int64 // metadata-tree nodes reclaimed by sweeps so far
-	ReclaimedRefs int64 // refcount decrements issued by the deletion fast path
+	// ReclaimedRefs is always 0: only the sweep frees chunks. It stays
+	// for readers that still add it to SweptChunks.
+	ReclaimedRefs int64
 	RetiredVers   int64 // versions retired by retention so far
 	ActiveLeases  int   // writer leases currently registered with this manager
 	ReapedLeases  int64 // expired lease records reaped by sweeps so far
@@ -226,10 +197,8 @@ type Manager struct {
 	batch       int    // Purge batch size
 	markWorkers int    // BLOBs marked concurrently per pass
 
-	mu         sync.Mutex
-	pins       map[pinKey]int
-	pinsByBlob map[uint64]int
-	deferred   map[uint64]*deferredBlob
+	mu   sync.Mutex
+	pins map[pinKey]int
 
 	// Writer leases (see lease.go). leaseMu is independent of m.mu: the
 	// lease table is touched by writer open/renew/close and by the
@@ -248,33 +217,13 @@ type Manager struct {
 	markMu sync.Mutex
 	marks  map[uint64]*blobMark
 
-	// fence orders the foreground refcount-decrement paths (DeleteBlob
-	// fast path, pin-drain, ReclaimDescs) against a concurrent sweep
-	// without putting them behind the sweep's List/Purge I/O. Decrements
-	// hold the read side while they filter against the purged set and
-	// issue their removes; the sweep takes the write side only for
-	// moments — a barrier between mark's version walks and its
-	// deferred-snapshot read, and the recording of each purge batch —
-	// so a foreground delete waits at worst for one such blip (or for
-	// another in-flight decrement), never for a pass over millions of
-	// chunks.
-	fence sync.RWMutex
-	// purged is the active (non-dry-run) pass's wholesale-purged IDs;
-	// nil outside passes. A decrement whose ID is in the set is dropped:
-	// the purge already freed the chunk, and a remove chasing it could
-	// debit a fresh same-content Put. Written under fence's write lock,
-	// read under its read side.
-	purged map[chunk.ID]struct{}
-
 	// Metric handles. New allocates standalone instances so every
 	// observation site stays nil-check free; WithMetrics swaps them for
 	// registry-owned children so they appear on /metrics.
 	pinned        *metrics.Gauge // outstanding pins
-	deferredBlobs *metrics.Gauge // queued deletions
 	sweptChunks   *metrics.Counter
 	sweptBytes    *metrics.Counter
 	sweptNodes    *metrics.Counter
-	reclaimedRefs *metrics.Counter
 	retiredVers   *metrics.Counter
 	leasesActive  *metrics.Gauge // registered writer leases
 	leasesReaped  *metrics.Counter
@@ -286,7 +235,6 @@ type Manager struct {
 	phaseSweep     *metrics.Histogram // provider inventory sweep duration per pass
 	phaseNodeSweep *metrics.Histogram // metadata-node sweep duration per pass
 	phaseRetention *metrics.Histogram // retention enforcement duration per pass
-	pinDrain       *metrics.Histogram // deferred-reclaim latency when the last pin drains
 }
 
 // Option configures a Manager.
@@ -357,18 +305,14 @@ func New(vm VersionManager, prov Providers, opts ...Option) *Manager {
 		batch:       256,
 		markWorkers: 8,
 		pins:        make(map[pinKey]int),
-		pinsByBlob:  make(map[uint64]int),
-		deferred:    make(map[uint64]*deferredBlob),
 		leases:      make(map[string]*writerLeaseState),
 		leaseNonce:  newLeaseNonce(),
 		leaseTTL:    provider.DefaultLeaseTTL,
 
 		pinned:         &metrics.Gauge{},
-		deferredBlobs:  &metrics.Gauge{},
 		sweptChunks:    &metrics.Counter{},
 		sweptBytes:     &metrics.Counter{},
 		sweptNodes:     &metrics.Counter{},
-		reclaimedRefs:  &metrics.Counter{},
 		retiredVers:    &metrics.Counter{},
 		leasesActive:   &metrics.Gauge{},
 		leasesReaped:   &metrics.Counter{},
@@ -379,7 +323,6 @@ func New(vm VersionManager, prov Providers, opts ...Option) *Manager {
 		phaseSweep:     metrics.NewHistogram(metrics.DurationBuckets),
 		phaseNodeSweep: metrics.NewHistogram(metrics.DurationBuckets),
 		phaseRetention: metrics.NewHistogram(metrics.DurationBuckets),
-		pinDrain:       metrics.NewHistogram(metrics.DurationBuckets),
 	}
 	for _, o := range opts {
 		o(m)
@@ -388,268 +331,68 @@ func New(vm VersionManager, prov Providers, opts ...Option) *Manager {
 }
 
 // Pin registers a reader on (blob, version) and holds the version in the
-// version manager, so retention cannot retire it until the pin is
-// released. Pinning a deleted BLOB fails with vmanager.ErrDeleted, a
-// version already retired with vmanager.ErrBadVersion — the reader lost
-// the race and must not start a stream whose chunks are already being
-// reclaimed. Pin implements client.Pinner.
+// version manager, so retention cannot retire it and a delete cannot free
+// it until the pin is released. Pinning a deleted BLOB fails with
+// vmanager.ErrDeleted, a version already retired with
+// vmanager.ErrBadVersion — the reader lost the race and must not start a
+// stream whose chunks are already being reclaimed. Pin implements
+// client.Pinner.
 //
-// The hold is the whole protection of a live BLOB's pinned version: it is
-// taken under the version manager's lock, the same one RetireVersions
-// takes, so the version stays in the BLOB's version list and the mark's
-// ordinary walk (fresh or from the cache) keeps it live. When the pin
-// drains the version can only leave through RetireVersions, which changes
-// that list, so the next pass walks the BLOB again. A version published
-// after the mark read the list is covered by leases and the grace window,
-// as for any unpinned version.
+// The hold is the whole protection of a pinned version: it is taken under
+// the version manager's lock, the same one RetireVersions and Delete
+// take. On a live BLOB it keeps the version in the BLOB's version list,
+// so the mark's ordinary walk (fresh or from the cache) keeps it live;
+// when the pin drains the version can only leave through RetireVersions,
+// which changes that list, so the next pass walks the BLOB again. On a
+// deleted BLOB the mark walks the held versions (see mark). A version
+// published after the mark read the list is covered by leases and the
+// grace window, as for any unpinned version.
 func (m *Manager) Pin(blob, version uint64) error {
-	// Register first, verify liveness second: a concurrent DeleteBlob
-	// either sees this pin when it snapshots (and defers), or marked the
-	// BLOB deleted before our hold (and we fail cleanly). Either way no
-	// window exists where the reader runs unprotected.
-	k := pinKey{blob, version}
-	m.mu.Lock()
-	m.pins[k]++
-	m.pinsByBlob[blob]++
-	m.mu.Unlock()
 	if err := m.vm.HoldVersion(blob, version); err != nil {
-		m.unpin(k)
 		return err
 	}
+	m.mu.Lock()
+	m.pins[pinKey{blob, version}]++
+	m.mu.Unlock()
 	m.pinned.Inc()
 	return nil
 }
 
-// Unpin releases one pin and its version-manager hold. When the last pin
-// of a deleted BLOB drains, the queued reclaim runs synchronously — by
-// the time Unpin returns the fast-path refcount decrements have been
-// issued. Unpin implements client.Pinner.
+// Unpin releases one pin and its version-manager hold. It frees nothing
+// itself: a deleted BLOB's last pin draining lets the next sweep pass
+// reclaim its chunks. Unpin implements client.Pinner.
 func (m *Manager) Unpin(blob, version uint64) {
-	if m.unpin(pinKey{blob, version}) {
+	k := pinKey{blob, version}
+	m.mu.Lock()
+	n := m.pins[k]
+	switch {
+	case n == 1:
+		delete(m.pins, k)
+	case n > 1:
+		m.pins[k]--
+	}
+	m.mu.Unlock()
+	if n > 0 {
 		m.vm.ReleaseVersion(blob, version)
 		m.pinned.Dec()
 	}
 }
 
-// unpin decrements a pin entry, firing the deferred reclaim on drain.
-// It reports whether a pin was actually released.
-func (m *Manager) unpin(k pinKey) bool {
-	// The fence must be held from before the deferred entry leaves the
-	// map until the drain's decrements are issued: with a gap between
-	// the two, a whole sweep pass could run inside it — mark seeing
-	// neither the blob (deleted) nor the snapshot (just removed), its
-	// purged set already reset — and the late decrements would debit a
-	// fresh same-content re-store unfiltered. Holding the read side
-	// across the handoff forces mark's barrier to wait for us instead.
-	m.fence.RLock()
-	defer m.fence.RUnlock()
-	m.mu.Lock()
-	if m.pins[k] == 0 {
-		m.mu.Unlock()
-		return false
-	}
-	if m.pins[k]--; m.pins[k] == 0 {
-		delete(m.pins, k)
-	}
-	m.pinsByBlob[k.blob]--
-	drained := m.pinsByBlob[k.blob] == 0
-	if drained {
-		delete(m.pinsByBlob, k.blob)
-	}
-	var def *deferredBlob
-	if drained {
-		if d, ok := m.deferred[k.blob]; ok {
-			def = d
-			delete(m.deferred, k.blob)
-		}
-	}
-	m.mu.Unlock()
-	if def != nil {
-		m.deferredBlobs.Dec()
-		drainStart := m.now()
-		// Still under the fence's read side (taken at the top): the
-		// decrements filter against a concurrent pass's purged set
-		// without the reader's Close ever waiting on List/Purge I/O.
-		//lockio:allow decrements must stay under the fence read side so a concurrent pass's purged set filters them (see comment above)
-		m.reclaimVersions(context.Background(), def.versions) //ctxfirst:allow pin drain runs on the reader's Close path, which has no ctx; reclaim must not be abortable
-		m.pinDrain.Observe(m.now().Sub(drainStart).Seconds())
-		m.emit.Emit(instrument.Event{
-			Time: m.now(), Actor: instrument.ActorGC, Op: instrument.OpEvict, Blob: k.blob,
-		})
-	}
-	return true
-}
-
-// DeferredBlobs lists deleted BLOBs whose reclaim is queued behind pins.
-func (m *Manager) DeferredBlobs() []uint64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make([]uint64, 0, len(m.deferred))
-	for b := range m.deferred {
-		out = append(out, b)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
 // DeleteBlob deletes a BLOB through the lifecycle layer: the BLOB is
-// marked deleted immediately (new opens fail), and its chunks are either
-// reclaimed now or — when a reader pins any of its versions — queued
-// until the last pin drains. Every layer (gateway, removal strategies,
-// admin tools) must route deletions here so liveness stays consistent.
-func (m *Manager) DeleteBlob(ctx context.Context, blob uint64) error {
-	// The delete→snapshot handoff must be atomic with respect to the
-	// sweep's mark phase: between DeleteExact (the BLOB leaves the
-	// version manager) and the deferred-snapshot insert, a concurrent
-	// mark would see neither the live versions nor the snapshot and
-	// could purge a pinned reader's chunks. Holding the fence's read
-	// side across the handoff gives exactly that — mark's barrier waits
-	// out in-flight handoffs before it reads the deferred set — while
-	// concurrent deletes still run in parallel with each other and with
-	// the sweep's List/Purge I/O. The non-deferred reclaim stays under
-	// the fence too: its decrements are filtered against (and ordered
-	// before) the pass's wholesale purges, so they can never chase a
-	// purge into debiting a fresh same-content Put of a still-
-	// unpublished writer.
-	m.fence.RLock()
-	vs, err := m.vm.DeleteExact(blob)
-	if err != nil {
-		m.fence.RUnlock()
+// marked deleted in the version manager (new opens and pins fail), and
+// nothing is freed here. The sweep reclaims its chunks and tree nodes:
+// those of versions no reader holds at the first pass that finds them
+// past the grace window, the rest once the last pin drains. DeleteBlob
+// does no I/O, so it cannot be aborted part-way. Every layer (gateway, removal strategies, admin tools) must
+// route deletions here so liveness stays consistent.
+func (m *Manager) DeleteBlob(blob uint64) error {
+	if err := m.vm.Delete(blob); err != nil {
 		return err
 	}
-	m.mu.Lock()
-	pinned := m.pinsByBlob[blob] > 0
-	if pinned {
-		m.deferred[blob] = &deferredBlob{versions: vs}
-	}
-	m.mu.Unlock()
-	if pinned {
-		m.fence.RUnlock()
-		m.deferredBlobs.Inc()
-		m.emit.Emit(instrument.Event{
-			Time: m.now(), Actor: instrument.ActorGC, Op: instrument.OpDelete, Blob: blob,
-			Err: ErrPinned.Error(),
-		})
-		return nil
-	}
-	m.reclaimVersions(ctx, vs) //lockio:allow the fence read side must cover the decrements; mark's barrier waits for handoffs, not vice versa (see comment above)
-	m.fence.RUnlock()
 	m.emit.Emit(instrument.Event{
 		Time: m.now(), Actor: instrument.ActorGC, Op: instrument.OpDelete, Blob: blob,
 	})
 	return nil
-}
-
-// reclaimVersions issues the deletion fast path's refcount decrements.
-// A single-version BLOB reclaims exactly: one decrement per slot
-// occurrence per provider, so repeated-content slots balance the Puts
-// that stored them. A multi-version BLOB shares unchanged slots across
-// versions with no per-version Puts behind them, so exact accounting is
-// impossible from metadata alone; it reclaims conservatively — one
-// decrement per (chunk, provider) over the union of all versions'
-// descriptors, which also covers replicas added by self-optimization
-// repairs — and the next sweep collects whatever refcounts remain.
-func (m *Manager) reclaimVersions(ctx context.Context, vs []vmanager.VersionSlots) {
-	refs := map[chunk.ID]map[string]int{}
-	bump := func(id chunk.ID, prov string, exact bool) {
-		per := refs[id]
-		if per == nil {
-			per = map[string]int{}
-			refs[id] = per
-		}
-		if exact {
-			per[prov]++
-		} else if per[prov] == 0 {
-			per[prov] = 1
-		}
-	}
-	exact := len(vs) == 1
-	for _, v := range vs {
-		for _, d := range v.Slots {
-			for _, p := range d.Providers {
-				bump(d.ID, p, exact)
-			}
-		}
-	}
-	perProv := map[string][]chunk.ID{}
-	for id, per := range refs {
-		for p, count := range per {
-			for i := 0; i < count; i++ {
-				perProv[p] = append(perProv[p], id)
-			}
-		}
-	}
-	m.reclaimedRefs.Add(m.removeFanout(ctx, perProv))
-}
-
-// removeFanout issues refcount decrements provider-parallel: each
-// provider's removes run sequentially on one goroutine, so a large
-// reclaim is bounded by the slowest provider, not the sum (the drain
-// path runs inside a reader's Close). Failures are best effort — dead
-// providers keep stale chunks for the sweep. It returns how many
-// decrements were issued.
-//
-// Callers hold the fence's read side, which makes the purged set stable
-// for the duration: IDs the active sweep pass already wholesale-purged
-// are dropped here — the purge freed them, and a remove landing after
-// it would debit a fresh same-content Put. Dropping errs toward leaking
-// a refcount (a reference of a re-stored chunk going unaccounted),
-// which the next sweep corrects; the sweep, not the refcounts, is the
-// source of truth for liveness.
-func (m *Manager) removeFanout(ctx context.Context, perProv map[string][]chunk.ID) int64 {
-	var issued int64
-	var wg sync.WaitGroup
-	for p, ids := range perProv {
-		if m.purged != nil {
-			live := ids[:0]
-			for _, id := range ids {
-				if _, hit := m.purged[id]; !hit {
-					live = append(live, id)
-				}
-			}
-			ids = live
-		}
-		if len(ids) == 0 {
-			continue
-		}
-		issued += int64(len(ids))
-		wg.Add(1)
-		go func(p string, ids []chunk.ID) {
-			defer wg.Done()
-			// Decrements are best-effort by design: a missed one leaves
-			// a refcount high (safe), and the next sweep collects it.
-			api, err := m.prov.Provider(ctx, p)
-			if err != nil {
-				return
-			}
-			for _, id := range ids {
-				_ = api.Remove(ctx, id) //gcfailsafe:allow failure leaves the refcount high, which is the safe direction; the sweep collects it
-			}
-		}(p, ids)
-	}
-	wg.Wait()
-	return issued
-}
-
-// ReclaimDescs drops one reference per descriptor per provider — the
-// path for chunks flushed by a writer that never published (the version
-// manager cannot enumerate them). Descriptors are processed as given:
-// callers pass per-slot lists, so repeated content reclaims per slot.
-func (m *Manager) ReclaimDescs(ctx context.Context, descs []chunk.Desc) {
-	perProv := map[string][]chunk.ID{}
-	for _, d := range descs {
-		for _, p := range d.Providers {
-			perProv[p] = append(perProv[p], d.ID)
-		}
-	}
-	// Under the fence like every other decrement path: a sweep that just
-	// purged these IDs wholesale must not be chased by decrements that
-	// would debit a fresh same-content Put. The read side keeps this off
-	// the sweep's critical path entirely.
-	m.fence.RLock()
-	n := m.removeFanout(ctx, perProv) //lockio:allow fence read side over the fan-out is the ordering rule against wholesale purges (see comment above)
-	m.fence.RUnlock()
-	m.reclaimedRefs.Add(n)
 }
 
 // EnforceRetention evaluates every live BLOB's retention policy at
@@ -699,9 +442,10 @@ func (m *Manager) EnforceRetention(ctx context.Context, now time.Time) (Retentio
 	return rep, firstErr
 }
 
-// Sweep runs one mark-and-sweep pass. Mark enumerates the descriptors of
-// every retained version of every live BLOB plus the snapshots of
-// deleted-but-pinned BLOBs; sweep advances every provider's epoch, pages
+// Sweep runs one mark-and-sweep pass, the only thing that frees chunks.
+// Mark enumerates the descriptors of every retained version of every
+// live BLOB plus the held versions of deleted BLOBs; sweep advances
+// every provider's epoch, pages
 // through its chunk inventory and purges unreferenced chunks old enough
 // to clear the grace window. Providers are paged and purged concurrently
 // (at most sweepWorkers at a time), so wall-clock sweep time tracks the
@@ -710,9 +454,10 @@ func (m *Manager) EnforceRetention(ctx context.Context, now time.Time) (Retentio
 // writer leases, a dry-run counts a chunk that a live lease holds past
 // its grace window as reclaimable.
 //
-// The sweep never excludes the foreground: deletes, pin-drain reclaims
-// and orphan reclaims proceed while it runs, ordered against its purges
-// by the per-pass purged-ID set behind the fence (see Manager.fence).
+// The sweep never excludes the foreground: pins, deletes and writes
+// proceed while it runs. A deleted BLOB's unheld chunks go at the first
+// pass after the delete; chunks only an abandoned writer stored go once
+// they clear the grace window.
 func (m *Manager) Sweep(ctx context.Context, dryRun bool) (SweepReport, error) {
 	m.sweepMu.Lock()
 	defer m.sweepMu.Unlock()
@@ -786,24 +531,9 @@ func (m *Manager) Sweep(ctx context.Context, dryRun bool) (SweepReport, error) {
 	}
 	wg.Wait() //lockio:allow sweepMu serializes whole passes, fan-out waits included; foreground work never takes it
 
-	if !dryRun {
-		// Open the pass's purged-ID set: from here until the deferred
-		// reset, foreground decrements filter against it instead of
-		// waiting for the pass to finish. The set must exist before the
-		// first Purge — recordPurged populates it batch by batch.
-		m.fence.Lock()
-		m.purged = make(map[chunk.ID]struct{})
-		m.fence.Unlock()
-		defer func() {
-			m.fence.Lock()
-			m.purged = nil
-			m.fence.Unlock()
-		}()
-	}
-
 	// The metadata-node sweep runs alongside the provider fan-out: it
-	// touches only the metadata stores, needs no epoch and no purge
-	// fence, and is one in-memory scan against the mark set.
+	// touches only the metadata stores, needs no epoch, and is one
+	// in-memory scan against the mark set.
 	sweepStart := m.now()
 	wg.Add(1)
 	go func() {
@@ -899,7 +629,6 @@ func (m *Manager) sweepProvider(ctx context.Context, id string, epoch uint64, ma
 			n := min(m.batch, len(victims))
 			batch := victims[:n]
 			victims = victims[n:]
-			m.recordPurged(batch)
 			purged, freed, err := p.PurgeChunks(ctx, batch)
 			res.swept += purged
 			res.sweptBytes += freed
@@ -963,25 +692,10 @@ func (m *Manager) sweepProvider(ctx context.Context, id string, epoch uint64, ma
 	return res
 }
 
-// recordPurged publishes a purge batch to the active pass's purged-ID
-// set. Taking the fence's write side does double duty: it makes the IDs
-// visible to later decrements, and it waits out every decrement already
-// past its filter check — so a foreground Remove always lands before
-// the wholesale purge it could otherwise chase. The lock is held only
-// for the map inserts, never across the Purge I/O itself.
-func (m *Manager) recordPurged(ids []chunk.ID) {
-	m.fence.Lock()
-	for _, id := range ids {
-		m.purged[id] = struct{}{}
-	}
-	m.fence.Unlock()
-}
-
 // Stats returns a snapshot of the lifecycle gauges and counters.
 func (m *Manager) Stats() Stats {
 	m.mu.Lock()
 	entries := len(m.pins)
-	deferred := len(m.deferred)
 	m.mu.Unlock()
 	m.leaseMu.Lock()
 	activeLeases := len(m.leases)
@@ -991,11 +705,9 @@ func (m *Manager) Stats() Stats {
 		ReapedLeases:  m.leasesReaped.Value(),
 		Pins:          int(m.pinned.Value()),
 		PinnedEntries: entries,
-		DeferredBlobs: deferred,
 		SweptChunks:   m.sweptChunks.Value(),
 		SweptBytes:    m.sweptBytes.Value(),
 		SweptNodes:    m.sweptNodes.Value(),
-		ReclaimedRefs: m.reclaimedRefs.Value(),
 		RetiredVers:   m.retiredVers.Value(),
 	}
 }

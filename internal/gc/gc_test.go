@@ -77,8 +77,10 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 }
 
 // TestPinDefersDeleteUntilClose: a streaming reader pins its version, a
-// concurrent delete queues behind the pin, the reader serves its full
-// window, and the drained pin reclaims synchronously on Close.
+// concurrent delete only marks the BLOB deleted, a sweep pass leaves the
+// pinned chunks alone, the reader serves its full window, and the first
+// pass after Close reclaims everything. Neither the delete nor the Close
+// frees a chunk.
 func TestPinDefersDeleteUntilClose(t *testing.T) {
 	c := newCluster(t, core.Options{Providers: 3, Monitoring: false, GCGraceEpochs: -1})
 	cl := c.Client("alice")
@@ -90,7 +92,8 @@ func TestPinDefersDeleteUntilClose(t *testing.T) {
 	if _, err := cl.Write(context.Background(), info.ID, 0, payload); err != nil {
 		t.Fatal(err)
 	}
-	if totalChunks(c) == 0 {
+	stored := totalChunks(c)
+	if stored == 0 {
 		t.Fatal("no chunks stored")
 	}
 
@@ -109,18 +112,18 @@ func TestPinDefersDeleteUntilClose(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if err := c.GC.DeleteBlob(ctx, info.ID); err != nil {
+	if err := c.GC.DeleteBlob(info.ID); err != nil {
 		t.Fatal(err)
 	}
-	if got := c.GC.DeferredBlobs(); len(got) != 1 || got[0] != info.ID {
-		t.Fatalf("deferred = %v, want [%d]", got, info.ID)
-	}
-	if totalChunks(c) == 0 {
-		t.Fatal("pinned blob's chunks were reclaimed while the stream was open")
+	if got := totalChunks(c); got != stored {
+		t.Fatalf("chunks after delete = %d, want %d: only the sweep frees", got, stored)
 	}
 	// New opens fail: the blob is deleted, only existing pins survive.
 	if _, err := cl.Open(ctx, info.ID); !errors.Is(err, vmanager.ErrDeleted) {
 		t.Fatalf("open after delete: %v, want ErrDeleted", err)
+	}
+	if rep, err := c.GC.Sweep(ctx, false); err != nil || rep.Swept != 0 {
+		t.Fatalf("sweep under the pin = %+v (%v), want nothing swept", rep, err)
 	}
 
 	rest := make([]byte, len(payload)-100)
@@ -133,15 +136,109 @@ func TestPinDefersDeleteUntilClose(t *testing.T) {
 	if err := rd.Close(); err != nil {
 		t.Fatal(err)
 	}
+	if got := totalChunks(c); got != stored {
+		t.Fatalf("chunks after close = %d, want %d: only the sweep frees", got, stored)
+	}
+	if _, err := c.GC.Sweep(ctx, false); err != nil {
+		t.Fatal(err)
+	}
 	if got := totalChunks(c); got != 0 {
-		t.Fatalf("chunks after drain reclaim = %d, want 0", got)
+		t.Fatalf("chunks after the pass that follows close = %d, want 0", got)
 	}
-	if got := c.GC.DeferredBlobs(); len(got) != 0 {
-		t.Fatalf("deferred after drain = %v, want none", got)
+	if got := c.VM.DeletedBlobs(); len(got) != 0 {
+		t.Fatalf("deleted blobs left after the drained pass = %v, want none", got)
 	}
-	st := c.GC.Stats()
-	if st.Pins != 0 || st.DeferredBlobs != 0 {
+	if st := c.GC.Stats(); st.Pins != 0 || st.PinnedEntries != 0 {
 		t.Fatalf("stats after drain: %+v", st)
+	}
+}
+
+// TestPinnedDeleteSurvivesPasses deletes a two-version BLOB while a
+// reader pins its latest version and runs full passes at the default
+// grace window while the pin is held: the unheld version's exclusive
+// chunks go, the held version's stay, and the reader reads its bytes
+// intact after the passes. Once it closes, the passes the grace window
+// implies take the cluster to exactly zero chunks and zero tree nodes.
+// Run on the disk and tiered stores through BLOBSEER_PROVIDER_STORE.
+func TestPinnedDeleteSurvivesPasses(t *testing.T) {
+	ctx := context.Background()
+	c := newCluster(t, core.Options{Providers: 3, Replicas: 2, Monitoring: false})
+	cl := c.Client("alice")
+	const cs = 1 << 10
+	info, err := cl.Create(ctx, cs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	slot := func(tag string, i int) []byte {
+		return bytes.Repeat([]byte(fmt.Sprintf("%s-%d|", tag, i)), cs)[:cs]
+	}
+	var v1, v2 []byte
+	for i := 0; i < 8; i++ { // more chunks than the reader's prefetch window
+		v1 = append(v1, slot("v1", i)...)
+	}
+	v2 = append(append(v2, slot("v2", 0)...), slot("v2", 1)...)
+	v2 = append(v2, v1[2*cs:]...)
+	if _, err := cl.Write(ctx, info.ID, 0, v1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cl.Write(ctx, info.ID, 0, v2[:2*cs]); err != nil {
+		t.Fatal(err)
+	}
+	stored := totalChunks(c) // 10 distinct chunks, each on 2 providers
+	if stored != 20 {
+		t.Fatalf("chunks stored = %d, want 20", stored)
+	}
+
+	b, err := cl.Open(ctx, info.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rd, err := b.NewReader(ctx, 0, 0, -1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	head := make([]byte, 100)
+	if _, err := io.ReadFull(rd, head); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.GC.DeleteBlob(info.ID); err != nil {
+		t.Fatal(err)
+	}
+	for pass := 0; pass < 3; pass++ {
+		if _, err := c.GC.Sweep(ctx, false); err != nil {
+			t.Fatalf("pass %d under the pin: %v", pass, err)
+		}
+	}
+	// v1's two exclusive chunks cleared the grace window; v2's eight are
+	// held.
+	if got := totalChunks(c); got != 16 {
+		t.Fatalf("chunks after passes under the pin = %d, want 16 (the held version's)", got)
+	}
+	rest, err := io.ReadAll(rd)
+	if err != nil {
+		t.Fatalf("pinned read after the passes: %v", err)
+	}
+	if !bytes.Equal(append(head, rest...), v2) {
+		t.Fatal("pinned reader served wrong bytes after the passes")
+	}
+	if err := rd.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// The chunks were put before the passes above, so they are past the
+	// grace window already: the first pass after the close frees them.
+	for pass := 0; pass < 2; pass++ {
+		if _, err := c.GC.Sweep(ctx, false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := totalChunks(c); got != 0 {
+		t.Fatalf("chunks after close and the grace passes = %d, want 0", got)
+	}
+	if got := c.VM.MetaStore().Len(); got != 0 {
+		t.Fatalf("tree nodes after close and the grace passes = %d, want 0", got)
+	}
+	if got := c.VM.DeletedBlobs(); len(got) != 0 {
+		t.Fatalf("deleted blobs not forgotten: %v", got)
 	}
 }
 
@@ -357,12 +454,12 @@ func TestSweepAcceptance(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if err := c.GC.DeleteBlob(ctx, blob); err != nil {
+	if err := c.GC.DeleteBlob(blob); err != nil {
 		t.Fatal(err)
 	}
 
-	// Sweep while the reader is mid-stream: the deferred snapshot keeps
-	// its chunks marked.
+	// Sweep while the reader is mid-stream: the mark walks the deleted
+	// BLOB's held version, so its chunks stay.
 	if _, err := c.GC.Sweep(ctx, false); err != nil {
 		t.Fatal(err)
 	}
@@ -377,7 +474,7 @@ func TestSweepAcceptance(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Drain reclaim plus one sweep must return every provider exactly to
+	// One sweep after the close must return every provider exactly to
 	// its pre-blob baseline: no stale keys, no live-chunk casualties.
 	if _, err := c.GC.Sweep(ctx, false); err != nil {
 		t.Fatal(err)
@@ -510,8 +607,8 @@ func (lc *lateConn) deliver() {
 
 // TestSweepReclaimsLateCompletedStore: a Store cancelled client-side
 // completes server-side after the write was abandoned. No descriptor
-// references the chunk and the writer's StoredChunks never saw it — the
-// sweep classifies it as unreferenced and reclaims it.
+// references the chunk — the sweep classifies it as unreferenced and
+// reclaims it.
 func TestSweepReclaimsLateCompletedStore(t *testing.T) {
 	vm := vmanager.New(blobmeta.NewMemStore("m1", nil, nil))
 	pm := pmanager.New()
@@ -728,7 +825,8 @@ func rootOf(t *testing.T, vm *vmanager.Manager, blob, version uint64) blobmeta.R
 // TestNodeSweepAcceptance: the metadata sweep reclaims every node
 // reachable only from retired or deleted versions — the node store's
 // Len returns to the exact expected baseline — and never drops a node
-// reachable from a retained, pinned, or deferred version.
+// reachable from a retained version, a pinned one, or a deleted BLOB a
+// pin still holds.
 func TestNodeSweepAcceptance(t *testing.T) {
 	c := newCluster(t, core.Options{Providers: 3, Monitoring: false, GCGraceEpochs: -1})
 	cl := c.Client("alice")
@@ -809,9 +907,9 @@ func TestNodeSweepAcceptance(t *testing.T) {
 		t.Fatalf("nodes after pin drain = %d, want %d", got, wantA+wantB)
 	}
 
-	// Deferred: a deleted-but-pinned BLOB keeps every node until the
-	// last pin drains, then a sweep reclaims them all and the version
-	// manager forgets the BLOB.
+	// Held: a deleted-but-pinned BLOB keeps every node until the last
+	// pin drains, then a sweep reclaims them all and the version manager
+	// forgets the BLOB.
 	bh, err := cl.Open(ctx, a.ID)
 	if err != nil {
 		t.Fatal(err)
@@ -820,14 +918,14 @@ func TestNodeSweepAcceptance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.GC.DeleteBlob(ctx, a.ID); err != nil {
+	if err := c.GC.DeleteBlob(a.ID); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.GC.Sweep(ctx, false); err != nil {
 		t.Fatal(err)
 	}
 	if got := meta.Len(); got != wantA+wantB {
-		t.Fatalf("nodes while deferred = %d, want %d (deferred blob's nodes protected)", got, wantA+wantB)
+		t.Fatalf("nodes while pinned = %d, want %d (held blob's nodes protected)", got, wantA+wantB)
 	}
 	if _, err := io.Copy(io.Discard, rd); err != nil {
 		t.Fatal(err)
@@ -846,7 +944,7 @@ func TestNodeSweepAcceptance(t *testing.T) {
 	}
 
 	// Delete B too: the node store returns to exactly empty.
-	if err := c.GC.DeleteBlob(ctx, b.ID); err != nil {
+	if err := c.GC.DeleteBlob(b.ID); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.GC.Sweep(ctx, false); err != nil {
@@ -939,7 +1037,7 @@ func TestNodeSweepAcrossDoublings(t *testing.T) {
 	if swept == 0 {
 		t.Fatal("no node was ever reclaimed")
 	}
-	if err := c.GC.DeleteBlob(ctx, info.ID); err != nil {
+	if err := c.GC.DeleteBlob(info.ID); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.GC.Sweep(ctx, false); err != nil {
@@ -1118,18 +1216,18 @@ func TestParallelMarkVsConcurrentLifecycle(t *testing.T) {
 					return
 				}
 				if i%2 == 0 {
-					// Pinned reader rides through the delete; Close drains
-					// the deferred reclaim mid-sweep.
+					// Pinned reader rides through the delete; Close drops
+					// the hold mid-sweep.
 					if b, err := cl.Open(ctx, info.ID); err == nil {
 						if rd, err := b.NewReader(ctx, 0, 0, -1); err == nil {
-							_ = c.GC.DeleteBlob(ctx, info.ID)
+							_ = c.GC.DeleteBlob(info.ID)
 							_, _ = io.Copy(io.Discard, rd)
 							_ = rd.Close()
 							continue
 						}
 					}
 				}
-				_ = c.GC.DeleteBlob(ctx, info.ID)
+				_ = c.GC.DeleteBlob(info.ID)
 			}
 		}(w)
 	}
@@ -1159,30 +1257,28 @@ func TestSweepDryRunRemovesNothing(t *testing.T) {
 	if _, err := cl.Write(ctx, info.ID, 0, bytes.Repeat([]byte{'q'}, 512)); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.GC.DeleteBlob(context.Background(), info.ID); err != nil {
+	if err := c.GC.DeleteBlob(info.ID); err != nil {
 		t.Fatal(err)
 	}
-	// The fast path already reclaimed exactly; strand a chunk by hand to
-	// give the sweep something to find.
-	var pp *provider.Provider
-	for _, id := range c.Providers() {
-		if p, _ := c.Provider(id); pp == nil {
-			pp = p
-		}
-	}
-	if err := pp.Store(context.Background(), "stray", chunk.Sum([]byte("stray")), []byte("stray")); err != nil {
-		t.Fatal(err)
+	// The delete freed nothing: the deleted blob's chunks are the sweep's
+	// to find.
+	stored, nodes := totalChunks(c), c.VM.MetaStore().Len()
+	if stored == 0 || nodes == 0 {
+		t.Fatalf("stored %d chunks, %d nodes; want some of each", stored, nodes)
 	}
 
 	rep, err := c.GC.Sweep(context.Background(), true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Swept != 1 || !rep.DryRun {
-		t.Fatalf("dry-run report = %+v, want Swept 1", rep)
+	if rep.Swept != stored || rep.NodesSwept != nodes || !rep.DryRun {
+		t.Fatalf("dry-run report = %+v, want Swept %d, NodesSwept %d", rep, stored, nodes)
 	}
-	if got := totalChunks(c); got != 1 {
-		t.Fatalf("dry-run removed chunks: %d left, want 1", got)
+	if got := totalChunks(c); got != stored {
+		t.Fatalf("dry-run removed chunks: %d left, want %d", got, stored)
+	}
+	if got := c.VM.MetaStore().Len(); got != nodes || len(c.VM.DeletedBlobs()) != 1 {
+		t.Fatalf("dry-run removed nodes or forgot the blob: %d nodes left, want %d", got, nodes)
 	}
 	// Dry-runs must not advance the sweep epoch: repeated dry-runs would
 	// otherwise erode the write-in-progress grace window.
@@ -1196,8 +1292,8 @@ func TestSweepDryRunRemovesNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Swept != 1 || totalChunks(c) != 0 {
-		t.Fatalf("real sweep after dry-run = %+v, chunks %d", rep, totalChunks(c))
+	if rep.Swept != stored || totalChunks(c) != 0 || c.VM.MetaStore().Len() != 0 {
+		t.Fatalf("real sweep after dry-run = %+v, chunks %d, nodes %d", rep, totalChunks(c), c.VM.MetaStore().Len())
 	}
 }
 
@@ -1370,9 +1466,10 @@ func TestForegroundOpsNotBehindSweep(t *testing.T) {
 	if _, err := io.ReadFull(rd, make([]byte, 64)); err != nil {
 		t.Fatal(err)
 	}
-	// Queue a deferred reclaim behind the pin: Close below must drain it
+	// Delete the pinned blob before the sweep starts, so the parked
+	// pass's mark walks its held version; the Close below drops the hold
 	// while the sweep runs.
-	if err := c.GC.DeleteBlob(ctx, infoB.ID); err != nil {
+	if err := c.GC.DeleteBlob(infoB.ID); err != nil {
 		t.Fatal(err)
 	}
 
@@ -1395,7 +1492,7 @@ func TestForegroundOpsNotBehindSweep(t *testing.T) {
 			}
 			return nil
 		}},
-		{"lifecycle delete", func() error { return c.GC.DeleteBlob(ctx, infoA.ID) }},
+		{"lifecycle delete", func() error { return c.GC.DeleteBlob(infoA.ID) }},
 		{"pinned close", func() error {
 			if _, err := io.Copy(io.Discard, rd); err != nil {
 				return err
@@ -1423,17 +1520,16 @@ func TestForegroundOpsNotBehindSweep(t *testing.T) {
 		t.Fatalf("sweep finished early (%v): the gate never held", err)
 	default:
 	}
-	// The pin drained: blob B's deferred reclaim already ran.
-	if got := c.GC.DeferredBlobs(); len(got) != 0 {
-		t.Fatalf("deferred after close = %v, want none", got)
+	if st := c.GC.Stats(); st.Pins != 0 {
+		t.Fatalf("pins after close = %d, want 0", st.Pins)
 	}
 
 	close(release)
 	if err := <-sweepDone; err != nil {
 		t.Fatalf("sweep after release: %v", err)
 	}
-	// Everything was deleted and drained; at most one more sweep clears
-	// what the parked pass classified before the deletes landed.
+	// Everything was deleted and every pin drained; one more sweep
+	// clears what the parked pass marked before the deletes landed.
 	if _, err := c.GC.Sweep(ctx, false); err != nil {
 		t.Fatal(err)
 	}
@@ -1442,12 +1538,14 @@ func TestForegroundOpsNotBehindSweep(t *testing.T) {
 	}
 }
 
-// TestDecrementVsPurgeInterleaving hammers the fence from every
-// decrement path — fast-path deletes, pin-drain reclaims — while sweeps
-// run in a tight loop. The race detector checks the synchronization;
-// the final assertion checks no liveness was lost either way: once all
-// BLOBs are deleted, sweeps converge every provider to empty.
-func TestDecrementVsPurgeInterleaving(t *testing.T) {
+// TestPinnedDeleteVsSweepInterleaving deletes BLOBs — half of them
+// under a pinned reader — while sweeps run in a tight loop, with chunk
+// content shared across writers so the same IDs are marked, purged and
+// re-stored concurrently. The race detector checks the synchronization;
+// every pinned reader must read its bytes intact through the delete and
+// the passes; and once all BLOBs are deleted, sweeps converge every
+// provider to empty.
+func TestPinnedDeleteVsSweepInterleaving(t *testing.T) {
 	c := newCluster(t, core.Options{Providers: 3, Monitoring: false})
 	cl := c.Client("alice")
 	ctx := context.Background()
@@ -1482,26 +1580,36 @@ func TestDecrementVsPurgeInterleaving(t *testing.T) {
 					return
 				}
 				// Content shared across goroutines and iterations, so
-				// the same chunk IDs are decremented, purged and
-				// re-stored concurrently.
+				// the same chunk IDs are marked, purged and re-stored
+				// concurrently.
 				payload := bytes.Repeat([]byte{byte('a' + (w+i)%3)}, 512)
 				if _, err := cl.Write(ctx, info.ID, 0, payload); err != nil {
 					t.Error(err)
 					return
 				}
 				if i%2 == 0 {
-					// Pinned reader rides through the delete; Close
-					// drains the deferred reclaim mid-sweep.
-					if b, err := cl.Open(ctx, info.ID); err == nil {
-						if rd, err := b.NewReader(ctx, 0, 0, -1); err == nil {
-							_ = c.GC.DeleteBlob(ctx, info.ID)
-							_, _ = io.Copy(io.Discard, rd)
-							_ = rd.Close()
-							continue
-						}
+					// Pinned reader rides through the delete and the
+					// passes running beside it; Close drops the hold
+					// mid-sweep.
+					b, err := cl.Open(ctx, info.ID)
+					if err != nil {
+						t.Error(err)
+						return
 					}
+					rd, err := b.NewReader(ctx, 0, 0, -1)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					_ = c.GC.DeleteBlob(info.ID)
+					got, err := io.ReadAll(rd)
+					if err != nil || !bytes.Equal(got, payload) {
+						t.Errorf("pinned read through the delete: %d bytes, %v", len(got), err)
+					}
+					_ = rd.Close()
+					continue
 				}
-				_ = c.GC.DeleteBlob(ctx, info.ID)
+				_ = c.GC.DeleteBlob(info.ID)
 			}
 		}(w)
 	}
@@ -1509,9 +1617,8 @@ func TestDecrementVsPurgeInterleaving(t *testing.T) {
 	close(stop)
 	sweeps.Wait()
 
-	// Everything is deleted: dropped decrements may have leaked
-	// refcounts, but the sweep is the source of truth — a few passes
-	// (the grace window, then the leftovers) must converge to empty.
+	// Everything is deleted: a few passes (the grace window, then the
+	// leftovers) must converge to empty.
 	waitFor(t, "sweeps to reclaim everything", func() bool {
 		if _, err := c.GC.Sweep(ctx, false); err != nil {
 			t.Fatal(err)

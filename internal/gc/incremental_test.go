@@ -160,7 +160,8 @@ func (r *rig) survivors(t *testing.T) map[chunk.ID]bool {
 }
 
 // naiveMark is the reference mark: one full leaf walk per retained
-// version of every live BLOB, no pruning, no cache.
+// version of every live BLOB and per held version of every deleted one,
+// no pruning, no cache.
 func (r *rig) naiveMark(t *testing.T) map[chunk.ID]bool {
 	t.Helper()
 	out := map[chunk.ID]bool{}
@@ -174,6 +175,20 @@ func (r *rig) naiveMark(t *testing.T) map[chunk.ID]bool {
 			t.Fatal(err)
 		}
 		for _, v := range versions {
+			if err := tree.Walk(tree.Root(v.Version, v.Size), func(_ int64, d chunk.Desc) error {
+				out[d.ID] = true
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for _, blob := range r.vm.DeletedBlobs() {
+		tree, held, err := r.vm.HeldVersions(blob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, v := range held {
 			if err := tree.Walk(tree.Root(v.Version, v.Size), func(_ int64, d chunk.Desc) error {
 				out[d.ID] = true
 				return nil
@@ -272,9 +287,6 @@ func runOracle(t *testing.T, seed int64) {
 				t.Fatalf("seed %d op %d: live chunk %s purged", seed, op, id.Short())
 			}
 		}
-		if len(pins) > 0 {
-			return // deferred BLOBs keep more than the naive mark
-		}
 		if len(left) != len(naive) {
 			t.Fatalf("seed %d op %d: %d chunks survive the pass, the naive mark reaches %d", seed, op, len(left), len(naive))
 		}
@@ -324,7 +336,7 @@ func runOracle(t *testing.T, seed int64) {
 			}
 		case k < 14:
 			i := rng.Intn(len(live))
-			if err := r.m.DeleteBlob(ctx, live[i]); err != nil {
+			if err := r.m.DeleteBlob(live[i]); err != nil {
 				t.Fatal(err)
 			}
 			live = append(live[:i], live[i+1:]...)
@@ -365,7 +377,7 @@ func runOracle(t *testing.T, seed int64) {
 
 	unpinAll()
 	for _, b := range live {
-		if err := r.m.DeleteBlob(ctx, b); err != nil {
+		if err := r.m.DeleteBlob(b); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -379,7 +391,7 @@ func runOracle(t *testing.T, seed int64) {
 	if d := r.vm.DeletedBlobs(); len(d) != 0 {
 		t.Fatalf("seed %d: deleted BLOBs never forgotten: %v", seed, d)
 	}
-	if st := r.m.Stats(); st.ActiveLeases != 0 || st.Pins != 0 || st.DeferredBlobs != 0 {
+	if st := r.m.Stats(); st.ActiveLeases != 0 || st.Pins != 0 {
 		t.Fatalf("seed %d: lifecycle state left behind: %+v", seed, st)
 	}
 }
@@ -613,7 +625,7 @@ func TestSteadyStatePassCostsWhatChanged(t *testing.T) {
 					chunks = 8
 				}
 				(*set)[j] = put(chunks)
-				if err := r.m.DeleteBlob(ctx, old); err != nil {
+				if err := r.m.DeleteBlob(old); err != nil {
 					t.Fatal(err)
 				}
 				changed[old], changed[(*set)[j]] = true, true
@@ -650,8 +662,8 @@ func TestSteadyStatePassCostsWhatChanged(t *testing.T) {
 // TestMarkWalkIsNotClientMetadataLoad: a full pass over N BLOBs adds no
 // meta_get event — the walk's reads are not client reads — and reports
 // itself as one gc event carrying the nodes read and the BLOBs walked
-// and reused; neither does the slot walk of a DeleteBlob; a client read
-// of the same trees still reports its own.
+// and reused; a DeleteBlob reads no node at all; a client read of the
+// same trees still reports its own.
 func TestMarkWalkIsNotClientMetadataLoad(t *testing.T) {
 	const n = 12
 	ctx := context.Background()
@@ -706,7 +718,7 @@ func TestMarkWalkIsNotClientMetadataLoad(t *testing.T) {
 		t.Fatal("a client read emitted no meta_get event")
 	}
 	gets = count(instrument.OpMetaGet)
-	if err := m.DeleteBlob(ctx, blob); err != nil {
+	if err := m.DeleteBlob(blob); err != nil {
 		t.Fatal(err)
 	}
 	if got := count(instrument.OpMetaGet); got != gets {

@@ -538,7 +538,7 @@ func TestLeaseHammerConvergence(t *testing.T) {
 				cancel()
 				// Published or not, the blob must end deleted so the
 				// convergence check can demand exact zero.
-				_ = c.GC.DeleteBlob(ctx, info.ID)
+				_ = c.GC.DeleteBlob(info.ID)
 			}
 		}(wi)
 	}

@@ -18,6 +18,7 @@ package gc
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 
@@ -68,6 +69,52 @@ type blobWalk struct {
 	nodes map[blobmeta.NodeKey]struct{}
 }
 
+// newBlobWalk starts the walk of one BLOB's versions into nodes.
+func newBlobWalk(blob uint64, versions []vmanager.VersionMeta, nodes map[blobmeta.NodeKey]struct{}) *blobWalk {
+	w := &blobWalk{
+		blobMark: &blobMark{blob: blob, versions: make([]uint64, len(versions))},
+		nodes:    nodes,
+	}
+	for i, v := range versions {
+		w.versions[i] = v.Version
+		w.wm = max(w.wm, v.Version)
+	}
+	return w
+}
+
+// walk records the nodes and chunk IDs reachable from versions. It goes
+// newest version first: the newest walks its tree in full once and each
+// older version prunes at every subtree it shares with a younger one, so
+// the whole BLOB costs O(distinct nodes) metadata reads instead of
+// O(versions × nodes).
+func (w *blobWalk) walk(ctx context.Context, tree *blobmeta.Tree, versions []vmanager.VersionMeta) error {
+	for i := len(versions) - 1; i >= 0; i-- {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		v := versions[i]
+		if v.Version == 0 {
+			continue
+		}
+		err := tree.WalkNodes(tree.Root(v.Version, v.Size),
+			func(k blobmeta.NodeKey) bool {
+				_, seen := w.nodes[k]
+				return seen
+			},
+			func(k blobmeta.NodeKey, n blobmeta.Node) error {
+				w.nodes[k] = struct{}{}
+				if n.Leaf && !n.Desc.ID.IsZero() {
+					w.chunks = append(w.chunks, n.Desc.ID)
+				}
+				return nil
+			})
+		if err != nil {
+			return fmt.Errorf("gc: mark blob %d v%d: %w", w.blob, v.Version, err)
+		}
+	}
+	return nil
+}
+
 // markWorker is one goroutine's share of the mark fan-out.
 type markWorker struct {
 	nodes  map[blobmeta.NodeKey]struct{}
@@ -81,12 +128,13 @@ type markWorker struct {
 type markSet struct {
 	chunks map[chunk.ID]bool    // live chunk IDs
 	walked map[uint64]*blobWalk // BLOBs walked this pass
-	dead   []uint64             // deleted, undeferred BLOBs (all their nodes are sweepable)
+	dead   []uint64             // deleted BLOBs nothing holds (all their nodes are sweepable)
 
-	// deferred holds the deleted-but-pinned BLOBs: their delete-time
-	// snapshots keep chunks marked, and every one of their tree nodes is
-	// protected until the last pin drains.
-	deferred map[uint64]struct{}
+	// held holds the deleted BLOBs some version of which a hold (a
+	// reader pin) still protects: the held versions' chunks are marked,
+	// and every one of the BLOB's tree nodes is kept until the last hold
+	// drains.
+	held map[uint64]struct{}
 
 	reused int // BLOBs marked from the cache
 	nodes  int // tree nodes the walks read
@@ -94,11 +142,8 @@ type markSet struct {
 
 // markBlob adds one live BLOB to wk: from the cache when its settled
 // mark still matches the version manager's list, by a fresh walk
-// otherwise. The walk goes newest version first: the newest
-// walks its tree in full once and each older version prunes at every
-// subtree it shares with a younger one, so the whole BLOB costs
-// O(distinct nodes) metadata reads instead of O(versions × nodes). A
-// BLOB deleted between enumeration and walk is skipped; any other
+// otherwise. A BLOB deleted between enumeration and walk is skipped (the
+// mark's later read of the deleted BLOBs takes it up); any other
 // version-manager or metadata error aborts the pass (fail safe: an
 // unmarked live chunk is a purge casualty). The walk is recorded only
 // once it has completed.
@@ -124,37 +169,9 @@ func (m *Manager) markBlob(ctx context.Context, blob uint64, wk *markWorker) err
 		}
 		return fmt.Errorf("gc: mark blob %d: open tree: %w", blob, err)
 	}
-	w := &blobWalk{
-		blobMark: &blobMark{blob: blob, versions: make([]uint64, len(versions))},
-		nodes:    wk.nodes,
-	}
-	for i, v := range versions {
-		w.versions[i] = v.Version
-		w.wm = max(w.wm, v.Version)
-	}
-	for i := len(versions) - 1; i >= 0; i-- {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		v := versions[i]
-		if v.Version == 0 {
-			continue
-		}
-		err := tree.WalkNodes(tree.Root(v.Version, v.Size),
-			func(k blobmeta.NodeKey) bool {
-				_, seen := w.nodes[k]
-				return seen
-			},
-			func(k blobmeta.NodeKey, n blobmeta.Node) error {
-				w.nodes[k] = struct{}{}
-				if n.Leaf && !n.Desc.ID.IsZero() {
-					w.chunks = append(w.chunks, n.Desc.ID)
-				}
-				return nil
-			})
-		if err != nil {
-			return fmt.Errorf("gc: mark blob %d v%d: %w", blob, v.Version, err)
-		}
+	w := newBlobWalk(blob, versions, wk.nodes)
+	if err := w.walk(ctx, tree, versions); err != nil {
+		return err
 	}
 	wk.walks = append(wk.walks, w)
 	return nil
@@ -164,8 +181,8 @@ func (m *Manager) markBlob(ctx context.Context, blob uint64, wk *markWorker) err
 // reachable from the retained versions of live BLOBs — including
 // descriptors republished by self-optimization repairs, which appear as
 // ordinary versions, and pinned versions, which their pins hold in the
-// version list (see Manager.Pin) — plus the delete-time snapshots of
-// deferred (pinned) BLOBs. BLOBs fan out over a bounded worker pool;
+// version list (see Manager.Pin) — plus the held versions of deleted
+// BLOBs. Live BLOBs fan out over a bounded worker pool;
 // all versions of one BLOB stay on one worker so its shared-subtree
 // prune set is worker-local. The per-BLOB cache is replaced only once
 // every walk has completed: an aborted pass leaves it as it was.
@@ -229,8 +246,8 @@ feed:
 	// chunk IDs can repeat (shared content across BLOBs) and the boolean
 	// union is exactly right.
 	ms := &markSet{
-		walked:   make(map[uint64]*blobWalk),
-		deferred: make(map[uint64]struct{}),
+		walked: make(map[uint64]*blobWalk),
+		held:   make(map[uint64]struct{}),
 	}
 	next := make(map[uint64]*blobMark, len(blobs))
 	nChunks := 0
@@ -252,39 +269,34 @@ feed:
 		}
 	}
 
-	// Deleted-BLOB snapshot for the node sweep, read BEFORE the barrier:
-	// a delete whose DeleteExact landed before this read may still be
-	// inserting its deferred entry, and the barrier below waits that
-	// handoff out — so by the deferred read every such BLOB is either in
-	// the deferred map (excluded from dead) or has no pins (sweepable).
-	// A BLOB deleted after this read is in neither set; its nodes are
-	// classified by the per-BLOB watermark instead, which only ever
-	// releases nodes unreachable from the versions walked above.
-	rawDead := m.vm.DeletedBlobs()
-
-	// Ordering barrier between the version walks above and the
-	// deferred-snapshot read below: DeleteBlob holds the fence's read
-	// side across its DeleteExact→snapshot handoff, so acquiring and
-	// releasing the write side here guarantees that (a) any delete whose
-	// DeleteExact made a walk above fail has finished inserting its
-	// deferred snapshot — the read below sees it — and (b) any delete
-	// starting after the barrier runs entirely after the walks, whose
-	// enumeration therefore saw its BLOB live and marked its chunks.
-	// Either way a pinned reader's chunks survive. The lock is not held
-	// over anything: foreground deletes wait a blip, never the walks.
-	m.fence.Lock()
-	m.fence.Unlock() //nolint:staticcheck // empty section is the barrier
-	m.mu.Lock()
-	for blob, def := range m.deferred {
-		ms.deferred[blob] = struct{}{}
-		for _, id := range def.chunkIDs() {
-			ms.chunks[id] = true
-		}
-	}
-	m.mu.Unlock()
-	for _, blob := range rawDead {
-		if _, ok := ms.deferred[blob]; !ok {
+	// The deleted BLOBs, read only now that every live walk has
+	// finished: a BLOB deleted before its walk (which skipped it) is in
+	// this list, and one deleted after its walk had all its retained
+	// versions, held ones included, marked by that walk. A deleted BLOB
+	// takes no new holds, so the versions HeldVersions returns are all
+	// its readers can still read. A BLOB deleted after this read is not
+	// in the dead set; its nodes are classified by the per-BLOB
+	// watermark instead, which only ever releases nodes unreachable from
+	// the versions walked above.
+	for _, blob := range m.vm.DeletedBlobs() {
+		tree, held, err := m.vm.HeldVersions(blob)
+		switch {
+		case errors.Is(err, vmanager.ErrNoBlob):
+			// Forgotten since the listing: nothing held it.
+		case err != nil:
+			return nil, fmt.Errorf("gc: mark deleted blob %d: %w", blob, err)
+		case len(held) == 0:
 			ms.dead = append(ms.dead, blob)
+		default:
+			ms.held[blob] = struct{}{}
+			w := newBlobWalk(blob, held, make(map[blobmeta.NodeKey]struct{}))
+			if err := w.walk(ctx, tree, held); err != nil {
+				return nil, err
+			}
+			for _, id := range w.chunks {
+				ms.chunks[id] = true
+			}
+			ms.nodes += len(w.nodes)
 		}
 	}
 

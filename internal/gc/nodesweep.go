@@ -72,11 +72,11 @@ func scanNodes(ns blobmeta.Store, blobs []uint64, visit func(blobmeta.NodeKey) e
 // has changed since. A scanned node is released when no retained-version
 // walk visited it this pass AND its creating version cannot
 // still be in flight: either its BLOB is in the pass's dead set
-// (deleted, no pins), or the BLOB is live and the node's version is at
+// (deleted, no holds), or the BLOB is live and the node's version is at
 // or below the BLOB's mark-time watermark — published version numbers
 // are handed out contiguously, so a publication racing this pass only
-// ever creates node keys above the watermark. Everything else (deferred
-// BLOBs' nodes, in-flight publications) is kept; the publication that
+// ever creates node keys above the watermark. Everything else (held
+// deleted BLOBs' nodes, in-flight publications) is kept; the publication that
 // lands changes the BLOB's version list, which brings it back into a
 // later pass's scan. Dead BLOBs whose nodes all deleted cleanly are
 // forgotten in the version manager, ending their bookkeeping; walked
@@ -125,7 +125,7 @@ func (m *Manager) sweepNodes(ctx context.Context, ms *markSet, dryRun bool) node
 				return nil
 			}
 		}
-		if _, def := ms.deferred[k.Blob]; def {
+		if _, held := ms.held[k.Blob]; held {
 			res.kept++
 			return nil
 		}

@@ -73,7 +73,8 @@ type Store interface {
 	List(after chunk.ID, limit int) (page []ChunkInfo, more bool)
 	// Purge frees a chunk wholesale, regardless of its reference count,
 	// returning the payload bytes freed. Purging an absent chunk is not
-	// an error (sweeps race with regular deletes); it frees 0 bytes.
+	// an error (it may have gone since the sweep listed it); it frees 0
+	// bytes.
 	Purge(id chunk.ID) (int64, error)
 	// Epoch returns the current sweep epoch.
 	Epoch() uint64
@@ -320,9 +321,6 @@ type API interface {
 	Fetch(ctx context.Context, user string, id chunk.ID) ([]byte, error)
 	LeaseChunks(ctx context.Context, leaseID string, ttl time.Duration, ids []chunk.ID) error
 	ReleaseLease(ctx context.Context, leaseID string) error
-
-	// Remove drops one reference to a chunk.
-	Remove(ctx context.Context, id chunk.ID) error
 	// ListChunks returns one inventory page: up to limit chunks with ID
 	// strictly greater than after, ascending, plus whether more remain.
 	ListChunks(ctx context.Context, after chunk.ID, limit int) ([]ChunkInfo, bool, error)
@@ -530,24 +528,6 @@ func (p *Provider) Fetch(ctx context.Context, user string, id chunk.ID) ([]byte,
 	}
 	p.emit.Emit(ev)
 	return data, err
-}
-
-// Remove drops one reference to a chunk.
-func (p *Provider) Remove(ctx context.Context, id chunk.ID) error {
-	if err := p.begin(ctx); err != nil {
-		return err
-	}
-	defer p.end()
-	err := p.st.Delete(id)
-	p.deletes.Add(1)
-	ev := instrument.Event{
-		Time: p.now(), Actor: instrument.ActorProvider, Node: p.id, Op: instrument.OpDelete,
-	}
-	if err != nil {
-		ev.Err = err.Error()
-	}
-	p.emit.Emit(ev)
-	return err
 }
 
 // ListChunks returns one page of the provider's chunk inventory for the

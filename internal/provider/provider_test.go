@@ -138,7 +138,7 @@ func TestProviderStopRestart(t *testing.T) {
 	if _, err := p.Fetch(bg, "u", id); !errors.Is(err, ErrStopped) {
 		t.Fatalf("want ErrStopped, got %v", err)
 	}
-	if err := p.Remove(bg, id); !errors.Is(err, ErrStopped) {
+	if _, _, err := p.ListChunks(bg, chunk.ID{}, 1); !errors.Is(err, ErrStopped) {
 		t.Fatalf("want ErrStopped, got %v", err)
 	}
 	p.Restart()

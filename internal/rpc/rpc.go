@@ -191,8 +191,6 @@ func (s *Server) handle(ctx context.Context, m byte, meta, payload []byte) (out,
 		err = p.LeaseChunks(ctx, a.Lease.ID, a.Lease.TTL, a.IDs)
 	case mReleaseLease:
 		err = p.ReleaseLease(ctx, a.Lease.ID)
-	case mRemove:
-		err = p.Remove(ctx, a.ID)
 	case mListChunks:
 		r.Chunks, r.More, err = p.ListChunks(ctx, a.ID, a.Limit)
 	case mPurge:
@@ -499,12 +497,6 @@ func (c *Conn) Fetch(ctx context.Context, user string, id chunk.ID) ([]byte, err
 	a := args{User: user, ID: id}
 	a.Off, a.Len = chunk.RangeFrom(ctx)
 	return c.call(ctx, mFetch, &a, nil, nil)
-}
-
-// Remove drops one chunk reference on the remote provider.
-func (c *Conn) Remove(ctx context.Context, id chunk.ID) error {
-	_, err := c.call(ctx, mRemove, &args{ID: id}, nil, nil)
-	return err
 }
 
 // ListChunks fetches one page of the remote provider's chunk inventory.

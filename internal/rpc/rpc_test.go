@@ -63,8 +63,9 @@ func TestRemoteErrorsPropagate(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "not found") {
 		t.Fatalf("want not-found error, got %v", err)
 	}
-	if err := conn.Remove(bg, chunk.Sum([]byte("missing"))); err == nil {
-		t.Fatal("want error removing missing chunk")
+	// The retired Remove method keeps its number, and the server refuses it.
+	if _, err := conn.call(bg, mRetired, &args{ID: chunk.Sum([]byte("missing"))}, nil, nil); err == nil || !strings.Contains(err.Error(), "unknown method") {
+		t.Fatalf("want the retired method refused, got %v", err)
 	}
 }
 

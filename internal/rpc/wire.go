@@ -59,14 +59,15 @@ const (
 	flagError
 )
 
-// The methods. The data-path calls up to mRemove reply with no metadata;
-// the control-plane calls from mListChunks on reply with a result.
+// The methods. The data-path calls up to mReleaseLease reply with no
+// metadata; the control-plane calls from mListChunks on reply with a
+// result. A retired method keeps its number, so the others keep theirs.
 const (
 	mStore byte = iota + 1
 	mFetch
 	mLeaseChunks
 	mReleaseLease
-	mRemove
+	mRetired // once Remove; args.decode refuses it
 	mListChunks
 	mPurge
 	mAdvanceEpoch
@@ -193,7 +194,6 @@ var argFields = [256]uint8{ // any method byte indexes it; an unknown one sends 
 	mFetch:        fUser | fID | fRange,
 	mLeaseChunks:  fLeaseID | fTTL | fIDs,
 	mReleaseLease: fLeaseID,
-	mRemove:       fID,
 	mListChunks:   fID | fLimit,
 	mPurge:        fIDs,
 }
@@ -232,7 +232,7 @@ var errMeta = errors.New("rpc: malformed frame metadata")
 // decode parses m's arguments from meta. Every length is checked against
 // the bytes left before anything is sized by it, and nothing may trail.
 func (a *args) decode(m byte, meta []byte) error {
-	if m == 0 || m >= numMethods {
+	if m == 0 || m == mRetired || m >= numMethods {
 		return fmt.Errorf("rpc: unknown method %d", m)
 	}
 	const idLen = uint64(len(chunk.ID{}))

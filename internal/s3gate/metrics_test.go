@@ -41,15 +41,12 @@ var prometheusSurface = []string{
 	"blobseer_disk_read_seconds histogram process",
 	"blobseer_disk_recovery_seconds gauge process",
 	"blobseer_disk_segments gauge process",
-	"blobseer_gc_deferred_blobs gauge process",
 	"blobseer_gc_leases_active gauge process",
 	"blobseer_gc_leases_reaped_total counter process",
 	"blobseer_gc_mark_blobs_total counter process,result",
 	"blobseer_gc_mark_node_reads_total counter process",
 	"blobseer_gc_phase_seconds histogram phase,process",
-	"blobseer_gc_pin_drain_seconds histogram process",
 	"blobseer_gc_pinned gauge process",
-	"blobseer_gc_reclaimed_refs_total counter process",
 	"blobseer_gc_retired_versions_total counter process",
 	"blobseer_gc_swept_bytes_total counter process",
 	"blobseer_gc_swept_chunks_total counter process",

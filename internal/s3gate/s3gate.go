@@ -393,7 +393,7 @@ func (g *Gateway) objectOp(w http.ResponseWriter, r *http.Request, user, bucket,
 // still arriving, and the object's ETag is derived from the chunk IDs
 // that pass computes.
 // Bodies larger than MaxObjectSize are rejected with EntityTooLarge —
-// never silently truncated — and the partial BLOB is reclaimed.
+// never silently truncated — and the partial BLOB is deleted.
 func (g *Gateway) putObject(w http.ResponseWriter, r *http.Request, user, bucket, key string) {
 	g.mu.Lock()
 	_, ok := g.buckets[bucket]
@@ -429,20 +429,14 @@ func (g *Gateway) putObject(w http.ResponseWriter, r *http.Request, user, bucket
 		return
 	}
 	// abandon aborts the stream (cancel keeps Close from publishing a
-	// version that would immediately be reclaimed) and drops the blob.
-	// Chunks already flushed by the writer were never published, so the
-	// lifecycle manager cannot enumerate them from metadata — they are
-	// reclaimed via the writer's own per-slot descriptors. Close also
-	// releases the writer's lease (gateway writers lease by default via
-	// the cluster wiring), so an abandoned PUT protects nothing once the
-	// reclaim below has run.
+	// version that would immediately be deleted) and drops the blob.
+	// Close releases the writer's lease (gateway writers lease by default
+	// via the cluster wiring), so the chunks the writer already flushed
+	// — referenced by no version — are the sweep's once they clear the
+	// grace window.
 	abandon := func() {
 		cancel()
 		_ = bw.Close()
-		// The abandoned upload's ctx is already cancelled; cleanup must
-		// still run to completion or the flushed chunks leak until the
-		// next sweep.
-		g.cluster.GC.ReclaimDescs(context.Background(), bw.StoredChunks()) //ctxfirst:allow cleanup after cancellation must not itself be cancellable
 		g.reclaim(info.ID)
 	}
 	// Reading one byte past the limit distinguishes an oversized body
@@ -668,16 +662,13 @@ func (g *Gateway) deleteObject(w http.ResponseWriter, user, bucket, key string) 
 	w.WriteHeader(http.StatusNoContent)
 }
 
-// reclaim hands a blob's deletion to the storage-lifecycle manager: a
-// single-version gateway blob reclaims exactly (one removed reference
-// per slot, so repeated-content slots balance), and a version pinned by
-// an in-flight streaming GET defers reclamation until the reader closes
-// instead of truncating the response mid-stream.
+// reclaim hands a blob's deletion to the storage-lifecycle manager. It
+// only marks the blob deleted — no I/O, so nothing can abort it once the
+// key has left its bucket map — and the sweep frees the chunks: at the
+// next pass, or, for a version an in-flight streaming GET pins, once the
+// reader closes, so the response is never truncated mid-stream.
 func (g *Gateway) reclaim(blob uint64) {
-	// Deliberately decoupled from the request ctx: both callers reclaim
-	// before they write the reply, and a client that hangs up must not
-	// abort the reclaim and strand the blob's chunks until the next sweep.
-	_ = g.cluster.GC.DeleteBlob(context.Background(), blob) //ctxfirst:allow reclaim runs before the reply on a detached ctx; a client hang-up must not strand chunks
+	_ = g.cluster.GC.DeleteBlob(blob)
 }
 
 // Buckets returns the bucket names (diagnostics).

@@ -603,9 +603,21 @@ func (h *hookBody) Read(p []byte) (int, error) {
 	return n, nil
 }
 
-// providersEmpty fails the test if any provider still holds chunks.
+// providersEmpty runs the sweep passes the default grace window implies
+// for chunks stored before them — one to age them, one to free them —
+// and fails the test if any provider still holds a chunk, or the
+// metadata store a tree node. The gateway frees nothing itself: only a
+// pass does.
 func providersEmpty(t *testing.T, cluster *core.Cluster, when string) {
 	t.Helper()
+	for pass := 0; pass < 2; pass++ {
+		if _, err := cluster.GC.Sweep(context.Background(), false); err != nil {
+			t.Fatalf("%s: sweep: %v", when, err)
+		}
+	}
+	if n := cluster.VM.MetaStore().Len(); n != 0 {
+		t.Fatalf("%s: metadata store still holds %d nodes", when, n)
+	}
 	for _, id := range cluster.Providers() {
 		p, ok := cluster.Provider(id)
 		if !ok {
@@ -619,8 +631,8 @@ func providersEmpty(t *testing.T, cluster *core.Cluster, when string) {
 
 // TestPutRacingBucketDelete deletes the bucket while a PUT body is still
 // streaming: the PUT must fail with NoSuchBucket — not panic on the
-// vanished bucket map — and the already-published blob and its chunks
-// must be reclaimed.
+// vanished bucket map — and the already-published blob must be deleted,
+// its chunks left for the sweep.
 func TestPutRacingBucketDelete(t *testing.T) {
 	cluster, err := core.NewCluster(core.Options{Providers: 3, Monitoring: false})
 	if err != nil {
@@ -631,10 +643,9 @@ func TestPutRacingBucketDelete(t *testing.T) {
 	t.Cleanup(srv.Close)
 
 	do(t, http.MethodPut, srv.URL+"/b", nil)
-	// Every full 64-byte chunk has identical content: the race branch
-	// reclaims via the writer's per-slot descriptors, so each slot's
-	// provider refcount is balanced exactly — a deduplicating reclaim
-	// would leave refcounts behind and fail the emptiness check below.
+	// Every full 64-byte chunk has identical content, so each provider
+	// holds one chunk at a high refcount: the sweep's purge must free it
+	// whatever the count.
 	payload := bytes.Repeat([]byte("r"), 10000)
 	body := newHookBody(payload, func() {
 		// The object is only inserted at PUT completion, so the bucket is
@@ -672,9 +683,10 @@ func TestPutRacingBucketDelete(t *testing.T) {
 
 // TestAbandonedPutReclaimsFlushedChunks streams an oversized body through
 // a small-chunk gateway: by the time the limit trips, many chunk slots
-// have already been flushed to providers, and since the version was never
-// published the gateway must remove them via the writer's descriptors —
-// VM.Delete alone cannot see them.
+// have already been flushed to providers. The version was never
+// published, so no tree references them: once the gateway has released
+// the writer's lease, the sweep takes them when they clear the grace
+// window.
 func TestAbandonedPutReclaimsFlushedChunks(t *testing.T) {
 	cluster, err := core.NewCluster(core.Options{Providers: 3, Monitoring: false})
 	if err != nil {
@@ -778,9 +790,9 @@ func TestGetReaderFailureSendsCleanError(t *testing.T) {
 }
 
 // TestOverwriteReclaimsRepeatedContentChunks overwrites then deletes an
-// object whose full chunks all share one content hash: the per-slot
-// reclaim walk must drop every provider refcount the stores added, where
-// an ID-deduplicated reclaim would strand all but one.
+// object whose full chunks all share one content hash, so each provider
+// holds that chunk once at a refcount of ten: the sweep purges it
+// wholesale, refcount or not.
 func TestOverwriteReclaimsRepeatedContentChunks(t *testing.T) {
 	cluster, err := core.NewCluster(core.Options{Providers: 3, Monitoring: false})
 	if err != nil {
@@ -845,13 +857,14 @@ func gatewayChunks(g *Gateway) int {
 }
 
 // TestStreamingGetSurvivesConcurrentDelete: a streaming GET pins its
-// version, so an object DELETE racing the download defers chunk reclaim
-// until the response finishes — the client receives the full original
-// body, and the space is reclaimed once the stream closes.
+// version, so the sweep passes that run after an object DELETE raced the
+// download leave its chunks alone — the client receives the full
+// original body — and the first pass after the stream closes reclaims
+// the space.
 func TestStreamingGetSurvivesConcurrentDelete(t *testing.T) {
-	g, srv := newGateway(t, WithChunkSize(4<<10))
+	g, srv := newGateway(t, WithChunkSize(64<<10))
 	do(t, http.MethodPut, srv.URL+"/b", nil)
-	payload := bytes.Repeat([]byte("reader-vs-delete!"), 64<<10) // ~1 MiB
+	payload := bytes.Repeat([]byte("reader-vs-delete"), 1<<20) // 16 MiB
 	if resp := do(t, http.MethodPut, srv.URL+"/b/k", payload); resp.StatusCode != 200 {
 		t.Fatalf("put: %d", resp.StatusCode)
 	}
@@ -860,8 +873,9 @@ func TestStreamingGetSurvivesConcurrentDelete(t *testing.T) {
 	if resp.StatusCode != 200 {
 		t.Fatalf("get: %d", resp.StatusCode)
 	}
-	// With a ~1 MiB body the handler is still mid-stream after 100
-	// bytes: the socket buffers cannot hold the rest.
+	// With a 16 MiB body the handler is still mid-stream after 100
+	// bytes: the socket buffers (a 4 MiB send buffer at most on Linux by
+	// default) cannot hold the rest, so its reader keeps its pin.
 	head := make([]byte, 100)
 	if _, err := io.ReadFull(resp.Body, head); err != nil {
 		t.Fatal(err)
@@ -873,7 +887,22 @@ func TestStreamingGetSurvivesConcurrentDelete(t *testing.T) {
 	if gresp := do(t, http.MethodGet, srv.URL+"/b/k", nil); gresp.StatusCode != 404 {
 		t.Fatalf("get after delete: %d", gresp.StatusCode)
 	}
-	// ...but the in-flight stream still serves the full original body.
+	// ...but passes enough to clear the grace window free none of the
+	// pinned chunks...
+	ctx := context.Background()
+	stored := gatewayChunks(g)
+	for pass := 0; pass < 3; pass++ {
+		if _, err := g.cluster.GC.Sweep(ctx, false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := gatewayChunks(g); got != stored {
+		t.Fatalf("passes under a pinned stream freed %d chunks", stored-got)
+	}
+	if g.cluster.GC.Stats().Pins == 0 {
+		t.Fatal("the handler finished before the passes: nothing was pinned")
+	}
+	// ...and the in-flight stream still serves the full original body.
 	rest, err := io.ReadAll(resp.Body)
 	if err != nil {
 		t.Fatalf("read rest of deleted object: %v", err)
@@ -882,19 +911,26 @@ func TestStreamingGetSurvivesConcurrentDelete(t *testing.T) {
 		t.Fatalf("stream truncated or corrupted: got %d bytes, want %d",
 			len(head)+len(rest), len(payload))
 	}
-	// Once the handler closes its reader the deferred reclaim runs.
+	// The handler closes its reader once the body is out; the first pass
+	// after that reclaims everything.
 	deadline := time.Now().Add(5 * time.Second)
-	for gatewayChunks(g) != 0 {
+	for g.cluster.GC.Stats().Pins != 0 {
 		if time.Now().After(deadline) {
-			t.Fatalf("chunks not reclaimed after stream closed: %d left", gatewayChunks(g))
+			t.Fatal("the handler never closed its reader")
 		}
 		time.Sleep(time.Millisecond)
+	}
+	if _, err := g.cluster.GC.Sweep(ctx, false); err != nil {
+		t.Fatal(err)
+	}
+	if got := gatewayChunks(g); got != 0 {
+		t.Fatalf("chunks not reclaimed by the pass after the stream closed: %d left", got)
 	}
 }
 
 // TestStreamingGetSurvivesConcurrentOverwrite: overwriting the object
-// mid-download replaces the mapping and reclaims the old blob through
-// the lifecycle layer — which must wait for the pinned stream.
+// mid-download replaces the mapping and deletes the old blob through
+// the lifecycle layer — whose sweep must wait for the pinned stream.
 func TestStreamingGetSurvivesConcurrentOverwrite(t *testing.T) {
 	_, srv := newGateway(t, WithChunkSize(4<<10))
 	do(t, http.MethodPut, srv.URL+"/b", nil)
@@ -950,9 +986,8 @@ func (r *failAfterReader) Read(p []byte) (int, error) {
 
 // TestAbandonedPutDrainsLeases: a PUT whose body dies mid-stream is
 // abandoned by the gateway; the abandon path must release the writer's
-// lease (no lease survives the failed upload) and reclaim the chunks
-// the writer had already flushed, so sweeps converge to zero without
-// waiting out any TTL.
+// lease (no lease survives the failed upload), so sweeps free the chunks
+// the writer had already flushed without waiting out any TTL.
 func TestAbandonedPutDrainsLeases(t *testing.T) {
 	cluster, err := core.NewCluster(core.Options{
 		Providers: 2, Monitoring: false, GCGraceEpochs: -1,
@@ -1065,8 +1100,8 @@ func TestRequestsDoNotGrowMonitoringMesh(t *testing.T) {
 // monitoring mesh sees them (one meta_put / meta_get event each) — with
 // the benchmark's 1 MiB chunks. A tree is as tall as its object is long:
 // a 16 KiB object is one node, an 8 MiB one fifteen, a range read one
-// root-to-leaf path; and reclaiming the overwritten or deleted BLOB is a
-// maintenance scan that adds no client read at all.
+// root-to-leaf path; and deleting the overwritten or deleted BLOB reads
+// no node at all.
 func TestMetadataWorkPerRequest(t *testing.T) {
 	cluster, err := core.NewCluster(core.Options{Providers: 3, Monitoring: true})
 	if err != nil {

@@ -335,11 +335,11 @@ func (s TemporaryStrategy) Candidates(now time.Time) []uint64 {
 }
 
 // BlobDeleter routes BLOB deletion through the storage-lifecycle layer
-// (internal/gc): reader pins are honoured (reclaim of a pinned version
-// is deferred, not dropped) and healed descriptors reclaim through the
-// sweep.
+// (internal/gc): DeleteBlob marks the BLOB deleted and frees nothing, so
+// it cannot be aborted part-way; the sweep reclaims its chunks, a
+// version a reader pin holds only once the pin drains.
 type BlobDeleter interface {
-	DeleteBlob(ctx context.Context, blob uint64) error
+	DeleteBlob(blob uint64) error
 }
 
 // Reaper applies removal strategies: it deletes nominated BLOBs
@@ -386,8 +386,11 @@ func (r *Reaper) Run(ctx context.Context, now time.Time) ([]uint64, error) {
 			}
 			break
 		}
-		if err := r.deleter.DeleteBlob(ctx, blob); err != nil {
-			if !errors.Is(err, vmanager.ErrDeleted) && firstErr == nil {
+		if err := r.deleter.DeleteBlob(blob); err != nil {
+			// Already deleted, or deleted and since forgotten by a sweep:
+			// gone either way.
+			gone := errors.Is(err, vmanager.ErrDeleted) || errors.Is(err, vmanager.ErrNoBlob)
+			if !gone && firstErr == nil {
 				firstErr = err
 			}
 			continue

@@ -8,6 +8,7 @@ import (
 
 	"blobseer/internal/blobmeta"
 	"blobseer/internal/chunk"
+	"blobseer/internal/gc"
 	"blobseer/internal/instrument"
 	"blobseer/internal/introspect"
 	"blobseer/internal/monitor"
@@ -35,6 +36,13 @@ func (p *testPool) Provider(_ context.Context, id string) (provider.API, error) 
 		return nil, fmt.Errorf("no provider %s", id)
 	}
 	return prov, nil
+}
+func (p *testPool) IDs() []string {
+	ids := make([]string, 0, len(p.providers))
+	for id := range p.providers {
+		ids = append(ids, id)
+	}
+	return ids
 }
 func (p *testPool) Alive(id string) bool {
 	prov, ok := p.providers[id]
@@ -301,27 +309,6 @@ func TestTemporaryStrategy(t *testing.T) {
 	}
 }
 
-// exactDeleter reclaims a single-version BLOB slot by slot — the
-// lifecycle manager's fast path, without the manager.
-type exactDeleter struct{ r *rig }
-
-func (d exactDeleter) DeleteBlob(ctx context.Context, blob uint64) error {
-	versions, err := d.r.vm.DeleteExact(blob)
-	if err != nil {
-		return err
-	}
-	for _, vs := range versions {
-		for _, desc := range vs.Slots {
-			for _, p := range desc.Providers {
-				if api, err := d.r.pool.Provider(ctx, p); err == nil {
-					_ = api.Remove(ctx, desc.ID)
-				}
-			}
-		}
-	}
-	return nil
-}
-
 func TestReaperRemovesAndReclaims(t *testing.T) {
 	ctx := context.Background()
 	r := newRig(t, 3)
@@ -329,7 +316,9 @@ func TestReaperRemovesAndReclaims(t *testing.T) {
 	observe(r.in, instrument.Event{
 		Time: t0, Actor: instrument.ActorClient, Op: instrument.OpWrite, Blob: blob, User: "u", Bytes: 9,
 	})
-	reaper := NewReaper(exactDeleter{r}, nil, TTLStrategy{In: r.in, TTL: time.Minute})
+	// The lifecycle manager deletes; its sweep (no grace window) frees.
+	lc := gc.New(r.vm, r.pool, gc.WithGraceEpochs(0))
+	reaper := NewReaper(lc, nil, TTLStrategy{In: r.in, TTL: time.Minute})
 	removed, err := reaper.Run(ctx, t0.Add(time.Hour))
 	if err != nil {
 		t.Fatal(err)
@@ -338,6 +327,12 @@ func TestReaperRemovesAndReclaims(t *testing.T) {
 		t.Fatalf("removed=%v", removed)
 	}
 	id := chunk.Sum([]byte("dead-data"))
+	if !r.pool.providers["p00"].Has(id) || !r.pool.providers["p01"].Has(id) {
+		t.Fatal("the delete freed chunks; only the sweep may")
+	}
+	if _, err := lc.Sweep(ctx, false); err != nil {
+		t.Fatal(err)
+	}
 	if r.pool.providers["p00"].Has(id) || r.pool.providers["p01"].Has(id) {
 		t.Fatal("chunks not reclaimed")
 	}
@@ -362,7 +357,7 @@ func TestReaperMergesStrategies(t *testing.T) {
 	})
 	// Two strategies nominating the same blob must delete it once.
 	s := TTLStrategy{In: r.in, TTL: time.Second}
-	reaper := NewReaper(exactDeleter{r}, nil, s, s)
+	reaper := NewReaper(gc.New(r.vm, r.pool), nil, s, s)
 	removed, err := reaper.Run(context.Background(), t0.Add(time.Hour))
 	if err != nil {
 		t.Fatal(err)

@@ -213,9 +213,30 @@ func (m *Manager) DeletedBlobs() []uint64 {
 	return out
 }
 
+// HeldVersions returns the versions of a BLOB that a hold still
+// protects, in ascending order, and the tree to walk them. It answers for
+// deleted BLOBs too: their holds are what the garbage collector's mark
+// keeps live. A deleted BLOB takes no new holds, so its list only
+// shrinks. An unknown (or forgotten) BLOB fails with ErrNoBlob.
+func (m *Manager) HeldVersions(blob uint64) (*blobmeta.Tree, []VersionMeta, error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	st, ok := m.blobs[blob]
+	if !ok {
+		return nil, nil, fmt.Errorf("%w: %d", ErrNoBlob, blob)
+	}
+	out := make([]VersionMeta, 0, len(st.holds))
+	for v := range st.holds {
+		out = append(out, st.versions[v])
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Version < out[j].Version })
+	return st.tree, out, nil
+}
+
 // Forget drops a deleted BLOB's bookkeeping entirely, ending its
 // DeletedBlobs listing. Only the garbage collector calls it, after the
-// BLOB's tree nodes have been reclaimed. Forgetting a live BLOB is
+// BLOB's tree nodes have been reclaimed. Forgetting a live BLOB, or a
+// deleted one a hold (reader pin or writer lease) still protects, is
 // refused; forgetting an unknown one is a no-op (sweeps may retry).
 func (m *Manager) Forget(blob uint64) error {
 	m.mu.Lock()
@@ -226,6 +247,9 @@ func (m *Manager) Forget(blob uint64) error {
 	}
 	if !st.deleted {
 		return fmt.Errorf("vmanager: blob %d is live, refusing to forget", blob)
+	}
+	if len(st.holds) > 0 {
+		return fmt.Errorf("vmanager: blob %d has %d held versions, refusing to forget", blob, len(st.holds))
 	}
 	delete(m.blobs, blob)
 	return nil
@@ -588,51 +612,23 @@ func (m *Manager) ReleaseVersion(blob, version uint64) {
 	}
 }
 
-// VersionSlots lists one published version's per-slot chunk descriptors
-// (holes omitted) in ascending slot order.
-type VersionSlots struct {
-	Version uint64
-	Slots   []chunk.Desc
-}
-
-// DeleteExact marks the BLOB deleted and returns every retained
-// version's per-slot descriptors: a slot whose content repeats
-// elsewhere appears once per slot, so a caller reclaiming a
-// single-version BLOB can balance provider refcounts exactly (the
-// garbage collector's fast path; multi-version BLOBs share unchanged
-// slots across versions and are reclaimed by the sweep instead).
-func (m *Manager) DeleteExact(blob uint64) ([]VersionSlots, error) {
+// Delete marks the BLOB deleted: new opens, writes and pins fail with
+// ErrDeleted, and it leaves Blobs for DeletedBlobs. Nothing is freed
+// here. The BLOB's versions and tree stay until the garbage collector
+// forgets it, so a version a hold still protects stays walkable and
+// HeldVersions can name it; the sweep reclaims the rest.
+func (m *Manager) Delete(blob uint64) error {
 	m.mu.Lock()
 	st, err := m.state(blob)
-	if err != nil {
-		m.mu.Unlock()
-		return nil, err
-	}
-	st.deleted = true
-	tree := st.tree
-	roots := make([]blobmeta.Root, 0, len(st.versions))
-	for v, vm := range st.versions {
-		if v > 0 {
-			roots = append(roots, tree.Root(v, vm.Size))
-		}
+	if err == nil {
+		st.deleted = true
 	}
 	m.mu.Unlock()
-	sort.Slice(roots, func(i, j int) bool { return roots[i].Version < roots[j].Version })
-
-	out := make([]VersionSlots, 0, len(roots))
-	for _, root := range roots {
-		vs := VersionSlots{Version: root.Version}
-		err := tree.Walk(root, func(_ int64, d chunk.Desc) error {
-			vs.Slots = append(vs.Slots, d)
-			return nil
-		})
-		if err != nil {
-			return out, err
-		}
-		out = append(out, vs)
+	if err != nil {
+		return err
 	}
 	m.emit.Emit(instrument.Event{
 		Time: m.now(), Actor: instrument.ActorVManager, Op: instrument.OpDelete, Blob: blob,
 	})
-	return out, nil
+	return nil
 }

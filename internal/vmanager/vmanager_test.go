@@ -331,12 +331,8 @@ func TestDelete(t *testing.T) {
 		map[int64]chunk.Desc{0: desc("c0"), 1: desc("c1")}); err != nil {
 		t.Fatal(err)
 	}
-	vs, err := m.DeleteExact(info.ID)
-	if err != nil {
+	if err := m.Delete(info.ID); err != nil {
 		t.Fatal(err)
-	}
-	if len(vs) != 1 || len(vs[0].Slots) != 2 {
-		t.Fatalf("reclaim set=%+v", vs)
 	}
 	if _, err := m.Info(info.ID); !errors.Is(err, ErrDeleted) {
 		t.Fatalf("want ErrDeleted, got %v", err)
@@ -427,10 +423,11 @@ func TestEventsEmitted(t *testing.T) {
 	}
 }
 
-// TestDeleteExactPerSlot: DeleteExact returns per-version per-slot
-// descriptors, so repeated content appears once per slot and a
-// single-version caller can balance refcounts exactly.
-func TestDeleteExactPerSlot(t *testing.T) {
+// TestDeleteKeepsHeldVersions: Delete frees nothing. A deleted BLOB
+// keeps the versions a hold protects — HeldVersions names them, with the
+// tree to walk them — takes no new holds, and cannot be forgotten until
+// the last hold is released.
+func TestDeleteKeepsHeldVersions(t *testing.T) {
 	m := newMgr(t)
 	info, _ := m.Create("a", 64, false)
 	t1, _ := m.AssignWrite(info.ID, "a", 0, 128)
@@ -443,28 +440,44 @@ func TestDeleteExactPerSlot(t *testing.T) {
 		map[int64]chunk.Desc{2: desc("tail")}); err != nil {
 		t.Fatal(err)
 	}
-	vs, err := m.DeleteExact(info.ID)
-	if err != nil {
+	if err := m.HoldVersion(info.ID, 1); err != nil {
 		t.Fatal(err)
 	}
-	if len(vs) != 2 {
-		t.Fatalf("versions = %d, want 2", len(vs))
-	}
-	if vs[0].Version != 1 || len(vs[0].Slots) != 2 {
-		t.Fatalf("v1 = %+v, want 2 slots (repeated content kept per slot)", vs[0])
-	}
-	if vs[0].Slots[0].ID != vs[0].Slots[1].ID {
-		t.Fatal("v1 slots should repeat the same chunk ID")
-	}
-	// v2 inherits v1's two slots and adds one.
-	if vs[1].Version != 2 || len(vs[1].Slots) != 3 {
-		t.Fatalf("v2 = %+v, want 3 slots", vs[1])
+	if err := m.Delete(info.ID); err != nil {
+		t.Fatal(err)
 	}
 	if _, err := m.Info(info.ID); !errors.Is(err, ErrDeleted) {
 		t.Fatalf("want ErrDeleted, got %v", err)
 	}
-	if _, err := m.DeleteExact(info.ID); !errors.Is(err, ErrDeleted) {
-		t.Fatalf("double DeleteExact: want ErrDeleted, got %v", err)
+	if err := m.Delete(info.ID); !errors.Is(err, ErrDeleted) {
+		t.Fatalf("double Delete: want ErrDeleted, got %v", err)
+	}
+	if err := m.HoldVersion(info.ID, 2); !errors.Is(err, ErrDeleted) {
+		t.Fatalf("hold on a deleted blob: want ErrDeleted, got %v", err)
+	}
+	tree, held, err := m.HeldVersions(info.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(held) != 1 || held[0].Version != 1 || held[0].Size != 128 {
+		t.Fatalf("held = %+v, want v1 of 128 bytes", held)
+	}
+	descs, err := tree.Read(tree.Root(1, 128), 0, 2)
+	if err != nil || len(descs) != 2 || descs[0].ID != desc("same").ID {
+		t.Fatalf("held version's tree read = %+v, %v", descs, err)
+	}
+	if err := m.Forget(info.ID); err == nil {
+		t.Fatal("forgetting a deleted blob with a held version must refuse")
+	}
+	m.ReleaseVersion(info.ID, 1)
+	if _, held, _ := m.HeldVersions(info.ID); len(held) != 0 {
+		t.Fatalf("held after release = %+v", held)
+	}
+	if err := m.Forget(info.ID); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := m.HeldVersions(info.ID); !errors.Is(err, ErrNoBlob) {
+		t.Fatalf("forgotten blob: want ErrNoBlob, got %v", err)
 	}
 }
 
@@ -559,7 +572,7 @@ func TestDeletedBlobsAndForget(t *testing.T) {
 	if err := m.Forget(a.ID); err == nil {
 		t.Fatal("forgetting a live blob must refuse")
 	}
-	if _, err := m.DeleteExact(a.ID); err != nil {
+	if err := m.Delete(a.ID); err != nil {
 		t.Fatal(err)
 	}
 	if got := m.DeletedBlobs(); len(got) != 1 || got[0] != a.ID {
