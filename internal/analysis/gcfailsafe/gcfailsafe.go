@@ -13,8 +13,9 @@
 //   - an error result assigned to the blank identifier (`_ = f()` or
 //     `x, _ := f()` where the discarded component is the error).
 //
-// Documented best-effort paths (refcount decrements whose loss the
-// next sweep corrects) carry //gcfailsafe:allow <reason>.
+// Documented best-effort paths (a tombstoned BLOB's forget, whose
+// failure keeps the tombstone for the next pass to retry) carry
+// //gcfailsafe:allow <reason>.
 package gcfailsafe
 
 import (

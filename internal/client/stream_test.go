@@ -489,11 +489,11 @@ func (b *bed) storedOn(id chunk.ID) []string {
 	return out
 }
 
-// TestStoredChunksAfterAbortedClose cancels a writer after its slots
+// TestAbortedCloseLeavesFlushedChunksForSweep cancels a writer after its slots
 // flushed: Close must not publish, and the flushed chunks stay on their
 // providers, referenced by no version — the sweep's to free once they
 // clear its grace window. The writer frees nothing itself.
-func TestStoredChunksAfterAbortedClose(t *testing.T) {
+func TestAbortedCloseLeavesFlushedChunksForSweep(t *testing.T) {
 	b := newBed(t, 2)
 	c := b.client("alice")
 	info, _ := c.Create(context.Background(), 8)
@@ -536,11 +536,11 @@ func (c failStoreConn) Store(context.Context, string, chunk.ID, []byte) error {
 	return errors.New("disk full")
 }
 
-// TestStoredChunksIncludeQuorumOrphans fails one of three replicas so the
+// TestQuorumFailureLeavesLandedReplicasForSweep fails one of three replicas so the
 // slot misses its (default: all) write quorum: nothing is published, and
 // the two replicas that did land stay stored, unreferenced by any
 // version, for the sweep to free.
-func TestStoredChunksIncludeQuorumOrphans(t *testing.T) {
+func TestQuorumFailureLeavesLandedReplicasForSweep(t *testing.T) {
 	b := newBed(t, 3)
 	dir := DirectoryFunc(func(ctx context.Context, id string) (Conn, error) {
 		conn, err := b.Lookup(ctx, id)

@@ -16,8 +16,8 @@
 // that many seconds of writes.
 //
 // A victim is rewritten: everything authoritative still in it is
-// re-recorded at the log head (live payloads as recPut with current
-// absolute refs/epoch, payload-elsewhere state as recState, tombstones
+// re-recorded at the log head (live payloads as recPut with their
+// current epoch tag, payload-elsewhere state as recState, tombstones
 // whose payload record still exists elsewhere as fresh tombstones),
 // after which the file holds only superseded history and is dropped.
 // Readers never block: a read in flight or a lent view holds a reader
@@ -284,8 +284,8 @@ func (s *DiskStore) rewriteSegment(wl *worklist) (bool, error) {
 // relocatePayload moves one live payload out of v. The old record is
 // read whole, outside the lock (a put record's id, length and payload
 // never change), into a pool buffer that is then the new record as it
-// stands: only if the chunk's refs or epoch have moved since is the
-// header patched and the checksum redone before the one write.
+// stands: only if the chunk's epoch has moved since is the header
+// patched and the checksum redone before the one write.
 func (s *DiskStore) relocatePayload(v *segment, id chunk.ID) error {
 	s.mu.Lock()
 	e, ok := s.idx[id]
@@ -317,11 +317,11 @@ func (s *DiskStore) relocatePayload(v *segment, id chunk.ID) error {
 		if !ok || e.seg != v.id {
 			return record{}, nil, nil // raced away while we read: nothing to move
 		}
-		if int32(binary.LittleEndian.Uint32(buf[refsOff:])) != e.refs || binary.LittleEndian.Uint64(buf[epochOff:]) != e.epoch {
-			restamp(buf, e.refs, e.epoch)
+		if binary.LittleEndian.Uint64(buf[epochOff:]) != e.epoch {
+			restamp(buf, e.epoch)
 		}
 		moved = true
-		return record{typ: recPut, refs: e.refs, epoch: e.epoch, id: id, payload: buf[headerSize:]}, buf, nil
+		return record{typ: recPut, refs: 1, epoch: e.epoch, id: id, payload: buf[headerSize:]}, buf, nil
 	})
 	if err == nil && moved && s.m != nil {
 		s.m.relocated.Add(e.size)
@@ -337,7 +337,7 @@ func (s *DiskStore) restate(v *segment, id chunk.ID) error {
 		if !ok || e.stateSeg != v.id || e.seg == v.id {
 			return record{}, nil, nil
 		}
-		return record{typ: recState, refs: e.refs, epoch: e.epoch, id: id}, nil, nil
+		return record{typ: recState, refs: 1, epoch: e.epoch, id: id}, nil, nil
 	})
 	return err
 }

@@ -94,7 +94,6 @@ type entry struct {
 	seg      uint32 // segment holding the payload
 	off      int64  // payload offset within that segment file
 	size     int64  // payload bytes
-	refs     int32
 	epoch    uint64
 	stateSeg uint32 // segment holding the latest authoritative record
 }
@@ -363,7 +362,7 @@ func (s *DiskStore) apply(seg *segment, payloadOff int64, rec *record) int64 {
 		seg.stateRecs++
 		s.idx[rec.id] = entry{
 			seg: seg.id, off: payloadOff, size: size,
-			refs: rec.refs, epoch: rec.epoch, stateSeg: seg.id,
+			epoch: rec.epoch, stateSeg: seg.id,
 		}
 		return 0
 	case recState:
@@ -384,12 +383,12 @@ func (s *DiskStore) apply(seg *segment, payloadOff int64, rec *record) int64 {
 		if rec.refs > 0 {
 			s.segRef(e.stateSeg).stateRecs--
 			seg.stateRecs++
-			e.refs, e.epoch, e.stateSeg = rec.refs, rec.epoch, seg.id
+			e.epoch, e.stateSeg = rec.epoch, seg.id
 			s.idx[rec.id] = e
 			return 0
 		}
-		// Delete-to-zero / purge: the chunk dies, the payload bytes
-		// stay in their segment until compaction.
+		// A tombstone (a purge): the chunk dies, the payload bytes stay
+		// in their segment until compaction.
 		s.segRef(e.stateSeg).stateRecs--
 		s.segRef(e.seg).livePayload -= e.size
 		s.used.Add(-e.size)
@@ -516,9 +515,11 @@ func (s *DiskStore) writeLocked(head, tail []byte) (*segment, int64, error) {
 	return seg, start + headerSize, nil
 }
 
-// Put stores data under id, or re-states an already-present chunk with
-// one more reference and a refreshed epoch tag (content addressing
-// makes replays idempotent). Implements provider.Store.
+// Put stores data under id, or refreshes an already-present chunk's
+// epoch tag (content addressing makes replays idempotent): one state
+// record when the epoch has moved since the chunk's tag, nothing when
+// the tag is current, since the record would only restate the index.
+// Implements provider.Store.
 func (s *DiskStore) Put(id chunk.ID, data []byte) error {
 	if s.m == nil {
 		return s.put(id, data)
@@ -534,7 +535,10 @@ func (s *DiskStore) put(id chunk.ID, data []byte) error {
 	fresh := false // a payload record, not a re-statement
 	_, err := s.commit(func() (record, []byte, error) {
 		if e, ok := s.idx[id]; ok {
-			return record{typ: recState, refs: e.refs + 1, epoch: s.epoch.Load(), id: id}, nil, nil
+			if e.epoch >= s.epoch.Load() {
+				return record{}, nil, nil
+			}
+			return record{typ: recState, refs: 1, epoch: s.epoch.Load(), id: id}, nil, nil
 		}
 		if s.opts.Capacity > 0 && s.used.Load()+n > s.opts.Capacity {
 			return record{}, nil, provider.ErrFull
@@ -641,25 +645,8 @@ func (s *DiskStore) reap(seg *segment) {
 	}
 }
 
-// Delete decrements the chunk's refcount, freeing it at zero. Implements
-// provider.Store.
-func (s *DiskStore) Delete(id chunk.ID) error {
-	freed, err := s.commit(func() (record, []byte, error) {
-		e, ok := s.idx[id]
-		if !ok {
-			return record{}, nil, provider.ErrNotFound
-		}
-		return record{typ: recState, refs: max(e.refs-1, 0), epoch: e.epoch, id: id}, nil, nil
-	})
-	if freed > 0 {
-		s.kickCompactor()
-	}
-	return err
-}
-
-// Purge implements provider.Store: the chunk is freed
-// wholesale, whatever its reference count. Purging an absent chunk
-// frees 0 bytes and is not an error.
+// Purge implements provider.Store: a tombstone frees the chunk.
+// Purging an absent chunk frees 0 bytes and is not an error.
 func (s *DiskStore) Purge(id chunk.ID) (int64, error) {
 	freed, err := s.commit(func() (record, []byte, error) {
 		e, ok := s.idx[id]
@@ -690,7 +677,7 @@ func (s *DiskStore) List(after chunk.ID, limit int) ([]provider.ChunkInfo, bool)
 				return out, true
 			}
 			e := s.idx[id]
-			out = append(out, provider.ChunkInfo{ID: id, Size: e.size, Refs: int(e.refs), Epoch: e.epoch})
+			out = append(out, provider.ChunkInfo{ID: id, Size: e.size, Epoch: e.epoch})
 		}
 		if len(rest) == 0 {
 			return out, false

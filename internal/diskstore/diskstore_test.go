@@ -86,49 +86,74 @@ func TestPutGetRoundTrip(t *testing.T) {
 	}
 }
 
-func TestRefcountSemanticsMatchMemStore(t *testing.T) {
-	// The disk store must mirror MemStore's contract exactly: re-put
-	// bumps refs and refreshes the epoch tag, Delete decrements and
-	// frees at zero, Delete of an absent chunk is ErrNotFound, Purge
-	// frees wholesale and tolerates absence.
-	s, _ := open(t, Options{})
-	data := payload(2, 100)
-	id := mustPut(t, s, data)
-	s.AdvanceEpoch()
-	mustPut(t, s, data) // refs=2, epoch tag refreshed to 1
+// TestStoresKeepOneCopyPerChunk: a store's state per chunk is its
+// presence and its epoch tag, alike on every store. A re-put keeps the
+// one copy and refreshes the tag, Purge frees the chunk, and Purge of an
+// absent chunk frees 0 bytes with no error. On a disk store a re-put at
+// the current epoch appends nothing, and one after AdvanceEpoch appends
+// one state record, whose tag survives a reopen.
+func TestStoresKeepOneCopyPerChunk(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		over func(*DiskStore) provider.Store // nil: a MemStore, no disk
+	}{
+		{"mem", nil},
+		{"disk", func(d *DiskStore) provider.Store { return d }},
+		{"tiered", func(d *DiskStore) provider.Store { return NewTiered(d, 1<<20) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var s provider.Store = provider.NewMemStore(0)
+			var ds *DiskStore
+			var dir string
+			if tc.over != nil {
+				ds, dir = open(t, Options{})
+				s = tc.over(ds)
+			}
+			// appended reports the log bytes fn wrote (0 on a MemStore).
+			appended := func(fn func()) int64 {
+				if ds == nil {
+					fn()
+					return 0
+				}
+				before := ds.DiskUsage()
+				fn()
+				return ds.DiskUsage() - before
+			}
+			want := func(epoch uint64) {
+				t.Helper()
+				infos := listAll(s)
+				if len(infos) != 1 || infos[0].Size != 100 || infos[0].Epoch != epoch || s.Count() != 1 || s.Used() != 100 {
+					t.Fatalf("chunks %+v, Count=%d Used=%d; want one 100-byte chunk at epoch %d", infos, s.Count(), s.Used(), epoch)
+				}
+			}
+			data := payload(2, 100)
+			id := mustPut(t, s, data)
+			if n := appended(func() { mustPut(t, s, data) }); n != 0 {
+				t.Fatalf("re-put at the current epoch appended %d bytes, want 0", n)
+			}
+			want(0)
+			s.AdvanceEpoch()
+			if n := appended(func() { mustPut(t, s, data) }); ds != nil && n != wireSize(0) {
+				t.Fatalf("re-put at a newer epoch appended %d bytes, want one state record (%d)", n, wireSize(0))
+			}
+			want(1)
+			if ds != nil {
+				ds.Close()
+				ds = reopen(t, dir, Options{})
+				s = tc.over(ds)
+				want(1)
+			}
 
-	infos, _ := s.List(chunk.ID{}, 10)
-	if len(infos) != 1 || infos[0].Refs != 2 || infos[0].Epoch != 1 {
-		t.Fatalf("after re-put: %+v", infos)
-	}
-	if s.Used() != 100 {
-		t.Fatalf("Used=%d, want 100 (each chunk once)", s.Used())
-	}
-
-	if err := s.Delete(id); err != nil {
-		t.Fatalf("Delete: %v", err)
-	}
-	if !s.Has(id) || s.Used() != 100 {
-		t.Fatal("refs=1 chunk should survive one Delete")
-	}
-	if err := s.Delete(id); err != nil {
-		t.Fatalf("Delete: %v", err)
-	}
-	if s.Has(id) || s.Used() != 0 || s.Count() != 0 {
-		t.Fatal("refs=0 chunk should be freed")
-	}
-	if err := s.Delete(id); err != provider.ErrNotFound {
-		t.Fatalf("Delete absent err = %v, want ErrNotFound", err)
-	}
-
-	id2 := mustPut(t, s, payload(3, 50))
-	mustPut(t, s, payload(3, 50))
-	freed, err := s.Purge(id2)
-	if err != nil || freed != 50 {
-		t.Fatalf("Purge = (%d, %v), want (50, nil)", freed, err)
-	}
-	if freed, err := s.Purge(id2); err != nil || freed != 0 {
-		t.Fatalf("Purge absent = (%d, %v), want (0, nil)", freed, err)
+			if freed, err := s.Purge(id); err != nil || freed != 100 {
+				t.Fatalf("Purge = (%d, %v), want (100, nil)", freed, err)
+			}
+			if s.Has(id) || s.Count() != 0 || s.Used() != 0 {
+				t.Fatalf("purged chunk: Has=%v Count=%d Used=%d", s.Has(id), s.Count(), s.Used())
+			}
+			if freed, err := s.Purge(id); err != nil || freed != 0 {
+				t.Fatalf("Purge absent = (%d, %v), want (0, nil)", freed, err)
+			}
+		})
 	}
 }
 
@@ -140,8 +165,8 @@ func TestCapacity(t *testing.T) {
 		t.Fatalf("over-capacity Put err = %v, want ErrFull", err)
 	}
 	// Freeing makes room again.
-	if err := s.Delete(chunk.Sum(payload(4, 600))); err != nil {
-		t.Fatalf("Delete: %v", err)
+	if _, err := s.Purge(chunk.Sum(payload(4, 600))); err != nil {
+		t.Fatalf("Purge: %v", err)
 	}
 	if err := s.Put(chunk.Sum(big), big); err != nil {
 		t.Fatalf("Put after free: %v", err)
@@ -190,10 +215,10 @@ func TestRecoveryCleanRestart(t *testing.T) {
 		d := payload(2000+i, 200)
 		rows = append(rows, row{mustPut(t, s, d), d})
 	}
-	mustPut(t, s, rows[0].data) // refs=2
 	s.AdvanceEpoch()
 	s.AdvanceEpoch()
-	if err := s.Delete(rows[1].id); err != nil {
+	mustPut(t, s, rows[0].data) // a re-put at epoch 2: one state record
+	if _, err := s.Purge(rows[1].id); err != nil {
 		t.Fatal(err)
 	}
 	wantUsed, wantCount, wantEpoch := s.Used(), s.Count(), s.Epoch()
@@ -207,7 +232,7 @@ func TestRecoveryCleanRestart(t *testing.T) {
 	for i, r := range rows {
 		if i == 1 {
 			if s2.Has(r.id) {
-				t.Fatal("deleted chunk resurrected by replay")
+				t.Fatal("purged chunk resurrected by replay")
 			}
 			continue
 		}
@@ -220,10 +245,14 @@ func TestRecoveryCleanRestart(t *testing.T) {
 	if len(infos) == 0 {
 		t.Fatal("List empty after restart")
 	}
-	// The re-put chunk carries refs=2 across the restart.
+	// The re-put chunk carries its refreshed tag across the restart.
 	for _, ci := range listAll(s2) {
-		if ci.ID == rows[0].id && ci.Refs != 2 {
-			t.Fatalf("re-put chunk refs=%d after restart, want 2", ci.Refs)
+		want := uint64(0)
+		if ci.ID == rows[0].id {
+			want = 2
+		}
+		if ci.Epoch != want {
+			t.Fatalf("chunk %s at epoch %d after restart, want %d", ci.ID.Short(), ci.Epoch, want)
 		}
 	}
 }
@@ -323,8 +352,8 @@ func TestKillPointRecordBoundary(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		ids = append(ids, mustPut(t, s, payload(4000+i, 128)))
 	}
-	// A state record too: delete one chunk so the log tail mixes types.
-	if err := s.Delete(ids[0]); err != nil {
+	// A state record too: purge one chunk so the log tail mixes types.
+	if _, err := s.Purge(ids[0]); err != nil {
 		t.Fatal(err)
 	}
 	s.Close()
@@ -364,7 +393,7 @@ func TestKillPointRecordBoundary(t *testing.T) {
 			t.Fatal(err)
 		}
 		r := reopen(t, sub, Options{})
-		// All six puts plus the delete replayed.
+		// All six puts plus the purge replayed.
 		if r.Count() != 5 || r.Has(ids[0]) {
 			t.Fatalf("Count=%d Has(deleted)=%v, want 5/false", r.Count(), r.Has(ids[0]))
 		}
@@ -447,7 +476,8 @@ func TestCompactionSurvivesRestart(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		ids = append(ids, mustPut(t, s, payload(7000+i, 256)))
 	}
-	mustPut(t, s, payload(7000, 256)) // survivor with refs=2
+	s.AdvanceEpoch()
+	mustPut(t, s, payload(7000, 256)) // survivor re-put at epoch 1: a state record
 	for i, id := range ids {
 		if i%4 != 0 {
 			if _, err := s.Purge(id); err != nil {
@@ -579,16 +609,6 @@ func TestChurnMatchesMemStoreReference(t *testing.T) {
 						return
 					}
 					mine = append(mine, id)
-				case op < 8: // delete
-					if len(mine) == 0 {
-						continue
-					}
-					id := mine[r.Intn(len(mine))]
-					de, re := s.Delete(id), ref.Delete(id)
-					if (de == nil) != (re == nil) {
-						t.Errorf("Delete divergence: disk=%v ref=%v", de, re)
-						return
-					}
 				default: // purge
 					if len(mine) == 0 {
 						continue
@@ -628,7 +648,7 @@ func TestChurnMatchesMemStoreReference(t *testing.T) {
 			t.Fatalf("page shape diverges: disk %d/%v ref %d/%v", len(dp), dm, len(rp), rm)
 		}
 		for i := range dp {
-			if dp[i].ID != rp[i].ID || dp[i].Size != rp[i].Size || dp[i].Refs != rp[i].Refs {
+			if dp[i].ID != rp[i].ID || dp[i].Size != rp[i].Size || dp[i].Epoch != rp[i].Epoch {
 				t.Fatalf("page entry diverges: %+v vs %+v", dp[i], rp[i])
 			}
 		}
@@ -690,9 +710,6 @@ func TestCloseIdempotentAndFailsOps(t *testing.T) {
 	}
 	if _, err := s.Get(id); err != ErrClosed {
 		t.Fatalf("Get after Close = %v, want ErrClosed", err)
-	}
-	if err := s.Delete(id); err != ErrClosed {
-		t.Fatalf("Delete after Close = %v, want ErrClosed", err)
 	}
 	if _, err := s.Purge(id); err != ErrClosed {
 		t.Fatalf("Purge after Close = %v, want ErrClosed", err)

@@ -1,17 +1,20 @@
 // The on-disk record format of the log-structured chunk store. Segment
 // files are a pure append-only sequence of checksummed records; every
-// record is self-contained and states the chunk's *absolute* reference
-// count and epoch, never a delta. Absolute state is what makes
-// compaction safe: a segment can be dropped once every chunk whose most
-// recent authoritative record lives in it has been re-recorded in a
-// newer segment — no earlier delta chain has to be preserved.
+// record is self-contained and states the chunk's *absolute* state —
+// live or dead, and its epoch tag — never a delta. Absolute state is
+// what makes compaction safe: a segment can be dropped once every chunk
+// whose most recent authoritative record lives in it has been
+// re-recorded in a newer segment — no earlier delta chain has to be
+// preserved.
 //
 // Layout (little-endian):
 //
 //	[0:4]    magic "bsLg"
 //	[4:8]    crc32 (IEEE) over bytes [8 : 57+payload)
 //	[8]      record type
-//	[9:13]   refs  (int32: absolute reference count after this record)
+//	[9:13]   refs  (int32: 1 live, 0 a tombstone; logs written when
+//	         stores still counted references hold larger counts, which
+//	         read as live)
 //	[13:21]  epoch (uint64: put-epoch tag, or the new epoch for recEpoch)
 //	[21:53]  chunk ID (zero for recEpoch)
 //	[53:57]  payload length n (uint32; non-zero only for recPut)
@@ -35,11 +38,11 @@ import (
 // Record types.
 const (
 	// recPut carries a payload: a fresh chunk, or a compaction rewrite
-	// relocating a live payload (refs then carries the current count).
+	// relocating a live payload.
 	recPut = byte(1)
-	// recState re-states a chunk's absolute refs+epoch without payload:
-	// re-puts (refs+1), deletes (refs-1), purges and delete-to-zero
-	// (refs=0, a tombstone), and compaction re-statements.
+	// recState re-states a chunk's liveness and epoch without payload:
+	// a re-put at a newer epoch (live, the new tag), a purge (refs=0, a
+	// tombstone), and compaction re-statements.
 	recState = byte(2)
 	// recEpoch persists an AdvanceEpoch: the epoch field holds the new
 	// current epoch.
@@ -88,9 +91,8 @@ func (r *record) encodeHeader(h []byte) {
 }
 
 // restamp gives an encoded record — buf holds header and payload
-// exactly — a new refs and epoch, and the checksum that goes with them.
-func restamp(buf []byte, refs int32, epoch uint64) {
-	binary.LittleEndian.PutUint32(buf[refsOff:], uint32(refs))
+// exactly — a new epoch, and the checksum that goes with it.
+func restamp(buf []byte, epoch uint64) {
 	binary.LittleEndian.PutUint64(buf[epochOff:], epoch)
 	binary.LittleEndian.PutUint32(buf[crcOff:], crc32.ChecksumIEEE(buf[typeOff:]))
 }

@@ -19,21 +19,20 @@ func encoded(rec record) []byte {
 	return append(buf, rec.payload...)
 }
 
-// formatV1Ops is the operation sequence behind testdata/format-v1, which
-// the append path of the commit before cost–benefit compaction (one
-// staged record.encode buffer per record) wrote with SegmentBytes 1 KiB:
-// puts on both sides of a roll, a re-put, a delete, a purge and two
-// epoch advances.
-func formatV1Ops(t *testing.T, s *DiskStore) {
+// formatOps is the operation sequence behind testdata/format-v2, which
+// this append path writes with SegmentBytes 1 KiB: puts on both sides of
+// a roll, a re-put at a newer epoch, a purge and two epoch advances.
+// testdata/format-v1 holds what the append path of the commit before
+// cost–benefit compaction wrote for the same sequence with a delete of
+// the re-put chunk after its re-put, when stores still counted
+// references (the chunk stayed live at refs 1).
+func formatOps(t *testing.T, s *DiskStore) {
 	t.Helper()
-	a := mustPut(t, s, payload(1, 300))
+	mustPut(t, s, payload(1, 300))
 	b := mustPut(t, s, payload(2, 1))
 	mustPut(t, s, payload(3, 700)) // rolls the 1 KiB segment
 	s.AdvanceEpoch()
-	mustPut(t, s, payload(1, 300)) // re-put: recState refs=2 epoch=1
-	if err := s.Delete(a); err != nil {
-		t.Fatal(err)
-	}
+	mustPut(t, s, payload(1, 300)) // re-put: recState epoch=1
 	if _, err := s.Purge(b); err != nil {
 		t.Fatal(err)
 	}
@@ -59,50 +58,52 @@ func segmentFiles(t testing.TB, dir string) map[string][]byte {
 	return out
 }
 
-// TestFormatUnchanged pins the on-disk format in both directions: a
-// directory the previous append path wrote opens to the state its
-// operations describe, and the same operations now write the same
-// bytes, so the previous code opens what this one writes.
+// TestFormatUnchanged pins the on-disk format in both directions: the
+// directories the previous append paths wrote — format-v1 by stores that
+// counted references, with a refs=2 record — open to the state their
+// operations describe, and the same operations now write format-v2's
+// bytes, which the code before this append path opens to that state
+// too.
 func TestFormatUnchanged(t *testing.T) {
-	fixture := segmentFiles(t, filepath.Join("testdata", "format-v1"))
+	for _, name := range []string{"format-v1", "format-v2"} {
+		dir := t.TempDir()
+		for seg, b := range segmentFiles(t, filepath.Join("testdata", name)) {
+			if err := os.WriteFile(filepath.Join(dir, seg), b, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		s := reopen(t, dir, Options{SegmentBytes: 1 << 10})
+		if s.Count() != 4 || s.Used() != 300+700+900+64 || s.Epoch() != 2 {
+			t.Fatalf("%s opened to Count=%d Used=%d Epoch=%d, want 4/1964/2", name, s.Count(), s.Used(), s.Epoch())
+		}
+		want := map[chunk.ID]struct {
+			epoch uint64
+			seed  int
+			size  int
+		}{
+			chunk.Sum(payload(1, 300)): {1, 1, 300}, // put, re-put at epoch 1
+			chunk.Sum(payload(3, 700)): {0, 3, 700},
+			chunk.Sum(payload(4, 900)): {1, 4, 900},
+			chunk.Sum(payload(5, 64)):  {2, 5, 64},
+		}
+		for _, ci := range listAll(s) {
+			w, ok := want[ci.ID]
+			if !ok || ci.Epoch != w.epoch {
+				t.Fatalf("%s chunk %s: %+v, want %+v", name, ci.ID.Short(), ci, w)
+			}
+			if got, err := s.Get(ci.ID); err != nil || !bytes.Equal(got, payload(w.seed, w.size)) {
+				t.Fatalf("%s chunk %s unreadable: %v", name, ci.ID.Short(), err)
+			}
+		}
+		if s.Has(chunk.Sum(payload(2, 1))) {
+			t.Fatalf("purged %s chunk came back", name)
+		}
+	}
 
-	dir := t.TempDir()
-	for name, b := range fixture {
-		if err := os.WriteFile(filepath.Join(dir, name), b, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	s := reopen(t, dir, Options{SegmentBytes: 1 << 10})
-	if s.Count() != 4 || s.Used() != 300+700+900+64 || s.Epoch() != 2 {
-		t.Fatalf("fixture opened to Count=%d Used=%d Epoch=%d, want 4/1964/2", s.Count(), s.Used(), s.Epoch())
-	}
-	want := map[chunk.ID]struct {
-		refs  int
-		epoch uint64
-		seed  int
-		size  int
-	}{
-		chunk.Sum(payload(1, 300)): {1, 1, 1, 300}, // put, re-put at epoch 1, one delete
-		chunk.Sum(payload(3, 700)): {1, 0, 3, 700},
-		chunk.Sum(payload(4, 900)): {1, 1, 4, 900},
-		chunk.Sum(payload(5, 64)):  {1, 2, 5, 64},
-	}
-	for _, ci := range listAll(s) {
-		w, ok := want[ci.ID]
-		if !ok || ci.Refs != w.refs || ci.Epoch != w.epoch {
-			t.Fatalf("fixture chunk %s: %+v, want %+v", ci.ID.Short(), ci, w)
-		}
-		if got, err := s.Get(ci.ID); err != nil || !bytes.Equal(got, payload(w.seed, w.size)) {
-			t.Fatalf("fixture chunk %s unreadable: %v", ci.ID.Short(), err)
-		}
-	}
-	if s.Has(chunk.Sum(payload(2, 1))) {
-		t.Fatal("purged fixture chunk came back")
-	}
-
+	fixture := segmentFiles(t, filepath.Join("testdata", "format-v2"))
 	fresh := t.TempDir()
 	s2 := reopen(t, fresh, Options{SegmentBytes: 1 << 10})
-	formatV1Ops(t, s2)
+	formatOps(t, s2)
 	s2.Close()
 	got := segmentFiles(t, fresh)
 	if len(got) != len(fixture) {
@@ -197,7 +198,7 @@ func TestAppendFailureLeavesLogAligned(t *testing.T) {
 }
 
 // TestRelocationRestampsState: a relocated record is the old record's
-// bytes, so a chunk whose refs and epoch moved after it was put must
+// bytes, so a chunk whose epoch moved after it was put must
 // come out of compaction — and out of a replay of what compaction wrote
 // — with the state it had, not the state in the bytes that were copied.
 func TestRelocationRestampsState(t *testing.T) {
@@ -210,7 +211,7 @@ func TestRelocationRestampsState(t *testing.T) {
 		filler = append(filler, mustPut(t, s, payload(100+i, 512)))
 	}
 	s.AdvanceEpoch()
-	mustPut(t, s, keep) // refs 2, epoch 1: a state record in a later segment
+	mustPut(t, s, keep) // epoch 1: a state record in a later segment
 	for _, f := range filler {
 		if _, err := s.Purge(f); err != nil {
 			t.Fatal(err)
@@ -225,8 +226,8 @@ func TestRelocationRestampsState(t *testing.T) {
 	check := func(s *DiskStore, when string) {
 		t.Helper()
 		infos := listAll(s)
-		if len(infos) != 1 || infos[0].ID != id || infos[0].Refs != 2 || infos[0].Epoch != 1 {
-			t.Fatalf("%s: %+v, want one chunk with refs 2 epoch 1", when, infos)
+		if len(infos) != 1 || infos[0].ID != id || infos[0].Epoch != 1 {
+			t.Fatalf("%s: %+v, want one chunk at epoch 1", when, infos)
 		}
 		if got, err := s.Get(id); err != nil || !bytes.Equal(got, keep) {
 			t.Fatalf("%s: payload lost: %v", when, err)
@@ -245,11 +246,13 @@ func TestRelocationRestampsState(t *testing.T) {
 // whose every listed chunk reads back at its listed size and which
 // compacts without error. Length fields are only believed up to the
 // bytes present, so no input makes the scan allocate more than its own
-// size. The seeds are real segments: the format fixture and a log that
+// size. The seeds are real segments: the format fixtures and a log that
 // compaction relocated records into.
 func FuzzDecodeRecord(f *testing.F) {
-	for _, b := range segmentFiles(f, filepath.Join("testdata", "format-v1")) {
-		f.Add(b)
+	for _, name := range []string{"format-v1", "format-v2"} {
+		for _, b := range segmentFiles(f, filepath.Join("testdata", name)) {
+			f.Add(b)
+		}
 	}
 	f.Add(relocatedLog(f))
 	f.Add(encoded(record{typ: recPut, refs: 1, id: chunk.Sum(nil)}))
@@ -305,7 +308,7 @@ func rechecksummed(in []byte) []byte {
 		}
 		rec := out[off : off+headerSize+n]
 		copy(rec[magicOff:], magic[:])
-		restamp(rec, int32(binary.LittleEndian.Uint32(rec[refsOff:])), binary.LittleEndian.Uint64(rec[epochOff:]))
+		restamp(rec, binary.LittleEndian.Uint64(rec[epochOff:]))
 		off += len(rec)
 	}
 	return out
@@ -334,7 +337,7 @@ func relocatedLog(t testing.TB) []byte {
 		ids = append(ids, put(i))
 	}
 	s.AdvanceEpoch()
-	put(0) // refs 2 at epoch 1: relocation has to restamp it
+	put(0) // re-put at epoch 1: relocation has to restamp it
 	for _, id := range ids[1:] {
 		if _, err := s.Purge(id); err != nil {
 			t.Fatal(err)

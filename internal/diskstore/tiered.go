@@ -157,7 +157,7 @@ func (t *TieredStore) Get(id chunk.ID) ([]byte, error) {
 }
 
 // GetAppend implements provider.Store. A cold hit promotes the
-// chunk; if the chunk was deleted from the cold tier while the promote
+// chunk; if the chunk was purged from the cold tier while the promote
 // was in flight, the stale hot copy is dropped again (content
 // addressing makes the returned bytes correct either way). It lends no
 // views: the promotion copies a cold hit anyway.
@@ -183,18 +183,6 @@ func (t *TieredStore) GetAppend(id chunk.ID, dst []byte) ([]byte, error) {
 		t.drop(id)
 	}
 	return out, nil
-}
-
-// Delete decrements the cold refcount; when that frees the chunk the
-// hot copy is dropped too.
-func (t *TieredStore) Delete(id chunk.ID) error {
-	if err := t.cold.Delete(id); err != nil {
-		return err
-	}
-	if !t.cold.Has(id) {
-		t.drop(id)
-	}
-	return nil
 }
 
 // Purge implements provider.Store against the cold tier and

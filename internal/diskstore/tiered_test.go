@@ -80,34 +80,25 @@ func TestTieredEvictionBound(t *testing.T) {
 	}
 }
 
+// TestTieredDeletePurgeDropHotCopy: a re-put keeps the one hot copy, and
+// deleting the chunk — a Purge, the only way a store frees one — drops it
+// from both tiers.
 func TestTieredDeletePurgeDropHotCopy(t *testing.T) {
 	ts := openTiered(t, 1<<20)
 	d := payload(300, 500)
 	id := mustPut(t, ts, d)
-	mustPut(t, ts, d) // refs=2
-	if err := ts.Delete(id); err != nil {
-		t.Fatal(err)
-	}
+	mustPut(t, ts, d)
 	if ts.HotUsed() != 500 {
-		t.Fatal("refs=1 chunk evicted prematurely")
+		t.Fatalf("re-put chunk holds %d hot bytes, want one 500-byte copy", ts.HotUsed())
 	}
-	if err := ts.Delete(id); err != nil {
-		t.Fatal(err)
-	}
-	if ts.HotUsed() != 0 || ts.Has(id) {
-		t.Fatalf("freed chunk lingers: hot=%d has=%v", ts.HotUsed(), ts.Has(id))
-	}
-	if _, err := ts.Get(id); err != provider.ErrNotFound {
-		t.Fatalf("Get deleted = %v, want ErrNotFound", err)
-	}
-
-	id2 := mustPut(t, ts, payload(301, 500))
-	mustPut(t, ts, payload(301, 500))
-	if freed, err := ts.Purge(id2); err != nil || freed != 500 {
+	if freed, err := ts.Purge(id); err != nil || freed != 500 {
 		t.Fatalf("Purge = (%d, %v)", freed, err)
 	}
-	if ts.HotUsed() != 0 || ts.Has(id2) {
-		t.Fatal("purged chunk lingers in the hot tier")
+	if ts.HotUsed() != 0 || ts.Has(id) {
+		t.Fatalf("purged chunk lingers: hot=%d has=%v", ts.HotUsed(), ts.Has(id))
+	}
+	if _, err := ts.Get(id); err != provider.ErrNotFound {
+		t.Fatalf("Get purged = %v, want ErrNotFound", err)
 	}
 }
 

@@ -33,7 +33,7 @@ func TestViewOutlivesCompaction(t *testing.T) {
 	if !chunk.Lent(view) {
 		t.Fatal("a borrowing read was not lent")
 	}
-	if err := s.Delete(id); err != nil {
+	if _, err := s.Purge(id); err != nil {
 		t.Fatal(err)
 	}
 	if dropped, _, err := s.CompactOnce(); err != nil || dropped != 1 {
@@ -93,7 +93,7 @@ func TestViewsUnderConcurrentCompaction(t *testing.T) {
 	for round := 0; round < 20; round++ {
 		for i := 0; i < 16; i++ {
 			id := mustPut(t, s, payload(1000+round*16+i, 1024))
-			if err := s.Delete(id); err != nil {
+			if _, err := s.Purge(id); err != nil {
 				t.Fatal(err)
 			}
 		}

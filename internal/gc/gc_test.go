@@ -1163,9 +1163,9 @@ func TestParallelMarkMatchesNaiveWalk(t *testing.T) {
 }
 
 // TestParallelMarkVsConcurrentLifecycle hammers the parallel mark
-// against concurrent publishes, deletes, retention and pin-drains under
-// -race, then checks convergence: once everything is deleted, sweeps
-// drive providers to zero chunks and the metadata store to zero nodes.
+// against concurrent publishes, deletes and retention under -race, then
+// checks convergence: once everything is deleted, sweeps drive
+// providers to zero chunks and the metadata store to zero nodes.
 func TestParallelMarkVsConcurrentLifecycle(t *testing.T) {
 	c := newCluster(t, core.Options{Providers: 3, Monitoring: false})
 	cl := c.Client("alice")

@@ -1,7 +1,10 @@
 // Package provider implements BlobSeer's data providers: the actors that
 // store BLOB chunks in a distributed manner. A provider wraps a chunk
-// Store with capacity accounting, reference counting (chunks are shared
-// across versions and BLOBs), statistics and instrumentation taps.
+// Store with capacity accounting, writer leases, statistics and
+// instrumentation taps. Chunks are shared across versions and BLOBs, but
+// a store keeps no count of their users: a chunk is present or it is
+// not, and only the lifecycle sweep (internal/gc), which has proven a
+// chunk unreferenced, frees it by Purge.
 package provider
 
 import (
@@ -25,11 +28,12 @@ var (
 )
 
 // Store is the chunk persistence contract, stated once: the data path
-// (Put/GetAppend/Delete), the accounting the provider reports, and
-// the lifecycle surface the storage-lifecycle subsystem (internal/gc)
-// sweeps through. Implementations must be safe for concurrent use. Put
-// of an already-present chunk increments its reference count; Delete
-// decrements and frees at zero.
+// (Put/GetAppend), the accounting the provider reports, and the
+// lifecycle surface the storage-lifecycle subsystem (internal/gc)
+// sweeps through. Implementations must be safe for concurrent use. A
+// store's state per chunk is its presence and its epoch tag: Put of an
+// already-present chunk keeps the one copy and only refreshes the tag,
+// and Purge is the only way a chunk is freed.
 //
 // Put must not retain data past its return: the caller's slice is a pooled
 // chunk buffer (the rpc server recycles it as soon as the handler is done),
@@ -52,7 +56,6 @@ type Store interface {
 	// chunk.PutBuf, exactly once: dropped for the GC, it leaks the pin and
 	// the segment's disk space.
 	GetAppend(id chunk.ID, dst []byte) ([]byte, error)
-	Delete(id chunk.ID) error
 	Has(id chunk.ID) bool
 	Used() int64
 	Count() int
@@ -71,10 +74,9 @@ type Store interface {
 	// a range scan over its key order; MemStore keeps an always-sorted
 	// shadow index per lock stripe.
 	List(after chunk.ID, limit int) (page []ChunkInfo, more bool)
-	// Purge frees a chunk wholesale, regardless of its reference count,
-	// returning the payload bytes freed. Purging an absent chunk is not
-	// an error (it may have gone since the sweep listed it); it frees 0
-	// bytes.
+	// Purge frees a chunk, returning the payload bytes freed. Purging an
+	// absent chunk is not an error (it may have gone since the sweep
+	// listed it); it frees 0 bytes.
 	Purge(id chunk.ID) (int64, error)
 	// Epoch returns the current sweep epoch.
 	Epoch() uint64
@@ -84,12 +86,11 @@ type Store interface {
 }
 
 // ChunkInfo describes one stored chunk from the lifecycle point of view:
-// its payload size, reference count and the sweep epoch of its most
-// recent Put. The garbage collector's mark-and-sweep pass consumes it.
+// its payload size and the sweep epoch of its most recent Put. The
+// garbage collector's mark-and-sweep pass consumes it.
 type ChunkInfo struct {
 	ID    chunk.ID
 	Size  int64
-	Refs  int
 	Epoch uint64
 }
 
@@ -99,21 +100,20 @@ const memStripes = 32
 
 // memStripe is one independently locked shard of the chunk map. The
 // index shadows the data map's key set in sorted order (maintained on
-// Put/Delete/Purge) so List pages without rescanning the stripe.
+// Put/Purge) so List pages without rescanning the stripe.
 type memStripe struct {
 	mu     sync.Mutex
 	data   map[chunk.ID][]byte
-	refs   map[chunk.ID]int
 	epochs map[chunk.ID]uint64
 	index  ordset.Set[chunk.ID]
 }
 
-// MemStore is an in-memory, reference-counted Store with a byte-capacity
-// bound. It is the store used by all examples and tests; the interface
-// exists so a disk store can be dropped in. The chunk map is sharded
-// into lock stripes keyed by chunk ID, so concurrent clients touching
-// different chunks do not serialize on one mutex; the capacity
-// accounting is a shared atomic.
+// MemStore is an in-memory Store with a byte-capacity bound. It is the
+// store used by all examples and tests; the interface exists so a disk
+// store can be dropped in. The chunk map is sharded into lock stripes
+// keyed by chunk ID, so concurrent clients touching different chunks do
+// not serialize on one mutex; the capacity accounting is a shared
+// atomic.
 type MemStore struct {
 	capacity int64
 	used     atomic.Int64
@@ -128,7 +128,6 @@ func NewMemStore(capacity int64) *MemStore {
 	s := &MemStore{capacity: capacity}
 	for i := range s.stripes {
 		s.stripes[i].data = make(map[chunk.ID][]byte)
-		s.stripes[i].refs = make(map[chunk.ID]int)
 		s.stripes[i].epochs = make(map[chunk.ID]uint64)
 	}
 	return s
@@ -138,14 +137,14 @@ func (s *MemStore) stripe(id chunk.ID) *memStripe {
 	return &s.stripes[int(id[0])%memStripes]
 }
 
-// Put stores a copy of data under id, or bumps the refcount when the
-// chunk is already present (content addressing makes replays idempotent).
+// Put stores a copy of data under id, or only refreshes the epoch tag
+// when the chunk is already present (content addressing makes replays
+// idempotent).
 func (s *MemStore) Put(id chunk.ID, data []byte) error {
 	st := s.stripe(id)
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if _, ok := st.data[id]; ok {
-		st.refs[id]++
 		// A re-put means a writer is actively using the chunk again:
 		// refresh the epoch tag so the sweep's grace window protects it.
 		st.epochs[id] = s.epoch.Load()
@@ -159,7 +158,6 @@ func (s *MemStore) Put(id chunk.ID, data []byte) error {
 		return ErrFull
 	}
 	st.data[id] = append([]byte(nil), data...)
-	st.refs[id] = 1
 	st.epochs[id] = s.epoch.Load()
 	st.index.Insert(id)
 	s.count.Add(1)
@@ -187,31 +185,8 @@ func (s *MemStore) GetAppend(id chunk.ID, dst []byte) ([]byte, error) {
 	return append(dst[:0], d...), nil
 }
 
-// Delete decrements the chunk's refcount, freeing it at zero. Deleting an
-// absent chunk returns ErrNotFound.
-func (s *MemStore) Delete(id chunk.ID) error {
-	st := s.stripe(id)
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	d, ok := st.data[id]
-	if !ok {
-		return ErrNotFound
-	}
-	st.refs[id]--
-	if st.refs[id] <= 0 {
-		s.used.Add(-int64(len(d)))
-		s.count.Add(-1)
-		delete(st.data, id)
-		delete(st.refs, id)
-		delete(st.epochs, id)
-		st.index.Remove(id)
-	}
-	return nil
-}
-
-// Purge implements Store: the chunk is freed wholesale, whatever
-// its reference count — the sweep, not per-operation bookkeeping, is the
-// source of truth for liveness.
+// Purge implements Store: the chunk is freed — the sweep, not
+// per-operation bookkeeping, is the source of truth for liveness.
 func (s *MemStore) Purge(id chunk.ID) (int64, error) {
 	st := s.stripe(id)
 	st.mu.Lock()
@@ -224,7 +199,6 @@ func (s *MemStore) Purge(id chunk.ID) (int64, error) {
 	s.used.Add(-n)
 	s.count.Add(-1)
 	delete(st.data, id)
-	delete(st.refs, id)
 	delete(st.epochs, id)
 	st.index.Remove(id)
 	return n, nil
@@ -264,7 +238,7 @@ func (s *MemStore) List(after chunk.ID, limit int) ([]ChunkInfo, bool) {
 				if id[0] != byte(b) || len(out) == want {
 					break segment // past the segment: later keys only grow
 				}
-				out = append(out, ChunkInfo{ID: id, Size: int64(len(st.data[id])), Refs: st.refs[id], Epoch: st.epochs[id]})
+				out = append(out, ChunkInfo{ID: id, Size: int64(len(st.data[id])), Epoch: st.epochs[id]})
 			}
 			if len(rest) == 0 {
 				break
@@ -299,7 +273,8 @@ func (s *MemStore) Used() int64 { return s.used.Load() }
 // Count returns the number of distinct chunks.
 func (s *MemStore) Count() int { return int(s.count.Load()) }
 
-// Stats is a snapshot of a provider's activity counters.
+// Stats is a snapshot of a provider's activity counters. Deletes
+// counts the chunks PurgeChunks freed, the only way a provider frees one.
 type Stats struct {
 	Stores, Fetches, Deletes int64
 	BytesIn, BytesOut        int64
@@ -324,9 +299,8 @@ type API interface {
 	// ListChunks returns one inventory page: up to limit chunks with ID
 	// strictly greater than after, ascending, plus whether more remain.
 	ListChunks(ctx context.Context, after chunk.ID, limit int) ([]ChunkInfo, bool, error)
-	// PurgeChunks frees chunks wholesale (refcounts ignored, live writer
-	// leases honoured) and reports how many were present and the bytes
-	// freed.
+	// PurgeChunks frees chunks (live writer leases honoured) and reports
+	// how many were present and the bytes freed.
 	PurgeChunks(ctx context.Context, ids []chunk.ID) (int, int64, error)
 	// AdvanceEpoch moves the provider to the next sweep epoch.
 	AdvanceEpoch(ctx context.Context) (uint64, error)
@@ -542,12 +516,11 @@ func (p *Provider) ListChunks(ctx context.Context, after chunk.ID, limit int) ([
 	return page, more, nil
 }
 
-// PurgeChunks frees the given chunks wholesale (refcounts ignored),
-// returning how many were present and the bytes freed. Only the
-// garbage collector's sweep — which has proven the chunks unreferenced —
-// may call it. Chunks protected by a live writer lease are skipped:
-// this is the one lease check, made at the moment of the purge, so it
-// sees every lease registered before it. Each purge is also ordered
+// PurgeChunks frees the given chunks, returning how many were present
+// and the bytes freed. Only the garbage collector's sweep — which has
+// proven the chunks unreferenced — may call it. Chunks protected by a
+// live writer lease are skipped: this is the one lease check, made at
+// the moment of the purge, so it sees every lease registered before it. Each purge is also ordered
 // against racing lease registrations, so a re-put under a fresh lease
 // can never be eaten by an already-classified victim's purge.
 func (p *Provider) PurgeChunks(ctx context.Context, ids []chunk.ID) (int, int64, error) {

@@ -46,32 +46,6 @@ func TestMemStoreGetCopies(t *testing.T) {
 	}
 }
 
-func TestMemStoreRefcount(t *testing.T) {
-	s := NewMemStore(0)
-	id := chunk.Sum([]byte("abc"))
-	if err := s.Put(id, []byte("abc")); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Put(id, []byte("abc")); err != nil {
-		t.Fatal(err)
-	}
-	if s.Used() != 3 {
-		t.Fatalf("dedup failed, used=%d", s.Used())
-	}
-	if err := s.Delete(id); err != nil {
-		t.Fatal(err)
-	}
-	if !s.Has(id) {
-		t.Fatal("chunk freed while references remain")
-	}
-	if err := s.Delete(id); err != nil {
-		t.Fatal(err)
-	}
-	if s.Has(id) || s.Used() != 0 {
-		t.Fatal("chunk not freed at refcount zero")
-	}
-}
-
 func TestMemStoreCapacity(t *testing.T) {
 	s := NewMemStore(5)
 	a := chunk.Sum([]byte("aaa"))
@@ -88,10 +62,12 @@ func TestMemStoreCapacity(t *testing.T) {
 	}
 }
 
+// TestMemStoreDeleteMissing: deleting a missing chunk — a Purge, the
+// only way a store frees one — frees nothing and is not an error.
 func TestMemStoreDeleteMissing(t *testing.T) {
 	s := NewMemStore(0)
-	if err := s.Delete(chunk.Sum([]byte("x"))); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("want ErrNotFound, got %v", err)
+	if n, err := s.Purge(chunk.Sum([]byte("x"))); n != 0 || err != nil {
+		t.Fatalf("purge of a missing chunk freed %d, %v", n, err)
 	}
 	if _, err := s.Get(chunk.Sum([]byte("x"))); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("want ErrNotFound, got %v", err)
@@ -231,7 +207,7 @@ func TestProviderConcurrent(t *testing.T) {
 }
 
 // TestMemStoreStripedConcurrency hammers the lock-striped store from
-// many goroutines with puts, gets and deletes over a shared key set —
+// many goroutines with puts, gets and purges over a shared key set —
 // run with -race. The final accounting must match a serial replay.
 func TestMemStoreStripedConcurrency(t *testing.T) {
 	s := NewMemStore(0)
@@ -254,14 +230,18 @@ func TestMemStoreStripedConcurrency(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				if got, err := s.Get(id); err != nil || !bytes.Equal(got, data) {
+				// Even-indexed payloads are purged right back, so another
+				// worker's purge may land between this Put and Get.
+				got, err := s.Get(id)
+				if k%2 == 0 && errors.Is(err, ErrNotFound) {
+					continue
+				}
+				if err != nil || !bytes.Equal(got, data) {
 					t.Errorf("get: %v", err)
 					return
 				}
-				// Even-indexed payloads are deleted right back, so their
-				// refcounts drain to zero; odd ones accumulate.
 				if k%2 == 0 {
-					if err := s.Delete(id); err != nil {
+					if _, err := s.Purge(id); err != nil {
 						t.Error(err)
 						return
 					}
@@ -270,8 +250,8 @@ func TestMemStoreStripedConcurrency(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	// Puts and deletes balanced for even payloads, so exactly the odd
-	// half survives, counted once each.
+	// Every Put of an even payload is followed by its worker's Purge, so
+	// exactly the odd half survives, counted once each.
 	var wantCount int
 	var wantUsed int64
 	for k, p := range payloads {
@@ -292,12 +272,11 @@ func TestMemStoreStripedConcurrency(t *testing.T) {
 }
 
 // Property: Used equals the sum of distinct chunk sizes regardless of the
-// put/delete interleaving.
+// put/purge interleaving.
 func TestMemStoreUsedInvariant(t *testing.T) {
 	f := func(ops []uint8) bool {
 		s := NewMemStore(0)
-		live := map[chunk.ID]int{} // refcounts we maintain independently
-		sizes := map[chunk.ID]int64{}
+		live := map[chunk.ID]int64{} // present chunks' sizes, kept independently
 		pool := make([][]byte, 8)
 		for i := range pool {
 			pool[i] = []byte(fmt.Sprintf("payload-%d-%s", i, string(make([]byte, i))))
@@ -309,22 +288,19 @@ func TestMemStoreUsedInvariant(t *testing.T) {
 				if err := s.Put(id, data); err != nil {
 					return false
 				}
-				live[id]++
-				sizes[id] = int64(len(data))
-			} else if live[id] > 0 {
-				if err := s.Delete(id); err != nil {
+				live[id] = int64(len(data))
+			} else {
+				if n, err := s.Purge(id); err != nil || n != live[id] {
 					return false
 				}
-				live[id]--
+				delete(live, id)
 			}
 		}
 		var want int64
-		for id, n := range live {
-			if n > 0 {
-				want += sizes[id]
-			}
+		for _, n := range live {
+			want += n
 		}
-		return s.Used() == want
+		return s.Used() == want && s.Count() == len(live)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -332,8 +308,7 @@ func TestMemStoreUsedInvariant(t *testing.T) {
 }
 
 // TestMemStoreLifecycle covers the sweep surface: epoch tagging on Put
-// and re-Put, paginated listing in ID order, and wholesale purge that
-// ignores refcounts.
+// and re-Put, paginated listing in ID order, and purge.
 func TestMemStoreLifecycle(t *testing.T) {
 	s := NewMemStore(0)
 	var ids []chunk.ID
@@ -363,7 +338,7 @@ func TestMemStoreLifecycle(t *testing.T) {
 		}
 		for _, ci := range page {
 			got = append(got, ci.ID)
-			if ci.Epoch != 0 || ci.Refs != 1 || ci.Size != 2 {
+			if ci.Epoch != 0 || ci.Size != 2 {
 				t.Fatalf("chunk info = %+v", ci)
 			}
 		}
@@ -382,15 +357,18 @@ func TestMemStoreLifecycle(t *testing.T) {
 	if e := s.AdvanceEpoch(); e != 1 {
 		t.Fatalf("epoch after advance = %d", e)
 	}
-	if err := s.Put(ids[0], []byte{0, 0}); err != nil { // re-put: ref 2, epoch 1
+	if err := s.Put(ids[0], []byte{0, 0}); err != nil { // re-put: one copy, epoch 1
 		t.Fatal(err)
+	}
+	if s.Count() != 5 || s.Used() != 10 {
+		t.Fatalf("count=%d used=%d after re-put, want 5 and 10", s.Count(), s.Used())
 	}
 	page, _ := s.List(chunk.ID{}, 100)
 	for _, ci := range page {
 		switch ci.ID {
 		case ids[0]:
-			if ci.Refs != 2 || ci.Epoch != 1 {
-				t.Fatalf("re-put chunk info = %+v, want refs 2 epoch 1", ci)
+			if ci.Epoch != 1 {
+				t.Fatalf("re-put chunk info = %+v, want epoch 1", ci)
 			}
 		default:
 			if ci.Epoch != 0 {
@@ -399,7 +377,7 @@ func TestMemStoreLifecycle(t *testing.T) {
 		}
 	}
 
-	// Purge frees wholesale even with refs > 1; absent purge is a no-op.
+	// Purge frees the re-put chunk; absent purge is a no-op.
 	n, err := s.Purge(ids[0])
 	if err != nil || n != 2 {
 		t.Fatalf("purge freed %d, %v", n, err)
@@ -572,17 +550,11 @@ func TestMemStoreIndexChurn(t *testing.T) {
 	}
 	check()
 
-	// Delete every third key (refcount path), purge every seventh.
+	// Purge three keys in every seven.
 	i := 0
 	for id := range model {
-		switch i % 7 {
-		case 0:
+		if i%7 == 0 || i%7 == 1 || i%7 == 4 {
 			if _, err := s.Purge(id); err != nil {
-				t.Fatal(err)
-			}
-			delete(model, id)
-		case 1, 4:
-			if err := s.Delete(id); err != nil {
 				t.Fatal(err)
 			}
 			delete(model, id)
@@ -591,7 +563,7 @@ func TestMemStoreIndexChurn(t *testing.T) {
 	}
 	check()
 
-	// Refill over the holes, with some re-puts bumping refcounts only.
+	// Refill over the holes, with some re-puts only refreshing tags.
 	for i := 0; i < 3000; i += 2 {
 		data := rnd(i)
 		id := chunk.Sum(data)

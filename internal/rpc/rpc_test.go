@@ -195,7 +195,7 @@ func TestLifecycleRPCs(t *testing.T) {
 		}
 		for _, ci := range page {
 			got = append(got, ci.ID)
-			if ci.Size != 8 || ci.Refs != 1 {
+			if ci.Size != 8 || ci.Epoch != 0 {
 				t.Fatalf("chunk info over rpc = %+v", ci)
 			}
 		}

@@ -122,11 +122,11 @@ func TestEveryConnHonoursRanges(t *testing.T) {
 				p := provider.New("p00", "z0", 0, provider.WithStore(ds))
 				fetchRanges(t, p, c.over(t, p), data)
 				// The chunk's segment is sealed (the chunk outgrew
-				// SegmentBytes): delete the chunk and compact it away.
+				// SegmentBytes): purge the chunk and compact it away.
 				// Its file is unlinked once no view pins it — the rpc
 				// server donates a reply after writing it, so the last
 				// pin may come back just after the last Fetch returns.
-				if err := ds.Delete(chunk.Sum(data)); err != nil {
+				if _, err := ds.Purge(chunk.Sum(data)); err != nil {
 					t.Fatal(err)
 				}
 				if dropped, _, err := ds.CompactOnce(); err != nil || dropped != 1 {

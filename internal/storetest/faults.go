@@ -181,9 +181,9 @@ func (s *SlowConn) ReleaseLease(ctx context.Context, leaseID string) error {
 	return s.Inner.ReleaseLease(ctx, leaseID)
 }
 
-// FlakyStore wraps a provider.Store, failing Put/GetAppend/Delete/
-// Purge with the injector's probability — the provider-side counterpart
-// of FlakyConn, pluggable via core.Options.ProviderStore. Listing and
+// FlakyStore wraps a provider.Store, failing Put/GetAppend/Purge with
+// the injector's probability — the provider-side counterpart of
+// FlakyConn, pluggable via core.Options.ProviderStore. Listing and
 // epochs stay reliable: a flaky List would make the GC abort every
 // pass, which is the fail-safe behaviour other tests cover directly.
 type FlakyStore struct {
@@ -205,14 +205,6 @@ func (f *FlakyStore) GetAppend(id chunk.ID, dst []byte) ([]byte, error) {
 		return nil, ErrInjected
 	}
 	return f.Store.GetAppend(id, dst)
-}
-
-// Delete injects before forwarding.
-func (f *FlakyStore) Delete(id chunk.ID) error {
-	if f.Inj.hit() {
-		return ErrInjected
-	}
-	return f.Store.Delete(id)
 }
 
 // Purge injects before forwarding.
@@ -288,15 +280,6 @@ func (c *CrashStore) GetAppend(id chunk.ID, dst []byte) ([]byte, error) {
 		return nil, ErrCrashed
 	}
 	return st.GetAppend(id, dst)
-}
-
-// Delete fails while crashed.
-func (c *CrashStore) Delete(id chunk.ID) error {
-	st := c.store()
-	if st == nil {
-		return ErrCrashed
-	}
-	return st.Delete(id)
 }
 
 // Has reports false while crashed (the signature carries no error).
