@@ -1,6 +1,6 @@
 // blobseer-vet is the repository's multichecker: it runs the custom
 // invariant analyzers of internal/analysis (lockio, ctxfirst,
-// gcfailsafe, poolbuf, idbytes, leaserelease) plus the stock `go vet` suite over the
+// gcfailsafe, poolbuf, idbytes) plus the stock `go vet` suite over the
 // given package patterns, and exits non-zero on any diagnostic.
 //
 // Usage:
@@ -26,7 +26,6 @@ import (
 	"blobseer/internal/analysis/ctxfirst"
 	"blobseer/internal/analysis/gcfailsafe"
 	"blobseer/internal/analysis/idbytes"
-	"blobseer/internal/analysis/leaserelease"
 	"blobseer/internal/analysis/load"
 	"blobseer/internal/analysis/lockio"
 	"blobseer/internal/analysis/poolbuf"
@@ -38,7 +37,6 @@ var suite = []*analysis.Analyzer{
 	gcfailsafe.Analyzer,
 	poolbuf.Analyzer,
 	idbytes.Analyzer,
-	leaserelease.Analyzer,
 }
 
 func main() {

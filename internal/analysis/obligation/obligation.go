@@ -1,9 +1,9 @@
 // Package obligation is the walk shared by the analyzers whose
 // invariant is "what a call hands out must be released on every return
-// path, unless its ownership transfers" — poolbuf (pooled chunk
-// buffers) and leaserelease (writer leases). Each such analyzer is a
-// Spec: its acquire and release matchers and its messages. Adding one
-// means writing those and nothing else.
+// path, unless its ownership transfers" — today poolbuf (pooled chunk
+// buffers). Each such analyzer is a Spec: its acquire and release
+// matchers and its messages. Adding one means writing those and nothing
+// else.
 //
 // Acquisitions are found at statement level anywhere in a function
 // body: v := f(), v = f()[:n], and v, err := f(). Each acquired

@@ -16,9 +16,8 @@
 // putBuf on the same path hands the pool a buffer its next taker already
 // owns, so two transfers end up writing through one slice.
 //
-// The walk is the obligation package's, shared with leaserelease:
-// block-structured, so a release inside one arm does not excuse the
-// other. Audited exceptions carry a //poolbuf:allow comment.
+// The walk is the obligation package's: block-structured, so a release
+// inside one arm does not excuse the other. Audited exceptions carry a //poolbuf:allow comment.
 package poolbuf
 
 import (

@@ -7,7 +7,6 @@ import (
 	"blobseer/internal/analysis/ctxfirst"
 	"blobseer/internal/analysis/gcfailsafe"
 	"blobseer/internal/analysis/idbytes"
-	"blobseer/internal/analysis/leaserelease"
 	"blobseer/internal/analysis/lockio"
 	"blobseer/internal/analysis/poolbuf"
 )
@@ -40,8 +39,4 @@ func TestPoolbuf(t *testing.T) {
 
 func TestIdbytes(t *testing.T) {
 	checktest.Run(t, src, "idbytes", idbytes.Analyzer)
-}
-
-func TestLeaserelease(t *testing.T) {
-	checktest.Run(t, src, "leaserelease", leaserelease.Analyzer)
 }

@@ -52,10 +52,10 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 }
 
 // converge deletes the given blobs and hammers the GC until the whole
-// cluster drains: no chunks on any provider, no metadata tree nodes, no
-// deleted BLOBs left unforgotten and no live chunk leases. This is the
-// post-fault acceptance bar — a partition or crash must not leak
-// anything.
+// cluster drains: no chunks on any provider (a chunk lease left live
+// would keep its chunk), no metadata tree nodes and no deleted BLOBs left
+// unforgotten. This is the post-fault acceptance bar — a partition or
+// crash must not leak anything.
 func converge(t *testing.T, c *core.Cluster, blobs []uint64) {
 	t.Helper()
 	ctx := context.Background()
@@ -68,11 +68,9 @@ func converge(t *testing.T, c *core.Cluster, blobs []uint64) {
 		if _, err := c.GC.Sweep(ctx, false); err != nil {
 			t.Fatal(err)
 		}
-		st := c.GC.Stats()
 		return totalChunks(c) == 0 &&
 			c.VM.MetaStore().Len() == 0 &&
-			len(c.VM.DeletedBlobs()) == 0 &&
-			st.ActiveLeases == 0
+			len(c.VM.DeletedBlobs()) == 0
 	})
 }
 

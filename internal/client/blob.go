@@ -9,8 +9,10 @@ package client
 
 import (
 	"context"
+	"crypto/rand"
 	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"fmt"
 	"io"
 	"sort"
@@ -19,6 +21,7 @@ import (
 
 	"blobseer/internal/chunk"
 	"blobseer/internal/instrument"
+	"blobseer/internal/provider"
 	"blobseer/internal/vmanager"
 )
 
@@ -466,7 +469,11 @@ func (r *BlobReader) Close() error {
 // and io.Closer: bytes accumulate into the current chunk slot and every
 // filled slot is flushed to its replica set in the background (bounded
 // by WithWorkers); Close flushes the tail slot, waits for all flushes,
-// assigns a version and publishes it. Not safe for concurrent use.
+// assigns a version and publishes it. From open until it can no longer
+// publish, the writer holds its base version against retention and files
+// every flushed chunk under its own chunk lease; it releases both at the
+// end of Close, or when its context ends before Close has begun. Not
+// safe for concurrent use.
 type BlobWriter struct {
 	c         *Client
 	ctx       context.Context
@@ -489,12 +496,13 @@ type BlobWriter struct {
 	sem chan struct{} // WithWorkers-sized tokens bounding in-flight flushes
 	wg  sync.WaitGroup
 
-	// Writer lease (nil without WithLeaser): opened before the first
-	// byte, heartbeated while streaming, released at Close/abandon. lref
-	// is the flush path's handle — lease ID plus the providers touched —
-	// shared with the heartbeat goroutine.
-	lease Lease
-	lref  *leaseRef
+	// The writer's protections (nil lease when open failed): a
+	// version-manager hold on base.Version when it is > 0, and the chunk
+	// lease every flush stores under, which also collects the providers
+	// the heartbeat renews and the release reaches. releaseOnce drops
+	// both once the writer can no longer publish.
+	lease       *leaseRef
+	releaseOnce sync.Once
 
 	mu      sync.Mutex
 	writes  map[int64]chunk.Desc
@@ -546,70 +554,104 @@ func (c *Client) newWriter(ctx context.Context, blob uint64, chunkSize, offset i
 		w.err = err
 	}
 	w.base = base
-	// Register the writer lease before the first byte can flush: it
-	// holds the base version against retention (version 0 — a fresh
-	// BLOB — holds nothing) and names the chunk leases every flush
-	// registers at its providers. A failed open is sticky: writing
-	// unleased when the caller asked for leases would reopen exactly
-	// the reclaim races the lease exists to close.
-	if c.leaser != nil && w.err == nil {
-		lease, lerr := c.leaser.OpenLease(blob, base.Version)
-		if lerr != nil {
-			w.err = lerr
-		} else {
-			w.lease = lease
-			w.lref = &leaseRef{Lease: chunk.Lease{ID: lease.ID(), TTL: lease.TTL()}, provs: make(map[string]struct{})}
-			go w.heartbeat()
-		}
+	// Take the writer's protections before the first byte can flush: a
+	// hold on the base version against retention (version 0 — a fresh
+	// BLOB — holds nothing) and the chunk lease every flush registers at
+	// its providers. A failure is sticky: writing unprotected would
+	// reopen exactly the reclaim races they close.
+	if w.err == nil {
+		w.err = w.protect()
 	}
 	return w
 }
 
-// heartbeat renews the writer's lease at a third of the TTL — the
-// lifecycle manager's record and each provider chunk lease touched so
-// far — so a slow stream outlives any number of TTL windows. It exits
-// when the writer's context ends; Close and abandon cancel that context
-// before releasing, so a late tick cannot resurrect a released lease.
-func (w *BlobWriter) heartbeat() {
-	interval := w.lease.TTL() / 3
-	if interval < 10*time.Millisecond {
-		interval = 10 * time.Millisecond
+// protect takes the writer's base hold, mints its chunk lease and starts
+// the goroutine that heartbeats the lease and releases both if the
+// context ends before Close begins.
+func (w *BlobWriter) protect() error {
+	id, err := newLeaseID()
+	if err != nil {
+		return err
 	}
-	t := time.NewTicker(interval)
+	if v := w.base.Version; v > 0 {
+		if err := w.c.vm.HoldVersion(w.blob, v); err != nil {
+			return fmt.Errorf("client: hold blob %d base v%d: %w", w.blob, v, err)
+		}
+	}
+	w.lease = &leaseRef{Lease: chunk.Lease{ID: id}, provs: make(map[string]struct{})}
+	go w.watch()
+	return nil
+}
+
+// newLeaseID mints a chunk-lease ID. Randomness makes IDs unique across
+// processes, so the writers of two gateways never share a lease at a
+// provider both use.
+func newLeaseID() (string, error) {
+	var b [12]byte
+	if _, err := rand.Read(b[:]); err != nil {
+		return "", fmt.Errorf("client: mint lease id: %w", err)
+	}
+	return "wl-" + hex.EncodeToString(b[:]), nil
+}
+
+// watch renews the writer's chunk leases at every provider touched so
+// far, a third of the provider's default TTL apart, so a slow stream
+// outlives any number of TTL windows. When the context ends it releases
+// the writer's protections, unless Close has begun: Close may then be
+// publishing, and it releases them itself once Publish has returned.
+func (w *BlobWriter) watch() {
+	t := time.NewTicker(provider.DefaultLeaseTTL / 3)
 	defer t.Stop()
 	for {
 		select {
 		case <-w.ctx.Done():
+			w.mu.Lock()
+			closing := w.closed
+			w.mu.Unlock()
+			if !closing {
+				// Take every flush slot: the flushes in flight finish
+				// first, and none can start after, so no Store files a
+				// chunk under the lease once it is released.
+				for i := 0; i < cap(w.sem); i++ {
+					w.sem <- struct{}{}
+				}
+				w.release()
+			}
 			return
 		case <-t.C:
 		}
-		w.lease.Renew()
-		for _, pid := range w.lref.providers() {
+		for _, pid := range w.lease.providers() {
 			conn, err := w.c.dir.Lookup(w.ctx, pid)
 			if err != nil {
 				continue // transient: the TTL spans several ticks, the next one retries
 			}
 			// Best effort for the same reason; nil ids = pure renewal.
-			_ = conn.LeaseChunks(w.ctx, w.lref.ID, w.lref.TTL, nil)
+			_ = conn.LeaseChunks(w.ctx, w.lease.ID, 0, nil)
 		}
 	}
 }
 
-// releaseLease drops the provider chunk leases and the lifecycle
-// record. Best effort on a fresh context: the writer's own context is
-// already cancelled by the time release runs (abandon paths arrive
-// cancelled by design), and any lease a dead provider kept is reaped by
-// TTL expiry at the next sweep.
-func (w *BlobWriter) releaseLease() {
-	ctx := context.Background() //ctxfirst:allow release must outlive the writer's cancelled context; unreachable leases fall to TTL reaping
-	for _, pid := range w.lref.providers() {
-		conn, err := w.c.dir.Lookup(ctx, pid)
-		if err != nil {
-			continue
-		}
-		_ = conn.ReleaseLease(ctx, w.lref.ID)
+// release drops the provider chunk leases and the base hold, once. It
+// runs after the writer's context ended, on a context that keeps the
+// caller's values without its cancellation. A release that cannot reach
+// its provider leaves that lease to expire by the provider's clock.
+func (w *BlobWriter) release() {
+	if w.lease == nil {
+		return
 	}
-	w.lease.Release()
+	w.releaseOnce.Do(func() {
+		ctx := context.WithoutCancel(w.ctx)
+		for _, pid := range w.lease.providers() {
+			conn, err := w.c.dir.Lookup(ctx, pid)
+			if err != nil {
+				continue
+			}
+			_ = conn.ReleaseLease(ctx, w.lease.ID)
+		}
+		if v := w.base.Version; v > 0 {
+			w.c.vm.ReleaseVersion(w.blob, v)
+		}
+	})
 }
 
 // Version returns the published version; valid after a successful Close.
@@ -822,7 +864,7 @@ func (w *BlobWriter) flushCur() {
 	go func() {
 		defer w.wg.Done()
 		defer func() { <-w.sem }()
-		idx, desc, err := w.c.storeSlot(w.ctx, w.blob, w.chunkSize, start, data, targets, w.base, w.lref)
+		idx, desc, err := w.c.storeSlot(w.ctx, w.blob, w.chunkSize, start, data, targets, w.base, w.lease)
 		// The slot buffer is dead once the replica stores returned
 		// (Conn.Store does not retain payloads): back to the pool.
 		chunk.PutBuf(data)
@@ -845,7 +887,8 @@ func (w *BlobWriter) flushCur() {
 // Close flushes the tail slot, waits for every background store, then
 // assigns a version (unless one was pre-assigned) and publishes it. On
 // failure no version is published; with a pre-assigned ticket the
-// version is aborted so the publication chain keeps moving. Idempotent:
+// version is aborted so the publication chain keeps moving. Either way
+// the writer's protections are released before Close returns. Idempotent:
 // later calls return the first outcome.
 func (w *BlobWriter) Close() error {
 	w.mu.Lock()
@@ -859,7 +902,6 @@ func (w *BlobWriter) Close() error {
 
 	w.flushCur()
 	w.wg.Wait()
-	defer w.cancel()
 
 	w.mu.Lock()
 	err := w.err
@@ -896,13 +938,10 @@ func (w *BlobWriter) Close() error {
 	w.version = version
 	w.mu.Unlock()
 
-	if w.lease != nil {
-		// Published or aborted, the lease's job is done. Cancel first —
-		// idempotent — so the heartbeat cannot renew what is being
-		// released, then drop the chunk leases and the base hold.
-		w.cancel()
-		w.releaseLease()
-	}
+	// Published or aborted, the protections' job is done. Cancel first —
+	// idempotent — so the heartbeat cannot renew what is being released.
+	w.cancel()
+	w.release()
 
 	if m := w.c.m; m != nil && w.total > 0 {
 		m.writeBytes.Add(w.total)

@@ -46,16 +46,16 @@ var (
 // that retained either slice would see it overwritten by a later
 // transfer.
 //
-// Writer leases: a leasing writer stores each chunk under its lease —
-// the lease rides in the Store's ctx (chunk.WithLease) and the provider
-// registers the chunk under it before the bytes land — renews with
-// LeaseChunks and nil ids, and releases when it finishes. While a lease
-// is live the provider's wholesale purge skips its chunks. ReleaseLease may return before the
-// provider has applied it (the wire sends it one-way) but is applied
-// before any later call on the same conn. A Conn that wraps another
-// forwards the Store ctx and both calls — a wrapper that swallowed them
-// would leave the writers behind it with the grace window as their only
-// protection.
+// Writer leases: a writer stores each chunk under its lease — the lease
+// rides in the Store's ctx (chunk.WithLease) and the provider registers
+// the chunk under it before the bytes land — renews with LeaseChunks and
+// nil ids, and releases when it finishes. While a lease is live the
+// provider's wholesale purge skips its chunks. ReleaseLease may return
+// before the provider has applied it (the wire sends it one-way) but is
+// applied before any later call on the same conn. A Conn that wraps
+// another forwards the Store ctx and both calls — a wrapper that
+// swallowed them would leave the writers behind it with the grace window
+// as their only protection.
 //
 // Byte ranges: a Fetch whose ctx carries a range (chunk.WithRange)
 // returns only those bytes of the chunk, clamped to it. A wrapper forwards
@@ -106,31 +106,6 @@ type Pinner interface {
 	Unpin(blob, version uint64)
 }
 
-// Lease is one writer's registration with the storage-lifecycle layer,
-// minted by a Leaser at NewWriter time. Its ID also names the chunk
-// leases the writer's Stores register at each provider, so one
-// identity protects the base version and the flushed chunks. Renew
-// pushes the expiry out (heartbeat); Release ends the lease and must be
-// called on every writer exit path — a lease that is never released
-// lives until its TTL lapses and the next sweep reaps it. TTL is the
-// lifetime the minting manager grants: the writer requests it for its
-// chunk leases and heartbeats at a third of it.
-type Lease interface {
-	ID() string
-	TTL() time.Duration
-	Renew()
-	Release()
-}
-
-// Leaser mints writer leases: called by NewWriter with the writer's
-// BLOB and base-version snapshot (0 for a fresh BLOB). The lifecycle
-// manager implements it (via core's wiring); while the lease lives,
-// retention will not retire the base version a partial-slot merge still
-// reads.
-type Leaser interface {
-	OpenLease(blob, baseVersion uint64) (Lease, error)
-}
-
 // Client is a BlobSeer client bound to one user identity.
 type Client struct {
 	user     string
@@ -139,7 +114,6 @@ type Client struct {
 	dir      Directory
 	gate     Gatekeeper
 	pinner   Pinner
-	leaser   Leaser
 	emit     instrument.Emitter
 	m        *pathMetrics // nil = uninstrumented
 	now      func() time.Time
@@ -176,15 +150,6 @@ func WithGatekeeper(g Gatekeeper) Option {
 // (default: no pinning).
 func WithPinner(p Pinner) Option {
 	return func(c *Client) { c.pinner = p }
-}
-
-// WithLeaser installs the writer-lease hook: every BlobWriter the
-// client mints registers a lease at open, leases each flushed chunk at
-// its providers, heartbeats while streaming, and releases at
-// Close/abandon (default: no leasing; the GC grace window is then the
-// only writer protection).
-func WithLeaser(l Leaser) Option {
-	return func(c *Client) { c.leaser = l }
 }
 
 // WithEmitter attaches instrumentation.
@@ -411,20 +376,17 @@ func (c *Client) resolveVersion(blob, version uint64) (vmanager.VersionMeta, err
 // fully failed chunk reports why. The replicas a failed chunk did land
 // are left to the sweep.
 //
-// When lease is non-nil, each Store carries the writer's lease and the
-// provider registers the chunk under it before the Put, so the lease
-// costs no round trip of its own (Provider.Store has the ordering
-// against purges). Every target is noted for heartbeats and the release
-// before its Store is sent: a Store whose reply is lost may still have
-// registered the lease.
+// Each Store carries the writer's lease and the provider registers the
+// chunk under it before the Put, so the lease costs no round trip of its
+// own (Provider.Store has the ordering against purges). Every target is
+// noted for heartbeats and the release before its Store is sent: a Store
+// whose reply is lost may still have registered the lease.
 func (c *Client) storeReplicas(ctx context.Context, id chunk.ID, data []byte, targets []string, lease *leaseRef) ([]string, error) {
 	need := c.quorum
 	if need <= 0 || need > len(targets) {
 		need = len(targets)
 	}
-	if lease != nil {
-		ctx = chunk.WithLease(ctx, &lease.Lease)
-	}
+	ctx = chunk.WithLease(ctx, &lease.Lease)
 	var start time.Time
 	var okCount atomic.Int64
 	if c.m != nil {
@@ -441,9 +403,7 @@ func (c *Client) storeReplicas(ctx context.Context, id chunk.ID, data []byte, ta
 				errs[k] = fmt.Errorf("lookup %s: %w", pid, err)
 				return
 			}
-			if lease != nil {
-				lease.noteProvider(pid)
-			}
+			lease.noteProvider(pid)
 			if err := conn.Store(ctx, c.user, id, data); err != nil {
 				errs[k] = fmt.Errorf("store %s: %w", pid, err)
 				return

@@ -47,17 +47,16 @@ const (
 // Options configures a Cluster. The zero value is usable: NewCluster
 // fills defaults.
 type Options struct {
-	Providers      int    // data providers (default 4)
-	Replicas       int    // chunk replication degree for clients (default 1)
-	WriteQuorum    int    // replica stores required per chunk (0 = all replicas)
-	PolicySource   string // policy DSL ("" = policy.DefaultCatalog)
-	Monitoring     bool   // attach the introspection stack (default true via NewCluster)
-	AgentBatch     int    // monitoring agent batch size (default 32)
-	Clock          func() time.Time
-	Elasticity     *selfconfig.Config // enable the elasticity controller
-	BaseDegree     int                // replication maintenance target (default = Replicas)
-	GCGraceEpochs  int                // sweep write-in-progress grace window (0 = default 1, -1 = none)
-	WriterLeaseTTL time.Duration      // writer-lease lifetime without heartbeat (0 = default 30s)
+	Providers     int    // data providers (default 4)
+	Replicas      int    // chunk replication degree for clients (default 1)
+	WriteQuorum   int    // replica stores required per chunk (0 = all replicas)
+	PolicySource  string // policy DSL ("" = policy.DefaultCatalog)
+	Monitoring    bool   // attach the introspection stack (default true via NewCluster)
+	AgentBatch    int    // monitoring agent batch size (default 32)
+	Clock         func() time.Time
+	Elasticity    *selfconfig.Config // enable the elasticity controller
+	BaseDegree    int                // replication maintenance target (default = Replicas)
+	GCGraceEpochs int                // sweep write-in-progress grace window (0 = default 1, -1 = none)
 	// ProviderStore mints the backing chunk store for each new provider
 	// (nil, or a nil return, = the in-memory MemStore). It is the seam
 	// for disk-backed stores and for fault/latency injection in tests.
@@ -207,16 +206,11 @@ func NewCluster(opts Options) (*Cluster, error) {
 	case opts.GCGraceEpochs < 0:
 		grace = 0
 	}
-	gcOpts := []gc.Option{
+	c.GC = gc.New(c.VM, pool{c},
 		gc.WithGraceEpochs(grace),
 		gc.WithEmitter(c.AgentFor("gc")),
 		gc.WithClock(c.now),
-		gc.WithMetrics(opts.Metrics),
-	}
-	if opts.WriterLeaseTTL > 0 {
-		gcOpts = append(gcOpts, gc.WithLeaseTTL(opts.WriterLeaseTTL))
-	}
-	c.GC = gc.New(c.VM, pool{c}, gcOpts...)
+		gc.WithMetrics(opts.Metrics))
 
 	// Self-configuration (optional).
 	if opts.Elasticity != nil {
@@ -366,7 +360,6 @@ func (c *Cluster) ClientWith(user string, extra ...client.Option) *client.Client
 		client.WithEmitter(c.AgentFor("client-" + user)),
 		client.WithClock(c.now),
 		client.WithMetrics(c.opts.Metrics),
-		client.WithLeaser(writerLeases{c.GC}),
 	}
 	if c.Fault != nil {
 		opts = append(opts, client.WithHealth(c.Fault.Healthy))
@@ -465,21 +458,6 @@ func (a pool) Alive(id string) bool {
 
 // Pool exposes the cluster's providers as a selfopt.Pool (for reapers).
 func (c *Cluster) Pool() selfopt.Pool { return pool{c} }
-
-// writerLeases adapts the lifecycle manager to the client's Leaser
-// hook. The indirection exists for the interface types: OpenWriterLease
-// returns the concrete *gc.WriterLease, and returning it through an
-// interface-typed error path directly would hand callers a typed-nil
-// client.Lease.
-type writerLeases struct{ g *gc.Manager }
-
-func (w writerLeases) OpenLease(blob, base uint64) (client.Lease, error) {
-	l, err := w.g.OpenWriterLease(blob, base)
-	if err != nil {
-		return nil, err
-	}
-	return l, nil
-}
 
 // GCRunner returns a background lifecycle runner (periodic retention +
 // sweep) over the cluster's GC manager; run it with Run(ctx).

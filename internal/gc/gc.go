@@ -26,20 +26,22 @@
 //     after marking, and only unreferenced chunks whose Put-epoch tag is
 //     at least GraceEpochs windows old are reclaimed.
 //
-//   - Writer leases: a BlobWriter registers a lease at open
-//     (OpenWriterLease) and releases it at Close/abandon. The lease holds
-//     the writer's base version in the version manager (retention skips
-//     it, so the nodes a partial-slot merge reads stay marked), and its
-//     ID names per-provider chunk leases the writer registers as flushes
-//     land. The sweep does not read those: the provider's PurgeChunks
-//     skips a leased chunk at the moment of the purge, so an unpublished
-//     writer survives any number of sweep passes and a same-content
-//     re-put can never lose to the purge of an already-classified
-//     victim. Leases expire after a TTL without heartbeat: the next
-//     sweep reaps the manager's record, and each provider drops its own
-//     in AdvanceEpoch, so a crashed gateway cannot pin storage forever.
-//     The grace window above still covers what a lease cannot: a writer
-//     that publishes and releases between a pass's mark and its purge.
+//   - Writer protections: a BlobWriter holds its base version in the
+//     version manager (retention skips it, so the nodes a partial-slot
+//     merge reads stay marked) and files each flushed chunk under a
+//     per-provider chunk lease. The lifecycle manager keeps no record of
+//     either; the writer releases both once it can no longer publish (at
+//     Close, or when its context ends first). The sweep does not read the
+//     chunk leases: the provider's PurgeChunks skips a leased chunk at
+//     the moment of the purge, so an unpublished writer survives any
+//     number of sweep passes and a same-content re-put can never lose to
+//     the purge of an already-classified victim. A chunk lease whose
+//     release never reached its provider expires by that provider's
+//     clock (AdvanceEpoch drops it), so a partitioned or crashed writer
+//     cannot pin storage forever. The grace window above still covers
+//     what a lease cannot: a writer that publishes and releases between a
+//     pass's mark and its purge, as long as its chunks are younger than
+//     the window.
 //
 // The mark phase runs at metadata speed: BLOBs fan out over a bounded
 // worker pool (WithMarkWorkers), and within a BLOB the walk is node
@@ -70,9 +72,6 @@ import (
 	"blobseer/internal/vmanager"
 )
 
-// ErrPinned reports an operation refused because of outstanding pins.
-var ErrPinned = errors.New("gc: version is pinned")
-
 // VersionManager is the lifecycle manager's view of the version manager.
 // *vmanager.Manager implements it; tests wrap it to inject faults (the
 // mark phase must distinguish a vanished BLOB from a failing metadata
@@ -87,7 +86,7 @@ type VersionManager interface {
 	RetentionCandidates(blob uint64, now time.Time) ([]uint64, error)
 	RetireVersions(blob uint64, vers []uint64) (int, error)
 	// HoldVersion / ReleaseVersion protect one published version against
-	// retirement for a reader pin (Pin) or a writer lease (OpenWriterLease).
+	// retirement for a reader pin (Pin); a BlobWriter takes one on its base.
 	HoldVersion(blob, version uint64) error
 	ReleaseVersion(blob, version uint64)
 	MetaStore() blobmeta.Store
@@ -131,12 +130,6 @@ type SweepReport struct {
 	InGrace    int   // unreferenced chunks protected by the write-in-progress grace window
 	Swept      int   // unreferenced chunks reclaimed (counted, not removed, under DryRun)
 	SweptBytes int64 // payload bytes reclaimed
-
-	// LeasesReaped counts the manager's own writer-lease records that
-	// expired and were dropped this pass (their base holds released).
-	// Providers drop their expired chunk leases themselves, in
-	// AdvanceEpoch.
-	LeasesReaped int
 
 	// Metadata-node sweep.
 	NodesScanned int // tree nodes examined in the metadata store
@@ -182,8 +175,6 @@ type Stats struct {
 	// for readers that still add it to SweptChunks.
 	ReclaimedRefs int64
 	RetiredVers   int64 // versions retired by retention so far
-	ActiveLeases  int   // writer leases currently registered with this manager
-	ReapedLeases  int64 // expired lease records reaped by sweeps so far
 }
 
 // Manager is the storage-lifecycle actor.
@@ -199,15 +190,6 @@ type Manager struct {
 
 	mu   sync.Mutex
 	pins map[pinKey]int
-
-	// Writer leases (see lease.go). leaseMu is independent of m.mu: the
-	// lease table is touched by writer open/renew/close and by the
-	// sweep's reap, never under the pin lock.
-	leaseMu    sync.Mutex
-	leases     map[string]*writerLeaseState
-	leaseNonce string // per-manager lease-ID prefix (cross-process unique)
-	leaseSeq   uint64
-	leaseTTL   time.Duration
 
 	sweepMu sync.Mutex // serializes sweeps against each other only
 
@@ -225,8 +207,6 @@ type Manager struct {
 	sweptBytes    *metrics.Counter
 	sweptNodes    *metrics.Counter
 	retiredVers   *metrics.Counter
-	leasesActive  *metrics.Gauge // registered writer leases
-	leasesReaped  *metrics.Counter
 	markWalked    *metrics.Counter // BLOBs walked by mark phases
 	markReused    *metrics.Counter // BLOBs marked from the cache
 	markNodeReads *metrics.Counter // tree nodes read by mark walks
@@ -305,17 +285,12 @@ func New(vm VersionManager, prov Providers, opts ...Option) *Manager {
 		batch:       256,
 		markWorkers: 8,
 		pins:        make(map[pinKey]int),
-		leases:      make(map[string]*writerLeaseState),
-		leaseNonce:  newLeaseNonce(),
-		leaseTTL:    provider.DefaultLeaseTTL,
 
 		pinned:         &metrics.Gauge{},
 		sweptChunks:    &metrics.Counter{},
 		sweptBytes:     &metrics.Counter{},
 		sweptNodes:     &metrics.Counter{},
 		retiredVers:    &metrics.Counter{},
-		leasesActive:   &metrics.Gauge{},
-		leasesReaped:   &metrics.Counter{},
 		markWalked:     &metrics.Counter{},
 		markReused:     &metrics.Counter{},
 		markNodeReads:  &metrics.Counter{},
@@ -463,12 +438,6 @@ func (m *Manager) Sweep(ctx context.Context, dryRun bool) (SweepReport, error) {
 	defer m.sweepMu.Unlock()
 
 	rep := SweepReport{Time: m.now(), DryRun: dryRun}
-	if !dryRun {
-		// A writer that stopped heartbeating is dead; drop its base hold
-		// before retention and mark run so the expiry actually frees
-		// anything this pass. Dry-runs classify but never reap.
-		rep.LeasesReaped = m.reapWriterLeases()
-	}
 	var mu sync.Mutex // guards rep and firstErr during the fan-outs
 	var firstErr error
 	fail := func(err error) {
@@ -697,12 +666,7 @@ func (m *Manager) Stats() Stats {
 	m.mu.Lock()
 	entries := len(m.pins)
 	m.mu.Unlock()
-	m.leaseMu.Lock()
-	activeLeases := len(m.leases)
-	m.leaseMu.Unlock()
 	return Stats{
-		ActiveLeases:  activeLeases,
-		ReapedLeases:  m.leasesReaped.Value(),
 		Pins:          int(m.pinned.Value()),
 		PinnedEntries: entries,
 		SweptChunks:   m.sweptChunks.Value(),

@@ -391,7 +391,7 @@ func runOracle(t *testing.T, seed int64) {
 	if d := r.vm.DeletedBlobs(); len(d) != 0 {
 		t.Fatalf("seed %d: deleted BLOBs never forgotten: %v", seed, d)
 	}
-	if st := r.m.Stats(); st.ActiveLeases != 0 || st.Pins != 0 {
+	if st := r.m.Stats(); st.Pins != 0 {
 		t.Fatalf("seed %d: lifecycle state left behind: %+v", seed, st)
 	}
 }

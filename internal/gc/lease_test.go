@@ -12,20 +12,68 @@ import (
 	"blobseer/internal/client"
 	"blobseer/internal/core"
 	"blobseer/internal/gc"
+	"blobseer/internal/instrument"
+	"blobseer/internal/monitor"
 	"blobseer/internal/provider"
 	"blobseer/internal/storetest"
 	"blobseer/internal/vmanager"
 )
 
-// writerClient mints the regression tests' client: the cluster's own
-// (leased), or one with the lease hook taken out — the unleased
-// subtests prove each race manifests with the grace window as the only
-// protection.
-func writerClient(c *core.Cluster, leases bool) *client.Client {
-	if leases {
-		return c.Client("alice")
+// connSeam is the lease tests' core.Options.WrapConn seam. Unleased, it
+// strips the writer's chunk lease from every Store and drops the lease
+// calls, so the negative controls show each race manifesting with the
+// grace window as the only chunk protection. Its switches fail Stores
+// (to failOn alone, when set) and cut ReleaseLease off from the
+// provider, and it counts the releases sent.
+type connSeam struct {
+	unleased    bool
+	failOn      string
+	failStores  atomic.Bool
+	partitioned atomic.Bool
+	releases    atomic.Int64
+}
+
+func (s *connSeam) wrap(id string, conn client.Conn) client.Conn { return seamConn{conn, s, id} }
+
+type seamConn struct {
+	client.Conn
+	s  *connSeam
+	id string
+}
+
+func (c seamConn) Store(ctx context.Context, user string, id chunk.ID, data []byte) error {
+	if c.s.failStores.Load() && (c.s.failOn == "" || c.s.failOn == c.id) {
+		return storetest.ErrInjected
 	}
-	return c.ClientWith("alice", client.WithLeaser(nil))
+	if c.s.unleased {
+		ctx = chunk.WithLease(ctx, &chunk.Lease{}) // a lease without an ID is no lease
+	}
+	return c.Conn.Store(ctx, user, id, data)
+}
+
+func (c seamConn) LeaseChunks(ctx context.Context, leaseID string, ttl time.Duration, ids []chunk.ID) error {
+	if c.s.unleased {
+		return nil
+	}
+	return c.Conn.LeaseChunks(ctx, leaseID, ttl, ids)
+}
+
+func (c seamConn) ReleaseLease(ctx context.Context, leaseID string) error {
+	c.s.releases.Add(1)
+	switch {
+	case c.s.unleased:
+		return nil
+	case c.s.partitioned.Load():
+		return storetest.ErrInjected
+	}
+	return c.Conn.ReleaseLease(ctx, leaseID)
+}
+
+// seamed installs a fresh seam into opts and returns both.
+func seamed(opts core.Options, unleased bool) (core.Options, *connSeam) {
+	s := &connSeam{unleased: unleased}
+	opts.WrapConn = s.wrap
+	return opts, s
 }
 
 // --- regression 1: stale upload vs grace exhaustion ------------------
@@ -33,13 +81,15 @@ func writerClient(c *core.Cluster, leases bool) *client.Client {
 // TestLeaseProtectsUnpublishedWriterPastGrace: a writer that stays open
 // across more sweeps than GCGraceEpochs covers keeps its flushed chunks
 // only because its lease protects them — the grace window alone gives
-// up after GCGraceEpochs+1 passes. The unleased subtest demonstrates
-// the underlying race the lease closes: the same upload loses its
-// chunks and publishes a version that cannot be read back.
+// up after GCGraceEpochs+1 passes. The unleased subtest, whose conns
+// carry no chunk lease, demonstrates the underlying race the lease
+// closes: the same upload loses its chunks and publishes a version that
+// cannot be read back.
 func TestLeaseProtectsUnpublishedWriterPastGrace(t *testing.T) {
 	run := func(t *testing.T, leases bool) {
-		c := newCluster(t, core.Options{Providers: 2, Monitoring: false}) // default grace: 1 epoch
-		cl := writerClient(c, leases)
+		opts, _ := seamed(core.Options{Providers: 2, Monitoring: false}, !leases) // default grace: 1 epoch
+		c := newCluster(t, opts)
+		cl := c.Client("alice")
 		ctx := context.Background()
 		info, err := cl.Create(ctx, 256)
 		if err != nil {
@@ -91,9 +141,6 @@ func TestLeaseProtectsUnpublishedWriterPastGrace(t *testing.T) {
 		if got, err := cl.Read(ctx, info.ID, 0, 0, 256); err != nil || !bytes.Equal(got, payload) {
 			t.Fatalf("read after publish: %v", err)
 		}
-		if st := c.GC.Stats(); st.ActiveLeases != 0 {
-			t.Fatalf("Close left %d leases registered", st.ActiveLeases)
-		}
 	}
 	t.Run("leased", func(t *testing.T) { run(t, true) })
 	t.Run("unleased", func(t *testing.T) { run(t, false) })
@@ -123,16 +170,16 @@ func (ps *parkStore) Purge(id chunk.ID) (int64, error) {
 // as a victim; while its purge is in flight a writer re-puts the same
 // content (same chunk ID). With leases the writer's chunk-lease
 // registration waits out the purge and the subsequent store recreates
-// the chunk, so the published version reads back intact. Without leases
-// the store lands under the purge and the deletion wins after the
-// version published — the read fails.
+// the chunk, so the published version reads back intact. When the conns
+// strip the lease, the store lands under the purge and the deletion wins
+// after the version published — the read fails.
 func TestLeaseBlocksPurgeOfReusedChunk(t *testing.T) {
 	run := func(t *testing.T, leases bool) {
 		var armed atomic.Bool
 		entered := make(chan struct{})
 		release := make(chan struct{})
 		base := storetest.Factory(t)
-		c := newCluster(t, core.Options{
+		opts, _ := seamed(core.Options{
 			Providers: 1, Monitoring: false, GCGraceEpochs: -1,
 			ProviderStore: func(id string) provider.Store {
 				var inner provider.Store
@@ -147,8 +194,9 @@ func TestLeaseBlocksPurgeOfReusedChunk(t *testing.T) {
 					armed: &armed, entered: entered, release: release,
 				}
 			},
-		})
-		cl := writerClient(c, leases)
+		}, !leases)
+		c := newCluster(t, opts)
+		cl := c.Client("alice")
 		ctx := context.Background()
 		info, err := cl.Create(ctx, 256)
 		if err != nil {
@@ -221,16 +269,16 @@ func TestLeaseBlocksPurgeOfReusedChunk(t *testing.T) {
 // --- regression 3: base version retired mid-stream -------------------
 
 // TestLeaseHoldsBaseVersionAgainstRetention: a writer opened against
-// base v1 leases (and thereby holds) that version; a concurrent publish
-// plus KeepLast:1 retention would otherwise retire v1 mid-stream and
-// sweep the very chunk the writer's partial slot 0 must merge against.
-// With leases retention skips the held base (Held) and the
-// merge reads it intact; without leases v1 is retired and the writer's
-// edge merge demonstrably breaks.
+// base v1 holds that version; a concurrent publish plus KeepLast:1
+// retention would otherwise retire v1 mid-stream and sweep the very chunk
+// the writer's partial slot 0 must merge against. With the hold
+// retention skips the base (Held) and the merge reads it intact; when the
+// hold is dropped right after open, v1 is retired and the writer's edge
+// merge demonstrably breaks.
 func TestLeaseHoldsBaseVersionAgainstRetention(t *testing.T) {
 	run := func(t *testing.T, leases bool) {
 		c := newCluster(t, core.Options{Providers: 2, Monitoring: false, GCGraceEpochs: -1})
-		cl := writerClient(c, leases)
+		cl := c.Client("alice")
 		ctx := context.Background()
 		info, err := cl.Create(ctx, 256)
 		if err != nil {
@@ -245,8 +293,8 @@ func TestLeaseHoldsBaseVersionAgainstRetention(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		// Writer opens mid-chunk against base v1 (and, with leases,
-		// holds it).
+		// Writer opens mid-chunk against base v1 and holds it; the
+		// negative control drops that hold at once.
 		b, err := cl.Open(ctx, info.ID)
 		if err != nil {
 			t.Fatal(err)
@@ -254,6 +302,9 @@ func TestLeaseHoldsBaseVersionAgainstRetention(t *testing.T) {
 		w, err := b.NewWriter(ctx, 128)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if !leases {
+			c.VM.ReleaseVersion(info.ID, 1)
 		}
 
 		// v2 publishes while the writer streams: v1 is now a retention
@@ -385,27 +436,338 @@ func TestGraceCoversWriterPublishedAfterMark(t *testing.T) {
 	t.Run("grace=default", func(t *testing.T) { run(t) })
 }
 
-// --- fail-safe: expired leases reaped, then reclaimed ----------------
+// --- fail-safe: an unreleased chunk lease expires ---------------------
 
-// TestLeaseExpiryReapedBySweep: a writer that vanishes without Close
-// (crashed gateway) leaves a lease behind. Once the TTL lapses the next
-// sweep reaps the record on both planes and reclaims the chunks it
-// protected — a dead writer cannot pin storage forever.
+// TestLeaseExpiryReapedBySweep: the one writer protection that can
+// outlive its writer is a chunk lease whose release never reached the
+// provider. Here the writer's context dies with no Close while
+// ReleaseLease is cut off: its base hold is gone at once, its chunk
+// stays leased through sweeps, and once the provider's clock passes the
+// lease TTL the next pass expires the lease (AdvanceEpoch) and the
+// passes after it reclaim the chunk — a partitioned writer cannot pin
+// storage forever.
 func TestLeaseExpiryReapedBySweep(t *testing.T) {
 	var mu sync.Mutex
 	now := t0
 	clock := func() time.Time { mu.Lock(); defer mu.Unlock(); return now }
 	advance := func(d time.Duration) { mu.Lock(); now = now.Add(d); mu.Unlock() }
 
-	c := newCluster(t, core.Options{
+	opts, seam := seamed(core.Options{
 		Providers: 2, Monitoring: false, GCGraceEpochs: -1, Clock: clock,
-	})
+	}, false)
+	c := newCluster(t, opts)
 	cl := c.Client("alice")
-	info, err := cl.Create(context.Background(), 256)
+	ctx := context.Background()
+	info, err := cl.Create(ctx, 256)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wctx, cancel := context.WithCancel(context.Background())
+	if _, err := cl.Write(ctx, info.ID, 0, bytes.Repeat([]byte{'b'}, 256)); err != nil {
+		t.Fatal(err)
+	}
+	wctx, cancel := context.WithCancel(ctx)
+	b, err := cl.Open(wctx, info.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := b.NewWriter(wctx, 256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.Write(bytes.Repeat([]byte{'d'}, 256)); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "background flush", func() bool { return totalChunks(c) == 2 })
+	// The writer is cut off from its provider and crashes: the context
+	// dies, Close never runs, the release is sent and lost.
+	seam.partitioned.Store(true)
+	sent := seam.releases.Load() // v1's writer released at its Close
+	cancel()
+	waitFor(t, "release attempt", func() bool { return seam.releases.Load() > sent })
+	waitFor(t, "base hold released", func() bool { return len(heldVersions(t, c, info.ID)) == 0 })
+	seam.partitioned.Store(false)
+
+	for i := 0; i < 2; i++ {
+		rep, err := c.GC.Sweep(ctx, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Swept != 0 || totalChunks(c) != 2 {
+			t.Fatalf("sweep %d before expiry = %+v, want the leased chunk kept", i, rep)
+		}
+	}
+
+	advance(provider.DefaultLeaseTTL + time.Second)
+	waitFor(t, "abandoned chunk reclaimed", func() bool {
+		if _, err := c.GC.Sweep(ctx, false); err != nil {
+			t.Fatal(err)
+		}
+		return totalChunks(c) == 1
+	})
+	if got, err := cl.Read(ctx, info.ID, 0, 0, 256); err != nil || !bytes.Equal(got, bytes.Repeat([]byte{'b'}, 256)) {
+		t.Fatalf("published base after reclaim: %v", err)
+	}
+}
+
+// heldVersions lists the versions of blob a version-manager hold
+// protects.
+func heldVersions(t *testing.T, c *core.Cluster, blob uint64) []uint64 {
+	t.Helper()
+	_, held, err := c.VM.HeldVersions(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make([]uint64, len(held))
+	for i, v := range held {
+		out[i] = v.Version
+	}
+	return out
+}
+
+// purgeAll purges every chunk on every provider and fails unless each
+// purge freed its chunk: a chunk lease left behind would make the
+// provider skip it.
+func purgeAll(t *testing.T, c *core.Cluster) {
+	t.Helper()
+	ctx := context.Background()
+	for _, id := range c.Providers() {
+		p, _ := c.Provider(id)
+		infos, _, err := p.ListChunks(ctx, chunk.ID{}, 1024)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids := make([]chunk.ID, len(infos))
+		for i, ci := range infos {
+			ids[i] = ci.ID
+		}
+		if n, _, err := p.PurgeChunks(ctx, ids); err != nil || n != len(ids) {
+			t.Fatalf("%s: purge freed %d of %d chunks (%v): a lease outlived its writer", id, n, len(ids), err)
+		}
+	}
+}
+
+// --- every writer exit releases its protections ----------------------
+
+// TestLeaseWriterExitPaths: a writer holds its base version and leases
+// its flushed chunks until it can no longer publish, then releases both,
+// whichever way it ends — a Close that published, a Close after a failed
+// flush, an append whose ticket Close aborts, or a context that ends with
+// no Close at all. Afterwards no hold is left on the BLOB and a plain
+// provider purge frees every flushed chunk. Chunks go to both providers;
+// a failed flush is one whose second replica fails, so its first stays
+// behind, leased until the release.
+func TestLeaseWriterExitPaths(t *testing.T) {
+	base := append(bytes.Repeat([]byte{'a'}, 256), bytes.Repeat([]byte{'b'}, 256)...)
+	type exit func(t *testing.T, c *core.Cluster, seam *connSeam, blob uint64)
+
+	// flushed opens a writer at offset 256 over base v1, writes one
+	// slot and waits for its store to land.
+	flushed := func(ctx context.Context, t *testing.T, c *core.Cluster, blob uint64) *client.BlobWriter {
+		t.Helper()
+		b, err := c.Client("alice").Open(ctx, blob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w, err := b.NewWriter(ctx, 256)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := w.Write(bytes.Repeat([]byte{'w'}, 256)); err != nil {
+			t.Fatal(err)
+		}
+		waitFor(t, "background flush", func() bool { return totalChunks(c) == 6 })
+		if got := heldVersions(t, c, blob); len(got) != 1 || got[0] != 1 {
+			t.Fatalf("open writer holds %v, want [1]", got)
+		}
+		return w
+	}
+	cases := []struct {
+		name string
+		run  exit
+	}{
+		{"close-after-publish", func(t *testing.T, c *core.Cluster, _ *connSeam, blob uint64) {
+			w := flushed(context.Background(), t, c, blob)
+			if err := w.Close(); err != nil || w.Version() != 2 {
+				t.Fatalf("Close = %v, version %d", err, w.Version())
+			}
+		}},
+		{"close-after-failed-flush", func(t *testing.T, c *core.Cluster, seam *connSeam, blob uint64) {
+			w := flushed(context.Background(), t, c, blob)
+			seam.failStores.Store(true)
+			if _, err := w.Write(bytes.Repeat([]byte{'f'}, 256)); err != nil {
+				t.Fatal(err)
+			}
+			if err := w.Close(); err == nil {
+				t.Fatal("Close published over a failed flush")
+			}
+		}},
+		{"append-aborted", func(t *testing.T, c *core.Cluster, seam *connSeam, blob uint64) {
+			seam.failStores.Store(true)
+			if _, err := c.Client("alice").Append(context.Background(), blob, bytes.Repeat([]byte{'x'}, 256)); err == nil {
+				t.Fatal("Append published with a replica failing")
+			}
+			seam.failStores.Store(false)
+			// The aborted ticket keeps the chain moving: the next write
+			// publishes.
+			if v, err := c.Client("alice").Write(context.Background(), blob, 0, base); err != nil || v != 3 {
+				t.Fatalf("write after aborted append = v%d, %v", v, err)
+			}
+		}},
+		{"cancel-without-close", func(t *testing.T, c *core.Cluster, _ *connSeam, blob uint64) {
+			ctx, cancel := context.WithCancel(context.Background())
+			flushed(ctx, t, c, blob)
+			cancel()
+			waitFor(t, "release on cancel", func() bool { return len(heldVersions(t, c, blob)) == 0 })
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			opts, seam := seamed(core.Options{Providers: 2, Replicas: 2, Monitoring: false, GCGraceEpochs: -1}, false)
+			seam.failOn = "provider001"
+			c := newCluster(t, opts)
+			cl := c.Client("alice")
+			info, err := cl.Create(context.Background(), 256)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := cl.Write(context.Background(), info.ID, 0, base); err != nil {
+				t.Fatal(err)
+			}
+			tc.run(t, c, seam, info.ID)
+			if got := heldVersions(t, c, info.ID); len(got) != 0 {
+				t.Fatalf("holds left after the writer ended: %v", got)
+			}
+			purgeAll(t, c)
+		})
+	}
+}
+
+// --- cancel racing Close ----------------------------------------------
+
+// TestLeaseCancelRacesClose hammers the one window where the two release
+// paths meet: a stale upload (two sweeps between its flush and its Close,
+// no grace window) whose context is cancelled while Close runs. A cancel
+// that lands before Close has begun aborts the write; one that lands
+// after Close has begun must not release anything before Publish
+// returns. Either way the protections are released exactly once: a
+// reader's pin on the same base survives the race. Every Close that
+// returns nil reads back intact after further sweeps.
+func TestLeaseCancelRacesClose(t *testing.T) {
+	c := newCluster(t, core.Options{Providers: 2, Monitoring: false, GCGraceEpochs: -1})
+	cl := c.Client("alice")
+	ctx := context.Background()
+	base := bytes.Repeat([]byte{'b'}, 512)
+	published := 0
+	for i := 0; i < 24; i++ {
+		info, err := cl.Create(ctx, 256)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := cl.Write(ctx, info.ID, 0, base); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.GC.Pin(info.ID, 1); err != nil {
+			t.Fatal(err)
+		}
+		wctx, cancel := context.WithCancel(ctx)
+		b, err := cl.Open(wctx, info.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Offset 128: both slots are partial and merge against the held
+		// base; the first flushes now, the second at Close.
+		w, err := b.NewWriter(wctx, 128)
+		if err != nil {
+			t.Fatal(err)
+		}
+		payload := bytes.Repeat([]byte{byte('c' + i)}, 256) // distinct per round
+		if _, err := w.Write(payload); err != nil {
+			t.Fatal(err)
+		}
+		slot0 := chunk.Sum(append(append([]byte{}, base[:128]...), payload[:128]...))
+		waitFor(t, "background flush", func() bool {
+			for _, id := range c.Providers() {
+				if p, _ := c.Provider(id); p.Has(slot0) {
+					return true
+				}
+			}
+			return false
+		})
+		for s := 0; s < 2; s++ {
+			if _, err := c.GC.Sweep(ctx, false); err != nil {
+				t.Fatal(err)
+			}
+		}
+
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			if i%3 != 0 {
+				time.Sleep(time.Duration(i%5) * 20 * time.Microsecond)
+			}
+			cancel()
+		}()
+		cerr := w.Close()
+		<-done
+
+		if got := heldVersions(t, c, info.ID); len(got) != 1 || got[0] != 1 {
+			t.Fatalf("round %d: holds after the race = %v, want the reader's [1] alone", i, got)
+		}
+		c.GC.Unpin(info.ID, 1)
+		for s := 0; s < 2; s++ {
+			if _, err := c.GC.Sweep(ctx, false); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if cerr != nil {
+			if v, err := cl.Latest(info.ID); err != nil || v != 1 {
+				t.Fatalf("round %d: failed Close (%v) left latest v%d (%v)", i, cerr, v, err)
+			}
+			continue
+		}
+		published++
+		want := append(append(append([]byte{}, base[:128]...), payload...), base[384:]...)
+		if got, err := cl.Read(ctx, info.ID, 0, 0, 512); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("round %d: Close returned nil but the read back is %v", i, err)
+		}
+	}
+	t.Logf("%d of 24 Closes published", published)
+
+	for _, id := range c.VM.Blobs() {
+		if err := c.GC.DeleteBlob(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitFor(t, "convergence", func() bool {
+		if _, err := c.GC.Sweep(ctx, false); err != nil {
+			t.Fatal(err)
+		}
+		return totalChunks(c) == 0 && c.VM.MetaStore().Len() == 0
+	})
+}
+
+// --- a cancel during Publish releases nothing early ---------------------
+
+// TestLeaseOutlivesCancelDuringPublish pins the invariant the race above
+// samples, deterministically: the writer's context is cancelled after
+// Close has assigned its version and before it publishes (hooked at the
+// version manager's assign record), and a full pass runs right there.
+// That pass cannot see the version yet, and the upload is stale, so only
+// the chunk lease keeps the flushed chunk; Close must still hold it, and
+// the version it publishes must read back.
+func TestLeaseOutlivesCancelDuringPublish(t *testing.T) {
+	opts, seam := seamed(core.Options{
+		Providers: 1, Monitoring: true, AgentBatch: 1, GCGraceEpochs: -1,
+	}, false)
+	c := newCluster(t, opts)
+	cl := c.Client("alice")
+	ctx := context.Background()
+	info, err := cl.Create(ctx, 256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wctx, cancel := context.WithCancel(ctx)
+	defer cancel()
 	b, err := cl.Open(wctx, info.ID)
 	if err != nil {
 		t.Fatal(err)
@@ -414,40 +776,51 @@ func TestLeaseExpiryReapedBySweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := w.Write(bytes.Repeat([]byte{'d'}, 256)); err != nil {
+	payload := bytes.Repeat([]byte{'p'}, 256)
+	if _, err := w.Write(payload); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, "background flush", func() bool { return totalChunks(c) == 1 })
-	// The writer crashes: context dies, Close never runs.
-	cancel()
-
-	ctx := context.Background()
-	rep, err := c.GC.Sweep(ctx, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Swept != 0 || totalChunks(c) != 1 {
-		t.Fatalf("sweep before expiry = %+v, want the leased chunk kept", rep)
-	}
-
-	advance(time.Hour) // far past the default 30s TTL
-	rep, err = c.GC.Sweep(ctx, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.LeasesReaped == 0 {
-		t.Fatalf("sweep after expiry = %+v, want expired leases reaped", rep)
-	}
-	if st := c.GC.Stats(); st.ActiveLeases != 0 || st.ReapedLeases == 0 {
-		t.Fatalf("stats after reap = %+v", st)
-	}
-	// The reaped lease protects nothing: the next pass reclaims.
-	waitFor(t, "abandoned chunks reclaimed", func() bool {
+	for i := 0; i < 2; i++ {
 		if _, err := c.GC.Sweep(ctx, false); err != nil {
 			t.Fatal(err)
 		}
-		return totalChunks(c) == 0
-	})
+	}
+
+	var armed atomic.Bool
+	var hooked gc.SweepReport
+	armed.Store(true)
+	c.Mesh.Subscribe(monitor.SubscriberFunc(func(rs []monitor.Record) {
+		for _, r := range rs {
+			if r.Node != "vmanager" || r.Param != string(instrument.OpAssign) || r.Blob != info.ID || !armed.CompareAndSwap(true, false) {
+				continue
+			}
+			cancel()
+			// Give a release the cancel might (wrongly) trigger time to
+			// reach the provider before the pass purges.
+			deadline := time.Now().Add(100 * time.Millisecond)
+			for seam.releases.Load() == 0 && time.Now().Before(deadline) {
+				time.Sleep(time.Millisecond)
+			}
+			rep, err := c.GC.Sweep(ctx, false)
+			if err != nil {
+				t.Error(err)
+			}
+			hooked = rep
+		}
+	}))
+	if err := w.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	if armed.Load() {
+		t.Fatal("the assign hook never ran")
+	}
+	if hooked.Swept != 0 {
+		t.Fatalf("pass during Publish = %+v: it purged the writer's chunk", hooked)
+	}
+	if got, err := cl.Read(ctx, info.ID, 0, 0, 256); err != nil || !bytes.Equal(got, payload) {
+		t.Fatalf("read after a cancel during Publish: %v", err)
+	}
 }
 
 // --- convergence hammer ----------------------------------------------
@@ -456,15 +829,14 @@ func TestLeaseExpiryReapedBySweep(t *testing.T) {
 // failing, and crashing mid-stream — against concurrent sweeps and
 // retention under fault injection, with the grace window disabled so
 // leases are the only in-flight protection. Once the faults stop and
-// every blob is deleted, sweeps must converge providers, metadata and
-// the lease table to exactly zero.
+// every blob is deleted, sweeps must converge providers and metadata to
+// exactly zero.
 func TestLeaseHammerConvergence(t *testing.T) {
 	inj := storetest.NewInjector(42, 0.15)
 	base := storetest.Factory(t)
 	c := newCluster(t, core.Options{
 		Providers: 3, Monitoring: false, GCGraceEpochs: -1,
-		Clock:          time.Now,
-		WriterLeaseTTL: 150 * time.Millisecond,
+		Clock: time.Now,
 		ProviderStore: func(id string) provider.Store {
 			var inner provider.Store
 			if base != nil {
@@ -525,8 +897,8 @@ func TestLeaseHammerConvergence(t *testing.T) {
 						return
 					}
 					if (wi+i)%3 == 0 {
-						// Crash mid-stream: the lease leaks until its
-						// TTL lapses and a sweep reaps it.
+						// Crash mid-stream: the ended context releases
+						// the writer's protections with no Close.
 						cancel()
 						return
 					}
@@ -546,14 +918,16 @@ func TestLeaseHammerConvergence(t *testing.T) {
 	close(stop)
 	sweeps.Wait()
 
-	// Faults off, leases expiring: everything must converge to zero.
+	// Faults off: everything must converge to zero. No lease may
+	// outlive its writer — a chunk lease left behind would keep its
+	// chunk for the provider's 30 s TTL, far past this wait, and a base
+	// hold would keep its deleted BLOB from being forgotten.
 	inj.SetEnabled(false)
 	waitFor(t, "leased cluster convergence", func() bool {
 		if _, err := c.GC.Sweep(ctx, false); err != nil {
 			t.Fatal(err)
 		}
-		st := c.GC.Stats()
 		return totalChunks(c) == 0 && c.VM.MetaStore().Len() == 0 &&
-			len(c.VM.DeletedBlobs()) == 0 && st.ActiveLeases == 0
+			len(c.VM.DeletedBlobs()) == 0
 	})
 }

@@ -11,8 +11,6 @@ import "blobseer/internal/metrics"
 //	blobseer_gc_swept_bytes_total         counter  payload bytes reclaimed by sweeps
 //	blobseer_gc_swept_nodes_total         counter  metadata-tree nodes reclaimed
 //	blobseer_gc_retired_versions_total    counter  versions retired by retention
-//	blobseer_gc_leases_active             gauge    writer leases currently registered
-//	blobseer_gc_leases_reaped_total       counter  expired lease records reaped by sweeps
 //	blobseer_gc_mark_blobs_total{result=...}  counter  BLOBs marked: walked | reused (from the per-BLOB cache)
 //	blobseer_gc_mark_node_reads_total     counter  tree nodes read by mark walks
 //	blobseer_gc_phase_seconds{phase=...}  hist     mark | sweep | node_sweep | retention
@@ -34,10 +32,6 @@ func WithMetrics(reg *metrics.Registry) Option {
 			"Metadata-tree nodes reclaimed by mark-and-sweep passes.").With()
 		m.retiredVers = reg.Counter("blobseer_gc_retired_versions_total",
 			"Versions retired by retention enforcement.").With()
-		m.leasesActive = reg.Gauge("blobseer_gc_leases_active",
-			"Writer leases currently registered with the lifecycle manager.").With()
-		m.leasesReaped = reg.Counter("blobseer_gc_leases_reaped_total",
-			"Expired writer-lease records of the lifecycle manager reaped by sweep passes.").With()
 		marked := reg.Counter("blobseer_gc_mark_blobs_total",
 			"BLOBs marked by mark phases, by whether the tree was walked or the cached mark reused.", "result")
 		m.markWalked = marked.With("walked")

@@ -41,8 +41,6 @@ var prometheusSurface = []string{
 	"blobseer_disk_read_seconds histogram process",
 	"blobseer_disk_recovery_seconds gauge process",
 	"blobseer_disk_segments gauge process",
-	"blobseer_gc_leases_active gauge process",
-	"blobseer_gc_leases_reaped_total counter process",
 	"blobseer_gc_mark_blobs_total counter process,result",
 	"blobseer_gc_mark_node_reads_total counter process",
 	"blobseer_gc_phase_seconds histogram phase,process",

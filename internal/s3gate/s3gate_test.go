@@ -1017,18 +1017,12 @@ func TestAbandonedPutDrainsLeases(t *testing.T) {
 		}
 	}
 
-	// Abandon released the lease synchronously with the handler; the
-	// handler may still be finishing when Do returns, so poll briefly.
+	// Abandon released the lease synchronously with the handler, but
+	// the handler may still be finishing when Do returns. Nothing
+	// published, nothing leased: sweeps reclaim every flushed chunk
+	// without any TTL wait — a chunk lease left behind would hold its
+	// chunk for the provider's whole TTL and fail the deadline.
 	deadline := time.Now().Add(5 * time.Second)
-	for cluster.GC.Stats().ActiveLeases != 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("abandoned PUT left %d leases registered", cluster.GC.Stats().ActiveLeases)
-		}
-		time.Sleep(time.Millisecond)
-	}
-
-	// Nothing published, nothing leased: sweeps reclaim every flushed
-	// chunk without any TTL wait.
 	ctx := context.Background()
 	for time.Now().Before(deadline) {
 		if _, err := cluster.GC.Sweep(ctx, false); err != nil {
