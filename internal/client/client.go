@@ -32,6 +32,7 @@ var (
 	ErrUnavailable = errors.New("client: all replicas unavailable")
 	ErrShortRead   = errors.New("client: range extends past blob size")
 	ErrClosed      = errors.New("client: stream is closed")
+	errCorrupt     = errors.New("client: fetched bytes do not match the chunk ID")
 )
 
 // Conn is the client's view of one data provider. Transfers are
@@ -122,6 +123,7 @@ type Client struct {
 	prefetch int                          // chunks a BlobReader keeps in flight (window)
 	quorum   int                          // successful replica stores required per chunk (0 = all)
 	healthy  func(providerID string) bool // nil = all replicas equal
+	cache    *ChunkCache                  // nil = every fetch goes to a provider
 }
 
 // Option configures a Client.
@@ -484,6 +486,7 @@ func (c *Client) storeSlot(ctx context.Context, blob uint64, chunkSize, start in
 		// sweep frees them once they clear the grace window.
 		return 0, chunk.Desc{}, fmt.Errorf("chunk %d: %w", idx, err)
 	}
+	c.cache.put(id, data) // write-through: id was hashed from these bytes
 	return idx, chunk.Desc{ID: id, Size: int64(len(data)), Providers: stored}, nil
 }
 
@@ -532,11 +535,23 @@ func (c *Client) baseSlot(ctx context.Context, blob uint64, chunkSize, idx int64
 // fails, the error wraps ErrUnavailable and each replica's own cause, so
 // errors.Is sees why (a stopped provider, an open circuit). The returned
 // buffer is the caller's (Conn.Fetch's contract): readers donate it back
-// to the chunk pool once consumed.
+// to the chunk pool once consumed. A cached chunk skips the providers.
 func (c *Client) fetchReplica(ctx context.Context, d chunk.Desc) ([]byte, error) {
 	var start time.Time
 	if c.m != nil {
 		start = c.now()
+	}
+	if data, ok := c.cache.get(ctx, d); ok {
+		if c.m != nil {
+			c.m.observe(c.m.fetchCache, c.now().Sub(start))
+		}
+		return data, nil
+	}
+	// A whole small chunk is admitted once it hashes to its ID, or fails.
+	admit := c.cache != nil && d.Size <= ChunkCacheMaxChunk
+	if admit {
+		_, n := chunk.RangeFrom(ctx)
+		admit = n == 0
 	}
 	var errs []error
 	for _, pid := range c.orderByHealth(d.Providers) {
@@ -546,7 +561,14 @@ func (c *Client) fetchReplica(ctx context.Context, d chunk.Desc) ([]byte, error)
 		conn, err := c.dir.Lookup(ctx, pid)
 		if err == nil {
 			var data []byte
-			if data, err = conn.Fetch(ctx, c.user, d.ID); err == nil {
+			if data, err = conn.Fetch(ctx, c.user, d.ID); err == nil && admit && chunk.Sum(data) != d.ID {
+				chunk.PutBuf(data)
+				err = errCorrupt
+			}
+			if err == nil {
+				if admit {
+					c.cache.put(d.ID, data)
+				}
 				c.observeFetch(start, len(errs) > 0)
 				return data, nil
 			}

@@ -15,6 +15,7 @@ type pathMetrics struct {
 	fetchSerial   *metrics.Histogram // chunk served by the primary replica
 	fetchFailover *metrics.Histogram // chunk served after ≥1 replica failed
 	fetchErr      *metrics.Histogram // all replicas failed
+	fetchCache    *metrics.Histogram // chunk served by the chunk cache
 	storeOK       *metrics.Histogram
 	storeErr      *metrics.Histogram
 	quorumWait    *metrics.Histogram
@@ -26,7 +27,7 @@ type pathMetrics struct {
 
 func newPathMetrics(reg *metrics.Registry) *pathMetrics {
 	fetch := reg.Histogram("blobseer_client_chunk_fetch_seconds",
-		"Chunk fetch latency by outcome: serial (primary replica), failover (a later replica), error (all replicas failed).",
+		"Chunk fetch latency by outcome: serial (primary replica), failover (a later replica), error (all replicas failed), cache (the chunk cache).",
 		metrics.DurationBuckets, "outcome")
 	store := reg.Histogram("blobseer_client_chunk_store_seconds",
 		"Chunk replica fan-out latency by outcome (quorum reached or not).",
@@ -35,6 +36,7 @@ func newPathMetrics(reg *metrics.Registry) *pathMetrics {
 		fetchSerial:   fetch.With("serial"),
 		fetchFailover: fetch.With("failover"),
 		fetchErr:      fetch.With("error"),
+		fetchCache:    fetch.With("cache"),
 		storeOK:       store.With("ok"),
 		storeErr:      store.With("error"),
 		quorumWait: reg.Histogram("blobseer_client_quorum_wait_seconds",

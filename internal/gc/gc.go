@@ -80,6 +80,7 @@ type VersionManager interface {
 	Blobs() []uint64
 	DeletedBlobs() []uint64
 	Versions(blob uint64) ([]vmanager.VersionMeta, error)
+	QueuedChunks() []chunk.ID
 	Tree(blob uint64) (*blobmeta.Tree, error)
 	HeldVersions(blob uint64) (*blobmeta.Tree, []vmanager.VersionMeta, error)
 	Delete(blob uint64) error

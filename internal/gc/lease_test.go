@@ -931,3 +931,39 @@ func TestLeaseHammerConvergence(t *testing.T) {
 			len(c.VM.DeletedBlobs()) == 0
 	})
 }
+
+// TestQueuedPublicationSurvivesSweeps: a version whose predecessor ticket
+// is still in flight is only queued when its writer's Publish returns, and
+// the writer then releases its chunk leases. Its chunks are referenced by
+// no published version yet, so the mark must take them from the version
+// manager's queue: after the grace window has run out, the predecessor's
+// abort publishes the version and it reads back intact.
+func TestQueuedPublicationSurvivesSweeps(t *testing.T) {
+	c := newCluster(t, core.Options{Providers: 2, Monitoring: false}) // default grace: 1 epoch
+	cl := c.Client("alice")
+	ctx := context.Background()
+	info, err := cl.Create(ctx, 256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v1, err := c.VM.AssignAppend(info.ID, "alice", 256) // left in flight
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := bytes.Repeat([]byte{'q'}, 256)
+	v2, err := cl.Append(ctx, info.ID, payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if _, err := c.GC.Sweep(ctx, false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.VM.Abort(info.ID, v1.Version); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := cl.Read(ctx, info.ID, v2, 256, 256); err != nil || !bytes.Equal(got, payload) {
+		t.Fatalf("read of the queued v%d after three sweeps: %v", v2, err)
+	}
+}

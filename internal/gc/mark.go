@@ -177,7 +177,8 @@ func (m *Manager) markBlob(ctx context.Context, blob uint64, wk *markWorker) err
 	return nil
 }
 
-// mark enumerates everything that must survive the sweep: the chunk IDs
+// mark enumerates everything that must survive the sweep: the chunks of
+// publications queued behind an in-flight predecessor, the chunk IDs
 // reachable from the retained versions of live BLOBs — including
 // descriptors republished by self-optimization repairs, which appear as
 // ordinary versions, and pinned versions, which their pins hold in the
@@ -187,6 +188,8 @@ func (m *Manager) markBlob(ctx context.Context, blob uint64, wk *markWorker) err
 // prune set is worker-local. The per-BLOB cache is replaced only once
 // every walk has completed: an aborted pass leaves it as it was.
 func (m *Manager) mark(ctx context.Context) (*markSet, error) {
+	// Before any walk: a version queued now is walked if it publishes.
+	queued := m.vm.QueuedChunks()
 	blobs := m.vm.Blobs()
 	workers := m.markWorkers
 	if workers > len(blobs) {
@@ -262,7 +265,10 @@ feed:
 			nChunks += len(w.chunks)
 		}
 	}
-	ms.chunks = make(map[chunk.ID]bool, nChunks)
+	ms.chunks = make(map[chunk.ID]bool, nChunks+len(queued))
+	for _, id := range queued {
+		ms.chunks[id] = true
+	}
 	for _, e := range next {
 		for _, id := range e.chunks {
 			ms.chunks[id] = true

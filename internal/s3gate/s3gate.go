@@ -136,6 +136,8 @@ func New(cluster *core.Cluster, opts ...Option) *Gateway {
 	for _, o := range opts {
 		o(g)
 	}
+	// One chunk cache shared by every user's client (client.ChunkCache).
+	g.clOpts = append(g.clOpts, client.WithChunkCache(new(client.ChunkCache)))
 	// Inherit the cluster's registry unless WithMetrics overrode it, so a
 	// metrics-enabled cluster gets an instrumented gateway for free.
 	if g.m == nil {

@@ -1192,3 +1192,43 @@ func TestFetchBytesPerRequest(t *testing.T) {
 		}
 	}
 }
+
+// TestGatewayChunkCache: the gateway's chunk cache serves a GET right
+// after the PUT of a small object without reaching a provider, while the
+// chunks of a large object are all fetched from the providers.
+func TestGatewayChunkCache(t *testing.T) {
+	cluster, err := core.NewCluster(core.Options{Providers: 3, Monitoring: false})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(New(cluster, WithChunkSize(1<<20)))
+	t.Cleanup(srv.Close)
+	fetches := func() (n int64) {
+		for _, id := range cluster.Providers() {
+			p, _ := cluster.Provider(id)
+			n += p.Stats().Fetches
+		}
+		return n
+	}
+	do(t, http.MethodPut, srv.URL+"/b", nil)
+	for _, c := range []struct {
+		key     string
+		size    int
+		fetched int64
+	}{
+		{"small", 16 << 10, 0},
+		{"large", 8 << 20, 8},
+	} {
+		body := bytes.Repeat([]byte(c.key), c.size/len(c.key)+1)[:c.size]
+		do(t, http.MethodPut, srv.URL+"/b/"+c.key, body)
+		before := fetches()
+		resp := do(t, http.MethodGet, srv.URL+"/b/"+c.key, nil)
+		got, err := io.ReadAll(resp.Body)
+		if err != nil || !bytes.Equal(got, body) {
+			t.Fatalf("GET %s: %d bytes, %v", c.key, len(got), err)
+		}
+		if n := fetches() - before; n != c.fetched {
+			t.Errorf("GET %s reached the providers %d times, want %d", c.key, n, c.fetched)
+		}
+	}
+}

@@ -430,6 +430,22 @@ func (m *Manager) Versions(blob uint64) ([]VersionMeta, error) {
 	return out, nil
 }
 
+// QueuedChunks returns, read under one lock, the chunk IDs of every
+// publication queued behind an unpublished predecessor.
+func (m *Manager) QueuedChunks() []chunk.ID {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	var out []chunk.ID
+	for _, st := range m.blobs {
+		for _, pub := range st.queued {
+			for _, d := range pub.writes {
+				out = append(out, d.ID)
+			}
+		}
+	}
+	return out
+}
+
 // PendingCount returns the number of assigned-but-unpublished versions
 // (a health signal for the monitoring layer).
 func (m *Manager) PendingCount(blob uint64) (int, error) {
