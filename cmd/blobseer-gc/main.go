@@ -34,7 +34,7 @@ import (
 
 func main() {
 	var (
-		dryRun    = flag.Bool("dry-run", false, "demo: classify sweepable chunks without removing them (a chunk a live writer lease holds past its grace window counts as sweepable: only a real purge checks leases)")
+		dryRun    = flag.Bool("dry-run", false, "demo: classify sweepable chunks without removing them (every unmarked chunk counts as sweepable: only a real purge checks leases)")
 		providers = flag.Int("providers", 4, "data providers in the cluster")
 		run       = flag.Duration("run", 0, "runner mode: loop retention+sweep passes at this interval until interrupted (0 = off)")
 		metricsL  = flag.String("metrics-listen", "", "runner mode: HTTP listen address for GET /metrics (empty = no endpoint)")
@@ -134,7 +134,7 @@ func runRunner(providers int, interval time.Duration, metricsListen string) erro
 // each stage's report.
 func runDemo(providers int, dryRun bool) error {
 	c, err := core.NewCluster(core.Options{
-		Providers: providers, Monitoring: false, GCGraceEpochs: -1,
+		Providers: providers, Monitoring: false,
 	})
 	if err != nil {
 		return err
@@ -212,8 +212,8 @@ func demoSweep(ctx context.Context, c *core.Cluster, label string, dryRun bool) 
 	if err != nil {
 		return err
 	}
-	fmt.Printf("%s: %d providers, scanned %d, live %d, in-grace %d, swept %d (%d bytes)\n",
-		label, rep.Providers, rep.Scanned, rep.Live, rep.InGrace, rep.Swept, rep.SweptBytes)
+	fmt.Printf("%s: %d providers, scanned %d, live %d, swept %d (%d bytes)\n",
+		label, rep.Providers, rep.Scanned, rep.Live, rep.Swept, rep.SweptBytes)
 	fmt.Printf("%s nodes: scanned %d, live %d, kept %d, swept %d (metadata store holds %d); blobs walked %d, reused %d\n",
 		label, rep.NodesScanned, rep.NodesLive, rep.NodesKept, rep.NodesSwept, c.VM.MetaStore().Len(), rep.BlobsWalked, rep.BlobsReused)
 	return nil

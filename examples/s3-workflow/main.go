@@ -52,7 +52,8 @@ func main() {
 	must(call("DELETE", srv.URL, "/photos/cat.jpg", nil))
 	must(call("DELETE", srv.URL, "/photos", nil))
 	// A delete only marks the object's BLOB deleted: the lifecycle sweep
-	// frees its chunks once they clear the grace window (one pass).
+	// frees its chunks at the second pass after the upload, once the
+	// writer's released chunk leases have retired.
 	swept := 0
 	for pass := 0; pass < 2; pass++ {
 		rep, err := cluster.GC.Sweep(context.Background(), false)

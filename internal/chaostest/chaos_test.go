@@ -95,8 +95,8 @@ func TestPartitionDegradedOperation(t *testing.T) {
 	reg := metrics.NewRegistry()
 	c := newCluster(t, core.Options{
 		Providers: 4, Replicas: 3, WriteQuorum: 2,
-		Monitoring: false, GCGraceEpochs: -1,
-		Metrics: reg,
+		Monitoring: false,
+		Metrics:    reg,
 		Fault: &faultdom.Config{
 			CallTimeout:      callTO,
 			Retry:            faultdom.RetryPolicy{MaxAttempts: 1}, // fail over, don't retry in place
@@ -203,8 +203,8 @@ func TestFlakyRetriesAndMetrics(t *testing.T) {
 	reg := metrics.NewRegistry()
 	c := newCluster(t, core.Options{
 		Providers: 3, Replicas: 2, WriteQuorum: 1,
-		Monitoring: false, GCGraceEpochs: -1,
-		Metrics: reg,
+		Monitoring: false,
+		Metrics:    reg,
 		Fault: &faultdom.Config{
 			CallTimeout:      time.Second,
 			Retry:            faultdom.RetryPolicy{MaxAttempts: 6, BaseDelay: time.Millisecond, MaxDelay: 4 * time.Millisecond},

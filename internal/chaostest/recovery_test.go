@@ -30,7 +30,7 @@ func TestCrashRestartRecovery(t *testing.T) {
 	var crash *storetest.CrashStore
 	c := newCluster(t, core.Options{
 		Providers: 3, Replicas: 2, WriteQuorum: 1,
-		Monitoring: false, GCGraceEpochs: -1,
+		Monitoring: false,
 		Fault: &faultdom.Config{
 			CallTimeout:      500 * time.Millisecond,
 			Retry:            faultdom.RetryPolicy{MaxAttempts: 2, BaseDelay: time.Millisecond},
@@ -103,7 +103,7 @@ func TestQuorumFailureSurfacesRetryable503(t *testing.T) {
 	})
 	c := newCluster(t, core.Options{
 		Providers: 3, Replicas: 2, WriteQuorum: 2,
-		Monitoring: false, GCGraceEpochs: -1,
+		Monitoring: false,
 		Fault: &faultdom.Config{
 			CallTimeout:      200 * time.Millisecond,
 			Retry:            faultdom.RetryPolicy{MaxAttempts: 2, BaseDelay: time.Millisecond},

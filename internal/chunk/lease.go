@@ -2,6 +2,9 @@ package chunk
 
 import (
 	"context"
+	"crypto/rand"
+	"encoding/hex"
+	"fmt"
 	"time"
 )
 
@@ -15,6 +18,17 @@ import (
 type Lease struct {
 	ID  string
 	TTL time.Duration
+}
+
+// NewLeaseID mints a chunk-lease ID, for a writer or a replica repair.
+// Randomness makes IDs unique across processes, so the writers of two
+// gateways never share a lease at a provider both use.
+func NewLeaseID() (string, error) {
+	var b [12]byte
+	if _, err := rand.Read(b[:]); err != nil {
+		return "", fmt.Errorf("chunk: mint lease id: %w", err)
+	}
+	return "wl-" + hex.EncodeToString(b[:]), nil
 }
 
 type leaseKey struct{}

@@ -9,10 +9,8 @@ package client
 
 import (
 	"context"
-	"crypto/rand"
 	"crypto/sha256"
 	"encoding/binary"
-	"encoding/hex"
 	"fmt"
 	"io"
 	"sort"
@@ -569,7 +567,7 @@ func (c *Client) newWriter(ctx context.Context, blob uint64, chunkSize, offset i
 // the goroutine that heartbeats the lease and releases both if the
 // context ends before Close begins.
 func (w *BlobWriter) protect() error {
-	id, err := newLeaseID()
+	id, err := chunk.NewLeaseID()
 	if err != nil {
 		return err
 	}
@@ -581,17 +579,6 @@ func (w *BlobWriter) protect() error {
 	w.lease = &leaseRef{Lease: chunk.Lease{ID: id}, provs: make(map[string]struct{})}
 	go w.watch()
 	return nil
-}
-
-// newLeaseID mints a chunk-lease ID. Randomness makes IDs unique across
-// processes, so the writers of two gateways never share a lease at a
-// provider both use.
-func newLeaseID() (string, error) {
-	var b [12]byte
-	if _, err := rand.Read(b[:]); err != nil {
-		return "", fmt.Errorf("client: mint lease id: %w", err)
-	}
-	return "wl-" + hex.EncodeToString(b[:]), nil
 }
 
 // watch renews the writer's chunk leases at every provider touched so
@@ -873,7 +860,7 @@ func (w *BlobWriter) flushCur() {
 		if err != nil {
 			// A quorum failure may still have landed some replicas: no
 			// version references them, so the sweep takes them once
-			// they clear the grace window.
+			// the writer's chunk lease is gone.
 			if w.err == nil {
 				w.err = err
 				w.cancel()

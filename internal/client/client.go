@@ -55,8 +55,8 @@ var (
 // before the provider has applied it (the wire sends it one-way) but is
 // applied before any later call on the same conn. A Conn that wraps
 // another forwards the Store ctx and both calls — a wrapper that
-// swallowed them would leave the writers behind it with the grace window
-// as their only protection.
+// swallowed them would leave the writers behind it with no protection
+// against the sweep.
 //
 // Byte ranges: a Fetch whose ctx carries a range (chunk.WithRange)
 // returns only those bytes of the chunk, clamped to it. A wrapper forwards
@@ -483,7 +483,7 @@ func (c *Client) storeSlot(ctx context.Context, blob uint64, chunkSize, start in
 	stored, err := c.storeReplicas(ctx, id, data, targets, lease)
 	if err != nil {
 		// The replicas that did land are referenced by no version: the
-		// sweep frees them once they clear the grace window.
+		// sweep frees them once the writer's chunk lease is gone.
 		return 0, chunk.Desc{}, fmt.Errorf("chunk %d: %w", idx, err)
 	}
 	c.cache.put(id, data) // write-through: id was hashed from these bytes

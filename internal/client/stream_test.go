@@ -491,8 +491,8 @@ func (b *bed) storedOn(id chunk.ID) []string {
 
 // TestAbortedCloseLeavesFlushedChunksForSweep cancels a writer after its slots
 // flushed: Close must not publish, and the flushed chunks stay on their
-// providers, referenced by no version — the sweep's to free once they
-// clear its grace window. The writer frees nothing itself.
+// providers, referenced by no version — the sweep's to free once the
+// writer's chunk lease is gone. The writer frees nothing itself.
 func TestAbortedCloseLeavesFlushedChunksForSweep(t *testing.T) {
 	b := newBed(t, 2)
 	c := b.client("alice")

@@ -47,16 +47,15 @@ const (
 // Options configures a Cluster. The zero value is usable: NewCluster
 // fills defaults.
 type Options struct {
-	Providers     int    // data providers (default 4)
-	Replicas      int    // chunk replication degree for clients (default 1)
-	WriteQuorum   int    // replica stores required per chunk (0 = all replicas)
-	PolicySource  string // policy DSL ("" = policy.DefaultCatalog)
-	Monitoring    bool   // attach the introspection stack (default true via NewCluster)
-	AgentBatch    int    // monitoring agent batch size (default 32)
-	Clock         func() time.Time
-	Elasticity    *selfconfig.Config // enable the elasticity controller
-	BaseDegree    int                // replication maintenance target (default = Replicas)
-	GCGraceEpochs int                // sweep write-in-progress grace window (0 = default 1, -1 = none)
+	Providers    int    // data providers (default 4)
+	Replicas     int    // chunk replication degree for clients (default 1)
+	WriteQuorum  int    // replica stores required per chunk (0 = all replicas)
+	PolicySource string // policy DSL ("" = policy.DefaultCatalog)
+	Monitoring   bool   // attach the introspection stack (default true via NewCluster)
+	AgentBatch   int    // monitoring agent batch size (default 32)
+	Clock        func() time.Time
+	Elasticity   *selfconfig.Config // enable the elasticity controller
+	BaseDegree   int                // replication maintenance target (default = Replicas)
 	// ProviderStore mints the backing chunk store for each new provider
 	// (nil, or a nil return, = the in-memory MemStore). It is the seam
 	// for disk-backed stores and for fault/latency injection in tests.
@@ -199,15 +198,7 @@ func NewCluster(opts Options) (*Cluster, error) {
 
 	// Storage lifecycle: every deletion routes through it, every reader
 	// pins through it.
-	grace := 1
-	switch {
-	case opts.GCGraceEpochs > 0:
-		grace = opts.GCGraceEpochs
-	case opts.GCGraceEpochs < 0:
-		grace = 0
-	}
 	c.GC = gc.New(c.VM, pool{c},
-		gc.WithGraceEpochs(grace),
 		gc.WithEmitter(c.AgentFor("gc")),
 		gc.WithClock(c.now),
 		gc.WithMetrics(opts.Metrics))

@@ -284,8 +284,8 @@ func TestClusterReaperIntegration(t *testing.T) {
 	}
 	c.Tick(now) // the write reaches the introspector's access stats
 	// NewReaper routes deletions through the lifecycle manager: the
-	// delete only marks the blob, and the sweep passes the grace window
-	// implies reclaim its chunks.
+	// delete only marks the blob, and the sweep passes that retire its
+	// writer's released chunk lease reclaim its chunks.
 	reaper := c.NewReaper(selfopt.TTLStrategy{In: c.Intro, TTL: time.Minute})
 	removed, err := reaper.Run(ctx, now.Add(time.Hour))
 	if err != nil {

@@ -691,8 +691,8 @@ func (s *DiskStore) Epoch() uint64 { return s.epoch.Load() }
 // AdvanceEpoch implements provider.Store. The new epoch is
 // durable via a recEpoch record; if that append fails the advance still
 // holds in memory — after a crash the epoch falls back to the highest
-// tag on disk, which only widens the sweep grace window (the safe
-// direction: chunks look newer, never older).
+// tag on disk, which is safe: the provider's lease table, the one reader
+// of the epoch, does not survive a crash either.
 func (s *DiskStore) AdvanceEpoch() uint64 {
 	var e uint64
 	if _, err := s.commit(func() (record, []byte, error) {

@@ -14,34 +14,34 @@
 //     being marked live, so their exclusive chunks become sweep fodder
 //     instead of living forever.
 //
-//   - Sweep: an epoch-based mark-and-sweep pass, the only thing that
-//     frees a chunk. Mark walks the metadata trees of every retained
-//     version of every live BLOB (including descriptors republished by
-//     self-optimization repairs) plus the held versions of deleted
-//     BLOBs; sweep pages through each provider's chunk inventory and
-//     purges unreferenced keys wholesale. Deleting a BLOB only marks it
-//     deleted; its chunks go at the next passes. Chunks flushed by a
-//     still-unpublished (or abandoned) writer are protected by a
-//     sweep-epoch grace window: every provider's epoch is advanced
-//     after marking, and only unreferenced chunks whose Put-epoch tag is
-//     at least GraceEpochs windows old are reclaimed.
+//   - Sweep: a mark-and-sweep pass, the only thing that frees a chunk.
+//     Mark walks the metadata trees of every retained version of every
+//     live BLOB (including descriptors republished by self-optimization
+//     repairs) plus the held versions of deleted BLOBs; then every
+//     provider's epoch is advanced, and sweep pages through each
+//     provider's chunk inventory and purges unmarked chunks wholesale.
+//     Deleting a BLOB only marks it deleted; its unheld chunks go at the
+//     next pass.
 //
 //   - Writer protections: a BlobWriter holds its base version in the
 //     version manager (retention skips it, so the nodes a partial-slot
 //     merge reads stay marked) and files each flushed chunk under a
-//     per-provider chunk lease. The lifecycle manager keeps no record of
-//     either; the writer releases both once it can no longer publish (at
-//     Close, or when its context ends first). The sweep does not read the
-//     chunk leases: the provider's PurgeChunks skips a leased chunk at
-//     the moment of the purge, so an unpublished writer survives any
-//     number of sweep passes and a same-content re-put can never lose to
-//     the purge of an already-classified victim. A chunk lease whose
-//     release never reached its provider expires by that provider's
-//     clock (AdvanceEpoch drops it), so a partitioned or crashed writer
-//     cannot pin storage forever. The grace window above still covers
-//     what a lease cannot: a writer that publishes and releases between a
-//     pass's mark and its purge, as long as its chunks are younger than
-//     the window.
+//     per-provider chunk lease, the one write-in-progress protection.
+//     The lifecycle manager keeps no record of either; the writer
+//     releases both once it can no longer publish (at Close, or when its
+//     context ends first). The sweep does not read the chunk leases: the
+//     provider's PurgeChunks skips a leased chunk at the moment of the
+//     purge, so an unpublished writer survives any number of sweep passes
+//     and a same-content re-put can never lose to the purge of an
+//     already-classified victim. A released lease keeps protecting until
+//     its provider's epoch has advanced twice past the release. A pass
+//     marks, then advances, so a release at epoch r is seen by the mark
+//     of every pass that purges at epoch r+2 or later: a writer that
+//     publishes and releases between a pass's mark and its purge keeps
+//     its chunks until a mark has seen its version. This holds while one
+//     manager sweeps a provider. A chunk lease whose release never reached
+//     its provider expires by that provider's clock (AdvanceEpoch drops
+//     it), so a partitioned or crashed writer cannot pin storage forever.
 //
 // The mark phase runs at metadata speed: BLOBs fan out over a bounded
 // worker pool (WithMarkWorkers), and within a BLOB the walk is node
@@ -128,7 +128,6 @@ type SweepReport struct {
 	Failed     int   // providers that could not be listed or purged
 	Scanned    int   // chunks examined across all providers
 	Live       int   // chunks marked live (referenced by a retained or held version)
-	InGrace    int   // unreferenced chunks protected by the write-in-progress grace window
 	Swept      int   // unreferenced chunks reclaimed (counted, not removed, under DryRun)
 	SweptBytes int64 // payload bytes reclaimed
 
@@ -185,9 +184,8 @@ type Manager struct {
 	emit instrument.Emitter
 	now  func() time.Time
 
-	grace       uint64 // epochs of write-in-progress protection
-	batch       int    // Purge batch size
-	markWorkers int    // BLOBs marked concurrently per pass
+	batch       int // Purge batch size
+	markWorkers int // BLOBs marked concurrently per pass
 
 	mu   sync.Mutex
 	pins map[pinKey]int
@@ -239,20 +237,6 @@ func WithClock(now func() time.Time) Option {
 	}
 }
 
-// WithGraceEpochs sets how many whole sweep epochs an unreferenced chunk
-// is protected after its last Put (default 1). Grace 0 protects only
-// chunks stored after the pass advanced the epoch (which happens once
-// mark has succeeded); an unpublished writer that flushed before or
-// during the mark loses its chunks — use 0 only when no writers can be
-// in flight.
-func WithGraceEpochs(n int) Option {
-	return func(m *Manager) {
-		if n >= 0 {
-			m.grace = uint64(n)
-		}
-	}
-}
-
 const (
 	// pageSize is the inventory page size used when listing provider
 	// chunks and metadata nodes.
@@ -282,7 +266,6 @@ func New(vm VersionManager, prov Providers, opts ...Option) *Manager {
 		vm: vm, prov: prov,
 		emit:        instrument.Nop{},
 		now:         time.Now,
-		grace:       1,
 		batch:       256,
 		markWorkers: 8,
 		pins:        make(map[pinKey]int),
@@ -321,8 +304,8 @@ func New(vm VersionManager, prov Providers, opts ...Option) *Manager {
 // when the pin drains the version can only leave through RetireVersions,
 // which changes that list, so the next pass walks the BLOB again. On a
 // deleted BLOB the mark walks the held versions (see mark). A version
-// published after the mark read the list is covered by leases and the
-// grace window, as for any unpinned version.
+// published after the mark read the list is covered by its writer's
+// chunk leases, as for any unpinned version.
 func (m *Manager) Pin(blob, version uint64) error {
 	if err := m.vm.HoldVersion(blob, version); err != nil {
 		return err
@@ -357,9 +340,9 @@ func (m *Manager) Unpin(blob, version uint64) {
 // DeleteBlob deletes a BLOB through the lifecycle layer: the BLOB is
 // marked deleted in the version manager (new opens and pins fail), and
 // nothing is freed here. The sweep reclaims its chunks and tree nodes:
-// those of versions no reader holds at the first pass that finds them
-// past the grace window, the rest once the last pin drains. DeleteBlob
-// does no I/O, so it cannot be aborted part-way. Every layer (gateway, removal strategies, admin tools) must
+// those of versions no reader holds at the next pass, the rest once the
+// last pin drains. DeleteBlob does no I/O, so it cannot be aborted
+// part-way. Every layer (gateway, removal strategies, admin tools) must
 // route deletions here so liveness stays consistent.
 func (m *Manager) DeleteBlob(blob uint64) error {
 	if err := m.vm.Delete(blob); err != nil {
@@ -420,20 +403,21 @@ func (m *Manager) EnforceRetention(ctx context.Context, now time.Time) (Retentio
 
 // Sweep runs one mark-and-sweep pass, the only thing that frees chunks.
 // Mark enumerates the descriptors of every retained version of every
-// live BLOB plus the held versions of deleted BLOBs; sweep advances
-// every provider's epoch, pages
-// through its chunk inventory and purges unreferenced chunks old enough
-// to clear the grace window. Providers are paged and purged concurrently
-// (at most sweepWorkers at a time), so wall-clock sweep time tracks the
-// slowest provider, not the sum. Under dryRun chunks are classified and
-// counted but nothing is removed; since only a provider's purge checks
-// writer leases, a dry-run counts a chunk that a live lease holds past
-// its grace window as reclaimable.
+// live BLOB plus the held versions of deleted BLOBs; sweep then advances
+// every provider's epoch, pages through its chunk inventory and purges
+// the unmarked chunks. Providers are paged and purged concurrently (at
+// most sweepWorkers at a time), so wall-clock sweep time tracks the
+// slowest provider, not the sum. Under dryRun no epoch advances and
+// nothing is removed: chunks are classified marked against unmarked, and
+// since only a provider's purge checks writer leases, a dry-run counts
+// every unmarked chunk as reclaimable, leased or not.
 //
 // The sweep never excludes the foreground: pins, deletes and writes
 // proceed while it runs. A deleted BLOB's unheld chunks go at the first
-// pass after the delete; chunks only an abandoned writer stored go once
-// they clear the grace window.
+// pass after the delete; an abandoned writer's chunks go at the first
+// pass once its chunk leases are gone. Marking before advancing is what
+// makes a released lease safe to drop at the second advance after its
+// release: the pass that purges at that epoch marked after the release.
 func (m *Manager) Sweep(ctx context.Context, dryRun bool) (SweepReport, error) {
 	m.sweepMu.Lock()
 	defer m.sweepMu.Unlock()
@@ -460,50 +444,9 @@ func (m *Manager) Sweep(ctx context.Context, dryRun bool) (SweepReport, error) {
 	m.phaseMark.Observe(m.now().Sub(markStart).Seconds())
 	rep.BlobsWalked, rep.BlobsReused = len(ms.walked), ms.reused
 
-	// Epochs advance only after mark succeeds: an aborted pass (flaky
-	// metadata plane, cancellation) must not age unpublished writers out
-	// of their grace protection — the same erosion rule dry-runs follow
-	// (they never advance, classifying against the epoch a real sweep
-	// would see). Advancing after mark keeps every racing writer safe at
-	// the default grace: a chunk flushed during the mark walks carries
-	// the pre-advance epoch E and classifies E+grace >= E+1 for any
-	// grace >= 1; a chunk flushed after the advance carries E+1 and is
-	// inside the window at any grace. Only grace 0 narrows: it protects
-	// just the stores that land after this advance (see WithGraceEpochs).
-	epochs := make(map[string]uint64, len(ids))
-	for _, id := range ids {
-		wg.Add(1)
-		go func(id string) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			var e uint64
-			p, err := m.prov.Provider(ctx, id)
-			switch {
-			case err != nil: // unresolvable: counted as failed below
-			case dryRun:
-				e, err = p.Epoch(ctx)
-				e++
-			default:
-				e, err = p.AdvanceEpoch(ctx)
-			}
-			mu.Lock()
-			if err != nil {
-				rep.Failed++
-				if firstErr == nil {
-					firstErr = fmt.Errorf("gc: advance epoch %s: %w", id, err)
-				}
-			} else {
-				epochs[id] = e
-			}
-			mu.Unlock()
-		}(id)
-	}
-	wg.Wait() //lockio:allow sweepMu serializes whole passes, fan-out waits included; foreground work never takes it
-
 	// The metadata-node sweep runs alongside the provider fan-out: it
-	// touches only the metadata stores, needs no epoch, and is one
-	// in-memory scan against the mark set.
+	// touches only the metadata stores and is one in-memory scan against
+	// the mark set.
 	sweepStart := m.now()
 	wg.Add(1)
 	go func() {
@@ -523,16 +466,12 @@ func (m *Manager) Sweep(ctx context.Context, dryRun bool) (SweepReport, error) {
 	}()
 
 	for _, id := range ids {
-		epoch, ok := epochs[id]
-		if !ok {
-			continue
-		}
 		wg.Add(1)
-		go func(id string, epoch uint64) {
+		go func(id string) {
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			res := m.sweepProvider(ctx, id, epoch, ms.chunks, dryRun)
+			res := m.sweepProvider(ctx, id, ms.chunks, dryRun)
 			mu.Lock()
 			if res.counted {
 				rep.Providers++
@@ -542,14 +481,13 @@ func (m *Manager) Sweep(ctx context.Context, dryRun bool) (SweepReport, error) {
 			}
 			rep.Scanned += res.scanned
 			rep.Live += res.live
-			rep.InGrace += res.inGrace
 			rep.Swept += res.swept
 			rep.SweptBytes += res.sweptBytes
 			mu.Unlock()
 			if res.err != nil {
 				fail(res.err)
 			}
-		}(id, epoch)
+		}(id)
 	}
 	wg.Wait() //lockio:allow sweepMu serializes whole passes, fan-out waits included; foreground work never takes it
 	// The sweep phase covers the provider-inventory fan-out (the node
@@ -570,28 +508,37 @@ func (m *Manager) Sweep(ctx context.Context, dryRun bool) (SweepReport, error) {
 
 // provSweep is one provider's share of a sweep pass.
 type provSweep struct {
-	counted                       bool // provider completed its listing (counts in Providers)
-	failed                        bool
-	scanned, live, inGrace, swept int
-	sweptBytes                    int64
-	err                           error
+	counted              bool // provider completed its listing (counts in Providers)
+	failed               bool
+	scanned, live, swept int
+	sweptBytes           int64
+	err                  error
 }
 
-// sweepProvider pages one provider's inventory, classifies every chunk
-// against the mark set and the grace window, and purges victims in
-// batches as the scan goes — victims never accumulate past one batch
-// beyond the page in flight. Writer leases are not consulted here:
+// sweepProvider advances one provider's epoch (not under dryRun), pages
+// its inventory, classifies every chunk against the mark set, and purges
+// victims in batches as the scan goes — victims never accumulate past
+// one batch beyond the page in flight. Writer leases are not consulted here:
 // PurgeChunks skips a leased victim at the moment of the purge, later
 // than any view of the leases this scan could take. Reclaimed space is
 // counted from what Purge actually freed, not from the classification:
 // a leased victim, or a failed provider's, is not reported as swept.
-func (m *Manager) sweepProvider(ctx context.Context, id string, epoch uint64, marked map[chunk.ID]bool, dryRun bool) provSweep {
+func (m *Manager) sweepProvider(ctx context.Context, id string, marked map[chunk.ID]bool, dryRun bool) provSweep {
 	var res provSweep
 	p, err := m.prov.Provider(ctx, id)
 	if err != nil {
 		res.failed = true
 		res.err = fmt.Errorf("gc: resolve %s: %w", id, err)
 		return res
+	}
+	// The advance follows the pass's mark, which has succeeded by now: an
+	// aborted pass retires no lease, and a dry run advances nothing.
+	if !dryRun {
+		if _, err := p.AdvanceEpoch(ctx); err != nil {
+			res.failed = true
+			res.err = fmt.Errorf("gc: advance epoch %s: %w", id, err)
+			return res
+		}
 	}
 	var victims []chunk.ID
 	flush := func() error {
@@ -625,11 +572,6 @@ func (m *Manager) sweepProvider(ctx context.Context, id string, epoch uint64, ma
 			switch {
 			case marked[info.ID]:
 				res.live++
-			case info.Epoch+m.grace >= epoch:
-				// Possibly an unpublished writer's flush: protected
-				// until it has sat unreferenced through the grace
-				// window.
-				res.inGrace++
 			case dryRun:
 				// Dry-run reports the classification: what a real
 				// sweep would purge. Leased chunks are counted too;

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -82,7 +83,7 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 // pass after Close reclaims everything. Neither the delete nor the Close
 // frees a chunk.
 func TestPinDefersDeleteUntilClose(t *testing.T) {
-	c := newCluster(t, core.Options{Providers: 3, Monitoring: false, GCGraceEpochs: -1})
+	c := newCluster(t, core.Options{Providers: 3, Monitoring: false})
 	cl := c.Client("alice")
 	info, err := cl.Create(context.Background(), 1<<10)
 	if err != nil {
@@ -154,11 +155,11 @@ func TestPinDefersDeleteUntilClose(t *testing.T) {
 }
 
 // TestPinnedDeleteSurvivesPasses deletes a two-version BLOB while a
-// reader pins its latest version and runs full passes at the default
-// grace window while the pin is held: the unheld version's exclusive
-// chunks go, the held version's stay, and the reader reads its bytes
-// intact after the passes. Once it closes, the passes the grace window
-// implies take the cluster to exactly zero chunks and zero tree nodes.
+// reader pins its latest version and runs full passes while the pin is
+// held: the unheld version's exclusive chunks go once its writer's
+// released lease has retired, the held version's stay, and the reader
+// reads its bytes intact after the passes. Once it closes, the next pass
+// takes the cluster to exactly zero chunks and zero tree nodes.
 // Run on the disk and tiered stores through BLOBSEER_PROVIDER_STORE.
 func TestPinnedDeleteSurvivesPasses(t *testing.T) {
 	ctx := context.Background()
@@ -209,8 +210,8 @@ func TestPinnedDeleteSurvivesPasses(t *testing.T) {
 			t.Fatalf("pass %d under the pin: %v", pass, err)
 		}
 	}
-	// v1's two exclusive chunks cleared the grace window; v2's eight are
-	// held.
+	// v1's two exclusive chunks went once their writer's lease retired;
+	// v2's eight are held.
 	if got := totalChunks(c); got != 16 {
 		t.Fatalf("chunks after passes under the pin = %d, want 16 (the held version's)", got)
 	}
@@ -224,18 +225,16 @@ func TestPinnedDeleteSurvivesPasses(t *testing.T) {
 	if err := rd.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// The chunks were put before the passes above, so they are past the
-	// grace window already: the first pass after the close frees them.
-	for pass := 0; pass < 2; pass++ {
-		if _, err := c.GC.Sweep(ctx, false); err != nil {
-			t.Fatal(err)
-		}
+	// The writers' leases retired during the passes above: the first
+	// pass after the close frees the chunks.
+	if _, err := c.GC.Sweep(ctx, false); err != nil {
+		t.Fatal(err)
 	}
 	if got := totalChunks(c); got != 0 {
-		t.Fatalf("chunks after close and the grace passes = %d, want 0", got)
+		t.Fatalf("chunks after close and a pass = %d, want 0", got)
 	}
 	if got := c.VM.MetaStore().Len(); got != 0 {
-		t.Fatalf("tree nodes after close and the grace passes = %d, want 0", got)
+		t.Fatalf("tree nodes after close and a pass = %d, want 0", got)
 	}
 	if got := c.VM.DeletedBlobs(); len(got) != 0 {
 		t.Fatalf("deleted blobs not forgotten: %v", got)
@@ -250,7 +249,7 @@ func TestRetentionRetiresOldVersions(t *testing.T) {
 	ctx := context.Background()
 	now := t0
 	c := newCluster(t, core.Options{
-		Providers: 3, Monitoring: false, GCGraceEpochs: -1,
+		Providers: 3, Monitoring: false,
 		Clock: func() time.Time { return now },
 	})
 	cl := c.Client("alice")
@@ -301,7 +300,16 @@ func TestRetentionRetiresOldVersions(t *testing.T) {
 		t.Fatalf("second pass retired = %d, want 1", rep.Retired)
 	}
 
+	// The writers released their chunk leases at epoch 0: the first pass
+	// keeps every chunk, the second frees the retired versions' ones.
 	srep, err := c.GC.Sweep(context.Background(), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if srep.Swept != 0 {
+		t.Fatalf("first pass swept = %d, want 0 (the writers' leases retire at the second)", srep.Swept)
+	}
+	srep, err = c.GC.Sweep(context.Background(), false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -385,7 +393,7 @@ func TestRetentionRetiresOldVersions(t *testing.T) {
 // pre-blob baseline while the pinned reader saw its full version.
 func TestSweepAcceptance(t *testing.T) {
 	c := newCluster(t, core.Options{
-		Providers: 4, Replicas: 2, Monitoring: false, GCGraceEpochs: -1,
+		Providers: 4, Replicas: 2, Monitoring: false,
 	})
 	baseline := chunkCounts(c)
 
@@ -494,10 +502,10 @@ func TestSweepAcceptance(t *testing.T) {
 }
 
 // TestSweepGraceProtectsUnpublishedWriter: chunks flushed by a writer
-// that has not yet published survive a sweep inside the grace window and
-// are marked live once the version publishes.
+// that has not yet published survive a sweep, under the writer's chunk
+// lease, and are marked live once the version publishes.
 func TestSweepGraceProtectsUnpublishedWriter(t *testing.T) {
-	c := newCluster(t, core.Options{Providers: 2, Monitoring: false}) // default grace: 1 epoch
+	c := newCluster(t, core.Options{Providers: 2, Monitoring: false})
 	cl := c.Client("alice")
 	info, err := cl.Create(context.Background(), 256)
 	if err != nil {
@@ -522,10 +530,9 @@ func TestSweepGraceProtectsUnpublishedWriter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The flushed chunk is in grace and, with writer leases on (the
-	// cluster default), leased too; either way it must not be swept.
-	if rep.Swept != 0 || rep.InGrace != 1 {
-		t.Fatalf("sweep during write = %+v, want InGrace 1 Swept 0", rep)
+	// The flushed chunk is unmarked but leased: it must not be swept.
+	if rep.Live != 0 || rep.Swept != 0 {
+		t.Fatalf("sweep during write = %+v, want Live 0 Swept 0", rep)
 	}
 	if totalChunks(c) != 1 {
 		t.Fatal("unpublished writer's chunk was swept")
@@ -621,8 +628,7 @@ func TestSweepReclaimsLateCompletedStore(t *testing.T) {
 		return lc, nil
 	})
 	cl := client.New("alice", vm, pm, dir)
-	m := gc.New(vm, testProviders{m: map[string]*provider.Provider{"p00": p}},
-		gc.WithGraceEpochs(0))
+	m := gc.New(vm, testProviders{m: map[string]*provider.Provider{"p00": p}})
 
 	info, err := cl.Create(context.Background(), 256)
 	if err != nil {
@@ -719,7 +725,8 @@ func TestSweepAbortsOnMarkErrors(t *testing.T) {
 	vm := vmanager.New(meta)
 	fvm := &flakyVM{VersionManager: vm}
 	pm := pmanager.New()
-	p := provider.New("p00", "z0", 0)
+	st := provider.NewMemStore(0)
+	p := provider.New("p00", "z0", 0, provider.WithStore(st))
 	if err := pm.Register(pmanager.Info{ID: "p00", Zone: "z0"}); err != nil {
 		t.Fatal(err)
 	}
@@ -727,8 +734,7 @@ func TestSweepAbortsOnMarkErrors(t *testing.T) {
 		return p, nil
 	})
 	cl := client.New("alice", vm, pm, dir)
-	m := gc.New(fvm, testProviders{m: map[string]*provider.Provider{"p00": p}},
-		gc.WithGraceEpochs(0))
+	m := gc.New(fvm, testProviders{m: map[string]*provider.Provider{"p00": p}})
 
 	info, err := cl.Create(context.Background(), 256)
 	if err != nil {
@@ -751,10 +757,10 @@ func TestSweepAbortsOnMarkErrors(t *testing.T) {
 		t.Fatalf("failing Versions purged a live blob: %d chunks, want %d", got, want)
 	}
 	// An aborted pass must not advance the sweep epoch: repeated
-	// transient failures would otherwise age unpublished writers out of
-	// their grace protection without any sweep completing.
-	if e, err := p.Epoch(ctx); err != nil || e != 0 {
-		t.Fatalf("epoch after aborted sweep = %d (%v), want 0", e, err)
+	// transient failures would otherwise retire released writer leases
+	// without any sweep completing.
+	if e := st.Epoch(); e != 0 {
+		t.Fatalf("epoch after aborted sweep = %d, want 0", e)
 	}
 	fvm.failVersions.Store(false)
 
@@ -828,7 +834,7 @@ func rootOf(t *testing.T, vm *vmanager.Manager, blob, version uint64) blobmeta.R
 // reachable from a retained version, a pinned one, or a deleted BLOB a
 // pin still holds.
 func TestNodeSweepAcceptance(t *testing.T) {
-	c := newCluster(t, core.Options{Providers: 3, Monitoring: false, GCGraceEpochs: -1})
+	c := newCluster(t, core.Options{Providers: 3, Monitoring: false})
 	cl := c.Client("alice")
 	ctx := context.Background()
 	meta := c.VM.MetaStore()
@@ -860,6 +866,11 @@ func TestNodeSweepAcceptance(t *testing.T) {
 	}
 	if got := meta.Len(); got != wantA {
 		t.Fatalf("nodes after retirement sweep = %d, want %d (reachable from v4)", got, wantA)
+	}
+	// The retired versions' chunks go a pass later, once their writers'
+	// released leases have retired.
+	if rep, err = c.GC.Sweep(ctx, false); err != nil || rep.Swept == 0 {
+		t.Fatalf("second retirement sweep = %+v (%v), want the retired versions' chunks", rep, err)
 	}
 
 	// Blob B: a pinned version cannot be retired; it keeps all its nodes
@@ -968,7 +979,7 @@ func TestNodeSweepAcceptance(t *testing.T) {
 // BLOB leaves nothing.
 func TestNodeSweepAcrossDoublings(t *testing.T) {
 	const cs = 256
-	c := newCluster(t, core.Options{Providers: 3, Monitoring: false, GCGraceEpochs: -1})
+	c := newCluster(t, core.Options{Providers: 3, Monitoring: false})
 	cl := c.Client("alice")
 	ctx := context.Background()
 	meta := c.VM.MetaStore()
@@ -1052,9 +1063,14 @@ func TestNodeSweepAcrossDoublings(t *testing.T) {
 // harness: over a randomized population of multi-version BLOBs
 // (overwrites, appends, holes, retirements), the chunks surviving a
 // sweep driven by the pruned parallel mark are exactly the chunks a
-// naive per-version Walk enumerates — orphans die, live chunks live.
+// naive per-version Walk enumerates plus those a released writer lease
+// still protects — orphans die, live chunks live. The second pass
+// retires every lease, and the survivors are the naive mark alone.
 func TestParallelMarkMatchesNaiveWalk(t *testing.T) {
-	c := newCluster(t, core.Options{Providers: 3, Monitoring: false, GCGraceEpochs: -1})
+	lm := newLeaseModel()
+	var passes atomic.Uint64 // every pass advances each provider's epoch once
+	c := newCluster(t, core.Options{Providers: 3, Monitoring: false,
+		WrapConn: func(_ string, conn client.Conn) client.Conn { return lm.wrap(conn, passes.Load) }})
 	cl := c.Client("alice")
 	ctx := context.Background()
 	rng := rand.New(rand.NewSource(42))
@@ -1128,36 +1144,40 @@ func TestParallelMarkMatchesNaiveWalk(t *testing.T) {
 		}
 	}
 
-	if _, err := c.GC.Sweep(ctx, false); err != nil {
-		t.Fatal(err)
-	}
-
-	surviving := map[chunk.ID]bool{}
-	for _, id := range ids {
-		p, _ := c.Provider(id)
-		var after chunk.ID
-		for {
-			page, more, err := p.ListChunks(ctx, after, 512)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, info := range page {
-				surviving[info.ID] = true
-			}
-			if len(page) > 0 {
-				after = page[len(page)-1].ID
-			}
-			if !more {
-				break
+	for pass := 1; pass <= 2; pass++ {
+		if _, err := c.GC.Sweep(ctx, false); err != nil {
+			t.Fatal(err)
+		}
+		passes.Add(1)
+		want := maps.Clone(naive)
+		maps.Copy(want, lm.protected(passes.Load()))
+		surviving := map[chunk.ID]bool{}
+		for _, id := range ids {
+			p, _ := c.Provider(id)
+			var after chunk.ID
+			for {
+				page, more, err := p.ListChunks(ctx, after, 512)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, info := range page {
+					surviving[info.ID] = true
+				}
+				if len(page) > 0 {
+					after = page[len(page)-1].ID
+				}
+				if !more {
+					break
+				}
 			}
 		}
-	}
-	if len(surviving) != len(naive) {
-		t.Fatalf("surviving chunks %d != naive mark set %d", len(surviving), len(naive))
-	}
-	for id := range naive {
-		if !surviving[id] {
-			t.Fatalf("live chunk %s purged", id.Short())
+		if len(surviving) != len(want) {
+			t.Fatalf("pass %d: surviving chunks %d != naive mark set %d plus leased %d", pass, len(surviving), len(naive), len(want)-len(naive))
+		}
+		for id := range want {
+			if !surviving[id] {
+				t.Fatalf("pass %d: live or leased chunk %s purged", pass, id.Short())
+			}
 		}
 	}
 }
@@ -1248,7 +1268,7 @@ func TestParallelMarkVsConcurrentLifecycle(t *testing.T) {
 // TestSweepDryRunRemovesNothing: dry-run classifies without purging.
 func TestSweepDryRunRemovesNothing(t *testing.T) {
 	ctx := context.Background()
-	c := newCluster(t, core.Options{Providers: 2, Monitoring: false, GCGraceEpochs: -1})
+	c := newCluster(t, core.Options{Providers: 2, Monitoring: false})
 	cl := c.Client("alice")
 	info, err := cl.Create(ctx, 256)
 	if err != nil {
@@ -1281,26 +1301,33 @@ func TestSweepDryRunRemovesNothing(t *testing.T) {
 		t.Fatalf("dry-run removed nodes or forgot the blob: %d nodes left, want %d", got, nodes)
 	}
 	// Dry-runs must not advance the sweep epoch: repeated dry-runs would
-	// otherwise erode the write-in-progress grace window.
-	for _, id := range c.Providers() {
-		p, _ := c.Provider(id)
-		if e, err := p.Epoch(context.Background()); err != nil || e != 0 {
-			t.Fatalf("provider %s epoch after dry-run = %d (%v), want 0", id, e, err)
-		}
+	// otherwise retire released writer leases without any pass marking.
+	// The writer released its chunk lease at epoch 0, so it protects the
+	// chunks through the first real pass only if the dry-runs advanced
+	// nothing; the second real pass frees them.
+	if _, err := c.GC.Sweep(context.Background(), true); err != nil {
+		t.Fatal(err)
 	}
 	rep, err = c.GC.Sweep(context.Background(), false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Swept != stored || totalChunks(c) != 0 || c.VM.MetaStore().Len() != 0 {
-		t.Fatalf("real sweep after dry-run = %+v, chunks %d, nodes %d", rep, totalChunks(c), c.VM.MetaStore().Len())
+	if rep.Swept != 0 || totalChunks(c) != stored || c.VM.MetaStore().Len() != 0 {
+		t.Fatalf("first real sweep after dry-runs = %+v, chunks %d, nodes %d; want the leased chunks kept", rep, totalChunks(c), c.VM.MetaStore().Len())
+	}
+	rep, err = c.GC.Sweep(context.Background(), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Swept != stored || totalChunks(c) != 0 {
+		t.Fatalf("second real sweep after dry-runs = %+v, chunks %d", rep, totalChunks(c))
 	}
 }
 
 // TestRunnerLifecycle: the background runner passes periodically and
 // stops on context cancellation.
 func TestRunnerLifecycle(t *testing.T) {
-	c := newCluster(t, core.Options{Providers: 2, Monitoring: false, GCGraceEpochs: -1})
+	c := newCluster(t, core.Options{Providers: 2, Monitoring: false})
 	r := c.GCRunner(time.Millisecond)
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
@@ -1333,7 +1360,7 @@ func BenchmarkSweep(b *testing.B) {
 		{"orphans=1M", 0, 1_000_000},
 	} {
 		b.Run(pop.name, func(b *testing.B) {
-			c := newCluster(b, core.Options{Providers: 4, Monitoring: false, GCGraceEpochs: -1})
+			c := newCluster(b, core.Options{Providers: 4, Monitoring: false})
 			if pop.referenced > 0 {
 				const chunkSize = 4 << 10
 				cl := c.Client("bench")
@@ -1408,7 +1435,7 @@ func TestForegroundOpsNotBehindSweep(t *testing.T) {
 	release := make(chan struct{})
 	var once sync.Once
 	c := newCluster(t, core.Options{
-		Providers: 2, Monitoring: false, GCGraceEpochs: -1,
+		Providers: 2, Monitoring: false,
 		ProviderStore: func(string) provider.Store {
 			return &gatedStore{MemStore: provider.NewMemStore(0), inList: inList, release: release, once: &once}
 		},
@@ -1617,8 +1644,8 @@ func TestPinnedDeleteVsSweepInterleaving(t *testing.T) {
 	close(stop)
 	sweeps.Wait()
 
-	// Everything is deleted: a few passes (the grace window, then the
-	// leftovers) must converge to empty.
+	// Everything is deleted: a few passes (the released leases retire,
+	// then the leftovers go) must converge to empty.
 	waitFor(t, "sweeps to reclaim everything", func() bool {
 		if _, err := c.GC.Sweep(ctx, false); err != nil {
 			t.Fatal(err)

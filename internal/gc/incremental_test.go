@@ -102,17 +102,82 @@ func (f *blobFaultVM) Versions(blob uint64) ([]vmanager.VersionMeta, error) {
 	return f.VersionManager.Versions(blob)
 }
 
+// leaseModel is the oracles' model of the providers' lease tables: it
+// records every chunk a writer stored under a lease and the epoch at
+// which each lease was released. A lease protects its chunks until the
+// epoch has advanced twice past its release.
+type leaseModel struct {
+	mu       sync.Mutex
+	chunks   map[string][]chunk.ID // lease ID → chunks stored under it
+	released map[string]uint64     // lease ID → epoch at its release
+}
+
+func newLeaseModel() *leaseModel {
+	return &leaseModel{chunks: map[string][]chunk.ID{}, released: map[string]uint64{}}
+}
+
+// wrap records the leased Stores and the releases sent through conn;
+// epoch reads the sweep epoch of the provider behind it.
+func (lm *leaseModel) wrap(conn client.Conn, epoch func() uint64) client.Conn {
+	return modelConn{conn, lm, epoch}
+}
+
+// protected lists the chunks a lease still protects at epoch now.
+func (lm *leaseModel) protected(now uint64) map[chunk.ID]bool {
+	lm.mu.Lock()
+	defer lm.mu.Unlock()
+	out := map[chunk.ID]bool{}
+	for l, ids := range lm.chunks {
+		if r, ok := lm.released[l]; ok && now >= r+2 {
+			continue
+		}
+		for _, id := range ids {
+			out[id] = true
+		}
+	}
+	return out
+}
+
+type modelConn struct {
+	client.Conn
+	lm    *leaseModel
+	epoch func() uint64
+}
+
+func (c modelConn) Store(ctx context.Context, user string, id chunk.ID, data []byte) error {
+	if l := chunk.LeaseFrom(ctx); l != nil {
+		c.lm.mu.Lock()
+		if _, gone := c.lm.released[l.ID]; !gone {
+			c.lm.chunks[l.ID] = append(c.lm.chunks[l.ID], id)
+		}
+		c.lm.mu.Unlock()
+	}
+	return c.Conn.Store(ctx, user, id, data)
+}
+
+func (c modelConn) ReleaseLease(ctx context.Context, leaseID string) error {
+	c.lm.mu.Lock()
+	if _, gone := c.lm.released[leaseID]; !gone {
+		c.lm.released[leaseID] = c.epoch()
+	}
+	c.lm.mu.Unlock()
+	return c.Conn.ReleaseLease(ctx, leaseID)
+}
+
 // rig is a one-process deployment small enough to count every metadata
 // access: a version manager over a countingMeta, two providers, a client
-// and a long-lived lifecycle manager with the grace window off (nothing
-// unreferenced survives a pass, so what survives is exactly the mark).
+// whose conns feed a leaseModel, and a long-lived lifecycle manager.
+// What survives a pass is exactly the mark plus the chunks the model
+// says a lease still protects.
 type rig struct {
-	meta  *countingMeta
-	vm    *vmanager.Manager
-	fvm   *blobFaultVM
-	provs testProviders
-	cl    *client.Client
-	m     *gc.Manager
+	meta   *countingMeta
+	vm     *vmanager.Manager
+	fvm    *blobFaultVM
+	provs  testProviders
+	stores map[string]*provider.MemStore
+	leases *leaseModel
+	cl     *client.Client
+	m      *gc.Manager
 }
 
 func newRig(t *testing.T, opts ...gc.Option) *rig {
@@ -122,24 +187,40 @@ func newRig(t *testing.T, opts ...gc.Option) *rig {
 	r.fvm = &blobFaultVM{VersionManager: r.vm}
 	pm := pmanager.New()
 	r.provs = testProviders{m: map[string]*provider.Provider{}}
+	r.stores = map[string]*provider.MemStore{}
+	r.leases = newLeaseModel()
 	for _, id := range []string{"p00", "p01"} {
-		r.provs.m[id] = provider.New(id, "z0", 0)
+		r.stores[id] = provider.NewMemStore(0)
+		r.provs.m[id] = provider.New(id, "z0", 0, provider.WithStore(r.stores[id]))
 		if err := pm.Register(pmanager.Info{ID: id, Zone: "z0"}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	dir := client.DirectoryFunc(func(_ context.Context, id string) (client.Conn, error) {
-		return r.provs.m[id], nil
+		return r.leases.wrap(r.provs.m[id], r.stores[id].Epoch), nil
 	})
 	r.cl = client.New("alice", r.vm, pm, dir)
-	r.m = gc.New(r.fvm, r.provs, append([]gc.Option{gc.WithGraceEpochs(0)}, opts...)...)
+	r.m = gc.New(r.fvm, r.provs, opts...)
 	return r
+}
+
+// leased lists the chunks a lease still protects, by the model. Every
+// pass advances both providers, so p00's epoch is the rig's.
+func (r *rig) leased() map[chunk.ID]bool {
+	return r.leases.protected(r.stores["p00"].Epoch())
 }
 
 // survivors lists the distinct chunk IDs the providers hold.
 func (r *rig) survivors(t *testing.T) map[chunk.ID]bool {
 	t.Helper()
 	out := map[chunk.ID]bool{}
+	r.inventory(t, func(id chunk.ID) { out[id] = true })
+	return out
+}
+
+// inventory calls fn once per chunk replica the providers hold.
+func (r *rig) inventory(t *testing.T, fn func(chunk.ID)) {
+	t.Helper()
 	for _, p := range r.provs.m {
 		var after chunk.ID
 		for {
@@ -148,7 +229,7 @@ func (r *rig) survivors(t *testing.T) map[chunk.ID]bool {
 				t.Fatal(err)
 			}
 			for _, info := range page {
-				out[info.ID] = true
+				fn(info.ID)
 			}
 			if !more {
 				break
@@ -156,7 +237,6 @@ func (r *rig) survivors(t *testing.T) map[chunk.ID]bool {
 			after = page[len(page)-1].ID
 		}
 	}
-	return out
 }
 
 // naiveMark is the reference mark: one full leaf walk per retained
@@ -281,22 +361,37 @@ func runOracle(t *testing.T, seed int64) {
 	}
 	check := func(op int) {
 		t.Helper()
-		naive, left := r.naiveMark(t), r.survivors(t)
+		naive, leased, left := r.naiveMark(t), r.leased(), r.survivors(t)
 		for id := range naive {
 			if !left[id] {
 				t.Fatalf("seed %d op %d: live chunk %s purged", seed, op, id.Short())
 			}
 		}
-		if len(left) != len(naive) {
-			t.Fatalf("seed %d op %d: %d chunks survive the pass, the naive mark reaches %d", seed, op, len(left), len(naive))
+		for id := range leased {
+			if !left[id] {
+				t.Fatalf("seed %d op %d: leased chunk %s purged", seed, op, id.Short())
+			}
 		}
-		fresh, err := gc.New(r.vm, r.provs, gc.WithGraceEpochs(0)).Sweep(ctx, true)
+		for id := range left {
+			if !naive[id] && !leased[id] {
+				t.Fatalf("seed %d op %d: chunk %s survives the pass unmarked and unleased", seed, op, id.Short())
+			}
+		}
+		// A dry run counts every unmarked replica: exactly the leased
+		// ones, if the from-scratch mark is the incremental one.
+		unmarked := 0
+		r.inventory(t, func(id chunk.ID) {
+			if !naive[id] {
+				unmarked++
+			}
+		})
+		fresh, err := gc.New(r.vm, r.provs).Sweep(ctx, true)
 		if err != nil {
 			t.Fatalf("seed %d op %d: fresh dry-run: %v", seed, op, err)
 		}
-		if fresh.Swept != 0 || fresh.NodesSwept != 0 {
-			t.Fatalf("seed %d op %d: a from-scratch pass would sweep %d more chunks and %d more nodes than the incremental one did",
-				seed, op, fresh.Swept, fresh.NodesSwept)
+		if fresh.Swept != unmarked || fresh.NodesSwept != 0 {
+			t.Fatalf("seed %d op %d: a from-scratch pass would sweep %d chunks (%d leased) and %d more nodes than the incremental one did",
+				seed, op, fresh.Swept, unmarked, fresh.NodesSwept)
 		}
 	}
 
@@ -381,7 +476,9 @@ func runOracle(t *testing.T, seed int64) {
 			t.Fatal(err)
 		}
 	}
-	r.sweep(t)
+	for i := 0; i < 2; i++ { // the last writers' released leases retire
+		r.sweep(t)
+	}
 	if n := len(r.survivors(t)); n != 0 {
 		t.Fatalf("seed %d: %d chunks left after deleting everything", seed, n)
 	}
@@ -678,7 +775,7 @@ func TestMarkWalkIsNotClientMetadataLoad(t *testing.T) {
 	dir := client.DirectoryFunc(func(context.Context, string) (client.Conn, error) { return p, nil })
 	cl := client.New("alice", vm, pm, dir)
 	m := gc.New(vm, testProviders{m: map[string]*provider.Provider{"p00": p}},
-		gc.WithGraceEpochs(0), gc.WithEmitter(rec))
+		gc.WithEmitter(rec))
 	for i := 0; i < n; i++ {
 		info, err := cl.Create(ctx, 128)
 		if err != nil {
@@ -730,13 +827,11 @@ func TestMarkWalkIsNotClientMetadataLoad(t *testing.T) {
 // the per-BLOB cache, the sweep also settles entries in it — while
 // objects are overwritten underneath. Under -race; every live chunk
 // must survive, and the cache must still converge to all-reused. The
-// writers hold no leases here, so the grace window is on — and wide: the
-// sweeps run back to back, and with one epoch of grace a write descheduled
-// between its store and its publish for two of them loses its chunks (a
-// few runs in a thousand did).
+// sweeps run back to back, so a writer's chunks often sit between a
+// pass's mark and its purge when the writer publishes and releases its
+// lease; the released lease keeps them until a mark has seen them.
 func TestMarkConcurrentWithSweep(t *testing.T) {
-	const grace = 8
-	r := newRig(t, gc.WithGraceEpochs(grace))
+	r := newRig(t)
 	ctx := context.Background()
 	var blobs []uint64
 	for i := 0; i < 24; i++ {
@@ -802,7 +897,7 @@ func TestMarkConcurrentWithSweep(t *testing.T) {
 	if _, err := r.m.EnforceRetention(ctx, time.Now()); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < grace+2; i++ { // orphans clear the grace window
+	for i := 0; i < 2; i++ { // the last writers' released leases retire
 		r.sweep(t)
 	}
 	naive, left := r.naiveMark(t), r.survivors(t)

@@ -21,8 +21,8 @@ import (
 
 // connSeam is the lease tests' core.Options.WrapConn seam. Unleased, it
 // strips the writer's chunk lease from every Store and drops the lease
-// calls, so the negative controls show each race manifesting with the
-// grace window as the only chunk protection. Its switches fail Stores
+// calls, so the negative controls show each race manifesting with no
+// chunk protection at all. Its switches fail Stores
 // (to failOn alone, when set) and cut ReleaseLease off from the
 // provider, and it counts the releases sent.
 type connSeam struct {
@@ -76,18 +76,16 @@ func seamed(opts core.Options, unleased bool) (core.Options, *connSeam) {
 	return opts, s
 }
 
-// --- regression 1: stale upload vs grace exhaustion ------------------
+// --- regression 1: stale upload ---------------------------------------
 
 // TestLeaseProtectsUnpublishedWriterPastGrace: a writer that stays open
-// across more sweeps than GCGraceEpochs covers keeps its flushed chunks
-// only because its lease protects them — the grace window alone gives
-// up after GCGraceEpochs+1 passes. The unleased subtest, whose conns
-// carry no chunk lease, demonstrates the underlying race the lease
-// closes: the same upload loses its chunks and publishes a version that
-// cannot be read back.
+// across several sweeps keeps its flushed chunks only because its lease
+// protects them. The unleased subtest, whose conns carry no chunk lease,
+// demonstrates the underlying race the lease closes: the same upload
+// loses its chunks and publishes a version that cannot be read back.
 func TestLeaseProtectsUnpublishedWriterPastGrace(t *testing.T) {
 	run := func(t *testing.T, leases bool) {
-		opts, _ := seamed(core.Options{Providers: 2, Monitoring: false}, !leases) // default grace: 1 epoch
+		opts, _ := seamed(core.Options{Providers: 2, Monitoring: false}, !leases)
 		c := newCluster(t, opts)
 		cl := c.Client("alice")
 		ctx := context.Background()
@@ -109,8 +107,8 @@ func TestLeaseProtectsUnpublishedWriterPastGrace(t *testing.T) {
 		}
 		waitFor(t, "background flush", func() bool { return totalChunks(c) == 1 })
 
-		// Four sweeps: far past the default one-epoch grace. The stale
-		// upload is exactly the shape the grace window cannot cover.
+		// Four sweeps: the chunk is unmarked at every one of them, and
+		// only the lease keeps it.
 		var last gc.SweepReport
 		for i := 0; i < 4; i++ {
 			last, err = c.GC.Sweep(ctx, false)
@@ -121,7 +119,7 @@ func TestLeaseProtectsUnpublishedWriterPastGrace(t *testing.T) {
 
 		if !leases {
 			if totalChunks(c) != 0 {
-				t.Fatalf("without leases the stale upload's chunk must fall out of grace, %d chunks remain", totalChunks(c))
+				t.Fatalf("without leases the stale upload's chunk must be swept, %d chunks remain", totalChunks(c))
 			}
 			// The writer publishes a version whose chunk is gone: the
 			// upload demonstrably lost data.
@@ -180,7 +178,7 @@ func TestLeaseBlocksPurgeOfReusedChunk(t *testing.T) {
 		release := make(chan struct{})
 		base := storetest.Factory(t)
 		opts, _ := seamed(core.Options{
-			Providers: 1, Monitoring: false, GCGraceEpochs: -1,
+			Providers: 1, Monitoring: false,
 			ProviderStore: func(id string) provider.Store {
 				var inner provider.Store
 				if base != nil {
@@ -277,7 +275,7 @@ func TestLeaseBlocksPurgeOfReusedChunk(t *testing.T) {
 // merge demonstrably breaks.
 func TestLeaseHoldsBaseVersionAgainstRetention(t *testing.T) {
 	run := func(t *testing.T, leases bool) {
-		c := newCluster(t, core.Options{Providers: 2, Monitoring: false, GCGraceEpochs: -1})
+		c := newCluster(t, core.Options{Providers: 2, Monitoring: false})
 		cl := c.Client("alice")
 		ctx := context.Background()
 		info, err := cl.Create(ctx, 256)
@@ -350,43 +348,58 @@ func TestLeaseHoldsBaseVersionAgainstRetention(t *testing.T) {
 	t.Run("unleased", func(t *testing.T) { run(t, false) })
 }
 
-// --- why the grace window stays beside the leases --------------------
+// --- a release between a pass's mark and its purge ------------------
 
-// closeOnList is the cluster's provider plane with a hook that runs
-// once, at the first ListChunks call: between a sweep's mark and its
-// classification of the inventory.
-type closeOnList struct {
+// midPass is the cluster's provider plane with a hook, armed by arm,
+// that runs once at the next AdvanceEpoch call: after a sweep's mark,
+// before it advances the epoch and purges. A release there precedes the
+// pass's own advance, so a lease retired at the first advance after its
+// release would be gone at this pass's purge. Concurrent advances wait
+// for the hook to finish.
+type midPass struct {
 	c    *core.Cluster
-	once sync.Once
+	mu   sync.Mutex
 	hook func()
 }
 
-func (cl *closeOnList) IDs() []string { return cl.c.Providers() }
-
-func (cl *closeOnList) Provider(ctx context.Context, id string) (provider.API, error) {
-	p, err := cl.c.Pool().Provider(ctx, id)
-	return hookedList{p, cl}, err
+func (mp *midPass) arm(hook func()) {
+	mp.mu.Lock()
+	mp.hook = hook
+	mp.mu.Unlock()
 }
 
-type hookedList struct {
+func (mp *midPass) IDs() []string { return mp.c.Providers() }
+
+func (mp *midPass) Provider(ctx context.Context, id string) (provider.API, error) {
+	p, err := mp.c.Pool().Provider(ctx, id)
+	return hookedAdvance{p, mp}, err
+}
+
+type hookedAdvance struct {
 	provider.API
-	cl *closeOnList
+	mp *midPass
 }
 
-func (h hookedList) ListChunks(ctx context.Context, after chunk.ID, limit int) ([]provider.ChunkInfo, bool, error) {
-	h.cl.once.Do(h.cl.hook)
-	return h.API.ListChunks(ctx, after, limit)
+func (h hookedAdvance) AdvanceEpoch(ctx context.Context) (uint64, error) {
+	h.mp.mu.Lock()
+	if hook := h.mp.hook; hook != nil {
+		h.mp.hook = nil
+		hook()
+	}
+	h.mp.mu.Unlock()
+	return h.API.AdvanceEpoch(ctx)
 }
 
-// TestGraceCoversWriterPublishedAfterMark: a writer stores its chunk
-// under a lease, the sweep marks its BLOB before the writer publishes,
-// and the writer then publishes and releases its lease before the sweep
-// lists the provider's chunks. The chunk is neither marked nor leased
-// at its purge; only the put-epoch grace window keeps it. With grace 0
-// the published version's chunk is purged; with the default grace it
-// survives. Leases therefore do not replace the window.
-func TestGraceCoversWriterPublishedAfterMark(t *testing.T) {
-	run := func(t *testing.T, opts ...gc.Option) {
+// TestLeaseCoversWriterPublishedAfterMark: a writer stores its chunk
+// under a lease, a sweep marks before the writer publishes, and the
+// writer then publishes and releases its lease before that sweep
+// advances the provider's epoch and purges. The chunk is not marked at its purge; the
+// released lease must still protect it, since the pass's mark never saw
+// the version. A fresh upload flushes just before that pass; a stale one
+// three passes earlier, so its chunk is older than any epoch tag could
+// vouch for. Both must read back after that pass and after three more.
+func TestLeaseCoversWriterPublishedAfterMark(t *testing.T) {
+	run := func(t *testing.T, stalePasses int) {
 		c := newCluster(t, core.Options{Providers: 1, Monitoring: false})
 		cl := c.Client("alice")
 		ctx := context.Background()
@@ -408,32 +421,121 @@ func TestGraceCoversWriterPublishedAfterMark(t *testing.T) {
 		}
 		waitFor(t, "background flush", func() bool { return totalChunks(c) == 1 })
 
-		plane := &closeOnList{c: c, hook: func() {
+		plane := &midPass{c: c}
+		m := gc.New(c.VM, plane)
+		sweep := func(what string) gc.SweepReport {
+			t.Helper()
+			rep, err := m.Sweep(ctx, false)
+			if err != nil {
+				t.Fatalf("%s: %v", what, err)
+			}
+			return rep
+		}
+		for i := 0; i < stalePasses; i++ {
+			if rep := sweep("pass before Close"); rep.Swept != 0 {
+				t.Fatalf("pass %d before Close = %+v: the open writer's chunk was swept", i, rep)
+			}
+		}
+		plane.arm(func() {
 			if err := w.Close(); err != nil {
 				t.Error(err)
 			}
-		}}
-		rep, err := gc.New(c.VM, plane, opts...).Sweep(ctx, false)
-		if err != nil {
-			t.Fatal(err)
-		}
+		})
+		rep := sweep("pass with Close inside")
 		if rep.Live != 0 {
 			t.Fatalf("sweep = %+v: the chunk must not be marked", rep)
 		}
-		got, err := cl.Read(ctx, info.ID, 0, 0, 256)
-		survived := err == nil && bytes.Equal(got, payload)
-		if len(opts) > 0 { // grace 0
-			if survived || rep.Swept != 1 {
-				t.Fatalf("grace 0: sweep = %+v, read survived = %v; want the published chunk purged", rep, survived)
-			}
-			return
+		if got, err := cl.Read(ctx, info.ID, 0, 0, 256); err != nil || !bytes.Equal(got, payload) {
+			t.Fatalf("pass with Close inside = %+v; read of the published version: %v", rep, err)
 		}
-		if !survived || rep.InGrace != 1 {
-			t.Fatalf("default grace: sweep = %+v, read err = %v; want the chunk kept in grace", rep, err)
+		for i := 0; i < 3; i++ {
+			sweep("pass after Close")
+		}
+		if got, err := cl.Read(ctx, info.ID, 0, 0, 256); err != nil || !bytes.Equal(got, payload) {
+			t.Fatalf("read after three more passes: %v", err)
 		}
 	}
-	t.Run("grace=0", func(t *testing.T) { run(t, gc.WithGraceEpochs(0)) })
-	t.Run("grace=default", func(t *testing.T) { run(t) })
+	t.Run("fresh", func(t *testing.T) { run(t, 0) })
+	t.Run("stale", func(t *testing.T) { run(t, 3) })
+}
+
+// TestLeaseCoversRepairAfterMark: a version is published after a pass's
+// mark, one of its chunk's two replicas goes down, and a heal copies the
+// chunk to a new target and publishes a repair version naming it — all
+// before that pass purges the new target. Neither version was marked, so
+// only the repair's own chunk lease keeps the new copy. Every provider
+// the repair version names must still hold the chunk after the pass.
+func TestLeaseCoversRepairAfterMark(t *testing.T) {
+	c := newCluster(t, core.Options{Providers: 3, Replicas: 2, Monitoring: false})
+	cl := c.Client("alice")
+	ctx := context.Background()
+	info, err := cl.Create(ctx, 256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := cl.Open(ctx, info.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := b.NewWriter(ctx, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := bytes.Repeat([]byte{'h'}, 256)
+	if _, err := w.Write(payload); err != nil {
+		t.Fatal(err)
+	}
+	id := chunk.Sum(payload)
+	waitFor(t, "background flush", func() bool { return totalChunks(c) == 2 })
+
+	plane := &midPass{c: c}
+	plane.arm(func() {
+		if err := w.Close(); err != nil {
+			t.Error(err)
+			return
+		}
+		for _, pid := range c.Providers() {
+			if p, _ := c.Provider(pid); p.Has(id) {
+				p.Stop()
+				break
+			}
+		}
+		if rep, err := c.Heal(ctx, t0); err != nil || rep.Repaired != 1 {
+			t.Errorf("heal = %+v, %v; want one chunk repaired", rep, err)
+		}
+	})
+	// The stopped replica fails its share of the pass; the others sweep.
+	rep, _ := gc.New(c.VM, plane).Sweep(ctx, false)
+	if rep.Live != 0 {
+		t.Fatalf("sweep = %+v: the chunk must not be marked", rep)
+	}
+
+	latest, err := c.VM.Latest(info.ID)
+	if err != nil || latest.Version != 2 {
+		t.Fatalf("latest = v%d, %v; want the repair version v2", latest.Version, err)
+	}
+	tree, err := c.VM.Tree(info.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var named []string
+	if err := tree.Walk(tree.Root(latest.Version, latest.Size), func(_ int64, d chunk.Desc) error {
+		named = append(named, d.Providers...)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(named) != 2 {
+		t.Fatalf("repair version names %v, want two replicas", named)
+	}
+	for _, pid := range named {
+		if p, _ := c.Provider(pid); !p.Has(id) {
+			t.Fatalf("provider %s, named by the repair version, lost the chunk (pass %+v)", pid, rep)
+		}
+	}
+	if got, err := cl.Read(ctx, info.ID, 0, 0, 256); err != nil || !bytes.Equal(got, payload) {
+		t.Fatalf("read of the repair version: %v", err)
+	}
 }
 
 // --- fail-safe: an unreleased chunk lease expires ---------------------
@@ -453,7 +555,7 @@ func TestLeaseExpiryReapedBySweep(t *testing.T) {
 	advance := func(d time.Duration) { mu.Lock(); now = now.Add(d); mu.Unlock() }
 
 	opts, seam := seamed(core.Options{
-		Providers: 2, Monitoring: false, GCGraceEpochs: -1, Clock: clock,
+		Providers: 2, Monitoring: false, Clock: clock,
 	}, false)
 	c := newCluster(t, opts)
 	cl := c.Client("alice")
@@ -524,14 +626,20 @@ func heldVersions(t *testing.T, c *core.Cluster, blob uint64) []uint64 {
 	return out
 }
 
-// purgeAll purges every chunk on every provider and fails unless each
-// purge freed its chunk: a chunk lease left behind would make the
+// purgeAll advances every provider's epoch twice, retiring the leases
+// released before it, then purges every chunk and fails unless each
+// purge freed its chunk: a chunk lease never released would make the
 // provider skip it.
 func purgeAll(t *testing.T, c *core.Cluster) {
 	t.Helper()
 	ctx := context.Background()
 	for _, id := range c.Providers() {
 		p, _ := c.Provider(id)
+		for i := 0; i < 2; i++ {
+			if _, err := p.AdvanceEpoch(ctx); err != nil {
+				t.Fatal(err)
+			}
+		}
 		infos, _, err := p.ListChunks(ctx, chunk.ID{}, 1024)
 		if err != nil {
 			t.Fatal(err)
@@ -552,8 +660,9 @@ func purgeAll(t *testing.T, c *core.Cluster) {
 // its flushed chunks until it can no longer publish, then releases both,
 // whichever way it ends — a Close that published, a Close after a failed
 // flush, an append whose ticket Close aborts, or a context that ends with
-// no Close at all. Afterwards no hold is left on the BLOB and a plain
-// provider purge frees every flushed chunk. Chunks go to both providers;
+// no Close at all. Afterwards no hold is left on the BLOB, and once two
+// epoch advances have retired the released leases a plain provider purge
+// frees every flushed chunk. Chunks go to both providers;
 // a failed flush is one whose second replica fails, so its first stays
 // behind, leased until the release.
 func TestLeaseWriterExitPaths(t *testing.T) {
@@ -594,9 +703,9 @@ func TestLeaseWriterExitPaths(t *testing.T) {
 		{"close-after-failed-flush", func(t *testing.T, c *core.Cluster, seam *connSeam, blob uint64) {
 			w := flushed(context.Background(), t, c, blob)
 			seam.failStores.Store(true)
-			if _, err := w.Write(bytes.Repeat([]byte{'f'}, 256)); err != nil {
-				t.Fatal(err)
-			}
+			// This Write may already report the failed background flush
+			// of the slot it completes; Close must fail either way.
+			_, _ = w.Write(bytes.Repeat([]byte{'f'}, 256))
 			if err := w.Close(); err == nil {
 				t.Fatal("Close published over a failed flush")
 			}
@@ -622,7 +731,7 @@ func TestLeaseWriterExitPaths(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			opts, seam := seamed(core.Options{Providers: 2, Replicas: 2, Monitoring: false, GCGraceEpochs: -1}, false)
+			opts, seam := seamed(core.Options{Providers: 2, Replicas: 2, Monitoring: false}, false)
 			seam.failOn = "provider001"
 			c := newCluster(t, opts)
 			cl := c.Client("alice")
@@ -645,15 +754,15 @@ func TestLeaseWriterExitPaths(t *testing.T) {
 // --- cancel racing Close ----------------------------------------------
 
 // TestLeaseCancelRacesClose hammers the one window where the two release
-// paths meet: a stale upload (two sweeps between its flush and its Close,
-// no grace window) whose context is cancelled while Close runs. A cancel
+// paths meet: a stale upload (two sweeps between its flush and its Close)
+// whose context is cancelled while Close runs. A cancel
 // that lands before Close has begun aborts the write; one that lands
 // after Close has begun must not release anything before Publish
 // returns. Either way the protections are released exactly once: a
 // reader's pin on the same base survives the race. Every Close that
 // returns nil reads back intact after further sweeps.
 func TestLeaseCancelRacesClose(t *testing.T) {
-	c := newCluster(t, core.Options{Providers: 2, Monitoring: false, GCGraceEpochs: -1})
+	c := newCluster(t, core.Options{Providers: 2, Monitoring: false})
 	cl := c.Client("alice")
 	ctx := context.Background()
 	base := bytes.Repeat([]byte{'b'}, 512)
@@ -757,7 +866,7 @@ func TestLeaseCancelRacesClose(t *testing.T) {
 // the version it publishes must read back.
 func TestLeaseOutlivesCancelDuringPublish(t *testing.T) {
 	opts, seam := seamed(core.Options{
-		Providers: 1, Monitoring: true, AgentBatch: 1, GCGraceEpochs: -1,
+		Providers: 1, Monitoring: true, AgentBatch: 1,
 	}, false)
 	c := newCluster(t, opts)
 	cl := c.Client("alice")
@@ -827,15 +936,15 @@ func TestLeaseOutlivesCancelDuringPublish(t *testing.T) {
 
 // TestLeaseHammerConvergence drives leased writers — publishing,
 // failing, and crashing mid-stream — against concurrent sweeps and
-// retention under fault injection, with the grace window disabled so
-// leases are the only in-flight protection. Once the faults stop and
+// retention under fault injection; leases are the only in-flight
+// protection. Once the faults stop and
 // every blob is deleted, sweeps must converge providers and metadata to
 // exactly zero.
 func TestLeaseHammerConvergence(t *testing.T) {
 	inj := storetest.NewInjector(42, 0.15)
 	base := storetest.Factory(t)
 	c := newCluster(t, core.Options{
-		Providers: 3, Monitoring: false, GCGraceEpochs: -1,
+		Providers: 3, Monitoring: false,
 		Clock: time.Now,
 		ProviderStore: func(id string) provider.Store {
 			var inner provider.Store
@@ -936,10 +1045,10 @@ func TestLeaseHammerConvergence(t *testing.T) {
 // is still in flight is only queued when its writer's Publish returns, and
 // the writer then releases its chunk leases. Its chunks are referenced by
 // no published version yet, so the mark must take them from the version
-// manager's queue: after the grace window has run out, the predecessor's
-// abort publishes the version and it reads back intact.
+// manager's queue: after the released leases have retired, the
+// predecessor's abort publishes the version and it reads back intact.
 func TestQueuedPublicationSurvivesSweeps(t *testing.T) {
-	c := newCluster(t, core.Options{Providers: 2, Monitoring: false}) // default grace: 1 epoch
+	c := newCluster(t, core.Options{Providers: 2, Monitoring: false})
 	cl := c.Client("alice")
 	ctx := context.Background()
 	info, err := cl.Create(ctx, 256)

@@ -3,6 +3,7 @@ package provider
 import (
 	"context"
 	"errors"
+	"slices"
 	"sync"
 	"time"
 
@@ -17,10 +18,22 @@ const DefaultLeaseTTL = 30 * time.Second
 // ErrNoLease reports a lease operation without a lease identity.
 var ErrNoLease = errors.New("provider: empty lease id")
 
-// leaseRec is one lease's mutable state inside the table.
+// leaseRec is one lease's mutable state inside the table. A live record
+// protects its chunks until its TTL passes; a released one (retireAt >
+// 0) protects them, whatever its TTL, until the store's epoch reaches
+// retireAt.
 type leaseRec struct {
-	expires time.Time
-	chunks  map[chunk.ID]struct{}
+	expires  time.Time
+	retireAt uint64
+	chunks   map[chunk.ID]struct{}
+}
+
+// dead reports whether the record protects nothing at (now, epoch).
+func (r *leaseRec) dead(now time.Time, epoch uint64) bool {
+	if r.retireAt > 0 {
+		return epoch >= r.retireAt
+	}
+	return now.After(r.expires)
 }
 
 // leaseTable holds a provider's writer leases and orders lease
@@ -36,19 +49,22 @@ type leaseTable struct {
 	mu      sync.Mutex
 	cond    *sync.Cond // broadcast when an in-flight purge finishes
 	rec     map[string]*leaseRec
-	purging map[chunk.ID]int // IDs with a wholesale purge in flight
+	holders map[chunk.ID][]*leaseRec // the records in rec that hold each chunk
+	purging map[chunk.ID]int         // IDs with a wholesale purge in flight
 }
 
 func (lt *leaseTable) init() {
 	lt.cond = sync.NewCond(&lt.mu)
 	lt.rec = make(map[string]*leaseRec)
+	lt.holders = make(map[chunk.ID][]*leaseRec)
 	lt.purging = make(map[chunk.ID]int)
 }
 
 // upsert registers or renews lease id: the expiry is replaced and ids
 // are attached on top of whatever the lease already protects (a nil ids
 // is a pure heartbeat). Registration waits out in-flight purges of the
-// attached IDs (see the type comment).
+// attached IDs (see the type comment). A released lease is final: a late
+// renewal or Store under its ID changes nothing.
 func (lt *leaseTable) upsert(id string, expires time.Time, ids []chunk.ID) {
 	lt.mu.Lock()
 	defer lt.mu.Unlock()
@@ -56,13 +72,19 @@ func (lt *leaseTable) upsert(id string, expires time.Time, ids []chunk.ID) {
 		lt.cond.Wait()
 	}
 	r, ok := lt.rec[id]
+	if ok && r.retireAt > 0 {
+		return
+	}
 	if !ok {
 		r = &leaseRec{chunks: make(map[chunk.ID]struct{})}
 		lt.rec[id] = r
 	}
 	r.expires = expires
 	for _, c := range ids {
-		r.chunks[c] = struct{}{}
+		if _, dup := r.chunks[c]; !dup {
+			r.chunks[c] = struct{}{}
+			lt.holders[c] = append(lt.holders[c], r)
+		}
 	}
 }
 
@@ -75,34 +97,46 @@ func (lt *leaseTable) anyPurging(ids []chunk.ID) bool {
 	return false
 }
 
-// release drops lease id; unknown leases are a no-op (release races TTL
-// reaping by design).
-func (lt *leaseTable) release(id string) {
+// release retires lease id at the store's current epoch: its chunks
+// stay protected until the epoch has advanced twice more. Unknown or
+// already released leases are a no-op (release races TTL reaping by
+// design).
+func (lt *leaseTable) release(id string, epoch uint64) {
 	lt.mu.Lock()
-	delete(lt.rec, id)
+	if r, ok := lt.rec[id]; ok && r.retireAt == 0 {
+		r.retireAt = epoch + 2
+	}
 	lt.mu.Unlock()
 }
 
-// expire drops every lease that expired before now: a writer that
-// stopped heartbeating is dead, and its record protects nothing.
-func (lt *leaseTable) expire(now time.Time) {
+// expire runs after the store advanced to epoch. It drops every released
+// lease whose retirement epoch has come, and every live lease that
+// expired before now: a writer that stopped heartbeating is dead, and its
+// record protects nothing.
+func (lt *leaseTable) expire(now time.Time, epoch uint64) {
 	lt.mu.Lock()
 	for id, r := range lt.rec {
-		if now.After(r.expires) {
-			delete(lt.rec, id)
+		if !r.dead(now, epoch) {
+			continue
+		}
+		delete(lt.rec, id)
+		for c := range r.chunks {
+			if hs := slices.DeleteFunc(lt.holders[c], func(h *leaseRec) bool { return h == r }); len(hs) > 0 {
+				lt.holders[c] = hs
+			} else {
+				delete(lt.holders, c)
+			}
 		}
 	}
 	lt.mu.Unlock()
 }
 
-// leasedLocked reports whether a live (non-expired) lease protects id.
+// leasedLocked reports whether a lease protects id at (now, epoch): a
+// live one that has not expired, or a released one not yet retired.
 // Caller holds lt.mu.
-func (lt *leaseTable) leasedLocked(id chunk.ID, now time.Time) bool {
-	for _, r := range lt.rec {
-		if now.After(r.expires) {
-			continue
-		}
-		if _, held := r.chunks[id]; held {
+func (lt *leaseTable) leasedLocked(id chunk.ID, now time.Time, epoch uint64) bool {
+	for _, r := range lt.holders[id] {
+		if !r.dead(now, epoch) {
 			return true
 		}
 	}
@@ -110,13 +144,13 @@ func (lt *leaseTable) leasedLocked(id chunk.ID, now time.Time) bool {
 }
 
 // purge runs one wholesale chunk purge under the lease ordering rule:
-// skipped (0, nil) when a live lease protects id, otherwise the store
+// skipped (0, nil) when a lease protects id, otherwise the store
 // purge runs with id registered as in flight so a racing lease
 // registration waits for its completion. The store I/O itself runs with
 // no table lock held.
-func (lt *leaseTable) purge(id chunk.ID, now time.Time, del func() (int64, error)) (int64, error) {
+func (lt *leaseTable) purge(id chunk.ID, now time.Time, epoch uint64, del func() (int64, error)) (int64, error) {
 	lt.mu.Lock()
-	if lt.leasedLocked(id, now) {
+	if lt.leasedLocked(id, now, epoch) {
 		lt.mu.Unlock()
 		return 0, nil
 	}
@@ -137,7 +171,8 @@ func (lt *leaseTable) purge(id chunk.ID, now time.Time, del func() (int64, error
 // now and attaches ids to its protected set; nil ids is a pure
 // heartbeat. While the lease lives, PurgeChunks skips its chunks — the
 // wholesale reclaim path cannot eat a still-unpublished writer's
-// flushed data, however many grace epochs have passed.
+// flushed data, however many sweep passes run. A released lease ID
+// stays released: a late call under it is a no-op.
 func (p *Provider) LeaseChunks(ctx context.Context, leaseID string, ttl time.Duration, ids []chunk.ID) error {
 	if err := p.begin(ctx); err != nil {
 		return err
@@ -153,9 +188,13 @@ func (p *Provider) LeaseChunks(ctx context.Context, leaseID string, ttl time.Dur
 	return nil
 }
 
-// ReleaseLease drops one writer lease: PurgeChunks may free its chunks
-// again. Releasing an unknown lease succeeds (writers race the TTL
-// reaper by design).
+// ReleaseLease retires one writer lease. Its chunks stay protected until
+// the store's epoch has advanced twice past the release; the second
+// AdvanceEpoch drops the record. A sweep pass marks before it advances,
+// so every pass that could purge a chunk once the lease is gone marked
+// after the release, and with it the version the writer published
+// before releasing. Releasing an unknown lease succeeds (writers race
+// the TTL reaper by design).
 func (p *Provider) ReleaseLease(ctx context.Context, leaseID string) error {
 	if err := p.begin(ctx); err != nil {
 		return err
@@ -164,6 +203,6 @@ func (p *Provider) ReleaseLease(ctx context.Context, leaseID string) error {
 	if leaseID == "" {
 		return ErrNoLease
 	}
-	p.leases.release(leaseID)
+	p.leases.release(leaseID, p.st.Epoch())
 	return nil
 }

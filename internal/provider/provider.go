@@ -40,10 +40,10 @@ var (
 // so an implementation copies or writes through — as MemStore.Put,
 // DiskStore.Put and TieredStore.Put/admit all do.
 //
-// Epochs implement write-in-progress protection: the sweeper advances
-// the epoch before marking, then only reclaims unreferenced chunks whose
-// tag is old enough that no unpublished writer can still be about to
-// publish them.
+// The store's epoch is the sweep's clock: each pass advances it once,
+// after its mark, and a released writer lease retires by it (see
+// Provider.ReleaseLease). The per-chunk tags stay in the record format;
+// the sweep does not read them.
 type Store interface {
 	Put(id chunk.ID, data []byte) error
 	// GetAppend serves the payload into a caller-supplied buffer
@@ -145,8 +145,6 @@ func (s *MemStore) Put(id chunk.ID, data []byte) error {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if _, ok := st.data[id]; ok {
-		// A re-put means a writer is actively using the chunk again:
-		// refresh the epoch tag so the sweep's grace window protects it.
 		st.epochs[id] = s.epoch.Load()
 		return nil
 	}
@@ -299,14 +297,13 @@ type API interface {
 	// ListChunks returns one inventory page: up to limit chunks with ID
 	// strictly greater than after, ascending, plus whether more remain.
 	ListChunks(ctx context.Context, after chunk.ID, limit int) ([]ChunkInfo, bool, error)
-	// PurgeChunks frees chunks (live writer leases honoured) and reports
-	// how many were present and the bytes freed.
+	// PurgeChunks frees chunks and reports how many were present and
+	// the bytes freed. A chunk under a live writer lease, or under one
+	// released within the last two epochs, is skipped: the writer's
+	// chunk lease is the one write-in-progress protection.
 	PurgeChunks(ctx context.Context, ids []chunk.ID) (int, int64, error)
 	// AdvanceEpoch moves the provider to the next sweep epoch.
 	AdvanceEpoch(ctx context.Context) (uint64, error)
-	// Epoch returns the current sweep epoch without advancing it
-	// (dry-run sweeps must not erode the grace window).
-	Epoch(ctx context.Context) (uint64, error)
 }
 
 var (
@@ -519,8 +516,9 @@ func (p *Provider) ListChunks(ctx context.Context, after chunk.ID, limit int) ([
 // PurgeChunks frees the given chunks, returning how many were present
 // and the bytes freed. Only the garbage collector's sweep — which has
 // proven the chunks unreferenced — may call it. Chunks protected by a
-// live writer lease are skipped: this is the one lease check, made at
-// the moment of the purge, so it sees every lease registered before it. Each purge is also ordered
+// writer lease (live, or released less than two epochs ago) are
+// skipped: this is the one lease check, made at the moment of the
+// purge, so it sees every lease registered before it. Each purge is also ordered
 // against racing lease registrations, so a re-put under a fresh lease
 // can never be eaten by an already-classified victim's purge.
 func (p *Provider) PurgeChunks(ctx context.Context, ids []chunk.ID) (int, int64, error) {
@@ -530,8 +528,9 @@ func (p *Provider) PurgeChunks(ctx context.Context, ids []chunk.ID) (int, int64,
 	defer p.end()
 	var purged int
 	var freed int64
+	epoch := p.st.Epoch()
 	for _, id := range ids {
-		n, err := p.leases.purge(id, p.now(), func() (int64, error) { return p.st.Purge(id) })
+		n, err := p.leases.purge(id, p.now(), epoch, func() (int64, error) { return p.st.Purge(id) })
 		if err != nil {
 			return purged, freed, err
 		}
@@ -551,26 +550,19 @@ func (p *Provider) PurgeChunks(ctx context.Context, ids []chunk.ID) (int, int64,
 }
 
 // AdvanceEpoch moves the store to the next sweep epoch and returns it,
-// and drops the writer leases that expired by the provider's clock — a
-// crashed writer's lease lasts at most until the next sweep pass after
-// its TTL. A stopped provider refuses: a sweep must not age a provider's
-// chunks out of their grace window while it cannot answer for them.
+// then drops the released writer leases whose retirement epoch has come
+// and the live ones that expired by the provider's clock — a crashed
+// writer's lease lasts at most until the next sweep pass after its TTL.
+// A stopped provider refuses: a sweep must not retire a provider's
+// leases while it cannot answer for them.
 func (p *Provider) AdvanceEpoch(ctx context.Context) (uint64, error) {
 	if err := p.begin(ctx); err != nil {
 		return 0, err
 	}
 	defer p.end()
-	p.leases.expire(p.now())
-	return p.st.AdvanceEpoch(), nil
-}
-
-// Epoch returns the store's current sweep epoch.
-func (p *Provider) Epoch(ctx context.Context) (uint64, error) {
-	if err := p.begin(ctx); err != nil {
-		return 0, err
-	}
-	defer p.end()
-	return p.st.Epoch(), nil
+	e := p.st.AdvanceEpoch()
+	p.leases.expire(p.now(), e)
+	return e, nil
 }
 
 // Has reports whether the provider holds the chunk.

@@ -411,8 +411,8 @@ func TestProviderLifecycleSurface(t *testing.T) {
 	if err != nil || more || len(page) != 3 {
 		t.Fatalf("ListChunks = %d chunks more=%v err=%v", len(page), more, err)
 	}
-	if e, err := p.Epoch(ctx); err != nil || e != 0 {
-		t.Fatalf("epoch = %d, %v", e, err)
+	if e := p.st.Epoch(); e != 0 {
+		t.Fatalf("epoch = %d", e)
 	}
 	if e, err := p.AdvanceEpoch(ctx); err != nil || e != 1 {
 		t.Fatalf("advance = %d, %v", e, err)
@@ -429,11 +429,10 @@ func TestProviderLifecycleSurface(t *testing.T) {
 	}
 }
 
-// TestStoppedProviderRefusesEpochs: AdvanceEpoch and Epoch go through
-// the same stopped gate as every other call. A sweep reaching a stopped
-// provider (over rpc, where no pool filter hides it) used to advance
-// its epoch anyway, ageing chunks it could not answer for out of their
-// grace window.
+// TestStoppedProviderRefusesEpochs: AdvanceEpoch goes through the same
+// stopped gate as every other call. A sweep reaching a stopped provider
+// (over rpc, where no pool filter hides it) must not advance its epoch:
+// that would retire released leases it cannot answer for.
 func TestStoppedProviderRefusesEpochs(t *testing.T) {
 	p := New("p1", "z", 0)
 	ctx := context.Background()
@@ -444,12 +443,9 @@ func TestStoppedProviderRefusesEpochs(t *testing.T) {
 	if _, err := p.AdvanceEpoch(ctx); !errors.Is(err, ErrStopped) {
 		t.Fatalf("AdvanceEpoch on a stopped provider: %v, want ErrStopped", err)
 	}
-	if _, err := p.Epoch(ctx); !errors.Is(err, ErrStopped) {
-		t.Fatalf("Epoch on a stopped provider: %v, want ErrStopped", err)
-	}
 	p.Restart()
-	if e, err := p.Epoch(ctx); err != nil || e != 1 {
-		t.Fatalf("epoch after restart = %d, %v; want 1 (unchanged while stopped)", e, err)
+	if e := p.st.Epoch(); e != 1 {
+		t.Fatalf("epoch after restart = %d; want 1 (unchanged while stopped)", e)
 	}
 	cancelled, cancel := context.WithCancel(ctx)
 	cancel()
@@ -460,12 +456,14 @@ func TestStoppedProviderRefusesEpochs(t *testing.T) {
 
 // TestAdvanceEpochDropsExpiredLeases: AdvanceEpoch drops the writer
 // leases that expired by the provider's clock and keeps the live ones;
-// the live lease still blocks a purge, the dropped one no longer does.
+// the live lease still blocks a purge, the dropped one no longer does. A
+// released lease ignores its TTL: it blocks purges, and no renewal
+// revives it, until the second advance after its release drops it.
 func TestAdvanceEpochDropsExpiredLeases(t *testing.T) {
 	now := time.Unix(1000, 0)
 	p := New("p1", "z", 0, WithClock(func() time.Time { return now }))
 	ids := map[string]chunk.ID{}
-	for lease, ttl := range map[string]time.Duration{"live": time.Hour, "dead": time.Minute} {
+	for lease, ttl := range map[string]time.Duration{"live": time.Hour, "dead": time.Minute, "released": time.Minute} {
 		data := []byte(lease)
 		ids[lease] = chunk.Sum(data)
 		if err := p.LeaseChunks(bg, lease, ttl, []chunk.ID{ids[lease]}); err != nil {
@@ -475,17 +473,32 @@ func TestAdvanceEpochDropsExpiredLeases(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	if err := p.ReleaseLease(bg, "released"); err != nil {
+		t.Fatal(err)
+	}
 	now = now.Add(2 * time.Minute)
 	if _, err := p.AdvanceEpoch(bg); err != nil {
 		t.Fatal(err)
 	}
-	if _, kept := p.leases.rec["live"]; !kept || len(p.leases.rec) != 1 {
-		t.Fatalf("leases after AdvanceEpoch = %v, want only the live one", p.leases.rec)
+	if _, kept := p.leases.rec["live"]; !kept || len(p.leases.rec) != 2 {
+		t.Fatalf("leases after AdvanceEpoch = %v, want the live and the released one", p.leases.rec)
 	}
-	for lease, want := range map[string]int{"live": 0, "dead": 1} {
+	if err := p.LeaseChunks(bg, "released", time.Hour, nil); err != nil {
+		t.Fatal(err)
+	}
+	for lease, want := range map[string]int{"live": 0, "dead": 1, "released": 0} {
 		if n, _, err := p.PurgeChunks(bg, []chunk.ID{ids[lease]}); err != nil || n != want {
 			t.Fatalf("purge of the %s lease's chunk = %d, %v, want %d", lease, n, err, want)
 		}
+	}
+	if _, err := p.AdvanceEpoch(bg); err != nil {
+		t.Fatal(err)
+	}
+	if _, kept := p.leases.rec["live"]; !kept || len(p.leases.rec) != 1 || len(p.leases.holders) != 1 {
+		t.Fatalf("leases after the second AdvanceEpoch = %v (chunks %v), want only the live one", p.leases.rec, p.leases.holders)
+	}
+	if n, _, err := p.PurgeChunks(bg, []chunk.ID{ids["released"]}); err != nil || n != 1 {
+		t.Fatalf("purge of the retired lease's chunk = %d, %v, want 1", n, err)
 	}
 }
 

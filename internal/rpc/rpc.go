@@ -197,8 +197,6 @@ func (s *Server) handle(ctx context.Context, m byte, meta, payload []byte) (out,
 		r.Purged, r.Freed, err = p.PurgeChunks(ctx, a.IDs)
 	case mAdvanceEpoch:
 		r.Epoch, err = p.AdvanceEpoch(ctx)
-	case mEpoch:
-		r.Epoch, err = p.Epoch(ctx)
 	}
 	if err == nil && m >= mListChunks {
 		out, err = r.encode()
@@ -518,13 +516,6 @@ func (c *Conn) PurgeChunks(ctx context.Context, ids []chunk.ID) (int, int64, err
 func (c *Conn) AdvanceEpoch(ctx context.Context) (uint64, error) {
 	var r result
 	_, err := c.call(ctx, mAdvanceEpoch, &args{}, nil, &r)
-	return r.Epoch, err
-}
-
-// Epoch reads the remote provider's current sweep epoch.
-func (c *Conn) Epoch(ctx context.Context) (uint64, error) {
-	var r result
-	_, err := c.call(ctx, mEpoch, &args{}, nil, &r)
 	return r.Epoch, err
 }
 

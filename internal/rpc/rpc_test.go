@@ -63,9 +63,12 @@ func TestRemoteErrorsPropagate(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "not found") {
 		t.Fatalf("want not-found error, got %v", err)
 	}
-	// The retired Remove method keeps its number, and the server refuses it.
-	if _, err := conn.call(bg, mRetired, &args{ID: chunk.Sum([]byte("missing"))}, nil, nil); err == nil || !strings.Contains(err.Error(), "unknown method") {
-		t.Fatalf("want the retired method refused, got %v", err)
+	// The retired Remove and Epoch methods keep their numbers, and the
+	// server refuses them.
+	for _, m := range []byte{mRetired, mRetiredEpoch} {
+		if _, err := conn.call(bg, m, &args{ID: chunk.Sum([]byte("missing"))}, nil, nil); err == nil || !strings.Contains(err.Error(), "unknown method") {
+			t.Fatalf("want retired method %d refused, got %v", m, err)
+		}
 	}
 }
 
@@ -223,15 +226,15 @@ func TestLifecycleRPCs(t *testing.T) {
 		t.Fatalf("chunks after rpc purge = %d, want 2", p.Stats().Chunks)
 	}
 
-	// A stopped provider refuses the epoch calls like every other one: a
-	// remote sweep must not age its chunks out of their grace window.
+	// A stopped provider refuses AdvanceEpoch like every other call: a
+	// remote sweep must not retire leases it cannot answer for.
 	p.Stop()
 	if _, err := conn.AdvanceEpoch(bg); err == nil || !strings.Contains(err.Error(), provider.ErrStopped.Error()) {
 		t.Fatalf("advance epoch on a stopped provider over rpc: %v, want ErrStopped", err)
 	}
 	p.Restart()
-	if e, err := conn.Epoch(bg); err != nil || e != 1 {
-		t.Fatalf("epoch after restart over rpc = %d, %v; want 1", e, err)
+	if e, err := conn.AdvanceEpoch(bg); err != nil || e != 2 {
+		t.Fatalf("advance epoch after restart over rpc = %d, %v; want 2", e, err)
 	}
 }
 
@@ -474,15 +477,33 @@ func TestLeaseRPCs(t *testing.T) {
 	}
 
 	// ReleaseLease is one-way: it returns once written. The server applies
-	// it before it reads the next frame, so the purge that follows on the
-	// same conn finds the chunk unprotected — every time.
-	if err := conn.ReleaseLease(bg, "wl-test-1"); err != nil {
-		t.Fatal(err)
+	// it before it reads the next frame, so on the same conn the release
+	// retires the lease: a purge right after it still skips the chunk, a
+	// renewal sent after it does not revive it, and the second epoch
+	// advance after it lets the purge free the chunk — every time. Were
+	// the lease still live, the purge would skip the chunk for its
+	// minute-long TTL.
+	releaseRetires := func(round int, leaseID string) {
+		t.Helper()
+		if err := conn.ReleaseLease(bg, leaseID); err != nil {
+			t.Fatal(err)
+		}
+		if purged, _, err := conn.PurgeChunks(bg, []chunk.ID{id}); err != nil || purged != 0 {
+			t.Fatalf("round %d: purge right after a release = %d, %v, want 0 skipped", round, purged, err)
+		}
+		if err := conn.LeaseChunks(bg, leaseID, time.Minute, nil); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 2; i++ {
+			if _, err := conn.AdvanceEpoch(bg); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if purged, _, err := conn.PurgeChunks(bg, []chunk.ID{id}); err != nil || purged != 1 {
+			t.Fatalf("round %d: purge two epochs after a one-way release = %d, %v, want 1", round, purged, err)
+		}
 	}
-	purged, _, err = conn.PurgeChunks(bg, []chunk.ID{id})
-	if err != nil || purged != 1 {
-		t.Fatalf("purge after release = %d, %v, want 1", purged, err)
-	}
+	releaseRetires(-1, "wl-test-1")
 	for i := 0; i < 50; i++ {
 		lease := &chunk.Lease{ID: fmt.Sprintf("wl-store-%d", i), TTL: time.Minute}
 		if err := conn.Store(chunk.WithLease(bg, lease), "u", id, data); err != nil {
@@ -491,11 +512,6 @@ func TestLeaseRPCs(t *testing.T) {
 		if purged, _, err := conn.PurgeChunks(bg, []chunk.ID{id}); err != nil || purged != 0 {
 			t.Fatalf("purge of a chunk its Store leased = %d, %v, want 0 skipped", purged, err)
 		}
-		if err := conn.ReleaseLease(bg, lease.ID); err != nil {
-			t.Fatal(err)
-		}
-		if purged, _, err := conn.PurgeChunks(bg, []chunk.ID{id}); err != nil || purged != 1 {
-			t.Fatalf("round %d: purge after a one-way release = %d, %v, want 1", i, purged, err)
-		}
+		releaseRetires(i, lease.ID)
 	}
 }

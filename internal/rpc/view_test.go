@@ -83,10 +83,10 @@ func TestFaultingViewFailsFetch(t *testing.T) {
 	if got, err := conn.Fetch(bg, "u", id); err == nil {
 		t.Fatalf("an rpc fetch of a truncated record returned %d bytes", len(got))
 	}
-	if _, err := conn.Epoch(bg); err == nil {
+	if _, err := conn.AdvanceEpoch(bg); err == nil {
 		t.Fatal("the conn whose reply faulted still serves calls")
 	}
-	if _, err := mustDial(t, srv.Addr()).Epoch(bg); err != nil {
+	if _, err := mustDial(t, srv.Addr()).AdvanceEpoch(bg); err != nil {
 		t.Fatalf("the server after a faulting reply: %v", err)
 	}
 }

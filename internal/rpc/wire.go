@@ -71,7 +71,7 @@ const (
 	mListChunks
 	mPurge
 	mAdvanceEpoch
-	mEpoch
+	mRetiredEpoch // once Epoch; args.decode refuses it
 	numMethods
 )
 
@@ -232,7 +232,7 @@ var errMeta = errors.New("rpc: malformed frame metadata")
 // decode parses m's arguments from meta. Every length is checked against
 // the bytes left before anything is sized by it, and nothing may trail.
 func (a *args) decode(m byte, meta []byte) error {
-	if m == 0 || m == mRetired || m >= numMethods {
+	if m == 0 || m == mRetired || m == mRetiredEpoch || m >= numMethods {
 		return fmt.Errorf("rpc: unknown method %d", m)
 	}
 	const idLen = uint64(len(chunk.ID{}))
@@ -309,7 +309,7 @@ func (d *decoder) varint() int64 {
 // result is the reply metadata of the control-plane calls, gob-encoded
 // one message at a time: they are cold, and gob takes fewer lines.
 type result struct {
-	Epoch  uint64               // AdvanceEpoch, Epoch
+	Epoch  uint64               // AdvanceEpoch
 	Chunks []provider.ChunkInfo // ListChunks
 	More   bool                 // ListChunks
 	Purged int                  // Purge

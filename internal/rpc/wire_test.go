@@ -563,7 +563,7 @@ func FuzzReadBody(f *testing.F) {
 	f.Add(frame(mListChunks, 0, resultOf(result{Chunks: []provider.ChunkInfo{{ID: id, Size: 3000, Epoch: 5}}, More: true}), nil))
 	f.Add(frame(numMethods, 0, resultOf(result{Epoch: 1}), nil)) // one past the last method: args.decode refuses it
 	f.Add(frame(mPurge, 0, resultOf(result{Purged: 3, Freed: -1}), nil))
-	f.Add(frame(mEpoch, 0, resultOf(result{Epoch: 1 << 40}), nil))
+	f.Add(frame(mAdvanceEpoch, 0, resultOf(result{Epoch: 1 << 40}), nil))
 	f.Add(frame(mFetch, flagError, []byte(provider.ErrNotFound.Error()), nil))
 	f.Add(frame(0, flagCancel, nil, nil))
 	f.Add([]byte{mStore, 0, 1, 2, 3})

@@ -434,8 +434,8 @@ func (g *Gateway) putObject(w http.ResponseWriter, r *http.Request, user, bucket
 	// version that would immediately be deleted) and drops the blob.
 	// Close releases the writer's lease (gateway writers lease by default
 	// via the cluster wiring), so the chunks the writer already flushed
-	// — referenced by no version — are the sweep's once they clear the
-	// grace window.
+	// — referenced by no version — are the sweep's two passes after the
+	// release.
 	abandon := func() {
 		cancel()
 		_ = bw.Close()

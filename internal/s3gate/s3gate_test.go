@@ -603,9 +603,9 @@ func (h *hookBody) Read(p []byte) (int, error) {
 	return n, nil
 }
 
-// providersEmpty runs the sweep passes the default grace window implies
-// for chunks stored before them — one to age them, one to free them —
-// and fails the test if any provider still holds a chunk, or the
+// providersEmpty runs two sweep passes — a writer's released chunk
+// lease retires at the second epoch advance after its release, so the
+// second pass frees what the writers stored before them — and fails the test if any provider still holds a chunk, or the
 // metadata store a tree node. The gateway frees nothing itself: only a
 // pass does.
 func providersEmpty(t *testing.T, cluster *core.Cluster, when string) {
@@ -685,8 +685,7 @@ func TestPutRacingBucketDelete(t *testing.T) {
 // a small-chunk gateway: by the time the limit trips, many chunk slots
 // have already been flushed to providers. The version was never
 // published, so no tree references them: once the gateway has released
-// the writer's lease, the sweep takes them when they clear the grace
-// window.
+// the writer's lease, the sweep takes them two passes later.
 func TestAbandonedPutReclaimsFlushedChunks(t *testing.T) {
 	cluster, err := core.NewCluster(core.Options{Providers: 3, Monitoring: false})
 	if err != nil {
@@ -887,8 +886,8 @@ func TestStreamingGetSurvivesConcurrentDelete(t *testing.T) {
 	if gresp := do(t, http.MethodGet, srv.URL+"/b/k", nil); gresp.StatusCode != 404 {
 		t.Fatalf("get after delete: %d", gresp.StatusCode)
 	}
-	// ...but passes enough to clear the grace window free none of the
-	// pinned chunks...
+	// ...but passes enough to retire every released writer lease free
+	// none of the pinned chunks...
 	ctx := context.Background()
 	stored := gatewayChunks(g)
 	for pass := 0; pass < 3; pass++ {
@@ -990,7 +989,7 @@ func (r *failAfterReader) Read(p []byte) (int, error) {
 // the writer had already flushed without waiting out any TTL.
 func TestAbandonedPutDrainsLeases(t *testing.T) {
 	cluster, err := core.NewCluster(core.Options{
-		Providers: 2, Monitoring: false, GCGraceEpochs: -1,
+		Providers: 2, Monitoring: false,
 	})
 	if err != nil {
 		t.Fatal(err)

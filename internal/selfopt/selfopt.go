@@ -181,9 +181,24 @@ func (r *Replicator) Scan(ctx context.Context, now time.Time) (RepairReport, err
 		if len(fixes) == 0 {
 			continue
 		}
+		// The copies are filed under a chunk lease at each new target
+		// until the repair version naming them is published: a pass that
+		// marked before it must not purge them.
+		leaseID, err := chunk.NewLeaseID()
+		if err != nil {
+			if firstErr == nil {
+				firstErr = err
+			}
+			continue
+		}
+		lctx := chunk.WithLease(ctx, &chunk.Lease{ID: leaseID})
+		targets := map[string]struct{}{}
 		writes := make(map[int64]chunk.Desc, len(fixes))
 		for _, f := range fixes {
-			nd, err := r.repairChunk(ctx, f.desc, target)
+			nd, err := r.repairChunk(lctx, f.desc, target)
+			for _, p := range nd.Providers[len(f.desc.Providers):] {
+				targets[p] = struct{}{}
+			}
 			if err != nil {
 				rep.Failed++
 				if firstErr == nil {
@@ -194,18 +209,13 @@ func (r *Replicator) Scan(ctx context.Context, now time.Time) (RepairReport, err
 			writes[f.idx] = nd
 			rep.Repaired++
 		}
-		if len(writes) == 0 {
-			continue
-		}
-		tk, err := r.vm.AssignWrite(blob, "selfopt", 0, 0)
-		if err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
-		}
-		if err := r.vm.Publish(blob, tk.Version, "selfopt", writes); err != nil && firstErr == nil {
+		err = r.publish(blob, writes)
+		r.release(ctx, leaseID, targets)
+		if err != nil && firstErr == nil {
 			firstErr = err
+		}
+		if err != nil || len(writes) == 0 {
+			continue
 		}
 		r.emit.Emit(instrument.Event{
 			Time: now, Actor: instrument.ActorSelfOpt, Op: instrument.OpReplicate,
@@ -218,7 +228,33 @@ func (r *Replicator) Scan(ctx context.Context, now time.Time) (RepairReport, err
 	return rep, firstErr
 }
 
-// repairChunk raises one chunk's live replica set to the target degree.
+// publish files a BLOB's repaired descriptors as a new version.
+func (r *Replicator) publish(blob uint64, writes map[int64]chunk.Desc) error {
+	if len(writes) == 0 {
+		return nil
+	}
+	tk, err := r.vm.AssignWrite(blob, "selfopt", 0, 0)
+	if err != nil {
+		return err
+	}
+	return r.vm.Publish(blob, tk.Version, "selfopt", writes)
+}
+
+// release releases a repair's chunk lease at every target it stored to,
+// on a context that outlives the scan's cancellation. A target it cannot
+// reach lets the lease expire by its own clock.
+func (r *Replicator) release(ctx context.Context, leaseID string, targets map[string]struct{}) {
+	ctx = context.WithoutCancel(ctx)
+	for id := range targets {
+		if p, err := r.pool.Provider(ctx, id); err == nil {
+			_ = p.ReleaseLease(ctx, leaseID)
+		}
+	}
+}
+
+// repairChunk raises one chunk's live replica set to the target degree,
+// storing under the lease ctx carries. The returned descriptor lists the
+// new targets after the original providers, also when it fails part-way.
 func (r *Replicator) repairChunk(ctx context.Context, d chunk.Desc, target int) (chunk.Desc, error) {
 	if len(d.Providers) == 0 {
 		return d, fmt.Errorf("selfopt: chunk %s: all replicas lost", d.ID.Short())

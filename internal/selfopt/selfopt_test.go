@@ -316,8 +316,8 @@ func TestReaperRemovesAndReclaims(t *testing.T) {
 	observe(r.in, instrument.Event{
 		Time: t0, Actor: instrument.ActorClient, Op: instrument.OpWrite, Blob: blob, User: "u", Bytes: 9,
 	})
-	// The lifecycle manager deletes; its sweep (no grace window) frees.
-	lc := gc.New(r.vm, r.pool, gc.WithGraceEpochs(0))
+	// The lifecycle manager deletes; its next sweep frees.
+	lc := gc.New(r.vm, r.pool)
 	reaper := NewReaper(lc, nil, TTLStrategy{In: r.in, TTL: time.Minute})
 	removed, err := reaper.Run(ctx, t0.Add(time.Hour))
 	if err != nil {

@@ -50,9 +50,11 @@ var everyConn = []struct {
 // TestEveryConnCarriesLeases: a Conn must not hide leasing. Through
 // every client.Conn in the tree a LeaseChunks protects its chunk from a
 // wholesale purge, so does a Store's lease by the time the Store
-// returns, and a ReleaseLease lifts the protection. A wrapper that
-// swallowed any of them would leave the writers behind it with the
-// grace window as their only protection.
+// returns, and a ReleaseLease retires the protection: a purge right
+// after it still skips the chunk, a renewal sent after it does not
+// revive it, and the second epoch advance after it lets the purge free
+// the chunk. A wrapper that swallowed any of them would leave the
+// writers behind it unprotected, or their chunks leased for the TTL.
 func TestEveryConnCarriesLeases(t *testing.T) {
 	ctx := context.Background()
 	for _, c := range everyConn {
@@ -92,7 +94,16 @@ func TestEveryConnCarriesLeases(t *testing.T) {
 			if _, err := conn.Fetch(ctx, "u", id); err != nil {
 				t.Fatal(err)
 			}
-			purge(1, "both ReleaseLease calls through the conn")
+			purge(0, "both ReleaseLease calls through the conn")
+			if err := conn.LeaseChunks(ctx, "w2", time.Minute, nil); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 2; i++ {
+				if _, err := p.AdvanceEpoch(ctx); err != nil {
+					t.Fatal(err)
+				}
+			}
+			purge(1, "a renewal after the releases and two epoch advances")
 		})
 	}
 }
