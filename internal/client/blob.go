@@ -45,9 +45,11 @@ func (b *Blob) Latest() (uint64, error) { return b.c.Latest(b.info.ID) }
 // NewReader returns a streaming reader over [offset, offset+length) of
 // the given version (0 = latest published; length < 0 = to the end of
 // the version). Holes read as zeros; a window past the version size
-// fails with ErrShortRead. Once its first chunk lands, the reader keeps
-// a window of chunk fetches in flight ahead of the consumer (WithPrefetch);
-// cancelling ctx aborts them. Callers must Close the reader.
+// fails with ErrShortRead. The first chunk a read needs is fetched alone,
+// only its first 64 KiB when the read needs 512 KiB or more of it (see
+// BlobReader); behind it the reader keeps a window of chunk fetches in
+// flight ahead of the consumer (WithPrefetch); cancelling ctx aborts them.
+// Callers must Close the reader.
 func (b *Blob) NewReader(ctx context.Context, version uint64, offset, length int64) (*BlobReader, error) {
 	c := b.c
 	start := c.now()
@@ -137,22 +139,44 @@ func (b *Blob) NewWriter(ctx context.Context, offset int64) (*BlobWriter, error)
 	return c.newWriter(ctx, b.info.ID, b.info.ChunkSize, offset, instrument.OpWrite, nil, start), nil
 }
 
-// chunkFuture is one in-flight (or completed) chunk fetch.
+// chunkFuture is one in-flight (or completed) fetch of a chunk's part.
 type chunkFuture struct {
 	done   chan struct{}
 	cancel context.CancelFunc // aborts this chunk's in-flight fetch
 	off    int64              // chunk offset data starts at (a ranged fetch)
 	data   []byte
 	err    error
+	// rest is a demand head's remainder, from chunk offset rest.off on;
+	// the head answers only for the bytes before it. Until the reader's
+	// next ensure starts its fetch, rest is a placeholder (done nil).
+	rest *chunkFuture
 }
 
-// from returns the fetched bytes from chunk offset rel on; none past them,
-// where a hole or a short chunk reads as zeros.
-func (f *chunkFuture) from(rel int64) []byte {
-	if rel -= f.off; rel < int64(len(f.data)) {
-		return f.data[rel:]
+// from returns the fetched bytes from chunk offset rel on, up to end; none
+// past them, where a hole or a short chunk reads as zeros.
+func (f *chunkFuture) from(rel, end int64) []byte {
+	if n := int64(len(f.data)); rel-f.off < n {
+		return f.data[rel-f.off : min(n, end-f.off)]
 	}
 	return nil
+}
+
+// drop cancels f's fetch, and its remainder's, and recycles their buffers
+// into the chunk pool. Only settled fetches donate: an in-flight
+// (cancelled) fetch still owns f.data and its buffer is simply dropped
+// when the goroutine finishes. A remainder not started has nothing yet.
+func (f *chunkFuture) drop() {
+	if f.rest != nil && f.rest.done != nil {
+		f.rest.drop()
+	}
+	f.cancel()
+	select {
+	case <-f.done:
+		if f.err == nil {
+			chunk.PutBuf(f.data)
+		}
+	default:
+	}
 }
 
 // settled is the done channel of every future resolved on the reader's
@@ -167,12 +191,25 @@ var settled = func() chan struct{} {
 // holes carry no data and need no per-slot allocation.
 var holeFuture = &chunkFuture{done: settled, cancel: func() {}}
 
+// A demand fetch of a chunk part of at least splitMin bytes fetches only
+// the part's first headBytes (see BlobReader), at the cost of a second
+// fetch. With 1 MiB chunks on read-under-gc the split cut the median time
+// to first byte to about a third; a 256 KiB head kept less of that gain.
+const (
+	splitMin  = 512 << 10
+	headBytes = 64 << 10
+)
+
 // BlobReader streams one version window. It implements
 // io.ReadSeekCloser and io.WriterTo. Not safe for concurrent use. Reads
 // are demand first: an awaited chunk nothing is fetching yet (a read's
 // first, or the first after a Seek out of the window) is fetched alone,
-// and the prefetch window opens behind it once it lands, so no prefetch
-// delays the first byte. A one-chunk read starts no goroutine.
+// so no prefetch delays the first byte. A part of it under splitMin is
+// fetched whole and the prefetch window opens behind it once it lands.
+// From a larger part only its first headBytes are fetched and handed to
+// the consumer; only when the consumer comes back for more do the part's
+// remainder, as a ranged fetch, and then the window start. A one-chunk
+// read of a small part starts no goroutine.
 type BlobReader struct {
 	c         *Client
 	ctx       context.Context
@@ -188,7 +225,6 @@ type BlobReader struct {
 	descs     []chunk.Desc
 	window    int64
 	futures   map[int64]*chunkFuture
-	zeros     []byte
 	started   time.Time
 	err       error
 	closed    bool
@@ -201,89 +237,109 @@ func (r *BlobReader) Version() uint64 { return r.version }
 // Size returns the window length in bytes.
 func (r *BlobReader) Size() int64 { return r.length }
 
-// ensure drops (and cancels) every future outside the window [idx,
-// idx+window), so the map never pins more than window chunk buffers. For
-// a demand chunk idx (see BlobReader) it opens nothing and returns nil:
-// await fetches it and calls ensure again once it landed, so a failed
-// demand fetch opens no window. Otherwise it launches fetches for the
-// window's chunks not yet in flight — a hole resolves at once with nil
-// data, so an awaited hole opens the window at once — and returns idx's.
+// ensure drops every future outside the window [idx, idx+window), so the
+// map never pins more than window chunk buffers. For a demand chunk idx
+// (see BlobReader) it opens nothing and returns nil: await fetches it, so
+// a failed demand fetch opens no window. Otherwise it launches fetches
+// for the window's chunks not yet in flight — a head's remainder first; a
+// hole resolves at once with nil data, so an awaited hole opens the
+// window at once — and returns idx's.
 func (r *BlobReader) ensure(idx int64) *chunkFuture {
 	for i, f := range r.futures {
 		if i < idx || i >= idx+r.window {
 			// An evicted future may still be mid-fetch: abort it so the
 			// prefetch window bounds in-flight transfers, not just the map.
-			f.cancel()
 			delete(r.futures, i)
-			r.donate(f)
+			f.drop()
 		}
 	}
-	if _, ok := r.futures[idx]; !ok && !r.descs[idx-r.loIdx].ID.IsZero() {
+	if _, ok := r.futures[idx]; !ok && !r.hole(idx) {
 		return nil
 	}
 	end := min(idx+r.window, r.loIdx+int64(len(r.descs)))
 	for i := idx; i < end; i++ {
-		if _, ok := r.futures[i]; ok {
-			continue
+		f, ok := r.futures[i]
+		switch {
+		case ok && f.rest != nil && f.rest.done == nil:
+			f.rest = r.start(i, f.rest.off)
+		case ok:
+		case r.hole(i):
+			r.futures[i] = holeFuture // zeros
+		default:
+			lo, _ := r.part(i)
+			r.futures[i] = r.start(i, lo)
 		}
-		if r.descs[i-r.loIdx].ID.IsZero() {
-			r.futures[i] = holeFuture // hole: zeros
-			continue
-		}
-		fctx, fcancel := context.WithCancel(r.ctx)
-		f := &chunkFuture{done: make(chan struct{}), cancel: fcancel}
-		r.futures[i] = f
-		go func(i int64, f *chunkFuture) {
-			defer fcancel()
-			r.fetch(fctx, i, f)
-			close(f.done)
-		}(i, f)
 	}
 	return r.futures[idx]
 }
 
-// fetch fetches chunk idx into f: only the part of it the window covers,
-// unless that part is the whole chunk.
-func (r *BlobReader) fetch(ctx context.Context, idx int64, f *chunkFuture) {
-	d := r.descs[idx-r.loIdx]
+// part returns the bytes [lo, hi) of chunk idx that the window covers and
+// the chunk stores: the window's other bytes of the slot read as zeros.
+func (r *BlobReader) part(idx int64) (lo, hi int64) {
 	slotLo, slotHi := chunk.SlotRange(idx, r.chunkSize)
-	lo := max(r.base, slotLo) - slotLo
-	hi := min(r.base+r.length, slotHi) - slotLo
-	if lo > 0 || hi < d.Size {
-		ctx = chunk.WithRange(ctx, lo, hi-lo)
-		f.off = lo
+	size := r.descs[idx-r.loIdx].Size
+	return max(r.base, slotLo) - slotLo, min(r.base+r.length, slotHi, slotLo+size) - slotLo
+}
+
+// hole reports whether the window reads chunk idx as zeros alone: a hole,
+// or a window part wholly past a short chunk's stored bytes.
+func (r *BlobReader) hole(idx int64) bool {
+	lo, hi := r.part(idx)
+	return hi <= lo
+}
+
+// start launches the fetch of chunk idx's part from chunk offset lo on.
+func (r *BlobReader) start(idx, lo int64) *chunkFuture {
+	fctx, fcancel := context.WithCancel(r.ctx)
+	f := &chunkFuture{done: make(chan struct{}), cancel: fcancel, off: lo}
+	_, hi := r.part(idx)
+	go func() {
+		defer fcancel()
+		r.fetch(fctx, idx, f, hi)
+		close(f.done)
+	}()
+	return f
+}
+
+// fetch fetches bytes [f.off, hi) of chunk idx into f: a ranged fetch,
+// unless they are the whole chunk.
+func (r *BlobReader) fetch(ctx context.Context, idx int64, f *chunkFuture, hi int64) {
+	d := r.descs[idx-r.loIdx]
+	if f.off > 0 || hi < d.Size {
+		ctx = chunk.WithRange(ctx, f.off, hi-f.off)
 	}
 	f.data, f.err = r.c.fetchReplica(ctx, d)
 }
 
-// donate recycles an evicted future's chunk buffer into the chunk pool.
-// Only settled fetches donate: an in-flight (cancelled) fetch still owns
-// f.data and its buffer is simply dropped when the goroutine finishes.
-func (r *BlobReader) donate(f *chunkFuture) {
-	select {
-	case <-f.done:
-		if f.err == nil {
-			chunk.PutBuf(f.data)
-		}
-	default:
-	}
-}
-
-// await returns chunk idx once it is available, or fails when the
-// context is cancelled. It fetches a demand chunk itself under r.ctx and
-// opens the window once that fetch succeeds. With metrics attached it
-// records one stall per call not cut short while waiting: zero (no clock
-// read) when the chunk was already resolved, else the wait or the fetch.
-func (r *BlobReader) await(idx int64) (*chunkFuture, error) {
+// await returns the window's bytes from the read position on, as far as
+// one future answers for them: the fetched bytes, then zeros (a hole or a
+// short chunk's tail), n bytes in all. It fetches a demand chunk itself
+// under r.ctx, only its head when the part is split (see BlobReader),
+// and opens the window once a whole part landed; a head's remainder and
+// window open at the next call. With metrics attached it records one
+// stall per call not cut short while waiting: zero (no clock read) when
+// the bytes were already there, else the wait or the fetch.
+func (r *BlobReader) await() (data []byte, n int64, err error) {
+	abs := r.base + r.pos
+	idx := abs / r.chunkSize
+	slotLo, slotHi := chunk.SlotRange(idx, r.chunkSize)
+	rel, end := abs-slotLo, min(r.base+r.length, slotHi)-slotLo
 	m := r.c.m
 	fut := r.ensure(idx)
+	if fut != nil && fut.rest != nil { // a head answers up to its remainder
+		if rel < fut.rest.off {
+			end = fut.rest.off
+		} else {
+			fut = fut.rest
+		}
+	}
 	if fut != nil {
 		select {
 		case <-fut.done:
 			if m != nil {
 				m.readerStall.Observe(0)
 			}
-			return fut, fut.err
+			return fut.from(rel, end), end - rel, fut.err
 		default:
 		}
 	}
@@ -293,24 +349,31 @@ func (r *BlobReader) await(idx int64) (*chunkFuture, error) {
 	}
 	demand := fut == nil
 	if demand {
-		fut = &chunkFuture{done: settled, cancel: func() {}}
-		r.fetch(r.ctx, idx, fut)
+		lo, hi := r.part(idx)
+		fut = &chunkFuture{done: settled, cancel: func() {}, off: lo}
+		if hi-lo >= splitMin && rel < lo+headBytes {
+			hi = lo + headBytes
+			end = hi
+			fut.rest = &chunkFuture{off: hi}
+		}
+		r.fetch(r.ctx, idx, fut, hi)
 	} else {
 		select {
 		case <-r.ctx.Done():
-			return nil, r.ctx.Err()
+			return nil, 0, r.ctx.Err()
 		case <-fut.done:
 		}
 	}
 	if m != nil {
 		m.observe(m.readerStall, r.c.now().Sub(t0))
 	}
-	if fut.err != nil || !demand {
-		return fut, fut.err
+	if demand && fut.err == nil {
+		r.futures[idx] = fut
+		if fut.rest == nil {
+			r.ensure(idx) // a whole part landed: open the window behind it
+		}
 	}
-	r.futures[idx] = fut
-	r.ensure(idx) // the demand chunk landed: open the window behind it
-	return fut, nil
+	return fut.from(rel, end), end - rel, fut.err
 }
 
 // Read implements io.Reader. Each call serves bytes from at most one
@@ -328,22 +391,17 @@ func (r *BlobReader) Read(p []byte) (int, error) {
 	if len(p) == 0 {
 		return 0, nil
 	}
-	abs := r.base + r.pos
-	idx := abs / r.chunkSize
-	fut, err := r.await(idx)
+	data, n, err := r.await()
 	if err != nil {
 		r.err = err
 		return 0, err
 	}
-	slotLo, slotHi := chunk.SlotRange(idx, r.chunkSize)
-	end := min(r.base+r.length, slotHi)
-	n := min(int64(len(p)), end-abs)
-	seg := p[:n]
+	seg := p[:min(int64(len(p)), n)]
 	// Chunk bytes first; only the hole / short-chunk tail needs zeroing.
-	clear(seg[copy(seg, fut.from(abs-slotLo)):])
-	r.pos += n
-	r.served += n
-	return int(n), nil
+	clear(seg[copy(seg, data):])
+	r.pos += int64(len(seg))
+	r.served += int64(len(seg))
+	return len(seg), nil
 }
 
 // WriteTo implements io.WriterTo: it streams the remaining window into w
@@ -358,49 +416,33 @@ func (r *BlobReader) WriteTo(w io.Writer) (int64, error) {
 	}
 	var total int64
 	for r.pos < r.length {
-		abs := r.base + r.pos
-		idx := abs / r.chunkSize
-		fut, err := r.await(idx)
+		data, n, err := r.await()
 		if err != nil {
 			r.err = err
 			return total, err
 		}
-		slotLo, slotHi := chunk.SlotRange(idx, r.chunkSize)
-		end := min(r.base+r.length, slotHi)
-		// Valid chunk bytes first, then the slot's zero tail.
-		if b := fut.from(abs - slotLo); len(b) > 0 {
-			n, werr := w.Write(b[:min(int64(len(b)), end-abs)])
-			total += int64(n)
-			r.pos += int64(n)
-			r.served += int64(n)
+		// Fetched bytes first, then the zeros up to n.
+		for n > 0 {
+			b := data
+			if len(b) == 0 {
+				b = zeros[:min(n, int64(len(zeros)))]
+			}
+			k, werr := w.Write(b)
+			total += int64(k)
+			r.pos += int64(k)
+			r.served += int64(k)
 			if werr != nil {
 				return total, werr
 			}
-			abs = r.base + r.pos
-		}
-		for abs < end {
-			n, werr := w.Write(r.zeroBuf(end - abs))
-			total += int64(n)
-			r.pos += int64(n)
-			r.served += int64(n)
-			if werr != nil {
-				return total, werr
-			}
-			abs = r.base + r.pos
+			data, n = data[min(k, len(data)):], n-int64(k)
 		}
 	}
 	return total, nil
 }
 
-// zeroBuf returns a slice of up to n zero bytes (bounded scratch, shared
-// across calls — callers must only read it).
-func (r *BlobReader) zeroBuf(n int64) []byte {
-	const maxZero = 64 << 10
-	if r.zeros == nil {
-		r.zeros = make([]byte, maxZero)
-	}
-	return r.zeros[:min(n, maxZero)]
-}
+// zeros is what WriteTo writes a hole or a short chunk's tail from; every
+// reader shares it, and io.Writer's contract keeps it zero.
+var zeros [64 << 10]byte
 
 // Seek implements io.Seeker relative to the reader's window: offset 0 /
 // io.SeekStart is the window start, io.SeekEnd its end. Seeking past the
@@ -439,7 +481,7 @@ func (r *BlobReader) Close() error {
 	r.cancel()
 	for i, f := range r.futures {
 		delete(r.futures, i)
-		r.donate(f)
+		f.drop()
 	}
 	if r.pinned {
 		r.c.pinner.Unpin(r.blob, r.version)

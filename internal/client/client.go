@@ -185,9 +185,9 @@ func WithWorkers(n int) Option {
 }
 
 // WithPrefetch bounds how many chunks a BlobReader keeps in flight,
-// current chunk included (default 4); the window opens once the first
-// awaited chunk lands. A larger window hides more per-chunk latency at
-// the cost of memory proportional to window × chunk size.
+// current chunk included (default 4); the window opens behind the first
+// awaited chunk (see BlobReader). A larger window hides more per-chunk
+// latency at the cost of memory proportional to window × chunk size.
 func WithPrefetch(n int) Option {
 	return func(c *Client) {
 		if n > 0 {

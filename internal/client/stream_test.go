@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/rand"
 	"runtime"
 	"slices"
 	"sort"
@@ -357,6 +358,62 @@ func TestStreamReadMatchesBufferedAcrossShapes(t *testing.T) {
 		if err != nil || !bytes.Equal(got, want) {
 			t.Fatalf("window [%d,%d): stream %d bytes vs buffered %d, err=%v",
 				off, off+n, len(got), len(want), err)
+		}
+	}
+	// Chunks of splitMin and more, against the bytes written: demand
+	// heads and their remainders, mid-chunk starts, parts under splitMin,
+	// a short chunk's zero tail (chunk 2), a hole's leading zeros (chunk
+	// 3) and a short last chunk (chunk 4), read by small Reads,
+	// io.ReadAll's growing ones and WriteTo.
+	large, _ := c.Create(ctx, mib)
+	bytesAt := make([]byte, 4*mib+3*mib/4)
+	copy(bytesAt, noise(2, 5*mib/2))
+	copy(bytesAt[13*mib/4:], noise(3, 3*mib/2))
+	if _, err := c.Write(ctx, large.ID, 0, bytesAt[:5*mib/2]); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Write(ctx, large.ID, 13*mib/4, bytesAt[13*mib/4:]); err != nil {
+		t.Fatal(err)
+	}
+	largeBlob, _ := c.Open(ctx, large.ID)
+	consumers := []struct {
+		name string
+		read func(*BlobReader) ([]byte, error)
+	}{
+		{"Read 1000", func(r *BlobReader) (out []byte, err error) {
+			buf := make([]byte, 1000)
+			for {
+				n, err := r.Read(buf)
+				out = append(out, buf[:n]...)
+				if err == io.EOF {
+					return out, nil
+				} else if err != nil {
+					return out, err
+				}
+			}
+		}},
+		{"ReadAll", func(r *BlobReader) ([]byte, error) { return io.ReadAll(r) }},
+		{"WriteTo", func(r *BlobReader) ([]byte, error) {
+			var buf bytes.Buffer
+			_, err := r.WriteTo(&buf)
+			return buf.Bytes(), err
+		}},
+	}
+	for _, win := range [][2]int64{
+		{0, int64(len(bytesAt))}, {300 << 10, 2 * mib}, {100 << 10, 700 << 10}, {mib + 600<<10, 400 << 10},
+		{5*mib/2 - 100, 300 << 10}, {11 * mib / 4, 100 << 10}, {3*mib + 100, int64(len(bytesAt)) - 3*mib - 100},
+	} {
+		off, n := win[0], win[1]
+		for _, cons := range consumers {
+			r, err := largeBlob.NewReader(ctx, 0, off, n)
+			if err != nil {
+				t.Fatalf("reader [%d,%d): %v", off, off+n, err)
+			}
+			got, err := cons.read(r)
+			r.Close()
+			if err != nil || !bytes.Equal(got, bytesAt[off:off+n]) {
+				t.Fatalf("%s of window [%d,%d): %d bytes, %v; differs from the bytes written", cons.name, off, off+n, len(got), err)
+			}
 		}
 	}
 	if _, err := blob.NewReader(ctx, 0, 40, 20); !errors.Is(err, ErrShortRead) {
@@ -860,13 +917,14 @@ func TestReaderFetchesAwaitedChunkAsStall(t *testing.T) {
 	}
 }
 
-// fetchLog gates the Fetches of a gatedConn: it records the chunk of
-// each in issue order, parks the first one issued after arm until the
-// returned release channel closes (or its context ends), and fails every
-// Fetch while fail is set.
+// fetchLog gates the Fetches of a gatedConn: it records the chunk and
+// range of each in issue order, parks the first one issued after arm
+// until the returned release channel closes (or its context ends), and
+// fails every Fetch while fail is set.
 type fetchLog struct {
 	mu      sync.Mutex
 	issued  []chunk.ID
+	ranges  [][2]int64    // chunk.RangeFrom of each issued Fetch
 	parked  chan struct{} // armed: closed once the next Fetch parks
 	release chan struct{}
 	fail    error
@@ -896,6 +954,13 @@ func (l *fetchLog) since(n int, idx map[chunk.ID]int64) []int64 {
 	return out
 }
 
+// rangesSince returns the ranges of the Fetches issued after the first n.
+func (l *fetchLog) rangesSince(n int) [][2]int64 {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return slices.Clone(l.ranges[n:])
+}
+
 func (l *fetchLog) len() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -911,6 +976,8 @@ func (c gatedConn) Fetch(ctx context.Context, user string, id chunk.ID) ([]byte,
 	l := c.log
 	l.mu.Lock()
 	l.issued = append(l.issued, id)
+	off, n := chunk.RangeFrom(ctx)
+	l.ranges = append(l.ranges, [2]int64{off, n})
 	parked, release, fail := l.parked, l.release, l.fail
 	l.parked, l.release = nil, nil
 	l.mu.Unlock()
@@ -1062,5 +1129,379 @@ func TestReaderFetchesDemandChunkFirst(t *testing.T) {
 		if i < 2 || i >= 8 {
 			t.Fatalf("hole read fetched %v, want the window's data chunks 2 to 7", fetches.since(mark, hidx))
 		}
+	}
+}
+
+const mib = 1 << 20
+
+// noise returns n bytes of seeded noise: no two chunk offsets alike, so a
+// byte served from the wrong offset shows.
+func noise(seed int64, n int) []byte {
+	p := make([]byte, n)
+	rand.New(rand.NewSource(seed)).Read(p)
+	return p
+}
+
+// headBed writes chunks distinct 1 MiB chunks, each on two replicas, and
+// returns a client that reads them through a gatedConn on the returned
+// log, each Fetch under wrap, with the payload.
+func headBed(t *testing.T, chunks int, wrap func(id string, c Conn) Conn, opts ...Option) (*Client, uint64, []byte, *fetchLog) {
+	t.Helper()
+	b := newBed(t, 2)
+	ctx := context.Background()
+	w := b.client("alice", WithReplicas(2))
+	info, err := w.Create(ctx, mib)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := noise(1, chunks*mib)
+	if _, err := w.Write(ctx, info.ID, 0, payload); err != nil {
+		t.Fatal(err)
+	}
+	fetches := &fetchLog{}
+	dir := DirectoryFunc(func(ctx context.Context, id string) (Conn, error) {
+		conn, err := b.Lookup(ctx, id)
+		if err == nil && wrap != nil {
+			conn = wrap(id, conn)
+		}
+		return gatedConn{Conn: conn, log: fetches}, err
+	})
+	return New("alice", b.vm, b.pm, dir, opts...), info.ID, payload, fetches
+}
+
+// openAll opens a reader over the whole of blob id.
+func openAll(t *testing.T, c *Client, id uint64) *BlobReader {
+	t.Helper()
+	blob, err := c.Open(context.Background(), id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := blob.NewReader(context.Background(), 0, 0, -1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+// TestReaderHandsHeadOverBeforeRemainder: from a demand part of splitMin
+// or more the reader fetches only a headBytes head and hands it over; the
+// part's remainder is fetched only when the consumer comes back, and the
+// head's bytes keep reaching the consumer while that fetch is parked.
+func TestReaderHandsHeadOverBeforeRemainder(t *testing.T) {
+	c, id, payload, fetches := headBed(t, 2, nil, WithPrefetch(1)) // a window of one: the remainder is the only fetch
+	r := openAll(t, c, id)
+	defer r.Close()
+	var got []byte
+	buf := make([]byte, 4<<10)
+	read := func() {
+		t.Helper()
+		n, err := r.Read(buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, buf[:n]...)
+	}
+	read()
+	time.Sleep(20 * time.Millisecond) // room for a fetch to start early
+	if rs := fetches.rangesSince(0); !slices.Equal(rs, [][2]int64{{0, headBytes}}) {
+		t.Fatalf("the first Read fetched %v, want the head [0, %d) alone", rs, headBytes)
+	}
+	parked, release := fetches.arm()
+	for len(got) < headBytes {
+		read() // served from the head while the remainder's fetch parks
+	}
+	select {
+	case <-parked:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the remainder's fetch never started")
+	}
+	if rs := fetches.rangesSince(1); !slices.Equal(rs, [][2]int64{{headBytes, mib - headBytes}}) {
+		t.Fatalf("after the head was handed over the reader fetched %v, want the remainder alone", rs)
+	}
+	close(release)
+	rest, err := io.ReadAll(r)
+	if err != nil || !bytes.Equal(append(got, rest...), payload) {
+		t.Fatalf("read %d bytes, %v; want the %d written", len(got)+len(rest), err, len(payload))
+	}
+}
+
+// gateWriter collects what is written to it. Its first Write closes
+// entered, records its length and blocks until unblock closes.
+type gateWriter struct {
+	bytes.Buffer
+	entered, unblock chan struct{}
+	first            int
+}
+
+func (w *gateWriter) Write(p []byte) (int, error) {
+	if w.entered != nil {
+		w.first = len(p)
+		close(w.entered)
+		w.entered = nil
+		<-w.unblock
+	}
+	return w.Buffer.Write(p)
+}
+
+// TestReaderWriteToFetchesNothingPastHeadWhileWriting: while WriteTo's
+// first Write (the head) is blocked in the consumer, neither the part's
+// remainder nor the window is fetched; once it returns, both are.
+func TestReaderWriteToFetchesNothingPastHeadWhileWriting(t *testing.T) {
+	c, id, payload, fetches := headBed(t, 3, nil, WithPrefetch(4))
+	r := openAll(t, c, id)
+	defer r.Close()
+	entered, unblock := make(chan struct{}), make(chan struct{})
+	w := &gateWriter{entered: entered, unblock: unblock}
+	errc := make(chan error, 1)
+	go func() {
+		_, err := r.WriteTo(w)
+		errc <- err
+	}()
+	select {
+	case <-entered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("WriteTo never wrote")
+	}
+	time.Sleep(20 * time.Millisecond) // room for a fetch to start early
+	if rs := fetches.rangesSince(0); !slices.Equal(rs, [][2]int64{{0, headBytes}}) {
+		t.Fatalf("while the head's Write was blocked the reader fetched %v, want the head alone", rs)
+	}
+	close(unblock)
+	if err := <-errc; err != nil || w.first != headBytes || !bytes.Equal(w.Bytes(), payload) {
+		t.Fatalf("WriteTo: %v; first Write %d bytes, %d in all; want %d, then the %d written", err, w.first, w.Len(), headBytes, len(payload))
+	}
+	rs := fetches.rangesSince(1) // the remainder and the window's two whole chunks, in any order
+	slices.SortFunc(rs, func(a, b [2]int64) int { return int(b[0] - a[0]) })
+	if !slices.Equal(rs, [][2]int64{{headBytes, mib - headBytes}, {0, 0}, {0, 0}}) {
+		t.Fatalf("after the head the reader fetched %v, want the remainder and two whole chunks", rs)
+	}
+}
+
+// TestReaderFailedHeadOpensNothing: a demand head whose fetch fails on
+// every replica fails the Read, and the error sticks; no remainder and no
+// window is fetched.
+func TestReaderFailedHeadOpensNothing(t *testing.T) {
+	c, id, _, fetches := headBed(t, 3, nil, WithPrefetch(4))
+	errBoom := errors.New("boom")
+	fetches.setFail(errBoom)
+	r := openAll(t, c, id)
+	defer r.Close()
+	for range 2 {
+		if _, err := r.Read(make([]byte, 1)); !errors.Is(err, errBoom) {
+			t.Fatalf("Read with a failing head: %v, want %v", err, errBoom)
+		}
+	}
+	time.Sleep(20 * time.Millisecond)
+	for _, rg := range fetches.rangesSince(0) {
+		if rg != [2]int64{0, headBytes} {
+			t.Fatalf("a failed head was followed by fetches %v, want the head's alone", fetches.rangesSince(0))
+		}
+	}
+	if len(r.futures) != 0 {
+		t.Fatalf("a failed head left %d futures", len(r.futures))
+	}
+}
+
+// failRangeConn fails every Fetch of the range starting at off.
+type failRangeConn struct {
+	Conn
+	off    int64
+	failed *atomic.Int64
+}
+
+func (c failRangeConn) Fetch(ctx context.Context, user string, id chunk.ID) ([]byte, error) {
+	if off, _ := chunk.RangeFrom(ctx); off == c.off {
+		c.failed.Add(1)
+		return nil, errors.New("replica lost the remainder")
+	}
+	return c.Conn.Fetch(ctx, user, id)
+}
+
+// TestReaderRemainderFailsOver: a remainder whose first replica fails is
+// served by the second.
+func TestReaderRemainderFailsOver(t *testing.T) {
+	var failed atomic.Int64
+	var first string // the first replica of chunk 0, tried first
+	c, id, payload, _ := headBed(t, 1, func(pid string, conn Conn) Conn {
+		if pid == first {
+			return failRangeConn{Conn: conn, off: headBytes, failed: &failed}
+		}
+		return conn
+	})
+	r := openAll(t, c, id)
+	defer r.Close()
+	first = r.descs[0].Providers[0]
+	got, err := io.ReadAll(r)
+	if err != nil || !bytes.Equal(got, payload) {
+		t.Fatalf("read %d bytes, %v; want the %d written", len(got), err, len(payload))
+	}
+	if failed.Load() != 1 {
+		t.Fatalf("the first replica failed the remainder %d times, want 1", failed.Load())
+	}
+}
+
+// lendConn answers every Fetch with a lent copy of the reply and counts,
+// per chunk and range offset, the PutBufs that release it: a reader must
+// donate each buffer it received exactly once.
+type lendConn struct {
+	Conn
+	l *lendings
+}
+
+type lendKey struct {
+	id  chunk.ID
+	off int64
+}
+
+type lendings struct {
+	mu      sync.Mutex
+	lent    [][]byte
+	donated map[lendKey]int
+}
+
+func (c lendConn) Fetch(ctx context.Context, user string, id chunk.ID) ([]byte, error) {
+	data, err := c.Conn.Fetch(ctx, user, id)
+	if err != nil {
+		return nil, err
+	}
+	buf := append([]byte(nil), data...)
+	chunk.PutBuf(data)
+	off, _ := chunk.RangeFrom(ctx)
+	l := c.l
+	l.mu.Lock()
+	l.lent = append(l.lent, buf)
+	l.mu.Unlock()
+	chunk.Lend(buf, func() {
+		l.mu.Lock()
+		l.donated[lendKey{id, off}]++
+		l.mu.Unlock()
+	})
+	return buf, nil
+}
+
+// count returns the donations of k and of all lent buffers.
+func (l *lendings) count(k lendKey) (n, total, lent int) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for _, d := range l.donated {
+		total += d
+	}
+	return l.donated[k], total, len(l.lent)
+}
+
+// TestSeekBetweenHeadAndRemainderDropsBoth: a Seek out of the window
+// after a head was handed over and its remainder started evicts both: a
+// landed remainder is donated, a parked one cancelled, and each buffer
+// the reader received is donated exactly once, Close included.
+func TestSeekBetweenHeadAndRemainderDropsBoth(t *testing.T) {
+	for _, parkRest := range []bool{false, true} {
+		t.Run(fmt.Sprintf("parked=%v", parkRest), func(t *testing.T) {
+			l := &lendings{donated: map[lendKey]int{}}
+			t.Cleanup(func() {
+				for _, b := range l.lent {
+					chunk.Lend(b, nil)
+				}
+			})
+			c, id, payload, fetches := headBed(t, 4, func(_ string, conn Conn) Conn {
+				return lendConn{Conn: conn, l: l}
+			}, WithPrefetch(1))
+			r := openAll(t, c, id)
+			defer r.Close()
+			one := make([]byte, 1)
+			if _, err := r.Read(one); err != nil { // the head of chunk 0
+				t.Fatal(err)
+			}
+			var parked, release chan struct{}
+			if parkRest {
+				parked, release = fetches.arm()
+				defer close(release)
+			}
+			if _, err := r.Read(one); err != nil { // starts the remainder
+				t.Fatal(err)
+			}
+			rest := r.futures[0].rest
+			within := func(what string, ch <-chan struct{}) {
+				t.Helper()
+				select {
+				case <-ch:
+				case <-time.After(5 * time.Second):
+					t.Fatalf("timed out waiting for %s", what)
+				}
+			}
+			if parkRest {
+				within("the remainder to park", parked)
+			} else {
+				within("the remainder to land", rest.done)
+			}
+			if _, err := r.Seek(3*mib, io.SeekStart); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := r.Read(one); err != nil || one[0] != payload[3*mib] {
+				t.Fatalf("read after the Seek: %v, %v", one, err)
+			}
+			if parkRest {
+				within("the evicted remainder to end", rest.done)
+				if !errors.Is(rest.err, context.Canceled) {
+					t.Fatalf("the evicted remainder's fetch ended with %v, want context.Canceled", rest.err)
+				}
+			}
+			id0, id3 := r.descs[0].ID, r.descs[3].ID
+			wantRest := 1
+			if parkRest {
+				wantRest = 0 // cancelled before it received a buffer
+			}
+			if head, _, _ := l.count(lendKey{id0, 0}); head != 1 {
+				t.Fatalf("the evicted head was donated %d times, want 1", head)
+			}
+			if n, _, _ := l.count(lendKey{id0, headBytes}); n != wantRest {
+				t.Fatalf("the evicted remainder was donated %d times, want %d", n, wantRest)
+			}
+			r.Close()
+			if head, total, lent := l.count(lendKey{id3, 0}); head != 1 || total != lent {
+				t.Fatalf("after Close chunk 3's head was donated %d times and %d donations met %d buffers, want 1 and each once", head, total, lent)
+			}
+		})
+	}
+}
+
+// TestReaderSkipsShortChunkZeroTail: a window wholly past a short chunk's
+// stored bytes reads zeros and fetches nothing; there is nothing to move.
+func TestReaderSkipsShortChunkZeroTail(t *testing.T) {
+	b := newBed(t, 2)
+	ctx := context.Background()
+	w := b.client("alice")
+	info, _ := w.Create(ctx, 64)
+	if _, err := w.Write(ctx, info.ID, 0, []byte("0123456789")); err != nil { // chunk 0 holds 10 bytes
+		t.Fatal(err)
+	}
+	if _, err := w.Write(ctx, info.ID, 64, []byte("chunk one!")); err != nil {
+		t.Fatal(err)
+	}
+	fetches := &fetchLog{}
+	dir := DirectoryFunc(func(ctx context.Context, id string) (Conn, error) {
+		conn, err := b.Lookup(ctx, id)
+		return gatedConn{Conn: conn, log: fetches}, err
+	})
+	blob, _ := New("alice", b.vm, b.pm, dir).Open(ctx, info.ID)
+	for _, viaWriteTo := range []bool{false, true} {
+		r, err := blob.NewReader(ctx, 0, 20, 30)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []byte
+		if viaWriteTo {
+			var buf bytes.Buffer
+			_, err = r.WriteTo(&buf)
+			got = buf.Bytes()
+		} else {
+			got, err = io.ReadAll(r)
+		}
+		r.Close()
+		if err != nil || !bytes.Equal(got, make([]byte, 30)) {
+			t.Fatalf("WriteTo=%v: read %q, %v; want 30 zeros", viaWriteTo, got, err)
+		}
+	}
+	if n := fetches.len(); n != 0 {
+		t.Fatalf("reading a short chunk's zero tail issued %d fetches, want 0", n)
 	}
 }

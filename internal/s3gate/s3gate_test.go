@@ -1194,7 +1194,8 @@ func TestFetchBytesPerRequest(t *testing.T) {
 
 // TestGatewayChunkCache: the gateway's chunk cache serves a GET right
 // after the PUT of a small object without reaching a provider, while the
-// chunks of a large object are all fetched from the providers.
+// chunks of a large object are all fetched from the providers: its first
+// chunk as a head and a remainder (client.BlobReader), so 9 fetches.
 func TestGatewayChunkCache(t *testing.T) {
 	cluster, err := core.NewCluster(core.Options{Providers: 3, Monitoring: false})
 	if err != nil {
@@ -1216,7 +1217,7 @@ func TestGatewayChunkCache(t *testing.T) {
 		fetched int64
 	}{
 		{"small", 16 << 10, 0},
-		{"large", 8 << 20, 8},
+		{"large", 8 << 20, 9},
 	} {
 		body := bytes.Repeat([]byte(c.key), c.size/len(c.key)+1)[:c.size]
 		do(t, http.MethodPut, srv.URL+"/b/"+c.key, body)
