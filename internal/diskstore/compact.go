@@ -16,10 +16,10 @@
 // that many seconds of writes.
 //
 // A victim is rewritten: everything authoritative still in it is
-// re-recorded at the log head (live payloads as recPut with their
-// current epoch tag, payload-elsewhere state as recState, tombstones
-// whose payload record still exists elsewhere as fresh tombstones),
-// after which the file holds only superseded history and is dropped.
+// re-recorded at the log head (a live chunk's put record, byte for
+// byte, and tombstones whose payload record still exists elsewhere as
+// fresh tombstones), after which the file holds only superseded history
+// and is dropped.
 // Readers never block: a read in flight or a lent view holds a reader
 // pin, and the file is unmapped and unlinked once the last pin drops.
 //
@@ -33,7 +33,6 @@
 package diskstore
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io/fs"
@@ -96,7 +95,6 @@ func (seg *segment) victim(now time.Time, ceiling float64) bool {
 type worklist struct {
 	seg      *segment
 	payloads []chunk.ID // live payloads to relocate
-	states   []chunk.ID // latest state record here, payload elsewhere
 	tombs    []chunk.ID // tombstones for payload records elsewhere
 	forgets  []chunk.ID // dead payload records whose tombstones lapse with v
 }
@@ -139,8 +137,6 @@ func (s *DiskStore) compactOnce() (dropped int, reclaimed int64, err error) {
 		for id, e := range s.idx {
 			if wl := work[e.seg]; wl != nil {
 				wl.payloads = append(wl.payloads, id)
-			} else if wl := work[e.stateSeg]; wl != nil {
-				wl.states = append(wl.states, id)
 			}
 		}
 		for id, dk := range s.deadKeys {
@@ -153,7 +149,7 @@ func (s *DiskStore) compactOnce() (dropped int, reclaimed int64, err error) {
 	}
 	rewrites := false // some victim holds something to move
 	for _, wl := range work {
-		rewrites = rewrites || len(wl.payloads)+len(wl.states)+len(wl.tombs) > 0
+		rewrites = rewrites || len(wl.payloads)+len(wl.tombs) > 0
 	}
 	// The rewrites get a log head of their own. They are fsynced below,
 	// and an fsync takes every dirty byte of the file with it: on the
@@ -254,11 +250,6 @@ func (s *DiskStore) rewriteSegment(wl *worklist) (bool, error) {
 			return false, err
 		}
 	}
-	for _, id := range wl.states {
-		if err := s.restate(v, id); err != nil {
-			return false, err
-		}
-	}
 	for _, id := range wl.tombs {
 		if err := s.rewriteTombstone(v, id); err != nil {
 			return false, err
@@ -282,10 +273,9 @@ func (s *DiskStore) rewriteSegment(wl *worklist) (bool, error) {
 }
 
 // relocatePayload moves one live payload out of v. The old record is
-// read whole, outside the lock (a put record's id, length and payload
-// never change), into a pool buffer that is then the new record as it
-// stands: only if the chunk's epoch has moved since is the header
-// patched and the checksum redone before the one write.
+// read whole, outside the lock (a put record never changes), into a
+// pool buffer that is appended at the log head unchanged: its checksum
+// stands.
 func (s *DiskStore) relocatePayload(v *segment, id chunk.ID) error {
 	s.mu.Lock()
 	e, ok := s.idx[id]
@@ -317,28 +307,12 @@ func (s *DiskStore) relocatePayload(v *segment, id chunk.ID) error {
 		if !ok || e.seg != v.id {
 			return record{}, nil, nil // raced away while we read: nothing to move
 		}
-		if binary.LittleEndian.Uint64(buf[epochOff:]) != e.epoch {
-			restamp(buf, e.epoch)
-		}
 		moved = true
-		return record{typ: recPut, refs: 1, epoch: e.epoch, id: id, payload: buf[headerSize:]}, buf, nil
+		return record{typ: recPut, refs: 1, id: id, payload: buf[headerSize:]}, buf, nil
 	})
 	if err == nil && moved && s.m != nil {
 		s.m.relocated.Add(e.size)
 	}
-	return err
-}
-
-// restate re-records a chunk whose payload lives elsewhere but whose
-// latest authoritative state record sits in v.
-func (s *DiskStore) restate(v *segment, id chunk.ID) error {
-	_, err := s.commit(func() (record, []byte, error) {
-		e, ok := s.idx[id]
-		if !ok || e.stateSeg != v.id || e.seg == v.id {
-			return record{}, nil, nil
-		}
-		return record{typ: recState, refs: 1, epoch: e.epoch, id: id}, nil, nil
-	})
 	return err
 }
 
@@ -356,7 +330,7 @@ func (s *DiskStore) rewriteTombstone(v *segment, id chunk.ID) error {
 			delete(s.deadKeys, id)
 			return record{}, nil, nil
 		}
-		return record{typ: recState, refs: 0, epoch: 0, id: id}, nil, nil
+		return record{typ: recState, refs: 0, id: id}, nil, nil
 	})
 	return err
 }

@@ -89,13 +89,12 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// entry is the index record for one live chunk.
+// entry is the index record for one live chunk. Its put record, in
+// seg, is the chunk's one authoritative record.
 type entry struct {
-	seg      uint32 // segment holding the payload
-	off      int64  // payload offset within that segment file
-	size     int64  // payload bytes
-	epoch    uint64
-	stateSeg uint32 // segment holding the latest authoritative record
+	seg  uint32 // segment holding the payload
+	off  int64  // payload offset within that segment file
+	size int64  // payload bytes
 }
 
 // deadKey tracks a fully-deleted chunk whose payload record still
@@ -144,15 +143,14 @@ var (
 	_ provider.Store = (*TieredStore)(nil)
 )
 
-// DiskStore is a log-structured, reference-counted chunk store over a
-// directory of segment files. It implements provider.Store.
+// DiskStore is a log-structured chunk store over a directory of
+// segment files. It implements provider.Store.
 type DiskStore struct {
 	dir  string
 	opts Options
 
 	used  atomic.Int64 // live payload bytes (each chunk once)
 	count atomic.Int64
-	epoch atomic.Uint64
 
 	mu       sync.Mutex
 	idx      map[chunk.ID]entry
@@ -333,21 +331,19 @@ func scanRecords(r io.Reader, size int64, fn func(off int64, rec *record)) (int6
 // replay and with mu held at runtime (after the record is appended), so
 // both paths share one bookkeeping implementation. payloadOff is the
 // payload's offset in seg's file. It returns the live payload bytes
-// freed (non-zero only for a tombstone).
+// freed (non-zero only for a tombstone). The two record shapes only
+// older logs hold, a recEpoch and a live recState, change nothing: a
+// live chunk's state is its put record.
 func (s *DiskStore) apply(seg *segment, payloadOff int64, rec *record) int64 {
-	if e := rec.epoch; e > s.epoch.Load() {
-		s.epoch.Store(e)
-	}
 	switch rec.typ {
-	case recEpoch:
-		return 0
 	case recPut:
 		size := int64(len(rec.payload))
 		if old, ok := s.idx[rec.id]; ok {
 			// A compaction rewrite (or replay of one): the payload
 			// moves, the logical chunk does not.
-			s.segRef(old.seg).livePayload -= old.size
-			s.segRef(old.stateSeg).stateRecs--
+			from := s.segRef(old.seg)
+			from.livePayload -= old.size
+			from.stateRecs--
 			s.used.Add(size - old.size)
 		} else {
 			if dk, dead := s.deadKeys[rec.id]; dead {
@@ -360,37 +356,29 @@ func (s *DiskStore) apply(seg *segment, payloadOff int64, rec *record) int64 {
 		}
 		seg.livePayload += size
 		seg.stateRecs++
-		s.idx[rec.id] = entry{
-			seg: seg.id, off: payloadOff, size: size,
-			epoch: rec.epoch, stateSeg: seg.id,
-		}
+		s.idx[rec.id] = entry{seg: seg.id, off: payloadOff, size: size}
 		return 0
 	case recState:
-		e, ok := s.idx[rec.id]
-		if !ok {
-			if rec.refs == 0 {
-				// Tombstone for a chunk whose tombstone moved (or whose
-				// payload segment is already gone): retarget or ignore.
-				if dk, dead := s.deadKeys[rec.id]; dead {
-					s.segRef(dk.tombSeg).stateRecs--
-					dk.tombSeg = seg.id
-					seg.stateRecs++
-					s.deadKeys[rec.id] = dk
-				}
-			}
+		if rec.refs > 0 {
 			return 0
 		}
-		if rec.refs > 0 {
-			s.segRef(e.stateSeg).stateRecs--
-			seg.stateRecs++
-			e.epoch, e.stateSeg = rec.epoch, seg.id
-			s.idx[rec.id] = e
+		e, ok := s.idx[rec.id]
+		if !ok {
+			// Tombstone for a chunk whose tombstone moved (or whose
+			// payload segment is already gone): retarget or ignore.
+			if dk, dead := s.deadKeys[rec.id]; dead {
+				s.segRef(dk.tombSeg).stateRecs--
+				dk.tombSeg = seg.id
+				seg.stateRecs++
+				s.deadKeys[rec.id] = dk
+			}
 			return 0
 		}
 		// A tombstone (a purge): the chunk dies, the payload bytes stay
 		// in their segment until compaction.
-		s.segRef(e.stateSeg).stateRecs--
-		s.segRef(e.seg).livePayload -= e.size
+		from := s.segRef(e.seg)
+		from.stateRecs--
+		from.livePayload -= e.size
 		s.used.Add(-e.size)
 		s.count.Add(-1)
 		s.ord.Remove(rec.id)
@@ -515,11 +503,9 @@ func (s *DiskStore) writeLocked(head, tail []byte) (*segment, int64, error) {
 	return seg, start + headerSize, nil
 }
 
-// Put stores data under id, or refreshes an already-present chunk's
-// epoch tag (content addressing makes replays idempotent): one state
-// record when the epoch has moved since the chunk's tag, nothing when
-// the tag is current, since the record would only restate the index.
-// Implements provider.Store.
+// Put stores data under id; a chunk already present appends nothing
+// (content addressing makes replays idempotent). Implements
+// provider.Store.
 func (s *DiskStore) Put(id chunk.ID, data []byte) error {
 	if s.m == nil {
 		return s.put(id, data)
@@ -532,19 +518,16 @@ func (s *DiskStore) Put(id chunk.ID, data []byte) error {
 
 func (s *DiskStore) put(id chunk.ID, data []byte) error {
 	n := int64(len(data))
-	fresh := false // a payload record, not a re-statement
+	fresh := false // a payload record was written
 	_, err := s.commit(func() (record, []byte, error) {
-		if e, ok := s.idx[id]; ok {
-			if e.epoch >= s.epoch.Load() {
-				return record{}, nil, nil
-			}
-			return record{typ: recState, refs: 1, epoch: s.epoch.Load(), id: id}, nil, nil
+		if _, ok := s.idx[id]; ok {
+			return record{}, nil, nil
 		}
 		if s.opts.Capacity > 0 && s.used.Load()+n > s.opts.Capacity {
 			return record{}, nil, provider.ErrFull
 		}
 		fresh = true
-		return record{typ: recPut, refs: 1, epoch: s.epoch.Load(), id: id, payload: data}, nil, nil
+		return record{typ: recPut, refs: 1, id: id, payload: data}, nil, nil
 	})
 	if err == nil && fresh && s.m != nil {
 		s.m.putBytes.Add(n)
@@ -649,11 +632,10 @@ func (s *DiskStore) reap(seg *segment) {
 // Purging an absent chunk frees 0 bytes and is not an error.
 func (s *DiskStore) Purge(id chunk.ID) (int64, error) {
 	freed, err := s.commit(func() (record, []byte, error) {
-		e, ok := s.idx[id]
-		if !ok {
+		if _, ok := s.idx[id]; !ok {
 			return record{}, nil, nil
 		}
-		return record{typ: recState, refs: 0, epoch: e.epoch, id: id}, nil, nil
+		return record{typ: recState, refs: 0, id: id}, nil, nil
 	})
 	if freed > 0 {
 		s.kickCompactor()
@@ -676,33 +658,12 @@ func (s *DiskStore) List(after chunk.ID, limit int) ([]provider.ChunkInfo, bool)
 			if len(out) == limit {
 				return out, true
 			}
-			e := s.idx[id]
-			out = append(out, provider.ChunkInfo{ID: id, Size: e.size, Epoch: e.epoch})
+			out = append(out, provider.ChunkInfo{ID: id, Size: s.idx[id].size})
 		}
 		if len(rest) == 0 {
 			return out, false
 		}
 	}
-}
-
-// Epoch implements provider.Store.
-func (s *DiskStore) Epoch() uint64 { return s.epoch.Load() }
-
-// AdvanceEpoch implements provider.Store. The new epoch is
-// durable via a recEpoch record; if that append fails the advance still
-// holds in memory — after a crash the epoch falls back to the highest
-// tag on disk, which is safe: the provider's lease table, the one reader
-// of the epoch, does not survive a crash either.
-func (s *DiskStore) AdvanceEpoch() uint64 {
-	var e uint64
-	if _, err := s.commit(func() (record, []byte, error) {
-		e = s.epoch.Add(1)
-		return record{typ: recEpoch, epoch: e}, nil, nil
-	}); err == ErrClosed {
-		// Closed: nothing is appended, the advance holds in memory.
-		return s.epoch.Add(1)
-	}
-	return e
 }
 
 // Has reports whether the chunk is present.

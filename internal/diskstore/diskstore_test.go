@@ -2,6 +2,7 @@ package diskstore
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"fmt"
 	"math/rand"
@@ -87,11 +88,11 @@ func TestPutGetRoundTrip(t *testing.T) {
 }
 
 // TestStoresKeepOneCopyPerChunk: a store's state per chunk is its
-// presence and its epoch tag, alike on every store. A re-put keeps the
-// one copy and refreshes the tag, Purge frees the chunk, and Purge of an
-// absent chunk frees 0 bytes with no error. On a disk store a re-put at
-// the current epoch appends nothing, and one after AdvanceEpoch appends
-// one state record, whose tag survives a reopen.
+// presence, alike on every store. A re-put keeps the one copy and
+// appends nothing, before a sweep pass and after one (a pass moves the
+// provider's lease clock, not the store); Purge frees the chunk, and
+// Purge of an absent chunk frees 0 bytes with no error. On a disk store
+// the one copy survives a reopen.
 func TestStoresKeepOneCopyPerChunk(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -119,29 +120,30 @@ func TestStoresKeepOneCopyPerChunk(t *testing.T) {
 				fn()
 				return ds.DiskUsage() - before
 			}
-			want := func(epoch uint64) {
+			want := func() {
 				t.Helper()
 				infos := listAll(s)
-				if len(infos) != 1 || infos[0].Size != 100 || infos[0].Epoch != epoch || s.Count() != 1 || s.Used() != 100 {
-					t.Fatalf("chunks %+v, Count=%d Used=%d; want one 100-byte chunk at epoch %d", infos, s.Count(), s.Used(), epoch)
+				if len(infos) != 1 || infos[0].Size != 100 || s.Count() != 1 || s.Used() != 100 {
+					t.Fatalf("chunks %+v, Count=%d Used=%d; want one 100-byte chunk", infos, s.Count(), s.Used())
 				}
 			}
 			data := payload(2, 100)
 			id := mustPut(t, s, data)
-			if n := appended(func() { mustPut(t, s, data) }); n != 0 {
-				t.Fatalf("re-put at the current epoch appended %d bytes, want 0", n)
+			p := provider.New("p", "z", 0, provider.WithStore(s))
+			for pass := 0; pass < 2; pass++ {
+				if n := appended(func() { mustPut(t, s, data) }); n != 0 {
+					t.Fatalf("re-put after %d passes appended %d bytes, want 0", pass, n)
+				}
+				want()
+				if _, err := p.AdvanceEpoch(context.Background()); err != nil {
+					t.Fatal(err)
+				}
 			}
-			want(0)
-			s.AdvanceEpoch()
-			if n := appended(func() { mustPut(t, s, data) }); ds != nil && n != wireSize(0) {
-				t.Fatalf("re-put at a newer epoch appended %d bytes, want one state record (%d)", n, wireSize(0))
-			}
-			want(1)
 			if ds != nil {
 				ds.Close()
 				ds = reopen(t, dir, Options{})
 				s = tc.over(ds)
-				want(1)
+				want()
 			}
 
 			if freed, err := s.Purge(id); err != nil || freed != 100 {
@@ -215,19 +217,17 @@ func TestRecoveryCleanRestart(t *testing.T) {
 		d := payload(2000+i, 200)
 		rows = append(rows, row{mustPut(t, s, d), d})
 	}
-	s.AdvanceEpoch()
-	s.AdvanceEpoch()
-	mustPut(t, s, rows[0].data) // a re-put at epoch 2: one state record
+	mustPut(t, s, rows[0].data) // a re-put: nothing appended
 	if _, err := s.Purge(rows[1].id); err != nil {
 		t.Fatal(err)
 	}
-	wantUsed, wantCount, wantEpoch := s.Used(), s.Count(), s.Epoch()
+	wantUsed, wantCount := s.Used(), s.Count()
 	s.Close()
 
 	s2 := reopen(t, dir, Options{SegmentBytes: 4 << 10})
-	if s2.Used() != wantUsed || s2.Count() != wantCount || s2.Epoch() != wantEpoch {
-		t.Fatalf("recovered Used=%d Count=%d Epoch=%d, want %d/%d/%d",
-			s2.Used(), s2.Count(), s2.Epoch(), wantUsed, wantCount, wantEpoch)
+	if s2.Used() != wantUsed || s2.Count() != wantCount {
+		t.Fatalf("recovered Used=%d Count=%d, want %d/%d",
+			s2.Used(), s2.Count(), wantUsed, wantCount)
 	}
 	for i, r := range rows {
 		if i == 1 {
@@ -244,16 +244,6 @@ func TestRecoveryCleanRestart(t *testing.T) {
 	infos, _ := s2.List(chunk.ID{}, 1)
 	if len(infos) == 0 {
 		t.Fatal("List empty after restart")
-	}
-	// The re-put chunk carries its refreshed tag across the restart.
-	for _, ci := range listAll(s2) {
-		want := uint64(0)
-		if ci.ID == rows[0].id {
-			want = 2
-		}
-		if ci.Epoch != want {
-			t.Fatalf("chunk %s at epoch %d after restart, want %d", ci.ID.Short(), ci.Epoch, want)
-		}
 	}
 }
 
@@ -476,8 +466,6 @@ func TestCompactionSurvivesRestart(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		ids = append(ids, mustPut(t, s, payload(7000+i, 256)))
 	}
-	s.AdvanceEpoch()
-	mustPut(t, s, payload(7000, 256)) // survivor re-put at epoch 1: a state record
 	for i, id := range ids {
 		if i%4 != 0 {
 			if _, err := s.Purge(id); err != nil {
@@ -648,7 +636,7 @@ func TestChurnMatchesMemStoreReference(t *testing.T) {
 			t.Fatalf("page shape diverges: disk %d/%v ref %d/%v", len(dp), dm, len(rp), rm)
 		}
 		for i := range dp {
-			if dp[i].ID != rp[i].ID || dp[i].Size != rp[i].Size || dp[i].Epoch != rp[i].Epoch {
+			if dp[i] != rp[i] {
 				t.Fatalf("page entry diverges: %+v vs %+v", dp[i], rp[i])
 			}
 		}
@@ -713,11 +701,6 @@ func TestCloseIdempotentAndFailsOps(t *testing.T) {
 	}
 	if _, err := s.Purge(id); err != ErrClosed {
 		t.Fatalf("Purge after Close = %v, want ErrClosed", err)
-	}
-	// A closed store still advances its epoch in memory.
-	e0 := s.Epoch()
-	if e := s.AdvanceEpoch(); e <= e0 {
-		t.Fatalf("AdvanceEpoch after Close = %d, want > %d", e, e0)
 	}
 	if after := segmentSizes(t, dir); !reflect.DeepEqual(after, before) {
 		t.Fatalf("segments changed after Close: %v, was %v", after, before)

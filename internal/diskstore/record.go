@@ -1,7 +1,7 @@
 // The on-disk record format of the log-structured chunk store. Segment
 // files are a pure append-only sequence of checksummed records; every
 // record is self-contained and states the chunk's *absolute* state —
-// live or dead, and its epoch tag — never a delta. Absolute state is
+// live (a put) or dead (a tombstone) — never a delta. Absolute state is
 // what makes compaction safe: a segment can be dropped once every chunk
 // whose most recent authoritative record lives in it has been
 // re-recorded in a newer segment — no earlier delta chain has to be
@@ -15,7 +15,8 @@
 //	[9:13]   refs  (int32: 1 live, 0 a tombstone; logs written when
 //	         stores still counted references hold larger counts, which
 //	         read as live)
-//	[13:21]  epoch (uint64: put-epoch tag, or the new epoch for recEpoch)
+//	[13:21]  epoch (uint64, written as 0; logs written when stores kept
+//	         the sweep clock hold its tags, which read as nothing)
 //	[21:53]  chunk ID (zero for recEpoch)
 //	[53:57]  payload length n (uint32; non-zero only for recPut)
 //	[57:57+n] payload
@@ -40,12 +41,13 @@ const (
 	// recPut carries a payload: a fresh chunk, or a compaction rewrite
 	// relocating a live payload.
 	recPut = byte(1)
-	// recState re-states a chunk's liveness and epoch without payload:
-	// a re-put at a newer epoch (live, the new tag), a purge (refs=0, a
-	// tombstone), and compaction re-statements.
+	// recState without payload is a tombstone (refs=0): a purge, or a
+	// compaction rewrite of one. Older logs also hold live ones (refs>0),
+	// re-stating a present chunk's epoch tag; replay reads them as
+	// nothing.
 	recState = byte(2)
-	// recEpoch persists an AdvanceEpoch: the epoch field holds the new
-	// current epoch.
+	// recEpoch is no longer written; older logs hold one per sweep pass,
+	// and replay reads them as nothing.
 	recEpoch = byte(3)
 )
 
@@ -65,11 +67,11 @@ var magic = [4]byte{'b', 's', 'L', 'g'}
 // ErrCorrupt reports a damaged record outside the recoverable tail.
 var ErrCorrupt = errors.New("diskstore: corrupt segment record")
 
-// record is one decoded log record.
+// record is one decoded log record. The header's epoch field is not
+// decoded: nothing reads it.
 type record struct {
 	typ     byte
 	refs    int32
-	epoch   uint64
 	id      chunk.ID
 	payload []byte // recPut only; aliases the decode buffer
 }
@@ -83,18 +85,11 @@ func (r *record) encodeHeader(h []byte) {
 	copy(h[magicOff:], magic[:])
 	h[typeOff] = r.typ
 	binary.LittleEndian.PutUint32(h[refsOff:], uint32(r.refs))
-	binary.LittleEndian.PutUint64(h[epochOff:], r.epoch)
+	binary.LittleEndian.PutUint64(h[epochOff:], 0)
 	copy(h[idOff:], r.id[:])
 	binary.LittleEndian.PutUint32(h[lenOff:], uint32(len(r.payload)))
 	crc := crc32.Update(crc32.ChecksumIEEE(h[typeOff:]), crc32.IEEETable, r.payload)
 	binary.LittleEndian.PutUint32(h[crcOff:], crc)
-}
-
-// restamp gives an encoded record — buf holds header and payload
-// exactly — a new epoch, and the checksum that goes with it.
-func restamp(buf []byte, epoch uint64) {
-	binary.LittleEndian.PutUint64(buf[epochOff:], epoch)
-	binary.LittleEndian.PutUint32(buf[crcOff:], crc32.ChecksumIEEE(buf[typeOff:]))
 }
 
 // wireSize returns the encoded size of a record with an n-byte payload.
@@ -115,7 +110,6 @@ func decodeHeader(h []byte) (r record, payloadLen int, err error) {
 		return r, 0, fmt.Errorf("%w: unknown record type %d", ErrCorrupt, r.typ)
 	}
 	r.refs = int32(binary.LittleEndian.Uint32(h[refsOff:]))
-	r.epoch = binary.LittleEndian.Uint64(h[epochOff:])
 	copy(r.id[:], h[idOff:lenOff])
 	payloadLen = int(binary.LittleEndian.Uint32(h[lenOff:]))
 	if r.typ != recPut && payloadLen != 0 {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
@@ -19,25 +20,26 @@ func encoded(rec record) []byte {
 	return append(buf, rec.payload...)
 }
 
-// formatOps is the operation sequence behind testdata/format-v2, which
+// formatOps is the operation sequence behind testdata/format-v3, which
 // this append path writes with SegmentBytes 1 KiB: puts on both sides of
-// a roll, a re-put at a newer epoch, a purge and two epoch advances.
-// testdata/format-v1 holds what the append path of the commit before
-// cost–benefit compaction wrote for the same sequence with a delete of
-// the re-put chunk after its re-put, when stores still counted
-// references (the chunk stayed live at refs 1).
+// a roll, a re-put (which appends nothing) and a purge. The older
+// fixtures hold what earlier append paths wrote for the same sequence:
+// format-v2 when stores kept the sweep clock, with an epoch advance
+// before the re-put and another before the last put (a recEpoch each,
+// the re-put a live recState, every record's epoch field its tag), and
+// format-v1, before cost–benefit compaction, when stores still counted
+// references, with a delete of the re-put chunk after its re-put (the
+// chunk stayed live at refs 1).
 func formatOps(t *testing.T, s *DiskStore) {
 	t.Helper()
 	mustPut(t, s, payload(1, 300))
 	b := mustPut(t, s, payload(2, 1))
 	mustPut(t, s, payload(3, 700)) // rolls the 1 KiB segment
-	s.AdvanceEpoch()
-	mustPut(t, s, payload(1, 300)) // re-put: recState epoch=1
+	mustPut(t, s, payload(1, 300)) // re-put: appends nothing
 	if _, err := s.Purge(b); err != nil {
 		t.Fatal(err)
 	}
 	mustPut(t, s, payload(4, 900))
-	s.AdvanceEpoch()
 	mustPut(t, s, payload(5, 64))
 }
 
@@ -60,12 +62,13 @@ func segmentFiles(t testing.TB, dir string) map[string][]byte {
 
 // TestFormatUnchanged pins the on-disk format in both directions: the
 // directories the previous append paths wrote — format-v1 by stores that
-// counted references, with a refs=2 record — open to the state their
-// operations describe, and the same operations now write format-v2's
-// bytes, which the code before this append path opens to that state
-// too.
+// counted references, with a refs=2 record, and format-v2 by stores that
+// kept the sweep clock, with recEpoch records, a live recState and epoch
+// tags — open to the state their operations describe, and the same
+// operations now write format-v3's bytes, which the code before this
+// append path opens to that state too.
 func TestFormatUnchanged(t *testing.T) {
-	for _, name := range []string{"format-v1", "format-v2"} {
+	for _, name := range formats {
 		dir := t.TempDir()
 		for seg, b := range segmentFiles(t, filepath.Join("testdata", name)) {
 			if err := os.WriteFile(filepath.Join(dir, seg), b, 0o644); err != nil {
@@ -73,22 +76,18 @@ func TestFormatUnchanged(t *testing.T) {
 			}
 		}
 		s := reopen(t, dir, Options{SegmentBytes: 1 << 10})
-		if s.Count() != 4 || s.Used() != 300+700+900+64 || s.Epoch() != 2 {
-			t.Fatalf("%s opened to Count=%d Used=%d Epoch=%d, want 4/1964/2", name, s.Count(), s.Used(), s.Epoch())
+		if s.Count() != 4 || s.Used() != 300+700+900+64 {
+			t.Fatalf("%s opened to Count=%d Used=%d, want 4/1964", name, s.Count(), s.Used())
 		}
-		want := map[chunk.ID]struct {
-			epoch uint64
-			seed  int
-			size  int
-		}{
-			chunk.Sum(payload(1, 300)): {1, 1, 300}, // put, re-put at epoch 1
-			chunk.Sum(payload(3, 700)): {0, 3, 700},
-			chunk.Sum(payload(4, 900)): {1, 4, 900},
-			chunk.Sum(payload(5, 64)):  {2, 5, 64},
+		want := map[chunk.ID]struct{ seed, size int }{
+			chunk.Sum(payload(1, 300)): {1, 300}, // put, then re-put
+			chunk.Sum(payload(3, 700)): {3, 700},
+			chunk.Sum(payload(4, 900)): {4, 900},
+			chunk.Sum(payload(5, 64)):  {5, 64},
 		}
 		for _, ci := range listAll(s) {
 			w, ok := want[ci.ID]
-			if !ok || ci.Epoch != w.epoch {
+			if !ok || ci.Size != int64(w.size) {
 				t.Fatalf("%s chunk %s: %+v, want %+v", name, ci.ID.Short(), ci, w)
 			}
 			if got, err := s.Get(ci.ID); err != nil || !bytes.Equal(got, payload(w.seed, w.size)) {
@@ -100,7 +99,7 @@ func TestFormatUnchanged(t *testing.T) {
 		}
 	}
 
-	fixture := segmentFiles(t, filepath.Join("testdata", "format-v2"))
+	fixture := segmentFiles(t, filepath.Join("testdata", formats[len(formats)-1]))
 	fresh := t.TempDir()
 	s2 := reopen(t, fresh, Options{SegmentBytes: 1 << 10})
 	formatOps(t, s2)
@@ -197,11 +196,30 @@ func TestAppendFailureLeavesLogAligned(t *testing.T) {
 	}
 }
 
-// TestRelocationRestampsState: a relocated record is the old record's
-// bytes, so a chunk whose epoch moved after it was put must
-// come out of compaction — and out of a replay of what compaction wrote
-// — with the state it had, not the state in the bytes that were copied.
-func TestRelocationRestampsState(t *testing.T) {
+// formats names the fixture directories, oldest first; the last is what
+// this append path writes.
+var formats = []string{"format-v1", "format-v2", "format-v3"}
+
+// rawRecord returns the bytes of chunk id's put record as its segment
+// file holds them.
+func rawRecord(t *testing.T, s *DiskStore, id chunk.ID) []byte {
+	t.Helper()
+	e, ok := s.idx[id]
+	if !ok {
+		t.Fatalf("chunk %s not indexed", id.Short())
+	}
+	buf := make([]byte, headerSize+e.size)
+	if _, err := s.segs[e.seg].r.ReadAt(buf, e.off-headerSize); err != nil {
+		t.Fatal(err)
+	}
+	return buf
+}
+
+// TestRelocationCopiesRecord: compaction moves a live chunk's put record
+// to the log head byte for byte — the record states the chunk's whole
+// state, so nothing in it is rewritten — and a replay of what compaction
+// wrote reads the chunk back.
+func TestRelocationCopiesRecord(t *testing.T) {
 	dir := t.TempDir()
 	s := reopen(t, dir, Options{SegmentBytes: 4 << 10})
 	keep := payload(1, 512)
@@ -210,8 +228,7 @@ func TestRelocationRestampsState(t *testing.T) {
 	for i := 0; i < 16; i++ {
 		filler = append(filler, mustPut(t, s, payload(100+i, 512)))
 	}
-	s.AdvanceEpoch()
-	mustPut(t, s, keep) // epoch 1: a state record in a later segment
+	victim := rawRecord(t, s, id)
 	for _, f := range filler {
 		if _, err := s.Purge(f); err != nil {
 			t.Fatal(err)
@@ -223,19 +240,70 @@ func TestRelocationRestampsState(t *testing.T) {
 	if e := s.idx[id]; e.seg == 1 {
 		t.Fatal("the chunk's first segment was not compacted; the test exercises nothing")
 	}
-	check := func(s *DiskStore, when string) {
-		t.Helper()
-		infos := listAll(s)
-		if len(infos) != 1 || infos[0].ID != id || infos[0].Epoch != 1 {
-			t.Fatalf("%s: %+v, want one chunk at epoch 1", when, infos)
-		}
-		if got, err := s.Get(id); err != nil || !bytes.Equal(got, keep) {
-			t.Fatalf("%s: payload lost: %v", when, err)
+	if moved := rawRecord(t, s, id); !bytes.Equal(moved, victim) {
+		t.Fatal("the relocated record differs from the victim's")
+	}
+	s.Close()
+	r := reopen(t, dir, Options{SegmentBytes: 4 << 10})
+	if infos := listAll(r); len(infos) != 1 || infos[0].ID != id {
+		t.Fatalf("after replay: %+v, want the one chunk", infos)
+	}
+	if got, err := r.Get(id); err != nil || !bytes.Equal(got, keep) {
+		t.Fatalf("after replay: payload lost: %v", err)
+	}
+}
+
+// TestOldRestatementsCompactAway: a segment an older store wrote that
+// holds nothing but live re-statements (recState, refs 1, each with an
+// epoch tag) and an epoch record keeps no chunk alive — the put records
+// do — so compaction drops it whole, and its chunk still reads back
+// after a reopen.
+func TestOldRestatementsCompactAway(t *testing.T) {
+	dir := t.TempDir()
+	s := reopen(t, dir, Options{SegmentBytes: 4 << 10})
+	data := payload(1, 512)
+	id := mustPut(t, s, data)
+	s.Close()
+	var old []byte
+	for e := uint64(1); e <= 3; e++ {
+		for _, rec := range []record{{typ: recEpoch}, {typ: recState, refs: 1, id: id}} {
+			b := encoded(rec)
+			binary.LittleEndian.PutUint64(b[epochOff:], e)
+			seal(b)
+			old = append(old, b...)
 		}
 	}
-	check(s, "after compaction")
+	if err := os.WriteFile(segPath(dir, 2), old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(segPath(dir, 3), nil, 0o644); err != nil { // the head
+		t.Fatal(err)
+	}
+
+	s, err := openAt(dir, Options{SegmentBytes: 4 << 10, CompactEvery: -1}, leapingClock())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if seg := s.segs[2]; seg.livePayload != 0 || seg.stateRecs != 0 {
+		t.Fatalf("the re-statements' segment counts %d payload bytes and %d records live, want none", seg.livePayload, seg.stateRecs)
+	}
+	if _, _, err := s.CompactOnce(); err != nil {
+		t.Fatal(err)
+	}
+	if _, kept := s.segs[2]; kept {
+		t.Fatal("compaction kept the segment of re-statements")
+	}
 	s.Close()
-	check(reopen(t, dir, Options{SegmentBytes: 4 << 10}), "after replay")
+	if _, err := os.Stat(segPath(dir, 2)); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("the re-statements' segment file is still there: %v", err)
+	}
+	r := reopen(t, dir, Options{SegmentBytes: 4 << 10})
+	if r.Count() != 1 || r.Used() != 512 {
+		t.Fatalf("reopened Count=%d Used=%d, want 1/512", r.Count(), r.Used())
+	}
+	if got, err := r.Get(id); err != nil || !bytes.Equal(got, data) {
+		t.Fatalf("the chunk after the re-statements went: %v", err)
+	}
 }
 
 // FuzzDecodeRecord holds the record decoder and segment replay to three
@@ -244,12 +312,13 @@ func TestRelocationRestampsState(t *testing.T) {
 // from; and a directory holding the bytes as its only segment opens —
 // damage in the youngest segment is a torn tail, cut off — to a store
 // whose every listed chunk reads back at its listed size and which
-// compacts without error. Length fields are only believed up to the
+// compacts without error. A record re-encodes with its epoch field 0,
+// the one field the decoder drops. Length fields are only believed up to the
 // bytes present, so no input makes the scan allocate more than its own
 // size. The seeds are real segments: the format fixtures and a log that
 // compaction relocated records into.
 func FuzzDecodeRecord(f *testing.F) {
-	for _, name := range []string{"format-v1", "format-v2"} {
+	for _, name := range formats {
 		for _, b := range segmentFiles(f, filepath.Join("testdata", name)) {
 			f.Add(b)
 		}
@@ -263,8 +332,11 @@ func FuzzDecodeRecord(f *testing.F) {
 	f.Fuzz(func(t *testing.T, in []byte) {
 		_, _, _ = decodeHeader(in)
 		end, err := scanRecords(bytes.NewReader(in), int64(len(in)), func(off int64, rec *record) {
-			if raw := in[off : off+wireSize(len(rec.payload))]; !bytes.Equal(encoded(*rec), raw) {
-				t.Fatalf("record at %d does not re-encode to its own bytes", off)
+			raw := bytes.Clone(in[off : off+wireSize(len(rec.payload))])
+			clear(raw[epochOff:idOff])
+			seal(raw)
+			if !bytes.Equal(encoded(*rec), raw) {
+				t.Fatalf("record at %d does not re-encode to its own bytes, epoch field aside", off)
 			}
 		})
 		if end < 0 || end > int64(len(in)) || (err == nil) != (end == int64(len(in))) {
@@ -308,14 +380,20 @@ func rechecksummed(in []byte) []byte {
 		}
 		rec := out[off : off+headerSize+n]
 		copy(rec[magicOff:], magic[:])
-		restamp(rec, binary.LittleEndian.Uint64(rec[epochOff:]))
+		seal(rec)
 		off += len(rec)
 	}
 	return out
 }
 
-// relocatedLog returns a segment that compaction wrote relocated,
-// restamped records into.
+// seal gives an encoded record — buf holds header and payload exactly —
+// the checksum its other bytes call for.
+func seal(buf []byte) {
+	binary.LittleEndian.PutUint32(buf[crcOff:], crc32.ChecksumIEEE(buf[typeOff:]))
+}
+
+// relocatedLog returns a segment that compaction wrote relocated
+// records into.
 func relocatedLog(t testing.TB) []byte {
 	t.Helper()
 	dir := t.TempDir()
@@ -336,8 +414,6 @@ func relocatedLog(t testing.TB) []byte {
 	for i := 0; i < 8; i++ {
 		ids = append(ids, put(i))
 	}
-	s.AdvanceEpoch()
-	put(0) // re-put at epoch 1: relocation has to restamp it
 	for _, id := range ids[1:] {
 		if _, err := s.Purge(id); err != nil {
 			t.Fatal(err)

@@ -1,7 +1,7 @@
 // TieredStore puts a bounded in-memory LRU cache, the hot tier, over a
 // DiskStore cold tier. The cold tier is the source of truth: every
 // mutation lands there first, and every authoritative read-out (Used,
-// Count, List, Epoch, Has) is answered by it, so the GC lifecycle
+// Count, List, Has) is answered by it, so the GC lifecycle
 // contract is exactly the disk store's. The hot tier is purely a
 // byte-bounded read cache with recency eviction: a Put writes through
 // and leaves a hot copy (write-back demotion happens by LRU eviction,
@@ -198,12 +198,6 @@ func (t *TieredStore) Purge(id chunk.ID) (int64, error) {
 func (t *TieredStore) List(after chunk.ID, limit int) ([]provider.ChunkInfo, bool) {
 	return t.cold.List(after, limit)
 }
-
-// Epoch implements provider.Store.
-func (t *TieredStore) Epoch() uint64 { return t.cold.Epoch() }
-
-// AdvanceEpoch implements provider.Store.
-func (t *TieredStore) AdvanceEpoch() uint64 { return t.cold.AdvanceEpoch() }
 
 // Has reports cold-tier presence (the authoritative set).
 func (t *TieredStore) Has(id chunk.ID) bool { return t.cold.Has(id) }

@@ -107,12 +107,6 @@ func TestTieredLifecycleDelegatesToCold(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		mustPut(t, ts, payload(400+i, 100))
 	}
-	if ts.Epoch() != 0 {
-		t.Fatal("fresh epoch != 0")
-	}
-	if e := ts.AdvanceEpoch(); e != 1 || ts.Cold().Epoch() != 1 {
-		t.Fatalf("AdvanceEpoch=%d cold=%d, want 1/1", e, ts.Cold().Epoch())
-	}
 	got := listAll(ts)
 	want := listAll(ts.Cold())
 	if len(got) != 20 || len(got) != len(want) {

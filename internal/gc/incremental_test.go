@@ -117,7 +117,8 @@ func newLeaseModel() *leaseModel {
 }
 
 // wrap records the leased Stores and the releases sent through conn;
-// epoch reads the sweep epoch of the provider behind it.
+// epoch reads the sweep epoch of the provider behind it, as its last
+// AdvanceEpoch returned it.
 func (lm *leaseModel) wrap(conn client.Conn, epoch func() uint64) client.Conn {
 	return modelConn{conn, lm, epoch}
 }
@@ -164,17 +165,62 @@ func (c modelConn) ReleaseLease(ctx context.Context, leaseID string) error {
 	return c.Conn.ReleaseLease(ctx, leaseID)
 }
 
+// epochs records the epoch each provider's last AdvanceEpoch returned:
+// the rig's view of the providers' lease clocks.
+type epochs struct {
+	mu sync.Mutex
+	m  map[string]uint64
+}
+
+// of returns provider id's clock as the lease model reads it.
+func (e *epochs) of(id string) func() uint64 {
+	return func() uint64 {
+		e.mu.Lock()
+		defer e.mu.Unlock()
+		return e.m[id]
+	}
+}
+
+// clocked hands the lifecycle manager the rig's providers, recording
+// each AdvanceEpoch's return in e.
+type clocked struct {
+	testProviders
+	e *epochs
+}
+
+func (c clocked) Provider(ctx context.Context, id string) (provider.API, error) {
+	p, err := c.testProviders.Provider(ctx, id)
+	return clockedAPI{p, c.e, id}, err
+}
+
+type clockedAPI struct {
+	provider.API
+	e  *epochs
+	id string
+}
+
+func (c clockedAPI) AdvanceEpoch(ctx context.Context) (uint64, error) {
+	n, err := c.API.AdvanceEpoch(ctx)
+	if err == nil {
+		c.e.mu.Lock()
+		c.e.m[c.id] = n
+		c.e.mu.Unlock()
+	}
+	return n, err
+}
+
 // rig is a one-process deployment small enough to count every metadata
 // access: a version manager over a countingMeta, two providers, a client
-// whose conns feed a leaseModel, and a long-lived lifecycle manager.
-// What survives a pass is exactly the mark plus the chunks the model
-// says a lease still protects.
+// whose conns feed a leaseModel, and a long-lived lifecycle manager
+// whose epoch advances set the model's clock. What survives a pass is
+// exactly the mark plus the chunks the model says a lease still
+// protects.
 type rig struct {
 	meta   *countingMeta
 	vm     *vmanager.Manager
 	fvm    *blobFaultVM
 	provs  testProviders
-	stores map[string]*provider.MemStore
+	epochs *epochs
 	leases *leaseModel
 	cl     *client.Client
 	m      *gc.Manager
@@ -187,27 +233,26 @@ func newRig(t *testing.T, opts ...gc.Option) *rig {
 	r.fvm = &blobFaultVM{VersionManager: r.vm}
 	pm := pmanager.New()
 	r.provs = testProviders{m: map[string]*provider.Provider{}}
-	r.stores = map[string]*provider.MemStore{}
+	r.epochs = &epochs{m: map[string]uint64{}}
 	r.leases = newLeaseModel()
 	for _, id := range []string{"p00", "p01"} {
-		r.stores[id] = provider.NewMemStore(0)
-		r.provs.m[id] = provider.New(id, "z0", 0, provider.WithStore(r.stores[id]))
+		r.provs.m[id] = provider.New(id, "z0", 0)
 		if err := pm.Register(pmanager.Info{ID: id, Zone: "z0"}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	dir := client.DirectoryFunc(func(_ context.Context, id string) (client.Conn, error) {
-		return r.leases.wrap(r.provs.m[id], r.stores[id].Epoch), nil
+		return r.leases.wrap(r.provs.m[id], r.epochs.of(id)), nil
 	})
 	r.cl = client.New("alice", r.vm, pm, dir)
-	r.m = gc.New(r.fvm, r.provs, opts...)
+	r.m = gc.New(r.fvm, clocked{r.provs, r.epochs}, opts...)
 	return r
 }
 
 // leased lists the chunks a lease still protects, by the model. Every
 // pass advances both providers, so p00's epoch is the rig's.
 func (r *rig) leased() map[chunk.ID]bool {
-	return r.leases.protected(r.stores["p00"].Epoch())
+	return r.leases.protected(r.epochs.of("p00")())
 }
 
 // survivors lists the distinct chunk IDs the providers hold.

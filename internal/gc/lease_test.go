@@ -396,8 +396,8 @@ func (h hookedAdvance) AdvanceEpoch(ctx context.Context) (uint64, error) {
 // advances the provider's epoch and purges. The chunk is not marked at its purge; the
 // released lease must still protect it, since the pass's mark never saw
 // the version. A fresh upload flushes just before that pass; a stale one
-// three passes earlier, so its chunk is older than any epoch tag could
-// vouch for. Both must read back after that pass and after three more.
+// three passes earlier, so no window keyed to its store time could
+// cover it. Both must read back after that pass and after three more.
 func TestLeaseCoversWriterPublishedAfterMark(t *testing.T) {
 	run := func(t *testing.T, stalePasses int) {
 		c := newCluster(t, core.Options{Providers: 1, Monitoring: false})

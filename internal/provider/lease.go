@@ -20,7 +20,7 @@ var ErrNoLease = errors.New("provider: empty lease id")
 
 // leaseRec is one lease's mutable state inside the table. A live record
 // protects its chunks until its TTL passes; a released one (retireAt >
-// 0) protects them, whatever its TTL, until the store's epoch reaches
+// 0) protects them, whatever its TTL, until the table's epoch reaches
 // retireAt.
 type leaseRec struct {
 	expires  time.Time
@@ -36,18 +36,21 @@ func (r *leaseRec) dead(now time.Time, epoch uint64) bool {
 	return now.After(r.expires)
 }
 
-// leaseTable holds a provider's writer leases and orders lease
-// registration against in-flight wholesale purges. The ordering rule
-// closes the re-put-vs-purge race without holding the table lock across
-// store I/O: a purge first checks the ID against live leases, then
-// registers it as in flight, runs the store purge unlocked, and
-// deregisters; LeaseChunks blocks while any of its IDs has a purge in
-// flight. A writer's lease therefore either lands before the purge's
+// leaseTable holds a provider's writer leases and the sweep clock they
+// retire by, and orders lease registration against in-flight wholesale
+// purges. The clock counts the sweep passes (AdvanceEpoch calls) the
+// provider has answered; it lives here, in memory like the leases it
+// times, so no store can move it. The ordering rule closes the
+// re-put-vs-purge race without holding the table lock across store I/O:
+// a purge first checks the ID against live leases, then registers it as
+// in flight, runs the store purge unlocked, and deregisters; LeaseChunks
+// blocks while any of its IDs has a purge in flight. A writer's lease therefore either lands before the purge's
 // check (the purge skips the chunk) or returns only after the purge
 // completed — and the writer's subsequent Store recreates the chunk.
 type leaseTable struct {
 	mu      sync.Mutex
 	cond    *sync.Cond // broadcast when an in-flight purge finishes
+	epoch   uint64     // sweep passes answered
 	rec     map[string]*leaseRec
 	holders map[chunk.ID][]*leaseRec // the records in rec that hold each chunk
 	purging map[chunk.ID]int         // IDs with a wholesale purge in flight
@@ -97,26 +100,27 @@ func (lt *leaseTable) anyPurging(ids []chunk.ID) bool {
 	return false
 }
 
-// release retires lease id at the store's current epoch: its chunks
-// stay protected until the epoch has advanced twice more. Unknown or
-// already released leases are a no-op (release races TTL reaping by
-// design).
-func (lt *leaseTable) release(id string, epoch uint64) {
+// release retires lease id at the current epoch: its chunks stay
+// protected until the epoch has advanced twice more. Unknown or already
+// released leases are a no-op (release races TTL reaping by design).
+func (lt *leaseTable) release(id string) {
 	lt.mu.Lock()
 	if r, ok := lt.rec[id]; ok && r.retireAt == 0 {
-		r.retireAt = epoch + 2
+		r.retireAt = lt.epoch + 2
 	}
 	lt.mu.Unlock()
 }
 
-// expire runs after the store advanced to epoch. It drops every released
-// lease whose retirement epoch has come, and every live lease that
-// expired before now: a writer that stopped heartbeating is dead, and its
-// record protects nothing.
-func (lt *leaseTable) expire(now time.Time, epoch uint64) {
+// advance moves the table to the next epoch and returns it, dropping
+// every released lease whose retirement epoch has come and every live
+// lease that expired before now: a writer that stopped heartbeating is
+// dead, and its record protects nothing.
+func (lt *leaseTable) advance(now time.Time) uint64 {
 	lt.mu.Lock()
+	defer lt.mu.Unlock()
+	lt.epoch++
 	for id, r := range lt.rec {
-		if !r.dead(now, epoch) {
+		if !r.dead(now, lt.epoch) {
 			continue
 		}
 		delete(lt.rec, id)
@@ -128,15 +132,15 @@ func (lt *leaseTable) expire(now time.Time, epoch uint64) {
 			}
 		}
 	}
-	lt.mu.Unlock()
+	return lt.epoch
 }
 
-// leasedLocked reports whether a lease protects id at (now, epoch): a
-// live one that has not expired, or a released one not yet retired.
-// Caller holds lt.mu.
-func (lt *leaseTable) leasedLocked(id chunk.ID, now time.Time, epoch uint64) bool {
+// leasedLocked reports whether a lease protects id at now: a live one
+// that has not expired, or a released one not yet retired. Caller holds
+// lt.mu.
+func (lt *leaseTable) leasedLocked(id chunk.ID, now time.Time) bool {
 	for _, r := range lt.holders[id] {
-		if !r.dead(now, epoch) {
+		if !r.dead(now, lt.epoch) {
 			return true
 		}
 	}
@@ -148,9 +152,9 @@ func (lt *leaseTable) leasedLocked(id chunk.ID, now time.Time, epoch uint64) boo
 // purge runs with id registered as in flight so a racing lease
 // registration waits for its completion. The store I/O itself runs with
 // no table lock held.
-func (lt *leaseTable) purge(id chunk.ID, now time.Time, epoch uint64, del func() (int64, error)) (int64, error) {
+func (lt *leaseTable) purge(id chunk.ID, now time.Time, del func() (int64, error)) (int64, error) {
 	lt.mu.Lock()
-	if lt.leasedLocked(id, now, epoch) {
+	if lt.leasedLocked(id, now) {
 		lt.mu.Unlock()
 		return 0, nil
 	}
@@ -189,7 +193,7 @@ func (p *Provider) LeaseChunks(ctx context.Context, leaseID string, ttl time.Dur
 }
 
 // ReleaseLease retires one writer lease. Its chunks stay protected until
-// the store's epoch has advanced twice past the release; the second
+// the provider's epoch has advanced twice past the release; the second
 // AdvanceEpoch drops the record. A sweep pass marks before it advances,
 // so every pass that could purge a chunk once the lease is gone marked
 // after the release, and with it the version the writer published
@@ -203,6 +207,6 @@ func (p *Provider) ReleaseLease(ctx context.Context, leaseID string) error {
 	if leaseID == "" {
 		return ErrNoLease
 	}
-	p.leases.release(leaseID, p.st.Epoch())
+	p.leases.release(leaseID)
 	return nil
 }

@@ -31,19 +31,17 @@ var (
 // (Put/GetAppend), the accounting the provider reports, and the
 // lifecycle surface the storage-lifecycle subsystem (internal/gc)
 // sweeps through. Implementations must be safe for concurrent use. A
-// store's state per chunk is its presence and its epoch tag: Put of an
-// already-present chunk keeps the one copy and only refreshes the tag,
-// and Purge is the only way a chunk is freed.
+// store's state per chunk is its presence: Put of an already-present
+// chunk keeps the one copy and changes nothing, and Purge is the only
+// way a chunk is freed.
 //
 // Put must not retain data past its return: the caller's slice is a pooled
 // chunk buffer (the rpc server recycles it as soon as the handler is done),
 // so an implementation copies or writes through — as MemStore.Put,
 // DiskStore.Put and TieredStore.Put/admit all do.
 //
-// The store's epoch is the sweep's clock: each pass advances it once,
-// after its mark, and a released writer lease retires by it (see
-// Provider.ReleaseLease). The per-chunk tags stay in the record format;
-// the sweep does not read them.
+// A store keeps no sweep clock: the provider's lease table counts the
+// passes (see Provider.ReleaseLease).
 type Store interface {
 	Put(id chunk.ID, data []byte) error
 	// GetAppend serves the payload into a caller-supplied buffer
@@ -78,20 +76,14 @@ type Store interface {
 	// absent chunk is not an error (it may have gone since the sweep
 	// listed it); it frees 0 bytes.
 	Purge(id chunk.ID) (int64, error)
-	// Epoch returns the current sweep epoch.
-	Epoch() uint64
-	// AdvanceEpoch moves to the next sweep epoch and returns it;
-	// subsequent Puts are tagged with the new epoch.
-	AdvanceEpoch() uint64
 }
 
 // ChunkInfo describes one stored chunk from the lifecycle point of view:
-// its payload size and the sweep epoch of its most recent Put. The
-// garbage collector's mark-and-sweep pass consumes it.
+// its ID and payload size. The garbage collector's mark-and-sweep pass
+// consumes it.
 type ChunkInfo struct {
-	ID    chunk.ID
-	Size  int64
-	Epoch uint64
+	ID   chunk.ID
+	Size int64
 }
 
 // memStripes is the number of lock stripes in a MemStore. Chunk IDs are
@@ -102,10 +94,9 @@ const memStripes = 32
 // index shadows the data map's key set in sorted order (maintained on
 // Put/Purge) so List pages without rescanning the stripe.
 type memStripe struct {
-	mu     sync.Mutex
-	data   map[chunk.ID][]byte
-	epochs map[chunk.ID]uint64
-	index  ordset.Set[chunk.ID]
+	mu    sync.Mutex
+	data  map[chunk.ID][]byte
+	index ordset.Set[chunk.ID]
 }
 
 // MemStore is an in-memory Store with a byte-capacity bound. It is the
@@ -118,7 +109,6 @@ type MemStore struct {
 	capacity int64
 	used     atomic.Int64
 	count    atomic.Int64
-	epoch    atomic.Uint64
 	stripes  [memStripes]memStripe
 }
 
@@ -128,7 +118,6 @@ func NewMemStore(capacity int64) *MemStore {
 	s := &MemStore{capacity: capacity}
 	for i := range s.stripes {
 		s.stripes[i].data = make(map[chunk.ID][]byte)
-		s.stripes[i].epochs = make(map[chunk.ID]uint64)
 	}
 	return s
 }
@@ -137,15 +126,13 @@ func (s *MemStore) stripe(id chunk.ID) *memStripe {
 	return &s.stripes[int(id[0])%memStripes]
 }
 
-// Put stores a copy of data under id, or only refreshes the epoch tag
-// when the chunk is already present (content addressing makes replays
-// idempotent).
+// Put stores a copy of data under id; a chunk already present is left
+// as it is (content addressing makes replays idempotent).
 func (s *MemStore) Put(id chunk.ID, data []byte) error {
 	st := s.stripe(id)
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if _, ok := st.data[id]; ok {
-		st.epochs[id] = s.epoch.Load()
 		return nil
 	}
 	// Reserve the bytes first; undo on overflow. Concurrent puts may
@@ -156,7 +143,6 @@ func (s *MemStore) Put(id chunk.ID, data []byte) error {
 		return ErrFull
 	}
 	st.data[id] = append([]byte(nil), data...)
-	st.epochs[id] = s.epoch.Load()
 	st.index.Insert(id)
 	s.count.Add(1)
 	return nil
@@ -197,7 +183,6 @@ func (s *MemStore) Purge(id chunk.ID) (int64, error) {
 	s.used.Add(-n)
 	s.count.Add(-1)
 	delete(st.data, id)
-	delete(st.epochs, id)
 	st.index.Remove(id)
 	return n, nil
 }
@@ -236,7 +221,7 @@ func (s *MemStore) List(after chunk.ID, limit int) ([]ChunkInfo, bool) {
 				if id[0] != byte(b) || len(out) == want {
 					break segment // past the segment: later keys only grow
 				}
-				out = append(out, ChunkInfo{ID: id, Size: int64(len(st.data[id])), Epoch: st.epochs[id]})
+				out = append(out, ChunkInfo{ID: id, Size: int64(len(st.data[id]))})
 			}
 			if len(rest) == 0 {
 				break
@@ -249,12 +234,6 @@ func (s *MemStore) List(after chunk.ID, limit int) ([]ChunkInfo, bool) {
 	}
 	return out, false
 }
-
-// Epoch implements Store.
-func (s *MemStore) Epoch() uint64 { return s.epoch.Load() }
-
-// AdvanceEpoch implements Store.
-func (s *MemStore) AdvanceEpoch() uint64 { return s.epoch.Add(1) }
 
 // Has reports whether the chunk is present.
 func (s *MemStore) Has(id chunk.ID) bool {
@@ -302,7 +281,8 @@ type API interface {
 	// released within the last two epochs, is skipped: the writer's
 	// chunk lease is the one write-in-progress protection.
 	PurgeChunks(ctx context.Context, ids []chunk.ID) (int, int64, error)
-	// AdvanceEpoch moves the provider to the next sweep epoch.
+	// AdvanceEpoch counts one sweep pass on the provider's lease clock
+	// and returns the new epoch.
 	AdvanceEpoch(ctx context.Context) (uint64, error)
 }
 
@@ -528,9 +508,8 @@ func (p *Provider) PurgeChunks(ctx context.Context, ids []chunk.ID) (int, int64,
 	defer p.end()
 	var purged int
 	var freed int64
-	epoch := p.st.Epoch()
 	for _, id := range ids {
-		n, err := p.leases.purge(id, p.now(), epoch, func() (int64, error) { return p.st.Purge(id) })
+		n, err := p.leases.purge(id, p.now(), func() (int64, error) { return p.st.Purge(id) })
 		if err != nil {
 			return purged, freed, err
 		}
@@ -549,8 +528,8 @@ func (p *Provider) PurgeChunks(ctx context.Context, ids []chunk.ID) (int, int64,
 	return purged, freed, nil
 }
 
-// AdvanceEpoch moves the store to the next sweep epoch and returns it,
-// then drops the released writer leases whose retirement epoch has come
+// AdvanceEpoch moves the lease table to the next sweep epoch and returns
+// it, dropping the released writer leases whose retirement epoch has come
 // and the live ones that expired by the provider's clock — a crashed
 // writer's lease lasts at most until the next sweep pass after its TTL.
 // A stopped provider refuses: a sweep must not retire a provider's
@@ -560,9 +539,7 @@ func (p *Provider) AdvanceEpoch(ctx context.Context) (uint64, error) {
 		return 0, err
 	}
 	defer p.end()
-	e := p.st.AdvanceEpoch()
-	p.leases.expire(p.now(), e)
-	return e, nil
+	return p.leases.advance(p.now()), nil
 }
 
 // Has reports whether the provider holds the chunk.

@@ -307,8 +307,8 @@ func TestMemStoreUsedInvariant(t *testing.T) {
 	}
 }
 
-// TestMemStoreLifecycle covers the sweep surface: epoch tagging on Put
-// and re-Put, paginated listing in ID order, and purge.
+// TestMemStoreLifecycle covers the sweep surface: a re-Put that leaves
+// the one copy as it is, paginated listing in ID order, and purge.
 func TestMemStoreLifecycle(t *testing.T) {
 	s := NewMemStore(0)
 	var ids []chunk.ID
@@ -320,10 +320,6 @@ func TestMemStoreLifecycle(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if e := s.Epoch(); e != 0 {
-		t.Fatalf("initial epoch = %d", e)
-	}
-
 	// Pages in ascending ID order, resumable, no dup/no skip.
 	var got []chunk.ID
 	var after chunk.ID
@@ -338,7 +334,7 @@ func TestMemStoreLifecycle(t *testing.T) {
 		}
 		for _, ci := range page {
 			got = append(got, ci.ID)
-			if ci.Epoch != 0 || ci.Size != 2 {
+			if ci.Size != 2 {
 				t.Fatalf("chunk info = %+v", ci)
 			}
 		}
@@ -353,28 +349,15 @@ func TestMemStoreLifecycle(t *testing.T) {
 		t.Fatalf("listed %d chunks over %d pages, want 5 over 3", len(got), pages)
 	}
 
-	// Advancing the epoch tags later puts; a re-put refreshes the tag.
-	if e := s.AdvanceEpoch(); e != 1 {
-		t.Fatalf("epoch after advance = %d", e)
-	}
-	if err := s.Put(ids[0], []byte{0, 0}); err != nil { // re-put: one copy, epoch 1
+	// A re-put leaves the one copy as it is.
+	if err := s.Put(ids[0], []byte{0, 0}); err != nil {
 		t.Fatal(err)
 	}
 	if s.Count() != 5 || s.Used() != 10 {
 		t.Fatalf("count=%d used=%d after re-put, want 5 and 10", s.Count(), s.Used())
 	}
-	page, _ := s.List(chunk.ID{}, 100)
-	for _, ci := range page {
-		switch ci.ID {
-		case ids[0]:
-			if ci.Epoch != 1 {
-				t.Fatalf("re-put chunk info = %+v, want epoch 1", ci)
-			}
-		default:
-			if ci.Epoch != 0 {
-				t.Fatalf("untouched chunk got epoch %d", ci.Epoch)
-			}
-		}
+	if page, more := s.List(chunk.ID{}, 100); len(page) != 5 || more {
+		t.Fatalf("listed %d chunks (more %v) after re-put, want 5", len(page), more)
 	}
 
 	// Purge frees the re-put chunk; absent purge is a no-op.
@@ -411,9 +394,6 @@ func TestProviderLifecycleSurface(t *testing.T) {
 	if err != nil || more || len(page) != 3 {
 		t.Fatalf("ListChunks = %d chunks more=%v err=%v", len(page), more, err)
 	}
-	if e := p.st.Epoch(); e != 0 {
-		t.Fatalf("epoch = %d", e)
-	}
 	if e, err := p.AdvanceEpoch(ctx); err != nil || e != 1 {
 		t.Fatalf("advance = %d, %v", e, err)
 	}
@@ -432,7 +412,9 @@ func TestProviderLifecycleSurface(t *testing.T) {
 // TestStoppedProviderRefusesEpochs: AdvanceEpoch goes through the same
 // stopped gate as every other call. A sweep reaching a stopped provider
 // (over rpc, where no pool filter hides it) must not advance its epoch:
-// that would retire released leases it cannot answer for.
+// that would retire released leases it cannot answer for. The refused
+// and cancelled calls leave the clock where it was, so the next advance
+// returns the next epoch.
 func TestStoppedProviderRefusesEpochs(t *testing.T) {
 	p := New("p1", "z", 0)
 	ctx := context.Background()
@@ -444,21 +426,22 @@ func TestStoppedProviderRefusesEpochs(t *testing.T) {
 		t.Fatalf("AdvanceEpoch on a stopped provider: %v, want ErrStopped", err)
 	}
 	p.Restart()
-	if e := p.st.Epoch(); e != 1 {
-		t.Fatalf("epoch after restart = %d; want 1 (unchanged while stopped)", e)
-	}
 	cancelled, cancel := context.WithCancel(ctx)
 	cancel()
 	if _, err := p.AdvanceEpoch(cancelled); !errors.Is(err, context.Canceled) {
 		t.Fatalf("AdvanceEpoch on a cancelled ctx: %v", err)
 	}
+	if e, err := p.AdvanceEpoch(ctx); err != nil || e != 2 {
+		t.Fatalf("advance after restart = %d, %v; want 2 (unchanged while stopped)", e, err)
+	}
 }
 
-// TestAdvanceEpochDropsExpiredLeases: AdvanceEpoch drops the writer
-// leases that expired by the provider's clock and keeps the live ones;
-// the live lease still blocks a purge, the dropped one no longer does. A
-// released lease ignores its TTL: it blocks purges, and no renewal
-// revives it, until the second advance after its release drops it.
+// TestAdvanceEpochDropsExpiredLeases: AdvanceEpoch counts one pass on
+// the lease table's clock and drops the writer leases that expired by
+// the provider's clock, keeping the live ones; the live lease still
+// blocks a purge, the dropped one no longer does. A released lease
+// ignores its TTL: it blocks purges, and no renewal revives it, until
+// the second advance after its release drops it.
 func TestAdvanceEpochDropsExpiredLeases(t *testing.T) {
 	now := time.Unix(1000, 0)
 	p := New("p1", "z", 0, WithClock(func() time.Time { return now }))
@@ -477,8 +460,8 @@ func TestAdvanceEpochDropsExpiredLeases(t *testing.T) {
 		t.Fatal(err)
 	}
 	now = now.Add(2 * time.Minute)
-	if _, err := p.AdvanceEpoch(bg); err != nil {
-		t.Fatal(err)
+	if e, err := p.AdvanceEpoch(bg); err != nil || e != 1 || p.leases.epoch != 1 {
+		t.Fatalf("first advance = %d, %v (table at %d), want 1", e, err, p.leases.epoch)
 	}
 	if _, kept := p.leases.rec["live"]; !kept || len(p.leases.rec) != 2 {
 		t.Fatalf("leases after AdvanceEpoch = %v, want the live and the released one", p.leases.rec)
@@ -491,8 +474,8 @@ func TestAdvanceEpochDropsExpiredLeases(t *testing.T) {
 			t.Fatalf("purge of the %s lease's chunk = %d, %v, want %d", lease, n, err, want)
 		}
 	}
-	if _, err := p.AdvanceEpoch(bg); err != nil {
-		t.Fatal(err)
+	if e, err := p.AdvanceEpoch(bg); err != nil || e != 2 {
+		t.Fatalf("second advance = %d, %v, want 2", e, err)
 	}
 	if _, kept := p.leases.rec["live"]; !kept || len(p.leases.rec) != 1 || len(p.leases.holders) != 1 {
 		t.Fatalf("leases after the second AdvanceEpoch = %v (chunks %v), want only the live one", p.leases.rec, p.leases.holders)
@@ -576,7 +559,7 @@ func TestMemStoreIndexChurn(t *testing.T) {
 	}
 	check()
 
-	// Refill over the holes, with some re-puts only refreshing tags.
+	// Refill over the holes, with some re-puts of present chunks.
 	for i := 0; i < 3000; i += 2 {
 		data := rnd(i)
 		id := chunk.Sum(data)

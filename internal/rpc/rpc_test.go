@@ -198,7 +198,7 @@ func TestLifecycleRPCs(t *testing.T) {
 		}
 		for _, ci := range page {
 			got = append(got, ci.ID)
-			if ci.Size != 8 || ci.Epoch != 0 {
+			if ci.Size != 8 {
 				t.Fatalf("chunk info over rpc = %+v", ci)
 			}
 		}

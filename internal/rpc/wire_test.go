@@ -560,7 +560,7 @@ func FuzzReadBody(f *testing.F) {
 	f.Add(metaOnly)
 	f.Add(frame(mLeaseChunks, 0, argsOf(mLeaseChunks, args{Lease: lease, IDs: []chunk.ID{id, chunk.Sum(nil)}}), nil))
 	f.Add(frame(mReleaseLease, flagOneWay, argsOf(mReleaseLease, args{Lease: lease}), nil))
-	f.Add(frame(mListChunks, 0, resultOf(result{Chunks: []provider.ChunkInfo{{ID: id, Size: 3000, Epoch: 5}}, More: true}), nil))
+	f.Add(frame(mListChunks, 0, resultOf(result{Chunks: []provider.ChunkInfo{{ID: id, Size: 3000}}, More: true}), nil))
 	f.Add(frame(numMethods, 0, resultOf(result{Epoch: 1}), nil)) // one past the last method: args.decode refuses it
 	f.Add(frame(mPurge, 0, resultOf(result{Purged: 3, Freed: -1}), nil))
 	f.Add(frame(mAdvanceEpoch, 0, resultOf(result{Epoch: 1 << 40}), nil))

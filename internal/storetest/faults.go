@@ -183,8 +183,8 @@ func (s *SlowConn) ReleaseLease(ctx context.Context, leaseID string) error {
 
 // FlakyStore wraps a provider.Store, failing Put/GetAppend/Purge with
 // the injector's probability — the provider-side counterpart of
-// FlakyConn, pluggable via core.Options.ProviderStore. Listing and
-// epochs stay reliable: a flaky List would make the GC abort every
+// FlakyConn, pluggable via core.Options.ProviderStore. Listing and the
+// accounting stay reliable: a flaky List would make the GC abort every
 // pass, which is the fail-safe behaviour other tests cover directly.
 type FlakyStore struct {
 	provider.Store
@@ -323,24 +323,6 @@ func (c *CrashStore) Purge(id chunk.ID) (int64, error) {
 		return 0, ErrCrashed
 	}
 	return st.Purge(id)
-}
-
-// Epoch reports 0 while crashed.
-func (c *CrashStore) Epoch() uint64 {
-	st := c.store()
-	if st == nil {
-		return 0
-	}
-	return st.Epoch()
-}
-
-// AdvanceEpoch is a no-op reporting 0 while crashed.
-func (c *CrashStore) AdvanceEpoch() uint64 {
-	st := c.store()
-	if st == nil {
-		return 0
-	}
-	return st.AdvanceEpoch()
 }
 
 // Conformance, one block per contract: a wrapper that drops a method —
