@@ -47,7 +47,7 @@ func main() {
 		dataDir   = flag.String("data-dir", "", "base segment directory for -store=disk/tiered (one subdir per provider)")
 		hotBytes  = flag.Int64("hot-bytes", 256<<20, "per-provider hot-tier cache bound for -store=tiered")
 		gcEvery   = flag.Duration("gc", 30*time.Second, "background GC pass interval; only a pass frees deleted and overwritten objects' space (0 = disabled)")
-		callTO    = flag.Duration("call-timeout", 2*time.Second, "per-attempt provider call deadline (0 = fault plane off)")
+		callTO    = flag.Duration("call-timeout", 2*time.Second, "per-attempt provider call deadline (0 = the 2s default)")
 	)
 	flag.Parse()
 
@@ -58,12 +58,10 @@ func main() {
 		Replicas:   *replicas,
 		Monitoring: true,
 		Metrics:    reg,
-	}
-	if *callTO > 0 {
-		// The fault-tolerance plane: per-attempt deadlines, retries with
-		// jittered backoff, per-provider circuit breakers and failure
-		// detection (see README "Fault tolerance" for the knobs).
-		opts.Fault = &faultdom.Config{CallTimeout: *callTO}
+		// The fault-tolerance plane's per-attempt deadline; its retries,
+		// circuit breakers and failure detection keep their defaults
+		// (see README "Fault tolerance").
+		Fault: &faultdom.Config{CallTimeout: *callTO},
 	}
 	switch *store {
 	case "mem":

@@ -19,7 +19,7 @@ import (
 func main() {
 	ctx := context.Background()
 	cluster, err := core.NewCluster(core.Options{
-		Providers: 6, Replicas: 2, BaseDegree: 2, Monitoring: true, AgentBatch: 1,
+		Providers: 6, Replicas: 2, Monitoring: true, AgentBatch: 1,
 	})
 	if err != nil {
 		log.Fatal(err)

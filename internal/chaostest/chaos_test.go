@@ -94,7 +94,7 @@ func TestPartitionDegradedOperation(t *testing.T) {
 	})
 	reg := metrics.NewRegistry()
 	c := newCluster(t, core.Options{
-		Providers: 4, Replicas: 3, WriteQuorum: 2,
+		Providers: 4, Replicas: 3,
 		Monitoring: false,
 		Metrics:    reg,
 		Fault: &faultdom.Config{
@@ -107,7 +107,7 @@ func TestPartitionDegradedOperation(t *testing.T) {
 		},
 		WrapConn: cache.wrap,
 	})
-	cl := c.Client("alice")
+	cl := c.ClientWith("alice", client.WithWriteQuorum(2))
 
 	// Healthy phase: seed the cluster.
 	bs := newBlobSet()
@@ -202,7 +202,7 @@ func TestFlakyRetriesAndMetrics(t *testing.T) {
 	})
 	reg := metrics.NewRegistry()
 	c := newCluster(t, core.Options{
-		Providers: 3, Replicas: 2, WriteQuorum: 1,
+		Providers: 3, Replicas: 2,
 		Monitoring: false,
 		Metrics:    reg,
 		Fault: &faultdom.Config{
@@ -212,7 +212,7 @@ func TestFlakyRetriesAndMetrics(t *testing.T) {
 		},
 		WrapConn: cache.wrap,
 	})
-	cl := c.Client("bob")
+	cl := c.ClientWith("bob", client.WithWriteQuorum(1))
 
 	bs := newBlobSet()
 	for i := 0; i < 10; i++ {

@@ -29,7 +29,7 @@ func TestCrashRestartRecovery(t *testing.T) {
 	)
 	var crash *storetest.CrashStore
 	c := newCluster(t, core.Options{
-		Providers: 3, Replicas: 2, WriteQuorum: 1,
+		Providers: 3, Replicas: 2,
 		Monitoring: false,
 		Fault: &faultdom.Config{
 			CallTimeout:      500 * time.Millisecond,
@@ -49,7 +49,7 @@ func TestCrashRestartRecovery(t *testing.T) {
 			return crash
 		},
 	})
-	cl := c.Client("carol")
+	cl := c.ClientWith("carol", client.WithWriteQuorum(1))
 
 	bs := newBlobSet()
 	for i := 0; i < 6; i++ {
@@ -102,7 +102,7 @@ func TestQuorumFailureSurfacesRetryable503(t *testing.T) {
 		return &storetest.FlakyConn{Inner: conn, Inj: inj}
 	})
 	c := newCluster(t, core.Options{
-		Providers: 3, Replicas: 2, WriteQuorum: 2,
+		Providers: 3, Replicas: 2,
 		Monitoring: false,
 		Fault: &faultdom.Config{
 			CallTimeout:      200 * time.Millisecond,

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+
+	"blobseer/internal/client"
 )
 
 // TestParallelClientsQuorumFailover drives Write, Append and Read from
@@ -16,7 +18,7 @@ import (
 func TestParallelClientsQuorumFailover(t *testing.T) {
 	ctx := context.Background()
 	c, err := NewCluster(Options{
-		Providers: 6, Replicas: 3, WriteQuorum: 2,
+		Providers: 6, Replicas: 3,
 		Monitoring: true, AgentBatch: 8,
 	})
 	if err != nil {
@@ -31,7 +33,7 @@ func TestParallelClientsQuorumFailover(t *testing.T) {
 
 	// A shared blob everyone appends full chunk slots to; slot contents
 	// interleave by publication order but each slot stays intact.
-	sharedCl := c.Client("shared")
+	sharedCl := c.ClientWith("shared", client.WithWriteQuorum(2))
 	sharedInfo, err := sharedCl.Create(ctx, chunkSize)
 	if err != nil {
 		t.Fatal(err)
@@ -44,7 +46,7 @@ func TestParallelClientsQuorumFailover(t *testing.T) {
 		wg.Add(1)
 		go func(u int) {
 			defer wg.Done()
-			cl := c.Client(fmt.Sprintf("user%d", u))
+			cl := c.ClientWith(fmt.Sprintf("user%d", u), client.WithWriteQuorum(2))
 			info, err := cl.Create(ctx, chunkSize)
 			if err != nil {
 				errCh <- err

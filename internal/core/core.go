@@ -48,14 +48,12 @@ const (
 // fills defaults.
 type Options struct {
 	Providers    int    // data providers (default 4)
-	Replicas     int    // chunk replication degree for clients (default 1)
-	WriteQuorum  int    // replica stores required per chunk (0 = all replicas)
+	Replicas     int    // replication degree clients write and the heal keeps (default 1)
 	PolicySource string // policy DSL ("" = policy.DefaultCatalog)
-	Monitoring   bool   // attach the introspection stack (default true via NewCluster)
+	Monitoring   bool   // attach the introspection stack (default off)
 	AgentBatch   int    // monitoring agent batch size (default 32)
 	Clock        func() time.Time
 	Elasticity   *selfconfig.Config // enable the elasticity controller
-	BaseDegree   int                // replication maintenance target (default = Replicas)
 	// ProviderStore mints the backing chunk store for each new provider
 	// (nil, or a nil return, = the in-memory MemStore). It is the seam
 	// for disk-backed stores and for fault/latency injection in tests.
@@ -65,12 +63,13 @@ type Options struct {
 	// gateway built over the cluster — records its data-path series there;
 	// nil leaves the whole deployment uninstrumented (no overhead).
 	Metrics *metrics.Registry
-	// Fault enables the fault-tolerance plane (internal/faultdom): every
-	// client↔provider conversation gets per-attempt deadlines, retries
-	// with jittered backoff, and its outcome fed to the provider's
-	// health record (circuit breaker and liveness verdict), which steers
-	// placement, read ordering and self-optimization heals. nil disables the plane
-	// entirely (calls go to providers unguarded, as before).
+	// Fault configures the fault-tolerance plane (internal/faultdom),
+	// which every cluster runs: every client↔provider conversation gets
+	// per-attempt deadlines, retries with jittered backoff, and its
+	// outcome fed to the provider's health record (circuit breaker and
+	// liveness verdict), which steers placement, read ordering and
+	// self-optimization heals. nil means faultdom's defaults; an unset
+	// Clock is the cluster's.
 	Fault *faultdom.Config
 	// WrapConn, when set, wraps every provider conn Lookup resolves —
 	// inside the fault guard, so injected faults are seen (and retried,
@@ -95,7 +94,7 @@ type Cluster struct {
 	Rep   *selfopt.Replicator
 	Elast *selfconfig.Controller
 	GC    *gc.Manager
-	Fault *faultdom.Plane // nil unless Options.Fault is set
+	Fault *faultdom.Plane // guards the client data path; never nil
 
 	mu        sync.Mutex
 	providers map[string]*provider.Provider
@@ -110,8 +109,8 @@ func NewCluster(opts Options) (*Cluster, error) {
 	if opts.Replicas <= 0 {
 		opts.Replicas = 1
 	}
-	if opts.BaseDegree <= 0 {
-		opts.BaseDegree = opts.Replicas
+	if opts.Fault == nil {
+		opts.Fault = &faultdom.Config{}
 	}
 	if opts.AgentBatch <= 0 {
 		opts.AgentBatch = 32
@@ -153,28 +152,22 @@ func NewCluster(opts Options) (*Cluster, error) {
 		return nil, err
 	}
 
-	// Fault-tolerance plane (optional). Built before the provider
-	// manager so placement can consult its health verdicts.
-	if opts.Fault != nil {
-		fcfg := *opts.Fault
-		if fcfg.Clock == nil {
-			fcfg.Clock = opts.Clock
-		}
-		c.Fault = faultdom.NewPlane(fcfg, opts.Metrics)
+	// Fault-tolerance plane. Built before the provider manager so
+	// placement can consult its health verdicts.
+	fcfg := *opts.Fault
+	if fcfg.Clock == nil {
+		fcfg.Clock = opts.Clock
 	}
+	c.Fault = faultdom.NewPlane(fcfg, opts.Metrics)
 
 	// Version and provider managers.
 	c.VM = vmanager.New(ring,
 		vmanager.WithEmitter(c.AgentFor("vmanager")),
 		vmanager.WithClock(c.now))
-	pmOpts := []pmanager.Option{
+	c.PM = pmanager.New(
 		pmanager.WithEmitter(c.AgentFor("pmanager")),
 		pmanager.WithClock(c.now),
-	}
-	if c.Fault != nil {
-		pmOpts = append(pmOpts, pmanager.WithHealth(c.Fault.Healthy))
-	}
-	c.PM = pmanager.New(pmOpts...)
+		pmanager.WithHealth(c.Fault.Healthy))
 
 	// Security framework.
 	c.Trust = trust.New(trust.WithClock(c.now))
@@ -193,7 +186,7 @@ func NewCluster(opts Options) (*Cluster, error) {
 
 	// Self-optimization.
 	c.Rep = selfopt.NewReplicator(c.VM, c.PM, pool{c}, c.Intro,
-		selfopt.WithBaseDegree(opts.BaseDegree),
+		selfopt.WithBaseDegree(opts.Replicas),
 		selfopt.WithEmitter(c.AgentFor("selfopt")))
 
 	// Storage lifecycle: every deletion routes through it, every reader
@@ -243,9 +236,7 @@ func (c *Cluster) AddProvider() (string, error) {
 	p := provider.New(id, zone, 0, popts...)
 	c.providers[id] = p
 	c.mu.Unlock()
-	if c.Fault != nil {
-		c.Fault.Track(id)
-	}
+	c.Fault.Track(id)
 	if err := c.PM.Register(pmanager.Info{ID: id, Zone: zone}); err != nil {
 		return "", err
 	}
@@ -262,9 +253,7 @@ func (c *Cluster) RemoveProvider(id string) error {
 		return fmt.Errorf("core: no provider %s", id)
 	}
 	p.Stop()
-	if c.Fault != nil {
-		c.Fault.Forget(id)
-	}
+	c.Fault.Forget(id)
 	return c.PM.Unregister(id)
 }
 
@@ -306,11 +295,10 @@ func (c *Cluster) rawConn(id string) (client.Conn, error) {
 	return conn, nil
 }
 
-// Lookup implements client.Directory. With the fault plane enabled, an
-// open-circuited provider fails fast here — before any wire work — so
-// reads fail over and writes re-route immediately, and the returned
-// conn carries the full guard (per-attempt deadlines, retries, breaker
-// and detector observation).
+// Lookup implements client.Directory. An open-circuited provider fails
+// fast here — before any wire work — so reads fail over and writes
+// re-route immediately, and the returned conn carries the full guard
+// (per-attempt deadlines, retries, breaker and detector observation).
 func (c *Cluster) Lookup(ctx context.Context, id string) (client.Conn, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -319,13 +307,10 @@ func (c *Cluster) Lookup(ctx context.Context, id string) (client.Conn, error) {
 	if err != nil {
 		return nil, err
 	}
-	if c.Fault != nil {
-		if err := c.Fault.FastFail(id); err != nil {
-			return nil, err
-		}
-		conn = c.Fault.Wrap(id, conn)
+	if err := c.Fault.FastFail(id); err != nil {
+		return nil, err
 	}
-	return conn, nil
+	return c.Fault.Wrap(id, conn), nil
 }
 
 // Metrics returns the cluster's metrics registry (nil when the
@@ -339,21 +324,18 @@ func (c *Cluster) Client(user string) *client.Client {
 }
 
 // ClientWith returns a client like Client, with extra client options
-// applied on top of the cluster's defaults (replication degree, write
-// quorum). The S3 gateway and benchmarks use it to tune
-// per-front-end behavior without reconfiguring the whole cluster.
+// (a write quorum, say) applied on top of the cluster's defaults. The
+// S3 gateway and benchmarks use it to tune per-front-end behavior
+// without reconfiguring the whole cluster.
 func (c *Cluster) ClientWith(user string, extra ...client.Option) *client.Client {
 	opts := []client.Option{
 		client.WithReplicas(c.opts.Replicas),
-		client.WithWriteQuorum(c.opts.WriteQuorum),
 		client.WithGatekeeper(c.Enf),
 		client.WithPinner(c.GC),
 		client.WithEmitter(c.AgentFor("client-" + user)),
 		client.WithClock(c.now),
 		client.WithMetrics(c.opts.Metrics),
-	}
-	if c.Fault != nil {
-		opts = append(opts, client.WithHealth(c.Fault.Healthy))
+		client.WithHealth(c.Fault.Healthy),
 	}
 	return client.New(user, c.VM, c.PM, c, append(opts, extra...)...)
 }
@@ -385,30 +367,28 @@ func (c *Cluster) Tick(now time.Time) {
 	if c.Elast != nil {
 		c.Elast.Tick(now, c.Intro.MeanLoad())
 	}
-	if c.Fault != nil {
-		// Active failure detection: ping every live provider through its
-		// raw (unguarded, fault-injected) conn, in parallel so one
-		// blackholed provider costs the tick a single CallTimeout, not
-		// one per victim. Verdicts that crossed to Dead since
-		// the last tick then trigger a replication heal around the body.
-		ctx := context.Background() //ctxfirst:allow control-plane tick has no caller context; Ping and the heal's transfers bound themselves with CallTimeout
-		var wg sync.WaitGroup
-		for _, p := range provs {
-			id := p.ID()
-			conn, err := c.rawConn(id)
-			if err != nil {
-				continue
-			}
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				_ = c.Fault.Ping(ctx, id, conn)
-			}()
+	// Active failure detection: ping every live provider through its
+	// raw (unguarded, fault-injected) conn, in parallel so one
+	// blackholed provider costs the tick a single CallTimeout, not one
+	// per victim. Verdicts that crossed to Dead since the last tick then
+	// trigger a replication heal around the body.
+	ctx := context.Background() //ctxfirst:allow control-plane tick has no caller context; each Ping bounds itself with CallTimeout, and the heal calls in-process providers
+	var wg sync.WaitGroup
+	for _, p := range provs {
+		id := p.ID()
+		conn, err := c.rawConn(id)
+		if err != nil {
+			continue
 		}
-		wg.Wait()
-		if dead := c.Fault.DrainDead(); len(dead) > 0 {
-			_, _ = c.Rep.Scan(ctx, now)
-		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_ = c.Fault.Ping(ctx, id, conn)
+		}()
+	}
+	wg.Wait()
+	if dead := c.Fault.DrainDead(); len(dead) > 0 {
+		_, _ = c.Rep.Scan(ctx, now)
 	}
 }
 
@@ -444,7 +424,7 @@ func (a pool) Alive(id string) bool {
 	}
 	// The heal must not copy replicas onto a dead or open-circuited
 	// provider — that only manufactures more degraded replicas.
-	return a.c.Fault == nil || a.c.Fault.Healthy(id)
+	return a.c.Fault.Healthy(id)
 }
 
 // Pool exposes the cluster's providers as a selfopt.Pool (for reapers).

@@ -5,9 +5,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"blobseer/internal/chunk"
+	"blobseer/internal/client"
 	"blobseer/internal/policy"
 	"blobseer/internal/selfconfig"
 	"blobseer/internal/selfopt"
@@ -358,5 +361,52 @@ func TestClusterManyClients(t *testing.T) {
 	}
 	if got := len(c.VM.Blobs()); got != 8 {
 		t.Fatalf("blobs=%d", got)
+	}
+}
+
+// failFirstFetch fails the first Fetch after *failed is cleared with a
+// transient injected fault, and passes every other call through.
+type failFirstFetch struct {
+	client.Conn
+	failed *atomic.Bool
+}
+
+func (f failFirstFetch) Fetch(ctx context.Context, user string, id chunk.ID) ([]byte, error) {
+	if f.failed.CompareAndSwap(false, true) {
+		return nil, storetest.ErrInjected
+	}
+	return f.Conn.Fetch(ctx, user, id)
+}
+
+// TestDefaultClusterRetriesTransientFetch: a cluster built without a
+// Fault option still guards its providers, so a transient fault on the
+// only replica is retried in place instead of failing the read.
+func TestDefaultClusterRetriesTransientFetch(t *testing.T) {
+	ctx := context.Background()
+	var failed atomic.Bool
+	failed.Store(true) // armed once the blob is written
+	c := newCluster(t, Options{Providers: 1, Replicas: 1,
+		WrapConn: func(_ string, conn client.Conn) client.Conn {
+			return failFirstFetch{Conn: conn, failed: &failed}
+		}})
+	cl := c.Client("alice")
+	info, err := cl.Create(ctx, 1<<10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := bytes.Repeat([]byte("retried!"), 512)
+	if _, err := cl.Write(ctx, info.ID, 0, data); err != nil {
+		t.Fatal(err)
+	}
+	failed.Store(false)
+	got, err := cl.Read(ctx, info.ID, 0, 0, int64(len(data)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, data) {
+		t.Fatal("read back different bytes")
+	}
+	if !failed.Load() {
+		t.Fatal("the read made no Fetch")
 	}
 }

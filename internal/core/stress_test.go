@@ -18,7 +18,7 @@ import (
 func TestClusterConcurrentStress(t *testing.T) {
 	ctx := context.Background()
 	c, err := NewCluster(Options{
-		Providers: 8, Replicas: 2, BaseDegree: 2,
+		Providers: 8, Replicas: 2,
 		Monitoring: true, AgentBatch: 4,
 	})
 	if err != nil {

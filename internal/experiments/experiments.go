@@ -454,7 +454,7 @@ func DD2(ctx context.Context, s Scale) *Table {
 	}
 	for _, kill := range []int{1, 2, 3} {
 		cluster, err := core.NewCluster(core.Options{
-			Providers: 10, Replicas: 2, BaseDegree: 2, Monitoring: false,
+			Providers: 10, Replicas: 2, Monitoring: false,
 		})
 		if err != nil {
 			panic(err)

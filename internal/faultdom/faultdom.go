@@ -5,10 +5,11 @@
 // drives both the provider's circuit (closed, half-open, open) and its
 // liveness verdict (alive, suspect, dead). Classification and retries
 // stand alone — rpc-plane callers can use a RetryPolicy by itself — but
-// the usual deployment is a Plane (plane.go) wired into core.Cluster,
-// which guards every client↔provider conversation: per-attempt
-// deadlines, retries on transient failures, breaker admission, and
-// passive health observation feeding placement and self-optimization.
+// every core.Cluster builds a Plane (plane.go) and guards every
+// client↔provider conversation with it: per-attempt deadlines, retries
+// on transient failures, breaker admission, and passive health
+// observation feeding placement and self-optimization. The control
+// plane (gc, selfopt) reaches providers unguarded.
 package faultdom
 
 import (

@@ -302,8 +302,8 @@ func New(opts ...Option) *Manager {
 	return m
 }
 
-// SetStrategy swaps the allocation strategy at run time (used by the
-// self-optimization engine).
+// SetStrategy swaps the allocation strategy at run time. Nothing
+// outside tests calls it: the self-optimization engine does not.
 func (m *Manager) SetStrategy(s Strategy) {
 	if s == nil {
 		return
