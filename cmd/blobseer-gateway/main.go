@@ -9,7 +9,7 @@
 //
 //	blobseer-gateway -listen :8080 -providers 8 -replicas 2
 //	blobseer-gateway -access demo -secret s3cret   # enable auth
-//	blobseer-gateway -store tiered -data-dir /var/lib/blobseer -hot-bytes 268435456
+//	blobseer-gateway -store disk -data-dir /var/lib/blobseer
 //	blobseer-gateway -gc 5s                        # sweep more often (default 30s; 0 = never)
 //
 // Then: curl -X PUT localhost:8080/bucket
@@ -43,9 +43,8 @@ func main() {
 		access    = flag.String("access", "", "access key (empty = auth off)")
 		secret    = flag.String("secret", "", "secret key")
 		tick      = flag.Duration("tick", 5*time.Second, "control-plane tick period")
-		store     = flag.String("store", "mem", "provider chunk store backend: mem, disk or tiered")
-		dataDir   = flag.String("data-dir", "", "base segment directory for -store=disk/tiered (one subdir per provider)")
-		hotBytes  = flag.Int64("hot-bytes", 256<<20, "per-provider hot-tier cache bound for -store=tiered")
+		store     = flag.String("store", "mem", "provider chunk store backend: mem or disk")
+		dataDir   = flag.String("data-dir", "", "base segment directory for -store=disk (one subdir per provider)")
 		gcEvery   = flag.Duration("gc", 30*time.Second, "background GC pass interval; only a pass frees deleted and overwritten objects' space (0 = disabled)")
 		callTO    = flag.Duration("call-timeout", 2*time.Second, "per-attempt provider call deadline (0 = the 2s default)")
 	)
@@ -66,24 +65,19 @@ func main() {
 	switch *store {
 	case "mem":
 		// The default in-memory store; -data-dir is ignored.
-	case "disk", "tiered":
+	case "disk":
 		if *dataDir == "" {
-			log.Fatalf("-store=%s requires -data-dir", *store)
+			log.Fatal("-store=disk requires -data-dir")
 		}
 		opts.ProviderStore = func(id string) provider.Store {
 			ds, err := diskstore.Open(filepath.Join(*dataDir, id), diskstore.Options{Metrics: reg})
 			if err != nil {
 				log.Fatalf("provider %s store: %v", id, err)
 			}
-			if *store == "tiered" {
-				ts := diskstore.NewTiered(ds, *hotBytes)
-				ts.Instrument(reg)
-				return ts
-			}
 			return ds
 		}
 	default:
-		log.Fatalf("unknown -store=%q (want mem, disk or tiered)", *store)
+		log.Fatalf("unknown -store=%q (want mem or disk)", *store)
 	}
 
 	cluster, err := core.NewCluster(opts)

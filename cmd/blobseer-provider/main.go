@@ -6,7 +6,6 @@
 //
 //	blobseer-provider -id p01 -listen 127.0.0.1:9001 -zone rennes -capacity 1073741824
 //	blobseer-provider -id p01 -store disk -data-dir /var/lib/blobseer/p01
-//	blobseer-provider -id p01 -store tiered -data-dir /var/lib/blobseer/p01 -hot-bytes 268435456
 //	blobseer-provider -id p01 -metrics-listen 127.0.0.1:9101   # Prometheus /metrics
 package main
 
@@ -29,9 +28,8 @@ func main() {
 		listen     = flag.String("listen", "127.0.0.1:0", "TCP listen address")
 		zone       = flag.String("zone", "default", "availability zone / site")
 		capacity   = flag.Int64("capacity", 0, "capacity in bytes (0 = unbounded)")
-		store      = flag.String("store", "mem", "chunk store backend: mem, disk or tiered")
-		dataDir    = flag.String("data-dir", "", "segment directory for -store=disk/tiered")
-		hotBytes   = flag.Int64("hot-bytes", 256<<20, "hot-tier cache bound for -store=tiered")
+		store      = flag.String("store", "mem", "chunk store backend: mem or disk")
+		dataDir    = flag.String("data-dir", "", "segment directory for -store=disk")
 		metricsLsn = flag.String("metrics-listen", "", "HTTP listen address for GET /metrics (empty = no metrics endpoint)")
 	)
 	flag.Parse()
@@ -51,9 +49,9 @@ func main() {
 	switch *store {
 	case "mem":
 		// The default in-memory store; -data-dir is ignored.
-	case "disk", "tiered":
+	case "disk":
 		if *dataDir == "" {
-			log.Fatalf("-store=%s requires -data-dir", *store)
+			log.Fatal("-store=disk requires -data-dir")
 		}
 		ds, err := diskstore.Open(*dataDir, diskstore.Options{Capacity: *capacity, Metrics: reg})
 		if err != nil {
@@ -62,15 +60,9 @@ func main() {
 		defer ds.Close()
 		log.Printf("provider %s: recovered %d chunks (%d bytes) from %s",
 			*id, ds.Count(), ds.Used(), *dataDir)
-		if *store == "tiered" {
-			ts := diskstore.NewTiered(ds, *hotBytes)
-			ts.Instrument(reg)
-			popts = append(popts, provider.WithStore(ts))
-		} else {
-			popts = append(popts, provider.WithStore(ds))
-		}
+		popts = append(popts, provider.WithStore(ds))
 	default:
-		log.Fatalf("unknown -store=%q (want mem, disk or tiered)", *store)
+		log.Fatalf("unknown -store=%q (want mem or disk)", *store)
 	}
 
 	p := provider.New(*id, *zone, *capacity, popts...)

@@ -7,7 +7,6 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
-	"errors"
 	"fmt"
 )
 
@@ -60,49 +59,6 @@ func (d Desc) Clone() Desc {
 	out := d
 	out.Providers = append([]string(nil), d.Providers...)
 	return out
-}
-
-// ErrBadSize reports an invalid chunk size.
-var ErrBadSize = errors.New("chunk: size must be positive")
-
-// Piece is one chunk-sized slice of a write, produced by Split.
-type Piece struct {
-	Index int64 // chunk index within the BLOB (offset / chunkSize)
-	Data  []byte
-}
-
-// Split cuts data, which starts at byte offset off within the BLOB, into
-// chunk-aligned pieces of at most size bytes. The first and last pieces
-// may be partial (they cover only part of a chunk slot); callers that
-// need full-chunk writes must pre-read and merge (see client.Writer).
-//
-// Split does not copy: pieces alias data.
-func Split(off int64, data []byte, size int64) ([]Piece, error) {
-	if size <= 0 {
-		return nil, ErrBadSize
-	}
-	if off < 0 {
-		return nil, fmt.Errorf("chunk: negative offset %d", off)
-	}
-	if len(data) == 0 {
-		return nil, nil
-	}
-	var pieces []Piece
-	pos := int64(0)
-	n := int64(len(data))
-	for pos < n {
-		abs := off + pos
-		idx := abs / size
-		// bytes remaining in this chunk slot
-		room := (idx+1)*size - abs
-		take := room
-		if take > n-pos {
-			take = n - pos
-		}
-		pieces = append(pieces, Piece{Index: idx, Data: data[pos : pos+take]})
-		pos += take
-	}
-	return pieces, nil
 }
 
 // SlotRange returns the absolute byte range [lo, hi) of chunk index idx

@@ -1,11 +1,6 @@
 package chunk
 
-import (
-	"bytes"
-	"math/rand"
-	"testing"
-	"testing/quick"
-)
+import "testing"
 
 func TestSumDeterministic(t *testing.T) {
 	a := Sum([]byte("hello"))
@@ -46,101 +41,6 @@ func TestIDIsZero(t *testing.T) {
 	}
 	if Sum(nil).IsZero() {
 		t.Error("sha256 of empty input is not the zero ID")
-	}
-}
-
-func TestSplitAligned(t *testing.T) {
-	data := make([]byte, 256)
-	for i := range data {
-		data[i] = byte(i)
-	}
-	pieces, err := Split(0, data, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pieces) != 4 {
-		t.Fatalf("want 4 pieces, got %d", len(pieces))
-	}
-	for i, p := range pieces {
-		if p.Index != int64(i) {
-			t.Errorf("piece %d: index %d", i, p.Index)
-		}
-		if len(p.Data) != 64 {
-			t.Errorf("piece %d: len %d", i, len(p.Data))
-		}
-	}
-}
-
-func TestSplitUnaligned(t *testing.T) {
-	// write of 100 bytes at offset 50, chunk size 64:
-	// slots: [50,64) idx 0, [64,128) idx 1, [128,150) idx 2
-	data := make([]byte, 100)
-	pieces, err := Split(50, data, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pieces) != 3 {
-		t.Fatalf("want 3 pieces, got %d", len(pieces))
-	}
-	wantLens := []int{14, 64, 22}
-	wantIdx := []int64{0, 1, 2}
-	for i, p := range pieces {
-		if len(p.Data) != wantLens[i] || p.Index != wantIdx[i] {
-			t.Errorf("piece %d: idx=%d len=%d, want idx=%d len=%d",
-				i, p.Index, len(p.Data), wantIdx[i], wantLens[i])
-		}
-	}
-}
-
-func TestSplitEmpty(t *testing.T) {
-	pieces, err := Split(0, nil, 64)
-	if err != nil || pieces != nil {
-		t.Fatalf("empty split: pieces=%v err=%v", pieces, err)
-	}
-}
-
-func TestSplitErrors(t *testing.T) {
-	if _, err := Split(0, []byte{1}, 0); err == nil {
-		t.Error("want error for zero chunk size")
-	}
-	if _, err := Split(-1, []byte{1}, 64); err == nil {
-		t.Error("want error for negative offset")
-	}
-}
-
-// Property: concatenating the pieces reproduces the input, indices are
-// increasing, and every piece stays inside its slot.
-func TestSplitJoinProperty(t *testing.T) {
-	f := func(seed int64, offRaw uint16, nRaw uint16, szRaw uint8) bool {
-		rng := rand.New(rand.NewSource(seed))
-		off := int64(offRaw)
-		n := int(nRaw)%2000 + 1
-		size := int64(szRaw)%100 + 1
-		data := make([]byte, n)
-		rng.Read(data)
-		pieces, err := Split(off, data, size)
-		if err != nil {
-			return false
-		}
-		var joined []byte
-		prev := int64(-1)
-		pos := off
-		for _, p := range pieces {
-			if p.Index <= prev {
-				return false
-			}
-			lo, hi := SlotRange(p.Index, size)
-			if pos < lo || pos+int64(len(p.Data)) > hi {
-				return false
-			}
-			pos += int64(len(p.Data))
-			prev = p.Index
-			joined = append(joined, p.Data...)
-		}
-		return bytes.Equal(joined, data)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -26,8 +26,8 @@ func newCluster(t *testing.T, opts Options) *Cluster {
 		opts.Clock = func() time.Time { return now }
 	}
 	if opts.ProviderStore == nil {
-		// BLOBSEER_PROVIDER_STORE=disk|tiered reruns the whole suite
-		// against the durable store implementations.
+		// BLOBSEER_PROVIDER_STORE=disk reruns the whole suite
+		// against the durable store.
 		opts.ProviderStore = storetest.Factory(t)
 	}
 	c, err := NewCluster(opts)

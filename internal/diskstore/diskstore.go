@@ -23,8 +23,9 @@
 // all of them go through commit, which carries the one audited lockio
 // allow annotation for them.
 //
-// A TieredStore (tiered.go) puts a bounded in-memory LRU cache over
-// this store as the cold source of truth.
+// Keeping hot chunks in RAM is left to the kernel's page cache behind
+// the segment files and to the gateway's client.ChunkCache; the store
+// holds no heap copy of a payload.
 package diskstore
 
 import (
@@ -138,10 +139,7 @@ type segment struct {
 }
 
 // Slotting in behind the provider seam is the whole point of the package.
-var (
-	_ provider.Store = (*DiskStore)(nil)
-	_ provider.Store = (*TieredStore)(nil)
-)
+var _ provider.Store = (*DiskStore)(nil)
 
 // DiskStore is a log-structured chunk store over a directory of
 // segment files. It implements provider.Store.

@@ -166,27 +166,3 @@ func TestFailedReadDonatesItsBuffer(t *testing.T) {
 		t.Fatalf("%d failed reads allocated %d bytes: their pool buffers were dropped, not donated", reads, got)
 	}
 }
-
-// TestTieredLendsNothing: a borrowing read of a TieredStore, hot or cold,
-// gets a copy, and a cold hit maps nothing.
-func TestTieredLendsNothing(t *testing.T) {
-	ts := openTiered(t, 1<<20)
-	data := payload(4, 4096)
-	id := mustPut(t, ts, data)
-	for _, tier := range []string{"hot", "cold"} {
-		if tier == "cold" {
-			ts.drop(id)
-		}
-		got, err := ts.GetAppend(id, chunk.Borrow())
-		if err != nil || !bytes.Equal(got, data) {
-			t.Fatalf("%s read: %d bytes, err=%v", tier, len(got), err)
-		}
-		if chunk.Lent(got) {
-			t.Fatalf("a %s read of a TieredStore was lent", tier)
-		}
-		chunk.PutBuf(got)
-	}
-	if seg := ts.Cold().segs[ts.Cold().idx[id].seg]; seg.mem != nil {
-		t.Fatal("a cold hit mapped its segment")
-	}
-}

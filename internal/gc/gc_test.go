@@ -36,8 +36,8 @@ func newCluster(t testing.TB, opts core.Options) *core.Cluster {
 		opts.Clock = func() time.Time { return t0 }
 	}
 	if opts.ProviderStore == nil {
-		// BLOBSEER_PROVIDER_STORE=disk|tiered reruns the whole suite
-		// against the durable store implementations.
+		// BLOBSEER_PROVIDER_STORE=disk reruns the whole suite
+		// against the durable store.
 		opts.ProviderStore = storetest.Factory(t)
 	}
 	c, err := core.NewCluster(opts)
@@ -160,7 +160,7 @@ func TestPinDefersDeleteUntilClose(t *testing.T) {
 // released lease has retired, the held version's stay, and the reader
 // reads its bytes intact after the passes. Once it closes, the next pass
 // takes the cluster to exactly zero chunks and zero tree nodes.
-// Run on the disk and tiered stores through BLOBSEER_PROVIDER_STORE.
+// Run on the disk store through BLOBSEER_PROVIDER_STORE=disk.
 func TestPinnedDeleteSurvivesPasses(t *testing.T) {
 	ctx := context.Background()
 	c := newCluster(t, core.Options{Providers: 3, Replicas: 2, Monitoring: false})

@@ -23,7 +23,7 @@ import (
 
 // DurationBuckets is the default bucket layout for latency histograms,
 // in seconds: 50µs to ~82s in powers of two, covering everything from a
-// hot-tier RAM hit to a pathological multi-second stall.
+// page-cache hit to a pathological multi-second stall.
 var DurationBuckets = []float64{
 	0.00005, 0.0001, 0.0002, 0.0005,
 	0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1,

@@ -302,24 +302,6 @@ func New(opts ...Option) *Manager {
 	return m
 }
 
-// SetStrategy swaps the allocation strategy at run time. Nothing
-// outside tests calls it: the self-optimization engine does not.
-func (m *Manager) SetStrategy(s Strategy) {
-	if s == nil {
-		return
-	}
-	m.mu.Lock()
-	m.strategy = s
-	m.mu.Unlock()
-}
-
-// Strategy returns the current strategy name.
-func (m *Manager) Strategy() string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.strategy.Name()
-}
-
 // Register adds a provider to the pool.
 func (m *Manager) Register(info Info) error {
 	m.mu.Lock()

@@ -220,17 +220,6 @@ func TestManagerAllocate(t *testing.T) {
 	}
 }
 
-func TestManagerSetStrategy(t *testing.T) {
-	m := newTestManager()
-	if m.Strategy() != "round-robin" {
-		t.Fatalf("default strategy=%s", m.Strategy())
-	}
-	m.SetStrategy(LeastUsed{})
-	if m.Strategy() != "least-used" {
-		t.Fatalf("strategy=%s", m.Strategy())
-	}
-}
-
 func TestInfoFree(t *testing.T) {
 	if (Info{Capacity: 0}).Free() != 1<<50 {
 		t.Fatal("unbounded Free")

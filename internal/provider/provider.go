@@ -37,8 +37,8 @@ var (
 //
 // Put must not retain data past its return: the caller's slice is a pooled
 // chunk buffer (the rpc server recycles it as soon as the handler is done),
-// so an implementation copies or writes through — as MemStore.Put,
-// DiskStore.Put and TieredStore.Put/admit all do.
+// so an implementation copies or writes through — as MemStore.Put and
+// DiskStore.Put both do.
 //
 // A store keeps no sweep clock: the provider's lease table counts the
 // passes (see Provider.ReleaseLease).

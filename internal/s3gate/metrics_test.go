@@ -20,7 +20,7 @@ import (
 )
 
 // prometheusSurface is what the shipped gateway's GET /metrics serves
-// after one PUT, GET and DELETE on tiered stores with the fault plane on:
+// after one PUT, GET and DELETE on disk stores with the fault plane on:
 // "family type label,label,…" per metric family, label names sorted and
 // without a histogram's "le". Dashboards and alerts key on these names,
 // so a change here is a change to the product's surface.
@@ -57,8 +57,6 @@ var prometheusSurface = []string{
 	"blobseer_rpc_retries_total counter op,process",
 	"blobseer_s3_request_seconds histogram method,process,status",
 	"blobseer_s3_ttfb_seconds histogram method,process",
-	"blobseer_tier_fetches_total counter process,result",
-	"blobseer_tier_hot_bytes gauge process",
 }
 
 func TestPrometheusSurface(t *testing.T) {
@@ -80,9 +78,7 @@ func TestPrometheusSurface(t *testing.T) {
 				return nil
 			}
 			stores = append(stores, ds)
-			ts := diskstore.NewTiered(ds, 1<<20)
-			ts.Instrument(reg)
-			return ts
+			return ds
 		},
 	})
 	if err != nil {

@@ -1,9 +1,8 @@
 // Package storetest selects the chunk-store implementation backing the
 // providers in cluster tests. The GC acceptance suite and the -race
 // convergence hammers were written against the in-memory store; setting
-// BLOBSEER_PROVIDER_STORE=disk (log-structured disk store) or tiered
-// (RAM hot tier over the disk store) re-runs them unmodified against
-// the durable implementations — CI does exactly that — proving the
+// BLOBSEER_PROVIDER_STORE=disk re-runs them unmodified against the
+// log-structured disk store — CI does exactly that — proving the
 // provider lifecycle contract holds on disk.
 package storetest
 
@@ -21,31 +20,26 @@ const EnvVar = "BLOBSEER_PROVIDER_STORE"
 
 // Factory returns a core.Options.ProviderStore factory for the store
 // named by BLOBSEER_PROVIDER_STORE, or nil (meaning: the in-memory
-// default) when the variable is unset or "mem". Disk-backed stores live
+// default) when the variable is unset or "mem". Disk stores live
 // under per-test temp dirs and are closed by t.Cleanup.
 func Factory(t testing.TB) func(id string) provider.Store {
 	mode := os.Getenv(EnvVar)
 	switch mode {
 	case "", "mem":
 		return nil
-	case "disk", "tiered":
+	case "disk":
 	default:
-		t.Fatalf("unknown %s=%q (want mem, disk or tiered)", EnvVar, mode)
+		t.Fatalf("unknown %s=%q (want mem or disk)", EnvVar, mode)
 	}
 	var mu sync.Mutex
 	return func(id string) provider.Store {
 		mu.Lock()
 		defer mu.Unlock()
-		cold, err := diskstore.Open(t.TempDir(), diskstore.Options{})
+		ds, err := diskstore.Open(t.TempDir(), diskstore.Options{})
 		if err != nil {
 			t.Fatalf("storetest: open diskstore for provider %s: %v", id, err)
 		}
-		if mode == "tiered" {
-			ts := diskstore.NewTiered(cold, 1<<20)
-			t.Cleanup(func() { ts.Close() })
-			return ts
-		}
-		t.Cleanup(func() { cold.Close() })
-		return cold
+		t.Cleanup(func() { ds.Close() })
+		return ds
 	}
 }
