@@ -21,6 +21,7 @@ import (
 	"blobseer/internal/core"
 	"blobseer/internal/experiments"
 	"blobseer/internal/history"
+	"blobseer/internal/instrument"
 	"blobseer/internal/introspect"
 	"blobseer/internal/metrics"
 	"blobseer/internal/monitor"
@@ -78,7 +79,7 @@ func BenchmarkExpB_IntrospectionOverhead(b *testing.B) {
 			}
 		}
 		b.ReportMetric(float64(done)/cloudsim.MB/last.Seconds(), "agg_MB/s")
-		b.ReportMetric(float64(d.Mesh.ParamCount()), "mon_params")
+		b.ReportMetric(float64(d.MonParams), "mon_params")
 	}
 }
 
@@ -499,25 +500,30 @@ func BenchmarkClientReadParallel(b *testing.B) {
 	}
 }
 
+// BenchmarkMonitorIngest times one full agent batch of client writes
+// through the mesh into the introspector and the user-activity history.
 func BenchmarkMonitorIngest(b *testing.B) {
-	svc := monitor.NewService("svc", 0)
-	batch := make([]monitor.Record, 64)
+	mesh := monitor.NewMesh()
+	mesh.Subscribe(introspect.NewIntrospector(0))
+	mesh.Subscribe(history.New())
+	agent := mesh.NewAgent("c1", 64)
 	t0 := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
-	for i := range batch {
-		batch[i] = monitor.Record{Time: t0, Node: "p1", Param: fmt.Sprintf("k%d", i%8), Value: 1}
-	}
+	ev := instrument.Event{Time: t0, Actor: instrument.ActorClient, User: "u", Op: instrument.OpWrite, Bytes: 1 << 14}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		svc.StoreRecords(batch)
+		for j := 0; j < 64; j++ {
+			ev.Blob = uint64(j % 8)
+			agent.Emit(ev)
+		}
 	}
 }
 
 func BenchmarkBurstCache(b *testing.B) {
 	c := introspect.NewBurstCache(1 << 16)
-	recs := make([]monitor.Record, 128)
+	evs := make([]instrument.Event, 128)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c.Add(recs)
+		c.Add(evs)
 		if i%256 == 0 {
 			c.Drain()
 		}

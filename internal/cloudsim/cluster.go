@@ -9,7 +9,6 @@ import (
 	"blobseer/internal/history"
 	"blobseer/internal/instrument"
 	"blobseer/internal/metrics"
-	"blobseer/internal/monitor"
 	"blobseer/internal/pmanager"
 	"blobseer/internal/policy"
 	"blobseer/internal/trust"
@@ -31,10 +30,9 @@ type Config struct {
 	MonDelay     time.Duration // instrumentation → activity-history latency (default 10 s)
 	EnginePeriod time.Duration // detection-engine scan period (default 10 s)
 
-	Monitoring     bool          // generate monitoring parameters
+	Monitoring     bool          // charge instrumentation cost and count monitoring parameters (MonParams)
 	PerEventCost   time.Duration // instrumentation cost per monitored event (default 20 µs)
 	EventsPerChunk int           // monitored parameters per written chunk (default 8)
-	MonServices    int           // monitoring services (default 8, as in the paper)
 
 	Security     bool   // run the detection engine + enforcement
 	PolicySource string // DSL; default SimCatalog
@@ -89,9 +87,6 @@ func (c Config) withDefaults() Config {
 	if c.EventsPerChunk <= 0 {
 		c.EventsPerChunk = 8
 	}
-	if c.MonServices <= 0 {
-		c.MonServices = 8
-	}
 	if c.PolicySource == "" {
 		c.PolicySource = SimCatalog
 	}
@@ -132,6 +127,7 @@ type Client struct {
 	inflight    int
 	killed      bool
 	opStart     time.Duration
+	paramChunks int64 // chunks [0, paramChunks) have their parameters counted
 }
 
 // User returns the client identity.
@@ -169,7 +165,10 @@ type Deployment struct {
 	Enf   *policy.Enforcer
 	Eng   *policy.Engine
 	Trust *trust.Manager
-	Mesh  *monitor.Mesh
+
+	// MonParams counts the distinct monitoring parameters the written
+	// chunks generate (EXP-B's parameter count); 0 without Monitoring.
+	MonParams int
 
 	provRes  map[string]*Resource
 	clients  []*Client
@@ -206,9 +205,6 @@ func NewDeployment(cfg Config) (*Deployment, error) {
 	d.Hist = history.New(history.WithMaxAge(5 * time.Minute))
 	d.Trust = trust.New(trust.WithClock(d.Sim.Clock()))
 	d.Enf = policy.NewEnforcer(policy.WithClock(d.Sim.Clock()))
-	if cfg.Monitoring {
-		d.Mesh = monitor.NewMesh(cfg.MonServices, 0)
-	}
 	if cfg.Security {
 		policies, err := policy.Parse(cfg.PolicySource)
 		if err != nil {
@@ -377,8 +373,8 @@ func (c *Client) finishOp() {
 				Time: opTime, User: user, Op: "write", Blob: blob, Bytes: bytes, OK: true,
 			})
 		})
-		if d.Cfg.Monitoring && d.Mesh != nil {
-			c.emitChunkParams(opTime)
+		if d.Cfg.Monitoring {
+			c.countChunkParams()
 		}
 		if c.prof.Think > 0 {
 			d.Sim.Schedule(c.prof.Think, c.step)
@@ -388,26 +384,28 @@ func (c *Client) finishOp() {
 	})
 }
 
-// emitChunkParams generates the per-chunk monitoring parameters the
-// introspection layer derives from each written chunk (EXP-B's parameter
-// count). Parameters are series keyed by (blob, chunk, kind).
-func (c *Client) emitChunkParams(at time.Time) {
+// paramKinds is how many distinct kinds of per-chunk parameter exist:
+// size, duration, offset, provider, version, throughput, latency,
+// replication, checksum and age.
+const paramKinds = 10
+
+// countChunkParams counts the monitoring parameters the op just written
+// adds: one series per (blob, chunk, kind) for each chunk it touched,
+// with EventsPerChunk parameters per chunk cycling over the kinds. A
+// chunk an earlier op already touched adds none.
+func (c *Client) countChunkParams() {
 	d := c.d
-	svc := d.Mesh.Services()[int(c.blob)%len(d.Mesh.Services())]
 	chunks := (c.prof.OpBytes + d.Cfg.ChunkSize - 1) / d.Cfg.ChunkSize
-	recs := make([]monitor.Record, 0, chunks*int64(d.Cfg.EventsPerChunk))
-	base := (c.bytesDone - c.prof.OpBytes) / d.Cfg.ChunkSize
-	kinds := [...]string{"size", "dur", "off", "prov", "ver", "thr", "lat", "rep", "crc", "age"}
-	for ci := int64(0); ci < chunks; ci++ {
-		for k := 0; k < d.Cfg.EventsPerChunk; k++ {
-			recs = append(recs, monitor.Record{
-				Time: at, Node: c.user, User: c.user,
-				Param: fmt.Sprintf("b%d/c%d/%s", c.blob, base+ci, kinds[k%len(kinds)]),
-				Value: float64(d.Cfg.ChunkSize),
-			})
-		}
+	first := (c.bytesDone - c.prof.OpBytes) / d.Cfg.ChunkSize
+	end := first + chunks
+	if c.paramChunks > first {
+		first = c.paramChunks
 	}
-	svc.StoreRecords(recs)
+	if end <= first {
+		return
+	}
+	c.paramChunks = end
+	d.MonParams += int(end-first) * min(d.Cfg.EventsPerChunk, paramKinds)
 }
 
 // CorrectThroughputMBs returns the mean per-client throughput (MB/s) of

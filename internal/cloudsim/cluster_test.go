@@ -149,8 +149,34 @@ func TestMonitoringParamsScaleWithClients(t *testing.T) {
 		})
 	}
 	d.Run(2 * time.Minute)
-	if got := d.Mesh.ParamCount(); got < 10000 {
+	if got := d.MonParams; got < 10000 {
 		t.Fatalf("monitoring params=%d, want ≥10000 at 80 clients", got)
+	}
+}
+
+// TestMonitoringParamCountPinned pins EXP-B's parameter count on a small
+// fixed deployment: whole-chunk ops, ops that straddle chunk boundaries
+// (a chunk two ops touch counts once), an endless writer stopped by time,
+// and more parameters per chunk than there are kinds.
+func TestMonitoringParamCountPinned(t *testing.T) {
+	for _, tc := range []struct {
+		eventsPerChunk, want int
+	}{{0, 1088}, {12, 1350}} {
+		cfg := baseCfg()
+		cfg.Monitoring = true
+		cfg.Seed = 42
+		cfg.EventsPerChunk = tc.eventsPerChunk
+		d, err := NewDeployment(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d.AddClient("c0", Profile{Stripe: 4, OpBytes: 256 << 20, TotalBytes: 1 << 30, NIC: 125 * MB})
+		d.AddClient("c1", Profile{Stripe: 2, OpBytes: 100 << 20, TotalBytes: 1 << 30, NIC: 125 * MB})
+		d.AddClient("c2", Profile{Stripe: 1, OpBytes: 40 << 20, NIC: 125 * MB, StopAt: time.Minute})
+		d.Run(2 * time.Minute)
+		if d.MonParams != tc.want {
+			t.Fatalf("EventsPerChunk=%d: monitoring params=%d, want %d", tc.eventsPerChunk, d.MonParams, tc.want)
+		}
 	}
 }
 

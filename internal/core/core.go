@@ -36,12 +36,10 @@ import (
 )
 
 // The deployment's fixed shape: two metadata providers behind the ring,
-// two monitoring services, and every data provider in one zone with
-// unbounded capacity.
+// and every data provider in one zone with unbounded capacity.
 const (
-	metaProviders   = 2
-	monitorServices = 2
-	zone            = "zone0"
+	metaProviders = 2
+	zone          = "zone0"
 )
 
 // Options configures a Cluster. The zero value is usable: NewCluster
@@ -50,7 +48,7 @@ type Options struct {
 	Providers    int    // data providers (default 4)
 	Replicas     int    // replication degree clients write and the heal keeps (default 1)
 	PolicySource string // policy DSL ("" = policy.DefaultCatalog)
-	Monitoring   bool   // attach the introspection stack (default off)
+	Monitoring   bool   // give every actor a mesh agent feeding Intro and Hist (default off: events are dropped)
 	AgentBatch   int    // monitoring agent batch size (default 32)
 	Clock        func() time.Time
 	Elasticity   *selfconfig.Config // enable the elasticity controller
@@ -85,7 +83,7 @@ type Cluster struct {
 
 	VM    *vmanager.Manager
 	PM    *pmanager.Manager
-	Mesh  *monitor.Mesh
+	Mesh  *monitor.Mesh // hands every agent's batches to Intro and Hist
 	Intro *introspect.Introspector
 	Hist  *history.History
 	Trust *trust.Manager
@@ -132,10 +130,9 @@ func NewCluster(opts Options) (*Cluster, error) {
 		providers: make(map[string]*provider.Provider),
 	}
 
-	// Monitoring mesh + introspection stack: every record a service
-	// gathers lands in its farm and goes to the introspector and the
-	// user-activity history.
-	c.Mesh = monitor.NewMesh(monitorServices, 0)
+	// Monitoring mesh + introspection stack: every batch an agent
+	// flushes goes to the introspector and the user-activity history.
+	c.Mesh = monitor.NewMesh()
 	c.Intro = introspect.NewIntrospector(0)
 	c.Hist = history.New()
 	c.Mesh.Subscribe(c.Intro)

@@ -86,9 +86,21 @@ func TestClusterMonitoringPipeline(t *testing.T) {
 	if c.Hist.Total() == 0 {
 		t.Fatal("history empty")
 	}
-	// The monitoring farm kept the records.
-	if c.Mesh.ParamCount() == 0 {
-		t.Fatal("monitoring farm empty")
+	// A denied write reaches the history as a failure and the
+	// introspector not at all: the event's Err carries the outcome.
+	c.Enf.Block("alice", time.Hour, policy.Violation{Time: now})
+	if _, err := cl.Write(ctx, info.ID, 0, []byte("denied")); err == nil {
+		t.Fatal("blocked write succeeded")
+	}
+	c.Tick(now)
+	if n := c.Hist.Failures("alice", "write", now, time.Minute); n != 1 {
+		t.Fatalf("history write failures=%d, want 1", n)
+	}
+	if n := c.Hist.Count("alice", "write", now, time.Minute); n != 2 {
+		t.Fatalf("history writes=%d, want 2", n)
+	}
+	if st, _ := c.Intro.Blob(info.ID); st.Writes != 1 || st.BytesWritten != 256 {
+		t.Fatalf("denied write reached the introspector: %+v", st)
 	}
 	// Provider physical params flowed.
 	if len(c.Intro.Providers()) == 0 {

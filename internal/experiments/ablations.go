@@ -7,8 +7,8 @@ import (
 
 	"blobseer/internal/blobmeta"
 	"blobseer/internal/chunk"
+	"blobseer/internal/instrument"
 	"blobseer/internal/introspect"
-	"blobseer/internal/monitor"
 	"blobseer/internal/pmanager"
 )
 
@@ -108,11 +108,11 @@ func AB2(s Scale) *Table {
 			ss := introspect.NewStorageServer("ss", cap, 0)
 			sent := 0
 			for sent < burst {
-				batch := make([]monitor.Record, 256)
+				batch := make([]instrument.Event, 256)
 				for i := range batch {
-					batch[i] = monitor.Record{
+					batch[i] = instrument.Event{
 						Time: t0, Node: fmt.Sprintf("p%d", sent%150),
-						Param: "store", Value: 1,
+						Op: instrument.OpStore, Bytes: 1,
 					}
 				}
 				ss.Consume(batch)

@@ -98,11 +98,7 @@ func expBRun(clients int, monitoring bool) (float64, int) {
 	if last == 0 {
 		return 0, 0
 	}
-	params := 0
-	if monitoring && d.Mesh != nil {
-		params = d.Mesh.ParamCount()
-	}
-	return float64(bytesDone) / mb / last.Seconds(), params
+	return float64(bytesDone) / mb / last.Seconds(), d.MonParams
 }
 
 // ExpC1 reproduces the first Section IV.C experiment: the evolution in

@@ -899,9 +899,9 @@ func TestLeaseOutlivesCancelDuringPublish(t *testing.T) {
 	var armed atomic.Bool
 	var hooked gc.SweepReport
 	armed.Store(true)
-	c.Mesh.Subscribe(monitor.SubscriberFunc(func(rs []monitor.Record) {
-		for _, r := range rs {
-			if r.Node != "vmanager" || r.Param != string(instrument.OpAssign) || r.Blob != info.ID || !armed.CompareAndSwap(true, false) {
+	c.Mesh.Subscribe(monitor.SubscriberFunc(func(evs []instrument.Event) {
+		for _, ev := range evs {
+			if ev.Node != "vmanager" || ev.Op != instrument.OpAssign || ev.Blob != info.ID || !armed.CompareAndSwap(true, false) {
 				continue
 			}
 			cancel()

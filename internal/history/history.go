@@ -1,7 +1,7 @@
 // Package history implements the paper's User Activity History: the
 // container of monitored user events that the security framework's
 // detection engine scans for malicious behaviour patterns. It is fed by
-// the introspection stack (it subscribes to monitoring records) and
+// the introspection stack (it subscribes to the monitoring mesh) and
 // offers the windowed aggregations the policy language needs.
 package history
 
@@ -10,7 +10,7 @@ import (
 	"sync"
 	"time"
 
-	"blobseer/internal/monitor"
+	"blobseer/internal/instrument"
 )
 
 // Event is one user-attributed action.
@@ -84,21 +84,16 @@ func (h *History) Append(ev Event) {
 }
 
 // Consume implements monitor.Subscriber: user-attributed monitoring
-// records become history events. Only data-path parameters are recorded.
-func (h *History) Consume(records []monitor.Record) {
-	for _, r := range records {
-		if r.User == "" {
+// events become history events. Only data-path operations are recorded.
+func (h *History) Consume(evs []instrument.Event) {
+	for _, ev := range evs {
+		if ev.User == "" {
 			continue
 		}
-		op := r.Param
-		ok := true
-		if n := len(op); n > 4 && op[n-4:] == "_err" {
-			op = op[:n-4]
-			ok = false
-		}
-		switch op {
-		case "read", "write", "append", "create", "store", "fetch", "auth_fail":
-			h.Append(Event{Time: r.Time, User: r.User, Op: op, Blob: r.Blob, Bytes: int64(r.Value), OK: ok})
+		switch ev.Op {
+		case instrument.OpRead, instrument.OpWrite, instrument.OpAppend, instrument.OpCreate,
+			instrument.OpStore, instrument.OpFetch, instrument.OpAuthFail:
+			h.Append(Event{Time: ev.Time, User: ev.User, Op: string(ev.Op), Blob: ev.Blob, Bytes: ev.Bytes, OK: ev.OK()})
 		}
 	}
 }

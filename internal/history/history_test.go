@@ -5,7 +5,7 @@ import (
 	"testing"
 	"time"
 
-	"blobseer/internal/monitor"
+	"blobseer/internal/instrument"
 )
 
 var t0 = time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
@@ -138,12 +138,12 @@ func TestMaxPerUser(t *testing.T) {
 
 func TestConsumeMonitorRecords(t *testing.T) {
 	h := New()
-	h.Consume([]monitor.Record{
-		{Time: at(0), User: "u", Param: "write", Value: 100},
-		{Time: at(1), User: "u", Param: "write_err", Value: 5},
-		{Time: at(2), User: "u", Param: "heartbeat", Value: 1}, // not user-data: dropped
-		{Time: at(3), User: "", Param: "write", Value: 9},      // anonymous: dropped
-		{Time: at(4), User: "u", Param: "auth_fail", Value: 1},
+	h.Consume([]instrument.Event{
+		{Time: at(0), User: "u", Op: instrument.OpWrite, Bytes: 100},
+		{Time: at(1), User: "u", Op: instrument.OpWrite, Bytes: 5, Err: "blocked"},
+		{Time: at(2), User: "u", Op: instrument.OpCPULoad, Value: 1}, // not user-data: dropped
+		{Time: at(3), User: "", Op: instrument.OpWrite, Bytes: 9},    // anonymous: dropped
+		{Time: at(4), User: "u", Op: instrument.OpAuthFail},
 	})
 	if h.Total() != 3 {
 		t.Fatalf("total=%d", h.Total())
@@ -153,6 +153,9 @@ func TestConsumeMonitorRecords(t *testing.T) {
 	}
 	if n := h.Count("u", "auth_fail", at(5), time.Minute); n != 1 {
 		t.Fatalf("auth_fail=%d", n)
+	}
+	if b := h.Bytes("u", "write", at(5), time.Minute); b != 105 {
+		t.Fatalf("write bytes=%d", b)
 	}
 }
 

@@ -1,5 +1,5 @@
 // Package introspect implements the paper's introspection layer: the
-// Introspector aggregates the records the monitoring layer forwards into
+// Introspector aggregates the events the monitoring layer forwards into
 // the higher-level state that the self-* components consume — provider
 // storage space and load, BLOB access patterns, and system-wide
 // aggregates. StorageServer and its BurstCache model the layer's
@@ -13,22 +13,21 @@ import (
 
 	"blobseer/internal/instrument"
 	"blobseer/internal/metrics"
-	"blobseer/internal/monitor"
 )
 
 // BurstCache is the bounded write-behind buffer that sits in front of
 // each storage server so it can cope with bursts of monitoring data when
-// the system is under heavy load. Overflowing records are dropped and
+// the system is under heavy load. Overflowing events are dropped and
 // counted (monitoring data is lossy by design; the paper's cache bounds
 // memory, not loss).
 type BurstCache struct {
 	mu      sync.Mutex
 	cap     int
-	buf     []monitor.Record
+	buf     []instrument.Event
 	dropped int64
 }
 
-// NewBurstCache returns a cache bounded to capacity records (≤0 = 8192).
+// NewBurstCache returns a cache bounded to capacity events (≤0 = 8192).
 func NewBurstCache(capacity int) *BurstCache {
 	if capacity <= 0 {
 		capacity = 8192
@@ -36,26 +35,26 @@ func NewBurstCache(capacity int) *BurstCache {
 	return &BurstCache{cap: capacity}
 }
 
-// Add buffers records, returning how many were accepted.
-func (c *BurstCache) Add(recs []monitor.Record) int {
+// Add buffers events, returning how many were accepted.
+func (c *BurstCache) Add(evs []instrument.Event) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	room := c.cap - len(c.buf)
 	if room <= 0 {
-		c.dropped += int64(len(recs))
+		c.dropped += int64(len(evs))
 		return 0
 	}
-	n := len(recs)
+	n := len(evs)
 	if n > room {
 		c.dropped += int64(n - room)
 		n = room
 	}
-	c.buf = append(c.buf, recs[:n]...)
+	c.buf = append(c.buf, evs[:n]...)
 	return n
 }
 
-// Drain removes and returns all buffered records.
-func (c *BurstCache) Drain() []monitor.Record {
+// Drain removes and returns all buffered events.
+func (c *BurstCache) Drain() []instrument.Event {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	out := c.buf
@@ -63,14 +62,14 @@ func (c *BurstCache) Drain() []monitor.Record {
 	return out
 }
 
-// Len returns the number of buffered records.
+// Len returns the number of buffered events.
 func (c *BurstCache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.buf)
 }
 
-// Dropped returns the number of records lost to overflow.
+// Dropped returns the number of events lost to overflow.
 func (c *BurstCache) Dropped() int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -78,7 +77,8 @@ func (c *BurstCache) Dropped() int64 {
 }
 
 // StorageServer is one introspection storage server: a cache-fronted
-// store of parameter time series keyed by node/param.
+// store of parameter time series keyed by node/op. A series holds each
+// event's sample value, or its byte count when it carries no sample.
 type StorageServer struct {
 	id    string
 	cache *BurstCache
@@ -88,7 +88,7 @@ type StorageServer struct {
 	bound  int
 }
 
-// NewStorageServer returns a server whose cache holds cacheCap records
+// NewStorageServer returns a server whose cache holds cacheCap events
 // and whose series retain up to seriesCap points each.
 func NewStorageServer(id string, cacheCap, seriesCap int) *StorageServer {
 	return &StorageServer{
@@ -102,32 +102,36 @@ func NewStorageServer(id string, cacheCap, seriesCap int) *StorageServer {
 // ID returns the server identity.
 func (s *StorageServer) ID() string { return s.id }
 
-// Consume implements monitor.Subscriber: records land in the burst cache.
-func (s *StorageServer) Consume(recs []monitor.Record) { s.cache.Add(recs) }
+// Consume implements monitor.Subscriber: events land in the burst cache.
+func (s *StorageServer) Consume(evs []instrument.Event) { s.cache.Add(evs) }
 
 // Flush drains the cache into the persistent series (called periodically;
 // the flush cadence is the knob the burst-cache ablation sweeps).
 func (s *StorageServer) Flush() int {
-	recs := s.cache.Drain()
+	evs := s.cache.Drain()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for _, r := range recs {
-		key := r.Node + "/" + r.Param
+	for _, ev := range evs {
+		key := ev.Node + "/" + string(ev.Op)
 		ts, ok := s.series[key]
 		if !ok {
 			ts = metrics.NewTimeSeries(s.bound)
 			s.series[key] = ts
 		}
-		ts.Add(r.Time, r.Value)
+		v := ev.Value
+		if v == 0 {
+			v = float64(ev.Bytes)
+		}
+		ts.Add(ev.Time, v)
 	}
-	return len(recs)
+	return len(evs)
 }
 
-// Series returns the stored series for node/param, or nil.
-func (s *StorageServer) Series(node, param string) *metrics.TimeSeries {
+// Series returns the stored series for node/op, or nil.
+func (s *StorageServer) Series(node string, op instrument.Op) *metrics.TimeSeries {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.series[node+"/"+param]
+	return s.series[node+"/"+string(op)]
 }
 
 // ParamCount returns the number of stored series.
@@ -177,7 +181,6 @@ type Introspector struct {
 	providers map[string]*providerAgg
 	blobs     map[uint64]*AccessStats
 	loadHL    time.Duration
-	thrTS     *metrics.TimeSeries // system write throughput samples (bytes)
 }
 
 type providerAgg struct {
@@ -197,51 +200,52 @@ func NewIntrospector(loadHalfLife time.Duration) *Introspector {
 		providers: make(map[string]*providerAgg),
 		blobs:     make(map[uint64]*AccessStats),
 		loadHL:    loadHalfLife,
-		thrTS:     metrics.NewTimeSeries(1 << 16),
 	}
 }
 
-// Consume implements monitor.Subscriber. Successful read, write and
-// append records — only clients emit those operations — also update the
-// access stats of the BLOB they name.
-func (in *Introspector) Consume(recs []monitor.Record) {
+// Consume implements monitor.Subscriber. Failed events are skipped.
+// Successful read, write and append events — only clients emit those
+// operations — update the access stats of the BLOB they name.
+func (in *Introspector) Consume(evs []instrument.Event) {
 	in.mu.Lock()
 	defer in.mu.Unlock()
-	for _, r := range recs {
-		switch r.Param {
-		case string(instrument.OpDiskSpace):
-			in.prov(r.Node).space = r.Value
-			in.prov(r.Node).lastSeen = r.Time
-		case string(instrument.OpCPULoad):
-			in.prov(r.Node).cpu.Observe(r.Time, r.Value)
-			in.prov(r.Node).lastSeen = r.Time
-		case string(instrument.OpActiveConn):
-			in.prov(r.Node).active.Observe(r.Time, r.Value)
-			in.prov(r.Node).lastSeen = r.Time
-		case string(instrument.OpRead):
-			st := in.access(r)
+	for _, ev := range evs {
+		if !ev.OK() {
+			continue
+		}
+		switch ev.Op {
+		case instrument.OpDiskSpace:
+			in.prov(ev.Node).space = ev.Value
+			in.prov(ev.Node).lastSeen = ev.Time
+		case instrument.OpCPULoad:
+			in.prov(ev.Node).cpu.Observe(ev.Time, ev.Value)
+			in.prov(ev.Node).lastSeen = ev.Time
+		case instrument.OpActiveConn:
+			in.prov(ev.Node).active.Observe(ev.Time, ev.Value)
+			in.prov(ev.Node).lastSeen = ev.Time
+		case instrument.OpRead:
+			st := in.access(ev)
 			st.Reads++
-			st.BytesRead += int64(r.Value)
-		case string(instrument.OpWrite), string(instrument.OpAppend):
-			in.thrTS.Add(r.Time, r.Value)
-			st := in.access(r)
+			st.BytesRead += ev.Bytes
+		case instrument.OpWrite, instrument.OpAppend:
+			st := in.access(ev)
 			st.Writes++
-			st.BytesWritten += int64(r.Value)
+			st.BytesWritten += ev.Bytes
 		}
 	}
 }
 
-// access returns the stats of the record's BLOB with the access counted
+// access returns the stats of the event's BLOB with the access counted
 // against its time and user. Callers hold in.mu.
-func (in *Introspector) access(r monitor.Record) *AccessStats {
-	st, ok := in.blobs[r.Blob]
+func (in *Introspector) access(ev instrument.Event) *AccessStats {
+	st, ok := in.blobs[ev.Blob]
 	if !ok {
-		st = &AccessStats{Blob: r.Blob, Users: make(map[string]int64)}
-		in.blobs[r.Blob] = st
+		st = &AccessStats{Blob: ev.Blob, Users: make(map[string]int64)}
+		in.blobs[ev.Blob] = st
 	}
-	st.LastAccess = r.Time
-	if r.User != "" {
-		st.Users[r.User]++
+	st.LastAccess = ev.Time
+	if ev.User != "" {
+		st.Users[ev.User]++
 	}
 	return st
 }
@@ -321,15 +325,16 @@ func (in *Introspector) Blob(blob uint64) (AccessStats, bool) {
 	return st.clone(), true
 }
 
-// HotBlobs returns up to k BLOBs by total access count, hottest first —
-// the replication manager's signal for raising replication degrees.
+// HotBlobs returns up to k BLOBs (every BLOB when k ≤ 0) by total
+// access count, hottest first — the replication manager's signal for
+// raising replication degrees.
 func (in *Introspector) HotBlobs(k int) []AccessStats {
 	in.mu.Lock()
-	all := make([]AccessStats, 0, len(in.blobs))
+	defer in.mu.Unlock()
+	all := make([]*AccessStats, 0, len(in.blobs))
 	for _, st := range in.blobs {
-		all = append(all, st.clone())
+		all = append(all, st)
 	}
-	in.mu.Unlock()
 	sort.Slice(all, func(i, j int) bool {
 		ai, aj := all[i].Reads+all[i].Writes, all[j].Reads+all[j].Writes
 		if ai != aj {
@@ -340,7 +345,11 @@ func (in *Introspector) HotBlobs(k int) []AccessStats {
 	if k > 0 && len(all) > k {
 		all = all[:k]
 	}
-	return all
+	out := make([]AccessStats, len(all))
+	for i, st := range all {
+		out[i] = st.clone()
+	}
+	return out
 }
 
 // ColdBlobs returns BLOBs whose last access is before the cutoff — the
@@ -356,22 +365,4 @@ func (in *Introspector) ColdBlobs(cutoff time.Time) []AccessStats {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Blob < out[j].Blob })
 	return out
-}
-
-// WriteThroughput returns the mean system write throughput in bytes/s
-// over [now-window, now], from the write-bytes samples.
-func (in *Introspector) WriteThroughput(now time.Time, window time.Duration) float64 {
-	in.mu.Lock()
-	pts := in.thrTS.Since(now.Add(-window))
-	in.mu.Unlock()
-	if window <= 0 {
-		return 0
-	}
-	var sum float64
-	for _, p := range pts {
-		if !p.Time.After(now) {
-			sum += p.Value
-		}
-	}
-	return sum / window.Seconds()
 }

@@ -12,23 +12,23 @@ var t0 = time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
 
 func at(s int) time.Time { return t0.Add(time.Duration(s) * time.Second) }
 
-func rec(node, param string, v float64, ti time.Time) monitor.Record {
-	return monitor.Record{Time: ti, Node: node, Param: param, Value: v}
+func sample(node string, op instrument.Op, v float64, ti time.Time) instrument.Event {
+	return instrument.Event{Time: ti, Actor: instrument.ActorProvider, Node: node, Op: op, Value: v}
 }
 
 func TestBurstCacheAcceptsUpToCap(t *testing.T) {
 	c := NewBurstCache(5)
-	recs := make([]monitor.Record, 3)
-	if n := c.Add(recs); n != 3 {
+	evs := make([]instrument.Event, 3)
+	if n := c.Add(evs); n != 3 {
 		t.Fatalf("accepted=%d", n)
 	}
-	if n := c.Add(recs); n != 2 {
+	if n := c.Add(evs); n != 2 {
 		t.Fatalf("accepted=%d, want 2 (overflow)", n)
 	}
 	if c.Dropped() != 1 || c.Len() != 5 {
 		t.Fatalf("dropped=%d len=%d", c.Dropped(), c.Len())
 	}
-	if n := c.Add(recs); n != 0 {
+	if n := c.Add(evs); n != 0 {
 		t.Fatalf("accepted=%d after full", n)
 	}
 	if c.Dropped() != 4 {
@@ -38,39 +38,45 @@ func TestBurstCacheAcceptsUpToCap(t *testing.T) {
 
 func TestBurstCacheDrain(t *testing.T) {
 	c := NewBurstCache(10)
-	c.Add(make([]monitor.Record, 4))
+	c.Add(make([]instrument.Event, 4))
 	got := c.Drain()
 	if len(got) != 4 || c.Len() != 0 {
 		t.Fatalf("drain=%d len=%d", len(got), c.Len())
 	}
 	// After drain there is room again.
-	if n := c.Add(make([]monitor.Record, 10)); n != 10 {
+	if n := c.Add(make([]instrument.Event, 10)); n != 10 {
 		t.Fatalf("post-drain accepted=%d", n)
 	}
 }
 
 func TestStorageServerFlushPersists(t *testing.T) {
 	s := NewStorageServer("ss0", 100, 100)
-	s.Consume([]monitor.Record{rec("p1", "disk_space", 42, at(0))})
+	s.Consume([]instrument.Event{
+		sample("p1", instrument.OpDiskSpace, 42, at(0)),
+		{Time: at(1), Node: "p1", Op: instrument.OpStore, Bytes: 4096},
+	})
 	if s.ParamCount() != 0 {
 		t.Fatal("persisted before flush")
 	}
-	if n := s.Flush(); n != 1 {
+	if n := s.Flush(); n != 2 {
 		t.Fatalf("flushed=%d", n)
 	}
-	ts := s.Series("p1", "disk_space")
-	if ts == nil || ts.Len() != 1 {
-		t.Fatal("series missing")
+	if ts := s.Series("p1", instrument.OpDiskSpace); ts == nil || ts.Len() != 1 || ts.Points()[0].Value != 42 {
+		t.Fatal("sample series missing or wrong")
+	}
+	// An event with no sample value stores its byte count.
+	if ts := s.Series("p1", instrument.OpStore); ts == nil || ts.Len() != 1 || ts.Points()[0].Value != 4096 {
+		t.Fatal("byte-count series missing or wrong")
 	}
 }
 
 func TestIntrospectorProviderState(t *testing.T) {
 	in := NewIntrospector(0)
-	in.Consume([]monitor.Record{
-		rec("p1", "disk_space", 1000, at(0)),
-		rec("p1", "cpu_load", 0.5, at(0)),
-		rec("p1", "active_conn", 4, at(0)),
-		rec("p2", "disk_space", 500, at(0)),
+	in.Consume([]instrument.Event{
+		sample("p1", instrument.OpDiskSpace, 1000, at(0)),
+		sample("p1", instrument.OpCPULoad, 0.5, at(0)),
+		sample("p1", instrument.OpActiveConn, 4, at(0)),
+		sample("p2", instrument.OpDiskSpace, 500, at(0)),
 	})
 	st, ok := in.Provider("p1")
 	if !ok || st.Space != 1000 || st.CPULoad != 0.5 || st.ActiveAvg != 4 {
@@ -98,11 +104,11 @@ func TestIntrospectorEmptyAggregates(t *testing.T) {
 	}
 }
 
-// access feeds one client record through Consume, the way the mesh does.
+// access feeds one client event through Consume, the way the mesh does.
 func access(in *Introspector, op instrument.Op, blob uint64, user string, bytes int64, ti time.Time, err string) {
-	in.Consume([]monitor.Record{monitor.EventRecord(instrument.Event{
+	in.Consume([]instrument.Event{{
 		Time: ti, Actor: instrument.ActorClient, Op: op, Blob: blob, User: user, Bytes: bytes, Err: err,
-	})})
+	}})
 }
 
 func TestIntrospectorBlobAccess(t *testing.T) {
@@ -135,8 +141,12 @@ func TestHotAndColdBlobs(t *testing.T) {
 	}
 	access(in, instrument.OpRead, 2, "u", 1, at(10), "")
 	hot := in.HotBlobs(1)
-	if len(hot) != 1 || hot[0].Blob != 1 {
+	if len(hot) != 1 || hot[0].Blob != 1 || hot[0].Reads != 5 || hot[0].Users["u"] != 5 {
 		t.Fatalf("hot=%v", hot)
+	}
+	hot[0].Users["u"] = 0 // a copy: the introspector's stats stay put
+	if st, _ := in.Blob(1); st.Users["u"] != 5 {
+		t.Fatalf("HotBlobs shares its Users map: %v", st.Users)
 	}
 	cold := in.ColdBlobs(at(8))
 	if len(cold) != 1 || cold[0].Blob != 1 {
@@ -147,26 +157,9 @@ func TestHotAndColdBlobs(t *testing.T) {
 	}
 }
 
-func TestWriteThroughput(t *testing.T) {
-	in := NewIntrospector(0)
-	// 10 writes of 100 bytes over 10 s → 100 B/s over that window.
-	var recs []monitor.Record
-	for i := 0; i < 10; i++ {
-		recs = append(recs, rec("c1", "write", 100, at(i)))
-	}
-	in.Consume(recs)
-	got := in.WriteThroughput(at(9), 10*time.Second)
-	if got != 100 {
-		t.Fatalf("throughput=%v", got)
-	}
-	if in.WriteThroughput(at(9), 0) != 0 {
-		t.Fatal("zero window should be 0")
-	}
-}
-
 func TestEndToEndPipeline(t *testing.T) {
-	// instrumentation → agent → service → introspector
-	mesh := monitor.NewMesh(2, 0)
+	// instrumentation → agent → introspector
+	mesh := monitor.NewMesh()
 	in := NewIntrospector(0)
 	mesh.Subscribe(in)
 

@@ -369,16 +369,3 @@ func Percentile(values []float64, p float64) float64 {
 	}
 	return s[rank]
 }
-
-// Rate computes the average per-second rate of a counter-like series
-// between the first and last points of pts: (vN - v0) / (tN - t0).
-func Rate(pts []Point) float64 {
-	if len(pts) < 2 {
-		return 0
-	}
-	dt := pts[len(pts)-1].Time.Sub(pts[0].Time).Seconds()
-	if dt <= 0 {
-		return 0
-	}
-	return (pts[len(pts)-1].Value - pts[0].Value) / dt
-}

@@ -304,16 +304,6 @@ func TestPercentile(t *testing.T) {
 	}
 }
 
-func TestRate(t *testing.T) {
-	pts := []Point{{t0, 0}, {t0.Add(10 * time.Second), 100}}
-	if r := Rate(pts); math.Abs(r-10) > 1e-9 {
-		t.Fatalf("rate=%v", r)
-	}
-	if Rate(pts[:1]) != 0 {
-		t.Fatal("rate of single point should be 0")
-	}
-}
-
 // Property: percentile is always within [min, max] of the input.
 func TestPercentileBoundsProperty(t *testing.T) {
 	f := func(raw []float64, pRaw uint8) bool {

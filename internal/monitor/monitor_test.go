@@ -2,7 +2,6 @@ package monitor
 
 import (
 	"fmt"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -16,83 +15,34 @@ func ev(node string, op instrument.Op, bytes int64) instrument.Event {
 	return instrument.Event{Time: t0, Node: node, Op: op, Bytes: bytes, Actor: instrument.ActorProvider}
 }
 
-func TestEventRecordMapping(t *testing.T) {
-	e := ev("p1", instrument.OpStore, 128)
-	e.Blob = 9
-	r := EventRecord(e)
-	if r.Param != "store" || r.Value != 128 || r.Node != "p1" || r.Blob != 9 {
-		t.Fatalf("record=%+v", r)
-	}
-	phys := instrument.Event{Time: t0, Node: "p1", Op: instrument.OpCPULoad, Value: 0.7}
-	r = EventRecord(phys)
-	if r.Param != "cpu_load" || r.Value != 0.7 {
-		t.Fatalf("record=%+v", r)
-	}
-	bad := ev("p1", instrument.OpStore, 10)
-	bad.Err = "boom"
-	r = EventRecord(bad)
-	if r.Param != "store_err" {
-		t.Fatalf("record=%+v", r)
-	}
-}
-
-func TestServiceIngestAndFarm(t *testing.T) {
-	s := NewService("svc1", 0)
-	s.Ingest([]instrument.Event{
-		ev("p1", instrument.OpStore, 100),
-		ev("p1", instrument.OpStore, 200),
-		ev("p2", instrument.OpFetch, 300),
-	})
-	if s.ParamCount() != 2 {
-		t.Fatalf("params=%d (%v)", s.ParamCount(), s.Params())
-	}
-	ts := s.Series("p1", "store")
-	if ts == nil || ts.Len() != 2 {
-		t.Fatalf("series missing or wrong length")
-	}
-	evs, recs := s.Ingested()
-	if evs != 3 || recs != 3 {
-		t.Fatalf("ingested=%d,%d", evs, recs)
-	}
-}
-
-func TestServiceSubscribers(t *testing.T) {
-	s := NewService("svc1", 0)
+// collect subscribes a recorder of every delivered event to m.
+func collect(m *Mesh) func() []instrument.Event {
 	var mu sync.Mutex
-	var got []Record
-	s.Subscribe(SubscriberFunc(func(rs []Record) {
+	var got []instrument.Event
+	m.Subscribe(SubscriberFunc(func(evs []instrument.Event) {
 		mu.Lock()
-		got = append(got, rs...)
+		got = append(got, evs...)
 		mu.Unlock()
 	}))
-	s.Subscribe(nil) // ignored
-	s.Ingest([]instrument.Event{ev("p1", instrument.OpStore, 1)})
-	mu.Lock()
-	defer mu.Unlock()
-	if len(got) != 1 || got[0].Service != "svc1" {
-		t.Fatalf("got=%v", got)
-	}
-}
-
-func TestServiceEmptyIngest(t *testing.T) {
-	s := NewService("svc1", 0)
-	s.Ingest(nil)
-	if n, _ := s.Ingested(); n != 0 {
-		t.Fatal("empty ingest counted")
+	return func() []instrument.Event {
+		mu.Lock()
+		defer mu.Unlock()
+		return append([]instrument.Event(nil), got...)
 	}
 }
 
 func TestAgentBatching(t *testing.T) {
-	s := NewService("svc1", 0)
-	a := NewAgent("node1", s, 4)
+	m := NewMesh()
+	got := collect(m)
+	a := m.NewAgent("node1", 4)
 	for i := 0; i < 3; i++ {
 		a.Emit(ev("", instrument.OpStore, 1))
 	}
-	if n, _ := s.Ingested(); n != 0 {
+	if n := len(got()); n != 0 {
 		t.Fatal("flushed before batch full")
 	}
 	a.Emit(ev("", instrument.OpStore, 1))
-	if n, _ := s.Ingested(); n != 4 {
+	if n := len(got()); n != 4 {
 		t.Fatalf("after batch: %d", n)
 	}
 	sent, flushes, pending := a.Stats()
@@ -101,22 +51,51 @@ func TestAgentBatching(t *testing.T) {
 	}
 }
 
+// TestEventsDeliveredUnchanged pins that subscribers see each event as
+// emitted: failure, bytes and sample value included.
+func TestEventsDeliveredUnchanged(t *testing.T) {
+	m := NewMesh()
+	got := collect(m)
+	a := m.NewAgent("p1", 3)
+	store := ev("p1", instrument.OpStore, 128)
+	store.Blob = 9
+	bad := ev("p1", instrument.OpStore, 10)
+	bad.Err = "boom"
+	phys := instrument.Event{Time: t0, Node: "p1", Op: instrument.OpCPULoad, Value: 0.7}
+	want := []instrument.Event{store, bad, phys}
+	for _, e := range want {
+		a.Emit(e)
+	}
+	evs := got()
+	if len(evs) != len(want) {
+		t.Fatalf("got %d events, want %d", len(evs), len(want))
+	}
+	for i := range want {
+		if evs[i] != want[i] {
+			t.Fatalf("event %d = %+v, want %+v", i, evs[i], want[i])
+		}
+	}
+}
+
 func TestAgentFillsNodeField(t *testing.T) {
-	s := NewService("svc1", 0)
-	a := NewAgent("node7", s, 1)
+	m := NewMesh()
+	got := collect(m)
+	a := m.NewAgent("node7", 1)
 	a.Emit(instrument.Event{Time: t0, Op: instrument.OpStore, Bytes: 9})
-	if s.Series("node7", "store") == nil {
-		t.Fatal("agent did not stamp node identity")
+	a.Emit(ev("other", instrument.OpStore, 9))
+	if evs := got(); len(evs) != 2 || evs[0].Node != "node7" || evs[1].Node != "other" {
+		t.Fatalf("agent did not stamp (only) a missing node identity: %+v", evs)
 	}
 }
 
 func TestAgentManualFlush(t *testing.T) {
-	s := NewService("svc1", 0)
-	a := NewAgent("n", s, 100)
+	m := NewMesh()
+	got := collect(m)
+	a := m.NewAgent("n", 100)
 	a.Emit(ev("", instrument.OpStore, 1))
 	a.Flush()
-	if n, _ := s.Ingested(); n != 1 {
-		t.Fatalf("ingested=%d", n)
+	if n := len(got()); n != 1 {
+		t.Fatalf("delivered=%d", n)
 	}
 	a.Flush() // empty flush is a no-op
 	_, flushes, _ := a.Stats()
@@ -125,89 +104,40 @@ func TestAgentManualFlush(t *testing.T) {
 	}
 }
 
-func TestMeshRoundRobinAssignment(t *testing.T) {
-	m := NewMesh(3, 0)
-	if len(m.Services()) != 3 {
-		t.Fatalf("services=%d", len(m.Services()))
-	}
-	for i := 0; i < 6; i++ {
-		a := m.NewAgent(fmt.Sprintf("n%d", i), 1)
-		a.Emit(ev("", instrument.OpStore, 1))
-	}
-	for i, s := range m.Services() {
-		if n, _ := s.Ingested(); n != 2 {
-			t.Fatalf("service %d got %d events", i, n)
-		}
-	}
-}
-
-func TestMeshSubscribeAndParamCount(t *testing.T) {
-	m := NewMesh(2, 0)
-	var mu sync.Mutex
-	total := 0
-	m.Subscribe(SubscriberFunc(func(rs []Record) {
-		mu.Lock()
-		total += len(rs)
-		mu.Unlock()
-	}))
+func TestMeshFansOutToEverySubscriber(t *testing.T) {
+	m := NewMesh()
+	first := collect(m)
 	a0 := m.NewAgent("n0", 1)
 	a1 := m.NewAgent("n1", 1)
 	a0.Emit(ev("", instrument.OpStore, 1))
+	// A subscriber added later sees what is flushed from then on.
+	second := collect(m)
 	a1.Emit(ev("", instrument.OpFetch, 1))
-	mu.Lock()
-	defer mu.Unlock()
-	if total != 2 {
-		t.Fatalf("subscriber records=%d", total)
+	if n := len(first()); n != 2 {
+		t.Fatalf("first subscriber got %d events", n)
 	}
-	if m.ParamCount() != 2 {
-		t.Fatalf("mesh params=%d", m.ParamCount())
+	if evs := second(); len(evs) != 1 || evs[0].Node != "n1" {
+		t.Fatalf("second subscriber got %+v", evs)
+	}
+	if m.Agents() != 2 {
+		t.Fatalf("agents=%d", m.Agents())
 	}
 }
 
 func TestMeshFlushAll(t *testing.T) {
-	m := NewMesh(2, 0)
+	m := NewMesh()
+	got := collect(m)
 	a := m.NewAgent("n0", 1000)
 	a.Emit(ev("", instrument.OpStore, 1))
 	m.FlushAll()
-	var total int64
-	for _, s := range m.Services() {
-		n, _ := s.Ingested()
-		total += n
-	}
-	if total != 1 {
-		t.Fatalf("after FlushAll: %d", total)
-	}
-}
-
-func TestMeshZeroServicesClamped(t *testing.T) {
-	m := NewMesh(0, 0)
-	if len(m.Services()) != 1 {
-		t.Fatalf("services=%d", len(m.Services()))
-	}
-}
-
-func TestServiceNames(t *testing.T) {
-	m := NewMesh(120, 0)
-	svcs := m.Services()
-	if svcs[0].ID() != "svc00" || svcs[11].ID() != "svc11" || svcs[100].ID() != "svc100" {
-		t.Fatalf("names: %s %s %s", svcs[0].ID(), svcs[11].ID(), svcs[100].ID())
-	}
-	seen := make(map[string]bool, len(svcs))
-	for _, s := range svcs {
-		id := s.ID()
-		digits := strings.TrimPrefix(id, "svc")
-		if digits == id || digits == "" || strings.Trim(digits, "0123456789") != "" {
-			t.Fatalf("service name %q is not svc followed by digits", id)
-		}
-		if seen[id] {
-			t.Fatalf("service name %q repeats", id)
-		}
-		seen[id] = true
+	if n := len(got()); n != 1 {
+		t.Fatalf("after FlushAll: %d", n)
 	}
 }
 
 func TestConcurrentAgents(t *testing.T) {
-	m := NewMesh(4, 0)
+	m := NewMesh()
+	got := collect(m)
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		a := m.NewAgent(fmt.Sprintf("n%d", i), 8)
@@ -221,12 +151,7 @@ func TestConcurrentAgents(t *testing.T) {
 		}(a)
 	}
 	wg.Wait()
-	var total int64
-	for _, s := range m.Services() {
-		n, _ := s.Ingested()
-		total += n
-	}
-	if total != 800 {
-		t.Fatalf("total=%d", total)
+	if n := len(got()); n != 800 {
+		t.Fatalf("total=%d", n)
 	}
 }

@@ -1101,12 +1101,12 @@ func TestMetadataWorkPerRequest(t *testing.T) {
 		t.Fatal(err)
 	}
 	var puts, gets atomic.Int64
-	cluster.Mesh.Subscribe(monitor.SubscriberFunc(func(rs []monitor.Record) {
-		for _, r := range rs {
-			switch r.Param {
-			case string(instrument.OpMetaPut):
+	cluster.Mesh.Subscribe(monitor.SubscriberFunc(func(evs []instrument.Event) {
+		for _, ev := range evs {
+			switch ev.Op {
+			case instrument.OpMetaPut:
 				puts.Add(1)
-			case string(instrument.OpMetaGet):
+			case instrument.OpMetaGet:
 				gets.Add(1)
 			}
 		}

@@ -108,19 +108,31 @@ func NewReplicator(vm *vmanager.Manager, pm *pmanager.Manager, pool Pool,
 
 // TargetDegree returns the replication degree a BLOB should have now.
 func (r *Replicator) TargetDegree(blob uint64) int {
-	deg := r.base
-	if r.in != nil && r.hotBoost > 0 {
-		for _, hot := range r.in.HotBlobs(r.hotTopK) {
-			if hot.Blob == blob && hot.Reads+hot.Writes > 0 {
-				deg += r.hotBoost
-				break
-			}
+	return r.degree(blob, r.hotSet())
+}
+
+// hotSet returns the BLOBs the hot boost applies to now: the hotTopK
+// most accessed (none without an introspector or a boost).
+func (r *Replicator) hotSet() map[uint64]bool {
+	if r.in == nil || r.hotBoost <= 0 {
+		return nil
+	}
+	hot := map[uint64]bool{}
+	for _, st := range r.in.HotBlobs(r.hotTopK) {
+		if st.Reads+st.Writes > 0 {
+			hot[st.Blob] = true
 		}
 	}
-	if deg > r.maxDegree {
-		deg = r.maxDegree
+	return hot
+}
+
+// degree is a BLOB's target degree given the pass's hot set.
+func (r *Replicator) degree(blob uint64, hot map[uint64]bool) int {
+	deg := r.base
+	if hot[blob] {
+		deg += r.hotBoost
 	}
-	return deg
+	return min(deg, r.maxDegree)
 }
 
 // Scan walks the latest version of every BLOB, re-replicating chunks
@@ -132,6 +144,7 @@ func (r *Replicator) TargetDegree(blob uint64) int {
 func (r *Replicator) Scan(ctx context.Context, now time.Time) (RepairReport, error) {
 	rep := RepairReport{Time: now}
 	var firstErr error
+	hot := r.hotSet()
 	for _, blob := range r.vm.Blobs() {
 		if err := ctx.Err(); err != nil {
 			if firstErr == nil {
@@ -148,7 +161,7 @@ func (r *Replicator) Scan(ctx context.Context, now time.Time) (RepairReport, err
 			continue
 		}
 		rep.BlobsScanned++
-		target := r.TargetDegree(blob)
+		target := r.degree(blob, hot)
 
 		type fix struct {
 			idx  int64

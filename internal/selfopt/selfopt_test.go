@@ -11,7 +11,6 @@ import (
 	"blobseer/internal/gc"
 	"blobseer/internal/instrument"
 	"blobseer/internal/introspect"
-	"blobseer/internal/monitor"
 	"blobseer/internal/pmanager"
 	"blobseer/internal/provider"
 	"blobseer/internal/vmanager"
@@ -19,10 +18,10 @@ import (
 
 var t0 = time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
 
-// observe feeds one client event to the introspector as its monitoring
-// service would forward it.
+// observe feeds one client event to the introspector as the monitoring
+// mesh would forward it.
 func observe(in *introspect.Introspector, ev instrument.Event) {
-	in.Consume([]monitor.Record{monitor.EventRecord(ev)})
+	in.Consume([]instrument.Event{ev})
 }
 
 // testPool adapts a set of in-process providers to the Pool interface.

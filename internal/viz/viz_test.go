@@ -10,15 +10,14 @@ import (
 	"blobseer/internal/instrument"
 	"blobseer/internal/introspect"
 	"blobseer/internal/metrics"
-	"blobseer/internal/monitor"
 )
 
 var t0 = time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
 
-// observe feeds one client event to the introspector as its monitoring
-// service would forward it.
+// observe feeds one client event to the introspector as the monitoring
+// mesh would forward it.
 func observe(in *introspect.Introspector, ev instrument.Event) {
-	in.Consume([]monitor.Record{monitor.EventRecord(ev)})
+	in.Consume([]instrument.Event{ev})
 }
 
 func TestSparkline(t *testing.T) {
