@@ -150,6 +150,9 @@ type chunkFuture struct {
 	// the head answers only for the bytes before it. Until the reader's
 	// next ensure starts its fetch, rest is a placeholder (done nil).
 	rest *chunkFuture
+	// verify marks a head whose remainder ends the chunk: once the
+	// remainder lands, the pair is offered to the chunk cache.
+	verify bool
 }
 
 // from returns the fetched bytes from chunk offset rel on, up to end; none
@@ -208,8 +211,11 @@ const (
 // fetched whole and the prefetch window opens behind it once it lands.
 // From a larger part only its first headBytes are fetched and handed to
 // the consumer; only when the consumer comes back for more do the part's
-// remainder, as a ranged fetch, and then the window start. A one-chunk
-// read of a small part starts no goroutine.
+// remainder, as a ranged fetch, and then the window start. A head that
+// begins a chunk whose remainder the read also needs is offered, with
+// the landed remainder, to the client's chunk cache (ChunkCache.admitHead),
+// so a hot chunk's next head is a cache hit. A one-chunk read of a small
+// part starts no goroutine.
 type BlobReader struct {
 	c         *Client
 	ctx       context.Context
@@ -316,9 +322,11 @@ func (r *BlobReader) fetch(ctx context.Context, idx int64, f *chunkFuture, hi in
 // short chunk's tail), n bytes in all. It fetches a demand chunk itself
 // under r.ctx, only its head when the part is split (see BlobReader),
 // and opens the window once a whole part landed; a head's remainder and
-// window open at the next call. With metrics attached it records one
-// stall per call not cut short while waiting: zero (no clock read) when
-// the bytes were already there, else the wait or the fetch.
+// window open at the next call, and the first call the landed remainder
+// serves offers it and the head to the chunk cache. With metrics attached
+// it records one stall per call not cut short while waiting: zero (no
+// clock read) when the bytes were already there, else the wait or the
+// fetch.
 func (r *BlobReader) await() (data []byte, n int64, err error) {
 	abs := r.base + r.pos
 	idx := abs / r.chunkSize
@@ -326,11 +334,12 @@ func (r *BlobReader) await() (data []byte, n int64, err error) {
 	rel, end := abs-slotLo, min(r.base+r.length, slotHi)-slotLo
 	m := r.c.m
 	fut := r.ensure(idx)
+	var head *chunkFuture
 	if fut != nil && fut.rest != nil { // a head answers up to its remainder
 		if rel < fut.rest.off {
 			end = fut.rest.off
 		} else {
-			fut = fut.rest
+			head, fut = fut, fut.rest
 		}
 	}
 	if fut != nil {
@@ -339,6 +348,7 @@ func (r *BlobReader) await() (data []byte, n int64, err error) {
 			if m != nil {
 				m.readerStall.Observe(0)
 			}
+			r.offerHead(idx, head, fut)
 			return fut.from(rel, end), end - rel, fut.err
 		default:
 		}
@@ -352,6 +362,7 @@ func (r *BlobReader) await() (data []byte, n int64, err error) {
 		lo, hi := r.part(idx)
 		fut = &chunkFuture{done: settled, cancel: func() {}, off: lo}
 		if hi-lo >= splitMin && rel < lo+headBytes {
+			fut.verify = r.c.cache != nil && lo == 0 && hi == r.descs[idx-r.loIdx].Size
 			hi = lo + headBytes
 			end = hi
 			fut.rest = &chunkFuture{off: hi}
@@ -373,7 +384,19 @@ func (r *BlobReader) await() (data []byte, n int64, err error) {
 			r.ensure(idx) // a whole part landed: open the window behind it
 		}
 	}
+	r.offerHead(idx, head, fut)
 	return fut.from(rel, end), end - rel, fut.err
+}
+
+// offerHead offers a verify head of chunk idx and its landed remainder to
+// the chunk cache, once. It runs on the reader's goroutine, which owns
+// both buffers until the window drops the head.
+func (r *BlobReader) offerHead(idx int64, head, rest *chunkFuture) {
+	if head == nil || !head.verify || rest.err != nil {
+		return
+	}
+	head.verify = false
+	r.c.cache.admitHead(r.descs[idx-r.loIdx], head.data, rest.data)
 }
 
 // Read implements io.Reader. Each call serves bytes from at most one

@@ -63,6 +63,18 @@ func smallBlob(t *testing.T, c *Client, n int, seed int64) (uint64, []byte) {
 	return info.ID, data
 }
 
+// tailDamageConn flips the first byte of every reply that starts past a
+// chunk's first byte, as a replica with a corrupt remainder would.
+type tailDamageConn struct{ Conn }
+
+func (c tailDamageConn) Fetch(ctx context.Context, user string, id chunk.ID) ([]byte, error) {
+	data, err := c.Conn.Fetch(ctx, user, id)
+	if off, _ := chunk.RangeFrom(ctx); err == nil && off > 0 && len(data) > 0 {
+		data[0] ^= 0xff
+	}
+	return data, err
+}
+
 // TestChunkCacheHitIssuesNoFetch: a chunk the client just wrote is served
 // from the cache (write-through); a fresh cache admits a chunk on its
 // first fetch and serves every later read of it without a provider.
@@ -185,9 +197,125 @@ func TestChunkCacheRejectsCorruptReplica(t *testing.T) {
 	}
 }
 
-// TestChunkCacheBudgetHoldsUnderEviction: the entries' pool-buffer
-// capacity never passes ChunkCacheBytes, and eviction drops the least
-// recently used chunk first.
+// TestChunkCacheHeadHit: the third whole read of an object of 1 MiB chunks
+// takes chunk 0's head from the cache, so chunk 0 reaches a provider only
+// for its [64 KiB, 1 MiB) remainder, and the bytes are unchanged. The
+// first read only records the chunk in the doorkeeper; the second hashes
+// head and remainder and admits the head. A later range read inside the
+// head is a hit; one crossing its end is not.
+func TestChunkCacheHeadHit(t *testing.T) {
+	ctx := context.Background()
+	cc := new(ChunkCache)
+	c, blob, payload, fetches := headBed(t, 2, nil, WithChunkCache(cc), WithMetrics(metrics.NewRegistry()))
+	id0 := chunk.Sum(payload[:mib])
+	for i := 1; i <= 3; i++ {
+		n := fetches.len()
+		if got, err := c.Read(ctx, blob, 0, 0, int64(len(payload))); err != nil || !bytes.Equal(got, payload) {
+			t.Fatalf("read %d: %v", i, err)
+		}
+		var chunk0 [][2]int64
+		idx, ranges := fetches.since(n, map[chunk.ID]int64{id0: 0, chunk.Sum(payload[mib:]): 1}), fetches.rangesSince(n)
+		for k, r := range ranges {
+			if idx[k] == 0 {
+				chunk0 = append(chunk0, r)
+			}
+		}
+		_, seen := cc.seen[id0]
+		e, cached := cc.index[id0]
+		switch {
+		case i == 1 && (!seen || cached):
+			t.Fatalf("after one read: in the doorkeeper %v, cached %v; want true, false", seen, cached)
+		case i == 2 && (seen || !cached || !bytes.Equal(e.Value.(*cacheEntry).data, payload[:ChunkCacheMaxChunk])):
+			t.Fatalf("after two reads: in the doorkeeper %v, cached %v; want the head cached", seen, cached)
+		case i < 3 && len(chunk0) != 2:
+			t.Fatalf("read %d fetched chunk 0 as %v, want a head and a remainder", i, chunk0)
+		case i == 3 && (len(chunk0) != 1 || chunk0[0] != [2]int64{headBytes, mib - headBytes}):
+			t.Fatalf("read 3 fetched chunk 0 as %v, want only its [64 KiB, 1 MiB) remainder", chunk0)
+		}
+	}
+	if n := c.m.fetchCache.Count(); n != 1 {
+		t.Fatalf(`outcome="cache" observed %d times, want 1 (the third read's head)`, n)
+	}
+	for _, r := range []struct{ off, n, fetches int64 }{
+		{1000, 3000, 0}, {ChunkCacheMaxChunk - 7, 7, 0}, {ChunkCacheMaxChunk - 7, 8, 1},
+	} {
+		n := fetches.len()
+		got, err := c.Read(ctx, blob, 0, r.off, r.n)
+		if err != nil || !bytes.Equal(got, payload[r.off:r.off+r.n]) {
+			t.Fatalf("%d bytes at %d: %v", r.n, r.off, err)
+		}
+		if k := int64(fetches.len() - n); k != r.fetches {
+			t.Fatalf("%d bytes at %d: %d fetches, want %d", r.n, r.off, k, r.fetches)
+		}
+	}
+}
+
+// TestChunkCacheHeadRanges: a head entry serves the head itself and the
+// ranges inside it, and misses the whole chunk, a range past the head,
+// also one that starts past the chunk's end (clamped there as Conn.Fetch
+// clamps it), and a range that crosses the end of a head shorter than
+// ChunkCacheMaxChunk.
+func TestChunkCacheHeadRanges(t *testing.T) {
+	ctx := context.Background()
+	data := make([]byte, 1<<20)
+	rand.New(rand.NewSource(7)).Read(data)
+	d := chunk.Desc{ID: chunk.Sum(data), Size: int64(len(data))}
+	short := chunk.Desc{ID: chunk.Sum(data[:1<<19]), Size: 1 << 19} // a 16 KiB head
+	cc := new(ChunkCache)
+	cc.put(d.ID, data[:ChunkCacheMaxChunk])
+	cc.put(short.ID, data[:16<<10])
+	for _, r := range []struct {
+		d      chunk.Desc
+		off, n int64
+		hit    bool
+	}{
+		{d, 0, ChunkCacheMaxChunk, true}, {d, ChunkCacheMaxChunk, 1, false}, {d, 0, 0, false}, {d, 2 << 20, 1, false},
+		{short, 100, 16<<10 - 100, true}, {short, 100, 16 << 10, false},
+	} {
+		got, ok := cc.get(chunk.WithRange(ctx, r.off, r.n), r.d)
+		if ok != r.hit || ok && !bytes.Equal(got, data[r.off:r.off+r.n]) {
+			t.Fatalf("%d bytes at %d of a %d-byte chunk: hit %v with %d bytes, want hit %v", r.n, r.off, r.d.Size, ok, len(got), r.hit)
+		}
+	}
+}
+
+// TestChunkCacheReadOnceAdmitsNothing: an object read once leaves no entry
+// and nothing was hashed: its honest bytes would have been admitted had
+// they been, and its first chunk only sits in the doorkeeper.
+func TestChunkCacheReadOnceAdmitsNothing(t *testing.T) {
+	cc := new(ChunkCache)
+	c, blob, payload, _ := headBed(t, 2, nil, WithChunkCache(cc))
+	if got, err := c.Read(context.Background(), blob, 0, 0, int64(len(payload))); err != nil || !bytes.Equal(got, payload) {
+		t.Fatalf("read: %v", err)
+	}
+	if _, seen := cc.seen[chunk.Sum(payload[:mib])]; !seen || cc.lru.Len() != 0 || len(cc.seen) != 1 {
+		t.Fatalf("after one read: chunk 0 in the doorkeeper %v, %d entries, %d IDs seen; want true, 0, 1", seen, cc.lru.Len(), len(cc.seen))
+	}
+}
+
+// TestChunkCacheRejectsCorruptRemainder: when a replica's remainder does
+// not hash to the chunk's ID, no read admits the head. The reader checks
+// no large chunk otherwise, so every read still returns the replica's
+// bytes, the damaged one included, and no error, as without the cache.
+func TestChunkCacheRejectsCorruptRemainder(t *testing.T) {
+	cc := new(ChunkCache)
+	c, blob, payload, _ := headBed(t, 1, func(_ string, conn Conn) Conn { return tailDamageConn{conn} }, WithChunkCache(cc))
+	want := bytes.Clone(payload)
+	want[headBytes] ^= 0xff
+	for i := 0; i < 4; i++ {
+		if got, err := c.Read(context.Background(), blob, 0, 0, int64(len(payload))); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("read %d: %v, want the replica's bytes and no error", i, err)
+		}
+		if cc.lru.Len() != 0 {
+			t.Fatalf("read %d admitted a head whose remainder does not hash to its ID", i)
+		}
+	}
+}
+
+// TestChunkCacheBudgetHoldsUnderEviction: whole small chunks and large
+// chunks' heads share one budget; the entries' pool-buffer capacity never
+// passes ChunkCacheBytes, and eviction drops the least recently used
+// entries first, in the order a model LRU does.
 func TestChunkCacheBudgetHoldsUnderEviction(t *testing.T) {
 	ctx := context.Background()
 	cc := new(ChunkCache)
@@ -196,43 +324,58 @@ func TestChunkCacheBudgetHoldsUnderEviction(t *testing.T) {
 		binary.BigEndian.PutUint64(b[:], uint64(i))
 		return chunk.Sum(b[:])
 	}
-	data := make([]byte, 17<<10) // a 32 KiB pool class: the budget counts capacity
-	const fit = ChunkCacheBytes / (32 << 10)
-	const n = 3 * fit
+	// Even entries are whole 17 KiB chunks, a 32 KiB pool class (the budget
+	// counts capacity); odd ones are the 64 KiB heads of 1 MiB chunks.
+	small, head := make([]byte, 17<<10), make([]byte, ChunkCacheMaxChunk)
+	entry := func(i int) ([]byte, chunk.Desc, int) {
+		if i%2 == 0 {
+			return small, chunk.Desc{ID: id(i), Size: int64(len(small))}, 32 << 10
+		}
+		return head, chunk.Desc{ID: id(i), Size: 1 << 20}, 64 << 10
+	}
+	var model []int // entry numbers, most recently used first
+	modelBytes := 0
+	const n = 3 * ChunkCacheBytes / (48 << 10) // three budgets' worth
 	for i := 0; i < n; i++ {
-		oldest := i - fit // the least recently put entry still held
-		if i == n/2 {
-			// Touch it, so this put evicts the next-oldest instead.
-			if _, ok := cc.get(ctx, chunk.Desc{ID: id(oldest), Size: int64(len(data))}); !ok {
-				t.Fatalf("entry %d evicted early", oldest)
+		if i%97 == 96 {
+			// Touch the oldest entry, so the next evictions pass it over.
+			old := model[len(model)-1]
+			_, d, _ := entry(old)
+			if _, ok := cc.get(chunk.WithRange(ctx, 100, 4<<10), d); !ok {
+				t.Fatalf("entry %d evicted early", old)
 			}
+			model = append([]int{old}, model[:len(model)-1]...)
 		}
+		data, _, size := entry(i)
 		cc.put(id(i), data)
-		if i == n/2 {
-			_, touched := cc.index[id(oldest)]
-			_, next := cc.index[id(oldest+1)]
-			if !touched || next {
-				t.Fatalf("after a touch: touched entry held %v, next-oldest held %v; want true, false", touched, next)
+		model = append([]int{i}, model...)
+		for modelBytes += size; modelBytes > ChunkCacheBytes; model = model[:len(model)-1] {
+			_, _, size := entry(model[len(model)-1])
+			modelBytes -= size
+		}
+		held, k := 0, 0
+		for e := cc.lru.Front(); e != nil; e, k = e.Next(), k+1 {
+			held += cap(e.Value.(*cacheEntry).data)
+			if k >= len(model) || e.Value.(*cacheEntry).id != id(model[k]) {
+				t.Fatalf("after %d puts: entry %d of the LRU is not the model's entry %v", i+1, k, model[min(k, len(model)-1)])
 			}
 		}
-		held := 0
-		for e := cc.lru.Front(); e != nil; e = e.Next() {
-			held += cap(e.Value.(*cacheEntry).data)
-		}
-		if cc.bytes != held || cc.bytes > ChunkCacheBytes || len(cc.index) != cc.lru.Len() {
-			t.Fatalf("after %d puts: accounted %d, held %d, budget %d, %d indexed, %d listed",
-				i+1, cc.bytes, held, ChunkCacheBytes, len(cc.index), cc.lru.Len())
+		if cc.bytes != held || held != modelBytes || len(cc.index) != cc.lru.Len() || cc.lru.Len() != len(model) {
+			t.Fatalf("after %d puts: accounted %d, held %d, model %d, budget %d, %d indexed, %d listed, model %d",
+				i+1, cc.bytes, held, modelBytes, ChunkCacheBytes, len(cc.index), cc.lru.Len(), len(model))
 		}
 	}
-	if cc.lru.Len() != fit {
-		t.Fatalf("%d entries, want a full budget of %d", cc.lru.Len(), fit)
+	if cc.bytes <= ChunkCacheBytes-64<<10 {
+		t.Fatalf("%d bytes held, want a full budget of %d", cc.bytes, ChunkCacheBytes)
 	}
 }
 
-// TestChunkCacheHammer: concurrent small writers and readers share one
-// cache (run under -race) while a filler streams unrelated chunks through
-// it, so entries are evicted and their buffers recycled beside the hits;
-// every read returns the bytes its version holds.
+// TestChunkCacheHammer: concurrent small writers and readers, and large
+// readers whose heads the cache admits, share one cache (run under -race)
+// while a filler streams unrelated chunks through it, so entries are
+// evicted and their buffers recycled beside the hits; every read returns
+// the bytes its version holds, and the byte budget and its accounting
+// hold at the end.
 func TestChunkCacheHammer(t *testing.T) {
 	ctx := context.Background()
 	b := newBed(t, 4)
@@ -250,6 +393,36 @@ func TestChunkCacheHammer(t *testing.T) {
 			cc.put(chunk.Sum(junk), junk)
 		}
 	}()
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			c := b.counted(cc, &fetches, nil, WithReplicas(2))
+			info, err := c.Create(ctx, 1<<20)
+			if err != nil {
+				errc <- err
+				return
+			}
+			data := make([]byte, 3<<20/2)
+			rand.New(rand.NewSource(int64(100 + w))).Read(data)
+			if _, err := c.Write(ctx, info.ID, 0, data); err != nil {
+				errc <- err
+				return
+			}
+			rng := rand.New(rand.NewSource(int64(w)))
+			for i := 0; i < rounds/4; i++ {
+				lo, n := int64(0), int64(len(data))
+				if i%2 == 1 { // a range, inside the head or across its end
+					lo, n = int64(rng.Intn(ChunkCacheMaxChunk)), int64(1+rng.Intn(16<<10))
+				}
+				got, err := c.Read(ctx, info.ID, 0, lo, n)
+				if err != nil || !bytes.Equal(got, data[lo:lo+n]) {
+					errc <- fmt.Errorf("large reader %d: %d bytes at %d: %v", w, n, lo, err)
+					return
+				}
+			}
+		}(w)
+	}
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
@@ -293,32 +466,42 @@ func TestChunkCacheHammer(t *testing.T) {
 	for err := range errc {
 		t.Fatal(err)
 	}
-	if cc.bytes > ChunkCacheBytes {
-		t.Fatalf("cache holds %d bytes, budget %d", cc.bytes, ChunkCacheBytes)
+	held := 0
+	for e := cc.lru.Front(); e != nil; e = e.Next() {
+		held += cap(e.Value.(*cacheEntry).data)
+	}
+	if cc.bytes != held || cc.bytes > ChunkCacheBytes || len(cc.index) != cc.lru.Len() {
+		t.Fatalf("cache accounts %d bytes, holds %d, budget %d; %d indexed, %d listed",
+			cc.bytes, held, ChunkCacheBytes, len(cc.index), cc.lru.Len())
 	}
 }
 
-// BenchmarkChunkCacheHit times a cache hit through fetchReplica, whole and
-// ranged, and fails if a hit allocates anything beyond its pooled reply
-// buffer: at most one allocation, of at most the reply's size, per op.
+// BenchmarkChunkCacheHit times a cache hit through fetchReplica, whole,
+// ranged and a large chunk's head, and fails if a hit allocates anything
+// beyond its pooled reply buffer: at most one allocation, of at most the
+// reply's size, per op.
 func BenchmarkChunkCacheHit(b *testing.B) {
-	data := make([]byte, 16<<10)
+	data := make([]byte, 1<<20)
 	rand.New(rand.NewSource(5)).Read(data)
-	d := chunk.Desc{ID: chunk.Sum(data), Size: int64(len(data))}
+	small := chunk.Desc{ID: chunk.Sum(data[:16<<10]), Size: 16 << 10}
+	large := chunk.Desc{ID: chunk.Sum(data), Size: 1 << 20}
 	c := New("alice", nil, nil, nil, WithChunkCache(new(ChunkCache)), WithMetrics(metrics.NewRegistry()))
-	c.cache.put(d.ID, data)
+	c.cache.put(small.ID, data[:16<<10])
+	c.cache.put(large.ID, data[:ChunkCacheMaxChunk])
 	for _, bc := range []struct {
 		name string
 		ctx  context.Context
+		d    chunk.Desc
 		want int
 	}{
-		{"whole=16KiB", context.Background(), 16 << 10},
-		{"range=4KiBof16KiB", chunk.WithRange(context.Background(), 8<<10, 4<<10), 4 << 10},
+		{"whole=16KiB", context.Background(), small, 16 << 10},
+		{"range=4KiBof16KiB", chunk.WithRange(context.Background(), 8<<10, 4<<10), small, 4 << 10},
+		{"head=64KiBof1MiB", chunk.WithRange(context.Background(), 0, headBytes), large, headBytes},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			run := func(n int) {
 				for i := 0; i < n; i++ {
-					got, err := c.fetchReplica(bc.ctx, d)
+					got, err := c.fetchReplica(bc.ctx, bc.d)
 					if err != nil || len(got) != bc.want {
 						b.Fatalf("hit: %d bytes, %v; want %d", len(got), err, bc.want)
 					}

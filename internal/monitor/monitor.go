@@ -35,8 +35,6 @@ type Agent struct {
 
 	mu      sync.Mutex
 	pending []instrument.Event
-	sent    int64
-	flushes int64
 }
 
 // Emit implements instrument.Emitter.
@@ -58,21 +56,10 @@ func (a *Agent) Flush() {
 	a.mu.Lock()
 	batch := a.pending
 	a.pending = nil
-	if len(batch) > 0 {
-		a.sent += int64(len(batch))
-		a.flushes++
-	}
 	a.mu.Unlock()
 	if len(batch) > 0 {
 		a.mesh.deliver(batch)
 	}
-}
-
-// Stats returns (events sent, flush count, pending).
-func (a *Agent) Stats() (sent, flushes int64, pending int) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.sent, a.flushes, len(a.pending)
 }
 
 // Mesh is a deployment's monitoring layer: the agents it has handed out

@@ -15,6 +15,13 @@ func ev(node string, op instrument.Op, bytes int64) instrument.Event {
 	return instrument.Event{Time: t0, Node: node, Op: op, Bytes: bytes, Actor: instrument.ActorProvider}
 }
 
+// countBatches subscribes a counter of delivered batches to m.
+func countBatches(m *Mesh) *int {
+	n := new(int)
+	m.Subscribe(SubscriberFunc(func([]instrument.Event) { *n++ }))
+	return n
+}
+
 // collect subscribes a recorder of every delivered event to m.
 func collect(m *Mesh) func() []instrument.Event {
 	var mu sync.Mutex
@@ -33,7 +40,7 @@ func collect(m *Mesh) func() []instrument.Event {
 
 func TestAgentBatching(t *testing.T) {
 	m := NewMesh()
-	got := collect(m)
+	got, batches := collect(m), countBatches(m)
 	a := m.NewAgent("node1", 4)
 	for i := 0; i < 3; i++ {
 		a.Emit(ev("", instrument.OpStore, 1))
@@ -42,12 +49,12 @@ func TestAgentBatching(t *testing.T) {
 		t.Fatal("flushed before batch full")
 	}
 	a.Emit(ev("", instrument.OpStore, 1))
-	if n := len(got()); n != 4 {
-		t.Fatalf("after batch: %d", n)
+	if n := len(got()); n != 4 || *batches != 1 {
+		t.Fatalf("after batch: %d events in %d batches, want 4 in 1", n, *batches)
 	}
-	sent, flushes, pending := a.Stats()
-	if sent != 4 || flushes != 1 || pending != 0 {
-		t.Fatalf("stats=%d,%d,%d", sent, flushes, pending)
+	a.Flush() // nothing left pending
+	if *batches != 1 {
+		t.Fatalf("%d batches after an empty flush, want 1", *batches)
 	}
 }
 
@@ -90,7 +97,7 @@ func TestAgentFillsNodeField(t *testing.T) {
 
 func TestAgentManualFlush(t *testing.T) {
 	m := NewMesh()
-	got := collect(m)
+	got, batches := collect(m), countBatches(m)
 	a := m.NewAgent("n", 100)
 	a.Emit(ev("", instrument.OpStore, 1))
 	a.Flush()
@@ -98,9 +105,8 @@ func TestAgentManualFlush(t *testing.T) {
 		t.Fatalf("delivered=%d", n)
 	}
 	a.Flush() // empty flush is a no-op
-	_, flushes, _ := a.Stats()
-	if flushes != 1 {
-		t.Fatalf("flushes=%d", flushes)
+	if *batches != 1 {
+		t.Fatalf("batches=%d", *batches)
 	}
 }
 
