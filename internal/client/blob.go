@@ -362,7 +362,7 @@ func (r *BlobReader) await() (data []byte, n int64, err error) {
 		lo, hi := r.part(idx)
 		fut = &chunkFuture{done: settled, cancel: func() {}, off: lo}
 		if hi-lo >= splitMin && rel < lo+headBytes {
-			fut.verify = r.c.cache != nil && lo == 0 && hi == r.descs[idx-r.loIdx].Size
+			fut.verify = lo == 0 && hi == r.descs[idx-r.loIdx].Size
 			hi = lo + headBytes
 			end = hi
 			fut.rest = &chunkFuture{off: hi}

@@ -29,7 +29,6 @@ type ChunkCache struct {
 	bytes int                        // pool-buffer capacity the entries hold
 	lru   list.List                  // *cacheEntry, most recently used first
 	index map[chunk.ID]*list.Element // id → its lru element
-	seen  map[chunk.ID]struct{}      // the doorkeeper: heads missed once
 }
 
 type cacheEntry struct {
@@ -94,14 +93,17 @@ func (cc *ChunkCache) put(id chunk.ID, data []byte) {
 	}
 }
 
-// admitHead admits head, the first bytes of chunk d, when head followed by
-// rest hashes to d.ID: one digest over both buffers, no copy. Only d's
-// second miss is hashed. The first records d.ID in the doorkeeper (as
-// TinyLFU's; Einziger et al., ACM ToS 2017), which holds as many IDs as
-// the budget holds heads and empties when full, so a chunk read once
-// costs no hash.
+// admitHead admits head, the first bytes of chunk d, when d is not cached
+// and head followed by rest hashes to d.ID: one digest over both buffers,
+// no copy.
 func (cc *ChunkCache) admitHead(d chunk.Desc, head, rest []byte) {
-	if cc == nil || !cc.missedBefore(d.ID) {
+	if cc == nil {
+		return
+	}
+	cc.mu.Lock()
+	_, cached := cc.index[d.ID]
+	cc.mu.Unlock()
+	if cached {
 		return
 	}
 	h := sha256.New()
@@ -111,23 +113,4 @@ func (cc *ChunkCache) admitHead(d chunk.Desc, head, rest []byte) {
 	if h.Sum(sum[:0]); sum == d.ID {
 		cc.put(d.ID, head)
 	}
-}
-
-// missedBefore reports whether uncached chunk id is in the doorkeeper,
-// taking it out; an id not there goes in.
-func (cc *ChunkCache) missedBefore(id chunk.ID) bool {
-	cc.mu.Lock()
-	defer cc.mu.Unlock()
-	if _, ok := cc.index[id]; ok {
-		return false
-	}
-	if _, ok := cc.seen[id]; ok {
-		delete(cc.seen, id)
-		return true
-	}
-	if cc.seen == nil || len(cc.seen) >= ChunkCacheBytes/ChunkCacheMaxChunk {
-		cc.seen = make(map[chunk.ID]struct{})
-	}
-	cc.seen[id] = struct{}{}
-	return false
 }

@@ -1152,7 +1152,10 @@ func TestMetadataWorkPerRequest(t *testing.T) {
 // TestFetchBytesPerRequest counts what each GET costs the data providers
 // in bytes sent, with the benchmark's 1 MiB chunks: a range read moves the
 // bytes it returns — a chunk-aligned 256 KiB range, and one straddling two
-// chunks — not the whole chunks under it, and a whole GET its object.
+// chunks — not the whole chunks under it, and a whole GET its object. The
+// object's chunks are alike, so one ID: the whole GET admits its head to
+// the gateway's chunk cache, and the straddling range's last 64 KiB, chunk
+// 4's head, come from there.
 func TestFetchBytesPerRequest(t *testing.T) {
 	cluster, err := core.NewCluster(core.Options{Providers: 3, Monitoring: false})
 	if err != nil {
@@ -1178,7 +1181,7 @@ func TestFetchBytesPerRequest(t *testing.T) {
 	}{
 		{"", 0, len(large), 8 << 20, http.StatusOK},
 		{"bytes=3145728-3407871", 3 << 20, 256 << 10, 256 << 10, http.StatusPartialContent},
-		{"bytes=3997696-4259839", 3<<20 + 832<<10, 256 << 10, 256 << 10, http.StatusPartialContent},
+		{"bytes=3997696-4259839", 3<<20 + 832<<10, 256 << 10, 192 << 10, http.StatusPartialContent},
 	} {
 		before := sent()
 		resp := doRange(t, srv.URL+"/b/large", c.rng)
