@@ -57,8 +57,8 @@ func main() {
 		Replicas:   *replicas,
 		Monitoring: true,
 		Metrics:    reg,
-		// The fault-tolerance plane's per-attempt deadline; its retries,
-		// circuit breakers and failure detection keep their defaults
+		// The fault-tolerance plane's per-attempt deadline; its retries
+		// and dead-provider detection keep their defaults
 		// (see README "Fault tolerance").
 		Fault: &faultdom.Config{CallTimeout: *callTO},
 	}

@@ -98,12 +98,10 @@ func TestPartitionDegradedOperation(t *testing.T) {
 		Monitoring: false,
 		Metrics:    reg,
 		Fault: &faultdom.Config{
-			CallTimeout:      callTO,
-			Retry:            faultdom.RetryPolicy{MaxAttempts: 1}, // fail over, don't retry in place
-			BreakerThreshold: 3,
-			BreakerCooldown:  300 * time.Millisecond,
-			SuspectAfter:     2,
-			DeadAfter:        6,
+			CallTimeout: callTO,
+			Retry:       faultdom.RetryPolicy{MaxAttempts: 1}, // fail over, don't retry in place
+			DeadAfter:   3,
+			Cooldown:    300 * time.Millisecond,
 		},
 		WrapConn: cache.wrap,
 	})
@@ -121,9 +119,9 @@ func TestPartitionDegradedOperation(t *testing.T) {
 
 	// Degraded GETs: every single-chunk read must be served by the two
 	// surviving replicas. The first few pay one call deadline probing
-	// the victim; after that the detector's suspicion reorders reads
-	// healthy-first and the breaker fast-fails, so p99 stays within
-	// the deadline budget. Asserted, not eyeballed.
+	// the victim; once their failures make it dead, reads order it
+	// last and its calls fail fast, so p99 stays within the deadline
+	// budget. Asserted, not eyeballed.
 	var lat []time.Duration
 	for round := 0; round < 15; round++ {
 		for _, id := range bs.ids {
@@ -172,15 +170,15 @@ func TestPartitionDegradedOperation(t *testing.T) {
 			}
 		}
 	}
-	if familyTotal(reg, "blobseer_breaker_transitions_total") == 0 {
-		t.Error("no breaker transitions recorded during the partition")
+	if familyTotal(reg, "blobseer_health_state") == 0 {
+		t.Error("no provider reads dead on the health gauge during the partition")
 	}
 	if familyTotal(reg, "blobseer_health_transitions_total") == 0 {
 		t.Error("no health transitions recorded during the partition")
 	}
 
-	// Heal the partition: pings revive the victim — breaker closes,
-	// detector returns to alive — and the full data set reads back.
+	// Heal the partition: pings revive the victim to alive and the full
+	// data set reads back.
 	black.SetEnabled(false)
 	waitFor(t, "victim revival after heal", func() bool {
 		c.Tick(time.Now())
@@ -206,9 +204,9 @@ func TestFlakyRetriesAndMetrics(t *testing.T) {
 		Monitoring: false,
 		Metrics:    reg,
 		Fault: &faultdom.Config{
-			CallTimeout:      time.Second,
-			Retry:            faultdom.RetryPolicy{MaxAttempts: 6, BaseDelay: time.Millisecond, MaxDelay: 4 * time.Millisecond},
-			BreakerThreshold: 1000, // flaky, not down: keep the breaker out of the way
+			CallTimeout: time.Second,
+			Retry:       faultdom.RetryPolicy{MaxAttempts: 6, BaseDelay: time.Millisecond, MaxDelay: 4 * time.Millisecond},
+			DeadAfter:   1000, // flaky, not down: never declare a provider dead
 		},
 		WrapConn: cache.wrap,
 	})

@@ -13,8 +13,8 @@ import (
 )
 
 // newCluster builds a deployment for a chaos scenario. Unlike the GC
-// suite's fixed-instant clock, faults here interact with breaker
-// cooldowns and half-open probing, so the default clock advances.
+// suite's fixed-instant clock, faults here interact with dead
+// providers' probe cooldowns, so the default clock advances.
 func newCluster(t *testing.T, opts core.Options) *core.Cluster {
 	t.Helper()
 	if opts.Clock == nil {
@@ -99,7 +99,7 @@ func (cc *connCache) wrap(id string, conn client.Conn) client.Conn {
 }
 
 // familyTotal sums every sample of a metric family — enough to assert
-// "retries happened" / "a breaker tripped" without pinning label sets.
+// "retries happened" / "a provider died" without pinning label sets.
 func familyTotal(reg *metrics.Registry, name string) float64 {
 	var sum float64
 	for _, f := range reg.Snapshot() {

@@ -32,12 +32,10 @@ func TestCrashRestartRecovery(t *testing.T) {
 		Providers: 3, Replicas: 2,
 		Monitoring: false,
 		Fault: &faultdom.Config{
-			CallTimeout:      500 * time.Millisecond,
-			Retry:            faultdom.RetryPolicy{MaxAttempts: 2, BaseDelay: time.Millisecond},
-			BreakerThreshold: 3,
-			BreakerCooldown:  200 * time.Millisecond,
-			SuspectAfter:     2,
-			DeadAfter:        4,
+			CallTimeout: 500 * time.Millisecond,
+			Retry:       faultdom.RetryPolicy{MaxAttempts: 2, BaseDelay: time.Millisecond},
+			DeadAfter:   3,
+			Cooldown:    200 * time.Millisecond,
 		},
 		ProviderStore: func(id string) provider.Store {
 			if id != victim {
@@ -93,8 +91,8 @@ func TestCrashRestartRecovery(t *testing.T) {
 // TestQuorumFailureSurfacesRetryable503: with every provider behind a
 // partition the write quorum cannot be met, and the S3 gateway maps the
 // typed transient error to a retryable 503 SlowDown — not a generic
-// 500. Once the partition heals (and breaker cooldowns elapse) the same
-// PUT succeeds.
+// 500. Once the partition heals (and dead providers' cooldowns elapse)
+// the same PUT succeeds.
 func TestQuorumFailureSurfacesRetryable503(t *testing.T) {
 	inj := storetest.NewInjector(9, 1) // p=1: a full partition, shared cut switch
 	inj.SetEnabled(false)
@@ -105,10 +103,10 @@ func TestQuorumFailureSurfacesRetryable503(t *testing.T) {
 		Providers: 3, Replicas: 2,
 		Monitoring: false,
 		Fault: &faultdom.Config{
-			CallTimeout:      200 * time.Millisecond,
-			Retry:            faultdom.RetryPolicy{MaxAttempts: 2, BaseDelay: time.Millisecond},
-			BreakerThreshold: 3,
-			BreakerCooldown:  50 * time.Millisecond,
+			CallTimeout: 200 * time.Millisecond,
+			Retry:       faultdom.RetryPolicy{MaxAttempts: 2, BaseDelay: time.Millisecond},
+			DeadAfter:   3,
+			Cooldown:    50 * time.Millisecond,
 		},
 		WrapConn: cache.wrap,
 	})
@@ -145,8 +143,8 @@ func TestQuorumFailureSurfacesRetryable503(t *testing.T) {
 		t.Fatalf("partitioned PUT error %q lacks the retryable SlowDown code", body)
 	}
 
-	// Heal: after breaker cooldowns, the identical PUT goes through and
-	// the object reads back.
+	// Heal: after the cooldowns, probes revive the providers, the
+	// identical PUT goes through and the object reads back.
 	inj.SetEnabled(false)
 	waitFor(t, "PUT recovery after partition heal", func() bool {
 		code, _ := do(http.MethodPut, "/chaos/key", "payload-after-heal")

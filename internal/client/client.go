@@ -210,7 +210,7 @@ func WithWriteQuorum(n int) Option {
 }
 
 // WithHealth attaches an external health verdict (the fault-tolerance
-// plane's per-provider circuit and liveness verdict). Serial failover
+// plane's per-provider alive/dead verdict). Serial failover
 // tries healthy replicas first and the vetoed ones last, so degraded
 // data is still better than none.
 func WithHealth(healthy func(providerID string) bool) Option {
@@ -533,7 +533,7 @@ func (c *Client) baseSlot(ctx context.Context, blob uint64, chunkSize, idx int64
 // fetchReplica serves the chunk from one of its replicas by serial
 // failover, healthy replicas first (orderByHealth). When every attempt
 // fails, the error wraps ErrUnavailable and each replica's own cause, so
-// errors.Is sees why (a stopped provider, an open circuit). The returned
+// errors.Is sees why (a stopped provider, a dead provider). The returned
 // buffer is the caller's (Conn.Fetch's contract): readers donate it back
 // to the chunk pool once consumed. A cached chunk skips the providers.
 func (c *Client) fetchReplica(ctx context.Context, d chunk.Desc) ([]byte, error) {
@@ -589,7 +589,7 @@ func (c *Client) fetchReplica(ctx context.Context, d chunk.Desc) ([]byte, error)
 
 // orderByHealth returns pids with the health-vetoed providers moved to
 // the back (stable within each class), so failover tries likely-alive
-// replicas before burning its deadline on suspect ones. With no health
+// replicas before burning its deadline on dead ones. With no health
 // verdict attached — or nothing vetoed — pids is returned as-is.
 func (c *Client) orderByHealth(pids []string) []string {
 	if c.healthy == nil {

@@ -64,15 +64,16 @@ type Options struct {
 	// Fault configures the fault-tolerance plane (internal/faultdom),
 	// which every cluster runs: every client↔provider conversation gets
 	// per-attempt deadlines, retries with jittered backoff, and its
-	// outcome fed to the provider's health record (circuit breaker and
-	// liveness verdict), which steers placement, read ordering and
-	// self-optimization heals. nil means faultdom's defaults; an unset
-	// Clock is the cluster's.
+	// outcome fed to the provider's health record (alive or dead; a
+	// dead provider's calls fail fast), which steers placement, read
+	// ordering and self-optimization heals. nil means faultdom's
+	// defaults; an unset Clock is the cluster's.
 	Fault *faultdom.Config
 	// WrapConn, when set, wraps every provider conn Lookup resolves —
 	// inside the fault guard, so injected faults are seen (and retried,
-	// counted, broken on) by the plane. It is the chaos-test seam for
-	// the storetest conn wrappers (flaky, slow, partitioned).
+	// counted, held against the provider) by the plane. It is the
+	// chaos-test seam for the storetest conn wrappers (flaky, slow,
+	// partitioned).
 	WrapConn func(id string, conn client.Conn) client.Conn
 }
 
@@ -292,10 +293,10 @@ func (c *Cluster) rawConn(id string) (client.Conn, error) {
 	return conn, nil
 }
 
-// Lookup implements client.Directory. An open-circuited provider fails
-// fast here — before any wire work — so reads fail over and writes
-// re-route immediately, and the returned conn carries the full guard
-// (per-attempt deadlines, retries, breaker and detector observation).
+// Lookup implements client.Directory. A dead provider with no probe
+// due fails fast here — before any wire work — so reads fail over and
+// writes re-route immediately, and the returned conn carries the full
+// guard (per-attempt deadlines, retries, health observation).
 func (c *Cluster) Lookup(ctx context.Context, id string) (client.Conn, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -419,8 +420,8 @@ func (a pool) Alive(id string) bool {
 	if !ok || p.Stopped() {
 		return false
 	}
-	// The heal must not copy replicas onto a dead or open-circuited
-	// provider — that only manufactures more degraded replicas.
+	// The heal must not copy replicas onto a dead provider — that only
+	// manufactures more degraded replicas.
 	return a.c.Fault.Healthy(id)
 }
 

@@ -1,13 +1,13 @@
 // Package faultdom is the fault-tolerance layer of the distributed
 // plane: error classification (transient vs permanent), retry policies
 // with jittered exponential backoff, and one health record per
-// provider, in which a single streak of consecutive transient failures
-// drives both the provider's circuit (closed, half-open, open) and its
-// liveness verdict (alive, suspect, dead). Classification and retries
-// stand alone — rpc-plane callers can use a RetryPolicy by itself — but
-// every core.Cluster builds a Plane (plane.go) and guards every
-// client↔provider conversation with it: per-attempt deadlines, retries
-// on transient failures, breaker admission, and passive health
+// provider, alive or dead, in which a streak of consecutive transient
+// failures marks the provider dead and any contact revives it.
+// Classification and retries stand alone — rpc-plane callers can use a
+// RetryPolicy by itself — but every core.Cluster builds a Plane
+// (plane.go) and guards every client↔provider conversation with it:
+// dead-provider fast-fail with one probe per cooldown, per-attempt
+// deadlines, retries on transient failures, and passive health
 // observation feeding placement and self-optimization. The control
 // plane (gc, selfopt) reaches providers unguarded.
 package faultdom

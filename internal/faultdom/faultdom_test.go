@@ -51,7 +51,7 @@ func TestClassify(t *testing.T) {
 		{"transienter-true", &transientErr{t: true}, Transient},
 		{"transienter-false", &transientErr{t: false}, Permanent},
 		{"unknown", errors.New("mystery"), Permanent},
-		{"breaker-open", &BreakerOpenError{Provider: "p1"}, Permanent},
+		{"dead-rejection", &DeadError{Provider: "p1"}, Permanent},
 	}
 	for _, tc := range cases {
 		if got := Classify(tc.err); got != tc.want {
@@ -160,199 +160,150 @@ func TestRetryPolicyJittersByDefault(t *testing.T) {
 	}
 }
 
-// transitions renders one transitions_total family's counts, by
-// destination, in the order given.
-func transitions(t *testing.T, reg *metrics.Registry, family string, to ...string) string {
+// transitions renders the health transitions family's counts, by
+// destination.
+func transitions(t *testing.T, reg *metrics.Registry) string {
 	t.Helper()
 	var out []string
-	for _, v := range to {
-		out = append(out, fmt.Sprintf("%s=%v", v, findSample(t, reg, family, "to", v)))
+	for _, v := range []string{"alive", "dead"} {
+		out = append(out, fmt.Sprintf("%s=%v", v, findSample(t, reg, "blobseer_health_transitions_total", "to", v)))
 	}
 	return strings.Join(out, " ")
 }
 
-func TestBreakerLifecycle(t *testing.T) {
-	now := time.Unix(0, 0)
+// TestHealthLifecycle runs one provider's record through the streak,
+// the verdict's metrics and the heal hand-off.
+func TestHealthLifecycle(t *testing.T) {
 	reg := metrics.NewRegistry()
-	p := NewPlane(Config{
-		BreakerThreshold: 3, BreakerCooldown: time.Second,
-		Clock: func() time.Time { return now },
-	}, reg)
-	trans := func(want string) {
+	p := NewPlane(Config{DeadAfter: 3}, reg)
+	check := func(h Health, trans string) {
 		t.Helper()
-		got := transitions(t, reg, "blobseer_breaker_transitions_total", "closed", "half_open", "open")
-		if got != want {
-			t.Fatalf("breaker transitions = %s, want %s", got, want)
+		gauge := findSample(t, reg, "blobseer_health_state", "provider", "p1")
+		if p.Health("p1") != h || p.Healthy("p1") != (h == Alive) || gauge != float64(h) {
+			t.Fatalf("verdict=%v healthy=%v gauge=%v; want %v", p.Health("p1"), p.Healthy("p1"), gauge, h)
+		}
+		if got := transitions(t, reg); got != trans {
+			t.Fatalf("health transitions = %s, want %s", got, trans)
 		}
 	}
-
 	werr := &transientErr{t: true}
-	for i := 0; i < 2; i++ {
-		if !p.allow("p1") {
-			t.Fatal("closed breaker rejected a call")
-		}
-		p.observe("p1", werr)
-	}
-	if p.State("p1") != Closed {
-		t.Fatalf("state = %v before threshold, want Closed", p.State("p1"))
-	}
+
+	p.Track("p1")
+	p.observe("p1", werr, false)
+	p.observe("p1", werr, false)
+	check(Alive, "alive=0 dead=0")
 	// A permanent (application) error proves contact: streak resets.
-	p.observe("p1", provider.ErrNotFound)
-	if p.State("p1") != Closed {
-		t.Fatalf("state = %v after app error, want Closed", p.State("p1"))
-	}
-	trans("closed=0 half_open=0 open=0")
-	for i := 0; i < 3; i++ {
-		p.observe("p1", werr)
-	}
-	if p.State("p1") != Open {
-		t.Fatalf("state = %v after threshold, want Open", p.State("p1"))
-	}
-	trans("closed=0 half_open=0 open=1")
-	if p.allow("p1") {
-		t.Fatal("open breaker admitted a call before cooldown")
-	}
+	p.observe("p1", provider.ErrNotFound, false)
+	p.observe("p1", werr, false)
+	p.observe("p1", werr, false)
+	check(Alive, "alive=0 dead=0")
+	p.observe("p1", werr, false)
+	check(Dead, "alive=0 dead=1")
 	if p.FastFail("p1") == nil {
-		t.Fatal("open breaker not rejecting")
+		t.Fatal("dead provider not rejecting")
 	}
-
-	// Cooldown elapses: exactly one probe is admitted.
-	now = now.Add(time.Second)
-	if !p.allow("p1") {
-		t.Fatal("half-open breaker rejected the probe")
-	}
-	if p.State("p1") != HalfOpen {
-		t.Fatalf("state = %v, want HalfOpen", p.State("p1"))
-	}
-	if p.allow("p1") {
-		t.Fatal("half-open breaker admitted a second concurrent probe")
-	}
-	trans("closed=0 half_open=1 open=1")
-	// Failed probe: straight back to Open.
-	p.observe("p1", werr)
-	if p.State("p1") != Open {
-		t.Fatalf("state = %v after failed probe, want Open", p.State("p1"))
-	}
-	trans("closed=0 half_open=1 open=2")
-
-	// Next probe succeeds: closed again.
-	now = now.Add(time.Second)
-	if !p.allow("p1") {
-		t.Fatal("second probe rejected")
-	}
-	trans("closed=0 half_open=2 open=2")
-	p.observe("p1", nil)
-	if p.State("p1") != Closed {
-		t.Fatalf("state = %v after successful probe, want Closed", p.State("p1"))
-	}
-	if p.FastFail("p1") != nil {
-		t.Fatal("closed breaker rejecting")
-	}
-	trans("closed=1 half_open=2 open=2")
-}
-
-func TestDetectorVerdicts(t *testing.T) {
-	reg := metrics.NewRegistry()
-	p := NewPlane(Config{BreakerThreshold: 100, SuspectAfter: 2, DeadAfter: 4}, reg)
-	trans := func(want string) {
-		t.Helper()
-		got := transitions(t, reg, "blobseer_health_transitions_total", "alive", "suspect", "dead")
-		if got != want {
-			t.Fatalf("health transitions = %s, want %s", got, want)
-		}
-	}
-	werr := &transientErr{t: true}
-
-	p.observe("p1", werr)
-	if p.Health("p1") != Alive {
-		t.Fatalf("verdict = %v after 1 failure, want Alive", p.Health("p1"))
-	}
-	p.observe("p1", werr)
-	if p.Health("p1") != Suspect {
-		t.Fatalf("verdict = %v after 2 failures, want Suspect", p.Health("p1"))
-	}
-	trans("alive=0 suspect=1 dead=0")
-	// Application errors are contact: verdict recovers.
-	p.observe("p1", provider.ErrNotFound)
-	if p.Health("p1") != Alive {
-		t.Fatalf("verdict = %v after app error, want Alive", p.Health("p1"))
-	}
-	trans("alive=1 suspect=1 dead=0")
-	for i := 0; i < 4; i++ {
-		p.observe("p1", werr)
-	}
-	if p.Health("p1") != Dead {
-		t.Fatalf("verdict = %v after 4 failures, want Dead", p.Health("p1"))
-	}
-	trans("alive=1 suspect=2 dead=1")
-	p.observe("p1", nil)
-	if p.Health("p1") != Alive {
-		t.Fatalf("verdict = %v after success, want Alive", p.Health("p1"))
-	}
-	trans("alive=2 suspect=2 dead=1")
-	if p.Health("p2") != Alive {
-		t.Fatalf("untracked provider = %v, want Alive", p.Health("p2"))
-	}
-}
-
-// TestOneStreakDrivesCircuitAndVerdict runs one provider's failure
-// streak through both machines with the chaos suite's thresholds.
-func TestOneStreakDrivesCircuitAndVerdict(t *testing.T) {
-	now := time.Unix(0, 0)
-	reg := metrics.NewRegistry()
-	p := NewPlane(Config{
-		Retry:            RetryPolicy{MaxAttempts: 1},
-		BreakerThreshold: 3, BreakerCooldown: time.Second,
-		SuspectAfter: 2, DeadAfter: 6,
-		Clock: func() time.Time { return now },
-	}, reg)
-	inner := &failNConn{n: 6}
-	conn := p.Wrap("p1", inner)
-	store := func() error { return conn.Store(context.Background(), "u", chunk.ID{}, []byte("x")) }
-	check := func(calls int, st State, h Health, healthy bool) {
-		t.Helper()
-		if inner.calls != calls || p.State("p1") != st || p.Health("p1") != h || p.Healthy("p1") != healthy {
-			t.Fatalf("calls=%d state=%v health=%v healthy=%v; want %d %v %v %v",
-				inner.calls, p.State("p1"), p.Health("p1"), p.Healthy("p1"), calls, st, h, healthy)
-		}
-	}
-
-	for i := 0; i < 2; i++ {
-		if store() == nil {
-			t.Fatal("Store succeeded against failing conn")
-		}
-	}
-	check(2, Closed, Suspect, true) // suspect, still admitted
-	if store() == nil {
-		t.Fatal("third Store succeeded")
-	}
-	check(3, Open, Suspect, false)
-	if err := store(); !IsBreakerOpen(err) {
-		t.Fatalf("Store before cooldown = %v, want BreakerOpenError", err)
-	}
-	check(3, Open, Suspect, false)
-	for calls := 4; calls <= 6; calls++ {
-		now = now.Add(time.Second)
-		if store() == nil {
-			t.Fatalf("probe %d succeeded", calls)
-		}
-		h := Suspect
-		if calls == 6 {
-			h = Dead
-		}
-		check(calls, Open, h, false)
-	}
+	p.observe("p1", werr, false) // already dead: no second heal
 	if dead := p.DrainDead(); len(dead) != 1 || dead[0] != "p1" {
 		t.Fatalf("DrainDead = %v, want [p1]", dead)
 	}
-	now = now.Add(time.Second)
+	p.observe("p1", nil, false)
+	check(Alive, "alive=1 dead=1")
+	if p.FastFail("p1") != nil {
+		t.Fatal("revived provider rejecting")
+	}
+	if len(p.DrainDead()) != 0 {
+		t.Fatal("second drain not empty")
+	}
+	if p.Health("p2") != Alive || !p.Healthy("p2") || p.FastFail("p2") != nil {
+		t.Fatal("untracked provider not Alive")
+	}
+}
+
+// TestDeadProviderWaitsForProbe: an elapsed cooldown alone does not
+// make a dead provider healthy; it admits exactly one probe, a failed
+// probe restarts the cooldown, and a successful one revives it.
+func TestDeadProviderWaitsForProbe(t *testing.T) {
+	now := time.Unix(0, 0)
+	p := NewPlane(Config{
+		Retry:     RetryPolicy{MaxAttempts: 1},
+		DeadAfter: 2, Cooldown: time.Second,
+		Clock: func() time.Time { return now },
+	}, nil)
+	inner := &failNConn{n: 2}
+	conn := p.Wrap("p1", inner)
+	store := func() error { return conn.Store(context.Background(), "u", chunk.ID{}, []byte("x")) }
+	check := func(calls int, healthy bool) {
+		t.Helper()
+		if inner.calls != calls || p.Healthy("p1") != healthy {
+			t.Fatalf("calls=%d healthy=%v; want %d %v", inner.calls, p.Healthy("p1"), calls, healthy)
+		}
+	}
+
+	store()
+	store()
+	check(2, false)
+	now = now.Add(time.Hour)
+	check(2, false) // no contact, no revival
+	if ok, probe := p.allow("p1"); !ok || !probe {
+		t.Fatalf("allow past cooldown = %v, %v; want the probe", ok, probe)
+	}
+	if ok, _ := p.allow("p1"); ok {
+		t.Fatal("a second call admitted while the probe is in flight")
+	}
+	if err := p.FastFail("p1"); !IsDead(err) {
+		t.Fatalf("FastFail during probe = %v, want DeadError", err)
+	}
+
+	// A probe that fails half a cooldown in restarts the cooldown from
+	// its failure, not from its admission.
+	now = now.Add(time.Second / 2)
+	p.observe("p1", &transientErr{t: true}, true)
+	now = now.Add(time.Second / 2)
+	if err := store(); !IsDead(err) {
+		t.Fatalf("Store within the restarted cooldown = %v, want DeadError", err)
+	}
+	check(2, false)
+
+	// A successful probe revives it.
+	now = now.Add(time.Second / 2)
 	if err := store(); err != nil {
 		t.Fatalf("recovering probe = %v", err)
 	}
-	check(7, Closed, Alive, true)
-	if got, want := transitions(t, reg, "blobseer_health_transitions_total", "alive", "suspect", "dead"),
-		"alive=1 suspect=1 dead=1"; got != want {
-		t.Fatalf("health transitions = %s, want %s", got, want)
+	check(3, true)
+	if p.Health("p1") != Alive || p.FastFail("p1") != nil {
+		t.Fatalf("verdict = %v after a successful probe, want Alive", p.Health("p1"))
+	}
+}
+
+// TestDeadProbeCancelReleasesSlot: a probe whose caller gives up
+// mid-call frees the probe slot, so the next cooldown admits another.
+func TestDeadProbeCancelReleasesSlot(t *testing.T) {
+	now := time.Unix(0, 0)
+	p := NewPlane(Config{
+		Retry:     RetryPolicy{MaxAttempts: 1},
+		DeadAfter: 1, Cooldown: time.Hour,
+		Clock: func() time.Time { return now },
+	}, nil)
+	p.observe("p1", &transientErr{t: true}, false)
+	now = now.Add(time.Hour)
+
+	block := make(chan struct{})
+	defer close(block)
+	conn := p.Wrap("p1", blockingConn{ch: block})
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
+	defer cancel()
+	if _, err := conn.Fetch(ctx, "u", chunk.ID{}); err == nil || IsDead(err) {
+		t.Fatalf("probe = %v, want the caller's deadline", err)
+	}
+	if p.FastFail("p1") == nil {
+		t.Fatal("a second probe admitted within the cooldown")
+	}
+	now = now.Add(time.Hour)
+	if err := p.FastFail("p1"); err != nil {
+		t.Fatalf("FastFail a cooldown after the cancelled probe = %v, want nil", err)
+	}
+	if ok, probe := p.allow("p1"); !ok || !probe {
+		t.Fatalf("allow a cooldown after the cancelled probe = %v, %v; want the probe", ok, probe)
 	}
 }
 
@@ -412,8 +363,8 @@ func (c *failNConn) Fetch(ctx context.Context, user string, id chunk.ID) ([]byte
 func TestGuardedConnRetriesAndCounts(t *testing.T) {
 	reg := metrics.NewRegistry()
 	p := NewPlane(Config{
-		Retry:            RetryPolicy{MaxAttempts: 3, BaseDelay: time.Microsecond},
-		BreakerThreshold: 100,
+		Retry:     RetryPolicy{MaxAttempts: 3, BaseDelay: time.Microsecond},
+		DeadAfter: 100,
 	}, reg)
 	inner := &failNConn{n: 2}
 	conn := p.Wrap("p1", inner)
@@ -435,47 +386,43 @@ func TestGuardedConnRetriesAndCounts(t *testing.T) {
 	}
 }
 
+// TestGuardedConnBreakerFastFail: with the default config, data-path
+// failures alone make the provider Dead, hand it to the heal once, and
+// turn later calls into rejections that never reach the provider.
 func TestGuardedConnBreakerFastFail(t *testing.T) {
-	p := NewPlane(Config{
-		Retry:            RetryPolicy{MaxAttempts: 1},
-		BreakerThreshold: 2,
-		BreakerCooldown:  time.Hour,
-	}, nil)
+	p := NewPlane(Config{Retry: RetryPolicy{MaxAttempts: 1}}, nil)
 	inner := &failNConn{n: 1000}
 	conn := p.Wrap("p1", inner)
 
 	id := chunk.Sum([]byte("x"))
-	for i := 0; i < 2; i++ {
-		if err := conn.Store(context.Background(), "u", id, []byte("x")); err == nil {
-			t.Fatal("Store succeeded against failing conn")
-		}
+	var err error
+	for i := 0; i < 8; i++ {
+		err = conn.Store(context.Background(), "u", id, []byte("x"))
 	}
-	if p.State("p1") != Open {
-		t.Fatalf("breaker = %v after threshold, want Open", p.State("p1"))
+	if !IsDead(err) {
+		t.Fatalf("err = %v, want DeadError", err)
 	}
-	before := inner.calls
-	err := conn.Store(context.Background(), "u", id, []byte("x"))
-	if !IsBreakerOpen(err) {
-		t.Fatalf("err = %v, want BreakerOpenError", err)
-	}
-	if inner.calls != before {
-		t.Fatal("open breaker still reached the provider")
-	}
-	if p.Healthy("p1") {
-		t.Fatal("open-circuited provider reported Healthy")
+	if inner.calls != 5 || p.Health("p1") != Dead || p.Healthy("p1") {
+		t.Fatalf("calls=%d verdict=%v healthy=%v; want 5 Dead false", inner.calls, p.Health("p1"), p.Healthy("p1"))
 	}
 	if p.FastFail("p1") == nil {
-		t.Fatal("FastFail = nil for open circuit")
+		t.Fatal("FastFail = nil for a dead provider")
 	}
 	if p.FastFail("p2") != nil {
 		t.Fatal("FastFail != nil for untracked provider")
+	}
+	if dead := p.DrainDead(); len(dead) != 1 || dead[0] != "p1" {
+		t.Fatalf("DrainDead = %v, want [p1]", dead)
+	}
+	if len(p.DrainDead()) != 0 {
+		t.Fatal("second drain not empty")
 	}
 }
 
 func TestGuardedConnCallerCancelNotCounted(t *testing.T) {
 	p := NewPlane(Config{
-		Retry:            RetryPolicy{MaxAttempts: 1},
-		BreakerThreshold: 1, // a single counted failure would open it
+		Retry:     RetryPolicy{MaxAttempts: 1},
+		DeadAfter: 1, // a single counted failure would kill it
 	}, nil)
 	block := make(chan struct{})
 	conn := p.Wrap("p1", blockingConn{ch: block})
@@ -487,8 +434,8 @@ func TestGuardedConnCallerCancelNotCounted(t *testing.T) {
 	if err == nil {
 		t.Fatal("Fetch succeeded against blocked conn")
 	}
-	if p.State("p1") != Closed {
-		t.Fatalf("caller cancellation tripped the breaker: %v", p.State("p1"))
+	if p.Health("p1") != Alive {
+		t.Fatalf("caller cancellation killed the provider: %v", p.Health("p1"))
 	}
 }
 
@@ -517,9 +464,9 @@ func (c blockingConn) Fetch(ctx context.Context, user string, id chunk.ID) ([]by
 
 func TestGuardedConnAttemptDeadline(t *testing.T) {
 	p := NewPlane(Config{
-		CallTimeout:      30 * time.Millisecond,
-		Retry:            RetryPolicy{MaxAttempts: 1},
-		BreakerThreshold: 100,
+		CallTimeout: 30 * time.Millisecond,
+		Retry:       RetryPolicy{MaxAttempts: 1},
+		DeadAfter:   100,
 	}, nil)
 	conn := p.Wrap("p1", blockingConn{ch: make(chan struct{})})
 
@@ -539,7 +486,7 @@ func TestGuardedConnAttemptDeadline(t *testing.T) {
 }
 
 func TestPlanePing(t *testing.T) {
-	p := NewPlane(Config{SuspectAfter: 1, DeadAfter: 2}, nil)
+	p := NewPlane(Config{DeadAfter: 2}, nil)
 	// Healthy provider: answers ErrNotFound for the probe chunk.
 	ok := &failNConn{}
 	if err := p.Ping(context.Background(), "p1", ok); err != nil {
@@ -572,8 +519,8 @@ func TestPlaneTrackResolvesGauge(t *testing.T) {
 	reg := metrics.NewRegistry()
 	p := NewPlane(Config{}, reg)
 	p.Track("p1")
-	if v := findSample(t, reg, "blobseer_breaker_state", "provider", "p1"); v != 0 {
-		t.Fatalf("breaker_state{p1} = %v, want 0 (closed)", v)
+	if v := findSample(t, reg, "blobseer_health_state", "provider", "p1"); v != 0 {
+		t.Fatalf("health_state{p1} = %v, want 0 (alive)", v)
 	}
 	p.Forget("p1")
 }

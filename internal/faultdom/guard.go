@@ -9,7 +9,7 @@ import (
 )
 
 // guardedConn wraps one provider's conn with the plane's full guard:
-// breaker admission, a per-attempt deadline, in-place retries of
+// dead-provider admission, a per-attempt deadline, in-place retries of
 // transient failures, and outcome observation feeding the provider's
 // health record.
 type guardedConn struct {
@@ -18,15 +18,16 @@ type guardedConn struct {
 	inner client.Conn
 }
 
-// run executes fn under the guard. A breaker rejection is returned as
-// a BreakerOpenError, which classifies Permanent — the retry loop does
-// not spin on it and the caller fails over to another replica at once.
+// run executes fn under the guard. A rejection is returned as a
+// DeadError, which classifies Permanent — the retry loop does not spin
+// on it and the caller fails over to another replica at once.
 func (g *guardedConn) run(ctx context.Context, op string, fn func(context.Context) error) error {
 	attempt := func(ctx context.Context) error {
-		if !g.p.allow(g.id) {
+		ok, probe := g.p.allow(g.id)
+		if !ok {
 			// Rejected without touching the provider: not an
-			// observation, the breaker state is unchanged.
-			return &BreakerOpenError{Provider: g.id}
+			// observation, the record is unchanged.
+			return &DeadError{Provider: g.id}
 		}
 		actx, cancel := ctx, context.CancelFunc(nil)
 		if g.p.cfg.CallTimeout > 0 {
@@ -39,9 +40,12 @@ func (g *guardedConn) run(ctx context.Context, op string, fn func(context.Contex
 		if err != nil && ctx.Err() != nil {
 			// The caller gave up (parent deadline or cancellation):
 			// that is not evidence against the provider.
+			if probe {
+				g.p.release(g.id)
+			}
 			return err
 		}
-		g.p.observe(g.id, err)
+		g.p.observe(g.id, err, probe)
 		return err
 	}
 	return g.p.cfg.Retry.DoNotify(ctx,

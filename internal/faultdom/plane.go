@@ -22,20 +22,14 @@ type Config struct {
 	// caller falls over to another replica.
 	Retry RetryPolicy
 
-	// BreakerThreshold consecutive transient failures open a provider's
-	// circuit (default 5); BreakerCooldown later a single probe is let
-	// through (default 5s).
-	BreakerThreshold int
-	BreakerCooldown  time.Duration
+	// DeadAfter consecutive transient failures make a provider Dead
+	// (default 5): placement and reads skip it, self-optimization heals
+	// around it, and guarded calls to it are rejected but for one probe
+	// per Cooldown (default 5s).
+	DeadAfter int
+	Cooldown  time.Duration
 
-	// SuspectAfter / DeadAfter consecutive transient failures move a
-	// provider's health verdict (defaults 3 and 6; a DeadAfter not above
-	// SuspectAfter becomes twice it). Dead providers are excluded from
-	// placement and handed to self-optimization to heal.
-	SuspectAfter int
-	DeadAfter    int
-
-	// Clock supplies time for breaker cooldowns (default time.Now).
+	// Clock supplies time for cooldowns (default time.Now).
 	Clock func() time.Time
 }
 
@@ -43,17 +37,11 @@ func (c Config) withDefaults() Config {
 	if c.CallTimeout <= 0 {
 		c.CallTimeout = 2 * time.Second
 	}
-	if c.BreakerThreshold <= 0 {
-		c.BreakerThreshold = 5
+	if c.DeadAfter <= 0 {
+		c.DeadAfter = 5
 	}
-	if c.BreakerCooldown <= 0 {
-		c.BreakerCooldown = 5 * time.Second
-	}
-	if c.SuspectAfter <= 0 {
-		c.SuspectAfter = 3
-	}
-	if c.DeadAfter <= c.SuspectAfter {
-		c.DeadAfter = 2 * c.SuspectAfter
+	if c.Cooldown <= 0 {
+		c.Cooldown = 5 * time.Second
 	}
 	if c.Clock == nil {
 		c.Clock = time.Now
@@ -61,14 +49,13 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// planeMetrics is the Plane's slice of the PR 8 registry. All families
+// planeMetrics is the Plane's slice of the metrics registry. All families
 // are resolved eagerly so they appear in /metrics (and the CI smoke
 // greps) before the first fault.
 type planeMetrics struct {
-	retries      *metrics.CounterVec // blobseer_rpc_retries_total{op}
-	breakerState *metrics.GaugeVec   // blobseer_breaker_state{provider}
-	breakerTrans *metrics.CounterVec // blobseer_breaker_transitions_total{to}
-	healthTrans  *metrics.CounterVec // blobseer_health_transitions_total{to}
+	retries *metrics.CounterVec // blobseer_rpc_retries_total{op}
+	state   *metrics.GaugeVec   // blobseer_health_state{provider}
+	trans   *metrics.CounterVec // blobseer_health_transitions_total{to}
 }
 
 func newPlaneMetrics(reg *metrics.Registry) *planeMetrics {
@@ -78,21 +65,16 @@ func newPlaneMetrics(reg *metrics.Registry) *planeMetrics {
 	m := &planeMetrics{
 		retries: reg.Counter("blobseer_rpc_retries_total",
 			"Data-path calls re-attempted after a transient failure, by operation.", "op"),
-		breakerState: reg.Gauge("blobseer_breaker_state",
-			"Per-provider circuit breaker position (0 closed, 1 half-open, 2 open).", "provider"),
-		breakerTrans: reg.Counter("blobseer_breaker_transitions_total",
-			"Circuit breaker state changes, by destination state.", "to"),
-		healthTrans: reg.Counter("blobseer_health_transitions_total",
+		state: reg.Gauge("blobseer_health_state",
+			"Per-provider health verdict (0 alive, 1 dead).", "provider"),
+		trans: reg.Counter("blobseer_health_transitions_total",
 			"Provider health verdict changes, by destination verdict.", "to"),
 	}
 	for _, op := range []string{"store", "fetch", "lease", "release", "lookup", "ping"} {
 		m.retries.With(op)
 	}
-	for _, s := range []State{Closed, HalfOpen, Open} {
-		m.breakerTrans.With(s.String())
-	}
-	for _, h := range []Health{Alive, Suspect, Dead} {
-		m.healthTrans.With(h.String())
+	for _, h := range []Health{Alive, Dead} {
+		m.trans.With(h.String())
 	}
 	return m
 }
@@ -104,12 +86,11 @@ func (m *planeMetrics) retry(op string) {
 }
 
 // Plane assembles the fault-tolerance pieces around a provider fleet:
-// one health record per provider (its circuit and its liveness verdict,
-// both driven by one failure streak), a retry policy, and per-attempt
-// deadlines. core.Cluster creates one and threads it through placement
-// (skip unhealthy), the read path (order healthy first), the lookup
-// path (guard every conn) and the control-plane tick (active pings +
-// heal triggers).
+// one health record per provider (alive or dead, driven by its failure
+// streak), a retry policy, and per-attempt deadlines. core.Cluster
+// creates one and threads it through placement (skip dead providers),
+// the read path (order healthy first), the lookup path (guard every
+// conn) and the control-plane tick (active pings + heal triggers).
 type Plane struct {
 	cfg Config
 	m   *planeMetrics
@@ -132,7 +113,7 @@ func (p *Plane) Track(id string) {
 	defer p.mu.Unlock()
 	h := p.recLocked(id)
 	if p.m != nil {
-		p.m.breakerState.With(id).Set(float64(h.circuit))
+		p.m.state.With(id).Set(float64(h.verdict))
 	}
 }
 
@@ -143,36 +124,28 @@ func (p *Plane) Forget(id string) {
 	p.mu.Unlock()
 }
 
-// State returns the provider's circuit position (Closed when
-// untracked). An elapsed cooldown is not applied here: Open reads Open
-// until a call probes.
-func (p *Plane) State(id string) State { return p.get(id).circuit }
-
 // Health returns the provider's liveness verdict (Alive when
 // untracked).
 func (p *Plane) Health(id string) Health { return p.get(id).verdict }
 
 // Healthy reports whether placement should offer the provider new
-// allocations and reads should try it first: circuit not rejecting and
-// verdict not Dead.
-func (p *Plane) Healthy(id string) bool {
-	h := p.get(id)
-	return !p.rejecting(h) && h.verdict != Dead
-}
+// allocations and reads should try it first: it is not Dead. An
+// elapsed cooldown does not revive it; only contact does.
+func (p *Plane) Healthy(id string) bool { return p.Health(id) == Alive }
 
-// FastFail returns a BreakerOpenError when a call to the provider
-// would be rejected without reaching the wire, nil otherwise. Lookup
-// uses it to fail over before dialing.
+// FastFail returns a DeadError when a call to the provider would be
+// rejected without reaching the wire, nil otherwise. Lookup uses it to
+// fail over before dialing.
 func (p *Plane) FastFail(id string) error {
 	if p.rejecting(p.get(id)) {
-		return &BreakerOpenError{Provider: id}
+		return &DeadError{Provider: id}
 	}
 	return nil
 }
 
-// Wrap guards a provider conn: every call gets breaker admission, a
-// per-attempt deadline, transient-failure retries, and its outcome fed
-// to the provider's health record.
+// Wrap guards a provider conn: every call gets dead-provider admission,
+// a per-attempt deadline, transient-failure retries, and its outcome
+// fed to the provider's health record.
 func (p *Plane) Wrap(id string, conn client.Conn) client.Conn {
 	return &guardedConn{p: p, id: id, inner: conn}
 }
@@ -197,7 +170,7 @@ func (p *Plane) Ping(ctx context.Context, id string, conn client.Conn) error {
 	cctx, cancel := context.WithTimeout(ctx, p.cfg.CallTimeout)
 	defer cancel()
 	_, err := conn.Fetch(cctx, "health", chunk.ID{})
-	p.observe(id, err)
+	p.observe(id, err, false)
 	if err != nil && Classify(err) == Permanent {
 		return nil
 	}

@@ -278,11 +278,11 @@ func WithClock(now func() time.Time) Option {
 }
 
 // WithHealth attaches an external health verdict (the fault-tolerance
-// plane's per-provider circuit and liveness verdict): providers it
+// plane's per-provider alive/dead verdict): providers it
 // reports unhealthy are excluded from placement. When excluding them
 // would leave fewer providers than one chunk's replica set needs,
 // Allocate degrades gracefully and offers every registered provider
-// instead — storing to a suspect provider and letting the write quorum
+// instead — storing to a dead provider and letting the write quorum
 // decide beats refusing the write outright.
 func WithHealth(h func(id string) bool) Option {
 	return func(m *Manager) { m.health = h }

@@ -25,8 +25,6 @@ import (
 // without a histogram's "le". Dashboards and alerts key on these names,
 // so a change here is a change to the product's surface.
 var prometheusSurface = []string{
-	"blobseer_breaker_state gauge process,provider",
-	"blobseer_breaker_transitions_total counter process,to",
 	"blobseer_client_chunk_fetch_seconds histogram outcome,process",
 	"blobseer_client_chunk_store_seconds histogram outcome,process",
 	"blobseer_client_quorum_wait_seconds histogram process",
@@ -49,6 +47,7 @@ var prometheusSurface = []string{
 	"blobseer_gc_swept_bytes_total counter process",
 	"blobseer_gc_swept_chunks_total counter process",
 	"blobseer_gc_swept_nodes_total counter process",
+	"blobseer_health_state gauge process,provider",
 	"blobseer_health_transitions_total counter process,to",
 	"blobseer_provider_chunks gauge process,provider",
 	"blobseer_provider_fetch_seconds histogram outcome,process",

@@ -237,7 +237,7 @@ func writeErr(w http.ResponseWriter, status int, code, msg string) {
 
 // writeOpErr classifies a data-path failure: security denials are the
 // caller's fault (403, non-retryable); degraded-backend failures —
-// replica quorum missed, no providers placeable, an open circuit, or
+// replica quorum missed, no providers placeable, a dead provider, or
 // any transient transport fault — are 503 SlowDown, the S3 idiom for
 // "retry with backoff, the outage is temporary"; anything else is a
 // backend fault (500, retryable).
@@ -249,7 +249,7 @@ func writeOpErr(w http.ResponseWriter, err error) {
 		errors.Is(err, client.ErrUnavailable) ||
 		errors.Is(err, pmanager.ErrNoProviders) ||
 		errors.Is(err, pmanager.ErrNotEnough) ||
-		faultdom.IsBreakerOpen(err) ||
+		faultdom.IsDead(err) ||
 		faultdom.Classify(err) == faultdom.Transient:
 		writeErr(w, http.StatusServiceUnavailable, "SlowDown", err.Error())
 	default:

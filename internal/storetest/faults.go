@@ -13,8 +13,8 @@ import (
 )
 
 // faultErr is the error type of every injected fault. It classifies as
-// transient (faultdom.Transienter), so the retry/breaker/detector plane
-// treats injected faults exactly like real infrastructure failures.
+// transient (faultdom.Transienter), so the retry/health plane treats
+// injected faults exactly like real infrastructure failures.
 type faultErr struct{ msg string }
 
 func (e *faultErr) Error() string   { return e.msg }
@@ -219,7 +219,7 @@ func (f *FlakyStore) Purge(id chunk.ID) (int64, error) {
 // crashed provider fails every operation (the process is gone), and a
 // later Restart brings it back either with its disk state intact or
 // wiped empty — the two real recovery shapes (reboot vs replacement
-// node). Recovery paths (directory re-resolution, breaker probing,
+// node). Recovery paths (directory re-resolution, dead-provider probing,
 // selfopt re-replication) can then be tested deterministically.
 type CrashStore struct {
 	// Fresh mints the replacement store for Restart(wipe=true). Leaving
