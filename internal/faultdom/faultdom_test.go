@@ -171,34 +171,56 @@ func transitions(t *testing.T, reg *metrics.Registry) string {
 	return strings.Join(out, " ")
 }
 
-// TestHealthLifecycle runs one provider's record through the streak,
-// the verdict's metrics and the heal hand-off.
-func TestHealthLifecycle(t *testing.T) {
+// checkHealth fails unless p1's verdict, Healthy, gauge and the
+// transition counts all agree with h and trans.
+func checkHealth(t *testing.T, p *Plane, reg *metrics.Registry, h Health, trans string) {
+	t.Helper()
+	gauge := findSample(t, reg, "blobseer_health_state", "provider", "p1")
+	if p.Health("p1") != h || p.Healthy("p1") != (h == Alive) || gauge != float64(h) {
+		t.Fatalf("verdict=%v healthy=%v gauge=%v; want %v", p.Health("p1"), p.Healthy("p1"), gauge, h)
+	}
+	if got := transitions(t, reg); got != trans {
+		t.Fatalf("health transitions = %s, want %s", got, trans)
+	}
+}
+
+// TestDetectorVerdicts: only DeadAfter consecutive transient failures
+// make a provider Dead; an application error in the streak resets it,
+// and an untracked provider reads Alive.
+func TestDetectorVerdicts(t *testing.T) {
 	reg := metrics.NewRegistry()
 	p := NewPlane(Config{DeadAfter: 3}, reg)
-	check := func(h Health, trans string) {
-		t.Helper()
-		gauge := findSample(t, reg, "blobseer_health_state", "provider", "p1")
-		if p.Health("p1") != h || p.Healthy("p1") != (h == Alive) || gauge != float64(h) {
-			t.Fatalf("verdict=%v healthy=%v gauge=%v; want %v", p.Health("p1"), p.Healthy("p1"), gauge, h)
-		}
-		if got := transitions(t, reg); got != trans {
-			t.Fatalf("health transitions = %s, want %s", got, trans)
-		}
-	}
 	werr := &transientErr{t: true}
 
 	p.Track("p1")
 	p.observe("p1", werr, false)
 	p.observe("p1", werr, false)
-	check(Alive, "alive=0 dead=0")
+	checkHealth(t, p, reg, Alive, "alive=0 dead=0")
 	// A permanent (application) error proves contact: streak resets.
 	p.observe("p1", provider.ErrNotFound, false)
 	p.observe("p1", werr, false)
 	p.observe("p1", werr, false)
-	check(Alive, "alive=0 dead=0")
+	checkHealth(t, p, reg, Alive, "alive=0 dead=0")
 	p.observe("p1", werr, false)
-	check(Dead, "alive=0 dead=1")
+	checkHealth(t, p, reg, Dead, "alive=0 dead=1")
+	if p.Health("p2") != Alive || !p.Healthy("p2") || p.FastFail("p2") != nil {
+		t.Fatal("untracked provider not Alive")
+	}
+}
+
+// TestOneStreakDrivesCircuitAndVerdict: the streak that makes a
+// provider Dead also makes FastFail reject it and hands it to the heal
+// exactly once; one success undoes both.
+func TestOneStreakDrivesCircuitAndVerdict(t *testing.T) {
+	reg := metrics.NewRegistry()
+	p := NewPlane(Config{DeadAfter: 3}, reg)
+	werr := &transientErr{t: true}
+
+	p.Track("p1")
+	for i := 0; i < 3; i++ {
+		p.observe("p1", werr, false)
+	}
+	checkHealth(t, p, reg, Dead, "alive=0 dead=1")
 	if p.FastFail("p1") == nil {
 		t.Fatal("dead provider not rejecting")
 	}
@@ -207,22 +229,19 @@ func TestHealthLifecycle(t *testing.T) {
 		t.Fatalf("DrainDead = %v, want [p1]", dead)
 	}
 	p.observe("p1", nil, false)
-	check(Alive, "alive=1 dead=1")
+	checkHealth(t, p, reg, Alive, "alive=1 dead=1")
 	if p.FastFail("p1") != nil {
 		t.Fatal("revived provider rejecting")
 	}
 	if len(p.DrainDead()) != 0 {
 		t.Fatal("second drain not empty")
 	}
-	if p.Health("p2") != Alive || !p.Healthy("p2") || p.FastFail("p2") != nil {
-		t.Fatal("untracked provider not Alive")
-	}
 }
 
-// TestDeadProviderWaitsForProbe: an elapsed cooldown alone does not
-// make a dead provider healthy; it admits exactly one probe, a failed
-// probe restarts the cooldown, and a successful one revives it.
-func TestDeadProviderWaitsForProbe(t *testing.T) {
+// TestBreakerLifecycle: an elapsed cooldown alone does not make a dead
+// provider healthy; it admits exactly one probe, a failed probe
+// restarts the cooldown, and a successful one revives it.
+func TestBreakerLifecycle(t *testing.T) {
 	now := time.Unix(0, 0)
 	p := NewPlane(Config{
 		Retry:     RetryPolicy{MaxAttempts: 1},
